@@ -28,6 +28,8 @@ let disclose_ ep h records =
 
 module J = Telemetry.Json
 
+let counter registry name = Option.value (Telemetry.counter_value registry name) ~default:0
+
 (* --- FIG 2: architecture self-check ---------------------------------------- *)
 
 let fig2 () =
@@ -35,12 +37,13 @@ let fig2 () =
   let sys = System.create ~mode:System.Pass ~machine:1 ~volume_names:[ "vol0" ] () in
   let stack = Option.get (Kernel.pass_stack (System.kernel sys)) in
   let volume = List.hd (System.volumes sys) in
+  let idle name = Telemetry.counter_value (System.telemetry sys) name = Some 0 in
   let checks =
     [
       ("libpass (user-level DPAPI)", System.app_endpoint sys ~pid:Kernel.init_pid <> None);
       ("interceptor (syscall hooks)", Kernel.pass_stack (System.kernel sys) <> None);
-      ("observer", (Pass_core.Observer.stats stack.Kernel.observer).events = 0);
-      ("analyzer", (Analyzer.stats stack.Kernel.analyzer).records_in = 0);
+      ("observer", idle "observer.events");
+      ("analyzer", idle "analyzer.records_in");
       ("distributor", Pass_core.Distributor.cached_object_count stack.Kernel.distributor = 0);
       ("lasagna (PA file system)", volume.System.v_lasagna <> None);
       ("waldo (log -> database daemon)", volume.System.v_waldo <> None);
@@ -168,7 +171,8 @@ let ablation_cycles () =
   in
   (* PASSv2: the analyzer's local rule *)
   let ctx = Ctx.create ~machine:1 in
-  let an = Analyzer.create ~ctx ~lower:(null_endpoint ctx) () in
+  let registry = Telemetry.create () in
+  let an = Analyzer.create ~registry ~ctx ~lower:(null_endpoint ctx) () in
   let ep = Analyzer.endpoint an in
   let procs = Array.init 40 (fun _ -> Dpapi.handle (Ctx.fresh ctx)) in
   let files = Array.init 40 (fun _ -> Dpapi.handle ~volume:"v" (Ctx.fresh ctx)) in
@@ -182,7 +186,6 @@ let ablation_cycles () =
         disclose_ ep f [ Record.input_of p.pnode (Ctx.current_version ctx p.pnode) ])
     events;
   let v2_time = Sys.time () -. t0 in
-  let v2 = Analyzer.stats an in
   (* PASSv1: global graph + DFS + merge *)
   let cd = Cycle_detect.create () in
   let pnode i = Pass_core.Pnode.of_int (i + 1) in
@@ -196,7 +199,7 @@ let ablation_cycles () =
   Printf.printf "  %d read/write events over 40 processes x 40 files\n" n;
   Printf.printf
     "  PASSv2 cycle avoidance: %d freezes (extra versions), %d adoptions avoided a freeze, %.2f us/event\n"
-    v2.Analyzer.freezes v2.Analyzer.adoptions
+    (counter registry "analyzer.freezes") (counter registry "analyzer.adoptions")
     (v2_time *. 1e6 /. float_of_int n);
   Printf.printf "  PASSv1 global detection: %d merges, %d DFS probe steps, %.2f us/event\n"
     (Cycle_detect.merges cd) (Cycle_detect.probe_steps cd)
@@ -242,17 +245,18 @@ let ablation_dedup () =
 
 let ablation_wap () =
   section "ABLATION: WAP log vs PASSv1-style direct database writes";
-  let sys = System.create ~mode:System.Pass ~machine:1 ~volume_names:[ "vol0" ] () in
+  let registry = Telemetry.create () in
+  let sys = System.create ~registry ~mode:System.Pass ~machine:1 ~volume_names:[ "vol0" ] () in
   Kepler_wl.run sys ~parent:Kernel.init_pid;
   ignore (System.drain sys : int);
   let sp = System.space sys in
+  let log_bytes = counter registry "wap.bytes_written" in
   Printf.printf "  PA-Kepler workload, provenance bytes on the critical path:\n";
-  Printf.printf "  PASSv2 (WAP log, database deferred to Waldo): %7d bytes\n"
-    sp.System.sp_prov_log_bytes;
+  Printf.printf "  PASSv2 (WAP log, database deferred to Waldo): %7d bytes\n" log_bytes;
   Printf.printf "  PASSv1 (database + indexes written in-line):  %7d bytes (%.1fx)\n"
     (sp.System.sp_db_bytes + sp.System.sp_index_bytes)
     (float_of_int (sp.System.sp_db_bytes + sp.System.sp_index_bytes)
-    /. float_of_int (max 1 sp.System.sp_prov_log_bytes))
+    /. float_of_int (max 1 log_bytes))
 
 let ablation_nfs_txn () =
   section "ABLATION: PA-NFS transaction encapsulation";
@@ -327,7 +331,7 @@ let fault_bench () =
   let chaos_registry = Telemetry.create () in
   let chaos = Fault.plan ~registry:chaos_registry ~spec:Fault.default_chaos ~seed () in
   let chaos_ns = fault_workload ~registry:chaos_registry ~fault:chaos in
-  let tv name = Option.value (Telemetry.counter_value chaos_registry name) ~default:0 in
+  let tv = counter chaos_registry in
   let counter_names =
     [ "fault.injected.total"; "nfs.retries"; "nfs.drc.hits"; "nfs.drc.misses";
       "nfs.backpressure"; "nfs.txns_abandoned"; "lasagna.io_retries" ]
@@ -456,24 +460,15 @@ let monitor_bench ~scale =
     if Pvmon.enabled monitor then Pvmon.scrape monitor now;
     now
   in
-  (* fresh registry per run: the process-wide default accumulates
-     instrument instances from every earlier section, which would make
-     the byte-determinism comparison below depend on bench ordering *)
   let run_nfs monitor =
-    let sys, server =
-      Runner.nfs_system ~registry:(Telemetry.create ()) ~tracer:(Pvtrace.create ())
-        ~monitor System.Pass
-    in
+    let sys, server = Runner.nfs_system ~tracer:(Pvtrace.create ()) ~monitor System.Pass in
     postmark.Runner.run sys;
     ignore (System.drain sys : int);
     ignore (Server.drain server : int);
     finish monitor sys
   in
   let run_local monitor =
-    let sys =
-      Runner.local_system ~registry:(Telemetry.create ()) ~tracer:(Pvtrace.create ())
-        ~monitor System.Pass
-    in
+    let sys = Runner.local_system ~tracer:(Pvtrace.create ()) ~monitor System.Pass in
     mercurial.Runner.run sys;
     finish monitor sys
   in
@@ -889,55 +884,10 @@ let microbench () =
 
 (* --- machine-readable results ------------------------------------------------ *)
 
-(* Cross-check the telemetry registry against the legacy per-module stats
-   views on a fresh PA-Kepler run: CI fails the bench-smoke job when the
-   two disagree or when the pipeline did no work at all. *)
-let self_check () =
-  section "SELF-CHECK: telemetry vs legacy stats views";
-  let registry = Telemetry.create () in
-  let sys =
-    System.create ~registry ~mode:System.Pass ~machine:1 ~volume_names:[ "vol0" ] ()
-  in
-  Kepler_wl.run sys ~parent:Kernel.init_pid;
-  ignore (System.drain sys : int);
-  let stack = Option.get (Kernel.pass_stack (System.kernel sys)) in
-  let an = Analyzer.stats stack.Kernel.analyzer in
-  let vol = List.hd (System.volumes sys) in
-  let las = Lasagna.stats (Option.get vol.System.v_lasagna) in
-  let tv name = Option.value (Telemetry.counter_value registry name) ~default:(-1) in
-  let pairs =
-    [
-      ("analyzer.records_in", tv "analyzer.records_in", an.Analyzer.records_in);
-      ("analyzer.records_out", tv "analyzer.records_out", an.Analyzer.records_out);
-      ( "analyzer.duplicates_dropped",
-        tv "analyzer.duplicates_dropped",
-        an.Analyzer.duplicates_dropped );
-      ("wap.frames_written", tv "wap.frames_written", las.Lasagna.frames_logged);
-      ("wap.bytes_written", tv "wap.bytes_written", las.Lasagna.prov_bytes_logged);
-    ]
-  in
-  let ok =
-    List.for_all (fun (_, t, l) -> t = l) pairs
-    && an.Analyzer.records_in > 0
-    && las.Lasagna.frames_logged > 0
-  in
-  List.iter
-    (fun (name, t, l) ->
-      Printf.printf "  %-30s telemetry %8d  legacy %8d  %s\n" name t l
-        (if t = l then "ok" else "MISMATCH"))
-    pairs;
-  Printf.printf "  self-check: %s\n" (if ok then "ok" else "FAILED");
-  let counters =
-    J.Obj
-      (List.map (fun (name, t, l) -> (name, J.Obj [ ("telemetry", J.Int t); ("legacy", J.Int l) ]))
-         pairs)
-  in
-  (ok, J.Obj [ ("ok", J.Bool ok); ("counters", counters) ])
-
 let results_file = "BENCH_results.json"
 
-let write_results ~scale ~registry ~local ~nfs ~space ~self_check ~faults ~trace ~monitor
-    ~recovery ~query ~micro =
+let write_results ~scale ~registry ~local ~nfs ~space ~faults ~trace ~monitor ~recovery
+    ~query ~micro =
   let row_json (r : Runner.row) =
     J.Obj
       [
@@ -981,7 +931,6 @@ let write_results ~scale ~registry ~local ~nfs ~space ~self_check ~faults ~trace
         ("schema", J.Str "pass-bench/v1");
         ("scale", J.Float scale);
         ("workloads", J.List workloads);
-        ("self_check", self_check);
         ("faults", faults);
         ("trace", trace);
         ("monitor", monitor);
@@ -1015,8 +964,7 @@ let () =
   let recovery_ok, recovery = recovery_bench ~scale in
   let query_ok, query = query_bench ~scale in
   let micro = microbench () in
-  let check_ok, self_check = self_check () in
-  write_results ~scale ~registry ~local ~nfs ~space ~self_check ~faults ~trace ~monitor
-    ~recovery ~query ~micro;
+  write_results ~scale ~registry ~local ~nfs ~space ~faults ~trace ~monitor ~recovery ~query
+    ~micro;
   Printf.printf "\ndone.\n";
-  if not (check_ok && faults_ok && trace_ok && monitor_ok && recovery_ok && query_ok) then exit 1
+  if not (faults_ok && trace_ok && monitor_ok && recovery_ok && query_ok) then exit 1

@@ -11,16 +11,6 @@
 
 type t
 
-type stats = {
-  mutable records_in : int;
-  mutable records_out : int;
-  mutable duplicates_dropped : int;
-  mutable freezes : int;
-  mutable writes_elided : int;
-  mutable dedup_evictions : int;
-  mutable adoptions : int;
-}
-
 val create :
   ?registry:Telemetry.registry ->
   ?charge:(int -> unit) ->
@@ -32,8 +22,8 @@ val create :
   unit ->
   t
 (** [create ~ctx ~lower ()] builds an analyzer stage above [lower].
-    [registry] receives the [analyzer.*] instruments (default
-    {!Telemetry.default}); [charge] receives simulated CPU nanoseconds as
+    [registry] receives the [analyzer.*] instruments (none registered when
+    omitted); [charge] receives simulated CPU nanoseconds as
     work is performed; [dedup] (default true) can be disabled for the
     ablation benchmark; [dedup_capacity] bounds the duplicate-detection
     table (epoch reset when full — duplicates may then be re-admitted,
@@ -43,6 +33,3 @@ val create :
 
 val endpoint : t -> Dpapi.endpoint
 (** The DPAPI face of this analyzer, to be handed to the layer above. *)
-
-val stats : t -> stats
-(** A point-in-time view over the [analyzer.*] telemetry instruments. *)

@@ -17,13 +17,6 @@ type ventry = {
   mutable assigned : string option; (* volume once anchored/flushed *)
 }
 
-type stats = {
-  mutable cached_records : int;
-  mutable flushes : int;
-  mutable flushed_records : int;
-}
-
-(* Registry-backed instruments; [stats] is a view built on demand. *)
 type instruments = {
   cached_records : Telemetry.counter;
   flushes : Telemetry.counter;
@@ -54,12 +47,6 @@ let create ?registry ?(tracer = Pvtrace.disabled) ~ctx ~lower ~default_volume ()
       };
   }
 
-let stats t : stats =
-  {
-    cached_records = Telemetry.value t.i.cached_records;
-    flushes = Telemetry.value t.i.flushes;
-    flushed_records = Telemetry.value t.i.flushed_records;
-  }
 let cached_object_count t = Hashtbl.length t.cache
 
 let is_cached_unflushed t pnode =

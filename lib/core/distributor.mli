@@ -9,12 +9,6 @@
 
 type t
 
-type stats = {
-  mutable cached_records : int;
-  mutable flushes : int;
-  mutable flushed_records : int;
-}
-
 val create :
   ?registry:Telemetry.registry ->
   ?tracer:Pvtrace.t ->
@@ -22,14 +16,11 @@ val create :
 (** [create ~ctx ~lower ~default_volume ()] builds a distributor stage.
     [default_volume] receives the provenance of [pass_sync]ed objects that
     were created without a volume hint; [registry] receives the
-    [distributor.*] instruments (default {!Telemetry.default}); [tracer]
+    [distributor.*] instruments (none registered when omitted); [tracer]
     (default {!Pvtrace.disabled}) records "cached" absorb events and
     "flushed" flush spans. *)
 
 val endpoint : t -> Dpapi.endpoint
-
-val stats : t -> stats
-(** A point-in-time view over the [distributor.*] telemetry instruments. *)
 
 val cached_object_count : t -> int
 

@@ -16,8 +16,6 @@ exception Lower_error of string
     an exception rather than a [Dpapi.error]: the paper's shim fails
     loudly instead of dropping provenance. *)
 
-type stats = { mutable events : int; mutable records_emitted : int }
-
 val create :
   ?registry:Telemetry.registry ->
   ?tracer:Pvtrace.t ->
@@ -28,7 +26,7 @@ val create :
   t
 (** [create ~ctx ~lower ()] builds an observer whose lower layer is
     normally the analyzer.  [registry] receives the [observer.*]
-    instruments (default {!Telemetry.default}); [tracer] (default
+    instruments (none registered when omitted); [tracer] (default
     {!Pvtrace.disabled}) records an "observer.emit" event per disclosed
     record batch.
 
@@ -45,9 +43,6 @@ val flush : t -> (unit, Dpapi.error) result
 (** Hand any queued burst downstream as one bundle.  Called internally at
     every batch boundary; callers that read the databases (drain,
     benchmarks) flush first. *)
-
-val stats : t -> stats
-(** A point-in-time view over the [observer.*] telemetry instruments. *)
 
 val proc_handle : t -> int -> Dpapi.handle
 (** The virtual object representing process [pid] (created on demand). *)

@@ -72,8 +72,8 @@ val none : plan
 
 val plan : ?registry:Telemetry.registry -> ?spec:spec -> seed:int -> unit -> plan
 (** [plan ~seed ()] is a fresh schedule (default spec {!default_chaos}).
-    [registry] receives the [fault.injected.*] counters (default
-    {!Telemetry.default}). *)
+    [registry] receives the [fault.injected.*] counters (none registered when
+    omitted). *)
 
 val seed : plan -> int
 val active : plan -> bool

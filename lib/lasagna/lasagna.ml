@@ -21,15 +21,8 @@ module Ctx = Pass_core.Ctx
 module Dpapi = Pass_core.Dpapi
 module Record = Pass_core.Record
 
-type stats = {
-  mutable frames_logged : int;
-  mutable prov_bytes_logged : int;
-  mutable data_bytes : int;
-  mutable rotations : int;
-}
-
-(* Registry-backed instruments; [stats] is a view built on demand.  The
-   WAP log owns the [wap.*] names, the stacking data path [lasagna.*]. *)
+(* Registry-backed instruments.  The WAP log owns the [wap.*] names, the
+   stacking data path [lasagna.*]. *)
 type instruments = {
   frames_written : Telemetry.counter; (* wap.frames_written *)
   bytes_written : Telemetry.counter; (* wap.bytes_written *)
@@ -98,13 +91,6 @@ let errno_to_dpapi : Vfs.errno -> Dpapi.error = function
 
 let lift r = Result.map_error errno_to_dpapi r
 
-let stats t : stats =
-  {
-    frames_logged = Telemetry.value t.i.frames_written;
-    prov_bytes_logged = Telemetry.value t.i.bytes_written;
-    data_bytes = Telemetry.value t.i.data_bytes;
-    rotations = Telemetry.value t.i.rotations;
-  }
 let volume t = t.volume
 
 (* Transient disk errors (the fault plan's EIO kind) are retried a few

@@ -8,13 +8,6 @@
 
 type t
 
-type stats = {
-  mutable frames_logged : int;
-  mutable prov_bytes_logged : int;
-  mutable data_bytes : int;
-  mutable rotations : int;
-}
-
 val create :
   ?registry:Telemetry.registry ->
   ?log_max:int ->
@@ -30,7 +23,7 @@ val create :
   t
 (** [create ~lower ~ctx ~volume ~charge ()] stacks a Lasagna instance over
     [lower].  [registry] receives the [wap.*] and [lasagna.*] instruments
-    (default {!Telemetry.default}); [charge] receives the double-buffering
+    (none registered when omitted); [charge] receives the double-buffering
     CPU nanoseconds the stacking costs; [log_max] (default 1 MiB) bounds
     the active log before rotation, and a log dormant for [idle_ns]
     (default 5 simulated seconds, measured on [now]) is closed on the next
@@ -60,9 +53,6 @@ val write_txn_bundle :
   Pass_core.Dpapi.bundle ->
   (int, Pass_core.Dpapi.error) result
 (** [pass_write] with an explicit PA-NFS transaction tag (Section 6.1.2). *)
-
-val stats : t -> stats
-(** A point-in-time view over the [wap.*] / [lasagna.*] instruments. *)
 
 val volume : t -> string
 

@@ -44,7 +44,7 @@ val scan :
   (report, Vfs.errno) result
 (** [scan lower] performs recovery over the [.pass] logs on [lower] and
     publishes the outcome as [wap.recovery.*] counters into [registry]
-    (default {!Telemetry.default}).  When a checkpoint MANIFEST exists
+    (none registered when omitted).  When a checkpoint MANIFEST exists
     under [waldo_dir] (default ["/.waldo"]) the scan is bounded: logs
     below its watermark are skipped unread, and transactions the
     checkpoint carried as in-flight seed the open-transaction tracking

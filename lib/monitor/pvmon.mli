@@ -31,6 +31,13 @@ type source =
       (** per-second rate of the named counter's delta between scrapes *)
   | Gauge_value of string  (** the named gauge's scraped value *)
   | Hist_p99 of string  (** the named histogram's p99 at scrape time *)
+  | Span_p99 of string
+      (** p99 duration of the spans named ["layer.op"] (e.g.
+          ["analyzer.pass_write"]), in simulated ns.  The monitor keeps one
+          histogram per such name, fed from its pvtrace sink and exported
+          as series ["layer.op_ns"].  Span sources stay idle under a
+          disabled tracer: no spans are recorded, so the series never
+          appears. *)
 
 type rule
 
@@ -50,9 +57,9 @@ val rule :
     enforces this on every literal. *)
 
 val default_rules : unit -> rule list
-(** The stock rule set: DPAPI write p99 latency, WAP backlog depth,
-    PA-NFS retry and DRC-miss rates, Waldo checkpoint staleness.  Fresh
-    mutable state per call. *)
+(** The stock rule set: DPAPI write p99 latency (the [analyzer.pass_write]
+    span), WAP backlog depth, PA-NFS retry rate, Waldo checkpoint
+    staleness.  Fresh mutable state per call. *)
 
 (** {1 Construction and wiring} *)
 
@@ -81,7 +88,8 @@ val watch : t -> Telemetry.registry -> unit
 val attach_tracer : t -> Pvtrace.t -> unit
 (** Install the monitor as [tracer]'s completion sink
     ({!Pvtrace.on_record}): every recorded span feeds the attribution
-    fold, the flamegraph accumulator and the slow-op log.  No-op when
+    fold, the flamegraph accumulator, the slow-op log and the
+    {!Span_p99} histograms, which join the scrape set here.  No-op when
     either side is disabled. *)
 
 val tick : t -> int -> unit

@@ -23,22 +23,14 @@ module Ctx = Pass_core.Ctx
 module Record = Pass_core.Record
 module Pnode = Pass_core.Pnode
 
-type stats = {
-  mutable rpcs : int;
-  mutable txns : int;
-  mutable inline_writes : int; (* pass_writes that fit in one OP_PASSWRITE *)
-  mutable retries : int; (* retransmissions after a timeout *)
-  mutable backpressure : int; (* EAGAINs returned when the backlog was full *)
-}
-
-(* Registry-backed instruments; [stats] is a view built on demand. *)
+(* Registry-backed instruments. *)
 type instruments = {
   rpcs : Telemetry.counter;
   txns : Telemetry.counter;
-  inline_writes : Telemetry.counter;
+  inline_writes : Telemetry.counter; (* pass_writes that fit in one OP_PASSWRITE *)
   rpc_latency : Telemetry.histogram; (* simulated ns per RPC round trip *)
-  retries : Telemetry.counter; (* nfs.retries *)
-  backpressure : Telemetry.counter; (* nfs.backpressure *)
+  retries : Telemetry.counter; (* nfs.retries: retransmissions after a timeout *)
+  backpressure : Telemetry.counter; (* nfs.backpressure: EAGAINs on a full backlog *)
   wb_queued : Telemetry.counter; (* nfs.wb_queued *)
   txns_abandoned : Telemetry.counter; (* nfs.txns_abandoned *)
   batch_rpcs : Telemetry.counter; (* nfs.batch_rpcs *)
@@ -121,16 +113,6 @@ let create ?registry ?(wb_high_water = 64) ?(piggyback = true)
     crashed = false;
     plain_pending = None;
     prov_pending = [];
-  }
-
-let stats t : stats =
-  let v = Telemetry.value in
-  {
-    rpcs = v t.i.rpcs;
-    txns = v t.i.txns;
-    inline_writes = v t.i.inline_writes;
-    retries = v t.i.retries;
-    backpressure = v t.i.backpressure;
   }
 
 (* Simulate the client host dying: every subsequent call fails.  Used by

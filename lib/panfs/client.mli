@@ -17,14 +17,6 @@ module Pnode = Pass_core.Pnode
 
 type t
 
-type stats = {
-  mutable rpcs : int;
-  mutable txns : int;
-  mutable inline_writes : int;
-  mutable retries : int;
-  mutable backpressure : int;
-}
-
 val create :
   ?registry:Telemetry.registry ->
   ?wb_high_water:int ->
@@ -39,8 +31,8 @@ val create :
 (** [mount_name] is the volume name this client is mounted under on its
     machine; handles it returns carry it.  [registry] receives the
     [panfs.*] and [nfs.*] instruments, including the [panfs.rpc_latency]
-    histogram of simulated round-trip nanoseconds (default
-    {!Telemetry.default}).  [wb_high_water] (default 64) bounds the
+    histogram of simulated round-trip nanoseconds (none registered when
+    omitted).  [wb_high_water] (default 64) bounds the
     write-behind backlog used to ride out partitions: past it,
     provenance writes fail with [Eagain] (backpressure).
 
@@ -50,9 +42,6 @@ val create :
     single sequence number, so replays hit the server's duplicate-request
     cache as one unit.  [~piggyback:false] restores one RPC per write for
     A/B comparison. *)
-
-val stats : t -> stats
-(** A point-in-time view over the [panfs.*] telemetry counters. *)
 
 val crash : t -> unit
 (** Simulate the client host dying: every subsequent call fails with

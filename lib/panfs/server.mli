@@ -28,8 +28,8 @@ val create :
 (** [clock] is shared with the clients so server disk time appears as
     client-visible latency.  [registry] receives the [panfs.server.*] and
     [nfs.drc.*] counters, plus the instruments of the embedded disk and —
-    in [Pass_enabled] mode — Lasagna, analyzer and Waldo (default
-    {!Telemetry.default}).  [fault] is forwarded to the server's disk. *)
+    in [Pass_enabled] mode — Lasagna, analyzer and Waldo (none registered
+    when omitted).  [fault] is forwarded to the server's disk. *)
 
 val handle : t -> Proto.call -> Proto.resp
 (** Serve one call (the simulated transport calls this).  A call whose

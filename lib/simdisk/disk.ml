@@ -17,17 +17,7 @@
 
 let block_size = 4096
 
-type stats = {
-  mutable reads : int;
-  mutable writes : int;
-  mutable bytes_read : int;
-  mutable bytes_written : int;
-  mutable seeks : int;
-  mutable seek_ns : int;
-  mutable transfer_ns : int;
-}
-
-(* Registry-backed instruments; [stats] is a view built on demand. *)
+(* Registry-backed instruments. *)
 type instruments = {
   reads : Telemetry.counter;
   writes : Telemetry.counter;
@@ -94,17 +84,6 @@ let create ?registry ?(total_blocks = 20_000_000) ?(stream_slots = 5) ?(fault = 
     per_block_transfer_ns = Clock.ns_of_us 65; (* 4 KB at ~60 MB/s *)
   }
 
-let stats t : stats =
-  let v = Telemetry.value in
-  {
-    reads = v t.i.reads;
-    writes = v t.i.writes;
-    bytes_read = v t.i.bytes_read;
-    bytes_written = v t.i.bytes_written;
-    seeks = v t.i.seeks;
-    seek_ns = v t.i.seek_ns;
-    transfer_ns = v t.i.transfer_ns;
-  }
 let clock t = t.clock
 let is_crashed t = t.crashed
 let set_fault t plan = t.fault <- plan

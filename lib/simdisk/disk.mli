@@ -10,16 +10,6 @@ val block_size : int
 
 type t
 
-type stats = {
-  mutable reads : int;
-  mutable writes : int;
-  mutable bytes_read : int;
-  mutable bytes_written : int;
-  mutable seeks : int;
-  mutable seek_ns : int;
-  mutable transfer_ns : int;
-}
-
 exception Crashed
 (** Raised by any access to a crashed device. *)
 
@@ -37,15 +27,12 @@ val create :
   t
 (** [stream_slots] (default 5) is the number of concurrent sequential
     streams the simulated elevator can keep cheap; [registry] receives the
-    [disk.*] instruments (default {!Telemetry.default}).  [fault] (default
+    [disk.*] instruments (none registered when omitted).  [fault] (default
     {!Fault.none}) injects transient errors, torn writes and silent
     corruption per its seeded schedule. *)
 
 val set_fault : t -> Fault.plan -> unit
 (** Swap the fault plan on a live device. *)
-
-val stats : t -> stats
-(** A point-in-time view over the [disk.*] telemetry instruments. *)
 
 val clock : t -> Clock.t
 val is_crashed : t -> bool

@@ -95,7 +95,7 @@ let router t : Dpapi.endpoint =
         ep.pass_sync h);
   }
 
-let create ?(registry = Telemetry.default) ?fault ?(tracer = Pvtrace.disabled)
+let create ?(registry = Telemetry.create ()) ?fault ?(tracer = Pvtrace.disabled)
     ?(monitor = Pvmon.disabled) ?(batching = true) ~mode ~machine ~volume_names
     () =
   let clock = Clock.create () in
@@ -155,25 +155,10 @@ let create ?(registry = Telemetry.default) ?fault ?(tracer = Pvtrace.disabled)
                (Distributor.endpoint distributor))
           ()
       in
-      (* span timing around the DPAPI hot path: pass_write / pass_freeze
-         as seen at the top of the in-kernel chain, in simulated ns *)
-      let write_ns = Telemetry.histogram ~registry "dpapi.pass_write_ns" in
-      let freeze_ns = Telemetry.histogram ~registry "dpapi.pass_freeze_ns" in
-      let now () = Clock.now clock in
-      let inner = Analyzer.endpoint analyzer in
-      let timed =
-        {
-          inner with
-          Dpapi.pass_write =
-            (fun h ~off ~data b ->
-              Telemetry.with_span write_ns ~now (fun () -> inner.pass_write h ~off ~data b));
-          pass_freeze =
-            (fun h -> Telemetry.with_span freeze_ns ~now (fun () -> inner.pass_freeze h));
-        }
-      in
       let observer =
         Observer.create ~registry ~tracer ~batch:batching ~ctx
-          ~lower:(Dpapi.traced ~tracer ~layer:"analyzer" timed) ()
+          ~lower:(Dpapi.traced ~tracer ~layer:"analyzer" (Analyzer.endpoint analyzer))
+          ()
       in
       Kernel.set_pass kernel { Kernel.observer; analyzer; distributor }
   | Pass, [] | Vanilla, _ -> ());
@@ -215,7 +200,6 @@ let app_endpoint t ~pid =
 
 type space = {
   sp_data_bytes : int; (* workload data written to the baseline FS *)
-  sp_prov_log_bytes : int; (* WAP log bytes written *)
   sp_db_bytes : int; (* Waldo database *)
   sp_index_bytes : int; (* Waldo indexes *)
 }
@@ -223,19 +207,15 @@ type space = {
 let space t =
   List.fold_left
     (fun acc v ->
-      let log_bytes, db_bytes, idx_bytes =
-        match (v.v_lasagna, v.v_waldo) with
-        | Some l, Some w ->
-            ((Lasagna.stats l).prov_bytes_logged,
-             Provdb.db_bytes (Waldo.db w),
-             Provdb.index_bytes (Waldo.db w))
-        | _ -> (0, 0, 0)
+      let db_bytes, idx_bytes =
+        match v.v_waldo with
+        | Some w -> (Provdb.db_bytes (Waldo.db w), Provdb.index_bytes (Waldo.db w))
+        | None -> (0, 0)
       in
       {
         sp_data_bytes = acc.sp_data_bytes + Ext3.live_bytes v.v_ext3;
-        sp_prov_log_bytes = acc.sp_prov_log_bytes + log_bytes;
         sp_db_bytes = acc.sp_db_bytes + db_bytes;
         sp_index_bytes = acc.sp_index_bytes + idx_bytes;
       })
-    { sp_data_bytes = 0; sp_prov_log_bytes = 0; sp_db_bytes = 0; sp_index_bytes = 0 }
+    { sp_data_bytes = 0; sp_db_bytes = 0; sp_index_bytes = 0 }
     t.volumes

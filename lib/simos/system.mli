@@ -32,11 +32,13 @@ val create :
   volume_names:string list ->
   unit ->
   t
-(** [registry] (default {!Telemetry.default}) receives the instruments of
-    every layer of this machine — [disk.*], [wap.*], [waldo.*],
-    [distributor.*], [analyzer.*], [observer.*] — plus the DPAPI hot-path
-    span histograms [dpapi.pass_write_ns] / [dpapi.pass_freeze_ns]
-    (simulated nanoseconds, [Pass] mode only).  [fault] (default
+(** [registry] (default: a fresh registry of this machine's own, read
+    back with {!telemetry}) receives the instruments of every layer of
+    this machine — [disk.*], [wap.*], [waldo.*], [distributor.*],
+    [analyzer.*], [observer.*].  DPAPI latency is not a registry
+    instrument: it is the duration of the [analyzer.pass_write] /
+    [analyzer.pass_freeze] spans, which a {!Pvmon} [Span_p99] rule turns
+    into a histogram.  [fault] (default
     {!Fault.none}) is shared by every volume's disk.  [tracer] (default
     {!Pvtrace.disabled}) is wired to this machine's clock and threaded
     through every layer: system calls become root spans, each DPAPI hop
@@ -91,7 +93,6 @@ val app_endpoint : t -> pid:int -> Dpapi.endpoint option
 
 type space = {
   sp_data_bytes : int;
-  sp_prov_log_bytes : int;
   sp_db_bytes : int;
   sp_index_bytes : int;
 }

@@ -4,7 +4,7 @@
    and simdisk in the library graph), deterministic behaviour (the repo's
    runs are reproducible simulations; percentile reservoirs must not use
    randomness), and cheap instrument updates (a counter bump is one field
-   mutation, the same cost as the mutable stats records it replaces). *)
+   mutation). *)
 
 type counter = { mutable c : int }
 type gauge = { mutable g : float }
@@ -30,11 +30,13 @@ type instrument = Counter of counter | Gauge of gauge | Histogram of histogram
 type registry = { mutable instruments : (string * instrument) list (* newest first *) }
 
 let create () = { instruments = [] }
-let default = create ()
 
+(* Without a registry the instrument still counts; it is just not listed
+   anywhere. *)
 let register registry name i =
-  let r = match registry with Some r -> r | None -> default in
-  r.instruments <- (name, i) :: r.instruments
+  match registry with
+  | Some r -> r.instruments <- (name, i) :: r.instruments
+  | None -> ()
 
 let counter ?registry name =
   let c = { c = 0 } in

@@ -6,10 +6,11 @@
     machine-readable form of the paper's Tables 2–3 accounting: records
     in/out, duplicates dropped, WAP bytes, RPC latencies, disk seeks.
 
-    Instruments are owned by the layer instance that created them (so the
-    per-layer [stats] views stay exact even when several instances coexist);
-    the registry aggregates same-named instruments at snapshot time, the way
-    a scrape aggregates per-process metrics. *)
+    Instruments are owned by the layer instance that created them; the
+    registry aggregates same-named instruments at snapshot time, the way a
+    scrape aggregates per-process metrics.  There is no process-global
+    registry: a caller that wants to read a layer's instruments passes
+    that layer its own registry. *)
 
 type registry
 type counter
@@ -19,13 +20,13 @@ type histogram
 val create : unit -> registry
 (** A fresh, empty registry. *)
 
-val default : registry
-(** The process-global registry used when [?registry] is omitted. *)
-
 (** {1 Instrument creation}
 
-    Creating an instrument registers it under [name].  Several instruments
-    may share a name (one per layer instance); snapshots aggregate them. *)
+    Creating an instrument registers it under [name] in [registry].
+    Several instruments may share a name (one per layer instance);
+    snapshots aggregate them.  Without [registry] the instrument is
+    registered nowhere: it still counts ({!value}, {!summary}) but no
+    snapshot sees it. *)
 
 val counter : ?registry:registry -> string -> counter
 val gauge : ?registry:registry -> string -> gauge

@@ -14,15 +14,7 @@ module Pvalue = Pass_core.Pvalue
 module Record = Pass_core.Record
 module Dpapi = Pass_core.Dpapi
 
-type stats = {
-  mutable logs_processed : int;
-  mutable frames_ingested : int;
-  mutable records_ingested : int;
-  mutable txns_committed : int;
-  mutable txns_orphaned : int;
-}
-
-(* Registry-backed instruments; [stats] is a view built on demand. *)
+(* Registry-backed instruments. *)
 type instruments = {
   logs_processed : Telemetry.counter;
   frames_ingested : Telemetry.counter;
@@ -92,16 +84,6 @@ let create ?registry ?(tracer = Pvtrace.disabled) ?(policy = Disabled)
   }
 
 let db t = t.db
-
-let stats t : stats =
-  let v = Telemetry.value in
-  {
-    logs_processed = v t.i.logs_processed;
-    frames_ingested = v t.i.frames_ingested;
-    records_ingested = v t.i.records_ingested;
-    txns_committed = v t.i.txns_committed;
-    txns_orphaned = v t.i.txns_orphaned;
-  }
 
 let cur_version t pnode =
   Option.value (Hashtbl.find_opt t.ingest_version pnode) ~default:0

@@ -7,14 +7,6 @@
 
 type t
 
-type stats = {
-  mutable logs_processed : int;
-  mutable frames_ingested : int;
-  mutable records_ingested : int;
-  mutable txns_committed : int;
-  mutable txns_orphaned : int;
-}
-
 type policy = Disabled | Manual | Every_frames of int
 (** When to take a checkpoint.  [Disabled] (the default) keeps the
     original behaviour: processed logs are removed immediately and
@@ -33,7 +25,7 @@ val create :
   t
 (** [create ~lower ()] builds a Waldo reading logs from the [.pass]
     directory of [lower] (the file system beneath Lasagna).  [registry]
-    receives the [waldo.*] instruments (default {!Telemetry.default});
+    receives the [waldo.*] instruments (none registered when omitted);
     [tracer] (default {!Pvtrace.disabled}) records ingest spans and
     committed / orphaned transaction events.  [compact_keep] bounds how
     many versions per node stay hot across a checkpoint (the rest move
@@ -41,9 +33,6 @@ val create :
     ["/.waldo"]) holds the MANIFEST and its payload files. *)
 
 val db : t -> Provdb.t
-
-val stats : t -> stats
-(** A point-in-time view over the [waldo.*] telemetry instruments. *)
 
 val attach : t -> Lasagna.t -> unit
 (** Subscribe to the Lasagna instance's closed-log notifications (the

@@ -67,7 +67,8 @@ let local_system ?registry ?tracer ?monitor ?batching mode =
    keeps a small local scratch volume so the machine has a default PASS
    volume, mirroring the paper's workstation.  A [tracer] is shared by the
    client machine and the server, which is what lets server-side spans
-   parent onto client RPC spans in the exported trace. *)
+   parent onto client RPC spans in the exported trace; so is the machine's
+   registry ({!System.telemetry}), which then covers the whole mount. *)
 let nfs_system ?registry ?tracer ?monitor ?batching mode =
   let sys =
     System.create ?registry ?tracer ?monitor ?batching ~mode ~machine:1
@@ -75,15 +76,16 @@ let nfs_system ?registry ?tracer ?monitor ?batching mode =
       ()
   in
   let clock = System.clock sys in
+  let registry = System.telemetry sys in
   let server_mode =
     match mode with System.Pass -> Server.Pass_enabled | System.Vanilla -> Server.Plain
   in
   let server =
-    Server.create ?registry ?tracer ~mode:server_mode ~clock ~machine:2 ~volume:"vol0" ()
+    Server.create ~registry ?tracer ~mode:server_mode ~clock ~machine:2 ~volume:"vol0" ()
   in
   let net = Proto.net clock in
   let client =
-    Client.create ?registry ?tracer ?piggyback:batching ~net ~handler:(Server.handle server)
+    Client.create ~registry ?tracer ?piggyback:batching ~net ~handler:(Server.handle server)
       ~ctx:(Kernel.ctx (System.kernel sys))
       ~mount_name:"vol0" ()
   in

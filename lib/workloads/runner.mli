@@ -31,7 +31,9 @@ val nfs_system :
     / one RPC at a time for A/B comparison.  [tracer] and [monitor] thread
     through to {!System.create} (for {!nfs_system} the tracer is shared
     with the server, so server spans parent onto client RPC spans, and
-    the monitor scrapes the shared registry). *)
+    the client machine's registry — [registry], or the fresh one
+    {!System.create} makes — also receives the server's and the PA-NFS
+    client's instruments, so the monitor scrapes them all). *)
 
 type row = {
   r_name : string;

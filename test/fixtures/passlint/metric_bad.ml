@@ -1,11 +1,11 @@
-(* metric-name fixture: three violations, one per site the rule covers —
-   a camelCase rule name, a single-segment Counter_rate source and an
-   uppercase Gauge_value source. *)
+(* metric-name fixture: four violations, one per site the rule covers —
+   a camelCase rule name, a single-segment Counter_rate source, an
+   uppercase Gauge_value source and a camelCase Span_p99 source. *)
 
 let rules =
   [
     Pvmon.rule ~name:"dpapiWriteP99"
-      ~source:(Pvmon.Hist_p99 "dpapi.pass_write_ns")
+      ~source:(Pvmon.Hist_p99 "wap.append_ns")
       ~threshold:5e6 ();
     Pvmon.rule ~name:"nfs.retry_rate"
       ~source:(Pvmon.Counter_rate "retries")
@@ -13,4 +13,7 @@ let rules =
     Pvmon.rule ~name:"wap.backlog_depth"
       ~source:(Pvmon.Gauge_value "wap.Queue_Depth")
       ~threshold:64. ();
+    Pvmon.rule ~name:"dpapi.write_p99"
+      ~source:(Pvmon.Span_p99 "analyzer.passWrite")
+      ~threshold:5e6 ();
   ]

@@ -66,3 +66,6 @@ let fresh_ext3 () =
    and the names projection most assertions want. *)
 let pql_rows db q = Pql.Engine.execute (Pql.Engine.prepare db q)
 let pql_names db q = Pql.names_of_rows db (pql_rows db q)
+
+(* The aggregated value of a counter in [registry]; 0 when it is absent. *)
+let counter registry name = Option.value (Telemetry.counter_value registry name) ~default:0

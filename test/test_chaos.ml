@@ -451,7 +451,7 @@ let test_blast_no_double_apply () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "backlog did not drain: %s" (Dpapi.error_to_string e));
   check tbool "some blasts were acknowledged" true (!acked <> []);
-  check tbool "the transaction path was exercised" true ((Client.stats r.client).txns > 0);
+  check tbool "the transaction path was exercised" true (tv r.registry "panfs.txns" > 0);
   let orphans = Server.drain r.server in
   check tint "orphans are exactly the abandoned txns"
     (tv r.registry "nfs.txns_abandoned")
@@ -474,7 +474,7 @@ let test_backpressure_bounds_backlog () =
   in
   let probe = rig ~spec:Fault.quiet ~seed () in
   ignore (setup probe : Dpapi.handle);
-  let setup_rpcs = (Client.stats probe.client).rpcs in
+  let setup_rpcs = tv probe.registry "panfs.rpcs" in
   (* phase 2: everything after setup hits a partition far longer than the
      retry budget *)
   let hour = 3_600_000_000_000 in
@@ -629,13 +629,13 @@ let test_crash_during_checkpoint_sweep () =
   (* reference: the same rig, checkpointed without a crash *)
   let reference, ckpt_writes =
     let registry = Telemetry.create () in
-    let disk, _ext3, lasagna, waldo =
+    let _disk, _ext3, lasagna, waldo =
       ckpt_rig ~registry ~policy:Waldo.Manual ~compact_keep:1 ()
     in
     ignore (ckpt_workload lasagna waldo : Dpapi.handle array);
-    let before = (Disk.stats disk).writes in
+    let before = tv registry "disk.writes" in
     ok_fs (Waldo.checkpoint waldo);
-    let writes = (Disk.stats disk).writes - before in
+    let writes = tv registry "disk.writes" - before in
     Waldo.fault_in_archive waldo;
     (Provdb.serialize (Waldo.db waldo), writes)
   in

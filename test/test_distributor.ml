@@ -13,21 +13,24 @@ let tbool = Alcotest.bool
 let setup () =
   let ctx = Ctx.create ~machine:1 in
   let s = Helpers.sink ctx in
-  let d = Distributor.create ~ctx ~lower:(Helpers.sink_endpoint s) ~default_volume:"vol0" () in
-  (ctx, s, d, Distributor.endpoint d)
+  let registry = Telemetry.create () in
+  let d =
+    Distributor.create ~registry ~ctx ~lower:(Helpers.sink_endpoint s) ~default_volume:"vol0" ()
+  in
+  (ctx, s, d, Distributor.endpoint d, registry)
 
 let file ctx volume = Dpapi.handle ~volume (Ctx.fresh ctx)
 
 let test_virtual_records_cached () =
-  let _ctx, s, d, ep = setup () in
+  let _ctx, s, d, ep, reg = setup () in
   let obj = Helpers.ok (ep.pass_mkobj ~volume:None) in
   Helpers.ok (Dpapi.disclose ep obj [ Record.typ "PROCESS" ]);
   check tint "nothing reached storage" 0 (List.length s.writes);
   check tbool "cached instead" true (Distributor.is_cached_unflushed d obj.pnode);
-  check tint "cache counts the records" 1 (Distributor.stats d).cached_records
+  check tint "cache counts the records" 1 (Helpers.counter reg "distributor.cached_records")
 
 let test_anchoring_flushes () =
-  let ctx, s, d, ep = setup () in
+  let ctx, s, d, ep, reg = setup () in
   let obj = Helpers.ok (ep.pass_mkobj ~volume:None) in
   Helpers.ok (Dpapi.disclose ep obj [ Record.typ "PROCESS"; Record.name "worker" ]);
   (* a persistent file starts depending on the virtual object *)
@@ -43,10 +46,10 @@ let test_anchoring_flushes () =
       (Helpers.all_records s)
   in
   check tbool "cached records written to the anchor volume" true flushed;
-  check tint "one flush" 1 (Distributor.stats d).flushes
+  check tint "one flush" 1 (Helpers.counter reg "distributor.flushes")
 
 let test_recursive_ancestor_flush () =
-  let ctx, _s, d, ep = setup () in
+  let ctx, _s, d, ep, _reg = setup () in
   (* pipe <- p1; p2 <- pipe; file <- p2 : anchoring file must flush p2,
      the pipe, and p1, transitively *)
   let p1 = Helpers.ok (ep.pass_mkobj ~volume:None) in
@@ -61,7 +64,7 @@ let test_recursive_ancestor_flush () =
   check tbool "p1 flushed" false (Distributor.is_cached_unflushed d p1.pnode)
 
 let test_sync_uses_hint_then_default () =
-  let _ctx, s, _d, ep = setup () in
+  let _ctx, s, _d, ep, _reg = setup () in
   let hinted = Helpers.ok (ep.pass_mkobj ~volume:(Some "volX")) in
   let plain = Helpers.ok (ep.pass_mkobj ~volume:None) in
   Helpers.ok (Dpapi.disclose ep hinted [ Record.name "hinted" ]);
@@ -79,7 +82,7 @@ let test_sync_uses_hint_then_default () =
     (volume_of plain.pnode)
 
 let test_post_flush_records_forwarded () =
-  let ctx, s, _d, ep = setup () in
+  let ctx, s, _d, ep, _reg = setup () in
   let obj = Helpers.ok (ep.pass_mkobj ~volume:None) in
   Helpers.ok (ep.pass_sync obj);
   (* records after the flush go straight to the assigned volume *)
@@ -89,7 +92,7 @@ let test_post_flush_records_forwarded () =
   ignore (ctx : Ctx.t)
 
 let test_revive_cached_object () =
-  let _ctx, _s, _d, ep = setup () in
+  let _ctx, _s, _d, ep, _reg = setup () in
   let obj = Helpers.ok (ep.pass_mkobj ~volume:None) in
   let again = Helpers.ok (ep.pass_reviveobj obj.pnode 0) in
   check tbool "same pnode" true (Pnode.equal obj.pnode again.pnode);
@@ -98,7 +101,7 @@ let test_revive_cached_object () =
   | _ -> Alcotest.fail "future version must be stale")
 
 let test_virtual_read_returns_identity () =
-  let ctx, _s, _d, ep = setup () in
+  let ctx, _s, _d, ep, _reg = setup () in
   let obj = Helpers.ok (ep.pass_mkobj ~volume:None) in
   ignore (Helpers.ok (ep.pass_freeze obj) : int);
   let r = Helpers.ok (ep.pass_read obj ~off:0 ~len:100) in
@@ -109,7 +112,7 @@ let test_virtual_read_returns_identity () =
 let test_mixed_bundle_routing () =
   (* a bundle touching two persistent volumes and a virtual object at
      once: each entry must land on its own volume *)
-  let ctx, s, _d, ep = setup () in
+  let ctx, s, _d, ep, _reg = setup () in
   let fa = file ctx "volA" and fb = file ctx "volB" in
   let obj = Helpers.ok (ep.pass_mkobj ~volume:None) in
   let bundle =

@@ -179,6 +179,29 @@ let test_below_rule () =
   Pvmon.scrape m 2_000;
   check Alcotest.(list string) "below fires" [ "t.level_low" ] (Pvmon.firing m)
 
+(* A span source reads a histogram the monitor fills from its own trace
+   sink: idle (no series, no alert) until a tracer is attached, then the
+   p99 of the named spans' durations. *)
+let test_span_source () =
+  let rules =
+    [ Pvmon.rule ~name:"t.op_p99" ~source:(Pvmon.Span_p99 "t.op") ~threshold:100. () ]
+  in
+  let m = Pvmon.create ~interval_ns:1_000 ~rules () in
+  Pvmon.scrape m 1_000;
+  check tbool "no series without a tracer" false
+    (contains (Json.to_string (Pvmon.to_json m)) "t.op_ns");
+  let clock = ref 0 in
+  let tracer = Pvtrace.create ~now:(fun () -> !clock) () in
+  Pvmon.attach_tracer m tracer;
+  Pvtrace.span tracer ~layer:"t" ~op:"op" (fun () -> clock := !clock + 500);
+  Pvtrace.span tracer ~layer:"t" ~op:"other" (fun () -> clock := !clock + 9_000);
+  Pvmon.scrape m 2_000;
+  check Alcotest.(list (pair int (float 1e-9)))
+    "series t.op_ns carries the p99 of t.op spans only"
+    [ (2_000, 500.) ]
+    (points (series_named (Pvmon.to_json m) "t.op_ns"));
+  check Alcotest.(list string) "rule fires on the span p99" [ "t.op_p99" ] (Pvmon.firing m)
+
 (* --- attribution fold --------------------------------------------------------- *)
 
 (* A hand-built span tree on a manual clock:
@@ -355,8 +378,66 @@ let test_end_to_end_conservation () =
   (* the pipeline instruments made it into the scraped series *)
   let doc = Pvmon.to_json m in
   let _ : Json.t = series_named doc "wap.frames_written" in
-  let _ : Json.t = series_named doc "dpapi.pass_write_ns" in
+  let _ : Json.t = series_named doc "analyzer.pass_write_ns" in
   ()
+
+let alert_triples m =
+  List.map (fun a -> (a.Pvmon.al_ns, a.Pvmon.al_rule, a.Pvmon.al_firing, a.Pvmon.al_value))
+    (Pvmon.alerts m)
+
+let talerts = Alcotest.(list (pair (pair int string) (pair bool (float 0.))))
+let flat l = List.map (fun (t, r, f, v) -> ((t, r), (f, v))) l
+
+let monitored_local w =
+  let tracer = Pvtrace.create () in
+  let monitor = Pvmon.create () in
+  let sys = Runner.local_system ~tracer ~monitor System.Pass in
+  w.Runner.run sys;
+  ignore (System.drain sys : int);
+  Pvmon.scrape monitor (Simdisk.Clock.now (System.clock sys));
+  monitor
+
+let workload name =
+  List.find (fun w -> String.equal w.Runner.wl_name name) (Runner.standard ())
+
+(* The stock DPAPI latency rule reads the analyzer.pass_write span
+   stream.  The pinned transitions are those of a separate timer that
+   once wrapped the very same call on the same simulated clock; the span
+   brackets that call exactly, so the alert stream must not move by a
+   nanosecond. *)
+let test_span_p99_transitions_pinned () =
+  check talerts "pa-kepler: one firing transition"
+    (flat [ (130_000_000, "dpapi.write_p99", true, 6148060.) ])
+    (flat (alert_triples (run_workload ())));
+  check talerts "blast: fires, then resolves"
+    (flat
+       [ (20_000_000, "dpapi.write_p99", true, 6148060.);
+         (30_000_000, "dpapi.write_p99", false, 819276.) ])
+    (flat (alert_triples (monitored_local (workload "Blast"))))
+
+(* Every first-time PA-NFS request is a duplicate-request-cache "miss",
+   so a miss-rate rule fires on any busy healthy mount.  The stock rules
+   must stay quiet on fault-free NFS runs. *)
+let test_no_nfs_alerts_on_healthy_runs () =
+  List.iter
+    (fun name ->
+      let tracer = Pvtrace.create () in
+      let monitor = Pvmon.create ~rules:(Pvmon.default_rules ()) () in
+      let sys, server = Runner.nfs_system ~tracer ~monitor System.Pass in
+      (workload name).Runner.run sys;
+      ignore (System.drain sys : int);
+      ignore (Server.drain server : int);
+      Pvmon.scrape monitor (Simdisk.Clock.now (System.clock sys));
+      let nfs_alerts =
+        List.filter
+          (fun a -> Telemetry.name_under ~prefix:"nfs" a.Pvmon.al_rule)
+          (Pvmon.alerts monitor)
+      in
+      check Alcotest.(list string)
+        (name ^ " over NFS: no nfs.* alert")
+        []
+        (List.map (fun a -> a.Pvmon.al_rule) nfs_alerts))
+    [ "Blast"; "PA-Kepler" ]
 
 let test_determinism () =
   let a = run_workload () and b = run_workload () in
@@ -395,6 +476,7 @@ let suite =
     Alcotest.test_case "tick grid alignment" `Quick test_tick_grid;
     Alcotest.test_case "alert transitions" `Quick test_alert_transitions;
     Alcotest.test_case "below-threshold rules" `Quick test_below_rule;
+    Alcotest.test_case "span p99 source" `Quick test_span_source;
     Alcotest.test_case "attribution fold" `Quick test_attribution_fold;
     Alcotest.test_case "layer map matches LAYERS.sexp" `Quick
       test_layer_map_matches_layers_sexp;
@@ -403,6 +485,10 @@ let suite =
     Alcotest.test_case "openmetrics shape" `Quick test_openmetrics_shape;
     Alcotest.test_case "end-to-end conservation" `Quick
       test_end_to_end_conservation;
+    Alcotest.test_case "span p99 transitions pinned" `Quick
+      test_span_p99_transitions_pinned;
+    Alcotest.test_case "no nfs alerts on healthy nfs runs" `Quick
+      test_no_nfs_alerts_on_healthy_runs;
     Alcotest.test_case "export determinism" `Quick test_determinism;
     Alcotest.test_case "disabled singleton is inert" `Quick
       test_disabled_is_inert;

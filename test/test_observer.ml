@@ -144,13 +144,16 @@ let test_endpoint_for_adds_implicit_record () =
     (List.exists (fun (_, (r : Record.t)) -> r.attr = "FILE_URL") (Helpers.all_records s))
 
 let test_event_counting () =
-  let ctx, _s, obs = setup () in
+  let ctx = Ctx.create ~machine:1 in
+  let s = Helpers.sink ctx in
+  let registry = Telemetry.create () in
+  let obs = Observer.create ~registry ~ctx ~lower:(Helpers.sink_endpoint s) () in
   let f = Dpapi.handle ~volume:"v" (Ctx.fresh ctx) in
   Helpers.ok (Observer.fork obs ~parent:1 ~child:2);
   ignore
     (Helpers.ok (Observer.read obs ~pid:2 ~file:f ~off:0 ~len:1) : Dpapi.read_result);
   Helpers.ok (Observer.exit obs ~pid:2);
-  check tint "events counted" 3 (Observer.stats obs).events
+  check tint "events counted" 3 (Helpers.counter registry "observer.events")
 
 let suite =
   [

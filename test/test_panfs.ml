@@ -15,15 +15,20 @@ let ok_fs = Helpers.ok_fs
 
 (* One client machine (a Pass-mode System with a local volume) plus a PA
    server mounted at /nfs0.  Everything shares one clock, so server disk
-   time appears as client-visible latency. *)
+   time appears as client-visible latency, and one registry (the
+   machine's), so tests read every layer's counters from
+   [System.telemetry]. *)
 let pa_setup () =
   let sys = System.create ~mode:System.Pass ~machine:1 ~volume_names:[ "local" ] () in
   let clock = System.clock sys in
-  let server = Server.create ~mode:Server.Pass_enabled ~clock ~machine:2 ~volume:"nfs0" () in
+  let registry = System.telemetry sys in
+  let server =
+    Server.create ~registry ~mode:Server.Pass_enabled ~clock ~machine:2 ~volume:"nfs0" ()
+  in
   let net = Proto.net clock in
   let client =
-    Client.create ~net ~handler:(Server.handle server) ~ctx:(Kernel.ctx (System.kernel sys))
-      ~mount_name:"nfs0" ()
+    Client.create ~registry ~net ~handler:(Server.handle server)
+      ~ctx:(Kernel.ctx (System.kernel sys)) ~mount_name:"nfs0" ()
   in
   System.mount_external sys ~name:"nfs0" ~ops:(Client.ops client)
     ~endpoint:(Client.endpoint client)
@@ -51,8 +56,8 @@ let test_plain_nfs_roundtrip () =
   let server = Server.create ~mode:Server.Plain ~clock ~machine:2 ~volume:"nfs0" () in
   let net = Proto.net clock in
   let client =
-    Client.create ~net ~handler:(Server.handle server) ~ctx:(Kernel.ctx (System.kernel sys))
-      ~mount_name:"nfs0" ()
+    Client.create ~registry:(System.telemetry sys) ~net ~handler:(Server.handle server)
+      ~ctx:(Kernel.ctx (System.kernel sys)) ~mount_name:"nfs0" ()
   in
   System.mount_external sys ~name:"nfs0" ~ops:(Client.ops client) ();
   let pid = Kernel.fork (System.kernel sys) ~parent:Kernel.init_pid in
@@ -60,7 +65,7 @@ let test_plain_nfs_roundtrip () =
   write_via_kernel sys ~pid ~path:"/nfs0/hello.txt" ~data:"over the wire";
   check tstr "remote roundtrip" "over the wire" (read_via_kernel sys ~pid ~path:"/nfs0/hello.txt");
   check tbool "network time charged" true (Simdisk.Clock.now clock > before);
-  check tbool "rpcs counted" true ((Client.stats client).rpcs > 0);
+  check tbool "rpcs counted" true (Helpers.counter (System.telemetry sys) "panfs.rpcs" > 0);
   check tbool "bytes counted" true (net.Proto.bytes > 0)
 
 let test_panfs_ancestry_at_server () =
@@ -86,9 +91,10 @@ let test_local_freeze_no_rpc () =
   let pid = Kernel.fork k ~parent:Kernel.init_pid in
   write_via_kernel sys ~pid ~path:"/nfs0/f" ~data:"v0";
   let h = ok_fs (Kernel.handle_of_path k "/nfs0/f") in
-  let rpcs_before = (Client.stats client).rpcs in
+  let rpcs () = Helpers.counter (System.telemetry sys) "panfs.rpcs" in
+  let rpcs_before = rpcs () in
   let v = ok (Client.pass_freeze client h) in
-  check tint "no rpc for freeze" rpcs_before (Client.stats client).rpcs;
+  check tint "no rpc for freeze" rpcs_before (rpcs ());
   let r = ok (Client.pass_read client h ~off:0 ~len:2) in
   check tint "local version served" v r.Dpapi.r_version;
   check tstr "data still correct" "v0" r.Dpapi.data
@@ -123,11 +129,11 @@ let test_large_write_uses_txn () =
   check tbool "bundle really is over the limit" true
     (Dpapi.bundle_size bundle > Proto.block_limit);
   let _ = ok (Client.pass_write client h ~off:0 ~data:(Some "payload") bundle) in
-  check tbool "a transaction was used" true ((Client.stats client).txns >= 1);
+  let counter = Helpers.counter (System.telemetry sys) in
+  check tbool "a transaction was used" true (counter "panfs.txns" >= 1);
   let orphans = Server.drain server in
   check tint "no orphans" 0 orphans;
-  let w = Option.get (Server.waldo server) in
-  check tbool "txn committed" true ((Waldo.stats w).txns_committed >= 1);
+  check tbool "txn committed" true (counter "waldo.txns_committed" >= 1);
   let db = Option.get (Server.db server) in
   let quads = Provdb.records_all db h.Dpapi.pnode in
   let params = List.filter (fun (q : Provdb.quad) -> q.q_attr = "PARAMS") quads in

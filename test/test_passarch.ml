@@ -200,11 +200,11 @@ let test_passlint_metric_name () =
     Passlint_core.findings ~roots:[ Filename.concat dir "metric_bad.ml" ] ()
   in
   check Alcotest.(list string)
-    "bad rule name, bare source and uppercase source all caught"
-    [ "metric-name"; "metric-name"; "metric-name" ]
+    "bad rule name, bare source, uppercase source and camelCase span all caught"
+    [ "metric-name"; "metric-name"; "metric-name"; "metric-name" ]
     (List.map (fun f -> f.F.f_rule) bad);
   check Alcotest.(list int) "findings point at the offending literals"
-    [ 7; 11; 14 ]
+    [ 7; 11; 14; 17 ]
     (List.map (fun f -> f.F.f_line) bad)
 
 let suite =

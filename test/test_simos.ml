@@ -73,12 +73,8 @@ let test_dedup_collapses_chunked_io () =
   let pid = Kernel.fork k ~parent:Kernel.init_pid in
   (* write 64 KB in 4 KB chunks: 16 write syscalls, one record needed *)
   write_file sys ~pid ~path:"/vol0/big" ~data:(Helpers.payload ~seed:2 ~len:65536);
-  let stats =
-    match Kernel.pass_stack k with
-    | Some s -> Pass_core.Analyzer.stats s.Kernel.analyzer
-    | None -> Alcotest.fail "pass stack missing"
-  in
-  check tbool "duplicates were dropped" true (stats.duplicates_dropped >= 14)
+  check tbool "duplicates were dropped" true
+    (Helpers.counter (System.telemetry sys) "analyzer.duplicates_dropped" >= 14)
 
 let test_execve_records_argv () =
   let sys = pass_system () in

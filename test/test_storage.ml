@@ -49,17 +49,19 @@ let test_disk_bytes_api () =
 
 let test_disk_charges_time () =
   let clock = Clock.create () in
-  let disk = Disk.create ~clock () in
+  let registry = Telemetry.create () in
+  let disk = Disk.create ~registry ~clock () in
+  let seeks () = Helpers.counter registry "disk.seeks" in
   Disk.write_bytes disk ~off:0 (String.make 4096 'a');
   let t1 = Clock.now clock in
   check tbool "I/O advanced the clock" true (t1 > 0);
   (* sequential write: next block, no seek *)
-  let seeks1 = (Disk.stats disk).seeks in
+  let seeks1 = seeks () in
   Disk.write_bytes disk ~off:4096 (String.make 4096 'b');
-  check tint "sequential write seeks" seeks1 (Disk.stats disk).seeks;
+  check tint "sequential write seeks" seeks1 (seeks ());
   (* far write: seek *)
   Disk.write_bytes disk ~off:(4096 * 1_000_000) (String.make 4096 'c');
-  check tbool "far write seeks" true ((Disk.stats disk).seeks > seeks1)
+  check tbool "far write seeks" true (seeks () > seeks1)
 
 let test_disk_seek_cost_monotone () =
   (* a longer seek costs more time *)
@@ -353,17 +355,17 @@ let test_sim_cost_golden () =
   List.iter
     (fun p -> ignore (Helpers.ok_fs (Vfs.read_file lower p) : string))
     [ path 0; "/d1/renamed"; path 4; path 5; path 3; path 3 ];
-  let s = Disk.stats disk in
+  let disk_counter name = (name, Helpers.counter registry ("disk." ^ name)) in
   let got =
     [
       ("clock_ns", Clock.now clock);
-      ("reads", s.reads);
-      ("writes", s.writes);
-      ("bytes_read", s.bytes_read);
-      ("bytes_written", s.bytes_written);
-      ("seeks", s.seeks);
-      ("seek_ns", s.seek_ns);
-      ("transfer_ns", s.transfer_ns);
+      disk_counter "reads";
+      disk_counter "writes";
+      disk_counter "bytes_read";
+      disk_counter "bytes_written";
+      disk_counter "seeks";
+      disk_counter "seek_ns";
+      disk_counter "transfer_ns";
       ("cache_hits", fst (Ext3.cache_stats ext3));
       ("cache_misses", snd (Ext3.cache_stats ext3));
       ("remount_cache_hits", fst (Ext3.cache_stats ext3'));
@@ -518,8 +520,9 @@ let test_lasagna_log_rotation () =
   let disk = Disk.create ~clock () in
   let ext3 = Ext3.format disk in
   let ctx = Ctx.create ~machine:1 in
+  let registry = Telemetry.create () in
   let lasagna =
-    Lasagna.create ~log_max:512 ~lower:(Ext3.ops ext3) ~ctx ~volume:"vol0"
+    Lasagna.create ~registry ~log_max:512 ~lower:(Ext3.ops ext3) ~ctx ~volume:"vol0"
       ~charge:(Clock.advance clock) ()
   in
   let closed = ref [] in
@@ -530,7 +533,7 @@ let test_lasagna_log_rotation () =
     ()
   done;
   check tbool "logs rotated" true (List.length !closed > 0);
-  check tbool "rotation count matches" true ((Lasagna.stats lasagna).rotations = List.length !closed)
+  check tbool "rotation count matches" true (Helpers.counter registry "wap.rotations" = List.length !closed)
 
 let test_lasagna_mkobj_revive () =
   let _clock, _disk, _ext3, ctx, lasagna = fresh_lasagna () in

@@ -8,6 +8,8 @@ let check = Alcotest.check
 let tint = Alcotest.int
 let tbool = Alcotest.bool
 
+(* A Lasagna volume with a Waldo attached; [registry] holds Waldo's
+   instruments. *)
 let fresh () =
   let clock = Simdisk.Clock.create () in
   let disk = Simdisk.Disk.create ~clock () in
@@ -17,12 +19,13 @@ let fresh () =
     Lasagna.create ~lower:(Ext3.ops ext3) ~ctx ~volume:"vol0"
       ~charge:(Simdisk.Clock.advance clock) ()
   in
-  let waldo = Waldo.create ~lower:(Ext3.ops ext3) () in
+  let registry = Telemetry.create () in
+  let waldo = Waldo.create ~registry ~lower:(Ext3.ops ext3) () in
   Waldo.attach waldo lasagna;
-  (ctx, ext3, lasagna, waldo)
+  (registry, ext3, lasagna, waldo)
 
 let test_ingestion_fidelity () =
-  let ctx, _ext3, lasagna, waldo = fresh () in
+  let registry, _ext3, lasagna, waldo = fresh () in
   let ep = Lasagna.endpoint lasagna in
   let h = Helpers.ok (ep.pass_mkobj ~volume:(Some "vol0")) in
   let records =
@@ -36,11 +39,10 @@ let test_ingestion_fidelity () =
   check tint "all records ingested" 3 (List.length quads);
   check tbool "content preserved" true
     (List.exists (fun (q : Provdb.quad) -> q.q_value = Pvalue.Str "the-widget") quads);
-  check tint "stats count" 3 (Waldo.stats waldo).records_ingested;
-  ignore (ctx : Ctx.t)
+  check tint "records counted" 3 (Helpers.counter registry "waldo.records_ingested")
 
 let test_freeze_version_attribution () =
-  let ctx, _ext3, lasagna, waldo = fresh () in
+  let _registry, _ext3, lasagna, waldo = fresh () in
   let ep = Lasagna.endpoint lasagna in
   let h = Helpers.ok (ep.pass_mkobj ~volume:(Some "vol0")) in
   Helpers.ok (Dpapi.disclose ep h [ Record.name "before" ]);
@@ -55,11 +57,10 @@ let test_freeze_version_attribution () =
   check tbool "freeze marker at v1" true
     (List.exists (fun (q : Provdb.quad) -> q.q_attr = Record.Attr.freeze) v1);
   check tbool "post-freeze record at v1" true
-    (List.exists (fun (q : Provdb.quad) -> q.q_value = Pvalue.Str "after") v1);
-  ignore (ctx : Ctx.t)
+    (List.exists (fun (q : Provdb.quad) -> q.q_value = Pvalue.Str "after") v1)
 
 let test_logs_removed_after_processing () =
-  let _ctx, ext3, lasagna, waldo = fresh () in
+  let registry, ext3, lasagna, waldo = fresh () in
   let ep = Lasagna.endpoint lasagna in
   for i = 0 to 30 do
     let h = Helpers.ok (ep.pass_mkobj ~volume:(Some "vol0")) in
@@ -71,10 +72,10 @@ let test_logs_removed_after_processing () =
   let pass_dir = Helpers.ok_fs (Vfs.lookup_path lower "/.pass") in
   let names = Helpers.ok_fs (lower.readdir pass_dir) in
   check tbool "processed logs were deleted" true (List.length names <= 1);
-  check tbool "logs were processed" true ((Waldo.stats waldo).logs_processed >= 1)
+  check tbool "logs were processed" true (Helpers.counter registry "waldo.logs_processed" >= 1)
 
 let test_txn_commit () =
-  let _ctx, _ext3, lasagna, waldo = fresh () in
+  let registry, _ext3, lasagna, waldo = fresh () in
   let ep = Lasagna.endpoint lasagna in
   let h = Helpers.ok (ep.pass_mkobj ~volume:(Some "vol0")) in
   (* write two chunks inside txn 7, then the ENDTXN *)
@@ -96,14 +97,14 @@ let test_txn_commit () =
       : int);
   let orphans = Waldo.finalize waldo lasagna in
   check tint "no orphans" 0 orphans;
-  check tint "txn committed" 1 (Waldo.stats waldo).txns_committed;
+  check tint "txn committed" 1 (Helpers.counter registry "waldo.txns_committed");
   let quads = Provdb.records_all (Waldo.db waldo) h.Dpapi.pnode in
   check tbool "txn contents ingested" true
     (List.exists (fun (q : Provdb.quad) -> q.q_value = Pvalue.Str "one") quads
     && List.exists (fun (q : Provdb.quad) -> q.q_value = Pvalue.Str "two") quads)
 
 let test_txn_orphan () =
-  let _ctx, _ext3, lasagna, waldo = fresh () in
+  let _registry, _ext3, lasagna, waldo = fresh () in
   let ep = Lasagna.endpoint lasagna in
   let h = Helpers.ok (ep.pass_mkobj ~volume:(Some "vol0")) in
   ignore
@@ -119,7 +120,7 @@ let test_txn_orphan () =
 
 let test_interleaved_txns () =
   (* two transactions interleaved in the log; one commits, one orphans *)
-  let _ctx, _ext3, lasagna, waldo = fresh () in
+  let _registry, _ext3, lasagna, waldo = fresh () in
   let ep = Lasagna.endpoint lasagna in
   let h = Helpers.ok (ep.pass_mkobj ~volume:(Some "vol0")) in
   let send txn tag =
@@ -162,7 +163,7 @@ let test_merge_into () =
   check tbool "merged acyclic" true (Provdb.is_acyclic merged)
 
 let test_persist_and_load () =
-  let _ctx, ext3, lasagna, waldo = fresh () in
+  let _registry, ext3, lasagna, waldo = fresh () in
   let ep = Lasagna.endpoint lasagna in
   let h = Helpers.ok (ep.pass_mkobj ~volume:(Some "vol0")) in
   Helpers.ok
@@ -258,7 +259,8 @@ let test_opm_export () =
 
 let fresh_ckpt ?policy ?compact_keep ?(log_max = 512) () =
   let clock = Simdisk.Clock.create () in
-  let disk = Simdisk.Disk.create ~clock () in
+  let registry = Telemetry.create () in
+  let disk = Simdisk.Disk.create ~registry ~clock () in
   let ext3 = Ext3.format disk in
   let ctx = Ctx.create ~machine:1 in
   let lasagna =
@@ -268,7 +270,7 @@ let fresh_ckpt ?policy ?compact_keep ?(log_max = 512) () =
   let waldo = Waldo.create ?policy ?compact_keep ~lower:(Ext3.ops ext3) () in
   Waldo.attach waldo lasagna;
   ignore (ctx : Ctx.t);
-  (disk, ext3, lasagna, waldo)
+  (disk, ext3, lasagna, waldo, registry)
 
 let pass_logs lower =
   match Vfs.lookup_path lower "/.pass" with
@@ -283,7 +285,7 @@ let pass_logs lower =
    loadable image — the old one or the new one, never a torn hybrid. *)
 let test_persist_atomic_under_crash () =
   let populate () =
-    let disk, ext3, lasagna, waldo = fresh_ckpt () in
+    let disk, ext3, lasagna, waldo, registry = fresh_ckpt () in
     let ep = Lasagna.endpoint lasagna in
     let h = Helpers.ok (ep.pass_mkobj ~volume:(Some "vol0")) in
     Helpers.ok
@@ -294,18 +296,18 @@ let test_persist_atomic_under_crash () =
     (* mutate the db so the second image differs from the first *)
     Provdb.add_record (Waldo.db waldo) h.Dpapi.pnode ~version:0
       (Record.make "PARAMS" (Pvalue.Str "v2"));
-    (disk, ext3, waldo, h)
+    (disk, ext3, waldo, h, registry)
   in
   (* measure how many block writes a clean re-persist costs *)
   let persist_writes =
-    let disk, _ext3, waldo, _h = populate () in
-    let before = (Simdisk.Disk.stats disk).writes in
+    let _disk, _ext3, waldo, _h, registry = populate () in
+    let before = Helpers.counter registry "disk.writes" in
     Helpers.ok_fs (Waldo.persist waldo ~dir:"/waldo-db");
-    (Simdisk.Disk.stats disk).writes - before
+    Helpers.counter registry "disk.writes" - before
   in
   check tbool "re-persist issues writes" true (persist_writes > 0);
   for k = 1 to persist_writes do
-    let disk, _ext3, waldo, h = populate () in
+    let disk, _ext3, waldo, h, _registry = populate () in
     Simdisk.Disk.schedule_crash disk ~after_writes:k;
     (match Waldo.persist waldo ~dir:"/waldo-db" with
     | Ok () | Error _ -> ());
@@ -318,7 +320,7 @@ let test_persist_atomic_under_crash () =
       Alcotest.failf "crash at write %d: image has %d records (want 2 or 3)" k n
   done;
   (* a tampered image is rejected outright, never half-loaded *)
-  let _disk, ext3, _waldo, _h = populate () in
+  let _disk, ext3, _waldo, _h, _registry = populate () in
   let lower = Ext3.ops ext3 in
   ignore (Helpers.ok_fs (Vfs.write_file lower "/waldo-db/db.dat" "garbage") : Vfs.ino);
   match Waldo.load ~lower ~dir:"/waldo-db" () with
@@ -327,7 +329,7 @@ let test_persist_atomic_under_crash () =
   | Error e -> Alcotest.failf "unexpected errno %s" (Vfs.errno_to_string e)
 
 let test_manual_checkpoint_truncates () =
-  let _disk, ext3, lasagna, waldo =
+  let _disk, ext3, lasagna, waldo, _registry =
     fresh_ckpt ~policy:Waldo.Manual ~log_max:256 ()
   in
   let ep = Lasagna.endpoint lasagna in
@@ -357,7 +359,7 @@ let test_manual_checkpoint_truncates () =
         after
 
 let test_every_frames_auto_checkpoint () =
-  let _disk, ext3, lasagna, waldo =
+  let _disk, ext3, lasagna, waldo, _registry =
     fresh_ckpt ~policy:(Waldo.Every_frames 8) ~log_max:256 ()
   in
   let ep = Lasagna.endpoint lasagna in
@@ -376,7 +378,7 @@ let test_every_frames_auto_checkpoint () =
    the pre-crash bytes, and the recovery report must show a bounded
    (suffix-only) replay. *)
 let test_checkpoint_recover_roundtrip () =
-  let disk, _ext3, lasagna, waldo =
+  let disk, _ext3, lasagna, waldo, _registry =
     fresh_ckpt ~policy:Waldo.Manual ~compact_keep:1 ~log_max:256 ()
   in
   let ep = Lasagna.endpoint lasagna in

@@ -31,8 +31,8 @@
                       the layer handed to Dpapi.traced);
    - metric-name      literal pvmon SLO rule names (Pvmon.rule ~name) and
                       metric sources (Pvmon.Counter_rate / Gauge_value /
-                      Hist_p99) must be dotted snake_case, matching the
-                      instrument names they watch;
+                      Hist_p99 / Span_p99) must be dotted snake_case,
+                      matching the instrument or span names they watch;
    - missing-mli      every module under lib/ has an interface, so the
                       lint (and readers) can tell public surface from
                       internals;
@@ -282,7 +282,8 @@ let lint_structure ~sink ~file ~src structure =
                 args
           | Pexp_construct
               ( { txt = Longident.Ldot (Longident.Lident "Pvmon",
-                    (("Counter_rate" | "Gauge_value" | "Hist_p99") as ctor)); _ },
+                    (("Counter_rate" | "Gauge_value" | "Hist_p99" | "Span_p99")
+                     as ctor)); _ },
                 Some { pexp_desc = Pexp_constant (Pconst_string (s, _, _)); pexp_loc = sloc; _ } ) ->
               if not (valid_instrument_name s) then
                 report ~loc:sloc ~rule:"metric-name" ~symbol:s
