@@ -7,7 +7,8 @@
 
    - independent bindings (class roots) are computed ONCE, not once per
      environment;
-   - index probes replace class scans when the planner chose them, with
+   - index probes (name equality, name-glob prefix range, attribute
+     equality) replace class scans when the planner chose them, with
      pushed predicates re-applied exactly, so probes only narrow;
    - dependent walks (Var_step with a path) are memoized per distinct
      start item — a hash join of the environment set against the walk
@@ -56,6 +57,9 @@ let distinct_pnodes pvs =
       end)
     pvs
 
+let of_class db root pnodes =
+  List.filter_map (fun p -> if in_class db root p then at_max_version db p else None) pnodes
+
 (* candidate items of an independent access, before path/pushed *)
 let access_items db = function
   | P.Scan Root_processes ->
@@ -70,14 +74,13 @@ let access_items db = function
       (* alias sightings can live in archived history: settle it first
          so the probe sees the complete index *)
       Provdb.fault_in db;
-      Provdb.find_by_name db s
-      |> List.filter (in_class db root)
-      |> List.filter_map (at_max_version db)
+      of_class db root (Provdb.find_by_name db s)
+  | P.Name_prefix (root, prefix) ->
+      Provdb.fault_in db;
+      of_class db root (Provdb.find_by_name_prefix db prefix)
   | P.Attr_probe (root, a) ->
-      Provdb.with_attr db a (* faults the archive in itself *)
-      |> distinct_pnodes
-      |> List.filter (in_class db root)
-      |> List.filter_map (at_max_version db)
+      (* with_attr faults the archive in itself *)
+      of_class db root (distinct_pnodes (Provdb.with_attr db a))
   | P.Var_step _ -> invalid_arg "access_items: dependent step"
 
 (* pushed conjuncts only mention this binder, so a singleton environment

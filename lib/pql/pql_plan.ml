@@ -14,6 +14,7 @@ type access =
       (* enumerate the class table (processes go through the TYPE
          posting list rather than testing every node) *)
   | Name_probe of root * string (* name-index lookup, then class filter *)
+  | Name_prefix of root * string (* name-index range probe, then class filter *)
   | Attr_probe of root * string (* attr-index lookup, then class filter *)
   | Var_step of string (* walk from an earlier binding *)
 
@@ -51,6 +52,7 @@ let access_str = function
   | Scan Root_processes -> "scan processes (via type index)"
   | Scan r -> "scan " ^ root_str r
   | Name_probe (r, n) -> Printf.sprintf "name-index %S -> %s" n (root_str r)
+  | Name_prefix (r, p) -> Printf.sprintf "name-prefix %S -> %s" p (root_str r)
   | Attr_probe (r, a) -> Printf.sprintf "attr-index %s -> %s" a (root_str r)
   | Var_step v -> "from " ^ v
 

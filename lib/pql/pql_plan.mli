@@ -19,6 +19,12 @@ type access =
       (** Name-index lookup of a pushed [b.name = "lit"] key, then class
           filter.  A superset access: the pushed predicate is still
           applied with exact evaluator semantics. *)
+  | Name_prefix of Pql_ast.root * string
+      (** Name-index range probe for a pushed [b.name ~ "lit*..."] glob:
+          every indexed name starting with the glob's literal prefix (the
+          text before its first [*] or [?]), then class filter.  A
+          superset access: every string the glob matches starts with that
+          prefix, and the pushed glob is re-applied exactly. *)
   | Attr_probe of Pql_ast.root * string
       (** Inverted attr-index lookup of a pushed [b.attr = lit] key,
           then class filter.  Also a superset access. *)

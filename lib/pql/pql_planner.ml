@@ -15,7 +15,8 @@
    start-side index says nothing about.
 
    Estimates are order-of-magnitude heuristics, not a science: index
-   probes cost their posting-list length, scans cost the class table,
+   probes cost their posting-list length (a name-glob prefix probe the
+   postings over its range), scans cost the class table,
    walks multiply by the graph's average ancestry out-degree, and
    closures from a small set of known start pnodes are measured directly
    against the transitive-adjacency index (bounded BFS).  They only need
@@ -91,6 +92,26 @@ let name_key b conds =
     (fun c ->
       match eq_key b c with
       | Some (a, L_str s) when String.equal (String.uppercase_ascii a) "NAME" -> Some s
+      | _ -> None)
+    conds
+
+(* A glob's literal prefix: the text before its first wildcard.  Every
+   string the glob matches starts with it. *)
+let glob_prefix pat =
+  let rec stop i =
+    if i = String.length pat || pat.[i] = '*' || pat.[i] = '?' then i else stop (i + 1)
+  in
+  String.sub pat 0 (stop 0)
+
+(* [b.name ~ "lit*..."] with a non-empty literal prefix is a range probe
+   of the ordered name index: every value [b.name] can take is a
+   sighting there, so the range is a superset of the glob's matches *)
+let prefix_key b conds =
+  List.find_map
+    (function
+      | Cmp (Attr (v, a), Like, Lit (L_str pat))
+        when String.equal v b && String.equal (String.uppercase_ascii a) "NAME" -> (
+          match glob_prefix pat with "" -> None | prefix -> Some prefix)
       | _ -> None)
     conds
 
@@ -209,16 +230,21 @@ let plan db (q : query) : Pql_plan.t =
                     | _ -> None)
                 indexed
         in
-        let access, base_est =
+        (* candidate pnodes known at plan time (small name probes) let
+           later walk estimates measure the actual cone *)
+        let access, base_est, known_here =
           match src.root with
-          | Root_var v -> (Pql_plan.Var_step v, 1)
-          | root when src.path <> None -> (Pql_plan.Scan root, scan_est db root)
+          | Root_var v -> (Pql_plan.Var_step v, 1, None)
+          | root when src.path <> None -> (Pql_plan.Scan root, scan_est db root, None)
           | root ->
+              let named = Option.map (fun s -> (s, Provdb.find_by_name db s)) (name_key b pushed) in
               let candidates =
-                (match name_key b pushed with
-                | Some s ->
-                    [ (Pql_plan.Name_probe (root, s), List.length (Provdb.find_by_name db s)) ]
+                (match named with
+                | Some (s, ps) -> [ (Pql_plan.Name_probe (root, s), List.length ps) ]
                 | None -> [])
+                @ (match prefix_key b pushed with
+                  | Some p -> [ (Pql_plan.Name_prefix (root, p), Provdb.name_prefix_postings db p) ]
+                  | None -> [])
                 @ (match attr_key b pushed with
                   | Some a ->
                       [
@@ -228,18 +254,17 @@ let plan db (q : query) : Pql_plan.t =
                   | None -> [])
                 @ [ (Pql_plan.Scan root, scan_est db root) ]
               in
-              List.fold_left
-                (fun (ba, be) (a, e) -> if e < be then (a, e) else (ba, be))
-                (List.hd candidates) (List.tl candidates)
-        in
-        (* candidate pnodes known at plan time (small name probes) let
-           later walk estimates measure the actual cone *)
-        let known_here =
-          match access with
-          | Pql_plan.Name_probe (_, s) ->
-              let ps = Provdb.find_by_name db s in
-              if List.length ps <= 16 then Some ps else None
-          | _ -> None
+              let access, est =
+                List.fold_left
+                  (fun (ba, be) (a, e) -> if e < be then (a, e) else (ba, be))
+                  (List.hd candidates) (List.tl candidates)
+              in
+              let known =
+                match (access, named) with
+                | Pql_plan.Name_probe _, Some (_, ps) when List.length ps <= 16 -> Some ps
+                | _ -> None
+              in
+              (access, est, known)
         in
         let est =
           match access with

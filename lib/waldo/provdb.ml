@@ -8,7 +8,8 @@
    - a quad store: (pnode, version, attribute, value);
    - a forward edge index: (pnode, version) -> ancestry cross-references;
    - a reverse edge index: pnode -> who refers to it;
-   - a name index: name -> pnodes (every name sighting, deduplicated);
+   - a name index: name -> set of pnodes (every name sighting), ordered
+     by name so a glob's literal prefix is a range probe;
    - an attribute inverted index: attribute -> distinct (pnode, version)
      occurrences with a per-attribute cardinality count;
    - a pnode-granular ancestry adjacency (parents/children), giving the
@@ -58,12 +59,19 @@ type attr_entry = {
   mutable ae_sorted : (Pnode.t * int) list option;
 }
 
+module Names = Map.Make (String)
+module Pnodes = Set.Make (Pnode)
+
 type t = {
   nodes : (Pnode.t, node) Hashtbl.t;
   quads : (Pnode.t * int, quad list ref) Hashtbl.t; (* newest first *)
   fwd : (Pnode.t * int, (string * Pvalue.xref) list ref) Hashtbl.t;
   rev : (Pnode.t, (Pnode.t * int * string * int) list ref) Hashtbl.t;
-  names : (string, Pnode.t list ref) Hashtbl.t;
+  mutable names : Pnodes.t ref Names.t;
+      (* string-ordered, so every name sharing a prefix is one contiguous
+         range ([find_by_name_prefix]); a posting set, not a list, because
+         one name can cover thousands of pnodes (every process of a build
+         is named after its binary) and each sighting tests membership *)
   attrs : (string, attr_entry) Hashtbl.t;
       (* keyed by uppercased attribute, matching the evaluator's
          case-insensitive attribute semantics *)
@@ -95,7 +103,7 @@ let create () =
     quads = Hashtbl.create 8192;
     fwd = Hashtbl.create 8192;
     rev = Hashtbl.create 8192;
-    names = Hashtbl.create 1024;
+    names = Names.empty;
     attrs = Hashtbl.create 64;
     anc = Hashtbl.create 4096;
     desc = Hashtbl.create 4096;
@@ -129,19 +137,20 @@ let node t pnode =
       n
 
 (* Index one name sighting.  Every alias a node was ever seen under is
-   indexed (set_file names and NAME records alike), so [find_by_name] is
-   a complete superset for any name-equality predicate — the planner
-   relies on this.  Entries are deduplicated at insert. *)
+   indexed (set_file names and NAME records alike, in any attribute
+   case), so [find_by_name] is a complete superset for any name-equality
+   predicate and [find_by_name_prefix] for any name glob — the planner
+   relies on this. *)
 let index_name t name pnode =
   if name <> "" then
-    match Hashtbl.find_opt t.names name with
+    match Names.find_opt name t.names with
     | Some l ->
-        if not (List.exists (fun p -> Pnode.equal p pnode) !l) then begin
-          l := pnode :: !l;
+        if not (Pnodes.mem pnode !l) then begin
+          l := Pnodes.add pnode !l;
           t.index_bytes <- t.index_bytes + String.length name + 12
         end
     | None ->
-        Hashtbl.add t.names name (ref [ pnode ]);
+        t.names <- Names.add name (ref (Pnodes.singleton pnode)) t.names;
         t.index_bytes <- t.index_bytes + String.length name + 12
 
 let set_file t pnode ~name =
@@ -208,7 +217,8 @@ let add_record t pnode ~version (record : Record.t) =
   t.quad_count <- t.quad_count + 1;
   let sz = encoded_record_size record in
   t.db_bytes <- t.db_bytes + sz + 16;
-  let ae = attr_entry t (String.uppercase_ascii record.attr) in
+  let upper = String.uppercase_ascii record.attr in
+  let ae = attr_entry t upper in
   if not (Hashtbl.mem ae.ae_seen (pnode, version)) then begin
     Hashtbl.replace ae.ae_seen (pnode, version) ();
     ae.ae_entries <- (pnode, version) :: ae.ae_entries;
@@ -226,6 +236,11 @@ let add_record t pnode ~version (record : Record.t) =
   | Pvalue.Str s when String.equal record.attr Record.Attr.name ->
       let n = node t pnode in
       if n.node_name = None then n.node_name <- Some s;
+      index_name t s pnode
+  | (Pvalue.Str s | Pvalue.Bytes s) when String.equal upper Record.Attr.name ->
+      (* the evaluator reads attributes case-insensitively and globs
+         match byte strings too, so these are names to a query even
+         though they never become the node's own name *)
       index_name t s pnode
   | _ -> ())
 
@@ -266,9 +281,22 @@ let quad_count t = t.quad_count
 let all_nodes t = Hashtbl.fold (fun _ n acc -> n :: acc) t.nodes []
 
 let find_by_name t name =
-  match Hashtbl.find_opt t.names name with
-  | Some l -> List.sort Pnode.compare !l
+  match Names.find_opt name t.names with
+  | Some l -> Pnodes.elements !l
   | None -> []
+
+(* Fold over the posting sets of every indexed name starting with
+   [prefix]: one contiguous range of the ordered index. *)
+let fold_name_range t prefix f init =
+  let rec go acc seq =
+    match seq () with
+    | Seq.Cons ((name, l), rest) when String.starts_with ~prefix name -> go (f acc !l) rest
+    | Seq.Cons _ | Seq.Nil -> acc
+  in
+  go init (Names.to_seq_from prefix t.names)
+
+let find_by_name_prefix t prefix =
+  Pnodes.elements (fold_name_range t prefix Pnodes.union Pnodes.empty)
 
 (* Typed order on (pnode, version) keys — the attr index and pvcheck sort
    with this instead of polymorphic compare. *)
@@ -368,6 +396,8 @@ let attr_value t pnode ~version attr =
 
 let file_count t = t.file_count
 let edge_count t = t.edge_count
+
+let name_prefix_postings t prefix = fold_name_range t prefix (fun acc l -> acc + Pnodes.cardinal l) 0
 
 let attr_cardinality t attr =
   match Hashtbl.find_opt t.attrs (String.uppercase_ascii attr) with
@@ -706,9 +736,9 @@ let verify_indexes t =
                      (List.sort Pnode.compare (children_of r p)))
               then fail ("node " ^ describe p ^ ": ancestry adjacency (children) drifted"))
         t.nodes;
-      if Hashtbl.length t.names <> Hashtbl.length r.names then
+      if Names.cardinal t.names <> Names.cardinal r.names then
         fail "name index: alias count drifted";
-      Hashtbl.iter
+      Names.iter
         (fun name _ ->
           if not (eq_pnodes (find_by_name t name) (find_by_name r name)) then
             fail ("name index: entries for \"" ^ name ^ "\" drifted"))

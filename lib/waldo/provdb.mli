@@ -2,7 +2,8 @@
 
     Holds the provenance graph at (object, version) granularity with the
     indexes the query engine needs: forward and reverse ancestry edges, a
-    complete name index (every alias a node was seen under), an inverted
+    complete name index (every alias a node was seen under, ordered by
+    name so a glob's literal prefix is one range), an inverted
     attribute index with per-attribute cardinalities, a pnode-granular
     ancestry adjacency for transitive-reachability estimates, and a
     per-node resident-version index.  All secondary indexes are
@@ -56,10 +57,19 @@ val compare_pv : Pnode.t * int -> Pnode.t * int -> int
 (** Typed order on (pnode, version) keys (no polymorphic compare). *)
 
 val find_by_name : t -> string -> Pnode.t list
-(** Pnodes ever sighted under [name] — via {!set_file} or a NAME record —
-    in pnode order.  A complete superset for name-equality predicates:
-    the query planner uses it as an access path and re-checks exact
-    semantics afterwards. *)
+(** Pnodes ever sighted under [name] — via {!set_file} or a string or
+    bytes record whose attribute is NAME in any case — in pnode order.  A
+    complete superset for name-equality predicates: the query planner
+    uses it as an access path and re-checks exact semantics afterwards. *)
+
+val find_by_name_prefix : t -> string -> Pnode.t list
+(** Distinct pnodes sighted under any name that starts with [prefix], in
+    pnode order: a range probe of the ordered name index, equal to the
+    sorted, deduplicated union of {!find_by_name} over those names.
+    Every string a glob matches starts with the glob's literal prefix
+    (the text before its first [*] or [?]), so this is a complete
+    superset for name-glob predicates.  Like {!find_by_name} it reads
+    the hot tier only; callers fault the archive in first. *)
 
 val name_of : t -> Pnode.t -> string option
 
@@ -110,6 +120,11 @@ val file_count : t -> int
 
 val edge_count : t -> int
 (** Ancestry records ingested, with multiplicity. *)
+
+val name_prefix_postings : t -> string -> int
+(** Posting count over every indexed name starting with [prefix] — the
+    cost of a {!find_by_name_prefix} probe, without merging the
+    postings. *)
 
 val attr_cardinality : t -> string -> int
 (** Distinct (pnode, version) entries under [attr] (case-insensitive)

@@ -598,13 +598,17 @@ let ckpt_rig ~registry ?policy ?compact_keep () =
   (disk, ext3, lasagna, waldo)
 
 (* Deterministic version history: 6 files, 3 freeze rounds each, so a
-   compacting checkpoint has versions to push into the cold tier. *)
-let ckpt_workload lasagna waldo =
+   compacting checkpoint has versions to push into the cold tier.  With
+   [~alias], file 0 also gets a lowercase-[name] alias at version 0, so
+   after compaction that alias lives only in the archive. *)
+let ckpt_workload ?(alias = false) lasagna waldo =
   let ep = Lasagna.endpoint lasagna in
   let hs =
     Array.init 6 (fun i ->
         let h = ok (ep.Dpapi.pass_mkobj ~volume:(Some "vol0")) in
         ok (Dpapi.disclose ep h [ Record.name (Printf.sprintf "f%d" i) ]);
+        if alias && i = 0 then
+          ok (Dpapi.disclose ep h [ Record.make "name" (Pvalue.Str "legacy-f0") ]);
         h)
   in
   for round = 1 to 3 do
@@ -781,26 +785,32 @@ let test_indexes_consistent_after_crash_and_archive () =
            | Pql_eval.Value v -> Format.asprintf "v:%a" Pvalue.pp v)
          row)
   in
-  let planner_matches_oracle what db =
-    let ast =
-      Pql.parse {|select A from Provenance.object as F F.input* as A where F.name = "f3"|}
-    in
+  let query_matches_oracle what db text =
+    let ast = Pql.parse text in
     let planner = Pql.Engine.execute (Pql.Engine.prepare_ast db ast) in
     let naive = Pql_eval.reference_rows db ast in
     let keys rows = List.sort String.compare (List.map row_key rows) in
     check Alcotest.(list string) (what ^ ": planner rows = oracle rows") (keys naive)
       (keys planner);
-    check tbool (what ^ ": ancestry nonempty") true (planner <> [])
+    check tbool (what ^ ": rows nonempty") true (planner <> [])
   in
+  let planner_matches_oracle what db =
+    query_matches_oracle what db
+      {|select A from Provenance.object as F F.input* as A where F.name = "f3"|}
+  in
+  (* the only sighting of "legacy-f0" is an archived record: the prefix
+     probe must fault the archive in before it reads the name index *)
+  let archived_glob = {|select F from Provenance.object as F where F.name ~ "legacy*"|} in
   let registry = Telemetry.create () in
   let disk, _ext3, lasagna, waldo =
     ckpt_rig ~registry ~policy:Waldo.Manual ~compact_keep:1 ()
   in
-  ignore (ckpt_workload lasagna waldo : Dpapi.handle array);
+  ignore (ckpt_workload ~alias:true lasagna waldo : Dpapi.handle array);
   verify "after ingestion" (Waldo.db waldo);
   (* a compacting checkpoint pushes old versions into the cold tier *)
   ok_fs (Waldo.checkpoint waldo);
   planner_matches_oracle "after checkpoint" (Waldo.db waldo);
+  query_matches_oracle "archived alias glob after checkpoint" (Waldo.db waldo) archived_glob;
   verify "after checkpoint + archival" (Waldo.db waldo);
   (* crash and recover: the image deserializer rebuilds every index *)
   Disk.crash disk;
@@ -811,6 +821,11 @@ let test_indexes_consistent_after_crash_and_archive () =
   in
   check tbool "recovery saw archive segments" true (info.Waldo.ri_archives > 0);
   let db = Waldo.db w2 in
+  check tbool "archive not yet loaded" false (Provdb.cold_loaded db);
+  (match Pql.Engine.explain (Pql.Engine.prepare db archived_glob) with
+  | { Pql_plan.steps = [ { access = Pql_plan.Name_prefix (_, "legacy"); _ } ]; _ } -> ()
+  | plan -> Alcotest.failf "expected a name-prefix probe:\n%s" (Pql_plan.to_string plan));
+  query_matches_oracle "archived alias glob after crash/recover" db archived_glob;
   (* the selective ancestry query crosses the floor: the planner's index
      probe must fault the cold tier in, exactly like the oracle's scan *)
   planner_matches_oracle "after crash/recover" db;

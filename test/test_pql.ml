@@ -444,11 +444,35 @@ let test_plan_attr_probe_and_scan () =
   (match (List.hd p1.Pql_plan.steps).Pql_plan.access with
   | Pql_plan.Attr_probe (Pql_ast.Root_objects, "ARGV") -> ()
   | a -> Alcotest.failf "expected attr probe, got %s" (Pql_plan.access_str a));
-  (* a glob is not sargable: falls back to the class scan *)
+  (* a name glob with a literal prefix probes that range of the ordered
+     name index; its cost is the postings over the range *)
   let p2 = explain {|select F from Provenance.file as F where F.name ~ "input*"|} in
-  (match (List.hd p2.Pql_plan.steps).Pql_plan.access with
-  | Pql_plan.Scan Pql_ast.Root_files -> ()
-  | a -> Alcotest.failf "expected scan, got %s" (Pql_plan.access_str a));
+  let s2 = List.hd p2.Pql_plan.steps in
+  (match s2.Pql_plan.access with
+  | Pql_plan.Name_prefix (Pql_ast.Root_files, "input") -> ()
+  | a -> Alcotest.failf "expected name-prefix probe, got %s" (Pql_plan.access_str a));
+  check tint "prefix est = postings over the range" 2 s2.Pql_plan.est;
+  check tint "glob still pushed" 1 (List.length s2.Pql_plan.pushed);
+  (* the literal prefix ends at the first wildcard of either kind *)
+  List.iter
+    (fun (pat, prefix) ->
+      let q = Printf.sprintf {|select F from Provenance.file as F where F.name ~ "%s"|} pat in
+      match (List.hd (explain q).Pql_plan.steps).Pql_plan.access with
+      | Pql_plan.Name_prefix (Pql_ast.Root_files, p) when String.equal p prefix -> ()
+      | a -> Alcotest.failf "%s: expected name-prefix %S, got %s" pat prefix (Pql_plan.access_str a))
+    [ ("in?ut*", "in"); ("inp*t?", "inp"); ("input1.dat", "input1.dat") ];
+  (* no literal prefix, the literal on the left, or another attribute:
+     nothing to range over, so the class scan stays *)
+  List.iter
+    (fun q ->
+      match (List.hd (explain q).Pql_plan.steps).Pql_plan.access with
+      | Pql_plan.Scan Pql_ast.Root_files -> ()
+      | a -> Alcotest.failf "expected scan for %s, got %s" q (Pql_plan.access_str a))
+    [
+      {|select F from Provenance.file as F where F.name ~ "*1.dat"|};
+      {|select F from Provenance.file as F where "input*" ~ F.name|};
+      {|select F from Provenance.file as F where F.params ~ "x*"|};
+    ];
   (* version is a pseudo-attribute no record backs: never probed *)
   let p3 = explain {|select F from Provenance.file as F where F.version = 1|} in
   (match (List.hd p3.Pql_plan.steps).Pql_plan.access with
@@ -505,19 +529,53 @@ let test_explain_golden () =
     \      push Atlas.name = \"out.gif\"\n\
     \  Ancestor <- from Atlas, walk input* [memo]  (est 5, actual 5)\n\
     \  rows: (est 5, actual 5)"
-    (Pql_plan.to_string (Pql.Engine.explain p))
+    (Pql_plan.to_string (Pql.Engine.explain p));
+  let g = Pql.Engine.prepare db {|select F from Provenance.file as F where F.name ~ "input*"|} in
+  ignore (Pql.Engine.execute g : Pql_eval.item list list);
+  check Alcotest.string "explain a name-prefix probe"
+    "plan:\n\
+    \  F <- name-prefix \"input\" -> files  (est 2, actual 2)\n\
+    \      push F.name ~ \"input*\"\n\
+    \  rows: (est 2, actual 2)"
+    (Pql_plan.to_string (Pql.Engine.explain g))
+
+(* The evaluator reads attributes case-insensitively, so a record spelled
+   [name] is a name to a query even though it never becomes the node's
+   own name.  The name index has to hold it, or a name probe returns
+   fewer rows than the oracle. *)
+let test_lowercase_name_record_indexed () =
+  let db = Provdb.create () in
+  let p = Pnode.fresh (Pnode.allocator ~machine:3) in
+  Provdb.set_file db p ~name:"a";
+  Provdb.add_record db p ~version:0 (Record.make "name" (Pvalue.Str "zzz"));
+  check (Alcotest.option Alcotest.string) "node name unchanged" (Some "a") (Provdb.name_of db p);
+  List.iter
+    (fun q ->
+      let ast = Pql.parse q in
+      check tint (q ^ " (oracle)") 1 (List.length (Pql_eval.reference_rows db ast));
+      check tint (q ^ " (planner)") 1
+        (List.length (Pql.Engine.execute (Pql.Engine.prepare_ast db ast))))
+    [
+      {|select F from Provenance.file as F where F.name = "zzz"|};
+      {|select F from Provenance.file as F where F.name ~ "zz*"|};
+    ]
 
 (* --- planner == naive oracle on random graphs x random queries ------------- *)
 
+(* Names that share prefixes, so globs select proper subsets of them. *)
+let name_pool = [ "a"; "ab"; "a.b"; "b"; "c"; "out.gif"; "out.c" ]
+
 (* A generated graph description: node i is a process or a file, owns a
-   (possibly duplicated) name, reads a set of earlier nodes, and may
-   carry a PARAMS attribute. *)
-let build_random_db (specs : (bool * string * int list * string option) list) =
+   (possibly duplicated) name, reads a set of earlier nodes, may carry a
+   PARAMS attribute, and may carry an alias: a NAME record in some
+   attribute case, holding a string or bytes, at version 0 or 1. *)
+let build_random_db
+    (specs : (bool * string * int list * string option * (string * Pvalue.t * int) option) list) =
   let db = Provdb.create () in
   let alloc = Pnode.allocator ~machine:7 in
   let nodes = Array.of_list (List.map (fun _ -> Pnode.fresh alloc) specs) in
   List.iteri
-    (fun i (is_proc, name, parents, params) ->
+    (fun i (is_proc, name, parents, params, alias) ->
       let pn = nodes.(i) in
       if is_proc then begin
         Provdb.declare_virtual db pn;
@@ -528,19 +586,28 @@ let build_random_db (specs : (bool * string * int list * string option) list) =
       List.iter
         (fun j -> Provdb.add_record db pn ~version:0 (Record.input_of nodes.(j mod i) 0))
         (if i = 0 then [] else parents);
-      match params with
+      (match params with
       | Some v -> Provdb.add_record db pn ~version:0 (Record.make "PARAMS" (Pvalue.Str v))
+      | None -> ());
+      match alias with
+      | Some (attr, v, version) -> Provdb.add_record db pn ~version (Record.make attr v)
       | None -> ())
     specs;
   db
 
 let gen_graph =
   let open QCheck2.Gen in
+  let alias =
+    triple
+      (oneofl [ "NAME"; "name"; "Name" ])
+      (map2 (fun bytes n -> if bytes then Pvalue.Bytes n else Pvalue.Str n) bool (oneofl name_pool))
+      (int_bound 1)
+  in
   let node_spec =
-    quad bool
-      (oneofl [ "a"; "b"; "c"; "out.gif" ])
+    tup5 bool (oneofl name_pool)
       (list_size (int_bound 2) (int_bound 20))
       (option (oneofl [ "x"; "y" ]))
+      (option ~ratio:0.7 alias)
   in
   list_size (int_range 2 10) node_spec
 
@@ -573,29 +640,48 @@ let gen_query_for_planner =
         ]
   in
   let cond k =
-    let attr = oneofl [ "name"; "params"; "type"; "version" ] in
+    let attr = oneofl [ "name"; "NAME"; "params"; "type"; "version" ] in
     let lit =
       oneof
         [
-          map (fun s -> Pql_ast.L_str s) (oneofl [ "a"; "b"; "out.gif"; "x"; "PROCESS" ]);
+          map (fun s -> Pql_ast.L_str s) (oneofl [ "a"; "ab"; "b"; "out.gif"; "x"; "PROCESS" ]);
           map (fun i -> Pql_ast.L_int i) (int_bound 3);
         ]
     in
+    (* globs with and without a literal prefix, and plain literals *)
+    let pat =
+      oneof
+        [
+          map (fun s -> Pql_ast.L_str s)
+            (oneofl
+               [ "a*"; "a?"; "a?*"; "a*?"; "out*.gif"; "ou?.*"; "*"; "*.gif"; "?b"; "a.*"; "x*"; "a"; "out.c" ]);
+          lit;
+        ]
+    in
     let bvar = map binder (int_bound (k - 1)) in
-    oneof
+    frequency
       [
-        map3 (fun b a l -> Pql_ast.Cmp (Pql_ast.Attr (b, a), Pql_ast.Eq, Pql_ast.Lit l)) bvar attr lit;
-        map3 (fun b a l -> Pql_ast.Cmp (Pql_ast.Attr (b, a), Pql_ast.Like, Pql_ast.Lit l)) bvar attr lit;
-        map3
-          (fun b a (op, l) -> Pql_ast.Cmp (Pql_ast.Attr (b, a), op, Pql_ast.Lit l))
-          bvar attr
-          (pair (oneofl Pql_ast.[ Neq; Lt; Ge ]) lit);
-        map2 (fun b1 b2 -> Pql_ast.Cmp (Pql_ast.Var b1, Pql_ast.Eq, Pql_ast.Var b2)) bvar bvar;
-        map2
-          (fun b1 b2 ->
-            Pql_ast.Cmp
-              (Pql_ast.Attr (b1, "name"), Pql_ast.Eq, Pql_ast.Attr (b2, "name")))
-          bvar bvar;
+        (2, map3 (fun b a l -> Pql_ast.Cmp (Pql_ast.Attr (b, a), Pql_ast.Eq, Pql_ast.Lit l)) bvar attr lit);
+        (2, map3 (fun b a l -> Pql_ast.Cmp (Pql_ast.Attr (b, a), Pql_ast.Like, Pql_ast.Lit l)) bvar attr pat);
+        (* name keys the index can serve, in any attribute case *)
+        ( 4,
+          map3
+            (fun b a (op, l) -> Pql_ast.Cmp (Pql_ast.Attr (b, a), op, Pql_ast.Lit l))
+            bvar
+            (oneofl [ "name"; "NAME"; "Name" ])
+            (pair (oneofl Pql_ast.[ Eq; Like ]) pat) );
+        ( 2,
+          map3
+            (fun b a (op, l) -> Pql_ast.Cmp (Pql_ast.Attr (b, a), op, Pql_ast.Lit l))
+            bvar attr
+            (pair (oneofl Pql_ast.[ Neq; Lt; Ge ]) lit) );
+        (1, map2 (fun b1 b2 -> Pql_ast.Cmp (Pql_ast.Var b1, Pql_ast.Eq, Pql_ast.Var b2)) bvar bvar);
+        ( 1,
+          map2
+            (fun b1 b2 ->
+              Pql_ast.Cmp
+                (Pql_ast.Attr (b1, "name"), Pql_ast.Eq, Pql_ast.Attr (b2, "name")))
+            bvar bvar );
       ]
   in
   let* k = int_range 1 3 in
@@ -647,14 +733,39 @@ let prop_planner_matches_naive =
       let naive = Pql_eval.reference_rows db q in
       List.equal String.equal (sorted_keys planner) (sorted_keys naive))
 
+(* The prefix probe is exactly the union of the equality lookups over
+   the names in its range — on a fresh db and on every other route into
+   a db that rebuilds the name index. *)
+let prefix_probe_agrees db =
+  List.for_all
+    (fun prefix ->
+      let in_range = List.filter (String.starts_with ~prefix) name_pool in
+      let lookups = List.map (Provdb.find_by_name db) in_range in
+      List.equal Pnode.equal
+        (List.sort_uniq Pnode.compare (List.concat lookups))
+        (Provdb.find_by_name_prefix db prefix)
+      && Provdb.name_prefix_postings db prefix
+         = List.fold_left (fun acc l -> acc + List.length l) 0 lookups)
+    [ ""; "a"; "a."; "ab"; "b"; "out"; "out."; "out.gif"; "zzz"; "\255" ]
+
+let prop_prefix_probe =
+  QCheck2.Test.make ~name:"provdb: name-prefix probe = union of name lookups" ~count:300
+    QCheck2.Gen.(pair gen_graph gen_graph)
+    (fun (specs, other) ->
+      let db = build_random_db specs in
+      let merged = build_random_db other in
+      Provdb.merge_into ~dst:merged ~src:db;
+      let hot, cold = Provdb.compact merged ~keep:1 in
+      List.for_all prefix_probe_agrees
+        [ db; merged; hot; cold; Provdb.deserialize (Provdb.serialize merged) ])
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_print_parse_roundtrip; prop_glob; prop_glob_star ]
-  @ [
-      QCheck_alcotest.to_alcotest
-        ~rand:(Random.State.make [| 0x5eed |])
-        prop_planner_matches_naive;
-    ]
+  @ List.map
+      (fun prop ->
+        QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) prop)
+      [ prop_planner_matches_naive; prop_prefix_probe ]
 
 let suite =
   [
@@ -695,5 +806,7 @@ let suite =
       test_plan_unbound_variable;
     Alcotest.test_case "explain: golden plan rendering (est and actual)" `Quick
       test_explain_golden;
+    Alcotest.test_case "plan: NAME records in any case are indexed" `Quick
+      test_lowercase_name_record_indexed;
   ]
   @ qcheck_cases

@@ -241,36 +241,38 @@ let () =
           in
           Printf.printf "%-20s %-6s %9.2f%% %9.2f%% %+7.2f%%  %s%s\n" "monitor" "ovrhd"
             ceiling current (current -. ceiling) verdict note));
-  (* Query-planner gate: the selective-ancestry speedup over the naive
-     evaluator must stay above the pinned floor (higher is better, so
-     only a drop fails; the relative tolerance gives simulation noise
-     room).  "new" when the baseline predates the bench's query
+  (* Query-planner gates: the selective-ancestry and prefix-glob
+     speedups over the naive evaluator must stay above their pinned
+     floors (higher is better, so only a drop fails; the relative
+     tolerance gives timer noise room).  A query entry must pin both
+     floors.  "new" when the baseline predates the bench's query
      section, so old baselines keep working. *)
   (match List.assoc_opt "query" baseline with
   | None ->
       Printf.printf "%-20s %-6s %10s %10s %8s  new (no baseline entry)\n" "query" "speedup"
         "-" "-" "-"
-  | Some qb -> (
-      let floor =
-        match get_number "selective_speedup_min" qb with
-        | Some b -> b
-        | None -> die "%s: query entry without selective_speedup_min" baseline_path
-      in
-      match
-        Option.bind (Json.member "query" current_json) (get_number "selective_speedup")
-      with
-      | None -> die "%s: no query.selective_speedup (old bench binary?)" current_path
-      | Some current ->
-          let regression = current < floor *. (1. -. (tolerance /. 100.)) in
-          let verdict, note =
-            if regression then begin
-              incr regressed;
-              ("REGRESSED", " <-- below pinned floor")
-            end
-            else ("ok", "")
+  | Some qb ->
+      List.iter
+        (fun (label, key) ->
+          let floor =
+            match get_number (key ^ "_min") qb with
+            | Some b -> b
+            | None -> die "%s: query entry without %s_min" baseline_path key
           in
-          Printf.printf "%-20s %-6s %9.1fx %9.1fx %+7.1fx  %s%s\n" "query" "speedup" floor
-            current (current -. floor) verdict note));
+          match Option.bind (Json.member "query" current_json) (get_number key) with
+          | None -> die "%s: no query.%s (old bench binary?)" current_path key
+          | Some current ->
+              let regression = current < floor *. (1. -. (tolerance /. 100.)) in
+              let verdict, note =
+                if regression then begin
+                  incr regressed;
+                  ("REGRESSED", " <-- below pinned floor")
+                end
+                else ("ok", "")
+              in
+              Printf.printf "%-20s %-6s %9.1fx %9.1fx %+7.1fx  %s%s\n" label "speedup" floor
+                current (current -. floor) verdict note)
+        [ ("query", "selective_speedup"); ("query prefix-glob", "prefix_glob_speedup") ]);
   if !regressed > 0 then begin
     Printf.printf "\n%d overhead value(s) regressed beyond tolerance.\n" !regressed;
     exit 1
