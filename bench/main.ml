@@ -97,20 +97,8 @@ let table2_and_3 () =
 
 let fig1 () =
   section "FIG1: layered query across two NFS servers and a workstation";
-  let sys = System.create ~mode:System.Pass ~machine:1 ~volume_names:[ "local" ] () in
-  let clock = System.clock sys in
-  let ctx = Kernel.ctx (System.kernel sys) in
-  let server_a = Server.create ~mode:Server.Pass_enabled ~clock ~machine:21 ~volume:"nfsA" () in
-  let server_b = Server.create ~mode:Server.Pass_enabled ~clock ~machine:22 ~volume:"nfsB" () in
-  let net = Proto.net clock in
-  let ca = Client.create ~net ~handler:(Server.handle server_a) ~ctx ~mount_name:"nfsA" () in
-  let cb = Client.create ~net ~handler:(Server.handle server_b) ~ctx ~mount_name:"nfsB" () in
-  System.mount_external sys ~name:"nfsA" ~ops:(Client.ops ca) ~endpoint:(Client.endpoint ca)
-    ~file_handle:(Client.file_handle ca)
-    ~flush:(fun () -> Client.flush ca) ();
-  System.mount_external sys ~name:"nfsB" ~ops:(Client.ops cb) ~endpoint:(Client.endpoint cb)
-    ~file_handle:(Client.file_handle cb)
-    ~flush:(fun () -> Client.flush cb) ();
+  let fig = Runner.figure1 () in
+  let sys = fig.Runner.workstation in
   (* the workflow engine runs the Provenance Challenge workflow, reading
      inputs from server A and writing the atlas images to server B *)
   let engine = Kernel.fork (System.kernel sys) ~parent:Kernel.init_pid in
@@ -118,13 +106,7 @@ let fig1 () =
   Challenge.prepare_inputs ~input_dir:"/nfsA/inputs" io;
   let wf = Challenge.workflow ~input_dir:"/nfsA/inputs" ~output_dir:"/nfsB/results" in
   ignore (Kepler_run.run sys ~pid:engine wf : Director.result);
-  ignore (System.drain sys : int);
-  ignore (Server.drain server_a : int);
-  ignore (Server.drain server_b : int);
-  let merged = Provdb.create () in
-  Provdb.merge_into ~dst:merged ~src:(Option.get (System.waldo_db sys "local"));
-  Provdb.merge_into ~dst:merged ~src:(Option.get (Server.db server_a));
-  Provdb.merge_into ~dst:merged ~src:(Option.get (Server.db server_b));
+  let merged = Runner.figure1_merged fig in
   let query =
     {|select Ancestor
       from Provenance.file as Atlas
@@ -137,7 +119,7 @@ let fig1 () =
   Printf.printf "ancestors of atlas-x.gif across all three volumes (%d distinct names):\n"
     (List.length names);
   List.iter (fun n -> Printf.printf "  %s\n" n) names;
-  let b_only = pql_names (Option.get (Server.db server_b)) query in
+  let b_only = pql_names (Option.get (Server.db fig.Runner.server_b)) query in
   Printf.printf
     "\nwithout layering, server B alone sees %d names (no workflow operators, no inputs)\n"
     (List.length b_only)

@@ -35,20 +35,8 @@ let canned_db () =
 (* --- commands ----------------------------------------------------------------- *)
 
 let cmd_demo () =
-  let sys = System.create ~mode:System.Pass ~machine:1 ~volume_names:[ "local" ] () in
-  let clock = System.clock sys in
-  let ctx = Kernel.ctx (System.kernel sys) in
-  let server_a = Server.create ~mode:Server.Pass_enabled ~clock ~machine:21 ~volume:"nfsA" () in
-  let server_b = Server.create ~mode:Server.Pass_enabled ~clock ~machine:22 ~volume:"nfsB" () in
-  let net = Proto.net clock in
-  let ca = Client.create ~net ~handler:(Server.handle server_a) ~ctx ~mount_name:"nfsA" () in
-  let cb = Client.create ~net ~handler:(Server.handle server_b) ~ctx ~mount_name:"nfsB" () in
-  System.mount_external sys ~name:"nfsA" ~ops:(Client.ops ca) ~endpoint:(Client.endpoint ca)
-    ~file_handle:(Client.file_handle ca)
-    ~flush:(fun () -> Client.flush ca) ();
-  System.mount_external sys ~name:"nfsB" ~ops:(Client.ops cb) ~endpoint:(Client.endpoint cb)
-    ~file_handle:(Client.file_handle cb)
-    ~flush:(fun () -> Client.flush cb) ();
+  let fig = Runner.figure1 () in
+  let sys = fig.Runner.workstation in
   let engine = Kernel.fork (System.kernel sys) ~parent:Kernel.init_pid in
   let io = Kepler_run.io_of_system sys ~pid:engine in
   Challenge.prepare_inputs ~input_dir:"/nfsA/inputs" io;
@@ -56,13 +44,7 @@ let cmd_demo () =
     (Kepler_run.run sys ~pid:engine
        (Challenge.workflow ~input_dir:"/nfsA/inputs" ~output_dir:"/nfsB/results")
       : Director.result);
-  ignore (System.drain sys : int);
-  ignore (Server.drain server_a : int);
-  ignore (Server.drain server_b : int);
-  let merged = Provdb.create () in
-  Provdb.merge_into ~dst:merged ~src:(Option.get (System.waldo_db sys "local"));
-  Provdb.merge_into ~dst:merged ~src:(Option.get (Server.db server_a));
-  Provdb.merge_into ~dst:merged ~src:(Option.get (Server.db server_b));
+  let merged = Runner.figure1_merged fig in
   let query =
     {|select Ancestor from Provenance.file as Atlas Atlas.input* as Ancestor
       where Atlas.name = "atlas-x.gif"|}
@@ -304,10 +286,10 @@ let cmd_checkpoint volume json =
   end
 
 (* Offline verification.  Without --corrupt: build a canned volume whose
-   Waldo database has been persisted and whose last transaction is still
-   sitting in a live WAP log, then run the offline verifier over the
-   lower file system — the real fsck path (load db image, replay logs,
-   cross-check orphans against Recovery).  With --corrupt CLASS: seed one
+   Waldo database has been checkpointed and whose last transaction is
+   still sitting in a live WAP log, then run the offline verifier over
+   the lower file system — the real fsck path (Waldo.recover, archive
+   fault-in, cross-check orphans against Recovery).  With --corrupt CLASS: seed one
    corruption into a canned graph and show the verifier flagging it. *)
 let cmd_fsck volume json corrupt =
   let print_report report =
@@ -349,7 +331,7 @@ let cmd_fsck volume json corrupt =
         | Ok _ -> ()
         | Error e -> failwith (Dpapi.error_to_string e));
         ignore (Waldo.finalize waldo lasagna : int);
-        (match Waldo.persist waldo ~dir:"/.waldo" with
+        (match Waldo.checkpoint waldo with
         | Ok () -> ()
         | Error e -> failwith (Vfs.errno_to_string e));
         (* one transaction still in a live log when the verifier runs *)

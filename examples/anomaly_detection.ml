@@ -19,20 +19,8 @@ let pql_names db q = Pql.names_of_rows db Pql.Engine.(execute (prepare db q))
 let () =
   print_endline "== §3.1: finding the source of an anomaly ==\n";
   (* the Figure 1 topology: workstation + two PA-NFS servers *)
-  let sys = System.create ~mode:System.Pass ~machine:1 ~volume_names:[ "local" ] () in
-  let clock = System.clock sys in
-  let ctx = Kernel.ctx (System.kernel sys) in
-  let server_a = Server.create ~mode:Server.Pass_enabled ~clock ~machine:21 ~volume:"nfsA" () in
-  let server_b = Server.create ~mode:Server.Pass_enabled ~clock ~machine:22 ~volume:"nfsB" () in
-  let net = Proto.net clock in
-  let ca = Client.create ~net ~handler:(Server.handle server_a) ~ctx ~mount_name:"nfsA" () in
-  let cb = Client.create ~net ~handler:(Server.handle server_b) ~ctx ~mount_name:"nfsB" () in
-  System.mount_external sys ~name:"nfsA" ~ops:(Client.ops ca) ~endpoint:(Client.endpoint ca)
-    ~file_handle:(Client.file_handle ca)
-    ~flush:(fun () -> Client.flush ca) ();
-  System.mount_external sys ~name:"nfsB" ~ops:(Client.ops cb) ~endpoint:(Client.endpoint cb)
-    ~file_handle:(Client.file_handle cb)
-    ~flush:(fun () -> Client.flush cb) ();
+  let fig = Runner.figure1 () in
+  let sys = fig.Runner.workstation and server_b = fig.Runner.server_b in
   print_endline "topology: workstation(local) + file server A (inputs) + file server B (outputs)";
 
   let engine = Kernel.fork (System.kernel sys) ~parent:Kernel.init_pid in
@@ -68,9 +56,7 @@ let () =
   Printf.printf "           outputs differ: %b\n" (not (String.equal monday_atlas wednesday_atlas));
 
   (* investigate *)
-  ignore (System.drain sys : int);
-  ignore (Server.drain server_a : int);
-  ignore (Server.drain server_b : int);
+  let merged = Runner.figure1_merged fig in
 
   print_endline "\n-- WITHOUT layering --";
   Printf.printf
@@ -88,10 +74,6 @@ let () =
     (List.length b_only);
 
   print_endline "\n-- WITH layering (merged provenance of all three volumes) --";
-  let merged = Provdb.create () in
-  Provdb.merge_into ~dst:merged ~src:(Option.get (System.waldo_db sys "local"));
-  Provdb.merge_into ~dst:merged ~src:(Option.get (Server.db server_a));
-  Provdb.merge_into ~dst:merged ~src:(Option.get (Server.db server_b));
   let ancestors =
     pql_names merged
       {|select Ancestor

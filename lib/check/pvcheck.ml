@@ -377,70 +377,21 @@ let check_db ?registry ?(volume = "local") ?recovery_orphans ?waldo_orphans db =
 
 let ( let* ) = Result.bind
 
-let remaining_logs lower =
-  match Vfs.lookup_path lower "/.pass" with
-  | Error Vfs.ENOENT -> Ok []
-  | Error e -> Error e
-  | Ok dir ->
-      let* names = lower.Vfs.readdir dir in
-      let logs =
-        List.filter_map
-          (fun name ->
-            if String.length name > 4 && String.equal (String.sub name 0 4) "log."
-            then
-              Option.map
-                (fun seq -> (seq, name))
-                (int_of_string_opt
-                   (String.sub name 4 (String.length name - 4)))
-            else None)
-          names
-      in
-      Ok
-        (List.map snd
-           (List.sort (fun (a, _) (b, _) -> Int.compare a b) logs))
-
-let fsck ?registry ?(waldo_dir = "/.waldo") ~lower ~volume () =
+let fsck ?registry ~lower ~volume () =
   (* a volume that never saw a provenance-aware mount has no /.pass; its
      (empty) graph trivially verifies, with no orphans on either side *)
   let* recovery_orphans =
-    match Recovery.scan ?registry ~waldo_dir lower with
+    match Recovery.scan ?registry lower with
     | Ok scan -> Ok scan.Recovery.open_txns
     | Error Vfs.ENOENT -> Ok []
     | Error e -> Error e
   in
-  let* manifest = Checkpoint.read_manifest lower ~dir:waldo_dir in
-  let* w =
-    match manifest with
-    | Some _ ->
-        (* a checkpointed volume: adopt the image, restore in-flight
-           transactions from the sidecar, replay the post-watermark log
-           suffix — exactly the production restart path — then pull the
-           cold-tier archive in so the checks see the full graph *)
-        let* w, _info = Waldo.recover ?registry ~dir:waldo_dir ~lower () in
-        Waldo.fault_in_archive w;
-        Ok w
-    | None ->
-        (* no checkpoint: load the stand-alone image if any, then replay
-           every remaining log *)
-        let* w =
-          match Waldo.load ?registry ~lower ~dir:waldo_dir () with
-          | Ok w -> Ok w
-          | Error Vfs.ENOENT -> Ok (Waldo.create ?registry ~lower ())
-          | Error e -> Error e
-        in
-        let* names = remaining_logs lower in
-        let* () =
-          List.fold_left
-            (fun acc name ->
-              let* () = acc in
-              let* image = Vfs.read_file lower ("/.pass/" ^ name) in
-              let frames, _consumed = Wap_log.parse_log image in
-              Waldo.replay_frames w frames;
-              Ok ())
-            (Ok ()) names
-        in
-        Ok w
-  in
+  (* exactly the production restart path — adopt the checkpoint image if
+     there is one, restore in-flight transactions, replay the logs it
+     does not cover — then pull the cold-tier archive in so the checks
+     see the full graph *)
+  let* w, _info = Waldo.recover ?registry ~lower () in
+  let* () = Waldo.fault_in_archive w in
   Ok
     (check_db ?registry ~volume ~recovery_orphans
        ~waldo_orphans:(Waldo.pending_txns w) (Waldo.db w))

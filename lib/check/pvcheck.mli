@@ -51,16 +51,18 @@ val check_db :
 
 val fsck :
   ?registry:Telemetry.registry ->
-  ?waldo_dir:string ->
   lower:Vfs.ops ->
   volume:string ->
   unit ->
   (report, Vfs.errno) result
-(** [fsck ~lower ~volume ()] is the offline entry point: load the
-    persisted database from [waldo_dir]/db.dat (default [/.waldo]; an
-    absent image means an empty database), replay any WAP logs still in
-    [/.pass] through the production ingest path, and run every pass —
-    including orphan agreement against an independent {!Recovery.scan}. *)
+(** [fsck ~lower ~volume ()] is the offline entry point: rebuild the
+    database through {!Waldo.recover} — the daemon's own restart path,
+    which adopts the checkpoint image (if any) and replays the WAP logs
+    it does not cover — fault the cold-tier archive in, and run every
+    pass, including orphan agreement against an independent
+    {!Recovery.scan}.  A volume without [/.pass] is an empty graph.  A
+    torn or tampered MANIFEST, image, sidecar or archive segment is
+    [EIO]: fsck never checks a partial graph. *)
 
 val report_to_json : report -> Telemetry.Json.t
 (** The report as a telemetry JSON tree ([passctl fsck --json]). *)

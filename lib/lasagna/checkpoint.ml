@@ -17,7 +17,9 @@
      recovery story (old manifest or none, all logs intact) or the new
      one (new manifest, strays cleaned idempotently by recovery).
 
-   The module is deliberately the only place in lib/lasagna and
+   The module also owns the on-disk layout both protocols share: where
+   the WAP logs live (/.pass/log.<seq>) and where the checkpoint lives
+   (/.waldo).  It is deliberately the only place in lib/lasagna and
    lib/waldo that writes `.pass`-metadata files with Vfs.write_file —
    passlint's inplace-metadata-write rule pins that down. *)
 
@@ -33,12 +35,37 @@ type manifest = {
   m_pending_txns : int list;  (* ids buffered at checkpoint time, sorted *)
 }
 
+(* --- on-disk layout ----------------------------------------------------------- *)
+
+let dir = "/.waldo"
+let pass_dirname = ".pass"
+let pass_dir = "/" ^ pass_dirname
+let path name = dir ^ "/" ^ name
+let log_path name = pass_dir ^ "/" ^ name
+
+(* string concat, not sprintf: log rotation happens inside Lasagna's
+   commit, which is on the record hot path (passarch hot-path-format). *)
+let log_name seq = "log." ^ string_of_int seq
+
+let log_seq name =
+  if String.length name > 4 && String.equal (String.sub name 0 4) "log." then
+    int_of_string_opt (String.sub name 4 (String.length name - 4))
+  else None
+
 let manifest_name = "MANIFEST"
 let image_name ~gen = Printf.sprintf "db.%d.dat" gen
 let archive_name ~gen = Printf.sprintf "archive.%d.dat" gen
 let pending_name ~gen = Printf.sprintf "pending.%d.dat" gen
 
 let ( let* ) = Result.bind
+
+(* The WAP logs under /.pass as (seq, name), oldest first, with the
+   directory's inode.  ENOENT when the volume has no /.pass. *)
+let logs lower =
+  let* pass_ino = Vfs.lookup_path lower pass_dir in
+  let* names = lower.Vfs.readdir pass_ino in
+  let logs = List.filter_map (fun n -> Option.map (fun s -> (s, n)) (log_seq n)) names in
+  Ok (pass_ino, List.sort (fun (a, _) (b, _) -> Int.compare a b) logs)
 
 (* --- digest-framed atomic payload files ---------------------------------- *)
 
@@ -138,16 +165,16 @@ let decode_manifest image =
 (* The commit point: stage MANIFEST.tmp, rename over MANIFEST.  Until
    the rename's journal frame is durable the old manifest (or none)
    governs recovery; after it, the new one does. *)
-let write_manifest lower ~dir m =
-  let path = dir ^ "/" ^ manifest_name in
+let write_manifest lower m =
+  let path = path manifest_name in
   let tmp = path ^ ".tmp" in
   let* _ino = Vfs.write_file ~mkparents:true lower tmp (encode_manifest m) in
   Vfs.rename_path lower tmp path
 
 (* [Ok None] when no checkpoint was ever committed (fresh volume or a
    crash before the first manifest rename); EIO on a corrupt manifest. *)
-let read_manifest lower ~dir =
-  match Vfs.read_file lower (dir ^ "/" ^ manifest_name) with
+let read_manifest lower =
+  match Vfs.read_file lower (path manifest_name) with
   | Error Vfs.ENOENT -> Ok None
   | Error e -> Error e
   | Ok image -> (
@@ -157,31 +184,21 @@ let read_manifest lower ~dir =
 
 (* --- WAP log truncation ---------------------------------------------------- *)
 
-let log_seq name =
-  if String.length name > 4 && String.equal (String.sub name 0 4) "log." then
-    int_of_string_opt (String.sub name 4 (String.length name - 4))
-  else None
-
 (* Delete every closed WAP log wholly covered by a durable checkpoint
    (seq < watermark).  Called only after the manifest rename committed;
    idempotent, so recovery re-runs it to finish a truncation a crash
    interrupted.  Returns the number of logs deleted. *)
 let truncate_covered lower ~watermark =
-  match Vfs.lookup_path lower "/.pass" with
+  match logs lower with
   | Error Vfs.ENOENT -> Ok 0
   | Error e -> Error e
-  | Ok pass_dir ->
-      let* names = lower.Vfs.readdir pass_dir in
-      let covered =
-        List.filter
-          (fun n -> match log_seq n with Some s -> s < watermark | None -> false)
-          names
-      in
+  | Ok (pass_ino, logs) ->
+      let covered = List.filter (fun (s, _) -> s < watermark) logs in
       let* () =
         List.fold_left
-          (fun acc name ->
+          (fun acc (_, name) ->
             let* () = acc in
-            lower.Vfs.unlink ~dir:pass_dir name)
+            lower.Vfs.unlink ~dir:pass_ino name)
           (Ok ()) covered
       in
       Ok (List.length covered)

@@ -62,11 +62,6 @@ type t = {
   i : instruments;
 }
 
-let pass_dirname = ".pass"
-(* string concat, not sprintf: log rotation happens inside commit, which
-   is on the record hot path (passarch hot-path-format). *)
-let log_name seq = "log." ^ string_of_int seq
-
 (* 1 ns per byte: the extra page-cache copy a stackable FS performs. *)
 let double_buffer_ns_per_byte = 1
 
@@ -112,7 +107,7 @@ let with_io_retry t f =
 let fresh_log t =
   match
     with_io_retry t (fun () ->
-        t.lower.create ~dir:t.pass_dir (log_name t.log_seq) Vfs.Regular)
+        t.lower.create ~dir:t.pass_dir (Checkpoint.log_name t.log_seq) Vfs.Regular)
   with
   | Ok ino ->
       t.log_ino <- ino;
@@ -122,7 +117,7 @@ let fresh_log t =
 let create ?registry ?(log_max = 1 lsl 20) ?(idle_ns = 5_000_000_000) ?(now = fun () -> 0)
     ?(tracer = Pvtrace.disabled) ?(group_commit = true) ~lower ~ctx ~volume ~charge () =
   let pass_dir =
-    match Vfs.mkdir_p lower ("/" ^ pass_dirname) with
+    match Vfs.mkdir_p lower Checkpoint.pass_dir with
     | Ok ino -> ino
     | Error e -> Vfs.fatal "lasagna: cannot make .pass" e
   in
@@ -170,7 +165,7 @@ let create ?registry ?(log_max = 1 lsl 20) ?(idle_ns = 5_000_000_000) ?(now = fu
 let on_log_closed t f = t.listeners <- f :: t.listeners
 
 let rotate_log t =
-  let closed = log_name t.log_seq in
+  let closed = Checkpoint.log_name t.log_seq in
   let closed_ino = t.log_ino in
   t.log_seq <- t.log_seq + 1;
   Telemetry.incr t.i.rotations;
@@ -393,11 +388,11 @@ let ops t : Vfs.ops =
     root = lower.root;
     lookup =
       (fun ~dir name ->
-        if dir = lower.root () && String.equal name pass_dirname then Error Vfs.ENOENT
+        if dir = lower.root () && String.equal name Checkpoint.pass_dirname then Error Vfs.ENOENT
         else lower.lookup ~dir name);
     create =
       (fun ~dir name kind ->
-        if String.equal name pass_dirname then Error Vfs.EINVAL
+        if String.equal name Checkpoint.pass_dirname then Error Vfs.EINVAL
         else
           let* ino = lower.create ~dir name kind in
           (if kind = Vfs.Regular then
@@ -432,7 +427,7 @@ let ops t : Vfs.ops =
     readdir =
       (fun ino ->
         let* names = lower.readdir ino in
-        Ok (List.filter (fun n -> not (String.equal n pass_dirname)) names));
+        Ok (List.filter (fun n -> not (String.equal n Checkpoint.pass_dirname)) names));
     fsync =
       (fun ino ->
         let* () = commit t in

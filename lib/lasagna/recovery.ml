@@ -52,15 +52,6 @@ type report = {
 
 let ( let* ) = Result.bind
 
-let list_logs lower =
-  let* pass_dir = Vfs.lookup_path lower "/.pass" in
-  let* names = lower.Vfs.readdir pass_dir in
-  let logs =
-    List.filter_map (fun n -> Option.map (fun s -> (s, n)) (Checkpoint.log_seq n)) names
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  in
-  Ok (pass_dir, logs)
-
 (* Transient read errors (fault-plan EIO) must not abort a recovery
    scan: retry a few times before giving up. *)
 let io_retry_budget = 4
@@ -102,14 +93,14 @@ let bundle_has_endtxn bundle =
         e.records)
     bundle
 
-let scan ?registry ?(waldo_dir = "/.waldo") lower =
+let scan ?registry lower =
   let retried = ref 0 in
-  let* pass_dir, logs = list_logs lower in
+  let* pass_dir, logs = Checkpoint.logs lower in
   (* A durable checkpoint bounds the scan: logs below its watermark are
      already reflected in the image, so they are skipped without being
      read.  A missing or unreadable manifest just means a full scan. *)
   let manifest =
-    match Checkpoint.read_manifest lower ~dir:waldo_dir with
+    match Checkpoint.read_manifest lower with
     | Ok m -> m
     | Error _ -> None
   in

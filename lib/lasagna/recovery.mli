@@ -39,19 +39,18 @@ type report = {
 
 val scan :
   ?registry:Telemetry.registry ->
-  ?waldo_dir:string ->
   Vfs.ops ->
   (report, Vfs.errno) result
 (** [scan lower] performs recovery over the [.pass] logs on [lower] and
     publishes the outcome as [wap.recovery.*] counters into [registry]
     (none registered when omitted).  When a checkpoint MANIFEST exists
-    under [waldo_dir] (default ["/.waldo"]) the scan is bounded: logs
+    under {!Checkpoint.dir} the scan is bounded: logs
     below its watermark are skipped unread, and transactions the
     checkpoint carried as in-flight seed the open-transaction tracking
     so an ENDTXN in the suffix still closes them.  Transient read
     errors are retried ([wap.recovery.io_retries]); silent corruption
     caught by a WAP data digest is reported in [inconsistent], never
-    raised. *)
+    raised.  [ENOENT] when [lower] has no {!Checkpoint.pass_dir}. *)
 
 val pp_report : Format.formatter -> report -> unit
 

@@ -15,12 +15,12 @@ let counter ?registry name = Telemetry.counter ?registry ("waldo." ^ name)
 (* Read, verify and merge every archive segment into [dst].  A segment
    whose payload digest disagrees with the digest the manifest recorded
    is treated as corrupt (EIO), same as a torn frame. *)
-let load_into ?registry lower ~dir ~segments dst =
+let load_into ?registry lower ~segments dst =
   let loaded = counter ?registry "archive_segments_loaded" in
   List.fold_left
     (fun acc (name, digest) ->
       let* () = acc in
-      let* payload, stored = Checkpoint.read_verified lower ~path:(dir ^ "/" ^ name) in
+      let* payload, stored = Checkpoint.read_verified lower ~path:(Checkpoint.path name) in
       if not (String.equal stored digest) then Error Vfs.EIO
       else
         match Provdb.deserialize payload with
@@ -35,13 +35,13 @@ let load_into ?registry lower ~dir ~segments dst =
    segments in manifest order (oldest first) so version ranges land in
    ingest order; Provdb's cold_loaded flag guarantees it runs at most
    once per successful load. *)
-let install_handler ?registry lower ~dir ~segments db =
+let install_handler ?registry lower ~segments db =
   if segments <> [] then begin
     let fault_ins = counter ?registry "archive_fault_ins" in
     let load_errors = counter ?registry "archive_load_errors" in
     Provdb.set_fault_handler db (fun dst ->
         Telemetry.incr fault_ins;
-        match load_into ?registry lower ~dir ~segments dst with
+        match load_into ?registry lower ~segments dst with
         | Ok () -> true
         | Error e ->
             Telemetry.incr load_errors;

@@ -43,7 +43,6 @@ type t = {
   registry : Telemetry.registry option;
   policy : policy;
   compact_keep : int option; (* versions per node kept hot; None = all *)
-  checkpoint_dir : string;
   mutable gen : int; (* generation of the last committed checkpoint *)
   mutable next_watermark : int; (* 1 + highest fully-ingested log seq *)
   mutable archives : (string * string) list; (* (name, digest), oldest first *)
@@ -52,7 +51,7 @@ type t = {
 }
 
 let create ?registry ?(tracer = Pvtrace.disabled) ?(policy = Disabled)
-    ?compact_keep ?(checkpoint_dir = "/.waldo") ~lower () =
+    ?compact_keep ~lower () =
   let c name = Telemetry.counter ?registry ("waldo." ^ name) in
   let g name = Telemetry.gauge ?registry ("waldo." ^ name) in
   {
@@ -64,7 +63,6 @@ let create ?registry ?(tracer = Pvtrace.disabled) ?(policy = Disabled)
     registry;
     policy;
     compact_keep;
-    checkpoint_dir;
     gen = 0;
     next_watermark = 0;
     archives = [];
@@ -149,18 +147,6 @@ let ingest_frame t = function
       | None -> ());
       ingest_bundle t bundle
 
-(* Offline replay: ingest a list of already-parsed frames through the same
-   production path `attach` uses.  pvcheck replays an unprocessed active
-   log through this so the checker cannot diverge from the ingester. *)
-let replay_frames t frames =
-  Pvtrace.span t.tracer ~layer:"waldo" ~op:"replay" @@ fun () ->
-  Pvtrace.set_outcome t.tracer "replayed";
-  List.iter
-    (fun f ->
-      Telemetry.incr t.i.frames_ingested;
-      ingest_frame t f)
-    frames
-
 let pending_txns t =
   List.sort Int.compare
     (Hashtbl.fold (fun id _ acc -> id :: acc) t.pending_txns [])
@@ -206,7 +192,6 @@ let remove_if_exists lower path =
    [recover] finishes it if a crash interrupts. *)
 let checkpoint t =
   Pvtrace.span t.tracer ~layer:"waldo" ~op:"checkpoint" @@ fun () ->
-  let dir = t.checkpoint_dir in
   let gen = t.gen + 1 in
   let watermark = t.next_watermark in
   (* stage compaction in memory (pure) *)
@@ -222,7 +207,7 @@ let checkpoint t =
   (* stage payload files; none is referenced until the manifest commits *)
   let db_name = Checkpoint.image_name ~gen in
   let* db_digest =
-    Checkpoint.write_atomic t.lower ~path:(dir ^ "/" ^ db_name) (Provdb.serialize hot)
+    Checkpoint.write_atomic t.lower ~path:(Checkpoint.path db_name) (Provdb.serialize hot)
   in
   let* archives =
     match cold with
@@ -230,7 +215,7 @@ let checkpoint t =
     | Some c ->
         let name = Checkpoint.archive_name ~gen in
         let* digest =
-          Checkpoint.write_atomic t.lower ~path:(dir ^ "/" ^ name) (Provdb.serialize c)
+          Checkpoint.write_atomic t.lower ~path:(Checkpoint.path name) (Provdb.serialize c)
         in
         Ok (t.archives @ [ (name, digest) ])
   in
@@ -240,13 +225,13 @@ let checkpoint t =
     else
       let name = Checkpoint.pending_name ~gen in
       let* digest =
-        Checkpoint.write_atomic t.lower ~path:(dir ^ "/" ^ name) pending_payload
+        Checkpoint.write_atomic t.lower ~path:(Checkpoint.path name) pending_payload
       in
       Ok (Some (name, digest))
   in
   (* COMMIT *)
   let* () =
-    Checkpoint.write_manifest t.lower ~dir
+    Checkpoint.write_manifest t.lower
       {
         Checkpoint.m_gen = gen;
         m_watermark = watermark;
@@ -263,7 +248,7 @@ let checkpoint t =
   t.archives <- archives;
   t.frames_since_ckpt <- 0;
   Telemetry.set t.i.ckpt_staleness 0.;
-  Archive.install_handler ?registry:t.registry t.lower ~dir ~segments:archives t.db;
+  Archive.install_handler ?registry:t.registry t.lower ~segments:archives t.db;
   Telemetry.incr t.i.checkpoints;
   Pvtrace.set_outcome t.tracer "committed";
   (* cleanup: everything from here is re-done by recover after a crash *)
@@ -271,8 +256,8 @@ let checkpoint t =
   Telemetry.add t.i.logs_truncated truncated;
   let* () =
     if old_gen > 0 then
-      let* () = remove_if_exists t.lower (dir ^ "/" ^ Checkpoint.image_name ~gen:old_gen) in
-      remove_if_exists t.lower (dir ^ "/" ^ Checkpoint.pending_name ~gen:old_gen)
+      let* () = remove_if_exists t.lower (Checkpoint.path (Checkpoint.image_name ~gen:old_gen)) in
+      remove_if_exists t.lower (Checkpoint.path (Checkpoint.pending_name ~gen:old_gen))
     else Ok ()
   in
   Ok ()
@@ -315,7 +300,7 @@ let process_log t ~dir ~name =
    immediately (the simulated inotify). *)
 let attach t lasagna =
   let dir =
-    match Vfs.lookup_path t.lower "/.pass" with
+    match Vfs.lookup_path t.lower Checkpoint.pass_dir with
     | Ok ino -> ino
     | Error e -> Vfs.fatal "waldo: no .pass dir" e
   in
@@ -336,26 +321,6 @@ let reseed_versions t =
         Hashtbl.replace t.ingest_version n.pnode n.max_version)
     (Provdb.all_nodes t.db)
 
-(* Persist the database through the file system (the paper's Waldo keeps
-   its databases on disk); [load] brings it back after a daemon restart.
-   The image is staged and renamed into place, so a crash mid-persist
-   leaves the previous image intact, and it is digest-framed so [load]
-   detects a damaged one instead of ingesting garbage. *)
-let persist t ~dir =
-  let image = Provdb.serialize t.db in
-  let* _digest = Checkpoint.write_atomic t.lower ~path:(dir ^ "/db.dat") image in
-  Ok ()
-
-let load ?registry ~lower ~dir () =
-  let* image, _digest = Checkpoint.read_verified lower ~path:(dir ^ "/db.dat") in
-  match Provdb.deserialize image with
-  | db ->
-      let t = create ?registry ~lower () in
-      Provdb.merge_into ~dst:(t.db : Provdb.t) ~src:db;
-      reseed_versions t;
-      Ok t
-  | exception Wire.Corrupt _ -> Error Vfs.EIO
-
 (* --- bounded recovery ------------------------------------------------------ *)
 
 type recovery_info = {
@@ -369,28 +334,38 @@ type recovery_info = {
   ri_archives : int;  (* cold-tier segments available for fault-in *)
 }
 
-let sorted_logs lower =
-  match Vfs.lookup_path lower "/.pass" with
+(* The logs still on disk, oldest first; a volume without /.pass has none. *)
+let logs_on_disk lower =
+  match Checkpoint.logs lower with
+  | Ok (_, logs) -> Ok logs
   | Error Vfs.ENOENT -> Ok []
   | Error e -> Error e
-  | Ok pass_dir ->
-      let* names = lower.Vfs.readdir pass_dir in
-      let logs = List.filter_map (fun n -> Option.map (fun s -> (s, n)) (Checkpoint.log_seq n)) names in
-      Ok (List.sort (fun (a, _) (b, _) -> Int.compare a b) logs)
 
-let replay_log t ~seq ~name =
-  let* image = Vfs.read_file t.lower ("/.pass/" ^ name) in
-  let frames, _consumed = Wap_log.parse_log image in
-  replay_frames t frames;
-  if seq + 1 > t.next_watermark then t.next_watermark <- seq + 1;
-  Ok (List.length frames)
+(* Replay logs, oldest first, through the same ingest path [attach]
+   uses, so a restarted daemon (and fsck, which restarts one) cannot
+   diverge from the live ingester.  Returns the frames replayed. *)
+let replay_logs t logs =
+  List.fold_left
+    (fun acc (seq, name) ->
+      let* n = acc in
+      let* image = Vfs.read_file t.lower (Checkpoint.log_path name) in
+      let frames, _consumed = Wap_log.parse_log image in
+      Pvtrace.span t.tracer ~layer:"waldo" ~op:"replay" (fun () ->
+          Pvtrace.set_outcome t.tracer "replayed";
+          List.iter
+            (fun f ->
+              Telemetry.incr t.i.frames_ingested;
+              ingest_frame t f)
+            frames);
+      if seq + 1 > t.next_watermark then t.next_watermark <- seq + 1;
+      Ok (n + List.length frames))
+    (Ok 0) logs
 
 (* Delete whatever a crashed checkpoint or interrupted cleanup left in
-   the checkpoint directory: staged *.tmp files and payload files of
-   generations the manifest does not reference.  The legacy stand-alone
-   [persist] image (db.dat) is never touched. *)
-let clean_strays lower ~dir keep =
-  match Vfs.lookup_path lower dir with
+   the checkpoint directory: staged *.tmp files and every file the
+   manifest does not reference. *)
+let clean_strays lower keep =
+  match Vfs.lookup_path lower Checkpoint.dir with
   | Error Vfs.ENOENT -> Ok ()
   | Error e -> Error e
   | Ok dir_ino ->
@@ -398,7 +373,7 @@ let clean_strays lower ~dir keep =
       List.fold_left
         (fun acc name ->
           let* () = acc in
-          if List.mem name keep || String.equal name "db.dat" then Ok ()
+          if List.mem name keep then Ok ()
           else lower.Vfs.unlink ~dir:dir_ino name)
         (Ok ()) names
 
@@ -407,22 +382,15 @@ let clean_strays lower ~dir keep =
    cleanup a crash interrupted, and replay only the post-watermark log
    suffix.  Without a manifest this degrades to the full-history replay
    the system always had. *)
-let recover ?registry ?tracer ?policy ?compact_keep ?(dir = "/.waldo") ~lower () =
-  let t = create ?registry ?tracer ?policy ?compact_keep ~checkpoint_dir:dir ~lower () in
-  let* manifest = Checkpoint.read_manifest lower ~dir in
+let recover ?registry ?tracer ?policy ?compact_keep ~lower () =
+  let t = create ?registry ?tracer ?policy ?compact_keep ~lower () in
+  let* manifest = Checkpoint.read_manifest lower in
   match manifest with
   | None ->
       (* no checkpoint ever committed: replay all history *)
-      let* () = clean_strays lower ~dir [ Checkpoint.manifest_name ] in
-      let* logs = sorted_logs lower in
-      let* frames =
-        List.fold_left
-          (fun acc (seq, name) ->
-            let* n = acc in
-            let* k = replay_log t ~seq ~name in
-            Ok (n + k))
-          (Ok 0) logs
-      in
+      let* () = clean_strays lower [ Checkpoint.manifest_name ] in
+      let* logs = logs_on_disk lower in
+      let* frames = replay_logs t logs in
       Ok
         ( t,
           {
@@ -437,7 +405,7 @@ let recover ?registry ?tracer ?policy ?compact_keep ?(dir = "/.waldo") ~lower ()
           } )
   | Some m ->
       let* image, digest =
-        Checkpoint.read_verified lower ~path:(dir ^ "/" ^ m.Checkpoint.m_db_name)
+        Checkpoint.read_verified lower ~path:(Checkpoint.path m.Checkpoint.m_db_name)
       in
       let* db =
         if not (String.equal digest m.Checkpoint.m_db_digest) then Error Vfs.EIO
@@ -458,7 +426,7 @@ let recover ?registry ?tracer ?policy ?compact_keep ?(dir = "/.waldo") ~lower ()
         match m.Checkpoint.m_pending with
         | None -> Ok 0
         | Some (name, want) ->
-            let* payload, got = Checkpoint.read_verified lower ~path:(dir ^ "/" ^ name) in
+            let* payload, got = Checkpoint.read_verified lower ~path:(Checkpoint.path name) in
             if not (String.equal want got) then Error Vfs.EIO
             else begin
               let frames, _consumed = Wap_log.parse_log payload in
@@ -472,22 +440,15 @@ let recover ?registry ?tracer ?policy ?compact_keep ?(dir = "/.waldo") ~lower ()
         :: (match m.Checkpoint.m_pending with Some (n, _) -> [ n ] | None -> [])
         @ List.map fst m.Checkpoint.m_archives
       in
-      let* () = clean_strays lower ~dir keep in
-      let* logs = sorted_logs lower in
+      let* () = clean_strays lower keep in
+      let* logs = logs_on_disk lower in
       let covered, suffix =
         List.partition (fun (seq, _) -> seq < m.Checkpoint.m_watermark) logs
       in
       let* truncated = Checkpoint.truncate_covered lower ~watermark:m.Checkpoint.m_watermark in
       Telemetry.add t.i.logs_truncated truncated;
-      let* frames =
-        List.fold_left
-          (fun acc (seq, name) ->
-            let* n = acc in
-            let* k = replay_log t ~seq ~name in
-            Ok (n + k))
-          (Ok 0) suffix
-      in
-      Archive.install_handler ?registry t.lower ~dir ~segments:t.archives t.db;
+      let* frames = replay_logs t suffix in
+      Archive.install_handler ?registry t.lower ~segments:t.archives t.db;
       Ok
         ( t,
           {
@@ -501,7 +462,14 @@ let recover ?registry ?tracer ?policy ?compact_keep ?(dir = "/.waldo") ~lower ()
             ri_archives = List.length t.archives;
           } )
 
-let fault_in_archive t = Provdb.fault_in t.db
+(* Eager fault-in (fsck).  The handler re-arms on a failed load so a
+   query can retry later; here that failure is an error, because a
+   verifier that went on would check a partial graph. *)
+let fault_in_archive t =
+  Provdb.fault_in t.db;
+  if t.archives <> [] && Provdb.has_cold t.db && not (Provdb.cold_loaded t.db) then
+    Error Vfs.EIO
+  else Ok ()
 
 (* Drain everything: close the active log and (because attach processes
    synchronously) return once the database is up to date.  Orphaned

@@ -8,18 +8,18 @@
 type t
 
 type policy = Disabled | Manual | Every_frames of int
-(** When to take a checkpoint.  [Disabled] (the default) keeps the
-    original behaviour: processed logs are removed immediately and
-    nothing is snapshotted.  [Manual] retains processed logs until an
-    explicit {!checkpoint} covers them; [Every_frames n] additionally
-    triggers a checkpoint after every [n] ingested frames. *)
+(** When to take a checkpoint.  [Disabled] (the default) takes no
+    automatic snapshot and removes processed logs immediately; an
+    explicit {!checkpoint} still works under it.  [Manual] retains
+    processed logs until an explicit {!checkpoint} covers them;
+    [Every_frames n] additionally triggers a checkpoint after every [n]
+    ingested frames. *)
 
 val create :
   ?registry:Telemetry.registry ->
   ?tracer:Pvtrace.t ->
   ?policy:policy ->
   ?compact_keep:int ->
-  ?checkpoint_dir:string ->
   lower:Vfs.ops ->
   unit ->
   t
@@ -29,8 +29,7 @@ val create :
     [tracer] (default {!Pvtrace.disabled}) records ingest spans and
     committed / orphaned transaction events.  [compact_keep] bounds how
     many versions per node stay hot across a checkpoint (the rest move
-    to cold-tier archive segments); [checkpoint_dir] (default
-    ["/.waldo"]) holds the MANIFEST and its payload files. *)
+    to cold-tier archive segments under {!Checkpoint.dir}). *)
 
 val db : t -> Provdb.t
 
@@ -41,23 +40,9 @@ val attach : t -> Lasagna.t -> unit
 val process_log : t -> dir:Vfs.ino -> name:string -> (unit, Vfs.errno) result
 (** Ingest one closed log file and remove it. *)
 
-val replay_frames : t -> Wap_log.frame list -> unit
-(** Ingest already-parsed frames through the same path {!attach} uses —
-    offline fsck replays the unprocessed active log with this so the
-    checker cannot diverge from the ingester. *)
-
 val pending_txns : t -> int list
 (** Transaction ids buffered but not yet ENDTXN-committed, sorted.  After
     a full replay these are the orphaned transactions. *)
-
-val persist : t -> dir:string -> (unit, Vfs.errno) result
-(** Write the database image to [dir/db.dat] on the lower file system.
-    The image is digest-framed and published with a temp-file + rename,
-    so a crash mid-persist leaves the previous image intact. *)
-
-val load : ?registry:Telemetry.registry -> lower:Vfs.ops -> dir:string -> unit -> (t, Vfs.errno) result
-(** Restart the daemon from a persisted image.  A torn or tampered
-    image is [EIO], never a half-loaded database. *)
 
 val checkpoint : t -> (unit, Vfs.errno) result
 (** Take a durable checkpoint: compact the db per [compact_keep], stage
@@ -66,7 +51,7 @@ val checkpoint : t -> (unit, Vfs.errno) result
     MANIFEST rename, then truncate the WAP logs the image covers.  A
     crash at any disk tick leaves either the previous checkpoint (all
     logs intact) or the new one; {!recover} finishes interrupted
-    cleanup. *)
+    cleanup.  This is Waldo's only durable image, under every policy. *)
 
 type recovery_info = {
   ri_gen : int;  (** checkpoint generation recovered from, 0 = none *)
@@ -84,7 +69,6 @@ val recover :
   ?tracer:Pvtrace.t ->
   ?policy:policy ->
   ?compact_keep:int ->
-  ?dir:string ->
   lower:Vfs.ops ->
   unit ->
   (t * recovery_info, Vfs.errno) result
@@ -92,11 +76,16 @@ val recover :
     compaction floors), restore in-flight transaction buffers from the
     sidecar, finish any cleanup the crash interrupted, and replay only
     the post-watermark log suffix.  Without a manifest this is the
-    original full-history replay. *)
+    original full-history replay, and every file under
+    {!Checkpoint.dir} is a stray to remove.  A torn or tampered MANIFEST,
+    image or sidecar is [EIO], never a half-loaded database. *)
 
-val fault_in_archive : t -> unit
+val fault_in_archive : t -> (unit, Vfs.errno) result
 (** Eagerly load the cold-tier archive segments into the db (normally
-    they fault in lazily on the first query below a compaction floor). *)
+    they fault in lazily on the first query below a compaction floor).
+    A segment that fails to load is [EIO]; unlike the lazy query-path
+    trigger, which re-arms and retries on the next query, the caller
+    must not go on with a partial graph. *)
 
 val finalize : t -> Lasagna.t -> int
 (** Close the active log, drain it, and discard orphaned transactions;

@@ -98,6 +98,43 @@ let nfs_system ?registry ?tracer ?monitor ?batching mode =
   | System.Vanilla -> System.mount_external sys ~name:"vol0" ~ops:(Client.ops client) ());
   (sys, server)
 
+(* The paper's Figure 1 topology: a PASS workstation with a local disk
+   plus two PA-NFS servers, A and B, mounted at /nfsA and /nfsB on the
+   workstation's clock. *)
+type figure1 = { workstation : System.t; server_a : Server.t; server_b : Server.t }
+
+let figure1 () =
+  let sys = System.create ~mode:System.Pass ~machine:1 ~volume_names:[ "local" ] () in
+  let clock = System.clock sys in
+  let ctx = Kernel.ctx (System.kernel sys) in
+  let server_a = Server.create ~mode:Server.Pass_enabled ~clock ~machine:21 ~volume:"nfsA" () in
+  let server_b = Server.create ~mode:Server.Pass_enabled ~clock ~machine:22 ~volume:"nfsB" () in
+  let net = Proto.net clock in
+  let client server name =
+    Client.create ~net ~handler:(Server.handle server) ~ctx ~mount_name:name ()
+  in
+  let ca = client server_a "nfsA" in
+  let cb = client server_b "nfsB" in
+  List.iter
+    (fun (name, c) ->
+      System.mount_external sys ~name ~ops:(Client.ops c) ~endpoint:(Client.endpoint c)
+        ~file_handle:(Client.file_handle c)
+        ~flush:(fun () -> Client.flush c) ())
+    [ ("nfsA", ca); ("nfsB", cb) ];
+  { workstation = sys; server_a; server_b }
+
+(* Drain the workstation, then each server, and merge the three
+   databases into one: the layered view the paper's queries run on. *)
+let figure1_merged f =
+  ignore (System.drain f.workstation : int);
+  ignore (Server.drain f.server_a : int);
+  ignore (Server.drain f.server_b : int);
+  let merged = Provdb.create () in
+  Provdb.merge_into ~dst:merged ~src:(Option.get (System.waldo_db f.workstation "local"));
+  Provdb.merge_into ~dst:merged ~src:(Option.get (Server.db f.server_a));
+  Provdb.merge_into ~dst:merged ~src:(Option.get (Server.db f.server_b));
+  merged
+
 (* --- measurements ------------------------------------------------------------ *)
 
 type row = {

@@ -35,6 +35,17 @@ val nfs_system :
     {!System.create} makes — also receives the server's and the PA-NFS
     client's instruments, so the monitor scrapes them all). *)
 
+type figure1 = { workstation : System.t; server_a : Server.t; server_b : Server.t }
+
+val figure1 : unit -> figure1
+(** The paper's Figure 1 topology: a PASS workstation (machine 1, local
+    volume [local]) with PA-NFS servers A (machine 21) and B (machine
+    22) mounted at [/nfsA] and [/nfsB], all on the workstation's clock. *)
+
+val figure1_merged : figure1 -> Provdb.t
+(** Drain the workstation, then server A, then server B, and merge their
+    three databases (in that order) into a fresh one. *)
+
 type row = {
   r_name : string;
   base_seconds : float;

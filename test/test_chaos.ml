@@ -640,7 +640,7 @@ let test_crash_during_checkpoint_sweep () =
     let before = tv registry "disk.writes" in
     ok_fs (Waldo.checkpoint waldo);
     let writes = tv registry "disk.writes" - before in
-    Waldo.fault_in_archive waldo;
+    ok_fs (Waldo.fault_in_archive waldo);
     (Provdb.serialize (Waldo.db waldo), writes)
   in
   check tbool "checkpoint hits the disk" true (ckpt_writes > 0);
@@ -691,7 +691,7 @@ let test_crash_during_checkpoint_sweep () =
            (info.Waldo.ri_logs_replayed >= 1);
          ok_fs (Waldo.checkpoint w2)
        end);
-      Waldo.fault_in_archive w2;
+      ok_fs (Waldo.fault_in_archive w2);
       if not (String.equal reference (Provdb.serialize (Waldo.db w2))) then
         Alcotest.failf "crash at write tick %d diverged from the no-crash provdb" k;
       (* the on-disk state also passes offline verification *)
@@ -831,7 +831,7 @@ let test_indexes_consistent_after_crash_and_archive () =
   planner_matches_oracle "after crash/recover" db;
   verify "after crash/recover" db;
   (* explicit full fault-in is idempotent over the query's *)
-  Waldo.fault_in_archive w2;
+  ok_fs (Waldo.fault_in_archive w2);
   verify "after archive fault-in" db
 
 (* --- the hooks are free when no fault fires ---------------------------------- *)

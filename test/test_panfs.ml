@@ -194,20 +194,8 @@ let test_figure1_two_servers () =
      servers; inputs on server A, outputs on server B, intermediates local.
      The unified (merged) database answers the cross-layer ancestry query;
      each server's database alone cannot. *)
-  let sys = System.create ~mode:System.Pass ~machine:1 ~volume_names:[ "local" ] () in
-  let clock = System.clock sys in
-  let ctx = Kernel.ctx (System.kernel sys) in
-  let server_a = Server.create ~mode:Server.Pass_enabled ~clock ~machine:21 ~volume:"nfsA" () in
-  let server_b = Server.create ~mode:Server.Pass_enabled ~clock ~machine:22 ~volume:"nfsB" () in
-  let net = Proto.net clock in
-  let ca = Client.create ~net ~handler:(Server.handle server_a) ~ctx ~mount_name:"nfsA" () in
-  let cb = Client.create ~net ~handler:(Server.handle server_b) ~ctx ~mount_name:"nfsB" () in
-  System.mount_external sys ~name:"nfsA" ~ops:(Client.ops ca) ~endpoint:(Client.endpoint ca)
-    ~file_handle:(Client.file_handle ca)
-    ~flush:(fun () -> Client.flush ca) ();
-  System.mount_external sys ~name:"nfsB" ~ops:(Client.ops cb) ~endpoint:(Client.endpoint cb)
-    ~file_handle:(Client.file_handle cb)
-    ~flush:(fun () -> Client.flush cb) ();
+  let fig = Runner.figure1 () in
+  let sys = fig.Runner.workstation in
   let k = System.kernel sys in
   (* colleague writes the input on server A *)
   let colleague = Kernel.fork k ~parent:Kernel.init_pid in
@@ -219,13 +207,7 @@ let test_figure1_two_servers () =
   let staged = read_via_kernel sys ~pid:wf ~path:"/local/stage.tmp" in
   write_via_kernel sys ~pid:wf ~path:"/nfsB/atlas-x.gif" ~data:(staged ^ ":sliced");
   (* drain every database and merge *)
-  ignore (System.drain sys : int);
-  ignore (Server.drain server_a : int);
-  ignore (Server.drain server_b : int);
-  let merged = Provdb.create () in
-  Provdb.merge_into ~dst:merged ~src:(Option.get (System.waldo_db sys "local"));
-  Provdb.merge_into ~dst:merged ~src:(Option.get (Server.db server_a));
-  Provdb.merge_into ~dst:merged ~src:(Option.get (Server.db server_b));
+  let merged = Runner.figure1_merged fig in
   check tbool "merged db acyclic" true (Provdb.is_acyclic merged);
   let names =
     Helpers.pql_names merged
@@ -238,7 +220,7 @@ let test_figure1_two_servers () =
     (List.mem "align.in" names && List.mem "stage.tmp" names);
   (* without layering: server B alone does not know the remote input *)
   let b_only =
-    Helpers.pql_names (Option.get (Server.db server_b))
+    Helpers.pql_names (Option.get (Server.db fig.Runner.server_b))
       {|select Ancestor
         from Provenance.file as Atlas
              Atlas.input* as Ancestor

@@ -79,24 +79,25 @@ let test_class_names_roundtrip () =
         (List.mem (Pvmutate.flagged_by clazz) Pvcheck.pass_names))
     Pvmutate.all
 
-(* --- offline fsck: persisted db + live WAP log + recovery agreement ------- *)
+(* --- offline fsck: checkpointed db + live WAP log + recovery agreement ---- *)
+
+(* A Lasagna volume on a crashable disk with a Waldo attached. *)
+let rig ?policy ?compact_keep () =
+  let disk, ext3, lasagna, waldo, _registry = Test_waldo.fresh_ckpt ?policy ?compact_keep () in
+  (disk, Ext3.ops ext3, lasagna, waldo)
+
+let crash_and_remount disk =
+  Simdisk.Disk.crash disk;
+  Simdisk.Disk.revive disk;
+  Ext3.ops (Ext3.mount disk)
 
 let test_fsck_offline () =
-  let clock = Simdisk.Clock.create () in
-  let disk = Simdisk.Disk.create ~clock () in
-  let ext3 = Ext3.format disk in
-  let lower = Ext3.ops ext3 in
-  let ctx = Ctx.create ~machine:1 in
-  let lasagna =
-    Lasagna.create ~lower ~ctx ~volume:"vol0" ~charge:(Simdisk.Clock.advance clock) ()
-  in
-  let waldo = Waldo.create ~lower () in
-  Waldo.attach waldo lasagna;
+  let _disk, lower, lasagna, waldo = rig () in
   let ep = Lasagna.endpoint lasagna in
   let h = Helpers.ok (ep.pass_mkobj ~volume:(Some "vol0")) in
   Helpers.ok (Dpapi.disclose ep h [ Record.name "offline.dat" ]);
   ignore (Waldo.finalize waldo lasagna : int);
-  Helpers.ok_fs (Waldo.persist waldo ~dir:"/.waldo");
+  Helpers.ok_fs (Waldo.checkpoint waldo);
   (* leave an unfinished transaction in a live log: fsck must replay it
      and find Recovery and Waldo agreeing that it is orphaned *)
   ignore
@@ -109,6 +110,106 @@ let test_fsck_offline () =
     (List.mem "orphan-agreement" report.Pvcheck.r_passes);
   if not (Pvcheck.clean report) then fail_report "offline fsck flagged a clean volume" report;
   check tbool "replayed log contributed records" true (report.Pvcheck.r_quads > 0)
+
+let ingest_objects lasagna waldo n =
+  let ep = Lasagna.endpoint lasagna in
+  for i = 0 to n - 1 do
+    let h = Helpers.ok (ep.pass_mkobj ~volume:(Some "vol0")) in
+    Helpers.ok
+      (Dpapi.disclose ep h
+         [ Record.name (Printf.sprintf "obj%d" i); Record.make "PARAMS" (Pvalue.Int i) ])
+  done;
+  ignore (Waldo.finalize waldo lasagna : int)
+
+(* fsck must see the graph the daemon's restart rebuilds, and both must
+   equal the live db the crash interrupted. *)
+let check_agreement what ~live lower =
+  let report = Helpers.ok_fs (Pvcheck.fsck ~lower ~volume:"vol0" ()) in
+  if not (Pvcheck.clean report) then fail_report (what ^ ": fsck flagged a healthy volume") report;
+  let w, _info = Helpers.ok_fs (Waldo.recover ~lower ()) in
+  let db = Waldo.db w in
+  check tint (what ^ ": fsck nodes = live") (Provdb.node_count live) report.Pvcheck.r_nodes;
+  check tint (what ^ ": fsck quads = live") (Provdb.quad_count live) report.Pvcheck.r_quads;
+  check tint (what ^ ": fsck nodes = recover") (Provdb.node_count db) report.Pvcheck.r_nodes;
+  check tint (what ^ ": fsck quads = recover") (Provdb.quad_count db) report.Pvcheck.r_quads
+
+let test_fsck_agrees_with_restart () =
+  List.iter
+    (fun (what, policy) ->
+      let disk, _lower, lasagna, waldo = rig ~policy () in
+      ingest_objects lasagna waldo 10;
+      Helpers.ok_fs (Waldo.checkpoint waldo);
+      let live = Waldo.db waldo in
+      check tint (what ^ ": live quads") 20 (Provdb.quad_count live);
+      check_agreement what ~live (crash_and_remount disk))
+    [
+      ("Disabled", Waldo.Disabled);
+      ("Manual", Waldo.Manual);
+      ("Every_frames 8", Waldo.Every_frames 8);
+    ]
+
+(* A never-checkpointed volume with a stand-alone image left in the
+   checkpoint directory: the image is a stray, not a second restart
+   path, so fsck and recover both replay the retained logs and drop it. *)
+let test_fsck_ignores_stray_image () =
+  let disk, lower, lasagna, waldo = rig ~policy:Waldo.Manual () in
+  ingest_objects lasagna waldo 10;
+  let stray = Checkpoint.path "db.dat" in
+  ignore
+    (Helpers.ok_fs (Checkpoint.write_atomic lower ~path:stray (Provdb.serialize (Waldo.db waldo)))
+      : string);
+  let lower = crash_and_remount disk in
+  check_agreement "stray db.dat" ~live:(Waldo.db waldo) lower;
+  check tbool "stray image removed" true (Vfs.lookup_path lower stray = Error Vfs.ENOENT)
+
+(* Garbage over any file a checkpoint consists of makes both the restart
+   (recover, then the eager archive fault-in) and fsck fail with EIO —
+   never a half-loaded or partial graph. *)
+let test_damaged_checkpoint_is_eio () =
+  let damaged name =
+    let disk, _lower, lasagna, waldo = rig ~policy:Waldo.Manual ~compact_keep:1 () in
+    let ep = Lasagna.endpoint lasagna in
+    let hs = Array.init 4 (fun _ -> Helpers.ok (ep.pass_mkobj ~volume:(Some "vol0"))) in
+    for round = 1 to 3 do
+      Array.iter
+        (fun h ->
+          Helpers.ok (Dpapi.disclose ep h [ Record.make "PARAMS" (Pvalue.Int round) ]);
+          ignore (Helpers.ok (ep.pass_freeze h) : int))
+        hs
+    done;
+    (* an open transaction, so the checkpoint carries a pending sidecar *)
+    ignore
+      (Helpers.ok
+         (Lasagna.write_txn_bundle ~txn:7 lasagna hs.(0) ~off:0 ~data:None
+            [ Dpapi.entry hs.(0) [ Record.make "PARAMS" (Pvalue.Str "open") ] ])
+        : int);
+    Lasagna.flush_log lasagna;
+    Helpers.ok_fs (Waldo.checkpoint waldo);
+    let lower = crash_and_remount disk in
+    let path = Checkpoint.path name in
+    check tbool (name ^ " exists") true (Result.is_ok (Vfs.lookup_path lower path));
+    ignore (Helpers.ok_fs (Vfs.write_file lower path "garbage") : Vfs.ino);
+    lower
+  in
+  let expect_eio what = function
+    | Error Vfs.EIO -> ()
+    | Ok _ -> Alcotest.failf "%s: damaged checkpoint accepted" what
+    | Error e -> Alcotest.failf "%s: unexpected errno %s" what (Vfs.errno_to_string e)
+  in
+  List.iter
+    (fun name ->
+      expect_eio (name ^ ": recover")
+        (let lower = damaged name in
+         Result.bind (Waldo.recover ~lower ()) (fun (w, _) -> Waldo.fault_in_archive w));
+      expect_eio (name ^ ": fsck")
+        (let lower = damaged name in
+         Pvcheck.fsck ~lower ~volume:"vol0" ()))
+    [
+      Checkpoint.manifest_name;
+      Checkpoint.image_name ~gen:1;
+      Checkpoint.pending_name ~gen:1;
+      Checkpoint.archive_name ~gen:1;
+    ]
 
 let test_fsck_empty_volume () =
   let disk = Simdisk.Disk.create ~clock:(Simdisk.Clock.create ()) () in
@@ -154,6 +255,9 @@ let suite =
     Alcotest.test_case "class names roundtrip" `Quick test_class_names_roundtrip;
     Alcotest.test_case "offline fsck with live log" `Quick test_fsck_offline;
     Alcotest.test_case "offline fsck on empty volume" `Quick test_fsck_empty_volume;
+    Alcotest.test_case "fsck, restart and live db agree" `Quick test_fsck_agrees_with_restart;
+    Alcotest.test_case "fsck ignores a stray image" `Quick test_fsck_ignores_stray_image;
+    Alcotest.test_case "damaged checkpoint is EIO" `Quick test_damaged_checkpoint_is_eio;
     Alcotest.test_case "report json shape" `Quick test_report_json_shape;
     Alcotest.test_case "telemetry counters" `Quick test_telemetry_counters;
   ]

@@ -162,24 +162,6 @@ let test_merge_into () =
        (Provdb.out_edges merged b ~version:0));
   check tbool "merged acyclic" true (Provdb.is_acyclic merged)
 
-let test_persist_and_load () =
-  let _registry, ext3, lasagna, waldo = fresh () in
-  let ep = Lasagna.endpoint lasagna in
-  let h = Helpers.ok (ep.pass_mkobj ~volume:(Some "vol0")) in
-  Helpers.ok
-    (Dpapi.disclose ep h
-       [ Record.name "persisted-obj"; Record.make "PARAMS" (Pvalue.Strs [ "x"; "y" ]) ]);
-  ignore (Waldo.finalize waldo lasagna : int);
-  (* daemon writes its database to disk and "restarts" *)
-  Helpers.ok_fs (Waldo.persist waldo ~dir:"/waldo-db");
-  let reborn = Helpers.ok_fs (Waldo.load ~lower:(Ext3.ops ext3) ~dir:"/waldo-db" ()) in
-  let db = Waldo.db reborn in
-  check tint "name index rebuilt" 1 (List.length (Provdb.find_by_name db "persisted-obj"));
-  let quads = Provdb.records_all db h.Dpapi.pnode in
-  check tint "records preserved" 2 (List.length quads);
-  check tbool "values intact" true
-    (List.exists (fun (q : Provdb.quad) -> q.q_value = Pvalue.Strs [ "x"; "y" ]) quads)
-
 let test_provdb_serialize_roundtrip () =
   let db, _, _, _, out, _ = Test_pql.sample_db () in
   let image = Provdb.serialize db in
@@ -253,7 +235,7 @@ let test_opm_export () =
   ignore (in1, proc, out : Pnode.t * Pnode.t * Pnode.t)
 
 (* ------------------------------------------------------------------ *)
-(* Checkpoint era: crash-safe persist, retention policies, truncation,
+(* Checkpoint era: retention policies, truncation, crash-safe checkpoints
    and bounded recovery.  These rigs expose the disk so tests can pull
    the plug at a chosen write tick. *)
 
@@ -273,60 +255,7 @@ let fresh_ckpt ?policy ?compact_keep ?(log_max = 512) () =
   (disk, ext3, lasagna, waldo, registry)
 
 let pass_logs lower =
-  match Vfs.lookup_path lower "/.pass" with
-  | Error _ -> []
-  | Ok dir ->
-      List.filter
-        (fun n -> Checkpoint.log_seq n <> None)
-        (Helpers.ok_fs (lower.Vfs.readdir dir))
-
-(* Satellite regression: persist stages the image and renames it into
-   place, so a crash at ANY write tick of a re-persist leaves a fully
-   loadable image — the old one or the new one, never a torn hybrid. *)
-let test_persist_atomic_under_crash () =
-  let populate () =
-    let disk, ext3, lasagna, waldo, registry = fresh_ckpt () in
-    let ep = Lasagna.endpoint lasagna in
-    let h = Helpers.ok (ep.pass_mkobj ~volume:(Some "vol0")) in
-    Helpers.ok
-      (Dpapi.disclose ep h
-         [ Record.name "stable"; Record.make "PARAMS" (Pvalue.Str "v1") ]);
-    ignore (Waldo.finalize waldo lasagna : int);
-    Helpers.ok_fs (Waldo.persist waldo ~dir:"/waldo-db");
-    (* mutate the db so the second image differs from the first *)
-    Provdb.add_record (Waldo.db waldo) h.Dpapi.pnode ~version:0
-      (Record.make "PARAMS" (Pvalue.Str "v2"));
-    (disk, ext3, waldo, h, registry)
-  in
-  (* measure how many block writes a clean re-persist costs *)
-  let persist_writes =
-    let _disk, _ext3, waldo, _h, registry = populate () in
-    let before = Helpers.counter registry "disk.writes" in
-    Helpers.ok_fs (Waldo.persist waldo ~dir:"/waldo-db");
-    Helpers.counter registry "disk.writes" - before
-  in
-  check tbool "re-persist issues writes" true (persist_writes > 0);
-  for k = 1 to persist_writes do
-    let disk, _ext3, waldo, h, _registry = populate () in
-    Simdisk.Disk.schedule_crash disk ~after_writes:k;
-    (match Waldo.persist waldo ~dir:"/waldo-db" with
-    | Ok () | Error _ -> ());
-    Simdisk.Disk.revive disk;
-    let ext3 = Ext3.mount disk in
-    let reborn = Helpers.ok_fs (Waldo.load ~lower:(Ext3.ops ext3) ~dir:"/waldo-db" ()) in
-    let quads = Provdb.records_all (Waldo.db reborn) h.Dpapi.pnode in
-    let n = List.length quads in
-    if n <> 2 && n <> 3 then
-      Alcotest.failf "crash at write %d: image has %d records (want 2 or 3)" k n
-  done;
-  (* a tampered image is rejected outright, never half-loaded *)
-  let _disk, ext3, _waldo, _h, _registry = populate () in
-  let lower = Ext3.ops ext3 in
-  ignore (Helpers.ok_fs (Vfs.write_file lower "/waldo-db/db.dat" "garbage") : Vfs.ino);
-  match Waldo.load ~lower ~dir:"/waldo-db" () with
-  | Error Vfs.EIO -> ()
-  | Ok _ -> Alcotest.fail "tampered image accepted"
-  | Error e -> Alcotest.failf "unexpected errno %s" (Vfs.errno_to_string e)
+  match Checkpoint.logs lower with Ok (_, logs) -> List.map snd logs | Error _ -> []
 
 let test_manual_checkpoint_truncates () =
   let _disk, ext3, lasagna, waldo, _registry =
@@ -345,7 +274,7 @@ let test_manual_checkpoint_truncates () =
   let after = pass_logs lower in
   check tbool "checkpoint truncates covered logs" true
     (List.length after < List.length retained);
-  match Helpers.ok_fs (Checkpoint.read_manifest lower ~dir:"/.waldo") with
+  match Helpers.ok_fs (Checkpoint.read_manifest lower) with
   | None -> Alcotest.fail "manifest missing after checkpoint"
   | Some m ->
       check tint "first generation" 1 m.Checkpoint.m_gen;
@@ -368,7 +297,7 @@ let test_every_frames_auto_checkpoint () =
     Helpers.ok (Dpapi.disclose ep h [ Record.name (Printf.sprintf "auto%d" i) ])
   done;
   ignore (Waldo.finalize waldo lasagna : int);
-  match Helpers.ok_fs (Checkpoint.read_manifest (Ext3.ops ext3) ~dir:"/.waldo") with
+  match Helpers.ok_fs (Checkpoint.read_manifest (Ext3.ops ext3)) with
   | Some m -> check tbool "auto checkpoint committed" true (m.Checkpoint.m_gen >= 1)
   | None -> Alcotest.fail "Every_frames never checkpointed"
 
@@ -400,7 +329,7 @@ let test_checkpoint_recover_roundtrip () =
   (* post-checkpoint suffix traffic, committed to its own log *)
   Helpers.ok (Dpapi.disclose ep hs.(0) [ Record.make "PARAMS" (Pvalue.Str "suffix") ]);
   Lasagna.flush_log lasagna;
-  Waldo.fault_in_archive waldo;
+  Helpers.ok_fs (Waldo.fault_in_archive waldo);
   let reference = Provdb.serialize (Waldo.db waldo) in
   Simdisk.Disk.crash disk;
   Simdisk.Disk.revive disk;
@@ -413,7 +342,7 @@ let test_checkpoint_recover_roundtrip () =
   check tbool "replay is bounded to the suffix" true (info.Waldo.ri_frames_replayed <= 4);
   check tbool "archive segment registered" true (info.Waldo.ri_archives >= 1);
   check tbool "cold tier not loaded eagerly" false (Provdb.cold_loaded (Waldo.db w2));
-  Waldo.fault_in_archive w2;
+  Helpers.ok_fs (Waldo.fault_in_archive w2);
   check tbool "recovered graph equals pre-crash graph" true
     (String.equal reference (Provdb.serialize (Waldo.db w2)))
 
@@ -427,12 +356,10 @@ let suite =
     Alcotest.test_case "transaction orphan discarded" `Quick test_txn_orphan;
     Alcotest.test_case "interleaved transactions" `Quick test_interleaved_txns;
     Alcotest.test_case "database merge" `Quick test_merge_into;
-    Alcotest.test_case "persist/load across daemon restart" `Quick test_persist_and_load;
     Alcotest.test_case "provdb serialize roundtrip" `Quick test_provdb_serialize_roundtrip;
     Alcotest.test_case "size accounting" `Quick test_size_accounting;
     Alcotest.test_case "index accessors" `Quick test_index_accessors;
     Alcotest.test_case "OPM export" `Quick test_opm_export;
-    Alcotest.test_case "persist is crash-atomic" `Quick test_persist_atomic_under_crash;
     Alcotest.test_case "Manual checkpoint truncates covered logs" `Quick
       test_manual_checkpoint_truncates;
     Alcotest.test_case "Every_frames auto-checkpoints" `Quick
