@@ -11,8 +11,6 @@
 
 type severity = Error | Warning | Info
 
-val severity_to_string : severity -> string
-
 type finding = {
   f_pass : string;  (** which pass produced it (see {!pass_names}) *)
   f_severity : severity;

@@ -96,4 +96,3 @@ let freeze t pnode =
   st.version
 
 let known t pnode = Hashtbl.mem t.objects pnode
-let object_count t = Hashtbl.length t.objects

@@ -41,7 +41,3 @@ val freeze : t -> Pnode.t -> int
 (** Bump the object's version; returns the new version. *)
 
 val known : t -> Pnode.t -> bool
-val object_count : t -> int
-
-val tick : t -> int
-(** Advance and read the logical clock. *)

@@ -133,5 +133,4 @@ let is_acyclic t =
   Hashtbl.fold (fun n _ acc -> acc && dfs n) t.edges true
 
 let merges t = t.merges
-let edge_count t = t.edge_count
 let probe_steps t = t.probe_steps

@@ -23,8 +23,6 @@ val is_acyclic : t -> bool
 val merges : t -> int
 (** Number of merge operations performed. *)
 
-val edge_count : t -> int
-
 val probe_steps : t -> int
 (** Total DFS steps spent probing for cycles — the global work PASSv2's
     local rule avoids. *)

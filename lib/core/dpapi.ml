@@ -30,17 +30,12 @@ let error_to_string = function
   | Eagain -> "EAGAIN"
   | Emsg m -> m
 
-let pp_error ppf e = Format.pp_print_string ppf (error_to_string e)
-
 (* A handle names an object for DPAPI purposes.  Files carry the volume they
    live on; virtual objects (processes, pipes, browser sessions, data sets)
    carry [volume = None] until the distributor assigns them one. *)
 type handle = { pnode : Pnode.t; volume : string option }
 
 let handle ?volume pnode = { pnode; volume }
-let pp_handle ppf h =
-  Format.fprintf ppf "%a%s" Pnode.pp h.pnode
-    (match h.volume with None -> "" | Some v -> "@" ^ v)
 
 type read_result = { data : string; r_pnode : Pnode.t; r_version : int }
 

@@ -20,7 +20,6 @@ type error =
   | Emsg of string
 
 val error_to_string : error -> string
-val pp_error : Format.formatter -> error -> unit
 
 type handle = { pnode : Pnode.t; volume : string option }
 (** A handle names an object.  Files carry the volume they live on; virtual
@@ -28,7 +27,6 @@ type handle = { pnode : Pnode.t; volume : string option }
     [volume = None] until the distributor assigns one. *)
 
 val handle : ?volume:string -> Pnode.t -> handle
-val pp_handle : Format.formatter -> handle -> unit
 
 type read_result = { data : string; r_pnode : Pnode.t; r_version : int }
 (** What [pass_read] returns: the data plus the exact identity (pnode and

@@ -11,7 +11,6 @@ type t = { ep : Dpapi.endpoint; pid : int }
 
 let connect ~endpoint ~pid = { ep = endpoint; pid }
 let pid t = t.pid
-let endpoint t = t.ep
 
 let mkobj ?volume ?typ:ty ?name:nm t =
   let h = check (t.ep.pass_mkobj ~volume) in
@@ -34,5 +33,4 @@ let read t handle ~off ~len = check (t.ep.pass_read handle ~off ~len)
 let write t handle ~off ~data ~records =
   check (t.ep.pass_write handle ~off ~data:(Some data) [ Dpapi.entry handle records ])
 
-let freeze t handle = check (t.ep.pass_freeze handle)
 let sync t handle = check (t.ep.pass_sync handle)

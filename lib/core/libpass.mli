@@ -16,7 +16,6 @@ val connect : endpoint:Dpapi.endpoint -> pid:int -> t
     process [pid]. *)
 
 val pid : t -> int
-val endpoint : t -> Dpapi.endpoint
 
 val mkobj : ?volume:string -> ?typ:string -> ?name:string -> t -> Dpapi.handle
 (** Create an application object (browser session, data set, operator…),
@@ -33,5 +32,4 @@ val relate : t -> child:Dpapi.handle -> parent:Dpapi.handle -> parent_version:in
 
 val read : t -> Dpapi.handle -> off:int -> len:int -> Dpapi.read_result
 val write : t -> Dpapi.handle -> off:int -> data:string -> records:Record.t list -> int
-val freeze : t -> Dpapi.handle -> int
 val sync : t -> Dpapi.handle -> unit

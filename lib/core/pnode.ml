@@ -5,18 +5,6 @@ type t = int
 let compare = Int.compare
 let equal = Int.equal
 
-(* Explicit structural hash: a splitmix-style integer finalizer over the
-   raw pnode number, folded to a non-negative int.  [Hashtbl.hash] would
-   work but its algorithm is an implementation detail of the runtime;
-   pnode hashes feed dedup tables, so they must not drift across OCaml
-   versions.  Constants fit in 62 bits so the literals are portable. *)
-let hash t =
-  let h = t lxor (t lsr 31) in
-  let h = h * 0x2545F4914F6CDD1D in
-  let h = h lxor (h lsr 29) in
-  let h = h * 0x1B03738712FAD5C9 in
-  let h = h lxor (h lsr 32) in
-  h land max_int
 let to_int t = t
 let of_int i = i
 let pp ppf t = Format.fprintf ppf "p%d" t
@@ -39,4 +27,3 @@ let fresh alloc =
   (alloc.machine lsl machine_shift) lor seq
 
 let machine_of t = t lsr machine_shift
-let sequence_of t = t land ((1 lsl machine_shift) - 1)

@@ -10,11 +10,6 @@ type t
 val compare : t -> t -> int
 val equal : t -> t -> bool
 
-val hash : t -> int
-(** Explicit structural hash, stable across OCaml versions (it feeds
-    dedup tables; the runtime's [Hashtbl.hash] algorithm is not part of
-    any compatibility contract). *)
-
 val to_int : t -> int
 (** [to_int t] exposes the raw integer, e.g. for serialization. *)
 
@@ -36,6 +31,3 @@ val fresh : allocator -> t
 
 val machine_of : t -> int
 (** The machine id embedded in a pnode. *)
-
-val sequence_of : t -> int
-(** The per-machine sequence number embedded in a pnode. *)

@@ -12,8 +12,6 @@ let typ ty = { attr = "TYPE"; value = Pvalue.Str ty }
 
 let equal a b = String.equal a.attr b.attr && Pvalue.equal a.value b.value
 
-let pp ppf { attr; value } = Format.fprintf ppf "%s=%a" attr Pvalue.pp value
-
 let is_ancestry r =
   match r.value with Pvalue.Xref _ -> true | _ -> false
 

@@ -21,7 +21,6 @@ val typ : string -> t
 (** A TYPE identity record. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 
 val is_ancestry : t -> bool
 (** [is_ancestry r] is true iff [r]'s value is a cross-reference. *)

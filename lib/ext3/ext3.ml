@@ -34,9 +34,7 @@ type t = {
   mutable next_ino : Vfs.ino;
   mutable next_free_block : int;
   mutable journal_tail : int; (* byte offset within the journal region *)
-  mutable data_blocks_allocated : int;
   mutable journal_bytes_written : int;
-  mutable metadata_ops : int;
   (* The page cache: file blocks kept in memory, FIFO-evicted.  A
      stackable layer (Lasagna) halves the capacity — both its pages and
      the lower file system's pages compete for memory, which the paper
@@ -248,7 +246,6 @@ and compact_journal t =
   journal_append t snap
 
 let log_op t rec_ =
-  t.metadata_ops <- t.metadata_ops + 1;
   apply t rec_;
   journal_append t rec_
 
@@ -266,9 +263,7 @@ let make ?(jblocks = default_jblocks) disk =
     next_ino = root_ino + 1;
     next_free_block = 8 + jblocks;
     journal_tail = 0;
-    data_blocks_allocated = 0;
     journal_bytes_written = 0;
-    metadata_ops = 0;
     page_cache = Hashtbl.create 4096;
     cache_fifo = Queue.create ();
     cache_capacity = 4096; (* 16 MB of 4 KB pages *)
@@ -334,10 +329,6 @@ let mount ?jblocks disk =
      done
    with Wire.Corrupt _ | Invalid_argument _ -> ());
   t.journal_tail <- !pos;
-  (* recompute allocation stats *)
-  Hashtbl.iter
-    (fun _ i -> t.data_blocks_allocated <- t.data_blocks_allocated + Hashtbl.length i.blocks)
-    t.inodes;
   t
 
 (* --- VFS operations ------------------------------------------------------ *)
@@ -424,7 +415,6 @@ let ensure_blocks t (i : inode) ~first ~last =
     | Some s ->
         let count = upto - s + 1 in
         let physical = alloc count in
-        t.data_blocks_allocated <- t.data_blocks_allocated + count;
         log_op t (J_extent { ino = i.ino; logical = s; physical; count });
         run_start := None
   in
@@ -560,9 +550,7 @@ let ops t : Vfs.ops =
 
 (* --- accounting for Table 3 --------------------------------------------- *)
 
-let data_bytes_allocated t = t.data_blocks_allocated * Simdisk.Disk.block_size
 let journal_bytes_written t = t.journal_bytes_written
-let metadata_ops t = t.metadata_ops
 
 let live_bytes t =
   Hashtbl.fold (fun _ (i : inode) acc -> if i.kind = Vfs.Regular then acc + i.size else acc)

@@ -30,11 +30,7 @@ val set_cache_capacity : t -> int -> unit
 val cache_stats : t -> int * int
 (** (hits, misses). *)
 
-val data_bytes_allocated : t -> int
-(** Bytes of data-region blocks ever allocated (Table 3 accounting). *)
-
 val journal_bytes_written : t -> int
-val metadata_ops : t -> int
 
 val live_bytes : t -> int
 (** Sum of regular-file sizes currently reachable. *)

@@ -108,7 +108,6 @@ type plan = {
   mutable disk_ops : int;
   mutable partition_until : int;
   mutable events : string list; (* newest first *)
-  mutable injected : int;
   i : instruments option;
 }
 
@@ -116,7 +115,7 @@ let none =
   {
     seed = 0; spec = quiet; state = 0; is_active = false;
     net_ops = 0; disk_ops = 0; partition_until = 0;
-    events = []; injected = 0; i = None;
+    events = []; i = None;
   }
 
 let plan ?registry ?(spec = default_chaos) ~seed () =
@@ -125,12 +124,9 @@ let plan ?registry ?(spec = default_chaos) ~seed () =
     state = (seed * 2654435761) lor 1;
     is_active = true;
     net_ops = 0; disk_ops = 0; partition_until = 0;
-    events = []; injected = 0;
+    events = [];
     i = Some (instruments registry);
   }
-
-let seed p = p.seed
-let active p = p.is_active
 
 let deactivate p =
   p.is_active <- false;
@@ -143,7 +139,6 @@ let draw p bound =
 let draw_range p (lo, hi) = if hi <= lo then lo else lo + draw p (hi - lo + 1)
 
 let record p ~site ~op ~now kind counter =
-  p.injected <- p.injected + 1;
   p.events <- Printf.sprintf "%s#%d@%d:%s" site op now kind :: p.events;
   match p.i with
   | None -> ()
@@ -253,7 +248,6 @@ let next_disk_fault p ~now ~write =
 
 let events p = List.rev p.events
 let digest p = Digest.to_hex (Digest.string (String.concat "\n" (events p)))
-let injected_total p = p.injected
 
 (* Seeded crash-point selection for chaos sweeps: [count] distinct block
    write ticks in [1, writes], drawn from the same LCG family as the

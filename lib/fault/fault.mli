@@ -75,9 +75,6 @@ val plan : ?registry:Telemetry.registry -> ?spec:spec -> seed:int -> unit -> pla
     [registry] receives the [fault.injected.*] counters (none registered when
     omitted). *)
 
-val seed : plan -> int
-val active : plan -> bool
-
 val deactivate : plan -> unit
 (** Stop injecting and clear any open partition window: the fault-free
     epilogue chaos tests converge under. *)
@@ -95,15 +92,9 @@ val partitioned : plan -> now:int -> bool
 val next_disk_fault : plan -> now:int -> write:bool -> disk_fault option
 (** Called once per block I/O; [write] selects the applicable kinds. *)
 
-val events : plan -> string list
-(** The injection log, oldest first: ["net#12@45000:drop_request"]. *)
-
 val digest : plan -> string
 (** MD5 over {!events} — two runs with the same seed and operation
     sequence produce equal digests (the determinism acceptance check). *)
-
-val injected_total : plan -> int
-(** Number of faults injected so far. *)
 
 val crash_points : seed:int -> writes:int -> count:int -> int list
 (** [crash_points ~seed ~writes ~count] draws up to [count] distinct

@@ -3,12 +3,7 @@
     4x align_warp → 4x reslice → softmean → 3x slicer → 3x convert,
     producing atlas-x/y/z.gif. *)
 
-val subjects : int list
 val planes : string list
-
-val anatomy_file : input_dir:string -> int -> string
-val reference_file : input_dir:string -> string
-val atlas_file : output_dir:string -> string -> string
 
 val workflow : input_dir:string -> output_dir:string -> Workflow.t
 

@@ -11,7 +11,5 @@ val io_of_system : System.t -> pid:int -> Actor.io
 type recording = No_recording | Text_file of string | Dpapi
 (** The three recorder configurations of paper Section 6.2. *)
 
-val recorder_of : System.t -> pid:int -> recording -> Recorder.t
-
 val run : ?recording:recording -> System.t -> pid:int -> Workflow.t -> Director.result
 (** Run [wf] as process [pid]; [recording] defaults to [Dpapi]. *)

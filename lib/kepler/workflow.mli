@@ -15,9 +15,6 @@ val create : name:string -> actors:Actor.t list -> links:link list -> t
 (** Validates port references, the single-writer rule, and that every
     input port is connected.  @raise Invalid otherwise. *)
 
-val actor : t -> string -> Actor.t
-(** @raise Invalid if no actor has that name. *)
-
 val schedule : t -> Actor.t list
 (** Topological firing order.  @raise Invalid on a cyclic workflow. *)
 

@@ -86,8 +86,6 @@ let errno_to_dpapi : Vfs.errno -> Dpapi.error = function
 
 let lift r = Result.map_error errno_to_dpapi r
 
-let volume t = t.volume
-
 (* Transient disk errors (the fault plan's EIO kind) are retried a few
    times before surfacing; permanent EIO still escapes after the budget.
    WAP ordering is unaffected: a retried frame or data write lands whole

@@ -54,13 +54,9 @@ val write_txn_bundle :
   (int, Pass_core.Dpapi.error) result
 (** [pass_write] with an explicit PA-NFS transaction tag (Section 6.1.2). *)
 
-val volume : t -> string
-
 val file_handle : t -> Vfs.ino -> (Pass_core.Dpapi.handle, Vfs.errno) result
 (** The DPAPI handle of a file on this volume (registers the file lazily if
     it predates stacking). *)
-
-val ino_of_pnode : t -> Pass_core.Pnode.t -> Vfs.ino option
 
 val on_log_closed : t -> (string -> Vfs.ino -> unit) -> unit
 (** Register a listener for closed logs (Waldo's simulated inotify). *)

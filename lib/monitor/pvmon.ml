@@ -228,7 +228,6 @@ let create ?(interval_ns = default_interval) ?(retention = default_retention)
     stacks = Hashtbl.create 64; root_ns = 0; span_count = 0 }
 
 let enabled t = t.on
-let interval_ns t = t.interval
 let scrapes t = t.scrape_count
 let watch t reg = if t.on then t.registries <- t.registries @ [ reg ]
 
@@ -408,6 +407,9 @@ let fold_span t tracer sp =
      Hashtbl.replace t.childsum sp.Pvtrace.sp_parent (prev + dur)
    else t.root_ns <- t.root_ns + dur);
   let layer = layer_of sp.Pvtrace.sp_layer in
+  (* ancestor path: the span's own frame is already popped at record
+     time, so the open frames are exactly its ancestors *)
+  let frames = Pvtrace.open_frames tracer in
   let row =
     match Hashtbl.find_opt t.layers layer with
     | Some r -> r
@@ -417,14 +419,13 @@ let fold_span t tracer sp =
         r
   in
   row.l_self <- row.l_self + self;
-  row.l_total <- row.l_total + dur;
+  (* only the outermost span of a layer on the stack counts toward its
+     total, so nested same-layer spans are not counted twice *)
+  if not (List.exists (fun (l, _) -> String.equal (layer_of l) layer) frames)
+  then row.l_total <- row.l_total + dur;
   row.l_spans <- row.l_spans + 1;
   t.span_count <- t.span_count + 1;
-  (* ancestor path: the span's own frame is already popped at record
-     time, so the open frames are exactly its ancestors *)
-  let path =
-    List.map (fun (l, o) -> span_name l o) (Pvtrace.open_frames tracer)
-  in
+  let path = List.map (fun (l, o) -> span_name l o) frames in
   if self > 0 then begin
     let key = String.concat ";" (path @ [ name ]) in
     match Hashtbl.find_opt t.stacks key with
@@ -619,29 +620,3 @@ let to_flamegraph t =
     rows;
   Buffer.contents buf
 
-(* Chrome counter tracks ("C" phase events): one track per series, one
-   sample per retained point.  Loads into chrome://tracing / Perfetto
-   alongside pvtrace's span export. *)
-let to_chrome_counters t =
-  let buf = Buffer.create 4096 in
-  let us_of_ns ns =
-    Printf.sprintf "%d.%03d" (ns / 1000) (abs ns mod 1000)
-  in
-  Buffer.add_string buf "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
-  let first = ref true in
-  List.iter
-    (fun s ->
-      List.iter
-        (fun p ->
-          if !first then first := false else Buffer.add_char buf ',';
-          Buffer.add_string buf "{\"name\":\"";
-          Buffer.add_string buf (J.escape s.ts_name);
-          Buffer.add_string buf "\",\"ph\":\"C\",\"ts\":";
-          Buffer.add_string buf (us_of_ns p.pt_ns);
-          Buffer.add_string buf ",\"pid\":1,\"tid\":1,\"args\":{\"value\":";
-          Buffer.add_string buf (fmt_float p.pt_value);
-          Buffer.add_string buf "}}")
-        (ring_list s.ts_points))
-    (sorted_series t);
-  Buffer.add_string buf "]}";
-  Buffer.contents buf

@@ -76,7 +76,6 @@ val create :
     10ms); [rules] defaults to {!default_rules}. *)
 
 val enabled : t -> bool
-val interval_ns : t -> int
 
 val watch : t -> Telemetry.registry -> unit
 (** Add a registry to the scrape set.  Aggregation across registries
@@ -123,7 +122,10 @@ type slow_op = {
 type layer_row = {
   lr_layer : string;  (** a LAYERS.sexp layer name *)
   lr_self_ns : int;  (** time in this layer excluding child spans *)
-  lr_total_ns : int;  (** time in this layer's spans including children *)
+  lr_total_ns : int;
+      (** time in this layer's outermost spans, children included: a span
+          nested under an open span of the same layer is not counted
+          again, so the total never exceeds {!traced_total_ns} *)
   lr_spans : int;
 }
 
@@ -157,7 +159,3 @@ val to_openmetrics : t -> string
 val to_flamegraph : t -> string
 (** Collapsed-stack lines ("layer.op;layer.op <self_ns>"), sorted — feed
     to flamegraph.pl, inferno or speedscope. *)
-
-val to_chrome_counters : t -> string
-(** Chrome trace-event JSON of "C" (counter) events, one track per
-    series — overlays pvtrace's span export in Perfetto. *)

@@ -14,12 +14,6 @@ type t
 exception Not_found_404 of string
 exception Redirect_loop of string
 
-val create : unit -> t
-
-val add_page : t -> url:string -> title:string -> links:string list -> unit
-val add_download : t -> url:string -> content:string -> unit
-val add_redirect : t -> url:string -> target:string -> unit
-
 val compromise : t -> url:string -> payload:string -> unit
 (** Replace a download's content in place (Eve hacks the site).
     @raise Invalid_argument if [url] is not a download. *)

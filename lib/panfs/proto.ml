@@ -267,21 +267,6 @@ let rec decode_resp s pos =
   | 11 -> R_batch (get_list decode_resp s pos)
   | t -> Wire.corrupt "panfs: bad response tag %d" t
 
-(* Size probes are issued for every provenance write (to pick between the
-   inline and transactional paths); one scratch buffer replaces a fresh
-   allocation per probe. *)
-let size_scratch = Buffer.create 256
-
-let req_size req =
-  Buffer.clear size_scratch;
-  encode_req size_scratch req;
-  Buffer.length size_scratch
-
-let resp_size resp =
-  Buffer.clear size_scratch;
-  encode_resp size_scratch resp;
-  Buffer.length size_scratch
-
 (* The call envelope: client id + per-client sequence number, the key of
    the server's duplicate-request cache.  A retransmission reuses the
    sequence number so the server replays its cached reply instead of
@@ -341,29 +326,22 @@ let req_name = function
 (* The simulated network: a synchronous RPC charges one round trip of
    latency plus transfer at the link rate to the shared clock.  A fault
    plan can drop, delay or duplicate either datagram, or partition the
-   link; the client above retries on [`Timeout]. *)
+   link; the client above retries on [`Timeout].  The link constants
+   approximate 2009-era gigabit. *)
+let latency_ns = Simdisk.Clock.ns_of_us 150 (* one-way *)
+let ns_per_byte = 8
+let timeout_ns = Simdisk.Clock.ns_of_ms 10 (* how long the client waits before `Timeout *)
+
 type net = {
   clock : Simdisk.Clock.t;
-  latency_ns : int; (* one-way *)
-  ns_per_byte : int;
-  timeout_ns : int; (* how long the client waits before `Timeout *)
   fault : Fault.plan;
   mutable next_client : int;
   mutable messages : int;
   mutable bytes : int;
 }
 
-let net ?(latency_us = 150) ?(ns_per_byte = 8) ?(timeout_ms = 10) ?(fault = Fault.none) clock =
-  {
-    clock;
-    latency_ns = Simdisk.Clock.ns_of_us latency_us;
-    ns_per_byte;
-    timeout_ns = Simdisk.Clock.ns_of_ms timeout_ms;
-    fault;
-    next_client = 1;
-    messages = 0;
-    bytes = 0;
-  }
+let net ?(fault = Fault.none) clock =
+  { clock; fault; next_client = 1; messages = 0; bytes = 0 }
 
 (* Client ids are per-net, not global, so repeated in-process runs with
    the same seed see identical ids (the determinism test depends on it). *)
@@ -378,10 +356,10 @@ let fresh_client net =
 let transmit net nbytes =
   net.messages <- net.messages + 1;
   net.bytes <- net.bytes + nbytes;
-  Simdisk.Clock.advance net.clock (net.latency_ns + (nbytes * net.ns_per_byte))
+  Simdisk.Clock.advance net.clock (latency_ns + (nbytes * ns_per_byte))
 
 let timed_out net =
-  Simdisk.Clock.advance net.clock net.timeout_ns;
+  Simdisk.Clock.advance net.clock timeout_ns;
   Error `Timeout
 
 (* Per-direction encode scratch: the RPC path is synchronous and handlers

@@ -78,11 +78,6 @@ val decode_resp : string -> int ref -> resp
     Exposed so tests can round-trip every constructor — the transport
     decodes each delivered datagram, so replays are byte-level replays. *)
 
-val req_size : req -> int
-(** Encoded size in bytes (drives the simulated network cost). *)
-
-val resp_size : resp -> int
-
 (** {1 Call envelope}
 
     Client id + per-client sequence number: the key of the server's
@@ -109,22 +104,18 @@ val req_name : req -> string
 
 type net = {
   clock : Simdisk.Clock.t;
-  latency_ns : int;
-  ns_per_byte : int;
-  timeout_ns : int;
   fault : Fault.plan;
   mutable next_client : int;
   mutable messages : int;
   mutable bytes : int;
 }
 
-val net :
-  ?latency_us:int -> ?ns_per_byte:int -> ?timeout_ms:int -> ?fault:Fault.plan ->
-  Simdisk.Clock.t -> net
-(** A simulated LAN link; defaults approximate 2009-era gigabit.
-    [timeout_ms] (default 10) is how long a client waits for a reply
-    before [`Timeout]; [fault] (default {!Fault.none}) injects drops,
-    delays, duplicates, partitions and restarts per its schedule. *)
+val net : ?fault:Fault.plan -> Simdisk.Clock.t -> net
+(** A simulated LAN link with fixed 2009-era gigabit constants: every
+    datagram costs 150 us of one-way latency plus 8 ns per byte, and a
+    client waits 10 ms for a reply before [`Timeout].  [fault] (default
+    {!Fault.none}) injects drops, delays, duplicates, partitions and
+    restarts per its schedule. *)
 
 val fresh_client : net -> int
 (** Allocate a client id on this link (per-net, so same-seed runs are

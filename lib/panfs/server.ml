@@ -100,7 +100,6 @@ let create ?registry ?fault ?(tracer = Pvtrace.disabled) ~mode ~clock ~machine ~
 
 let ctx t = t.ctx
 let waldo t = t.waldo
-let lasagna t = t.lasagna
 let disk t = t.disk
 let ext3 t = t.ext3
 
@@ -326,12 +325,3 @@ let handle t (c : Proto.call) : Proto.resp =
         Hashtbl.remove t.drc (Queue.pop t.drc_order);
       Telemetry.set t.i.drc_size (float_of_int (Hashtbl.length t.drc));
       resp
-
-(* pnode of a file by inode, for the client's handle cache *)
-let pnode_of_ino t ino =
-  match t.lasagna with
-  | None -> None
-  | Some l -> (
-      match Lasagna.file_handle l ino with
-      | Ok h -> Some h.Dpapi.pnode
-      | Error _ -> None)

@@ -41,7 +41,6 @@ val handle : t -> Proto.call -> Proto.resp
 
 val ctx : t -> Ctx.t
 val waldo : t -> Waldo.t option
-val lasagna : t -> Lasagna.t option
 val disk : t -> Disk.t
 val ext3 : t -> Ext3.t
 
@@ -51,5 +50,3 @@ val db : t -> Provdb.t option
 val drain : t -> int
 (** Flush the WAP logs into Waldo; returns orphaned transactions
     discarded (e.g. after a client crash mid-transaction). *)
-
-val pnode_of_ino : t -> Vfs.ino -> Pass_core.Pnode.t option

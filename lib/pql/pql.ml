@@ -107,7 +107,3 @@ let names_of_rows db rows =
       | _ -> None)
     rows
   |> List.sort_uniq String.compare
-
-let nodes_of_rows rows =
-  List.filter_map (fun row -> match row with [ Pql_eval.Node (p, _) ] -> Some p | _ -> None) rows
-  |> List.sort_uniq Pnode.compare

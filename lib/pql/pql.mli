@@ -71,9 +71,6 @@ module Engine : sig
   (** The normalized query text ([Pql_print.to_string] of the AST). *)
 end
 
-val render_item : Provdb.t -> item -> string
-(** Nodes render as [name.version]. *)
-
 val render : Provdb.t -> row list -> string list list
 
 val pp_rows : Provdb.t -> columns:string list -> Format.formatter -> row list -> unit
@@ -83,6 +80,3 @@ val pp_rows : Provdb.t -> columns:string list -> Format.formatter -> row list ->
 val names_of_rows : Provdb.t -> row list -> string list
 (** The sorted, distinct node names (or string values) a single-column
     row set holds — the projection used throughout examples and tests. *)
-
-val nodes_of_rows : row list -> Pass_core.Pnode.t list
-(** The sorted, distinct pnodes of single-node rows. *)

@@ -61,13 +61,3 @@ and query = {
   order : (expr * bool) option; (* key, descending? *)
   limit : int option; (* result pruning (the paper's §5.7 closing remark) *)
 }
-
-let rec pp_path ppf = function
-  | Edge (Forward a) -> Format.pp_print_string ppf a
-  | Edge (Inverse a) -> Format.fprintf ppf "^%s" a
-  | Edge Any_edge -> Format.pp_print_char ppf '_'
-  | Seq (a, b) -> Format.fprintf ppf "%a.%a" pp_path a pp_path b
-  | Alt (a, b) -> Format.fprintf ppf "(%a|%a)" pp_path a pp_path b
-  | Star p -> Format.fprintf ppf "%a*" pp_path p
-  | Plus p -> Format.fprintf ppf "%a+" pp_path p
-  | Opt p -> Format.fprintf ppf "%a?" pp_path p

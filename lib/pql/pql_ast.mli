@@ -54,5 +54,3 @@ and query = {
   order : (expr * bool) option;  (** key, descending? *)
   limit : int option;  (** result pruning (§5.7 closing remark) *)
 }
-
-val pp_path : Format.formatter -> path_re -> unit

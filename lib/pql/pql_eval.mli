@@ -19,8 +19,6 @@ exception Error of string
 (** A result cell: a graph node at a version, or a scalar value. *)
 type item = Node of Pass_core.Pnode.t * int | Value of Pass_core.Pvalue.t
 
-val item_equal : item -> item -> bool
-
 type env = (string * item) list
 (** The FROM clause binds variables to items; WHERE filters environments. *)
 
@@ -29,11 +27,6 @@ val is_process : Provdb.t -> Pass_core.Pnode.t -> bool
 
 val glob_match : string -> string -> bool
 (** The [~] operator: [*] and [?] wildcards, anchored at both ends. *)
-
-val attr_values : Provdb.t -> Pass_core.Pnode.t -> int -> string -> Pass_core.Pvalue.t list
-(** Attribute lookup across every version of the object
-    (case-insensitive), falling back to the [name]/[version]/[pnode]
-    pseudo-attributes when no record matches. *)
 
 val root_items : Provdb.t -> env -> Pql_ast.root -> item list
 (** Enumerate a class root (files/processes/objects at their max
@@ -51,10 +44,6 @@ val eval_cond : Provdb.t -> env -> Pql_ast.cond -> bool
 (** Existential comparison semantics over set-valued expressions;
     subqueries evaluate naively under the given outer environment.
     @raise Error. *)
-
-val eval_envs : Provdb.t -> env -> Pql_ast.query -> env list
-(** The naive FROM/WHERE pipeline: every binding extends every
-    environment, then WHERE filters.  @raise Error. *)
 
 val project : Provdb.t -> Pql_ast.query -> env list -> item list list
 (** SELECT over surviving environments: aggregation or per-environment

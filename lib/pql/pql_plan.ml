@@ -38,8 +38,6 @@ type t = {
   mutable actual_rows : int; (* -1 = not executed *)
 }
 
-let executed t = t.actual_rows >= 0
-
 (* --- pretty-printing -------------------------------------------------------- *)
 
 let root_str = function

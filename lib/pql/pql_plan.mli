@@ -56,10 +56,6 @@ type t = {
 val access_str : access -> string
 (** One-line rendering of an access path, as it appears in {!pp}. *)
 
-val executed : t -> bool
-(** Whether {!field-actual_rows} (and the per-step actuals) have been
-    filled in by an execution. *)
-
 val pp : Format.formatter -> t -> unit
 (** Stable, golden-testable rendering; shows [(est n)] before execution
     and [(est n, actual m)] after. *)

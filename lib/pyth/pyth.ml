@@ -38,7 +38,7 @@ let write_file sys ~pid path data =
   done;
   ok (Kernel.close k ~pid ~fd)
 
-let host_of_system ?(module_dir = "") sys ~pid ~print : Pyth_interp.host =
+let host_of_system ~module_dir sys ~pid ~print : Pyth_interp.host =
   let module_path name =
     if module_dir = "" then None else Some (Printf.sprintf "%s/%s.py" module_dir name)
   in

@@ -7,13 +7,7 @@ module V = Pyth_value
 
 exception Io_error of Vfs.errno
 
-val read_file : System.t -> pid:int -> string -> string
 val write_file : System.t -> pid:int -> string -> string -> unit
-
-val host_of_system :
-  ?module_dir:string -> System.t -> pid:int -> print:(string -> unit) -> Pyth_interp.host
-(** A host whose file operations are system calls of [pid]; [module_dir]
-    is where [import x] finds [x.py]. *)
 
 type session = {
   interp : Pyth_interp.t;

@@ -27,5 +27,4 @@ val call : t -> Pyth_value.t -> Pyth_value.t list -> Pyth_value.t
 (** Apply a Func or Builtin value; used by builtins taking callbacks. *)
 
 val create : host:host -> globals:Pyth_value.env -> unit -> t
-val run : t -> Pyth_ast.program -> unit
 val run_string : t -> string -> unit

@@ -26,7 +26,6 @@ exception Type_error of string
 val type_error : ('a, unit, string, 'b) format4 -> 'a
 
 (* constructors *)
-val v : data -> t
 val none : t
 val bool_ : bool -> t
 val int_ : int -> t

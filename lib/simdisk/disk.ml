@@ -47,10 +47,14 @@ exception Io_error
    position and the logical time of its last use (for LRU eviction). *)
 type stream = { mutable s_head : int; mutable s_used : int }
 
+(* Device geometry: the block count scales seek distances, and
+   [stream_slots] concurrent sequential streams stay cheap. *)
+let total_blocks = 20_000_000
+let stream_slots = 5
+
 type t = {
   clock : Clock.t;
   blocks : (int, string) Hashtbl.t;
-  total_blocks : int;
   streams : stream array;
   mutable use_counter : int;
   mutable crashed : bool;
@@ -65,13 +69,11 @@ type t = {
   per_block_transfer_ns : int;
 }
 
-let create ?registry ?(total_blocks = 20_000_000) ?(stream_slots = 5) ?(fault = Fault.none)
-    ~clock () =
+let create ?registry ?(fault = Fault.none) ~clock () =
   {
     clock;
     blocks = Hashtbl.create 65536;
-    total_blocks;
-    streams = Array.init (max 1 stream_slots) (fun _ -> { s_head = -1; s_used = 0 });
+    streams = Array.init stream_slots (fun _ -> { s_head = -1; s_used = 0 });
     use_counter = 0;
     crashed = false;
     crash_after_writes = None;
@@ -84,7 +86,6 @@ let create ?registry ?(total_blocks = 20_000_000) ?(stream_slots = 5) ?(fault = 
     per_block_transfer_ns = Clock.ns_of_us 65; (* 4 KB at ~60 MB/s *)
   }
 
-let clock t = t.clock
 let is_crashed t = t.crashed
 let set_fault t plan = t.fault <- plan
 
@@ -144,7 +145,7 @@ let charge_position t blk =
       Array.iter (fun s -> if s.s_used < !lru.s_used then lru := s) t.streams;
       let origin = if !lru.s_head >= 0 then !lru.s_head else 0 in
       let distance = abs (blk - origin) in
-      let frac = float_of_int distance /. float_of_int t.total_blocks in
+      let frac = float_of_int distance /. float_of_int total_blocks in
       (* seek time grows roughly with the square root of the distance *)
       let seek =
         t.min_seek_ns
@@ -160,8 +161,8 @@ let charge_position t blk =
     Clock.advance t.clock t.per_block_transfer_ns
   end
 
-let check_block t blk =
-  if blk < 0 || blk >= t.total_blocks then invalid_arg "Disk: block out of range"
+let check_block blk =
+  if blk < 0 || blk >= total_blocks then invalid_arg "Disk: block out of range"
 
 (* Blocks are immutable strings shared with the callers that wrote or
    read them; a hole reads as this one shared zero block. *)
@@ -176,7 +177,7 @@ let patch block ~at src ~pos ~len =
 
 let read_block t blk =
   check_alive t;
-  check_block t blk;
+  check_block blk;
   (match Fault.next_disk_fault t.fault ~now:(Clock.now t.clock) ~write:false with
   | Some Fault.Read_error ->
       (* the failed request still costs a rotation before the drive
@@ -191,7 +192,7 @@ let read_block t blk =
 
 let write_block t blk data =
   check_alive t;
-  check_block t blk;
+  check_block blk;
   if String.length data <> block_size then invalid_arg "Disk.write_block: bad size";
   (match t.crash_after_writes with
   | Some 0 ->
@@ -254,5 +255,3 @@ let write_bytes t ~off data =
     write_block t blk b;
     pos := !pos + n
   done
-
-let io_ns t = Telemetry.value t.i.seek_ns + Telemetry.value t.i.transfer_ns

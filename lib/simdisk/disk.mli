@@ -18,23 +18,16 @@ exception Io_error
     (the file system above maps it to [Vfs.EIO]; a retry may succeed). *)
 
 val create :
-  ?registry:Telemetry.registry ->
-  ?total_blocks:int ->
-  ?stream_slots:int ->
-  ?fault:Fault.plan ->
-  clock:Clock.t ->
-  unit ->
-  t
-(** [stream_slots] (default 5) is the number of concurrent sequential
-    streams the simulated elevator can keep cheap; [registry] receives the
-    [disk.*] instruments (none registered when omitted).  [fault] (default
-    {!Fault.none}) injects transient errors, torn writes and silent
-    corruption per its seeded schedule. *)
+  ?registry:Telemetry.registry -> ?fault:Fault.plan -> clock:Clock.t -> unit -> t
+(** A 20 000 000-block device (the block count scales seek distances)
+    whose simulated elevator keeps 5 concurrent sequential streams cheap.
+    [registry] receives the [disk.*] instruments (none registered when
+    omitted).  [fault] (default {!Fault.none}) injects transient errors,
+    torn writes and silent corruption per its seeded schedule. *)
 
 val set_fault : t -> Fault.plan -> unit
 (** Swap the fault plan on a live device. *)
 
-val clock : t -> Clock.t
 val is_crashed : t -> bool
 
 val schedule_crash : t -> after_writes:int -> unit
@@ -86,6 +79,3 @@ val write_bytes : t -> off:int -> string -> unit
     [data] itself (when it is exactly one block) or one slice of it; a
     partial block at either edge is merged into a new copy of
     {!stored_block}. *)
-
-val io_ns : t -> int
-(** Total simulated nanoseconds spent in I/O so far. *)

@@ -93,7 +93,6 @@ let create ?(tracer = Pvtrace.disabled) ~clock ~machine () =
    PA-NFS server span) parents into. *)
 let sys t op f = Pvtrace.span t.tracer ~layer:"simos" ~op f
 
-let clock t = t.clock
 let ctx t = t.ctx
 let charge t ns = Clock.advance t.clock ns
 let cpu = charge

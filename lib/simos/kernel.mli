@@ -26,7 +26,6 @@ type errno = Vfs.errno
 
 val create : ?tracer:Pvtrace.t -> clock:Clock.t -> machine:int -> unit -> t
 
-val clock : t -> Clock.t
 val ctx : t -> Ctx.t
 
 val cpu : t -> int -> unit

@@ -37,10 +37,8 @@ type t = {
   mutable router_table : (string * Dpapi.endpoint) list;
 }
 
-let mode t = t.mode
 let clock t = t.clock
 let telemetry t = t.registry
-let tracer t = t.tracer
 let kernel t = t.kernel
 let volumes t = t.volumes
 let elapsed_seconds t = Clock.seconds t.clock

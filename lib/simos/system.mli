@@ -49,14 +49,8 @@ val create :
     itself as [tracer]'s completion sink — scrapes charge no simulated
     time, so an enabled monitor cannot perturb a run. *)
 
-val mode : t -> mode
-
 val telemetry : t -> Telemetry.registry
 (** The registry this machine's layers report into. *)
-
-val tracer : t -> Pvtrace.t
-(** The tracer this machine's layers record into ({!Pvtrace.disabled}
-    unless one was supplied at {!create}). *)
 
 val clock : t -> Clock.t
 val kernel : t -> Kernel.t

@@ -27,6 +27,3 @@ val text_content : element -> string
 
 val find_all : element -> string -> element list
 (** All descendants with the given tag, in document order. *)
-
-val decode_entities : string -> string
-val encode_entities : string -> string

@@ -75,7 +75,6 @@ let create ?(capacity = default_capacity) ?(now = zero) () =
 
 let set_now t now = if t.on then t.now <- now
 let enabled t = t.on
-let capacity t = t.cap
 let recorded t = t.filled
 let total t = t.lifetime
 let dropped t = t.lifetime - t.filled

@@ -45,7 +45,6 @@ val set_now : t -> (unit -> int) -> unit
     with its machine clock when handed an enabled tracer. *)
 
 val enabled : t -> bool
-val capacity : t -> int
 
 val recorded : t -> int
 (** Spans currently held in the ring (≤ capacity). *)

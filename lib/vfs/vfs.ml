@@ -46,8 +46,6 @@ let errno_of_string = function
   | "EAGAIN" -> Some EAGAIN
   | _ -> None
 
-let pp_errno ppf e = Format.pp_print_string ppf (errno_to_string e)
-
 (* Volume-fatal conditions hit on paths that cannot return a [result]
    (mounting a layer, allocating a fresh WAP log).  Typed so handlers can
    match on the errno instead of parsing a failwith string. *)

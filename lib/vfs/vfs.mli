@@ -25,8 +25,6 @@ val errno_of_string : string -> errno option
 (** Inverse of {!errno_to_string}; [None] for unknown names.  Used by the
     PA-NFS wire decoder. *)
 
-val pp_errno : Format.formatter -> errno -> unit
-
 exception Fatal of string * errno
 (** A volume-fatal condition hit on a path that cannot return a result
     (mounting a layer, allocating a fresh WAP log).  Carries the errno so

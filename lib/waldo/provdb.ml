@@ -319,9 +319,6 @@ let versions t pnode =
 let resident_versions t pnode =
   match Hashtbl.find_opt t.resident pnode with Some l -> !l | None -> []
 
-let version_range t pnode =
-  match find_node t pnode with None -> None | Some n -> Some (n.floor, n.max_version)
-
 (* Raw accessors see only what is resident — serialize and compact use
    them so snapshotting the hot tier never faults the archive in. *)
 let records_at_raw t pnode ~version =

@@ -78,15 +78,6 @@ val versions : t -> Pnode.t -> int list
     The enumeration is memoized per node (rebuilt only when the max
     version grows), so calling this in a loop no longer allocates. *)
 
-val resident_versions : t -> Pnode.t -> int list
-(** Ascending versions of [pnode] that hold at least one resident quad —
-    the maintained index behind {!records_all}/{!out_edges_all}.  Does
-    not fault the archive in. *)
-
-val version_range : t -> Pnode.t -> (int * int) option
-(** [(floor, max_version)] of [pnode]: the hot tier holds versions in
-    [floor, max_version]; anything below the floor is archived. *)
-
 val records_at : t -> Pnode.t -> version:int -> quad list
 val records_all : t -> Pnode.t -> quad list
 
@@ -130,15 +121,10 @@ val attr_cardinality : t -> string -> int
 (** Distinct (pnode, version) entries under [attr] (case-insensitive)
     — the length of {!with_attr}'s result, without building it. *)
 
-val parents_of : t -> Pnode.t -> Pnode.t list
-(** Direct ancestry parents at pnode granularity (version collapsed,
-    freeze self-edges excluded), in first-sighting order. *)
-
-val children_of : t -> Pnode.t -> Pnode.t list
-
 val reach_ancestors : t -> ?limit:int -> Pnode.t -> Pnode.t list
-(** Transitive ancestry reachability over {!parents_of}, excluding the
-    start, in BFS order; [limit] caps the number of nodes returned so
+(** Transitive ancestry reachability at pnode granularity (versions
+    collapsed, freeze self-edges excluded), excluding the start, in BFS
+    order; [limit] caps the number of nodes returned so
     the planner can bound estimation work. *)
 
 val reach_descendants : t -> ?limit:int -> Pnode.t -> Pnode.t list

@@ -24,8 +24,6 @@ type t = {
   common : int;
 }
 
-val diff : Provdb.t -> a:side -> b:side -> t
-
 val diff_versions : Provdb.t -> Pnode.t -> version_a:int -> version_b:int -> t
 (** The Section 3.1 shape: two versions (runs) of the same object. *)
 

@@ -19,7 +19,6 @@ let put_string buf s =
   put_u32 buf (String.length s);
   Buffer.add_string buf s
 
-let put_bool buf b = put_u8 buf (if b then 1 else 0)
 
 let put_list buf put xs =
   put_u32 buf (List.length xs);
@@ -50,7 +49,6 @@ let get_string s pos =
   pos := !pos + len;
   out
 
-let get_bool s pos = get_u8 s pos <> 0
 
 let get_list get s pos =
   let n = get_u32 s pos in

@@ -13,12 +13,10 @@ val put_u8 : Buffer.t -> int -> unit
 val put_u32 : Buffer.t -> int -> unit
 val put_i64 : Buffer.t -> int -> unit
 val put_string : Buffer.t -> string -> unit
-val put_bool : Buffer.t -> bool -> unit
 val put_list : Buffer.t -> (Buffer.t -> 'a -> unit) -> 'a list -> unit
 
 val get_u8 : string -> int ref -> int
 val get_u32 : string -> int ref -> int
 val get_i64 : string -> int ref -> int
 val get_string : string -> int ref -> string
-val get_bool : string -> int ref -> bool
 val get_list : (string -> int ref -> 'a) -> string -> int ref -> 'a list

@@ -5,5 +5,4 @@
 
 type params = { sequence_bytes : int; blast_cpu_ms : int; perl_stages : int }
 
-val default : params
 val run : ?params:params -> System.t -> parent:int -> unit

@@ -5,12 +5,4 @@
 
 type params = { rows : int; runs : int; parse_cpu_ms : int }
 
-val default : params
-
-val table_path : string
-(** Where the generated input table lives. *)
-
-val out_path : int -> string
-(** Output path of the [run]th reformatting pass. *)
-
 val run : ?params:params -> System.t -> parent:int -> unit

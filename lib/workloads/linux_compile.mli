@@ -7,12 +7,4 @@ type params = { dirs : int; files_per_dir : int; headers : int; cc_cpu_ms : int 
 
 val default : params
 
-val src_dir : int -> string
-val src_file : int -> int -> string
-val obj_file : int -> int -> string
-val header_file : int -> string
-
-val setup : System.t -> parent:int -> unit
-(** The tar phase alone: lay out sources and headers without building. *)
-
 val run : ?params:params -> System.t -> parent:int -> unit

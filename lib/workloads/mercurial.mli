@@ -8,10 +8,4 @@ type params = { tree_files : int; patches : int; files_per_patch : int }
 
 val default : params
 
-val tree_file : int -> string
-(** Path of the [i]th tracked source file. *)
-
-val patch_file : int -> string
-(** Path of the [p]th patch file. *)
-
 val run : ?params:params -> System.t -> parent:int -> unit

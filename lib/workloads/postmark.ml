@@ -16,8 +16,6 @@ type params = {
    paper's file-size distribution and scales the counts to ~1/12 *)
 let default = { files = 120; transactions = 120; subdirs = 10; min_size = 4096; max_size = 1_048_576 }
 
-let paper_scale = { files = 1500; transactions = 1500; subdirs = 10; min_size = 4096; max_size = 1_048_576 }
-
 let file_path params i = Printf.sprintf "/vol0/pm/s%d/file%d" (i mod params.subdirs) i
 
 let run ?(params = default) sys ~parent =

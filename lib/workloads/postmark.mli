@@ -13,10 +13,4 @@ type params = {
 
 val default : params
 
-val paper_scale : params
-(** The paper's configuration (1500 files / 1500 transactions). *)
-
-val file_path : params -> int -> string
-(** Pool path of file [i], spread across [params.subdirs]. *)
-
 val run : ?params:params -> System.t -> parent:int -> unit

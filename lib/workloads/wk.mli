@@ -5,7 +5,6 @@
 exception Error of Vfs.errno
 
 val ok : ('a, Vfs.errno) result -> 'a
-val chunk : int
 
 val write_file : System.t -> pid:int -> path:string -> string -> unit
 val append_file : System.t -> pid:int -> path:string -> string -> unit

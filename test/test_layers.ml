@@ -102,6 +102,37 @@ let test_measured_overheads_positive () =
   check tbool "provenance space positive" true (sp.Runner.prov_mb > 0.);
   check tbool "indexes add space" true (sp.Runner.total_mb > sp.Runner.prov_mb)
 
+(* The batching oracle: observer bursts, Lasagna group commit and the
+   PA-NFS client's piggyback change how provenance travels, never what
+   the graph says.  Every standard workload must leave a byte-identical
+   database with batching on and off: locally the vol0 Waldo db, over
+   PA-NFS the server's. *)
+let test_batching_on_off_same_graph () =
+  let local ~batching (w : Runner.workload) =
+    let sys = Runner.local_system ~batching System.Pass in
+    w.run sys;
+    ignore (System.drain sys : int);
+    Option.get (System.waldo_db sys "vol0")
+  in
+  let nfs ~batching (w : Runner.workload) =
+    let sys, server = Runner.nfs_system ~batching System.Pass in
+    w.run sys;
+    ignore (System.drain sys : int);
+    ignore (Server.drain server : int);
+    Option.get (Server.db server)
+  in
+  List.iter
+    (fun (w : Runner.workload) ->
+      List.iter
+        (fun (where, db) ->
+          let on = db ~batching:true w and off = db ~batching:false w in
+          let what = Printf.sprintf "%s %s" w.wl_name where in
+          check tbool (what ^ ": provenance recorded") true (Provdb.quad_count on > 0);
+          check tbool (what ^ ": batching on/off byte-identical") true
+            (String.equal (Provdb.serialize on) (Provdb.serialize off)))
+        [ ("local", local); ("nfs", nfs) ])
+    (Runner.standard ~scale:0.2 ())
+
 let test_compile_ancestry_depth () =
   (* after the compile workload, vmlinux's ancestry reaches the original
      sources through two link stages and the compile processes *)
@@ -127,4 +158,6 @@ let suite =
     Alcotest.test_case "workloads are deterministic" `Slow test_workloads_deterministic;
     Alcotest.test_case "measured overheads are sane" `Slow test_measured_overheads_positive;
     Alcotest.test_case "compile ancestry depth" `Quick test_compile_ancestry_depth;
+    Alcotest.test_case "batching on/off leaves the graph unchanged" `Quick
+      test_batching_on_off_same_graph;
   ]

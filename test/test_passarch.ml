@@ -1,7 +1,8 @@
 (* Golden tests for the passarch layering analyzer and the shared lint
    machinery.  The fixture trees under test/fixtures/passarch are tiny
-   three-layer stacks: [clean] obeys every contract, [violations] seeds
-   exactly one violation per rule, [badmap] has an invalid layer map.
+   layered stacks: [clean] obeys every contract, [violations] seeds each
+   rule's violations (one or two per rule), [badmap] has an invalid layer
+   map.
    The analyzer must report exactly the seeded findings — no more, no
    less — which pins both the rules and the module-graph reconstruction
    (dune boundaries, .mli contracts, call-graph fixpoint, hot-path BFS).
@@ -54,6 +55,8 @@ let test_violations_tree () =
       ("lib/low/up_bad.ml", "layer-upward");
       ("lib/mid/esc_bad.ml", "exception-escape");
       ("lib/mid/esc_bad.ml", "exception-escape");
+      ("lib/mid/surface.mli", "unused-export");
+      ("lib/mid/surface.mli", "unused-export");
       ("lib/stray/stray.ml", "layer-unmapped");
     ]
   in
@@ -77,6 +80,17 @@ let test_violations_tree () =
     (List.exists (mentions "Failure") escapes);
   check Alcotest.bool "one escape is Low.Miss passing through mid" true
     (List.exists (mentions "Low.Miss") escapes);
+  (* the unused exports are the caller-less one and the one its own module
+     uses; the one used only through [open] and the one used only by a
+     test are not flagged *)
+  check Alcotest.(list bool) "unused exports are dead and internal"
+    [ true; true ]
+    (List.map
+       (fun name ->
+         List.exists
+           (fun f -> String.equal f.F.f_rule "unused-export" && mentions name f)
+           fs)
+       [ "Surface.dead "; "Surface.internal " ]);
   (* the hot-path findings name the reachability chain back to the root *)
   let hot = List.find (fun f -> String.equal f.F.f_rule "hot-path-format") fs in
   check Alcotest.bool "hot finding explains its path" true

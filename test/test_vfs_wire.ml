@@ -16,7 +16,6 @@ let test_wire_roundtrips () =
   Wire.put_u32 buf 123456;
   Wire.put_i64 buf (-42);
   Wire.put_string buf "hello";
-  Wire.put_bool buf true;
   Wire.put_list buf Wire.put_string [ "a"; "bb"; "" ];
   let s = Buffer.contents buf in
   let pos = ref 0 in
@@ -24,7 +23,6 @@ let test_wire_roundtrips () =
   check tint "u32" 123456 (Wire.get_u32 s pos);
   check tint "i64" (-42) (Wire.get_i64 s pos);
   check tstr "string" "hello" (Wire.get_string s pos);
-  check tbool "bool" true (Wire.get_bool s pos);
   check (Alcotest.list tstr) "list" [ "a"; "bb"; "" ] (Wire.get_list Wire.get_string s pos);
   check tint "fully consumed" (String.length s) !pos
 
@@ -53,7 +51,6 @@ type wire_value =
   | Wu32 of int
   | Wi64 of int
   | Wstr of string
-  | Wbool of bool
   | Wlist of string list
 
 let gen_wire_value =
@@ -64,7 +61,6 @@ let gen_wire_value =
       map (fun n -> Wu32 n) (int_bound 0xffffffff);
       map (fun n -> Wi64 n) (map2 (fun a b -> if b then a else -a) big_nat bool);
       map (fun s -> Wstr s) (string_size (int_bound 64));
-      map (fun b -> Wbool b) bool;
       map (fun l -> Wlist l) (list_size (int_bound 8) (string_size (int_bound 16)));
     ]
 
@@ -78,7 +74,6 @@ let encode_values vs =
       | Wu32 n -> Wire.put_u32 buf n
       | Wi64 n -> Wire.put_i64 buf n
       | Wstr s -> Wire.put_string buf s
-      | Wbool b -> Wire.put_bool buf b
       | Wlist l -> Wire.put_list buf Wire.put_string l)
     vs;
   Buffer.contents buf
@@ -90,7 +85,6 @@ let decode_values s pos vs =
       | Wu32 _ -> Wu32 (Wire.get_u32 s pos)
       | Wi64 _ -> Wi64 (Wire.get_i64 s pos)
       | Wstr _ -> Wstr (Wire.get_string s pos)
-      | Wbool _ -> Wbool (Wire.get_bool s pos)
       | Wlist _ -> Wlist (Wire.get_list Wire.get_string s pos))
     vs
 

@@ -31,6 +31,8 @@ type file = {
   f_exports : string list option;
   f_mli_exns : string list;
   f_seeds : (string list * string) list;
+  f_vals : (string * Location.t) list;
+  f_opens : string list list;
   f_parse_error : bool;
 }
 
@@ -41,6 +43,7 @@ type dir = {
   d_wrapped : bool;
   d_libdeps : string list;
   d_has_dune : bool;
+  d_library : bool;
 }
 
 (* How a module name resolves: strong entries are addressable from
@@ -108,6 +111,7 @@ type apass = {
   mutable exn_decls : string list;  (* declared in this compilation unit *)
   mutable exports : string list;
   mutable sig_exns : string list;
+  mutable opens : string list list;
 }
 
 let record_head a lid loc =
@@ -124,6 +128,13 @@ let record_module_path a lid loc =
       if not (List.mem_assoc head a.mrefs) then a.mrefs <- (head, loc) :: a.mrefs
   | _ -> ()
 
+let module_ident (m : Parsetree.module_expr) =
+  match m.pmod_desc with Pmod_ident lid -> flatten lid.txt | _ -> []
+
+let add_path paths = function
+  | [] -> paths
+  | p -> if List.mem p paths then paths else p :: paths
+
 let apass_iterator a =
   let open Parsetree in
   let open Ast_iterator in
@@ -139,6 +150,7 @@ let apass_iterator a =
             List.iter (fun (lid, _) -> record_head a lid.Asttypes.txt lid.loc) fields
         | Pexp_letmodule ({ txt = Some name; _ }, _, _) ->
             a.locals <- name :: a.locals
+        | Pexp_open (od, _) -> a.opens <- add_path a.opens (module_ident od.popen_expr)
         | _ -> ());
         default_iterator.expr sub e);
     typ =
@@ -187,6 +199,8 @@ let apass_iterator a =
         (match si.pstr_desc with
         | Pstr_exception te ->
             a.exn_decls <- te.ptyexn_constructor.pext_name.txt :: a.exn_decls
+        | Pstr_open od -> a.opens <- add_path a.opens (module_ident od.popen_expr)
+        | Pstr_include incl -> a.opens <- add_path a.opens (module_ident incl.pincl_mod)
         | _ -> ());
         default_iterator.structure_item sub si);
     signature_item =
@@ -435,17 +449,24 @@ let scan_file ~root ~(layer : Layers.layer) ~dir rel =
   let intf = Filename.check_suffix rel ".mli" in
   let a =
     { mrefs = []; locals = []; aliases = []; exn_decls = []; exports = [];
-      sig_exns = [] }
+      sig_exns = []; opens = [] }
   in
   let modname = module_of_path rel in
   let parse_error = ref false in
-  let bindings = ref [] and seeds = ref [] in
+  let bindings = ref [] and seeds = ref [] and vals = ref [] in
   (if intf then
      match parse_intf src rel with
      | None -> parse_error := true
      | Some sg ->
          let it = apass_iterator a in
-         it.signature it sg
+         it.signature it sg;
+         vals :=
+           List.filter_map
+             (fun (si : Parsetree.signature_item) ->
+               match si.psig_desc with
+               | Psig_value vd -> Some (vd.pval_name.txt, vd.pval_loc)
+               | _ -> None)
+             sg
    else
      match parse_impl src rel with
      | None -> parse_error := true
@@ -480,6 +501,8 @@ let scan_file ~root ~(layer : Layers.layer) ~dir rel =
     f_exports = (if intf then Some (List.rev a.exports) else None);
     f_mli_exns = List.rev_map (fun e -> modname ^ "." ^ e) a.sig_exns;
     f_seeds = !seeds;
+    f_vals = !vals;
+    f_opens = List.rev a.opens;
     f_parse_error = !parse_error;
   }
 
@@ -506,19 +529,20 @@ let scan ~(layers : Layers.t) ~root =
                 (Srcutil.walk ~suffix:".mli" [ abs ])
             in
             let dune_path = Filename.concat abs "dune" in
-            let name, wrapped, libdeps, has_dune =
+            let name, wrapped, libdeps, has_dune, library =
               if Sys.file_exists dune_path then
                 match parse_dune dune_path with
                 | Some (n, w, deps) ->
                     (Option.value n ~default:(Filename.basename d),
                      (match n with Some _ -> w | None -> false),
-                     deps, true)
-                | None -> (Filename.basename d, false, [], true)
-              else (Filename.basename d, false, [], false)
+                     deps, true, n <> None)
+                | None -> (Filename.basename d, false, [], true, false)
+              else (Filename.basename d, false, [], false, false)
             in
             all_dirs :=
               { d_path = d; d_layer = l; d_lib = name; d_wrapped = wrapped;
-                d_libdeps = libdeps; d_has_dune = has_dune }
+                d_libdeps = libdeps; d_has_dune = has_dune;
+                d_library = library }
               :: !all_dirs;
             List.iter
               (fun rel ->
@@ -541,7 +565,9 @@ let scan ~(layers : Layers.t) ~root =
         else
           match Hashtbl.find_opt intf_of (f.f_path ^ "i") with
           | None -> f
-          | Some i -> { f with f_exports = i.f_exports; f_mli_exns = i.f_mli_exns })
+          | Some i ->
+              { f with f_exports = i.f_exports; f_mli_exns = i.f_mli_exns;
+                f_vals = i.f_vals })
       fs
   in
   (* module-name resolution tables *)

@@ -51,6 +51,13 @@ type file = {
   f_mli_exns : string list;  (** qualified, e.g. ["Vfs.Fatal"] *)
   f_seeds : (string list * string) list;
       (** qualified value refs inside [Dpapi.traced] arguments *)
+  f_vals : (string * Location.t) list;
+      (** the interface's top-level [val]s with their [.mli] locations
+          (attached to the implementation too); nested signatures are
+          not listed *)
+  f_opens : string list list;
+      (** module paths opened anywhere in the file: [open M], [let open M],
+          [M.( ... )], [include M] *)
   f_parse_error : bool;
 }
 
@@ -61,6 +68,7 @@ type dir = {
   d_wrapped : bool;
   d_libdeps : string list;  (** (libraries ...) across the dir's stanzas *)
   d_has_dune : bool;
+  d_library : bool;  (** the dune file has a [library] stanza *)
 }
 
 type t

@@ -1,5 +1,5 @@
 (* passarch: whole-program layering-discipline analyzer for the PASSv2
-   tree.  Three passes over the typed-AST module graph (Modgraph):
+   tree.  Four passes over the typed-AST module graph (Modgraph):
 
    layer map   - LAYERS.sexp declares the allowed layer DAG bottom-up.
                  Every inter-module reference (and every dune (libraries)
@@ -27,6 +27,22 @@
                  barriers ([hot-path-write]).  Raise arguments and [try]
                  handlers are cold context and exempt from the formatting
                  rule.
+
+   unused      - a top-level [val] in the interface of a library module
+                 (a dir whose dune file has a [library] stanza) must be
+                 referenced from some other scanned file: [unused-export].
+                 Every scanned file counts as a user, tests, bench and
+                 tools included.  Uses are the call-graph references that
+                 [resolve_call] maps to the defining binding; the pass is
+                 conservative where a reference cannot be pinned down:
+                 every identifier in a file that opens or includes [M]
+                 ([open M], [let open M], [M.( ... )], [include M]) is
+                 tried as [M.ident] too.  A module passed to a functor
+                 ([Set.Make (Pnode)]) uses nothing by name: the
+                 functor's parameter signature is not scanned.  Values
+                 inside nested signatures ([Pql.Engine],
+                 [Telemetry.Json]) are skipped, as is a [val] whose
+                 definition is not a plain [let] binding of that name.
 
    Shared finding/allowlist machinery lives in [Lintcommon]; entries that
    match no finding are flagged by [--stale-allowlist]. *)
@@ -397,41 +413,82 @@ let hot_pass ~sink ~(layers : Layers.t) graph =
           f.f_bindings)
     (Modgraph.files graph)
 
+(* --- unused-export pass ---------------------------------------------------- *)
+
+let unused_pass ~sink graph =
+  let used = Hashtbl.create 1024 in
+  List.iter
+    (fun (f : Modgraph.file) ->
+      if not f.f_intf then begin
+        let use c =
+          match Modgraph.resolve_call graph ~from:f c with
+          | Some (tf, name) when not (String.equal tf.f_path f.f_path) ->
+              Hashtbl.replace used (tf.f_path, name) ()
+          | _ -> ()
+        in
+        List.iter
+          (fun (b : Modgraph.binding) ->
+            List.iter
+              (fun (c : Modgraph.call) ->
+                use c;
+                List.iter
+                  (fun p -> use { c with c_path = p @ c.c_path })
+                  f.f_opens)
+              b.b_calls)
+          f.f_bindings
+      end)
+    (Modgraph.files graph);
+  let library =
+    List.filter_map
+      (fun (d : Modgraph.dir) -> if d.d_library then Some d.d_path else None)
+      (Modgraph.dirs graph)
+  in
+  List.iter
+    (fun (f : Modgraph.file) ->
+      if (not f.f_intf) && List.mem f.f_dir library then
+        List.iter
+          (fun (v, loc) ->
+            if Modgraph.find_binding f v <> None
+               && not (Hashtbl.mem used (f.f_path, v))
+            then
+              Finding.report sink ~file:(f.f_path ^ "i") ~loc
+                ~rule:"unused-export" ~symbol:(f.f_module ^ "." ^ v)
+                (Printf.sprintf
+                   "%s.%s is exported but no other file references it; \
+                    delete it, or drop it from the interface if its own \
+                    module uses it"
+                   f.f_module v))
+          f.f_vals)
+    (Modgraph.files graph)
+
 (* --- driver ---------------------------------------------------------------- *)
+
+(* Every pass over the tree under [root]; the number of files scanned. *)
+let analyze ~sink ~root ~layers_file =
+  match Layers.load (Filename.concat root layers_file) with
+  | Error msg ->
+      Finding.report sink ~file:layers_file ~loc:Location.none
+        ~rule:"layer-map-error" ~symbol:"LAYERS.sexp"
+        (Printf.sprintf "cannot load layer map: %s" msg);
+      0
+  | Ok layers ->
+      let graph = Modgraph.scan ~layers ~root in
+      layer_pass ~sink ~layers ~root graph;
+      exception_pass ~sink ~layers graph;
+      hot_pass ~sink ~layers graph;
+      unused_pass ~sink graph;
+      List.length (Modgraph.files graph)
 
 let run ?(root = ".") ?(layers_file = "LAYERS.sexp") ?(json = false)
     ?(stale_check = false) () =
   let allow = allowlist () in
   let sink = Finding.sink allow in
-  let layers_path = Filename.concat root layers_file in
-  let files_scanned = ref 0 in
-  (match Layers.load layers_path with
-  | Error msg ->
-      Finding.report sink ~file:layers_file ~loc:Location.none
-        ~rule:"layer-map-error" ~symbol:"LAYERS.sexp"
-        (Printf.sprintf "cannot load layer map: %s" msg)
-  | Ok layers ->
-      let graph = Modgraph.scan ~layers ~root in
-      files_scanned := List.length (Modgraph.files graph);
-      layer_pass ~sink ~layers ~root graph;
-      exception_pass ~sink ~layers graph;
-      hot_pass ~sink ~layers graph);
-  Finding.finish ~tool:"passarch" ~schema ~json ~stale_check
-    ~files_scanned:!files_scanned allow sink
+  let files_scanned = analyze ~sink ~root ~layers_file in
+  Finding.finish ~tool:"passarch" ~schema ~json ~stale_check ~files_scanned
+    allow sink
 
 (* For the fixture tests: the findings themselves, not just the exit code. *)
 let findings ?(root = ".") ?(layers_file = "LAYERS.sexp") () =
-  let allow = Allowlist.create [] in
-  let sink = Finding.sink allow in
-  let layers_path = Filename.concat root layers_file in
-  (match Layers.load layers_path with
-  | Error msg ->
-      Finding.report sink ~file:layers_file ~loc:Location.none
-        ~rule:"layer-map-error" ~symbol:"LAYERS.sexp"
-        (Printf.sprintf "cannot load layer map: %s" msg)
-  | Ok layers ->
-      let graph = Modgraph.scan ~layers ~root in
-      layer_pass ~sink ~layers ~root graph;
-      exception_pass ~sink ~layers graph;
-      hot_pass ~sink ~layers graph);
+  let sink = Finding.sink (Allowlist.create []) in
+  ignore (analyze ~sink ~root ~layers_file : int);
   Finding.sorted sink

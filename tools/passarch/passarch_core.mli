@@ -1,11 +1,12 @@
 (** The passarch analyzer as a library, so the [passarch] executable,
     [passctl lint] and the fixture tests share one implementation.
 
-    Three whole-program passes enforce the PASSv2 layer contracts
+    Four whole-program passes enforce the PASSv2 layer contracts
     statically: the LAYERS.sexp layer-map check over reconstructed
     module/dune dependency edges, the exception-escape analysis over the
-    binding-level call graph, and the hot-path purity pass over the
-    bindings reachable from the [Dpapi.traced] record path.  See the
+    binding-level call graph, the hot-path purity pass over the
+    bindings reachable from the [Dpapi.traced] record path, and the
+    unused-export check over library interfaces.  See the
     implementation header for the rule catalogue. *)
 
 val schema : string
