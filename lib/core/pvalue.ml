@@ -60,6 +60,14 @@ let encode buf = function
       Buffer.add_int64_le buf (Int64.of_int (Pnode.to_int pnode));
       Buffer.add_int64_le buf (Int64.of_int version)
 
+(* The length [encode] appends, without encoding. *)
+let encoded_size = function
+  | Str s | Bytes s -> 5 + String.length s
+  | Int _ -> 9
+  | Bool _ -> 2
+  | Strs ss -> List.fold_left (fun acc s -> acc + 4 + String.length s) 5 ss
+  | Xref _ -> 17
+
 exception Corrupt = Wire.Corrupt
 
 let get_u32 = Wire.get_u32

@@ -27,6 +27,10 @@ val encode : Buffer.t -> t -> unit
 (** [encode buf v] appends the wire form of [v] to [buf].  The format is
     shared by the Lasagna WAP log and the PA-NFS protocol. *)
 
+val encoded_size : t -> int
+(** The number of bytes {!encode} appends for [v], computed without
+    encoding it. *)
+
 val decode : string -> int ref -> t
 (** [decode s pos] parses one value at [!pos], advancing [pos].
     @raise Corrupt on malformed input. *)

@@ -22,6 +22,8 @@ let encode buf { attr; value } =
   Pvalue.put_string buf attr;
   Pvalue.encode buf value
 
+let encoded_size { attr; value } = 4 + String.length attr + Pvalue.encoded_size value
+
 let decode s pos =
   let attr = Pvalue.get_string s pos in
   let value = Pvalue.decode s pos in

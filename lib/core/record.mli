@@ -31,6 +31,10 @@ val xref_of : t -> Pvalue.xref option
 val encode : Buffer.t -> t -> unit
 (** Append the wire form (shared with the WAP log and PA-NFS). *)
 
+val encoded_size : t -> int
+(** The length of {!encode}'s output for [r], computed arithmetically:
+    Waldo charges every ingested record its encoded size. *)
+
 val decode : string -> int ref -> t
 (** Parse one record, advancing the position.  @raise Pvalue.Corrupt. *)
 

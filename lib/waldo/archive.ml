@@ -12,24 +12,31 @@ let ( let* ) = Result.bind
 
 let counter ?registry name = Telemetry.counter ?registry ("waldo." ^ name)
 
-(* Read, verify and merge every archive segment into [dst].  A segment
-   whose payload digest disagrees with the digest the manifest recorded
-   is treated as corrupt (EIO), same as a torn frame. *)
+(* Read and verify every archive segment, then load each straight into
+   [dst] (Provdb.load: max semantics for max_version and floor).  A
+   segment whose payload digest disagrees with the digest the manifest
+   recorded is treated as corrupt (EIO), same as a torn frame.  Nothing
+   is loaded until every segment has passed, so a failed read leaves
+   [dst] untouched for the retry. *)
 let load_into ?registry lower ~segments dst =
   let loaded = counter ?registry "archive_segments_loaded" in
+  let* payloads =
+    List.fold_left
+      (fun acc (name, digest) ->
+        let* acc = acc in
+        let* payload, stored = Checkpoint.read_verified lower ~path:(Checkpoint.path name) in
+        if String.equal stored digest then Ok (payload :: acc) else Error Vfs.EIO)
+      (Ok []) segments
+  in
   List.fold_left
-    (fun acc (name, digest) ->
+    (fun acc payload ->
       let* () = acc in
-      let* payload, stored = Checkpoint.read_verified lower ~path:(Checkpoint.path name) in
-      if not (String.equal stored digest) then Error Vfs.EIO
-      else
-        match Provdb.deserialize payload with
-        | cold ->
-            Provdb.merge_into ~dst ~src:cold;
-            Telemetry.incr loaded;
-            Ok ()
-        | exception Wire.Corrupt _ -> Error Vfs.EIO)
-    (Ok ()) segments
+      match Provdb.load dst payload with
+      | () ->
+          Telemetry.incr loaded;
+          Ok ()
+      | exception Wire.Corrupt _ -> Error Vfs.EIO)
+    (Ok ()) (List.rev payloads)
 
 (* Arm [db] to fault the archive in on demand.  The handler loads ALL
    segments in manifest order (oldest first) so version ranges land in

@@ -16,7 +16,8 @@ val install_handler :
   unit
 (** Arm the db to fault the listed [(name, digest)] segments in under
     {!Checkpoint.dir}, oldest first, on the first query that needs
-    versions below a node's floor.  A segment that is torn, tampered
-    or disagrees with the manifest's digest fails the load.  No-op when
-    [segments] is empty.  Instruments [waldo.archive_fault_ins],
+    versions below a node's floor.  Every segment is read and checked
+    before any is loaded, each straight into the db; one that is torn,
+    tampered or disagrees with the manifest's digest fails the load.
+    No-op when [segments] is empty.  Instruments [waldo.archive_fault_ins],
     [waldo.archive_segments_loaded] and [waldo.archive_load_errors]. *)

@@ -4,9 +4,10 @@
    that Waldo later moves into a database and indexes.  The database holds
    the provenance graph at (object, version) granularity:
 
-   - a node table: pnode -> kind, latest known name, known versions;
-   - a quad store: (pnode, version, attribute, value);
-   - a forward edge index: (pnode, version) -> ancestry cross-references;
+   - a node table: pnode -> kind, latest known name, known versions,
+     plus the pnode-keyed indexes below;
+   - a quad store: (pnode, version) cells of (attribute, value) quads;
+   - a forward edge index: each cell's ancestry cross-references;
    - a reverse edge index: pnode -> who refers to it;
    - a name index: name -> set of pnodes (every name sighting), ordered
      by name so a glob's literal prefix is a range probe;
@@ -17,11 +18,14 @@
      the version-level edge tables;
    - a per-node resident-version index (which versions hold quads).
 
-   All secondary indexes are maintained incrementally by [add_record] and
-   [set_file], so every load path — deserialize, merge_into, compact,
-   archive fault-in — rebuilds them for free.  Byte accounting mirrors
-   Table 3: [db_bytes] is the encoded size of the node and quad tables,
-   [index_bytes] the encoded size of the indexes. *)
+   Two paths build the secondary indexes.  [add_record] and [set_file]
+   maintain them one record at a time (live ingest, merge_into,
+   compact).  [load] rebuilds them from an on-disk image in one pass
+   (restart, archive fault-in), leaning on the order [serialize] writes
+   in.  [verify_indexes] replays a db through the first path to check
+   either.  Byte accounting mirrors Table 3: [db_bytes] is the encoded
+   size of the node and quad tables, [index_bytes] the encoded size of
+   the indexes. *)
 
 module Pnode = Pass_core.Pnode
 module Pvalue = Pass_core.Pvalue
@@ -49,13 +53,35 @@ type node = {
 
 type quad = { q_pnode : Pnode.t; q_version : int; q_attr : string; q_value : Pvalue.t }
 
-(* One inverted-index posting list.  Entries are deduplicated at insert
-   time ([ae_seen]) and kept in reverse insertion order; the sorted view
-   handed to queries is memoized and invalidated on insert, so repeated
-   [with_attr] probes stop re-sorting (ISSUE 9 small fix). *)
+(* A node-table entry: the node and the indexes keyed by its pnode. *)
+type slot = {
+  node : node;
+  mutable resident : int list; (* ascending versions that hold at least one quad *)
+  mutable parents : Pnode.t list; (* direct ancestry parents, newest first *)
+  mutable children : Pnode.t list; (* direct ancestry children, newest first *)
+  mutable refs : (Pnode.t * int * string * int) list;
+      (* reverse edges into this pnode, newest first *)
+  mutable versions_memo : (int * int list) option;
+      (* memoized [0..max_version] enumeration, keyed by the max it was
+         built for, so [versions] does not allocate per call *)
+}
+
+(* One (pnode, version) cell of the quad store. *)
+type cell = {
+  mutable c_quads : quad list; (* newest first *)
+  mutable c_out : (string * Pvalue.xref) list; (* ancestry edges leaving it, newest first *)
+  mutable c_attrs : string list;
+      (* its distinct uppercased attributes: one attr-index posting each,
+         so a repeated attribute (every INPUT of a process) is deduplicated
+         by a scan of a few strings *)
+}
+
+(* One inverted-index posting list, in reverse insertion order; the
+   sorted view handed to queries is memoized and invalidated on insert,
+   so repeated [with_attr] probes do not re-sort. *)
 type attr_entry = {
   mutable ae_entries : (Pnode.t * int) list;
-  ae_seen : (Pnode.t * int, unit) Hashtbl.t;
+  mutable ae_count : int;
   mutable ae_sorted : (Pnode.t * int) list option;
 }
 
@@ -63,10 +89,8 @@ module Names = Map.Make (String)
 module Pnodes = Set.Make (Pnode)
 
 type t = {
-  nodes : (Pnode.t, node) Hashtbl.t;
-  quads : (Pnode.t * int, quad list ref) Hashtbl.t; (* newest first *)
-  fwd : (Pnode.t * int, (string * Pvalue.xref) list ref) Hashtbl.t;
-  rev : (Pnode.t, (Pnode.t * int * string * int) list ref) Hashtbl.t;
+  nodes : (Pnode.t, slot) Hashtbl.t;
+  quads : (Pnode.t * int, cell) Hashtbl.t;
   mutable names : Pnodes.t ref Names.t;
       (* string-ordered, so every name sharing a prefix is one contiguous
          range ([find_by_name_prefix]); a posting set, not a list, because
@@ -75,14 +99,9 @@ type t = {
   attrs : (string, attr_entry) Hashtbl.t;
       (* keyed by uppercased attribute, matching the evaluator's
          case-insensitive attribute semantics *)
-  anc : (Pnode.t, Pnode.t list ref) Hashtbl.t; (* direct ancestry parents *)
-  desc : (Pnode.t, Pnode.t list ref) Hashtbl.t; (* direct ancestry children *)
-  adj_seen : (Pnode.t * Pnode.t, unit) Hashtbl.t; (* dedup for anc/desc *)
-  resident : (Pnode.t, int list ref) Hashtbl.t;
-      (* ascending versions that hold at least one quad *)
-  versions_memo : (Pnode.t, int * int list) Hashtbl.t;
-      (* memoized [0..max_version] enumeration, keyed by the max it was
-         built for (ISSUE 9 small fix: no per-call re-allocation) *)
+  adj_seen : (Pnode.t * Pnode.t, unit) Hashtbl.t;
+      (* dedup for parents/children: a Postmark process has thousands of
+         parents, so a list scan would make ingest quadratic *)
   mutable quad_count : int;
   mutable edge_count : int; (* ancestry quads ingested, with multiplicity *)
   mutable file_count : int;
@@ -94,22 +113,16 @@ type t = {
 }
 
 and fault_handler = t -> bool
-(* Loads archived history into the db (via add_record/merge_into);
-   returns false on an IO failure so the fault-in can be retried. *)
+(* Loads archived history into the db (via [load]); returns false on an
+   IO failure so the fault-in can be retried. *)
 
-let create () =
+let create_sized ~nodes =
   {
-    nodes = Hashtbl.create 4096;
-    quads = Hashtbl.create 8192;
-    fwd = Hashtbl.create 8192;
-    rev = Hashtbl.create 8192;
+    nodes = Hashtbl.create nodes;
+    quads = Hashtbl.create (2 * nodes);
     names = Names.empty;
     attrs = Hashtbl.create 64;
-    anc = Hashtbl.create 4096;
-    desc = Hashtbl.create 4096;
-    adj_seen = Hashtbl.create 8192;
-    resident = Hashtbl.create 8192;
-    versions_memo = Hashtbl.create 256;
+    adj_seen = Hashtbl.create (2 * nodes);
     quad_count = 0;
     edge_count = 0;
     file_count = 0;
@@ -120,21 +133,28 @@ let create () =
     fault_handler = None;
   }
 
-let multi_add tbl key v =
-  match Hashtbl.find_opt tbl key with
-  | Some l -> l := v :: !l
-  | None -> Hashtbl.add tbl key (ref [ v ])
+let create () = create_sized ~nodes:4096
 
-let node t pnode =
-  match Hashtbl.find_opt t.nodes pnode with
-  | Some n -> n
-  | None ->
-      let n =
-        { pnode; kind = Virtual; node_name = None; max_version = 0; declared = false; floor = 0 }
+let slot t pnode =
+  match Hashtbl.find t.nodes pnode with
+  | s -> s
+  | exception Not_found ->
+      let s =
+        {
+          node =
+            { pnode; kind = Virtual; node_name = None; max_version = 0; declared = false; floor = 0 };
+          resident = [];
+          parents = [];
+          children = [];
+          refs = [];
+          versions_memo = None;
+        }
       in
-      Hashtbl.add t.nodes pnode n;
+      Hashtbl.add t.nodes pnode s;
       t.db_bytes <- t.db_bytes + 24;
-      n
+      s
+
+let node t pnode = (slot t pnode).node
 
 (* Index one name sighting.  Every alias a node was ever seen under is
    indexed (set_file names and NAME records alike, in any attribute
@@ -172,28 +192,68 @@ let declare_virtual t pnode =
   let n = node t pnode in
   n.declared <- true
 
-let encoded_record_size record =
-  let buf = Buffer.create 32 in
-  Record.encode buf record;
-  Buffer.length buf
+(* Floors are only ever set through this so [floored] stays in sync. *)
+let set_floor t (n : node) f =
+  if n.floor = 0 && f > 0 then t.floored <- t.floored + 1
+  else if n.floor > 0 && f = 0 then t.floored <- t.floored - 1;
+  n.floor <- f
+
+(* Bring one node-table entry into [t] with merge semantics: the kind and
+   declaration only ever upgrade, a virtual object's name fills a gap,
+   and the version range takes the max of both sides (the max known
+   version can exceed the highest resident quad, and an archive floor
+   must survive).  Every path that copies a node table uses this: image
+   load, merge_into, compact and the verify_indexes replay. *)
+let absorb_node t pnode ~kind ~declared ~name ~max_version ~floor =
+  (match (kind, declared) with
+  | File, _ -> set_file t pnode ~name:(Option.value name ~default:"")
+  | Virtual, true -> declare_virtual t pnode
+  | Virtual, false ->
+      (* an undeclared stub stays a stub: merging must not launder a
+         dangling reference into a declared identity *)
+      let _ : slot = slot t pnode in
+      ());
+  let n = node t pnode in
+  (match (kind, name) with
+  | Virtual, Some nm ->
+      (* virtual objects and stubs can carry names too (a merge or an
+         archived NAME record gives them one) *)
+      if n.node_name = None then n.node_name <- Some nm;
+      index_name t nm pnode
+  | _ -> ());
+  if max_version > n.max_version then n.max_version <- max_version;
+  if floor > n.floor then set_floor t n floor
+
+let copy_node t (n : node) =
+  absorb_node t n.pnode ~kind:n.kind ~declared:n.declared ~name:n.node_name
+    ~max_version:n.max_version ~floor:n.floor
 
 let attr_entry t key =
   match Hashtbl.find_opt t.attrs key with
   | Some ae -> ae
   | None ->
-      let ae = { ae_entries = []; ae_seen = Hashtbl.create 64; ae_sorted = None } in
+      let ae = { ae_entries = []; ae_count = 0; ae_sorted = None } in
       Hashtbl.add t.attrs key ae;
       ae
 
-(* Record a direct pnode-level ancestry edge [src -> parent].  Freeze
-   edges (same pnode, earlier version) are skipped: they carry no
-   cross-object reachability and would put self-loops in the adjacency. *)
-let add_adjacency t src parent =
-  if not (Pnode.equal src parent) && not (Hashtbl.mem t.adj_seen (src, parent)) then begin
+(* Attributes are nearly always stored uppercase already; skip the copy. *)
+let upper_attr a =
+  if String.exists (fun c -> c >= 'a' && c <= 'z') a then String.uppercase_ascii a else a
+
+(* Record a direct pnode-level ancestry edge [s -> p].  Freeze edges
+   (same pnode, earlier version) are skipped: they carry no cross-object
+   reachability and would put self-loops in the adjacency.  One probe
+   per edge: [replace] grows [adj_seen] only for a new pair. *)
+let add_adjacency t (s : slot) (p : slot) =
+  let src = s.node.pnode and parent = p.node.pnode in
+  if not (Pnode.equal src parent) then begin
+    let before = Hashtbl.length t.adj_seen in
     Hashtbl.replace t.adj_seen (src, parent) ();
-    multi_add t.anc src parent;
-    multi_add t.desc parent src;
-    t.index_bytes <- t.index_bytes + 32
+    if Hashtbl.length t.adj_seen > before then begin
+      s.parents <- parent :: s.parents;
+      p.children <- src :: p.children;
+      t.index_bytes <- t.index_bytes + 32
+    end
   end
 
 let rec insert_version v = function
@@ -201,68 +261,72 @@ let rec insert_version v = function
   | x :: _ as l when v < x -> v :: l
   | x :: rest -> x :: insert_version v rest
 
-(* Insert one record attributed to (pnode, version). *)
-let add_record t pnode ~version (record : Record.t) =
-  let n = node t pnode in
+(* The cell of (s's pnode, version), created on first use. *)
+let cell t (s : slot) version =
+  let key = (s.node.pnode, version) in
+  match Hashtbl.find t.quads key with
+  | c -> c
+  | exception Not_found ->
+      let c = { c_quads = []; c_out = []; c_attrs = [] } in
+      Hashtbl.add t.quads key c;
+      s.resident <- insert_version version s.resident;
+      c
+
+(* Insert one record into its cell [c], updating every index; [size] is
+   the record's encoded size. *)
+let insert t (s : slot) ~version (c : cell) (record : Record.t) ~size =
+  let n = s.node in
   if version > n.max_version then n.max_version <- version;
-  let q = { q_pnode = pnode; q_version = version; q_attr = record.attr; q_value = record.value } in
-  (match Hashtbl.find_opt t.quads (pnode, version) with
-  | Some l -> l := q :: !l
-  | None ->
-      Hashtbl.add t.quads (pnode, version) (ref [ q ]);
-      (* first quad at this version: maintain the resident-version index *)
-      (match Hashtbl.find_opt t.resident pnode with
-      | Some l -> l := insert_version version !l
-      | None -> Hashtbl.add t.resident pnode (ref [ version ])));
+  c.c_quads <-
+    { q_pnode = n.pnode; q_version = version; q_attr = record.attr; q_value = record.value }
+    :: c.c_quads;
   t.quad_count <- t.quad_count + 1;
-  let sz = encoded_record_size record in
-  t.db_bytes <- t.db_bytes + sz + 16;
-  let upper = String.uppercase_ascii record.attr in
-  let ae = attr_entry t upper in
-  if not (Hashtbl.mem ae.ae_seen (pnode, version)) then begin
-    Hashtbl.replace ae.ae_seen (pnode, version) ();
-    ae.ae_entries <- (pnode, version) :: ae.ae_entries;
+  t.db_bytes <- t.db_bytes + size + 16;
+  let upper = upper_attr record.attr in
+  if not (List.exists (String.equal upper) c.c_attrs) then begin
+    c.c_attrs <- upper :: c.c_attrs;
+    let ae = attr_entry t upper in
+    ae.ae_entries <- (n.pnode, version) :: ae.ae_entries;
+    ae.ae_count <- ae.ae_count + 1;
     ae.ae_sorted <- None;
     t.index_bytes <- t.index_bytes + 20 (* attr index entry *)
   end;
-  (match record.value with
-  | Pvalue.Xref x when Record.is_ancestry record ->
-      multi_add t.fwd (pnode, version) (record.attr, x);
-      multi_add t.rev x.pnode (pnode, version, record.attr, x.version);
-      let _ : node = node t x.pnode in
+  match record.value with
+  | Pvalue.Xref x ->
+      c.c_out <- (record.attr, x) :: c.c_out;
+      let p = slot t x.pnode in
+      p.refs <- (n.pnode, version, record.attr, x.version) :: p.refs;
       t.edge_count <- t.edge_count + 1;
-      add_adjacency t pnode x.pnode;
+      add_adjacency t s p;
       t.index_bytes <- t.index_bytes + 40 (* fwd + rev entries *)
-  | Pvalue.Str s when String.equal record.attr Record.Attr.name ->
-      let n = node t pnode in
-      if n.node_name = None then n.node_name <- Some s;
-      index_name t s pnode
-  | (Pvalue.Str s | Pvalue.Bytes s) when String.equal upper Record.Attr.name ->
+  | Pvalue.Str str when String.equal record.attr Record.Attr.name ->
+      if n.node_name = None then n.node_name <- Some str;
+      index_name t str n.pnode
+  | (Pvalue.Str str | Pvalue.Bytes str) when String.equal upper Record.Attr.name ->
       (* the evaluator reads attributes case-insensitively and globs
          match byte strings too, so these are names to a query even
          though they never become the node's own name *)
-      index_name t s pnode
-  | _ -> ())
+      index_name t str n.pnode
+  | _ -> ()
+
+(* Insert one record attributed to (pnode, version). *)
+let add_record t pnode ~version (record : Record.t) =
+  let s = slot t pnode in
+  insert t s ~version (cell t s version) record ~size:(Record.encoded_size record)
 
 (* --- cold-tier fault-in --------------------------------------------------- *)
-
-(* Floors are only ever set through this so [floored] stays in sync. *)
-let set_floor t (n : node) f =
-  if n.floor = 0 && f > 0 then t.floored <- t.floored + 1
-  else if n.floor > 0 && f = 0 then t.floored <- t.floored - 1;
-  n.floor <- f
 
 let set_fault_handler t f = t.fault_handler <- Some f
 let cold_loaded t = t.cold_loaded
 let has_cold t = t.floored > 0
 
 (* Load archived history on first demand.  [cold_loaded] is set before
-   the handler runs: the handler repopulates the db with add_record /
-   merge_into, which never read back through the triggering accessors,
-   and the flag keeps a recursive trigger from looping.  Floors are NOT
-   cleared — they still describe which versions live in which tier —
-   so the flag is the only re-trigger gate; on handler failure it is
-   reset so a later query retries the IO. *)
+   the handler runs: the handler repopulates the db with [load], which
+   never reads back through the triggering accessors, and the flag keeps
+   a recursive trigger from looping.  Floors are NOT cleared — they
+   still describe which versions live in which tier — so the flag is the
+   only re-trigger gate; on handler failure it is reset so a later query
+   retries the IO. *)
 let maybe_fault_in t =
   match t.fault_handler with
   | Some f when (not t.cold_loaded) && t.floored > 0 ->
@@ -274,11 +338,16 @@ let fault_in t = maybe_fault_in t
 
 (* --- query access -------------------------------------------------------- *)
 
-let find_node t pnode = Hashtbl.find_opt t.nodes pnode
+(* Accessors probe with [Hashtbl.find]: every node has a slot, and the
+   planner's cone walks visit up to 20 000 of them, so a [Some] per
+   probe would show in the per-query allocation. *)
+let find_node t pnode =
+  match Hashtbl.find t.nodes pnode with s -> Some s.node | exception Not_found -> None
+
 let node_count t = Hashtbl.length t.nodes
 let quad_count t = t.quad_count
 
-let all_nodes t = Hashtbl.fold (fun _ n acc -> n :: acc) t.nodes []
+let all_nodes t = Hashtbl.fold (fun _ s acc -> s.node :: acc) t.nodes []
 
 let find_by_name t name =
   match Names.find_opt name t.names with
@@ -306,43 +375,45 @@ let compare_pv (p, v) (p', v') =
 let name_of t pnode = Option.bind (find_node t pnode) (fun n -> n.node_name)
 
 let versions t pnode =
-  match find_node t pnode with
-  | None -> []
-  | Some n -> (
-      match Hashtbl.find_opt t.versions_memo pnode with
-      | Some (hi, l) when hi = n.max_version -> l
+  match Hashtbl.find t.nodes pnode with
+  | exception Not_found -> []
+  | s -> (
+      match s.versions_memo with
+      | Some (hi, l) when hi = s.node.max_version -> l
       | _ ->
-          let l = List.init (n.max_version + 1) Fun.id in
-          Hashtbl.replace t.versions_memo pnode (n.max_version, l);
+          let l = List.init (s.node.max_version + 1) Fun.id in
+          s.versions_memo <- Some (s.node.max_version, l);
           l)
 
 let resident_versions t pnode =
-  match Hashtbl.find_opt t.resident pnode with Some l -> !l | None -> []
+  match Hashtbl.find t.nodes pnode with s -> s.resident | exception Not_found -> []
 
 (* Raw accessors see only what is resident — serialize and compact use
    them so snapshotting the hot tier never faults the archive in. *)
 let records_at_raw t pnode ~version =
-  match Hashtbl.find_opt t.quads (pnode, version) with
-  | Some l -> List.rev !l
-  | None -> []
+  match Hashtbl.find t.quads (pnode, version) with
+  | c -> List.rev c.c_quads
+  | exception Not_found -> []
 
 let out_edges_raw t pnode ~version =
-  match Hashtbl.find_opt t.fwd (pnode, version) with Some l -> List.rev !l | None -> []
+  match Hashtbl.find t.quads (pnode, version) with
+  | c -> List.rev c.c_out
+  | exception Not_found -> []
 
 (* A query for a version below the node's floor needs archived history. *)
 let below_floor t pnode version =
-  match Hashtbl.find_opt t.nodes pnode with
-  | Some n -> version < n.floor
-  | None -> false
+  match Hashtbl.find t.nodes pnode with
+  | s -> version < s.node.floor
+  | exception Not_found -> false
 
 (* Whole-history accessors fault the archive in up front when the node
    has a floor, then walk the resident-version index — versions that
    never held a quad are skipped instead of probed one by one. *)
 let fault_in_node_history t pnode =
   if t.floored > 0 then
-    match Hashtbl.find_opt t.nodes pnode with
-    | Some n when n.floor > 0 -> maybe_fault_in t
-    | _ -> ()
+    match Hashtbl.find t.nodes pnode with
+    | s -> if s.node.floor > 0 then maybe_fault_in t
+    | exception Not_found -> ()
 
 let records_at t pnode ~version =
   if below_floor t pnode version then maybe_fault_in t;
@@ -366,7 +437,7 @@ let in_edges t pnode =
   (* reverse edges into [pnode] can originate from any node's archived
      versions, so the presence of any floor is reason to fault in *)
   if t.floored > 0 then maybe_fault_in t;
-  match Hashtbl.find_opt t.rev pnode with Some l -> List.rev !l | None -> []
+  match Hashtbl.find t.nodes pnode with s -> List.rev s.refs | exception Not_found -> []
 
 let with_attr t attr =
   if t.floored > 0 then maybe_fault_in t;
@@ -398,16 +469,16 @@ let name_prefix_postings t prefix = fold_name_range t prefix (fun acc l -> acc +
 
 let attr_cardinality t attr =
   match Hashtbl.find_opt t.attrs (String.uppercase_ascii attr) with
-  | Some ae -> Hashtbl.length ae.ae_seen
+  | Some ae -> ae.ae_count
   | None -> 0
 
 let parents_of t pnode =
-  match Hashtbl.find_opt t.anc pnode with Some l -> List.rev !l | None -> []
+  match Hashtbl.find t.nodes pnode with s -> List.rev s.parents | exception Not_found -> []
 
 let children_of t pnode =
-  match Hashtbl.find_opt t.desc pnode with Some l -> List.rev !l | None -> []
+  match Hashtbl.find t.nodes pnode with s -> List.rev s.children | exception Not_found -> []
 
-let reach tbl ?limit start =
+let reach t next ?limit start =
   let cap = match limit with Some c -> c | None -> max_int in
   let seen : (Pnode.t, unit) Hashtbl.t = Hashtbl.create 64 in
   Hashtbl.replace seen start ();
@@ -418,19 +489,19 @@ let reach tbl ?limit start =
   while (not (Queue.is_empty queue)) && !count < cap do
     let p = Queue.pop queue in
     List.iter
-      (fun next ->
-        if not (Hashtbl.mem seen next) then begin
-          Hashtbl.replace seen next ();
+      (fun n ->
+        if not (Hashtbl.mem seen n) then begin
+          Hashtbl.replace seen n ();
           incr count;
-          out := next :: !out;
-          Queue.add next queue
+          out := n :: !out;
+          Queue.add n queue
         end)
-      (match Hashtbl.find_opt tbl p with Some l -> !l | None -> [])
+      (match Hashtbl.find t.nodes p with s -> next s | exception Not_found -> [])
   done;
   List.rev !out
 
-let reach_ancestors t ?limit pnode = reach t.anc ?limit pnode
-let reach_descendants t ?limit pnode = reach t.desc ?limit pnode
+let reach_ancestors t ?limit pnode = reach t (fun s -> s.parents) ?limit pnode
+let reach_descendants t ?limit pnode = reach t (fun s -> s.children) ?limit pnode
 
 let db_bytes t = t.db_bytes
 let index_bytes t = t.index_bytes
@@ -440,35 +511,12 @@ let total_bytes t = t.db_bytes + t.index_bytes
    over several volumes' databases (e.g. two NFS servers plus the local
    disk in the Figure 1 scenario). *)
 let merge_into ~dst ~src =
+  Hashtbl.iter (fun _ s -> copy_node dst s.node) src.nodes;
   Hashtbl.iter
-    (fun _ (n : node) ->
-      (match (n.kind, n.declared) with
-      | File, _ -> set_file dst n.pnode ~name:(Option.value n.node_name ~default:"")
-      | Virtual, true -> declare_virtual dst n.pnode
-      | Virtual, false ->
-          (* an undeclared stub stays a stub: merging must not launder a
-             dangling reference into a declared identity *)
-          let _ : node = node dst n.pnode in
-          ());
-      (match n.node_name with
-      | Some nm when n.kind = Virtual ->
-          (* preserve names of virtual objects too *)
-          let d = node dst n.pnode in
-          if d.node_name = None then d.node_name <- Some nm;
-          index_name dst nm n.pnode
-      | _ -> ());
-      (* carry version metadata: the max known version can exceed the
-         highest resident quad (empty versions), and the archive floor
-         must survive a merge-based load *)
-      let d = node dst n.pnode in
-      if n.max_version > d.max_version then d.max_version <- n.max_version;
-      if n.floor > d.floor then set_floor dst d n.floor)
-    src.nodes;
-  Hashtbl.iter
-    (fun (pnode, version) quads ->
+    (fun (pnode, version) c ->
       List.iter
         (fun (q : quad) -> add_record dst pnode ~version { attr = q.q_attr; value = q.q_value })
-        (List.rev !quads))
+        (List.rev c.c_quads))
     src.quads
 
 (* --- on-disk form ---------------------------------------------------------- *)
@@ -476,29 +524,44 @@ let merge_into ~dst ~src =
 (* Sum of per-attribute posting-list cardinalities: part of the PROVDB4
    index-stats footer, recomputed after load to prove the rebuilt
    secondary indexes agree with the writer's. *)
-let attr_entry_total t = Hashtbl.fold (fun _ ae acc -> acc + Hashtbl.length ae.ae_seen) t.attrs 0
+let attr_entry_total t = Hashtbl.fold (fun _ ae acc -> acc + ae.ae_count) t.attrs 0
+
+let sorted_slots t =
+  List.sort
+    (fun a b -> Pnode.compare a.node.pnode b.node.pnode)
+    (Hashtbl.fold (fun _ s acc -> s :: acc) t.nodes [])
+
+(* Every resident quad, nodes in pnode order, each node's versions
+   ascending, each version's quads in ingest order: the image order. *)
+let iter_quads t f =
+  List.iter
+    (fun s ->
+      List.iter
+        (fun v -> List.iter f (records_at_raw t s.node.pnode ~version:v))
+        s.resident)
+    (sorted_slots t)
 
 (* Serialize the node and quad tables (secondary indexes are rebuilt on
-   load, since add_record maintains them).  Deterministic order so
-   persisted images are stable.  Only resident quads are written (raw
-   accessors), so the hot tier snapshots without faulting the archive
-   in.  Quad bytes are a pure function of which versions are resident —
-   each version's quads live wholly in one tier and keep their ingest
-   order — so two dbs that went through the same compaction history
-   serialize identically no matter how they got there (replay, image
-   load, fault-in).
+   load).  Deterministic order so persisted images are stable, and [load]
+   relies on it: nodes sorted, each node's quads contiguous and grouped
+   by version.  Only resident quads are written (raw accessors), so the
+   hot tier snapshots without faulting the archive in.  Quad bytes are a
+   pure function of which versions are resident — each version's quads
+   live wholly in one tier and keep their ingest order — so two dbs that
+   went through the same compaction history serialize identically no
+   matter how they got there (replay, image load, fault-in).
 
    PROVDB4 appends an index-stats footer (ancestry-edge count and total
-   attr-index cardinality over the written quads); deserialize recomputes
+   attr-index cardinality over the written quads); [load] recomputes
    both from its rebuilt indexes and rejects the image on mismatch, so a
    db whose incremental index maintenance drifted cannot round-trip. *)
 let serialize t =
   let buf = Buffer.create 65536 in
   Wire.put_string buf "PROVDB4";
-  let nodes = List.sort (fun a b -> Pnode.compare a.pnode b.pnode) (all_nodes t) in
-  Wire.put_u32 buf (List.length nodes);
+  let slots = sorted_slots t in
+  Wire.put_u32 buf (List.length slots);
   List.iter
-    (fun n ->
+    (fun { node = n; _ } ->
       Wire.put_i64 buf (Pnode.to_int n.pnode);
       (* kind byte: 1 = file, 2 = declared virtual, 0 = undeclared stub *)
       Wire.put_u8 buf (match (n.kind, n.declared) with
@@ -508,77 +571,84 @@ let serialize t =
       Wire.put_string buf (Option.value n.node_name ~default:"");
       Wire.put_i64 buf n.max_version;
       Wire.put_i64 buf n.floor)
-    nodes;
-  let quads =
-    List.concat_map
-      (fun n ->
-        List.concat_map
-          (fun v -> records_at_raw t n.pnode ~version:v)
-          (List.init (n.max_version + 1) Fun.id))
-      nodes
-  in
-  Wire.put_u32 buf (List.length quads);
-  List.iter
-    (fun q ->
+    slots;
+  Wire.put_u32 buf t.quad_count;
+  iter_quads t (fun q ->
       Wire.put_i64 buf (Pnode.to_int q.q_pnode);
       Wire.put_i64 buf q.q_version;
-      Record.encode buf { Record.attr = q.q_attr; value = q.q_value })
-    quads;
+      Record.encode buf { Record.attr = q.q_attr; value = q.q_value });
   Wire.put_i64 buf t.edge_count;
   Wire.put_i64 buf (attr_entry_total t);
   Buffer.contents buf
 
-let deserialize image =
+let image_format image pos =
+  match Wire.get_string image pos with
+  | "PROVDB4" -> 4
+  | "PROVDB3" -> 3 (* pre-planner images: no index-stats footer *)
+  | "PROVDB2" -> 2 (* pre-floor images, still loadable *)
+  | _ -> Wire.corrupt "provdb: bad magic"
+
+(* The one-pass bulk loader.  The node table goes through [absorb_node];
+   the quads are taken in runs of one (pnode, version) — in [serialize]'s
+   order a cell is one run and a node's cells are adjacent — so each run
+   costs one slot lookup and one cell probe, and a record's size is the
+   span it was decoded from.  Any other order still loads correctly, a
+   run at a time. *)
+let load t image =
   let pos = ref 0 in
-  let version =
-    match Wire.get_string image pos with
-    | "PROVDB4" -> 4
-    | "PROVDB3" -> 3 (* pre-planner images: no index-stats footer *)
-    | "PROVDB2" -> 2 (* pre-floor images, still loadable *)
-    | _ -> Wire.corrupt "provdb: bad magic"
-  in
-  let t = create () in
+  let format = image_format image pos in
   let n_nodes = Wire.get_u32 image pos in
   for _ = 1 to n_nodes do
     let pnode = Pnode.of_int (Wire.get_i64 image pos) in
     let kind = Wire.get_u8 image pos in
     let name = Wire.get_string image pos in
-    let maxv = Wire.get_i64 image pos in
-    let floor = if version >= 3 then Wire.get_i64 image pos else 0 in
-    (match kind with
-    | 1 -> set_file t pnode ~name
-    | _ ->
-        if kind = 2 then declare_virtual t pnode
-        else begin
-          let _ : node = node t pnode in
-          ()
-        end;
-        (* virtual objects and stubs can carry names too (a merge or an
-           archived NAME record gives them one) *)
-        if name <> "" then begin
-          let n = node t pnode in
-          if n.node_name = None then n.node_name <- Some name;
-          index_name t name pnode
-        end);
-    (* honour stored version metadata: a compacted image's floor, and a
-       max_version that may exceed the highest resident quad *)
-    let n = node t pnode in
-    if maxv > n.max_version then n.max_version <- maxv;
-    if floor > 0 then set_floor t n floor
+    let max_version = Wire.get_i64 image pos in
+    let floor = if format >= 3 then Wire.get_i64 image pos else 0 in
+    absorb_node t pnode
+      ~kind:(if kind = 1 then File else Virtual)
+      ~declared:(kind = 1 || kind = 2)
+      ~name:(if name = "" then None else Some name)
+      ~max_version ~floor
   done;
+  let edges0 = t.edge_count and attrs0 = attr_entry_total t in
   let n_quads = Wire.get_u32 image pos in
-  for _ = 1 to n_quads do
-    let pnode = Pnode.of_int (Wire.get_i64 image pos) in
-    let version = Wire.get_i64 image pos in
-    let record = Record.decode image pos in
-    add_record t pnode ~version record
-  done;
-  if version >= 4 then begin
+  let rec quads k run =
+    if k > 0 then begin
+      let pnode = Pnode.of_int (Wire.get_i64 image pos) in
+      let v = Wire.get_i64 image pos in
+      let start = !pos in
+      let record = Record.decode image pos in
+      let ((s, _, c) as run) =
+        match run with
+        | Some ((s, version, _) as run) when Pnode.equal pnode s.node.pnode ->
+            if v = version then run else (s, v, cell t s v)
+        | _ ->
+            let s = slot t pnode in
+            (s, v, cell t s v)
+      in
+      insert t s ~version:v c record ~size:(!pos - start);
+      quads (k - 1) (Some run)
+    end
+  in
+  quads n_quads None;
+  if format >= 4 then begin
+    (* a load into a populated db (archive fault-in) adds cells disjoint
+       from the resident ones — compaction splits every node's versions
+       between the tiers — so the deltas are the image's own totals *)
     let edges = Wire.get_i64 image pos in
     let attr_total = Wire.get_i64 image pos in
-    if edges <> t.edge_count || attr_total <> attr_entry_total t then
+    if edges <> t.edge_count - edges0 || attr_total <> attr_entry_total t - attrs0 then
       Wire.corrupt "provdb: index-stats footer disagrees with rebuilt indexes"
-  end;
+  end
+
+(* Every node entry takes at least 21 image bytes, so a tampered header
+   cannot presize the tables past the image. *)
+let deserialize image =
+  let pos = ref 0 in
+  let _ : int = image_format image pos in
+  let n_nodes = Wire.get_u32 image pos in
+  let t = create_sized ~nodes:(min n_nodes (String.length image / 21)) in
+  load t image;
   t
 
 (* --- version compaction ---------------------------------------------------- *)
@@ -602,45 +672,29 @@ let deserialize image =
 let compact t ~keep =
   let keep = max 1 keep in
   let hot = create () and cold = create () in
-  let nodes = List.sort (fun a b -> Pnode.compare a.pnode b.pnode) (all_nodes t) in
-  let copy_node dst (n : node) =
-    (match (n.kind, n.declared) with
-    | File, _ -> set_file dst n.pnode ~name:(Option.value n.node_name ~default:"")
-    | Virtual, true -> declare_virtual dst n.pnode
-    | Virtual, false ->
-        let _ : node = node dst n.pnode in
-        ());
-    (match n.node_name with
-    | Some nm when n.kind = Virtual ->
-        let d = node dst n.pnode in
-        if d.node_name = None then d.node_name <- Some nm;
-        index_name dst nm n.pnode
-    | _ -> ());
-    let d = node dst n.pnode in
-    if n.max_version > d.max_version then d.max_version <- n.max_version
-  in
+  let slots = sorted_slots t in
   (* node tables first so add_record below finds fully-described nodes *)
   List.iter
-    (fun n ->
-      copy_node hot n;
-      copy_node cold n)
-    nodes;
+    (fun s ->
+      copy_node hot s.node;
+      copy_node cold s.node)
+    slots;
   List.iter
-    (fun (n : node) ->
+    (fun { node = n; resident; _ } ->
       let cutoff = max n.floor (max 0 (n.max_version - keep + 1)) in
-      for v = n.floor to n.max_version do
-        let dst = if v < cutoff then cold else hot in
-        List.iter
-          (fun (q : quad) ->
-            add_record dst q.q_pnode ~version:v { Record.attr = q.q_attr; value = q.q_value })
-          (records_at_raw t n.pnode ~version:v)
-      done;
-      let hn = node hot n.pnode in
-      set_floor hot hn cutoff;
+      List.iter
+        (fun v ->
+          if v >= n.floor then
+            let dst = if v < cutoff then cold else hot in
+            List.iter
+              (fun (q : quad) ->
+                add_record dst q.q_pnode ~version:v { Record.attr = q.q_attr; value = q.q_value })
+              (records_at_raw t n.pnode ~version:v))
+        resident;
+      set_floor hot (node hot n.pnode) cutoff;
       (* the cold db records the segment's base so it is self-describing *)
-      let cn = node cold n.pnode in
-      set_floor cold cn n.floor)
-    nodes;
+      set_floor cold (node cold n.pnode) n.floor)
+    slots;
   (hot, cold)
 
 (* --- integrity ----------------------------------------------------------- *)
@@ -663,7 +717,7 @@ let is_acyclic t =
         Hashtbl.replace color key 2;
         ok
   in
-  Hashtbl.fold (fun key _ acc -> acc && dfs key) t.fwd true
+  Hashtbl.fold (fun key c acc -> acc && (match c.c_out with [] -> true | _ -> dfs key)) t.quads true
 
 (* Transitive ancestor closure of (pnode, version): every (pnode, version)
    reachable over ancestry edges, *including* earlier versions linked by
@@ -683,72 +737,81 @@ let ancestors t pnode ~version =
 
 (* --- index self-check ------------------------------------------------------ *)
 
-(* Rebuild-and-compare: round-trip [t] through its on-disk form (which
-   reconstructs every secondary index from the quad store alone) and
-   diff each index against the live one.  Any drift in the incremental
-   maintenance — a missed posting, a stale adjacency row, a resident
-   version that leaked — shows up as a mismatch.  The chaos harness runs
-   this after crash/recover and after archive fault-in. *)
+(* Rebuild-and-compare: replay [t]'s node and quad tables, in image
+   order, through the record-at-a-time path ([absorb_node], [add_record])
+   into a fresh db, and diff each index and counter against the live
+   one.  The replay never goes through [load]: no run grouping, no
+   sizes from byte spans, no presizing — so on a recovered db it checks
+   what the bulk loader does differently.  On a live db, any drift in
+   the incremental maintenance — a missed posting, a stale adjacency
+   row, a resident version that leaked — shows up as a mismatch.  The
+   chaos harness runs this after crash/recover and after archive
+   fault-in. *)
 let verify_indexes t =
   (* settle the archive first: probing indexes below would otherwise
      fault it in while we iterate over the very tables it repopulates *)
   if t.floored > 0 then maybe_fault_in t;
+  let r = create () in
+  List.iter (fun s -> copy_node r s.node) (sorted_slots t);
+  iter_quads t (fun q ->
+      add_record r q.q_pnode ~version:q.q_version { Record.attr = q.q_attr; value = q.q_value });
   let sorted_versions l = List.sort_uniq Int.compare l in
   let eq_pnodes = List.equal Pnode.equal in
   let eq_ints = List.equal Int.equal in
   let describe p = string_of_int (Pnode.to_int p) in
-  match deserialize (serialize t) with
-  | exception Wire.Corrupt msg -> Error ("round-trip rejected: " ^ msg)
-  | r ->
-      let problem = ref None in
-      let fail msg = if !problem = None then problem := Some msg in
-      if node_count t <> node_count r then
-        fail
-          (Printf.sprintf "node count %d (live) vs %d (rebuilt)" (node_count t) (node_count r));
-      Hashtbl.iter
-        (fun p (n : node) ->
-          match find_node r p with
-          | None -> fail ("node " ^ describe p ^ " missing after rebuild")
-          | Some m ->
-              if not (Option.equal String.equal n.node_name m.node_name) then
-                fail ("node " ^ describe p ^ ": name index source drifted");
-              if n.max_version <> m.max_version || n.floor <> m.floor then
-                fail ("node " ^ describe p ^ ": version-range index drifted");
-              if
-                not
-                  (eq_ints
-                     (sorted_versions (resident_versions t p))
-                     (sorted_versions (resident_versions r p)))
-              then fail ("node " ^ describe p ^ ": resident-version index drifted");
-              if
-                not
-                  (eq_pnodes
-                     (List.sort Pnode.compare (parents_of t p))
-                     (List.sort Pnode.compare (parents_of r p)))
-              then fail ("node " ^ describe p ^ ": ancestry adjacency (parents) drifted");
-              if
-                not
-                  (eq_pnodes
-                     (List.sort Pnode.compare (children_of t p))
-                     (List.sort Pnode.compare (children_of r p)))
-              then fail ("node " ^ describe p ^ ": ancestry adjacency (children) drifted"))
-        t.nodes;
-      if Names.cardinal t.names <> Names.cardinal r.names then
-        fail "name index: alias count drifted";
-      Names.iter
-        (fun name _ ->
-          if not (eq_pnodes (find_by_name t name) (find_by_name r name)) then
-            fail ("name index: entries for \"" ^ name ^ "\" drifted"))
-        t.names;
-      if Hashtbl.length t.attrs <> Hashtbl.length r.attrs then
-        fail "attr index: attribute count drifted";
-      Hashtbl.iter
-        (fun attr _ ->
-          if attr_cardinality t attr <> attr_cardinality r attr then
-            fail ("attr index: cardinality of " ^ attr ^ " drifted")
-          else if not (List.equal (fun a b -> compare_pv a b = 0) (with_attr t attr) (with_attr r attr))
-          then fail ("attr index: postings for " ^ attr ^ " drifted"))
-        t.attrs;
-      if t.edge_count <> r.edge_count then fail "edge count drifted";
-      if t.file_count <> r.file_count then fail "file count drifted";
-      (match !problem with Some msg -> Error msg | None -> Ok ())
+  let problem = ref None in
+  let fail msg = if !problem = None then problem := Some msg in
+  if node_count t <> node_count r then
+    fail (Printf.sprintf "node count %d (live) vs %d (rebuilt)" (node_count t) (node_count r));
+  Hashtbl.iter
+    (fun p { node = n; _ } ->
+      match find_node r p with
+      | None -> fail ("node " ^ describe p ^ " missing after rebuild")
+      | Some m ->
+          if not (Option.equal String.equal n.node_name m.node_name) then
+            fail ("node " ^ describe p ^ ": name index source drifted");
+          if n.max_version <> m.max_version || n.floor <> m.floor then
+            fail ("node " ^ describe p ^ ": version-range index drifted");
+          if
+            not
+              (eq_ints
+                 (sorted_versions (resident_versions t p))
+                 (sorted_versions (resident_versions r p)))
+          then fail ("node " ^ describe p ^ ": resident-version index drifted");
+          if
+            not
+              (eq_pnodes
+                 (List.sort Pnode.compare (parents_of t p))
+                 (List.sort Pnode.compare (parents_of r p)))
+          then fail ("node " ^ describe p ^ ": ancestry adjacency (parents) drifted");
+          if
+            not
+              (eq_pnodes
+                 (List.sort Pnode.compare (children_of t p))
+                 (List.sort Pnode.compare (children_of r p)))
+          then fail ("node " ^ describe p ^ ": ancestry adjacency (children) drifted"))
+    t.nodes;
+  if Names.cardinal t.names <> Names.cardinal r.names then fail "name index: alias count drifted";
+  Names.iter
+    (fun name _ ->
+      if not (eq_pnodes (find_by_name t name) (find_by_name r name)) then
+        fail ("name index: entries for \"" ^ name ^ "\" drifted"))
+    t.names;
+  if Hashtbl.length t.attrs <> Hashtbl.length r.attrs then
+    fail "attr index: attribute count drifted";
+  Hashtbl.iter
+    (fun attr _ ->
+      if attr_cardinality t attr <> attr_cardinality r attr then
+        fail ("attr index: cardinality of " ^ attr ^ " drifted")
+      else if not (List.equal (fun a b -> compare_pv a b = 0) (with_attr t attr) (with_attr r attr))
+      then fail ("attr index: postings for " ^ attr ^ " drifted"))
+    t.attrs;
+  let counter name live rebuilt =
+    if live <> rebuilt then fail (Printf.sprintf "%s %d (live) vs %d (rebuilt)" name live rebuilt)
+  in
+  counter "edge count" t.edge_count r.edge_count;
+  counter "file count" t.file_count r.file_count;
+  counter "quad count" t.quad_count r.quad_count;
+  counter "db bytes" t.db_bytes r.db_bytes;
+  counter "index bytes" t.index_bytes r.index_bytes;
+  match !problem with Some msg -> Error msg | None -> Ok ()

@@ -6,11 +6,12 @@
     name so a glob's literal prefix is one range), an inverted
     attribute index with per-attribute cardinalities, a pnode-granular
     ancestry adjacency for transitive-reachability estimates, and a
-    per-node resident-version index.  All secondary indexes are
-    maintained incrementally by {!add_record}/{!set_file}, so every load
-    path (deserialize, merge, compact, archive fault-in) rebuilds them.
-    Byte accounting mirrors the paper's Table 3 ([db_bytes] for the
-    tables, [index_bytes] for the indexes). *)
+    per-node resident-version index.  {!add_record}/{!set_file} maintain
+    the secondary indexes one record at a time (ingest, {!merge_into},
+    {!compact}); {!load} rebuilds them from an on-disk image in one pass
+    (restart, archive fault-in); {!verify_indexes} checks either against
+    a record-at-a-time replay.  Byte accounting mirrors the paper's
+    Table 3 ([db_bytes] for the tables, [index_bytes] for the indexes). *)
 
 module Pnode = Pass_core.Pnode
 module Pvalue = Pass_core.Pvalue
@@ -29,9 +30,8 @@ type node = {
   mutable floor : int;
       (** Versions below the floor were compacted into a cold-tier
           archive segment; the hot db holds [floor, max_version].  [0]
-          means nothing archived.  Maintained by {!compact},
-          {!deserialize} and {!merge_into} — not meant to be set by
-          hand. *)
+          means nothing archived.  Maintained by {!compact}, {!load}
+          and {!merge_into} — not meant to be set by hand. *)
 }
 
 type quad = { q_pnode : Pnode.t; q_version : int; q_attr : string; q_value : Pvalue.t }
@@ -131,16 +131,28 @@ val reach_descendants : t -> ?limit:int -> Pnode.t -> Pnode.t list
 
 val serialize : t -> string
 (** On-disk image of the node and quad tables (indexes are rebuilt by
-    {!deserialize}).  The current format, PROVDB4, appends an
-    index-stats footer so a loader can prove its rebuilt indexes agree
-    with the writer's. *)
+    {!load}), in a deterministic order the loader relies on: nodes in
+    pnode order, each node's quads contiguous, grouped by ascending
+    version, each version's in ingest order.  The current format,
+    PROVDB4, appends an index-stats footer so a loader can prove its
+    rebuilt indexes agree with the writer's. *)
+
+val load : t -> string -> unit
+(** [load t image] adds an image's nodes and quads to [t] in one pass,
+    building every secondary index as it goes, with {!merge_into}'s
+    semantics for the node table ([max_version] and [floor] take the max
+    of both sides).  Accepts PROVDB4 as well as the older PROVDB3/PROVDB2
+    formats (which lack the stats footer).  The PROVDB4 footer is checked
+    against what the load added, so the image's cells must be new to [t]
+    — as an archive segment's are to the hot tier it faults into.  Fast
+    on [serialize]'s order; correct on any quad order.
+    @raise Wire.Corrupt on a malformed image, or when a PROVDB4 footer
+    disagrees with the rebuilt indexes; [t] may then hold part of the
+    image. *)
 
 val deserialize : string -> t
-(** Loads PROVDB4 images as well as the older PROVDB3/PROVDB2 formats
-    (which lack the stats footer); secondary indexes are rebuilt either
-    way, so pre-planner images gain the new indexes on load.
-    @raise Wire.Corrupt on a malformed image, or when a PROVDB4 footer
-    disagrees with the rebuilt indexes. *)
+(** [load] into a fresh db whose tables are presized from the image
+    header.  @raise Wire.Corrupt as {!load}. *)
 
 val merge_into : dst:t -> src:t -> unit
 (** Merge [src] into [dst], giving the query engine a unified view over
@@ -185,10 +197,11 @@ val ancestors : t -> Pnode.t -> version:int -> (Pnode.t * int) list
     walks). *)
 
 val verify_indexes : t -> (unit, string) result
-(** Rebuild-and-compare self-check: round-trips the db through its
-    on-disk form (which reconstructs every secondary index from the quad
-    store alone) and diffs each maintained index — names, attr postings
-    and cardinalities, ancestry adjacency, resident versions, version
-    ranges, counters — against the live one.  [Error msg] names the
-    first drift found.  Faults the archive in first so the comparison
-    covers the whole history. *)
+(** Rebuild-and-compare self-check: replays the node and quad tables
+    through {!set_file}/{!add_record} into a fresh db — never through
+    {!load}, so a loaded db is checked against the record-at-a-time
+    path — and diffs each index against the live one: names, attr postings and
+    cardinalities, ancestry adjacency, resident versions, version ranges,
+    and the edge, file and quad counts and byte counters.  [Error msg]
+    names the first drift found.  Faults the archive in first so the
+    comparison covers the whole history. *)

@@ -759,13 +759,153 @@ let prop_prefix_probe =
       List.for_all prefix_probe_agrees
         [ db; merged; hot; cold; Provdb.deserialize (Provdb.serialize merged) ])
 
+(* --- the bulk loader against an add_record replay ---------------------------- *)
+
+(* A Provdb image taken apart: raw node entries (pnode, kind byte, name,
+   max version, floor) and the quads in image order. *)
+type image = { i_nodes : (int * int * string * int * int) list; i_quads : (int * int * Record.t) list }
+
+let parse_image s =
+  let pos = ref 0 in
+  let format = match Wire.get_string s pos with "PROVDB2" -> 2 | "PROVDB3" -> 3 | _ -> 4 in
+  let node _ =
+    let p = Wire.get_i64 s pos in
+    let kind = Wire.get_u8 s pos in
+    let name = Wire.get_string s pos in
+    let maxv = Wire.get_i64 s pos in
+    (p, kind, name, maxv, if format >= 3 then Wire.get_i64 s pos else 0)
+  in
+  let i_nodes = List.init (Wire.get_u32 s pos) node in
+  let quad _ =
+    let p = Wire.get_i64 s pos in
+    let v = Wire.get_i64 s pos in
+    (p, v, Record.decode s pos)
+  in
+  { i_nodes; i_quads = List.init (Wire.get_u32 s pos) quad }
+
+(* Re-encode under [magic]: PROVDB2 drops the floors, and only a PROVDB4
+   image takes the index-stats footer the caller supplies. *)
+let build_image ~magic ?footer img =
+  let buf = Buffer.create 1024 in
+  Wire.put_string buf magic;
+  Wire.put_u32 buf (List.length img.i_nodes);
+  List.iter
+    (fun (p, kind, name, maxv, floor) ->
+      Wire.put_i64 buf p;
+      Wire.put_u8 buf kind;
+      Wire.put_string buf name;
+      Wire.put_i64 buf maxv;
+      if not (String.equal magic "PROVDB2") then Wire.put_i64 buf floor)
+    img.i_nodes;
+  Wire.put_u32 buf (List.length img.i_quads);
+  List.iter
+    (fun (p, v, r) ->
+      Wire.put_i64 buf p;
+      Wire.put_i64 buf v;
+      Record.encode buf r)
+    img.i_quads;
+  Option.iter
+    (fun (edges, attrs) ->
+      Wire.put_i64 buf edges;
+      Wire.put_i64 buf attrs)
+    footer;
+  Buffer.contents buf
+
+let footer_of s =
+  let pos = ref (String.length s - 16) in
+  let edges = Wire.get_i64 s pos in
+  (edges, Wire.get_i64 s pos)
+
+(* The oracle: the node table alone (a footerless image without quads),
+   then every quad through add_record, one at a time, in image order. *)
+let replay_image ~magic img =
+  let magic = if String.equal magic "PROVDB2" then magic else "PROVDB3" in
+  let db = Provdb.deserialize (build_image ~magic { img with i_quads = [] }) in
+  List.iter (fun (p, v, r) -> Provdb.add_record db (Pnode.of_int p) ~version:v r) img.i_quads;
+  db
+
+let attr_pool = [ "INPUT"; "input"; "NAME"; "Name"; "TYPE"; "PARAMS"; "nope" ]
+
+(* Order-sensitive agreement of everything a query reads. *)
+let same_db a b =
+  let eq_q (x : Provdb.quad) (y : Provdb.quad) =
+    Pnode.equal x.q_pnode y.q_pnode && x.q_version = y.q_version
+    && String.equal x.q_attr y.q_attr && Pvalue.equal x.q_value y.q_value
+  in
+  let eq_x (x : Pvalue.xref) (y : Pvalue.xref) = Pnode.equal x.pnode y.pnode && x.version = y.version in
+  let eq_in (p, v, a, w) (p', v', a', w') = Pnode.equal p p' && v = v' && String.equal a a' && w = w' in
+  let eq_out (v, a, x) (v', a', x') = v = v' && String.equal a a' && eq_x x x' in
+  let eq_pv x y = Provdb.compare_pv x y = 0 in
+  let pnodes = List.sort Pnode.compare (List.map (fun (n : Provdb.node) -> n.pnode) (Provdb.all_nodes a)) in
+  String.equal (Provdb.serialize a) (Provdb.serialize b)
+  && Provdb.db_bytes a = Provdb.db_bytes b
+  && Provdb.index_bytes a = Provdb.index_bytes b
+  && Provdb.quad_count a = Provdb.quad_count b
+  && List.for_all
+       (fun p ->
+         List.equal eq_in (Provdb.in_edges a p) (Provdb.in_edges b p)
+         && List.equal eq_out (Provdb.out_edges_all a p) (Provdb.out_edges_all b p)
+         && List.equal eq_q (Provdb.records_all a p) (Provdb.records_all b p)
+         && List.equal Pnode.equal (Provdb.reach_ancestors a p) (Provdb.reach_ancestors b p)
+         && List.equal Pnode.equal (Provdb.reach_descendants a p) (Provdb.reach_descendants b p))
+       pnodes
+  && List.for_all
+       (fun attr ->
+         List.equal eq_pv (Provdb.with_attr a attr) (Provdb.with_attr b attr)
+         && Provdb.attr_cardinality a attr = Provdb.attr_cardinality b attr)
+       attr_pool
+  && List.for_all
+       (fun prefix ->
+         List.equal Pnode.equal (Provdb.find_by_name_prefix a prefix)
+           (Provdb.find_by_name_prefix b prefix))
+       [ ""; "a"; "out"; "zzz" ]
+
+let loads_like_replay image =
+  let img = parse_image image in
+  let footer = footer_of image in
+  let shuffled = { img with i_quads = List.rev img.i_quads } in
+  let tampered =
+    build_image ~magic:"PROVDB4" ~footer:(fst footer, snd footer + 1) img
+  in
+  Result.is_ok (Provdb.verify_indexes (Provdb.deserialize image))
+  && same_db (Provdb.deserialize image) (replay_image ~magic:"PROVDB4" img)
+  && same_db
+       (Provdb.deserialize (build_image ~magic:"PROVDB4" ~footer shuffled))
+       (replay_image ~magic:"PROVDB4" shuffled)
+  && List.for_all
+       (fun magic -> same_db (Provdb.deserialize (build_image ~magic img)) (replay_image ~magic img))
+       [ "PROVDB3"; "PROVDB2" ]
+  && match Provdb.deserialize tampered with exception Wire.Corrupt _ -> true | _ -> false
+
+(* The bulk loader builds what an add_record replay of the same image
+   builds — on random, merged and compacted dbs, on quads out of image
+   order and on pre-footer headers — and an archive segment loaded into
+   its hot tier equals the merge of the decoded segment. *)
+let prop_loader_matches_replay =
+  QCheck2.Test.make ~name:"provdb: bulk loader = add_record replay" ~count:200
+    QCheck2.Gen.(pair gen_graph gen_graph)
+    (fun (specs, other) ->
+      let db = build_random_db specs in
+      let merged = build_random_db other in
+      Provdb.merge_into ~dst:merged ~src:db;
+      let hot, cold = Provdb.compact merged ~keep:1 in
+      let faulted = Provdb.deserialize (Provdb.serialize hot) in
+      Provdb.load faulted (Provdb.serialize cold);
+      let merged_in = Provdb.deserialize (Provdb.serialize hot) in
+      Provdb.merge_into ~dst:merged_in ~src:(Provdb.deserialize (Provdb.serialize cold));
+      List.for_all (fun d -> loads_like_replay (Provdb.serialize d)) [ db; merged; hot; cold ]
+      && String.equal (Provdb.serialize faulted) (Provdb.serialize merged_in)
+      && Provdb.db_bytes faulted = Provdb.db_bytes merged_in
+      && Provdb.index_bytes faulted = Provdb.index_bytes merged_in
+      && Result.is_ok (Provdb.verify_indexes faulted))
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_print_parse_roundtrip; prop_glob; prop_glob_star ]
   @ List.map
       (fun prop ->
         QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) prop)
-      [ prop_planner_matches_naive; prop_prefix_probe ]
+      [ prop_planner_matches_naive; prop_prefix_probe; prop_loader_matches_replay ]
 
 let suite =
   [

@@ -119,6 +119,28 @@ let prop_storage_roundtrip =
              String.equal r.attr q.q_attr && Pvalue.equal r.value q.q_value)
            records stored)
 
+(* Waldo charges each record its encoded size without encoding it: the
+   arithmetic must match the encoder on every value shape, including the
+   ones the storage round trip above does not generate. *)
+let prop_record_encoded_size =
+  let gen_wire_value =
+    QCheck2.Gen.(
+      oneof
+        [
+          gen_value;
+          map (fun s -> Pvalue.Bytes s) (string_size (int_bound 40));
+          map (fun l -> Pvalue.Strs l) (list_size (int_bound 5) (string_size ~gen:printable (int_bound 12)));
+          map2 (fun p v -> Pvalue.xref (Pnode.of_int p) v) int int;
+        ])
+  in
+  QCheck2.Test.make ~name:"Record.encoded_size = length of Record.encode" ~count:300
+    QCheck2.Gen.(pair (oneof [ gen_attr; string_size ~gen:printable (int_bound 20) ]) gen_wire_value)
+    (fun (attr, value) ->
+      let r = Record.make attr value in
+      let buf = Buffer.create 64 in
+      Record.encode buf r;
+      Record.encoded_size r = Buffer.length buf)
+
 (* --- distributor invariant 4 under random traffic ----------------------------- *)
 
 type dop = Mk | Disclose of int * int | Anchor of int | Sync of int
@@ -221,6 +243,7 @@ let qcheck_cases =
       prop_sxml_parser_total;
       prop_sxml_roundtrip;
       prop_storage_roundtrip;
+      prop_record_encoded_size;
       prop_distributor_invariant;
       prop_ctx_monotone;
     ]

@@ -346,6 +346,52 @@ let test_checkpoint_recover_roundtrip () =
   check tbool "recovered graph equals pre-crash graph" true
     (String.equal reference (Provdb.serialize (Waldo.db w2)))
 
+(* Ingest after a bulk load: the recovered db is built by the image
+   loader, then the log suffix lands on it record by record — repeated
+   attributes in loaded cells, edges to parents the image already links,
+   and new ones.  Its indexes must verify, and it must serialize like
+   the db that never crashed. *)
+let test_ingest_after_bulk_load () =
+  let disk, _ext3, lasagna, waldo, _registry =
+    fresh_ckpt ~policy:Waldo.Manual ~log_max:256 ()
+  in
+  let ep = Lasagna.endpoint lasagna in
+  let mk name =
+    let h = Helpers.ok (ep.pass_mkobj ~volume:(Some "vol0")) in
+    Helpers.ok (Dpapi.disclose ep h [ Record.name name ]);
+    h
+  in
+  let src = mk "src" and lib = mk "lib" and out = mk "out" in
+  let input (h : Dpapi.handle) = Record.input_of h.Dpapi.pnode 0 in
+  Helpers.ok (Dpapi.disclose ep out [ input src; Record.make "PARAMS" (Pvalue.Int 1) ]);
+  ignore (Waldo.finalize waldo lasagna : int);
+  Helpers.ok_fs (Waldo.checkpoint waldo);
+  (* suffix: a repeated attribute and a known edge in a loaded cell, a
+     new edge, and a new object *)
+  let late = mk "late" in
+  Helpers.ok
+    (Dpapi.disclose ep out [ Record.make "PARAMS" (Pvalue.Int 2); input src; input lib; input late ]);
+  Lasagna.flush_log lasagna;
+  let live = Waldo.db waldo in
+  let reference = Provdb.serialize live in
+  Simdisk.Disk.crash disk;
+  Simdisk.Disk.revive disk;
+  let ext3 = Ext3.mount disk in
+  let w2, info = Helpers.ok_fs (Waldo.recover ~lower:(Ext3.ops ext3) ()) in
+  check tbool "recovered from the checkpoint" true info.Waldo.ri_manifest;
+  check tbool "suffix replayed onto the loaded db" true (info.Waldo.ri_frames_replayed >= 1);
+  let db = Waldo.db w2 in
+  (match Provdb.verify_indexes db with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "indexes after suffix ingest: %s" msg);
+  check tbool "serializes like the never-crashed db" true
+    (String.equal reference (Provdb.serialize db));
+  check tint "db bytes" (Provdb.db_bytes live) (Provdb.db_bytes db);
+  check tint "index bytes" (Provdb.index_bytes live) (Provdb.index_bytes db);
+  check tint "PARAMS postings" (Provdb.attr_cardinality live "PARAMS")
+    (Provdb.attr_cardinality db "PARAMS");
+  check tint "out's parents" 3 (List.length (Provdb.reach_ancestors db out.Dpapi.pnode))
+
 let suite =
   [
     Alcotest.test_case "ingestion fidelity" `Quick test_ingestion_fidelity;
@@ -366,4 +412,5 @@ let suite =
       test_every_frames_auto_checkpoint;
     Alcotest.test_case "checkpoint/recover round trip" `Quick
       test_checkpoint_recover_roundtrip;
+    Alcotest.test_case "ingest after a bulk load" `Quick test_ingest_after_bulk_load;
   ]
