@@ -18,6 +18,27 @@ type error =
   | Eagain  (* backpressure: retry later (write-behind queue full) *)
   | Emsg of string  (* anything else, with an explanation *)
 
+let of_errno : Vfs.errno -> error = function
+  | Vfs.ENOENT -> Enoent
+  | Vfs.EEXIST -> Eexist
+  | Vfs.EINVAL -> Einval
+  | Vfs.ESTALE | Vfs.EBADF -> Estale
+  | Vfs.ENOSPC -> Enospc
+  | Vfs.ECRASH -> Ecrashed
+  | Vfs.EAGAIN -> Eagain
+  | Vfs.EIO | Vfs.ENOTDIR | Vfs.EISDIR | Vfs.ENOTEMPTY -> Eio
+
+let to_errno : error -> Vfs.errno = function
+  | Enoent -> Vfs.ENOENT
+  | Eexist -> Vfs.EEXIST
+  | Einval -> Vfs.EINVAL
+  | Estale -> Vfs.ESTALE
+  | Enospc -> Vfs.ENOSPC
+  | Ecrashed -> Vfs.ECRASH
+  | Ebadf -> Vfs.EBADF
+  | Eagain -> Vfs.EAGAIN
+  | Eio | Emsg _ -> Vfs.EIO
+
 let error_to_string = function
   | Enoent -> "ENOENT"
   | Eio -> "EIO"
@@ -140,11 +161,14 @@ let decode_bundle s pos =
   in
   loop n []
 
-(* Size probes run on every hot-path write; reuse one scratch buffer
-   instead of allocating per call. *)
-let size_scratch = Buffer.create 256
-
+(* Arithmetic twin of [encode_bundle] (the u32 count, then per entry the
+   i64 pnode, the length-prefixed volume and the u32 record count): size
+   probes run on every hot-path write and must not encode. *)
 let bundle_size bundle =
-  Buffer.clear size_scratch;
-  encode_bundle size_scratch bundle;
-  Buffer.length size_scratch
+  List.fold_left
+    (fun acc { target; records } ->
+      List.fold_left
+        (fun acc r -> acc + Record.encoded_size r)
+        (acc + 16 + match target.volume with Some v -> String.length v | None -> 0)
+        records)
+    4 bundle

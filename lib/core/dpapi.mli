@@ -21,6 +21,14 @@ type error =
 
 val error_to_string : error -> string
 
+val of_errno : Vfs.errno -> error
+(** The DPAPI error a file-system errno surfaces as: [EBADF] reads as a
+    stale handle, and the directory-shape errnos ([ENOTDIR], [EISDIR],
+    [ENOTEMPTY]) as [Eio]. *)
+
+val to_errno : error -> Vfs.errno
+(** The errno a DPAPI error surfaces as on a VFS face; [Emsg] is [EIO]. *)
+
 type handle = { pnode : Pnode.t; volume : string option }
 (** A handle names an object.  Files carry the volume they live on; virtual
     objects (processes, pipes, browser sessions, data sets) carry
@@ -63,5 +71,5 @@ val encode_bundle : Buffer.t -> bundle -> unit
 val decode_bundle : string -> int ref -> bundle
 
 val bundle_size : bundle -> int
-(** Encoded size in bytes, used by PA-NFS to decide whether a transaction
+(** Encoded size in bytes, computed without encoding; used by PA-NFS to decide whether a transaction
     is needed (the 64 KB rule of Section 6.1.2). *)

@@ -74,17 +74,7 @@ let wap_interference_ns = 400_000
 
 let ( let* ) = Result.bind
 
-let errno_to_dpapi : Vfs.errno -> Dpapi.error = function
-  | Vfs.ENOENT -> Dpapi.Enoent
-  | Vfs.EEXIST -> Dpapi.Eexist
-  | Vfs.EINVAL -> Dpapi.Einval
-  | Vfs.ESTALE | Vfs.EBADF -> Dpapi.Estale
-  | Vfs.ENOSPC -> Dpapi.Enospc
-  | Vfs.ECRASH -> Dpapi.Ecrashed
-  | Vfs.EAGAIN -> Dpapi.Eagain
-  | Vfs.EIO | Vfs.ENOTDIR | Vfs.EISDIR | Vfs.ENOTEMPTY -> Dpapi.Eio
-
-let lift r = Result.map_error errno_to_dpapi r
+let lift r = Result.map_error Dpapi.of_errno r
 
 (* Transient disk errors (the fault plan's EIO kind) are retried a few
    times before surfacing; permanent EIO still escapes after the budget.

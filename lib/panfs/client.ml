@@ -14,9 +14,13 @@
    version number independently — version branching — which the paper
    accepts; [test_panfs] exercises it.
 
-   Large writes (provenance + data > 64 KB) are encapsulated in
-   transactions; the individual steps are exposed so tests can simulate a
-   client crash between OP_BEGINTXN and the terminating OP_PASSWRITE. *)
+   Every provenance write leaves through one route, [submit]: the backlog
+   of parked writes replays first, then the new writes go out oldest
+   first, grouped into OP_PASSBATCH envelopes; a write that cannot share
+   an envelope travels alone, as one OP_PASSWRITE or — when provenance
+   plus data exceed 64 KB — as a transaction.  The transaction steps are
+   exposed so tests can simulate a client crash between OP_BEGINTXN and
+   the terminating OP_PASSWRITE. *)
 
 module Dpapi = Pass_core.Dpapi
 module Ctx = Pass_core.Ctx
@@ -27,7 +31,7 @@ module Pnode = Pass_core.Pnode
 type instruments = {
   rpcs : Telemetry.counter;
   txns : Telemetry.counter;
-  inline_writes : Telemetry.counter; (* pass_writes that fit in one OP_PASSWRITE *)
+  inline_writes : Telemetry.counter; (* writes sent as one lone OP_PASSWRITE *)
   rpc_latency : Telemetry.histogram; (* simulated ns per RPC round trip *)
   retries : Telemetry.counter; (* nfs.retries: retransmissions after a timeout *)
   backpressure : Telemetry.counter; (* nfs.backpressure: EAGAINs on a full backlog *)
@@ -69,8 +73,8 @@ type prov_buf = {
   mutable vb_bundle : Dpapi.bundle; (* reversed *)
 }
 
-(* One provenance write waiting out a partition in the write-behind
-   backlog. *)
+(* One provenance write on its way to the server: a flushed rider, a
+   write sent alone, or one parked in the backlog. *)
 type wb_item = {
   wi_handle : Dpapi.handle;
   wi_off : int;
@@ -89,7 +93,7 @@ type t = {
   i : instruments;
   client_id : int;
   mutable seq : int;
-  wb : wb_item Queue.t; (* provenance writes the server couldn't take *)
+  wb : wb_item Queue.t; (* the backlog: parked writes, oldest first *)
   wb_high_water : int;
   piggyback : bool; (* coalesce independent writes into OP_PASSBATCH *)
   mutable crashed : bool;
@@ -172,26 +176,33 @@ let call t req =
   | Some resp -> resp
   | None -> Proto.R_err Vfs.EIO
 
-let lift_err = function
-  | Vfs.ENOENT -> Dpapi.Enoent
-  | Vfs.EEXIST -> Dpapi.Eexist
-  | Vfs.EINVAL -> Dpapi.Einval
-  | Vfs.ESTALE | Vfs.EBADF -> Dpapi.Estale
-  | Vfs.ENOSPC -> Dpapi.Enospc
-  | Vfs.ECRASH -> Dpapi.Ecrashed
-  | Vfs.EAGAIN -> Dpapi.Eagain
-  | Vfs.EIO | Vfs.ENOTDIR | Vfs.EISDIR | Vfs.ENOTEMPTY -> Dpapi.Eio
+let reply_errno = function Proto.R_err e -> e | _ -> Vfs.EIO
 
-let lower_err = function
-  | Dpapi.Enoent -> Vfs.ENOENT
-  | Dpapi.Eexist -> Vfs.EEXIST
-  | Dpapi.Einval -> Vfs.EINVAL
-  | Dpapi.Estale -> Vfs.ESTALE
-  | Dpapi.Enospc -> Vfs.ENOSPC
-  | Dpapi.Ecrashed -> Vfs.ECRASH
-  | Dpapi.Ebadf -> Vfs.EBADF
-  | Dpapi.Eagain -> Vfs.EAGAIN
-  | Dpapi.Eio | Dpapi.Emsg _ -> Vfs.EIO
+(* A VFS-face call: [expect] recognises the success reply; a timeout is
+   EIO. *)
+let vfs_call t req expect =
+  let resp = call t req in
+  match expect resp with Some v -> Ok v | None -> Error (reply_errno resp)
+
+(* A provenance call keeps a timeout apart from a refusal: a write the
+   server never acknowledged may be parked and replayed, a refused one
+   may not. *)
+type failure = Timeout | Refused of Dpapi.error
+
+let rpc t req expect =
+  match call_opt t req with
+  | None -> Error Timeout
+  | Some resp -> (
+      match expect resp with
+      | Some v -> Ok v
+      | None -> Error (Refused (Dpapi.of_errno (reply_errno resp))))
+
+(* The DPAPI face reports a timeout as EIO, as the VFS face does. *)
+let dpapi r = Result.map_error (function Timeout -> Dpapi.Eio | Refused e -> e) r
+
+let unit_reply = function Proto.R_ok -> Some () | _ -> None
+let version_reply = function Proto.R_version v -> Some v | _ -> None
+let pnode_reply = function Proto.R_handle { pnode } -> Some pnode | _ -> None
 
 (* --- write-behind ------------------------------------------------------------ *)
 
@@ -201,14 +212,10 @@ let flush_plain t =
   | Some pb ->
       t.plain_pending <- None;
       if Buffer.length pb.pb_data = 0 then Ok ()
-      else begin
-        match
-          call t (Proto.Write { ino = pb.pb_ino; off = pb.pb_off; data = Buffer.contents pb.pb_data })
-        with
-        | Proto.R_ok -> Ok ()
-        | Proto.R_err e -> Error e
-        | _ -> Error Vfs.EIO
-      end
+      else
+        vfs_call t
+          (Proto.Write { ino = pb.pb_ino; off = pb.pb_off; data = Buffer.contents pb.pb_data })
+          unit_reply
 
 let buffered_plain_write t ino ~off data =
   let fits =
@@ -236,63 +243,57 @@ let buffered_plain_write t ino ~off data =
 (* --- handles ---------------------------------------------------------------- *)
 
 let file_handle t ino =
-  match Hashtbl.find_opt t.pnode_cache ino with
-  | Some p -> Ok (Dpapi.handle ~volume:t.mount_name p)
-  | None -> (
-      match call t (Proto.Op_pnode { ino }) with
-      | Proto.R_handle { pnode } ->
-          Hashtbl.replace t.pnode_cache ino pnode;
-          Ok (Dpapi.handle ~volume:t.mount_name pnode)
-      | Proto.R_err e -> Error e
-      | _ -> Error Vfs.EIO)
+  let ( let* ) = Result.bind in
+  let* pnode =
+    match Hashtbl.find_opt t.pnode_cache ino with
+    | Some p -> Ok p
+    | None ->
+        let* pnode = vfs_call t (Proto.Op_pnode { ino }) pnode_reply in
+        Hashtbl.replace t.pnode_cache ino pnode;
+        Ok pnode
+  in
+  Ok (Dpapi.handle ~volume:t.mount_name pnode)
 
-(* --- transactions (exposed for crash tests) --------------------------------- *)
+(* --- transaction steps ------------------------------------------------------ *)
 
-let begin_txn t =
-  match call t Proto.Op_begintxn with
-  | Proto.R_txn id ->
-      Telemetry.incr t.i.txns;
-      Ok id
-  | Proto.R_err e -> Error (lift_err e)
-  | _ -> Error Dpapi.Eio
+let txn_begin t =
+  let r = rpc t Proto.Op_begintxn (function Proto.R_txn id -> Some id | _ -> None) in
+  if Result.is_ok r then Telemetry.incr t.i.txns;
+  r
 
-let send_prov_chunk t ~txn chunk =
-  match call t (Proto.Op_passprov { txn; chunk }) with
-  | Proto.R_ok -> Ok ()
-  | Proto.R_err e -> Error (lift_err e)
-  | _ -> Error Dpapi.Eio
+let txn_chunk t ~txn chunk = rpc t (Proto.Op_passprov { txn; chunk }) unit_reply
 
-let end_txn_write t ~txn (h : Dpapi.handle) ~off ~data =
+let txn_end t ~txn (h : Dpapi.handle) ~off ~data =
   let endtxn =
     [ Dpapi.entry h [ Record.make Record.Attr.endtxn (Pass_core.Pvalue.Int txn) ] ]
   in
-  match
-    call t (Proto.Op_passwrite { pnode = h.pnode; off; data; bundle = endtxn; txn = Some txn })
-  with
-  | Proto.R_version v -> Ok v
-  | Proto.R_err e -> Error (lift_err e)
-  | _ -> Error Dpapi.Eio
+  rpc t (Proto.Op_passwrite { pnode = h.pnode; off; data; bundle = endtxn; txn = Some txn })
+    version_reply
 
-(* Split a bundle into chunks whose encoded size stays under the 64 KB
-   client block size.  An entry whose own record list is oversized is
-   split into several entries for the same target. *)
+let begin_txn t = dpapi (txn_begin t)
+let send_prov_chunk t ~txn chunk = dpapi (txn_chunk t ~txn chunk)
+let end_txn_write t ~txn h ~off ~data = dpapi (txn_end t ~txn h ~off ~data)
+
+(* Encoded-size budget for one envelope: an OP_PASSBATCH's items, or one
+   OP_PASSPROV chunk (headroom for the framing under the block size). *)
+let batch_budget = Proto.block_limit - 1024
+let max_batch_items = 16
+
+(* Split a bundle into chunks whose encoded size stays within
+   [batch_budget].  An entry whose own record list is oversized is split
+   into several entries for the same target. *)
 let chunk_bundle bundle =
-  let budget = Proto.block_limit - 1024 in
   (* first explode oversized entries *)
   let exploded =
     List.concat_map
       (fun (e : Dpapi.bundle_entry) ->
-        if Dpapi.bundle_size [ e ] <= budget then [ e ]
+        if Dpapi.bundle_size [ e ] <= batch_budget then [ e ]
         else begin
           let groups = ref [] and current = ref [] and size = ref 0 in
           List.iter
             (fun r ->
-              let rsz =
-                let buf = Buffer.create 64 in
-                Record.encode buf r;
-                Buffer.length buf
-              in
-              if !size + rsz > budget && !current <> [] then begin
+              let rsz = Record.encoded_size r in
+              if !size + rsz > batch_budget && !current <> [] then begin
                 groups := List.rev !current :: !groups;
                 current := [];
                 size := 0
@@ -309,103 +310,66 @@ let chunk_bundle bundle =
     | [] -> List.rev (if current = [] then acc else List.rev current :: acc)
     | (e : Dpapi.bundle_entry) :: rest ->
         let sz = Dpapi.bundle_size [ e ] in
-        if current <> [] && current_size + sz > budget then
+        if current <> [] && current_size + sz > batch_budget then
           go [ e ] sz (List.rev current :: acc) rest
         else go (e :: current) (current_size + sz) acc rest
   in
   go [] 0 [] exploded
 
-(* --- DPAPI face -------------------------------------------------------------- *)
+(* --- the send path ------------------------------------------------------------ *)
 
-let take_pending t pnode =
-  match Hashtbl.find_opt t.pending_freezes pnode with
-  | Some records ->
-      Hashtbl.remove t.pending_freezes pnode;
-      List.rev records
-  | None -> []
-
-let attach_pending t (h : Dpapi.handle) bundle =
-  let pending = take_pending t h.pnode in
-  if pending = [] then bundle else Dpapi.entry h pending :: bundle
-
-(* The actual wire send: one OP_PASSWRITE, or a transaction when the
-   bundle plus data exceed the block size.  [`Timeout] means the server
-   never acknowledged (possibly mid-transaction — the server-side
-   fragment becomes an orphan Waldo discards); the caller may park the
-   write in the backlog and replay it later. *)
-let send_passwrite_now t (h : Dpapi.handle) ~off ~data bundle =
-  let total = Dpapi.bundle_size bundle + match data with Some d -> String.length d | None -> 0 in
-  if total <= Proto.block_limit then begin
-    Telemetry.incr t.i.inline_writes;
-    match call_opt t (Proto.Op_passwrite { pnode = h.pnode; off; data; bundle; txn = None }) with
-    | None -> Error `Timeout
-    | Some (Proto.R_version v) -> Ok v
-    | Some (Proto.R_err e) -> Error (`Err (lift_err e))
-    | Some _ -> Error (`Err Dpapi.Eio)
-  end
-  else begin
-    let step req ok_of =
-      match call_opt t req with
-      | None -> Error `Timeout
-      | Some resp -> (
-          match ok_of resp with
-          | Some v -> Ok v
-          | None -> (
-              match resp with
-              | Proto.R_err e -> Error (`Err (lift_err e))
-              | _ -> Error (`Err Dpapi.Eio)))
-    in
-    let ( let* ) = Result.bind in
-    let abandon r =
-      (* a transaction that dies part-way is abandoned: its server-side
-         fragment is an orphan for Waldo, and the whole write will be
-         replayed under a fresh transaction id *)
-      match r with
-      | Error `Timeout -> Telemetry.incr t.i.txns_abandoned; r
-      | _ -> r
-    in
-    let* txn =
-      step Proto.Op_begintxn (function Proto.R_txn id -> Some id | _ -> None)
-    in
-    Telemetry.incr t.i.txns;
-    abandon
-      (let* () =
-         List.fold_left
-           (fun acc chunk ->
-             let* () = acc in
-             step (Proto.Op_passprov { txn; chunk }) (function
-               | Proto.R_ok -> Some ()
-               | _ -> None))
-           (Ok ()) (chunk_bundle bundle)
-       in
-       step
-         (Proto.Op_passwrite
-            { pnode = h.pnode; off; data;
-              bundle =
-                [ Dpapi.entry h
-                    [ Record.make Record.Attr.endtxn (Pass_core.Pvalue.Int txn) ] ];
-              txn = Some txn })
-         (function Proto.R_version v -> Some v | _ -> None))
-  end
-
-(* --- piggybacked batches ------------------------------------------------------ *)
-
-(* Encoded-size budget for one OP_PASSBATCH envelope (headroom for the
-   item framing, mirroring the inline/transaction split). *)
-let batch_budget = Proto.block_limit - 1024
-let max_batch_items = 16
+(* Pending client-local freeze records travel with the file's next write. *)
+let item t (h : Dpapi.handle) ~off ~data bundle =
+  let bundle =
+    match Hashtbl.find_opt t.pending_freezes h.pnode with
+    | Some records ->
+        Hashtbl.remove t.pending_freezes h.pnode;
+        Dpapi.entry h (List.rev records) :: bundle
+    | None -> bundle
+  in
+  { wi_handle = h; wi_off = off; wi_data = data; wi_bundle = bundle }
 
 let item_size (it : wb_item) =
   Dpapi.bundle_size it.wi_bundle
   + match it.wi_data with Some d -> String.length d | None -> 0
 
-(* One OP_PASSBATCH envelope carrying [items] (oldest first, combined
-   size within budget).  The whole batch travels under a single sequence
-   number, so a retransmitted or duplicated envelope hits the server's
-   duplicate-request cache as one unit and no item is ever re-applied.
-   [Ok v] = every item applied; [`Err (e, n)] = the first [n] items
-   applied, item [n] failed with [e] and the rest were not attempted. *)
-let send_batch_now t items =
+(* A write alone: one OP_PASSWRITE, or a transaction when bundle plus data
+   exceed the block size — OP_BEGINTXN, the bundle in OP_PASSPROV chunks,
+   then the data under the OP_PASSWRITE whose ENDTXN record commits it.  A
+   transaction that times out part-way is abandoned: its server-side
+   fragment is an orphan for Waldo, and the whole write is replayed later
+   under a fresh transaction id. *)
+let send_one t (it : wb_item) =
+  let h = it.wi_handle and off = it.wi_off and data = it.wi_data in
+  if item_size it <= Proto.block_limit then begin
+    Telemetry.incr t.i.inline_writes;
+    rpc t
+      (Proto.Op_passwrite { pnode = h.pnode; off; data; bundle = it.wi_bundle; txn = None })
+      version_reply
+  end
+  else begin
+    let ( let* ) = Result.bind in
+    let* txn = txn_begin t in
+    let r =
+      let* () =
+        List.fold_left
+          (fun acc chunk ->
+            let* () = acc in
+            txn_chunk t ~txn chunk)
+          (Ok ()) (chunk_bundle it.wi_bundle)
+      in
+      txn_end t ~txn h ~off ~data
+    in
+    (match r with Error Timeout -> Telemetry.incr t.i.txns_abandoned | _ -> ());
+    r
+  end
+
+(* Several writes in one OP_PASSBATCH envelope, under a single sequence
+   number: a retransmitted or duplicated envelope hits the server's
+   duplicate-request cache as one unit, so no item is ever re-applied.
+   [Error (f, n)] = the first [n] items applied and the next one failed
+   with [f] (a timeout applies none). *)
+let send_batch t items =
   Telemetry.incr t.i.batch_rpcs;
   Telemetry.add t.i.batched_writes (List.length items);
   let writes =
@@ -415,185 +379,127 @@ let send_batch_now t items =
           bi_data = it.wi_data; bi_bundle = it.wi_bundle })
       items
   in
+  let refused e n = Error (Refused (Dpapi.of_errno e), n) in
   match call_opt t (Proto.Op_passbatch { writes }) with
-  | None -> Error `Timeout
+  | None -> Error (Timeout, 0)
   | Some (Proto.R_batch resps) ->
       let rec walk n last = function
-        | [] -> if n = List.length items then Ok last else Error (`Err (Dpapi.Eio, n))
+        | [] -> if n = List.length items then Ok last else refused Vfs.EIO n
         | Proto.R_version v :: rest -> walk (n + 1) v rest
-        | Proto.R_err e :: _ -> Error (`Err (lift_err e, n))
-        | _ :: _ -> Error (`Err (Dpapi.Eio, n))
+        | resp :: _ -> refused (reply_errno resp) n
       in
       walk 0 0 resps
-  | Some (Proto.R_err e) -> Error (`Err (lift_err e, 0))
-  | Some _ -> Error (`Err (Dpapi.Eio, 0))
+  | Some resp -> refused (reply_errno resp) 0
 
-(* --- write-behind backlog (graceful degradation under partition) ------------- *)
+(* The next envelope's items: the longest prefix of [q] (non-empty) that
+   fits one OP_PASSBATCH (at most [max_batch_items], each and all together
+   within [batch_budget]), else the head alone. *)
+let envelope t q =
+  let rec take seq acc n size =
+    match Seq.uncons seq with
+    | Some (it, rest) when n < max_batch_items ->
+        let s = item_size it in
+        if s <= batch_budget && size + s <= batch_budget then
+          take rest (it :: acc) (n + 1) (size + s)
+        else List.rev acc
+    | _ -> List.rev acc
+  in
+  let head = Queue.peek q in
+  if (not t.piggyback) || Queue.length q = 1 then [ head ]
+  else match take (Queue.to_seq q) [] 0 0 with [] -> [ head ] | group -> group
+
+let pop t q n =
+  for _ = 1 to n do ignore (Queue.pop q : wb_item) done;
+  Telemetry.set t.i.wb_backlog (float_of_int (Queue.length t.wb))
+
+(* Send [q] oldest first, one envelope per group, popping each write once
+   the server has applied it.  [Error Timeout] leaves the unacknowledged
+   group at the head of [q]; [Error (Refused e)] drops the refused write
+   and leaves the ones behind it.  [Ok v] = [q] emptied, the last write
+   landing in version [v]. *)
+let rec send_queue t q last =
+  if Queue.is_empty q then Ok last
+  else
+    let group = envelope t q in
+    let sent =
+      match group with
+      | [ it ] -> Result.map_error (fun f -> (f, 0)) (send_one t it)
+      | _ -> send_batch t group
+    in
+    match sent with
+    | Ok v ->
+        pop t q (List.length group);
+        send_queue t q v
+    | Error (Timeout, _) -> Error Timeout
+    | Error (Refused e, applied) ->
+        pop t q (applied + 1);
+        Error (Refused e)
+
+(* Park [q] behind the backlog, oldest first, until the high-water mark:
+   the first write past it counts as backpressure, it and the rest are
+   dropped, and the call fails with EAGAIN.  [Ok v] = the local view of
+   the last write's version. *)
+let park t q =
+  Queue.fold
+    (fun acc (it : wb_item) ->
+      match acc with
+      | Error _ -> acc
+      | Ok _ when Queue.length t.wb >= t.wb_high_water ->
+          Telemetry.incr t.i.backpressure;
+          Error Dpapi.Eagain
+      | Ok _ ->
+          Telemetry.incr t.i.wb_queued;
+          Queue.add it t.wb;
+          Telemetry.set t.i.wb_backlog (float_of_int (Queue.length t.wb));
+          Ok (Ctx.current_version t.ctx it.wi_handle.pnode))
+    (Ok 0) q
+
+(* The one route for provenance writes: replay the backlog, then send
+   [items] (oldest first) in envelopes.  What a timeout leaves is parked.
+   A refusal is returned; the writes behind it stay parked for the next
+   drain when [acked] (they were already acknowledged to the application,
+   as flushed riders are) and are dropped with the error otherwise. *)
+let submit t ~acked items =
+  let q = Queue.create () in
+  List.iter (fun it -> Queue.add it q) items;
+  let sent = match send_queue t t.wb 0 with Ok _ -> send_queue t q 0 | e -> e in
+  match sent with
+  | Ok v -> Ok v
+  | Error Timeout -> park t q
+  | Error (Refused e) ->
+      if acked then ignore (park t q : (int, Dpapi.error) result);
+      Error e
 
 let backlog t = Queue.length t.wb
 
-(* Replay queued writes in FIFO order, piggybacking inline-sized runs
-   into one OP_PASSBATCH envelope.  [`Blocked] = the server is still
-   unreachable; everything not yet applied stays queued. *)
-let drain_backlog_internal t =
-  (* longest queue prefix that fits one envelope (never removes) *)
-  let batchable_prefix () =
-    let rec take seq acc n sz =
-      if n >= max_batch_items then List.rev acc
-      else
-        match Seq.uncons seq with
-        | Some (it, rest) ->
-            let s = item_size it in
-            if s <= batch_budget && sz + s <= batch_budget then
-              take rest (it :: acc) (n + 1) (sz + s)
-            else List.rev acc
-        | None -> List.rev acc
-    in
-    take (Queue.to_seq t.wb) [] 0 0
-  in
-  let pop_n n =
-    for _ = 1 to n do ignore (Queue.pop t.wb : wb_item) done;
-    Telemetry.set t.i.wb_backlog (float_of_int (Queue.length t.wb))
-  in
-  let rec go () =
-    match Queue.peek_opt t.wb with
-    | None -> Ok ()
-    | Some it -> (
-        match if t.piggyback then batchable_prefix () else [] with
-        | [] | [ _ ] -> (
-            (* a lone or oversized head goes down the single-write path
-               (which picks the transaction route when necessary) *)
-            match
-              send_passwrite_now t it.wi_handle ~off:it.wi_off ~data:it.wi_data it.wi_bundle
-            with
-            | Ok _ ->
-                pop_n 1;
-                go ()
-            | Error `Timeout -> Error `Blocked
-            | Error (`Err e) ->
-                (* a hard server error is not transient: surface it rather
-                   than wedging the queue behind an unservable item *)
-                pop_n 1;
-                Error (`Err e))
-        | items -> (
-            match send_batch_now t items with
-            | Ok _ ->
-                pop_n (List.length items);
-                go ()
-            | Error `Timeout -> Error `Blocked
-            | Error (`Err (e, applied)) ->
-                (* the applied prefix and the failing item leave the
-                   queue; items behind them were not attempted and stay *)
-                pop_n (applied + 1);
-                Error (`Err e)))
-  in
-  go ()
-
-let enqueue_wb t (h : Dpapi.handle) ~off ~data bundle =
-  if Queue.length t.wb >= t.wb_high_water then begin
-    Telemetry.incr t.i.backpressure;
-    Error Dpapi.Eagain
-  end
-  else begin
-    Telemetry.incr t.i.wb_queued;
-    Queue.add { wi_handle = h; wi_off = off; wi_data = data; wi_bundle = bundle } t.wb;
-    Telemetry.set t.i.wb_backlog (float_of_int (Queue.length t.wb));
-    Ok (Ctx.current_version t.ctx h.pnode)
-  end
-
-let enqueue_items t items =
-  List.fold_left
-    (fun acc (it : wb_item) ->
-      match acc with
-      | Error _ as e -> e
-      | Ok _ -> enqueue_wb t it.wi_handle ~off:it.wi_off ~data:it.wi_data it.wi_bundle)
-    (Ok 0) items
-
-let send_passwrite t (h : Dpapi.handle) ~off ~data bundle =
-  let bundle = attach_pending t h bundle in
-  match drain_backlog_internal t with
-  | Error `Blocked ->
-      (* still partitioned: preserve ordering by queueing behind the
-         existing backlog *)
-      enqueue_wb t h ~off ~data bundle
-  | Error (`Err e) -> Error e
-  | Ok () -> (
-      match send_passwrite_now t h ~off ~data bundle with
-      | Ok v -> Ok v
-      | Error (`Err e) -> Error e
-      | Error `Timeout -> enqueue_wb t h ~off ~data bundle)
-
-(* Send an ordered run of independent writes, piggybacking inline-sized
-   groups into OP_PASSBATCH envelopes; an oversized item travels alone
-   (transaction path).  Timeouts park everything not yet acknowledged in
-   the backlog, in order, exactly like the single-write path. *)
-let send_items t items =
-  match drain_backlog_internal t with
-  | Error (`Err e) -> Error e
-  | Error `Blocked -> enqueue_items t items
-  | Ok () ->
-      let groups =
-        let rec go cur cur_sz acc = function
-          | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-          | it :: rest ->
-              let s = item_size it in
-              if s > batch_budget then
-                go [] 0
-                  ([ it ] :: (if cur = [] then acc else List.rev cur :: acc))
-                  rest
-              else if cur <> [] && (cur_sz + s > batch_budget || List.length cur >= max_batch_items)
-              then go [ it ] s (List.rev cur :: acc) rest
-              else go (it :: cur) (cur_sz + s) acc rest
-        in
-        go [] 0 [] items
-      in
-      let rec send last = function
-        | [] -> Ok last
-        | group :: gs -> (
-            match group with
-            | [ (it : wb_item) ] -> (
-                match
-                  send_passwrite_now t it.wi_handle ~off:it.wi_off ~data:it.wi_data it.wi_bundle
-                with
-                | Ok v -> send v gs
-                | Error (`Err e) -> Error e
-                | Error `Timeout -> enqueue_items t (List.concat (group :: gs)))
-            | _ -> (
-                match send_batch_now t group with
-                | Ok v -> send v gs
-                | Error (`Err (e, _)) -> Error e
-                | Error `Timeout -> enqueue_items t (List.concat (group :: gs))))
-      in
-      send 0 groups
-
 let drain_backlog t =
-  match drain_backlog_internal t with
-  | Ok () -> Ok ()
-  | Error `Blocked -> Error Dpapi.Eagain
-  | Error (`Err e) -> Error e
+  match send_queue t t.wb 0 with
+  | Ok _ -> Ok ()
+  | Error Timeout -> Error Dpapi.Eagain
+  | Error (Refused e) -> Error e
 
-(* Flush the DPAPI write-behind buffers: one OP_PASSWRITE (or transaction)
-   per file when a single file is pending, one OP_PASSBATCH envelope when
-   several files' coalesced writes ride together. *)
+(* Flush the DPAPI write-behind buffers: every file's coalesced writes,
+   oldest first, behind the backlog. *)
 let flush_prov t =
   match t.prov_pending with
-  | [] -> Ok 0
-  | [ vb ] ->
-      t.prov_pending <- [];
-      send_passwrite t vb.vb_handle ~off:vb.vb_off
-        ~data:(Some (Buffer.contents vb.vb_data))
-        (List.rev vb.vb_bundle)
+  | [] when Queue.is_empty t.wb -> Ok 0 (* nothing to send: most VFS calls *)
   | pending ->
       t.prov_pending <- [];
-      let items =
-        List.rev_map
-          (fun vb ->
-            { wi_handle = vb.vb_handle; wi_off = vb.vb_off;
-              wi_data = Some (Buffer.contents vb.vb_data);
-              wi_bundle = attach_pending t vb.vb_handle (List.rev vb.vb_bundle) })
-          pending
-      in
-      send_items t items
+      submit t ~acked:true
+        (List.rev_map
+           (fun vb ->
+             item t vb.vb_handle ~off:vb.vb_off
+               ~data:(Some (Buffer.contents vb.vb_data))
+               (List.rev vb.vb_bundle))
+           pending)
+
+(* Close-to-open flush hook (for [Kernel.mount ~flush]): push both
+   write-behind buffers now.  A partition parks provenance in the backlog
+   instead of failing the close. *)
+let flush t =
+  match flush_prov t with
+  | Error e -> Error (Dpapi.to_errno e)
+  | Ok _ -> flush_plain t
 
 (* --- VFS face -------------------------------------------------------------- *)
 
@@ -601,97 +507,47 @@ let flush_prov t =
    and the provenance/data riders — flush before any read, getattr or
    namespace operation observes server state. *)
 let ops t : Vfs.ops =
-  let bad = Error Vfs.EIO in
-  let flush_then f =
-    match flush_prov t with
-    | Error e -> Error (lower_err e)
-    | Ok _ -> ( match flush_plain t with Error e -> Error e | Ok () -> f ())
-  in
+  let flushed req expect = Result.bind (flush t) (fun () -> vfs_call t req expect) in
+  let ino_reply = function Proto.R_ino ino -> Some ino | _ -> None in
   {
     root = (fun () -> Ext3.root_ino);
-    lookup =
-      (fun ~dir name ->
-        flush_then (fun () ->
-            match call t (Proto.Lookup { dir; name }) with
-            | Proto.R_ino ino -> Ok ino
-            | Proto.R_err e -> Error e
-            | _ -> bad));
-    create =
-      (fun ~dir name kind ->
-        flush_then (fun () ->
-            match call t (Proto.Create { dir; name; kind }) with
-            | Proto.R_ino ino -> Ok ino
-            | Proto.R_err e -> Error e
-            | _ -> bad));
-    unlink =
-      (fun ~dir name ->
-        flush_then (fun () ->
-            match call t (Proto.Remove { dir; name }) with
-            | Proto.R_ok -> Ok ()
-            | Proto.R_err e -> Error e
-            | _ -> bad));
+    lookup = (fun ~dir name -> flushed (Proto.Lookup { dir; name }) ino_reply);
+    create = (fun ~dir name kind -> flushed (Proto.Create { dir; name; kind }) ino_reply);
+    unlink = (fun ~dir name -> flushed (Proto.Remove { dir; name }) unit_reply);
     rename =
       (fun ~src_dir ~src_name ~dst_dir ~dst_name ->
-        flush_then (fun () ->
-            match call t (Proto.Rename { src_dir; src_name; dst_dir; dst_name }) with
-            | Proto.R_ok -> Ok ()
-            | Proto.R_err e -> Error e
-            | _ -> bad));
+        flushed (Proto.Rename { src_dir; src_name; dst_dir; dst_name }) unit_reply);
     read =
       (fun ino ~off ~len ->
-        flush_then (fun () ->
-            match call t (Proto.Read { ino; off; len }) with
-            | Proto.R_data d -> Ok d
-            | Proto.R_err e -> Error e
-            | _ -> bad));
+        flushed (Proto.Read { ino; off; len }) (function Proto.R_data d -> Some d | _ -> None));
     write = (fun ino ~off data -> buffered_plain_write t ino ~off data);
-    truncate =
-      (fun ino size ->
-        flush_then (fun () ->
-            match call t (Proto.Truncate { ino; size }) with
-            | Proto.R_ok -> Ok ()
-            | Proto.R_err e -> Error e
-            | _ -> bad));
+    truncate = (fun ino size -> flushed (Proto.Truncate { ino; size }) unit_reply);
     getattr =
       (fun ino ->
-        flush_then (fun () ->
-            match call t (Proto.Getattr { ino }) with
-            | Proto.R_attr st -> Ok st
-            | Proto.R_err e -> Error e
-            | _ -> bad));
+        flushed (Proto.Getattr { ino }) (function Proto.R_attr st -> Some st | _ -> None));
     readdir =
       (fun ino ->
-        flush_then (fun () ->
-            match call t (Proto.Readdir { ino }) with
-            | Proto.R_names names -> Ok names
-            | Proto.R_err e -> Error e
-            | _ -> bad));
-    fsync =
-      (fun ino ->
-        flush_then (fun () ->
-            match call t (Proto.Commit { ino }) with
-            | Proto.R_ok -> Ok ()
-            | Proto.R_err e -> Error e
-            | _ -> bad));
-    sync =
-      (fun () ->
-        match flush_prov t with
-        | Error e -> Error (lower_err e)
-        | Ok _ -> flush_plain t);
+        flushed (Proto.Readdir { ino }) (function Proto.R_names ns -> Some ns | _ -> None));
+    fsync = (fun ino -> flushed (Proto.Commit { ino }) unit_reply);
+    sync = (fun () -> flush t);
   }
 
+(* --- DPAPI face -------------------------------------------------------------- *)
+
 let pass_read t (h : Dpapi.handle) ~off ~len =
-  (match flush_prov t with Ok _ -> () | Error _ -> ());
-  (match drain_backlog t with Ok () -> () | Error _ -> ());
-  (match flush_plain t with Ok () -> () | Error _ -> ());
-  match call t (Proto.Op_passread { pnode = h.pnode; off; len }) with
-  | Proto.R_passread { data; pnode; version } ->
-      Ctx.adopt t.ctx pnode ~version;
-      (* the local view may be ahead (local freezes): serve the local
-         version, no server trip needed (§6.1.2) *)
-      Ok { Dpapi.data; r_pnode = pnode; r_version = Ctx.current_version t.ctx pnode }
-  | Proto.R_err e -> Error (lift_err e)
-  | _ -> Error Dpapi.Eio
+  ignore (flush_prov t : (int, Dpapi.error) result);
+  ignore (flush_plain t : (unit, Vfs.errno) result);
+  let ( let* ) = Result.bind in
+  let* data, pnode, version =
+    dpapi
+      (rpc t (Proto.Op_passread { pnode = h.pnode; off; len }) (function
+        | Proto.R_passread { data; pnode; version } -> Some (data, pnode, version)
+        | _ -> None))
+  in
+  Ctx.adopt t.ctx pnode ~version;
+  (* the local view may be ahead (local freezes): serve the local
+     version, no server trip needed (§6.1.2) *)
+  Ok { Dpapi.data; r_pnode = pnode; r_version = Ctx.current_version t.ctx pnode }
 
 let pending_size t =
   List.fold_left
@@ -703,6 +559,7 @@ let find_pending t (h : Dpapi.handle) =
 
 let pass_write t (h : Dpapi.handle) ~off ~data bundle =
   let ( let* ) = Result.bind in
+  let alone () = submit t ~acked:false [ item t h ~off ~data bundle ] in
   match data with
   | None ->
       (* provenance-only: merge into this file's pending buffer, else send
@@ -711,7 +568,7 @@ let pass_write t (h : Dpapi.handle) ~off ~data bundle =
       | Some vb ->
           vb.vb_bundle <- List.rev_append bundle vb.vb_bundle;
           Ok (Ctx.current_version t.ctx h.pnode)
-      | None -> send_passwrite t h ~off ~data bundle)
+      | None -> alone ())
   | Some d ->
       (* would appending [d] (plus its records) overflow the 64 KB client
          block?  flush first so the coalesced writes stay a single
@@ -723,7 +580,7 @@ let pass_write t (h : Dpapi.handle) ~off ~data bundle =
         (* can never ride an envelope: flush what is queued (order) and
            send straight down — the transaction path takes over *)
         let* _ = flush_prov t in
-        send_passwrite t h ~off ~data bundle
+        alone ()
       else
       let contiguous =
         match find_pending t h with
@@ -736,10 +593,7 @@ let pass_write t (h : Dpapi.handle) ~off ~data bundle =
         t.piggyback && find_pending t h = None && room
         && List.length t.prov_pending < max_batch_items
       in
-      let* () =
-        if fits || rides then Ok ()
-        else match flush_prov t with Ok _ -> Ok () | Error e -> Error e
-      in
+      let* _ = if fits || rides then Ok 0 else flush_prov t in
       let vb =
         match find_pending t h with
         | Some vb -> vb
@@ -750,10 +604,8 @@ let pass_write t (h : Dpapi.handle) ~off ~data bundle =
       in
       Buffer.add_string vb.vb_data d;
       vb.vb_bundle <- List.rev_append bundle vb.vb_bundle;
-      if (not t.piggyback) && String.length d < 4096 then
-        let* _v = flush_prov t in
-        Ok (Ctx.current_version t.ctx h.pnode)
-      else Ok (Ctx.current_version t.ctx h.pnode)
+      let* _ = if (not t.piggyback) && String.length d < 4096 then flush_prov t else Ok 0 in
+      Ok (Ctx.current_version t.ctx h.pnode)
 
 let pass_freeze t (h : Dpapi.handle) =
   let old_version = Ctx.current_version t.ctx h.pnode in
@@ -767,52 +619,28 @@ let pass_freeze t (h : Dpapi.handle) =
   Ok version
 
 let pass_mkobj t =
-  match call t Proto.Op_passmkobj with
-  | Proto.R_handle { pnode } ->
-      Ctx.adopt t.ctx pnode ~version:0;
-      Ok (Dpapi.handle ~volume:t.mount_name pnode)
-  | Proto.R_err e -> Error (lift_err e)
-  | _ -> Error Dpapi.Eio
+  let ( let* ) = Result.bind in
+  let* pnode = dpapi (rpc t Proto.Op_passmkobj pnode_reply) in
+  Ctx.adopt t.ctx pnode ~version:0;
+  Ok (Dpapi.handle ~volume:t.mount_name pnode)
 
 let pass_reviveobj t pnode version =
-  match call t (Proto.Op_passreviveobj { pnode; version }) with
-  | Proto.R_handle { pnode } -> Ok (Dpapi.handle ~volume:t.mount_name pnode)
-  | Proto.R_err e -> Error (lift_err e)
-  | _ -> Error Dpapi.Eio
+  Result.map
+    (Dpapi.handle ~volume:t.mount_name)
+    (dpapi (rpc t (Proto.Op_passreviveobj { pnode; version }) pnode_reply))
 
 let pass_sync t (h : Dpapi.handle) =
   (* flush buffered writes, the partition backlog and pending freeze
      records, then sync; EAGAIN while the backlog cannot drain *)
-  let ( let*! ) r f = match r with Ok _ -> f () | Error e -> Error e in
-  let*! () = flush_prov t in
-  let*! () = drain_backlog t in
-  let pending = take_pending t h.pnode in
   let ( let* ) = Result.bind in
-  let* () =
-    if pending = [] then Ok ()
-    else
-      match
-        call t
-          (Proto.Op_passwrite
-             { pnode = h.pnode; off = 0; data = None; bundle = [ Dpapi.entry h pending ];
-               txn = None })
-      with
-      | Proto.R_version _ -> Ok ()
-      | Proto.R_err e -> Error (lift_err e)
-      | _ -> Error Dpapi.Eio
+  let* _ = flush_prov t in
+  let* () = drain_backlog t in
+  let* _ =
+    if Hashtbl.mem t.pending_freezes h.pnode then
+      submit t ~acked:false [ item t h ~off:0 ~data:None [] ]
+    else Ok 0
   in
-  match call t (Proto.Op_passsync { pnode = h.pnode }) with
-  | Proto.R_ok -> Ok ()
-  | Proto.R_err e -> Error (lift_err e)
-  | _ -> Error Dpapi.Eio
-
-(* Close-to-open flush hook (for [Kernel.mount ~flush]): push both
-   write-behind buffers now.  A partition parks provenance in the backlog
-   instead of failing the close. *)
-let flush t =
-  match flush_prov t with
-  | Error e -> Error (lower_err e)
-  | Ok _ -> flush_plain t
+  dpapi (rpc t (Proto.Op_passsync { pnode = h.pnode }) unit_reply)
 
 let endpoint t : Dpapi.endpoint =
   {

@@ -38,7 +38,7 @@ val create :
 
     [piggyback] (the default) lets coalesced writes to several files ride
     one [OP_PASSBATCH] envelope instead of one RPC each, and lets the
-    backlog drain in batched envelopes; each envelope travels under a
+    backlog drain the same way; each envelope travels under a
     single sequence number, so replays hit the server's duplicate-request
     cache as one unit.  [~piggyback:false] restores one RPC per write for
     A/B comparison. *)
@@ -52,10 +52,15 @@ val endpoint : t -> Dpapi.endpoint
 val file_handle : t -> Vfs.ino -> (Dpapi.handle, Vfs.errno) result
 
 val flush : t -> (unit, Vfs.errno) result
-(** Push both write-behind buffers (plain data and piggybacked
-    provenance) to the server now.  Intended as the [?flush] close-to-open
-    hook of {!Kernel.mount}; a partition parks provenance writes in the
-    backlog instead of failing. *)
+(** Push everything the client holds to the server now: first the
+    backlog, then the provenance riders (each file's coalesced writes,
+    oldest first), then the plain-data buffer.  Intended as the [?flush]
+    close-to-open hook of {!Kernel.mount}.  A timeout parks the unsent
+    provenance writes in the backlog and still returns [Ok ()] — unless
+    the backlog is full, which is [Error EAGAIN].  When the server refuses
+    a write, that write is dropped and its errno returned; the riders
+    behind it stay in the backlog, and the next flush (or any other drain)
+    delivers them. *)
 
 (** {1 Degraded mode}
 
@@ -63,14 +68,20 @@ val flush : t -> (unit, Vfs.errno) result
     budget is exhausted and provenance writes are parked in a bounded
     write-behind backlog instead of failing the application; past the
     high-water mark they fail with [Eagain].  The backlog replays in
-    FIFO order before any new provenance write, read, or sync. *)
+    FIFO order, in the same envelopes as any other send, before any new
+    provenance write, flush, read or sync.  A write the server refuses is
+    dropped and its error surfaces to the call that sent it; the writes
+    queued behind it stay queued. *)
 
 val backlog : t -> int
-(** Provenance writes currently parked awaiting the server. *)
+(** Provenance writes currently parked in the backlog: those a timeout
+    left unsent, and riders held behind a refused write.  Writes still in
+    the riders' buffers or in flight are not counted. *)
 
 val drain_backlog : t -> (unit, Dpapi.error) result
-(** Replay the backlog now; [Error Eagain] if the server is still
-    unreachable (whatever drained stays drained). *)
+(** Replay the backlog now.  [Error Eagain] if the server is still
+    unreachable; a refusal drops the refused write and returns its error,
+    leaving the writes behind it parked.  Whatever drained stays drained. *)
 
 (** {1 Transaction steps}
 

@@ -42,15 +42,22 @@ let instruments registry =
     drc_size = Telemetry.gauge ?registry "nfs.drc.size";
   }
 
+(* What a [Pass_enabled] server runs above its ext3 volume: Lasagna, its
+   own analyzer over Lasagna (both ends of the protocol need one, §6.1.1)
+   and Waldo consuming Lasagna's logs.  A [Plain] server has none. *)
+type pass = {
+  lasagna : Lasagna.t;
+  lasagna_ep : Dpapi.endpoint;
+  analyzer_ep : Dpapi.endpoint; (* traced as the "analyzer" layer *)
+  waldo : Waldo.t;
+}
+
 type t = {
-  mode : mode;
   clock : Clock.t;
   disk : Disk.t;
   ext3 : Ext3.t;
   export : Vfs.ops; (* what clients see *)
-  lasagna : Lasagna.t option;
-  analyzer : Analyzer.t option;
-  waldo : Waldo.t option;
+  pass : pass option;
   ctx : Ctx.t;
   volume : string;
   tracer : Pvtrace.t;
@@ -72,58 +79,47 @@ let create ?registry ?fault ?(tracer = Pvtrace.disabled) ~mode ~clock ~machine ~
   let disk = Disk.create ?registry ?fault ~clock () in
   let ext3 = Ext3.format disk in
   let ctx = Ctx.create ~machine in
-  match mode with
-  | Plain ->
-      {
-        mode; clock; disk; ext3; export = Ext3.ops ext3; lasagna = None;
-        analyzer = None; waldo = None; ctx; volume; tracer; i; next_txn = 1; open_txns = [];
-        drc = Hashtbl.create 1024; drc_order = Queue.create (); drc_capacity = 512;
-      }
-  | Pass_enabled ->
-      Ext3.set_cache_capacity ext3 2048;
-      let lasagna =
-        Lasagna.create ?registry ~now:(fun () -> Clock.now clock) ~tracer
-          ~lower:(Ext3.ops ext3) ~ctx ~volume ~charge:(Clock.advance clock) ()
-      in
-      let analyzer =
-        Analyzer.create ?registry ~charge:(Clock.advance clock) ~tracer ~ctx
-          ~lower:(Dpapi.traced ~tracer ~layer:"lasagna" (Lasagna.endpoint lasagna)) ()
-      in
-      let waldo = Waldo.create ?registry ~tracer ~lower:(Ext3.ops ext3) () in
-      Waldo.attach waldo lasagna;
-      {
-        mode; clock; disk; ext3; export = Lasagna.ops lasagna; lasagna = Some lasagna;
-        analyzer = Some analyzer; waldo = Some waldo; ctx; volume; tracer; i; next_txn = 1;
-        open_txns = [];
-        drc = Hashtbl.create 1024; drc_order = Queue.create (); drc_capacity = 512;
-      }
+  let pass =
+    match mode with
+    | Plain -> None
+    | Pass_enabled ->
+        Ext3.set_cache_capacity ext3 2048;
+        let lasagna =
+          Lasagna.create ?registry ~now:(fun () -> Clock.now clock) ~tracer
+            ~lower:(Ext3.ops ext3) ~ctx ~volume ~charge:(Clock.advance clock) ()
+        in
+        let analyzer =
+          Analyzer.create ?registry ~charge:(Clock.advance clock) ~tracer ~ctx
+            ~lower:(Dpapi.traced ~tracer ~layer:"lasagna" (Lasagna.endpoint lasagna)) ()
+        in
+        let waldo = Waldo.create ?registry ~tracer ~lower:(Ext3.ops ext3) () in
+        Waldo.attach waldo lasagna;
+        Some
+          { lasagna; lasagna_ep = Lasagna.endpoint lasagna;
+            analyzer_ep = Dpapi.traced ~tracer ~layer:"analyzer" (Analyzer.endpoint analyzer);
+            waldo }
+  in
+  {
+    clock; disk; ext3; pass; ctx; volume; tracer; i;
+    export = (match pass with Some p -> Lasagna.ops p.lasagna | None -> Ext3.ops ext3);
+    next_txn = 1; open_txns = [];
+    drc = Hashtbl.create 1024; drc_order = Queue.create (); drc_capacity = 512;
+  }
 
 let ctx t = t.ctx
-let waldo t = t.waldo
+let waldo t = Option.map (fun p -> p.waldo) t.pass
 let disk t = t.disk
 let ext3 t = t.ext3
 
-let db t = Option.map Waldo.db t.waldo
+let db t = Option.map (fun p -> Waldo.db p.waldo) t.pass
 
-let drain t =
-  match (t.waldo, t.lasagna) with
-  | Some w, Some l -> Waldo.finalize w l
-  | _ -> 0
+let drain t = match t.pass with Some p -> Waldo.finalize p.waldo p.lasagna | None -> 0
 
 let err e = Proto.R_err e
 
-let dpapi_err (e : Dpapi.error) =
-  err
-    (match e with
-    | Dpapi.Enoent -> Vfs.ENOENT
-    | Dpapi.Eexist -> Vfs.EEXIST
-    | Dpapi.Einval -> Vfs.EINVAL
-    | Dpapi.Estale -> Vfs.ESTALE
-    | Dpapi.Enospc -> Vfs.ENOSPC
-    | Dpapi.Ecrashed -> Vfs.ECRASH
-    | Dpapi.Ebadf -> Vfs.EBADF
-    | Dpapi.Eagain -> Vfs.EAGAIN
-    | Dpapi.Eio | Dpapi.Emsg _ -> Vfs.EIO)
+(* Reply with [ok v], or with the errno of a failed VFS / DPAPI call. *)
+let vfs ok = function Ok v -> ok v | Error e -> err e
+let dpapi ok = function Ok v -> ok v | Error e -> err (Dpapi.to_errno e)
 
 (* Client-side freezes arrive as FREEZE records (§6.1.2: freeze is a
    record type, not an operation, so it stays ordered with respect to the
@@ -160,118 +156,67 @@ let rec handle_req t (req : Proto.req) : Proto.resp =
   | Proto.Create _ | Proto.Remove _ | Proto.Rename _ | Proto.Truncate _ ->
       Clock.advance t.clock stable_metadata_ns
   | _ -> ());
-  match req with
-  | Proto.Lookup { dir; name } -> (
-      match t.export.lookup ~dir name with Ok ino -> R_ino ino | Error e -> err e)
-  | Proto.Create { dir; name; kind } -> (
-      match t.export.create ~dir name kind with Ok ino -> R_ino ino | Error e -> err e)
-  | Proto.Remove { dir; name } -> (
-      match t.export.unlink ~dir name with Ok () -> R_ok | Error e -> err e)
-  | Proto.Rename { src_dir; src_name; dst_dir; dst_name } -> (
-      match t.export.rename ~src_dir ~src_name ~dst_dir ~dst_name with
-      | Ok () -> R_ok
-      | Error e -> err e)
-  | Proto.Getattr { ino } -> (
-      match t.export.getattr ino with Ok st -> R_attr st | Error e -> err e)
-  | Proto.Readdir { ino } -> (
-      match t.export.readdir ino with Ok names -> R_names names | Error e -> err e)
-  | Proto.Read { ino; off; len } -> (
-      match t.export.read ino ~off ~len with Ok d -> R_data d | Error e -> err e)
-  | Proto.Write { ino; off; data } -> (
-      match t.export.write ino ~off data with Ok () -> R_ok | Error e -> err e)
-  | Proto.Truncate { ino; size } -> (
-      match t.export.truncate ino size with Ok () -> R_ok | Error e -> err e)
-  | Proto.Commit { ino } -> (
-      match t.export.fsync ino with Ok () -> R_ok | Error e -> err e)
-  | Proto.Op_passread { pnode; off; len } -> (
-      match t.lasagna with
-      | None -> err Vfs.EINVAL
-      | Some l -> (
-          let ep = Lasagna.endpoint l in
-          match ep.pass_read (Dpapi.handle ~volume:t.volume pnode) ~off ~len with
-          | Ok r -> R_passread { data = r.Dpapi.data; pnode = r.r_pnode; version = r.r_version }
-          | Error e -> dpapi_err e))
-  | Proto.Op_passwrite { pnode; off; data; bundle; txn } -> (
-      match (t.lasagna, t.analyzer) with
-      | Some l, Some an -> (
-          let h = Dpapi.handle ~volume:t.volume pnode in
-          let bundle = localize_bundle t bundle in
-          apply_client_freezes t bundle;
-          (match txn with
-          | Some id ->
-              t.open_txns <- List.filter (fun x -> x <> id) t.open_txns;
-              (* transactional writes bypass the analyzer's elision so the
-                 ENDTXN marker always reaches the log *)
-              (match Lasagna.write_txn_bundle ~txn:id l h ~off ~data bundle with
-              | Ok v -> R_version v
-              | Error e -> dpapi_err e)
-          | None -> (
-              let ep =
-                Dpapi.traced ~tracer:t.tracer ~layer:"analyzer"
-                  (Analyzer.endpoint an)
-              in
-              match ep.pass_write h ~off ~data bundle with
-              | Ok v -> R_version v
-              | Error e -> dpapi_err e)))
-      | _ -> err Vfs.EINVAL)
-  | Proto.Op_begintxn -> (
-      match t.lasagna with
-      | None -> err Vfs.EINVAL
-      | Some l -> (
-          let id = t.next_txn in
-          t.next_txn <- id + 1;
-          t.open_txns <- id :: t.open_txns;
-          Telemetry.incr t.i.txns_opened;
-          (* log the BEGINTXN record at the server (§6.1.2) *)
-          let marker_h = Dpapi.handle ~volume:t.volume (Ctx.fresh t.ctx) in
-          let marker =
-            [ Dpapi.entry marker_h [ Record.make Record.Attr.begintxn (Pvalue.Int id) ] ]
-          in
-          match Lasagna.write_txn_bundle ~txn:id l marker_h ~off:0 ~data:None marker with
-          | Ok _ -> R_txn id
-          | Error e -> dpapi_err e))
-  | Proto.Op_passprov { txn; chunk } -> (
-      match t.lasagna with
-      | None -> err Vfs.EINVAL
-      | Some l -> (
-          let chunk = localize_bundle t chunk in
-          apply_client_freezes t chunk;
-          match
-            Lasagna.write_txn_bundle ~txn l
-              (Dpapi.handle ~volume:t.volume (Ctx.fresh t.ctx))
-              ~off:0 ~data:None chunk
-          with
-          | Ok _ -> R_ok
-          | Error e -> dpapi_err e))
-  | Proto.Op_passmkobj -> (
-      match t.lasagna with
-      | None -> err Vfs.EINVAL
-      | Some l -> (
-          match (Lasagna.endpoint l).pass_mkobj ~volume:(Some t.volume) with
-          | Ok h -> R_handle { pnode = h.Dpapi.pnode }
-          | Error e -> dpapi_err e))
-  | Proto.Op_passreviveobj { pnode; version } -> (
-      match t.lasagna with
-      | None -> err Vfs.EINVAL
-      | Some l -> (
-          match (Lasagna.endpoint l).pass_reviveobj pnode version with
-          | Ok h -> R_handle { pnode = h.Dpapi.pnode }
-          | Error e -> dpapi_err e))
-  | Proto.Op_passsync { pnode } -> (
-      match t.lasagna with
-      | None -> err Vfs.EINVAL
-      | Some l -> (
-          match (Lasagna.endpoint l).pass_sync (Dpapi.handle ~volume:t.volume pnode) with
-          | Ok () -> R_ok
-          | Error e -> dpapi_err e))
-  | Proto.Op_pnode { ino } -> (
-      match t.lasagna with
-      | None -> err Vfs.EINVAL
-      | Some l -> (
-          match Lasagna.file_handle l ino with
-          | Ok h -> R_handle { pnode = h.Dpapi.pnode }
-          | Error e -> err e))
-  | Proto.Op_passbatch { writes } ->
+  let ok () = Proto.R_ok and ino ino = Proto.R_ino ino in
+  let handle_of pnode = Dpapi.handle ~volume:t.volume pnode in
+  let pnode_of (h : Dpapi.handle) = Proto.R_handle { pnode = h.pnode } in
+  match (req, t.pass) with
+  | Proto.Lookup { dir; name }, _ -> vfs ino (t.export.lookup ~dir name)
+  | Proto.Create { dir; name; kind }, _ -> vfs ino (t.export.create ~dir name kind)
+  | Proto.Remove { dir; name }, _ -> vfs ok (t.export.unlink ~dir name)
+  | Proto.Rename { src_dir; src_name; dst_dir; dst_name }, _ ->
+      vfs ok (t.export.rename ~src_dir ~src_name ~dst_dir ~dst_name)
+  | Proto.Getattr { ino }, _ -> vfs (fun st -> Proto.R_attr st) (t.export.getattr ino)
+  | Proto.Readdir { ino }, _ -> vfs (fun names -> Proto.R_names names) (t.export.readdir ino)
+  | Proto.Read { ino; off; len }, _ -> vfs (fun d -> Proto.R_data d) (t.export.read ino ~off ~len)
+  | Proto.Write { ino; off; data }, _ -> vfs ok (t.export.write ino ~off data)
+  | Proto.Truncate { ino; size }, _ -> vfs ok (t.export.truncate ino size)
+  | Proto.Commit { ino }, _ -> vfs ok (t.export.fsync ino)
+  (* every PASS operation needs the PASS stack *)
+  | _, None -> err Vfs.EINVAL
+  | Proto.Op_passread { pnode; off; len }, Some p ->
+      dpapi
+        (fun (r : Dpapi.read_result) ->
+          Proto.R_passread { data = r.data; pnode = r.r_pnode; version = r.r_version })
+        (p.lasagna_ep.pass_read (handle_of pnode) ~off ~len)
+  | Proto.Op_passwrite { pnode; off; data; bundle; txn }, Some p -> (
+      let h = handle_of pnode in
+      let bundle = localize_bundle t bundle in
+      apply_client_freezes t bundle;
+      let version v = Proto.R_version v in
+      match txn with
+      | Some id ->
+          t.open_txns <- List.filter (fun x -> x <> id) t.open_txns;
+          (* transactional writes bypass the analyzer's elision so the
+             ENDTXN marker always reaches the log *)
+          dpapi version (Lasagna.write_txn_bundle ~txn:id p.lasagna h ~off ~data bundle)
+      | None -> dpapi version (p.analyzer_ep.pass_write h ~off ~data bundle))
+  | Proto.Op_begintxn, Some p ->
+      let id = t.next_txn in
+      t.next_txn <- id + 1;
+      t.open_txns <- id :: t.open_txns;
+      Telemetry.incr t.i.txns_opened;
+      (* log the BEGINTXN record at the server (§6.1.2) *)
+      let marker_h = handle_of (Ctx.fresh t.ctx) in
+      let marker =
+        [ Dpapi.entry marker_h [ Record.make Record.Attr.begintxn (Pvalue.Int id) ] ]
+      in
+      dpapi
+        (fun _ -> Proto.R_txn id)
+        (Lasagna.write_txn_bundle ~txn:id p.lasagna marker_h ~off:0 ~data:None marker)
+  | Proto.Op_passprov { txn; chunk }, Some p ->
+      let chunk = localize_bundle t chunk in
+      apply_client_freezes t chunk;
+      dpapi
+        (fun _ -> Proto.R_ok)
+        (Lasagna.write_txn_bundle ~txn p.lasagna (handle_of (Ctx.fresh t.ctx)) ~off:0
+           ~data:None chunk)
+  | Proto.Op_passmkobj, Some p ->
+      dpapi pnode_of (p.lasagna_ep.pass_mkobj ~volume:(Some t.volume))
+  | Proto.Op_passreviveobj { pnode; version }, Some p ->
+      dpapi pnode_of (p.lasagna_ep.pass_reviveobj pnode version)
+  | Proto.Op_passsync { pnode }, Some p -> dpapi ok (p.lasagna_ep.pass_sync (handle_of pnode))
+  | Proto.Op_pnode { ino }, Some p -> vfs pnode_of (Lasagna.file_handle p.lasagna ino)
+  | Proto.Op_passbatch { writes }, Some _ ->
       (* apply in order, stopping at the first error: each item is
          processed exactly like a non-transactional OP_PASSWRITE, and the
          whole batch shares the caller's DRC entry so a replayed envelope
@@ -312,12 +257,9 @@ let handle t (c : Proto.call) : Proto.resp =
          provenance this request carried, so Lasagna's queued WAP frames
          must reach the disk before the response leaves the server *)
       let resp =
-        match t.lasagna with
-        | None -> resp
-        | Some l -> (
-            match resp with
-            | Proto.R_err _ -> resp
-            | _ -> ( match Lasagna.commit_log l with Ok () -> resp | Error e -> err e))
+        match (t.pass, resp) with
+        | None, _ | _, Proto.R_err _ -> resp
+        | Some p, _ -> vfs (fun () -> resp) (Lasagna.commit_log p.lasagna)
       in
       Hashtbl.replace t.drc key resp;
       Queue.add key t.drc_order;

@@ -124,20 +124,7 @@ let enter t =
   charge t syscall_base_ns;
   if t.pass <> None then charge t intercept_ns
 
-let lift_dpapi : ('a, Dpapi.error) result -> ('a, errno) result = function
-  | Ok v -> Ok v
-  | Error e ->
-      Error
-        (match e with
-        | Dpapi.Enoent -> Vfs.ENOENT
-        | Dpapi.Eexist -> Vfs.EEXIST
-        | Dpapi.Einval -> Vfs.EINVAL
-        | Dpapi.Estale -> Vfs.ESTALE
-        | Dpapi.Enospc -> Vfs.ENOSPC
-        | Dpapi.Ecrashed -> Vfs.ECRASH
-        | Dpapi.Ebadf -> Vfs.EBADF
-        | Dpapi.Eagain -> Vfs.EAGAIN
-        | Dpapi.Eio | Dpapi.Emsg _ -> Vfs.EIO)
+let lift_dpapi = function Ok v -> Ok v | Error e -> Error (Dpapi.to_errno e)
 
 (* --- path resolution ----------------------------------------------------- *)
 

@@ -475,67 +475,14 @@ let histogram_summary t name =
   in
   if hs = [] then None else Some (merged_summary (List.rev hs))
 
-let snapshot ?filter t =
-  let groups =
-    match filter with
-    | None -> grouped t
-    | Some prefix ->
-        List.filter (fun (name, _) -> name_under ~prefix name) (grouped t)
-  in
-  let by_name cmp = List.sort (fun (a, _) (b, _) -> String.compare a b) cmp in
-  let counters = ref [] and gauges = ref [] and histograms = ref [] in
-  List.iter
-    (fun (name, instruments) ->
-      match instruments with
-      | Counter _ :: _ ->
-          let v =
-            List.fold_left
-              (fun a i -> match i with Counter c -> a + c.c | _ -> a)
-              0 instruments
-          in
-          counters := (name, Json.Int v) :: !counters
-      | Gauge _ :: _ ->
-          (* newest registration wins *)
-          let v =
-            List.fold_left (fun a i -> match i with Gauge g -> g.g | _ -> a) 0. instruments
-          in
-          gauges := (name, Json.Float v) :: !gauges
-      | Histogram _ :: _ ->
-          let hs =
-            List.filter_map (function Histogram h -> Some h | _ -> None) instruments
-          in
-          let s = merged_summary hs in
-          histograms :=
-            ( name,
-              Json.Obj
-                [
-                  ("count", Json.Int s.count);
-                  ("sum", Json.Float s.sum);
-                  ("min", Json.Float s.min);
-                  ("max", Json.Float s.max);
-                  ("p50", Json.Float s.p50);
-                  ("p95", Json.Float s.p95);
-                  ("p99", Json.Float s.p99);
-                ] )
-            :: !histograms
-      | [] -> ())
-    groups;
-  Json.Obj
-    [
-      ("counters", Json.Obj (by_name !counters));
-      ("gauges", Json.Obj (by_name !gauges));
-      ("histograms", Json.Obj (by_name !histograms));
-    ]
-
-let to_json ?filter t = Json.to_string (snapshot ?filter t)
-
 (* --- series snapshots ------------------------------------------------------- *)
 
-(* The structured twin of [snapshot], for scrapers (pvmon) that want the
-   aggregation rules plus the information the JSON view drops: the kind of
-   each name and how many instrument instances were folded into it.  The
-   instance count is what lets a scraper tag last-registered-wins gauges
-   instead of silently presenting one instance's value as the truth. *)
+(* One row per instrument name: the aggregation rules live here, and
+   [snapshot] below is the JSON view of these rows.  Scrapers (pvmon) also
+   get what the JSON view drops: the kind of each name and how many
+   instrument instances were folded into it.  The instance count is what
+   lets a scraper tag last-registered-wins gauges instead of silently
+   presenting one instance's value as the truth. *)
 
 type series = {
   se_name : string;
@@ -568,7 +515,7 @@ let series_snapshot ?filter t =
                    se_value = float_of_int v; se_instances = instances;
                    se_summary = None }
         | Gauge _ :: _ ->
-            (* same rule as [snapshot]: the newest registration wins *)
+            (* the newest registration wins *)
             let v =
               List.fold_left
                 (fun a i -> match i with Gauge g -> g.g | _ -> a)
@@ -588,3 +535,34 @@ let series_snapshot ?filter t =
       groups
   in
   List.sort (fun a b -> String.compare a.se_name b.se_name) rows
+
+(* The JSON view of the series rows: one object per kind, keys sorted. *)
+let snapshot ?filter t =
+  let rows = series_snapshot ?filter t in
+  let section kind json =
+    Json.Obj
+      (List.filter_map
+         (fun r -> if r.se_kind = kind then Some (r.se_name, json r) else None)
+         rows)
+  in
+  let summary_json r =
+    let s = Option.value r.se_summary ~default:empty_summary in
+    Json.Obj
+      [
+        ("count", Json.Int s.count);
+        ("sum", Json.Float s.sum);
+        ("min", Json.Float s.min);
+        ("max", Json.Float s.max);
+        ("p50", Json.Float s.p50);
+        ("p95", Json.Float s.p95);
+        ("p99", Json.Float s.p99);
+      ]
+  in
+  Json.Obj
+    [
+      ("counters", section `Counter (fun r -> Json.Int (int_of_float r.se_value)));
+      ("gauges", section `Gauge (fun r -> Json.Float r.se_value));
+      ("histograms", section `Histogram summary_json);
+    ]
+
+let to_json ?filter t = Json.to_string (snapshot ?filter t)

@@ -497,6 +497,163 @@ let test_server_crash_mid_txn () =
   let r = ok (Client.pass_read client h2 ~off:0 ~len:9) in
   check tstr "recreated object readable" "recreated" r.Dpapi.data
 
+(* --- the write-behind send path ----------------------------------------------- *)
+
+(* Writes that ride one flush behind a write the server refuses stay
+   queued: the flush reports the refusal, and the next flush delivers the
+   rest, data and provenance both. *)
+let test_refused_rider_keeps_the_rest () =
+  let clock = Simdisk.Clock.create () in
+  let server = Server.create ~mode:Server.Pass_enabled ~clock ~machine:9 ~volume:"nfs0" () in
+  let net = Proto.net clock in
+  let client machine =
+    Client.create ~net ~handler:(Server.handle server) ~ctx:(Ctx.create ~machine)
+      ~mount_name:"nfs0" ()
+  in
+  let c1 = client 11 and c2 = client 12 in
+  let files =
+    List.map
+      (fun name ->
+        let ino = ok_fs (Vfs.create_path (Client.ops c1) ("/" ^ name) Vfs.Regular) in
+        (name, ok_fs (Client.file_handle c1 ino)))
+      [ "a"; "b"; "c" ]
+  in
+  List.iter
+    (fun (name, h) ->
+      let _ : int =
+        ok
+          (Client.pass_write c1 h ~off:0 ~data:(Some ("data-" ^ name))
+             [ Dpapi.entry h [ Record.name name ] ])
+      in
+      ())
+    files;
+  ok_fs ((Client.ops c2).Vfs.unlink ~dir:Ext3.root_ino "a");
+  check tbool "the flush reports the refused write" true (Result.is_error (Client.flush c1));
+  ok_fs (Client.flush c1);
+  ignore (Server.drain server : int);
+  let db = Option.get (Server.db server) in
+  List.iter
+    (fun (name, (h : Dpapi.handle)) ->
+      let names =
+        List.filter
+          (fun (q : Provdb.quad) -> q.q_attr = Record.Attr.name)
+          (Provdb.records_all db h.pnode)
+      in
+      check tint (name ^ ": NAME record delivered") 1 (List.length names);
+      check tstr (name ^ ": data delivered") ("data-" ^ name)
+        (ok_fs (Vfs.read_file (Client.ops c2) ("/" ^ name))))
+    (List.tl files)
+
+(* The figures a PA-NFS golden pins: simulated time, the send-path
+   counters and a digest of the server's drained database. *)
+let nfs_pinned ~clock ~registry server =
+  ignore (Server.drain server : int);
+  let c n = (n, string_of_int (Helpers.counter registry n)) in
+  [
+    ("clock_ns", string_of_int (Simdisk.Clock.now clock));
+    c "panfs.rpcs"; c "panfs.inline_writes"; c "panfs.txns"; c "nfs.batch_rpcs";
+    c "nfs.batched_writes";
+    ( "provdb_md5",
+      Digest.to_hex (Digest.string (Provdb.serialize (Option.get (Server.db server)))) );
+  ]
+
+let check_pinned run rows =
+  List.iter
+    (fun (name, batching, expected) ->
+      check
+        Alcotest.(list (pair string string))
+        (Printf.sprintf "%s, batching %b" name batching)
+        expected (run name batching))
+    rows
+
+(* Simulated cost of the PA-NFS path, pinned: scaled Postmark and Linux
+   compile over PA-NFS, batching on and off.  A change to how the client
+   sends provenance that moves an envelope, a counter, simulated time or a
+   byte of the server's database fails here. *)
+let test_nfs_sim_cost_golden () =
+  check_pinned
+    (fun name batching ->
+      let sys, server = Runner.nfs_system ~batching System.Pass in
+      (List.find (fun w -> w.Runner.wl_name = name) (Runner.standard ~scale:0.2 ()))
+        .Runner.run sys;
+      ignore (System.drain sys : int);
+      nfs_pinned ~clock:(System.clock sys) ~registry:(System.telemetry sys) server)
+    [
+      ( "Postmark", true,
+        [ ("clock_ns", "1132471243"); ("panfs.rpcs", "1479"); ("panfs.inline_writes", "286");
+          ("panfs.txns", "0"); ("nfs.batch_rpcs", "0"); ("nfs.batched_writes", "0");
+          ("provdb_md5", "64d8a539204a54788ce81fdbe0a68bd6") ] );
+      ( "Postmark", false,
+        [ ("clock_ns", "1132471243"); ("panfs.rpcs", "1479"); ("panfs.inline_writes", "286");
+          ("panfs.txns", "0"); ("nfs.batch_rpcs", "0"); ("nfs.batched_writes", "0");
+          ("provdb_md5", "64d8a539204a54788ce81fdbe0a68bd6") ] );
+      ( "Linux Compile", true,
+        [ ("clock_ns", "228368336"); ("panfs.rpcs", "180"); ("panfs.inline_writes", "22");
+          ("panfs.txns", "0"); ("nfs.batch_rpcs", "0"); ("nfs.batched_writes", "0");
+          ("provdb_md5", "a34f2cdc6aba911ee0838f9fac0a5d52") ] );
+      ( "Linux Compile", false,
+        [ ("clock_ns", "228368336"); ("panfs.rpcs", "180"); ("panfs.inline_writes", "22");
+          ("panfs.txns", "0"); ("nfs.batch_rpcs", "0"); ("nfs.batched_writes", "0");
+          ("provdb_md5", "a34f2cdc6aba911ee0838f9fac0a5d52") ] );
+    ]
+
+(* The same pins for a scripted client whose riders fill OP_PASSBATCH
+   envelopes by count and by size, and which also takes the merge,
+   transaction, sync and read routes of the send path.  A sync's pending
+   freeze records leave as one lone OP_PASSWRITE, so they count as an
+   inline write like any other. *)
+let test_nfs_send_path_golden () =
+  let scripted batching =
+    let clock = Simdisk.Clock.create () and registry = Telemetry.create () in
+    let server =
+      Server.create ~registry ~mode:Server.Pass_enabled ~clock ~machine:9 ~volume:"nfs0" ()
+    in
+    let c =
+      Client.create ~registry ~piggyback:batching ~net:(Proto.net clock)
+        ~handler:(Server.handle server) ~ctx:(Ctx.create ~machine:11) ~mount_name:"nfs0" ()
+    in
+    let hs =
+      List.init 20 (fun i ->
+          let ino =
+            ok_fs (Vfs.create_path (Client.ops c) (Printf.sprintf "/r%02d" i) Vfs.Regular)
+          in
+          ok_fs (Client.file_handle c ino))
+    in
+    let write h ~off data records = ignore (ok (Client.pass_write c h ~off ~data records) : int) in
+    List.iteri
+      (fun i h ->
+        write h ~off:0
+          (Some (Helpers.payload ~seed:i ~len:(200 + (300 * i))))
+          [ Dpapi.entry h [ Record.name (Printf.sprintf "r%02d" i) ] ])
+      hs;
+    let h0 = List.hd hs and h1 = List.nth hs 1 in
+    write h0 ~off:0 None [ Dpapi.entry h0 [ Record.make "PARAMS" (Pvalue.Str "merged") ] ];
+    ignore (ok (Client.pass_freeze c h1) : int);
+    write h1 ~off:0
+      (Some "big")
+      [ Dpapi.entry h1
+          (List.init 4000 (fun j -> Record.make "PARAMS" (Pvalue.Str (Printf.sprintf "p%05d" j))))
+      ];
+    write h0 ~off:0 None [ Dpapi.entry h0 [ Record.make "PARAMS" (Pvalue.Str "alone") ] ];
+    ignore (ok (Client.pass_freeze c h0) : int);
+    ok ((Client.endpoint c).pass_sync h0);
+    ignore (ok (Client.pass_read c h1 ~off:0 ~len:3) : Dpapi.read_result);
+    ok_fs (Client.flush c);
+    nfs_pinned ~clock ~registry server
+  in
+  check_pinned
+    (fun _ batching -> scripted batching)
+    [
+      ( "scripted", true,
+        [ ("clock_ns", "124295174"); ("panfs.rpcs", "52"); ("panfs.inline_writes", "3");
+          ("panfs.txns", "1"); ("nfs.batch_rpcs", "2"); ("nfs.batched_writes", "20");
+          ("provdb_md5", "046a7a2c2a440c33e738ed23fc374510") ] );
+      ( "scripted", false,
+        [ ("clock_ns", "129699942"); ("panfs.rpcs", "70"); ("panfs.inline_writes", "23");
+          ("panfs.txns", "1"); ("nfs.batch_rpcs", "0"); ("nfs.batched_writes", "0");
+          ("provdb_md5", "046a7a2c2a440c33e738ed23fc374510") ] );
+    ]
+
 let test_proto_sizes () =
   let size req =
     let buf = Buffer.create 256 in
@@ -528,4 +685,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_proto_roundtrip;
     Alcotest.test_case "server crash mid-transaction + recovery" `Quick
       test_server_crash_mid_txn;
+    Alcotest.test_case "writes behind a refused rider stay queued" `Quick
+      test_refused_rider_keeps_the_rest;
+    Alcotest.test_case "PA-NFS simulated cost golden" `Quick test_nfs_sim_cost_golden;
+    Alcotest.test_case "PA-NFS send-path golden" `Quick test_nfs_send_path_golden;
   ]

@@ -122,17 +122,17 @@ let prop_storage_roundtrip =
 (* Waldo charges each record its encoded size without encoding it: the
    arithmetic must match the encoder on every value shape, including the
    ones the storage round trip above does not generate. *)
+let gen_wire_value =
+  QCheck2.Gen.(
+    oneof
+      [
+        gen_value;
+        map (fun s -> Pvalue.Bytes s) (string_size (int_bound 40));
+        map (fun l -> Pvalue.Strs l) (list_size (int_bound 5) (string_size ~gen:printable (int_bound 12)));
+        map2 (fun p v -> Pvalue.xref (Pnode.of_int p) v) int int;
+      ])
+
 let prop_record_encoded_size =
-  let gen_wire_value =
-    QCheck2.Gen.(
-      oneof
-        [
-          gen_value;
-          map (fun s -> Pvalue.Bytes s) (string_size (int_bound 40));
-          map (fun l -> Pvalue.Strs l) (list_size (int_bound 5) (string_size ~gen:printable (int_bound 12)));
-          map2 (fun p v -> Pvalue.xref (Pnode.of_int p) v) int int;
-        ])
-  in
   QCheck2.Test.make ~name:"Record.encoded_size = length of Record.encode" ~count:300
     QCheck2.Gen.(pair (oneof [ gen_attr; string_size ~gen:printable (int_bound 20) ]) gen_wire_value)
     (fun (attr, value) ->
@@ -140,6 +140,24 @@ let prop_record_encoded_size =
       let buf = Buffer.create 64 in
       Record.encode buf r;
       Record.encoded_size r = Buffer.length buf)
+
+(* PA-NFS sizes every bundle it sends the same way: entries with and
+   without a volume, entries with no records, several entries. *)
+let prop_bundle_encoded_size =
+  let gen_entry =
+    QCheck2.Gen.(
+      map3
+        (fun p volume records -> Dpapi.entry (Dpapi.handle ?volume (Pnode.of_int p)) records)
+        nat
+        (opt (string_size ~gen:printable (int_bound 12)))
+        (list_size (int_bound 4) (map2 Record.make gen_attr gen_wire_value)))
+  in
+  QCheck2.Test.make ~name:"Dpapi.bundle_size = length of Dpapi.encode_bundle" ~count:300
+    QCheck2.Gen.(list_size (int_bound 5) gen_entry)
+    (fun bundle ->
+      let buf = Buffer.create 64 in
+      Dpapi.encode_bundle buf bundle;
+      Dpapi.bundle_size bundle = Buffer.length buf)
 
 (* --- distributor invariant 4 under random traffic ----------------------------- *)
 
@@ -244,6 +262,7 @@ let qcheck_cases =
       prop_sxml_roundtrip;
       prop_storage_roundtrip;
       prop_record_encoded_size;
+      prop_bundle_encoded_size;
       prop_distributor_invariant;
       prop_ctx_monotone;
     ]
