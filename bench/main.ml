@@ -772,6 +772,17 @@ let query_bench ~scale =
         in
         let full_equal = rows_eq full_planner_rows full_naive_rows in
         let full_ratio = if full_naive_s > 0. then full_planner_s /. full_naive_s else 1. in
+        (* fan-out: the descendants of f1, half the heap — the walk
+           provenance-based monitoring repeats.  Reported, not gated on
+           speed: only its rows must equal the naive evaluator's *)
+        let fanout = {|select D from Provenance.file as F F.^input* as D where F.name = "f1"|} in
+        let fanout_ast = Pql.parse fanout in
+        let fo = Pql.Engine.prepare_ast db fanout_ast in
+        let fanout_planner_rows, fanout_planner_s = time_run (fun () -> Pql.Engine.execute fo) in
+        let fanout_naive_rows, fanout_naive_s =
+          time_run (fun () -> Pql_eval.reference_rows db fanout_ast)
+        in
+        let fanout_equal = rows_eq fanout_planner_rows fanout_naive_rows in
         Printf.printf
           "  n=%-7d selective: planner %8.2f ms, naive %8.2f ms  (%6.1fx, %d rows, equal=%b)\n"
           n (planner_s *. 1e3) (naive_s *. 1e3) speedup (List.length planner_rows) rows_equal;
@@ -783,7 +794,11 @@ let query_bench ~scale =
           "            full-scan: planner %8.2f ms, naive %8.2f ms  (%5.2fx of naive, %d rows, equal=%b)\n"
           (full_planner_s *. 1e3) (full_naive_s *. 1e3) full_ratio
           (List.length full_planner_rows) full_equal;
-        let equal = rows_equal && prefix_equal && full_equal in
+        Printf.printf
+          "               fan-out: planner %8.2f ms, naive %8.2f ms  (%d rows, equal=%b)\n"
+          (fanout_planner_s *. 1e3) (fanout_naive_s *. 1e3) (List.length fanout_planner_rows)
+          fanout_equal;
+        let equal = rows_equal && prefix_equal && full_equal && fanout_equal in
         ( (n, speedup, prefix_speedup, full_ratio, equal),
           J.Obj
             [
@@ -800,6 +815,9 @@ let query_bench ~scale =
               ("full_naive_ms", J.Float (full_naive_s *. 1e3));
               ("full_ratio", J.Float full_ratio);
               ("full_rows", J.Int (List.length full_planner_rows));
+              ("fanout_planner_ms", J.Float (fanout_planner_s *. 1e3));
+              ("fanout_naive_ms", J.Float (fanout_naive_s *. 1e3));
+              ("fanout_rows", J.Int (List.length fanout_planner_rows));
               ("rows_equal", J.Bool equal);
             ] ))
       sizes

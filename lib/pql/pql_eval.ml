@@ -12,12 +12,12 @@
    SELECT clause projects (or aggregates) them.
 
    Cold-tier transparency: every graph access below goes through the
-   Provdb accessors (records_at / out_edges / in_edges / attr_values),
-   which fault archived history in on demand when a query dips below a
-   node's compaction floor (DESIGN §13).  The evaluator therefore needs
-   no archive awareness of its own — an ancestry walk that crosses the
-   archive boundary sees the same graph as one over a never-compacted
-   database. *)
+   Provdb accessors (iter_records_at / iter_records_all / iter_in_edges /
+   records_all), which fault archived history in on demand when a query
+   dips below a node's compaction floor (DESIGN §13).  The evaluator
+   therefore needs no archive awareness of its own — an ancestry walk
+   that crosses the archive boundary sees the same graph as one over a
+   never-compacted database. *)
 
 open Pql_ast
 module Pnode = Pass_core.Pnode
@@ -35,107 +35,161 @@ let item_equal a b =
   | Value x, Value y -> Pvalue.equal x y
   | (Node _ | Value _), _ -> false
 
+(* A hash consistent with [item_equal] (equal items hash alike), written
+   out because the generic hash is banned by passlint. *)
+let mix h x =
+  let h = (h lxor x) * 0x100000001b3 in
+  (h lxor (h lsr 29)) land max_int
+
+let hash_string h s = String.fold_left (fun h c -> mix h (Char.code c)) h s
+
+let item_hash = function
+  | Node (p, v) -> mix (mix 1 (Pnode.to_int p)) v
+  | Value (Pvalue.Str s) -> hash_string 2 s
+  | Value (Pvalue.Int i) -> mix 3 i
+  | Value (Pvalue.Bool b) -> mix 4 (Bool.to_int b)
+  | Value (Pvalue.Bytes s) -> hash_string 5 s
+  | Value (Pvalue.Strs l) -> List.fold_left hash_string 6 l
+  | Value (Pvalue.Xref x) -> mix (mix 7 (Pnode.to_int x.pnode)) x.version
+
+module Items = Hashtbl.Make (struct
+  type t = item
+
+  let equal = item_equal
+  let hash = item_hash
+end)
+
+module Rows = Hashtbl.Make (struct
+  type t = item list
+
+  let equal = List.equal item_equal
+  let hash = List.fold_left (fun h it -> mix h (item_hash it)) 0
+end)
+
+(* Add [it] to [seen]; true when it was not there yet.  One probe:
+   [replace] of a present key leaves the table's size alone. *)
+let add_new seen it =
+  let n = Items.length seen in
+  Items.replace seen it ();
+  Items.length seen > n
+
+let dedup items =
+  let seen = Items.create 64 in
+  List.filter (add_new seen) items
+
 type env = (string * item) list
+
+(* Whether attribute [a] equals [upper], an uppercased query attribute,
+   case-insensitively, without an uppercased copy of [a]: Provdb stores
+   attributes uppercase in nearly every case, so the exact comparison
+   usually decides. *)
+let same_attr upper a =
+  String.length a = String.length upper
+  && (String.equal a upper
+     ||
+     let rec go i =
+       i = String.length a || (Char.equal (Char.uppercase_ascii a.[i]) upper.[i] && go (i + 1))
+     in
+     go 0)
 
 (* --- pseudo-attributes every node answers --------------------------------- *)
 
 let node_pseudo db p v = function
   | "name" -> (
-      match Provdb.name_of db p with Some n -> [ Pvalue.Str n ] | None -> [])
-  | "version" -> [ Pvalue.Int v ]
-  | "pnode" -> [ Pvalue.Int (Pnode.to_int p) ]
+      match Provdb.name_of db p with Some n -> [ Value (Pvalue.Str n) ] | None -> [])
+  | "version" -> [ Value (Pvalue.Int v) ]
+  | "pnode" -> [ Value (Pvalue.Int (Pnode.to_int p)) ]
   | _ -> []
 
-let attr_values db p _v attr =
+let attr_values db p v attr =
   (* attribute lookup searches every version of the object: identity
      records (NAME, TYPE, ARGV …) are written once, not per version *)
-  let upper = String.uppercase_ascii attr in
-  let from_records =
-    List.filter_map
-      (fun (q : Provdb.quad) ->
-        if String.equal (String.uppercase_ascii q.q_attr) upper then Some q.q_value else None)
-      (Provdb.records_all db p)
-  in
-  match (from_records, node_pseudo db p _v attr) with
-  | [], pseudo -> pseudo
-  | records, _ -> records
+  let upper = String.uppercase_ascii attr and found = ref [] in
+  Provdb.iter_records_all db p (fun q ->
+      if same_attr upper q.q_attr then found := Value q.q_value :: !found);
+  match !found with [] -> node_pseudo db p v attr | values -> List.rev values
 
 (* --- path step semantics --------------------------------------------------- *)
 
-let forward_step db attr = function
-  | Value _ -> []
-  | Node (p, v) ->
-      let upper = String.uppercase_ascii attr in
-      List.filter_map
-        (fun (q : Provdb.quad) ->
-          if String.equal (String.uppercase_ascii q.q_attr) upper then
-            match q.q_value with
-            | Pvalue.Xref x -> Some (Node (x.pnode, x.version))
-            | other -> Some (Value other)
-          else None)
-        (Provdb.records_at db p ~version:v)
+(* A step hands each endpoint of one edge from an item to [f], in the
+   order of the underlying accessor, without building a list.  [upper]
+   is the step's attribute, uppercased once by [step]. *)
 
-let inverse_step db attr = function
-  | Value _ -> []
+let forward_step db upper it f =
+  match it with
+  | Value _ -> ()
+  | Node (p, v) ->
+      Provdb.iter_records_at db p ~version:v (fun q ->
+          if same_attr upper q.q_attr then
+            f
+              (match q.q_value with
+              | Pvalue.Xref x -> Node (x.pnode, x.version)
+              | other -> Value other))
+
+let inverse_step db upper it f =
+  match it with
+  | Value _ -> ()
   | Node (p, _v) ->
       (* inverse traversal is pnode-granular: "who refers to any version of
          this object" is what descendant queries mean in practice *)
-      let upper = String.uppercase_ascii attr in
-      List.filter_map
-        (fun (src, srcv, a, _dstv) ->
-          if String.equal (String.uppercase_ascii a) upper then Some (Node (src, srcv))
-          else None)
-        (Provdb.in_edges db p)
+      Provdb.iter_in_edges db p (fun (src, srcv, a, _dstv) ->
+          if same_attr upper a then f (Node (src, srcv)))
 
-let any_step db = function
-  | Value _ -> []
+let any_step db it f =
+  match it with
+  | Value _ -> ()
   | Node (p, v) ->
-      List.map
-        (fun (_, (x : Pvalue.xref)) -> Node (x.pnode, x.version))
-        (Provdb.out_edges db p ~version:v)
+      Provdb.iter_records_at db p ~version:v (fun q ->
+          match q.q_value with Pvalue.Xref x -> f (Node (x.pnode, x.version)) | _ -> ())
 
-let dedup items =
-  let seen = Hashtbl.create 64 in
-  List.filter
-    (fun it ->
-      let key = match it with Node (p, v) -> `N (Pnode.to_int p, v) | Value v -> `V v in
-      if Hashtbl.mem seen key then false
-      else begin
-        Hashtbl.replace seen key ();
-        true
-      end)
-    items
+let step db = function
+  | Forward a -> forward_step db (String.uppercase_ascii a)
+  | Inverse a -> inverse_step db (String.uppercase_ascii a)
+  | Any_edge -> any_step db
 
 let rec eval_path db path items =
   match path with
-  | Edge (Forward a) -> dedup (List.concat_map (forward_step db a) items)
-  | Edge (Inverse a) -> dedup (List.concat_map (inverse_step db a) items)
-  | Edge Any_edge -> dedup (List.concat_map (any_step db) items)
+  | Edge e ->
+      let step = step db e and seen = Items.create 64 and out = ref [] in
+      List.iter (fun it -> step it (fun x -> if add_new seen x then out := x :: !out)) items;
+      List.rev !out
   | Seq (a, b) -> eval_path db b (eval_path db a items)
   | Alt (a, b) -> dedup (eval_path db a items @ eval_path db b items)
   | Opt p -> dedup (items @ eval_path db p items)
-  | Plus p -> closure db p (eval_path db p items) []
-  | Star p -> closure db p items []
+  | Plus p -> closure db p (eval_path db p items)
+  | Star p -> closure db p items
 
-(* reflexive-transitive closure by breadth-first saturation *)
-and closure db p frontier acc =
+(* Reflexive-transitive closure by breadth-first saturation, one level at
+   a time.  [seen] holds every item reached; its fold order is the
+   result order, so its keys and insertion order are part of the answer.
+   A single-edge body expands the frontier straight into [seen]; any
+   other body goes through [eval_path] a level at a time. *)
+and closure db p frontier =
   let seen = Hashtbl.create 256 in
-  let key = function Node (pn, v) -> `N (Pnode.to_int pn, v) | Value v -> `V v in
-  List.iter (fun it -> Hashtbl.replace seen (key it) it) acc;
-  let rec loop frontier =
-    let fresh =
-      List.filter
-        (fun it ->
-          if Hashtbl.mem seen (key it) then false
-          else begin
-            Hashtbl.replace seen (key it) it;
-            true
-          end)
-        frontier
-    in
-    if fresh <> [] then loop (eval_path db p fresh)
+  let next = ref [] in
+  let visit it =
+    let key = match it with Node (pn, v) -> `N (Pnode.to_int pn, v) | Value v -> `V v in
+    let n = Hashtbl.length seen in
+    Hashtbl.replace seen key it;
+    if Hashtbl.length seen > n then next := it :: !next
   in
-  loop frontier;
+  let expand =
+    match p with
+    | Edge e ->
+        let step = step db e in
+        List.iter (fun it -> step it visit)
+    | _ -> fun fresh -> List.iter visit (eval_path db p fresh)
+  in
+  List.iter visit frontier;
+  let rec loop () =
+    match !next with
+    | [] -> ()
+    | level ->
+        next := [];
+        expand (List.rev level);
+        loop ()
+  in
+  loop ();
   Hashtbl.fold (fun _ it l -> it :: l) seen []
 
 (* --- roots ----------------------------------------------------------------- *)
@@ -175,25 +229,30 @@ let eval_expr db env = function
       | None -> fail "unbound variable %s" v)
   | Attr (v, attr) -> (
       match List.assoc_opt v env with
-      | Some (Node (p, ver)) -> List.map (fun x -> Value x) (attr_values db p ver attr)
+      | Some (Node (p, ver)) -> attr_values db p ver attr
       | Some (Value _) -> []
       | None -> fail "unbound variable %s" v)
   | Lit (L_str s) -> [ Value (Pvalue.Str s) ]
   | Lit (L_int i) -> [ Value (Pvalue.Int i) ]
   | Lit (L_bool b) -> [ Value (Pvalue.Bool b) ]
 
-(* glob matching for ~ : '*' any sequence, '?' one char *)
-let glob_match pattern s =
-  let np = String.length pattern and ns = String.length s in
-  let rec go i j =
-    if i = np then j = ns
-    else
-      match pattern.[i] with
-      | '*' -> go (i + 1) j || (j < ns && go i (j + 1))
-      | '?' -> j < ns && go (i + 1) (j + 1)
-      | c -> j < ns && s.[j] = c && go (i + 1) (j + 1)
-  in
-  go 0 0
+(* glob matching for ~ : '*' any sequence, '?' one char.  Greedy, with
+   one backtrack point: on a mismatch only the last '*' seen takes one
+   more character ([star] is its pattern index, [mark] where its match
+   ends in [s]).  An earlier star never needs to: whatever it would
+   absorb the last one can absorb too.  O(|pattern| * |s|). *)
+let rec glob_from pattern s i j star mark =
+  let np = String.length pattern in
+  if j = String.length s then
+    (* [s] consumed: only stars may remain *)
+    let rec stars i = i = np || (pattern.[i] = '*' && stars (i + 1)) in
+    stars i
+  else if i < np && pattern.[i] = '*' then glob_from pattern s (i + 1) j i j
+  else if i < np && (pattern.[i] = '?' || pattern.[i] = s.[j]) then
+    glob_from pattern s (i + 1) (j + 1) star mark
+  else star >= 0 && glob_from pattern s (star + 1) (mark + 1) star (mark + 1)
+
+let glob_match pattern s = glob_from pattern s 0 0 (-1) 0
 
 let compare_values op (a : item) (b : item) =
   let num = function
@@ -269,43 +328,34 @@ let project db (q : query) envs =
         q.select;
     ]
   else
-    let keyed_rows =
-      List.concat_map
-        (fun env ->
-          (* a row per combination of set-valued outputs would explode;
-             like Lorel we take the cartesian product per environment *)
-          let order_key =
-            match q.order with
-            | Some (e, _) -> (match eval_expr db env e with k :: _ -> Some k | [] -> None)
-            | None -> None
-          in
-          let cols = List.map (fun (O_expr e | O_agg (_, e)) -> eval_expr db env e) q.select in
-          let rec cartesian = function
-            | [] -> [ [] ]
-            | col :: rest ->
-                let tails = cartesian rest in
-                List.concat_map (fun v -> List.map (fun tl -> v :: tl) tails) col
-          in
-          List.map (fun row -> (order_key, row)) (cartesian cols))
-        envs
+    (* set semantics: a row joins only the first time it is produced *)
+    let seen = Rows.create 64 and rows = ref [] in
+    let emit order_key row =
+      let n = Rows.length seen in
+      Rows.replace seen row ();
+      if Rows.length seen > n then rows := (order_key, row) :: !rows
     in
-    (* set semantics: drop duplicate rows *)
-    let seen = Hashtbl.create 64 in
-    let keyed_rows =
-      List.filter
-        (fun (_, row) ->
-          let key =
-            List.map
-              (function Node (p, v) -> `N (Pnode.to_int p, v) | Value v -> `V v)
-              row
-          in
-          if Hashtbl.mem seen key then false
-          else begin
-            Hashtbl.replace seen key ();
-            true
-          end)
-        keyed_rows
-    in
+    List.iter
+      (fun env ->
+        let order_key =
+          match q.order with
+          | Some (e, _) -> (match eval_expr db env e with k :: _ -> Some k | [] -> None)
+          | None -> None
+        in
+        (* a row per combination of set-valued outputs would explode;
+           like Lorel we take the cartesian product per environment *)
+        match List.map (fun (O_expr e | O_agg (_, e)) -> eval_expr db env e) q.select with
+        | [ col ] -> List.iter (fun v -> emit order_key [ v ]) col
+        | cols ->
+            let rec cartesian = function
+              | [] -> [ [] ]
+              | col :: rest ->
+                  let tails = cartesian rest in
+                  List.concat_map (fun v -> List.map (fun tl -> v :: tl) tails) col
+            in
+            List.iter (emit order_key) (cartesian cols))
+      envs;
+    let keyed_rows = List.rev !rows in
     (* ordering: integers and strings by value, nodes by rendered name,
        mixed kinds by a fixed rank; stable for ties *)
     let keyed_rows =

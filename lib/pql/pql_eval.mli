@@ -19,6 +19,9 @@ exception Error of string
 (** A result cell: a graph node at a version, or a scalar value. *)
 type item = Node of Pass_core.Pnode.t * int | Value of Pass_core.Pvalue.t
 
+module Items : Hashtbl.S with type key = item
+(** Tables keyed by items, hashed consistently with item equality. *)
+
 type env = (string * item) list
 (** The FROM clause binds variables to items; WHERE filters environments. *)
 

@@ -24,27 +24,13 @@
 open Pql_ast
 module E = Pql_eval
 module P = Pql_plan
-module Pnode = Pass_core.Pnode
-
-let item_key = function
-  | E.Node (p, v) -> `N (Pnode.to_int p, v)
-  | E.Value v -> `V v
 
 (* class membership for probe results, mirroring root_items *)
-let in_class db root p =
+let in_class db root (n : Provdb.node) =
   match root with
-  | Root_objects -> true
-  | Root_files -> (
-      match Provdb.find_node db p with
-      | Some n -> n.Provdb.kind = Provdb.File
-      | None -> false)
-  | Root_processes -> E.is_process db p
-  | Root_var _ -> true
-
-let at_max_version db p =
-  match Provdb.find_node db p with
-  | Some n -> Some (E.Node (p, n.Provdb.max_version))
-  | None -> None
+  | Root_objects | Root_var _ -> true
+  | Root_files -> n.kind = Provdb.File
+  | Root_processes -> E.is_process db n.pnode
 
 let distinct_pnodes pvs =
   let seen = Hashtbl.create 64 in
@@ -58,7 +44,12 @@ let distinct_pnodes pvs =
     pvs
 
 let of_class db root pnodes =
-  List.filter_map (fun p -> if in_class db root p then at_max_version db p else None) pnodes
+  List.filter_map
+    (fun p ->
+      match Provdb.find_node db p with
+      | Some n when in_class db root n -> Some (E.Node (p, n.max_version))
+      | Some _ | None -> None)
+    pnodes
 
 (* candidate items of an independent access, before path/pushed *)
 let access_items db = function
@@ -66,9 +57,7 @@ let access_items db = function
       (* the TYPE posting list is a superset of every process node:
          is_process needs a TYPE record, hence a posting *)
       Provdb.fault_in db;
-      distinct_pnodes (Provdb.with_attr db "TYPE")
-      |> List.filter (E.is_process db)
-      |> List.filter_map (at_max_version db)
+      of_class db Root_processes (distinct_pnodes (Provdb.with_attr db "TYPE"))
   | P.Scan root -> E.root_items db [] root
   | P.Name_probe (root, s) ->
       (* alias sightings can live in archived history: settle it first
@@ -85,17 +74,19 @@ let access_items db = function
 
 (* pushed conjuncts only mention this binder, so a singleton environment
    evaluates them exactly *)
-let passes_pushed db (step : P.step) it =
-  List.for_all (fun c -> E.eval_cond db [ (step.binder, it) ] c) step.pushed
+let apply_pushed db (step : P.step) items =
+  match step.pushed with
+  | [] -> items
+  | pushed ->
+      List.filter (fun it -> List.for_all (E.eval_cond db [ (step.binder, it) ]) pushed) items
 
 let run db (q : query) (plan : P.t) =
   let step_envs envs (step : P.step) =
     match step.access with
     | P.Var_step v ->
-        let memo = Hashtbl.create 64 in
+        let memo = E.Items.create 64 in
         let expand start =
-          let key = item_key start in
-          match Hashtbl.find_opt memo key with
+          match E.Items.find_opt memo start with
           | Some endpoints -> endpoints
           | None ->
               let endpoints =
@@ -103,8 +94,8 @@ let run db (q : query) (plan : P.t) =
                 | None -> [ start ]
                 | Some p -> E.eval_path db p [ start ]
               in
-              let endpoints = List.filter (passes_pushed db step) endpoints in
-              Hashtbl.replace memo key endpoints;
+              let endpoints = apply_pushed db step endpoints in
+              E.Items.replace memo start endpoints;
               endpoints
         in
         let envs' =
@@ -116,7 +107,7 @@ let run db (q : query) (plan : P.t) =
                   List.map (fun it -> (step.binder, it) :: env) (expand start))
             envs
         in
-        step.actual <- Hashtbl.fold (fun _ eps acc -> acc + List.length eps) memo 0;
+        step.actual <- E.Items.fold (fun _ eps acc -> acc + List.length eps) memo 0;
         envs'
     | _ -> (
         let candidates =
@@ -124,7 +115,7 @@ let run db (q : query) (plan : P.t) =
           | None -> access_items db step.access
           | Some p -> E.eval_path db p (access_items db step.access)
         in
-        let candidates = List.filter (passes_pushed db step) candidates in
+        let candidates = apply_pushed db step candidates in
         step.actual <- List.length candidates;
         match step.join with
         | None ->
@@ -135,21 +126,20 @@ let run db (q : query) (plan : P.t) =
             (* index candidates so matches extend environments in
                candidate order, exactly like the nested loop would *)
             let arr = Array.of_list candidates in
-            let table = Hashtbl.create (Array.length arr * 2) in
+            let table = E.Items.create (Array.length arr * 2) in
             Array.iteri
               (fun i it ->
                 List.iter
-                  (fun kv ->
-                    let k = item_key kv in
-                    Hashtbl.replace table k
-                      (i :: (match Hashtbl.find_opt table k with Some l -> l | None -> [])))
+                  (fun k ->
+                    E.Items.replace table k
+                      (i :: (match E.Items.find_opt table k with Some l -> l | None -> [])))
                   (E.eval_expr db [ (step.binder, it) ] build_key))
               arr;
             List.concat_map
               (fun env ->
                 E.eval_expr db env probe_key
                 |> List.concat_map (fun kv ->
-                       match Hashtbl.find_opt table (item_key kv) with
+                       match E.Items.find_opt table kv with
                        | Some idxs -> idxs
                        | None -> [])
                 |> List.sort_uniq Int.compare

@@ -19,8 +19,8 @@
    postings over its range), scans cost the class table,
    walks multiply by the graph's average ancestry out-degree, and
    closures from a small set of known start pnodes are measured directly
-   against the transitive-adjacency index (bounded BFS).  They only need
-   to rank access paths and make EXPLAIN informative. *)
+   against the transitive-adjacency index (a capped cone count).  They
+   only need to rank access paths and make EXPLAIN informative. *)
 
 open Pql_ast
 
@@ -153,18 +153,13 @@ let rec walk_est db starts = function
 
 and closure_est db starts p = min (graph_size db) (smul (max starts (walk_est db starts p)) 4)
 
-(* closure from known start pnodes: measure the cone directly against
-   the transitive-adjacency index instead of guessing *)
+(* closure from known start pnodes: count the cone directly against
+   the transitive-adjacency index instead of guessing (each start's
+   count capped at 20 000 nodes) *)
 let reach_est db dirn pnodes =
-  let limit = 20_000 in
+  let ancestors = match dirn with Fwd -> true | Inv | Mixed -> false in
   List.fold_left
-    (fun acc p ->
-      let cone =
-        match dirn with
-        | Fwd -> Provdb.reach_ancestors db ~limit p
-        | Inv | Mixed -> Provdb.reach_descendants db ~limit p
-      in
-      sadd acc (1 + List.length cone))
+    (fun acc p -> sadd acc (1 + Provdb.cone_size db ~ancestors ~limit:20_000 p))
     0 pnodes
 
 let scan_est db = function

@@ -5,9 +5,10 @@
     (name/attr) over class scans when their posting-list cardinality is
     smaller; turns cross-binding equality conjuncts into hash joins; and
     estimates cardinalities from Provdb index statistics (posting
-    lengths, class counts, average ancestry degree, and bounded BFS over
-    the transitive-adjacency index when start pnodes are known at plan
-    time).
+    lengths, class counts, average ancestry degree, and, when start
+    pnodes are known at plan time, the size of each start's cone in the
+    transitive-adjacency index, counted without building it and capped
+    at 20 000 nodes).
 
     Probes are supersets by construction — pushed conjuncts are still
     applied with exact evaluator semantics — so planning affects cost,

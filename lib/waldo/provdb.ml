@@ -64,6 +64,9 @@ type slot = {
   mutable versions_memo : (int * int list) option;
       (* memoized [0..max_version] enumeration, keyed by the max it was
          built for, so [versions] does not allocate per call *)
+  mutable mark : int;
+      (* the last cone walk that reached this slot ([t.walks]), so a walk
+         needs no visited table of its own *)
 }
 
 (* One (pnode, version) cell of the quad store. *)
@@ -110,6 +113,8 @@ type t = {
   mutable floored : int;  (* how many nodes have floor > 0 *)
   mutable cold_loaded : bool;  (* archive history already faulted in *)
   mutable fault_handler : fault_handler option;
+  mutable walks : int; (* cone walks so far: the current walk's mark *)
+  mutable walk_queue : slot array; (* BFS queue reused by every cone walk *)
 }
 
 and fault_handler = t -> bool
@@ -131,6 +136,8 @@ let create_sized ~nodes =
     floored = 0;
     cold_loaded = false;
     fault_handler = None;
+    walks = 0;
+    walk_queue = [||];
   }
 
 let create () = create_sized ~nodes:4096
@@ -148,6 +155,7 @@ let slot t pnode =
           children = [];
           refs = [];
           versions_memo = None;
+          mark = 0;
         }
       in
       Hashtbl.add t.nodes pnode s;
@@ -364,8 +372,11 @@ let fold_name_range t prefix f init =
   in
   go init (Names.to_seq_from prefix t.names)
 
+(* One sort-uniq over the range's postings, not a chain of set unions:
+   a glob's range can hold hundreds of single-pnode names. *)
 let find_by_name_prefix t prefix =
-  Pnodes.elements (fold_name_range t prefix Pnodes.union Pnodes.empty)
+  List.sort_uniq Pnode.compare
+    (fold_name_range t prefix (fun acc l -> Pnodes.fold List.cons l acc) [])
 
 (* Typed order on (pnode, version) keys — the attr index and pvcheck sort
    with this instead of polymorphic compare. *)
@@ -384,6 +395,15 @@ let versions t pnode =
           let l = List.init (s.node.max_version + 1) Fun.id in
           s.versions_memo <- Some (s.node.max_version, l);
           l)
+
+(* [List.iter f (List.rev l)] without the reversed copy: cells and
+   reverse edges keep their entries newest first, readers want them in
+   ingest order. *)
+let rec iter_oldest_first f = function
+  | [] -> ()
+  | x :: rest ->
+      iter_oldest_first f rest;
+      f x
 
 let resident_versions t pnode =
   match Hashtbl.find t.nodes pnode with s -> s.resident | exception Not_found -> []
@@ -423,6 +443,21 @@ let records_all t pnode =
   fault_in_node_history t pnode;
   List.concat_map (fun v -> records_at_raw t pnode ~version:v) (resident_versions t pnode)
 
+let iter_records_at t pnode ~version f =
+  if below_floor t pnode version then maybe_fault_in t;
+  match Hashtbl.find t.quads (pnode, version) with
+  | c -> iter_oldest_first f c.c_quads
+  | exception Not_found -> ()
+
+let iter_records_all t pnode f =
+  fault_in_node_history t pnode;
+  List.iter
+    (fun v ->
+      match Hashtbl.find t.quads (pnode, v) with
+      | c -> iter_oldest_first f c.c_quads
+      | exception Not_found -> ())
+    (resident_versions t pnode)
+
 let out_edges t pnode ~version =
   if below_floor t pnode version then maybe_fault_in t;
   out_edges_raw t pnode ~version
@@ -438,6 +473,12 @@ let in_edges t pnode =
      versions, so the presence of any floor is reason to fault in *)
   if t.floored > 0 then maybe_fault_in t;
   match Hashtbl.find t.nodes pnode with s -> List.rev s.refs | exception Not_found -> []
+
+let iter_in_edges t pnode f =
+  if t.floored > 0 then maybe_fault_in t;
+  match Hashtbl.find t.nodes pnode with
+  | s -> iter_oldest_first f s.refs
+  | exception Not_found -> ()
 
 let with_attr t attr =
   if t.floored > 0 then maybe_fault_in t;
@@ -478,30 +519,61 @@ let parents_of t pnode =
 let children_of t pnode =
   match Hashtbl.find t.nodes pnode with s -> List.rev s.children | exception Not_found -> []
 
-let reach t next ?limit start =
-  let cap = match limit with Some c -> c | None -> max_int in
-  let seen : (Pnode.t, unit) Hashtbl.t = Hashtbl.create 64 in
-  Hashtbl.replace seen start ();
-  let queue = Queue.create () in
-  Queue.add start queue;
+(* Breadth-first walk of the pnode-level adjacency [next] from [start],
+   handing [visit] each newly reached pnode in BFS order until [limit]
+   have been reached.  Slots are marked with the walk's number instead of
+   being collected in a visited table, and the queue array is reused, so
+   a walk allocates nothing of its own. *)
+let walk t next ~limit start visit =
+  match Hashtbl.find t.nodes start with
+  | exception Not_found -> ()
+  | s0 ->
+      t.walks <- t.walks + 1;
+      let mark = t.walks in
+      s0.mark <- mark;
+      let push i s =
+        if i = Array.length t.walk_queue then begin
+          let q = Array.make (max 64 (2 * i)) s in
+          Array.blit t.walk_queue 0 q 0 i;
+          t.walk_queue <- q
+        end;
+        t.walk_queue.(i) <- s
+      in
+      push 0 s0;
+      let head = ref 0 and tail = ref 1 and found = ref 0 in
+      let rec reach = function
+        | p :: rest when !found < limit ->
+            (match Hashtbl.find t.nodes p with
+            | s when s.mark <> mark ->
+                s.mark <- mark;
+                incr found;
+                visit p;
+                push !tail s;
+                incr tail
+            | _ -> ()
+            | exception Not_found -> ());
+            reach rest
+        | _ -> ()
+      in
+      while !head < !tail && !found < limit do
+        let s = t.walk_queue.(!head) in
+        incr head;
+        reach (next s)
+      done
+
+let reach t next ?(limit = max_int) start =
   let out = ref [] in
-  let count = ref 0 in
-  while (not (Queue.is_empty queue)) && !count < cap do
-    let p = Queue.pop queue in
-    List.iter
-      (fun n ->
-        if not (Hashtbl.mem seen n) then begin
-          Hashtbl.replace seen n ();
-          incr count;
-          out := n :: !out;
-          Queue.add n queue
-        end)
-      (match Hashtbl.find t.nodes p with s -> next s | exception Not_found -> [])
-  done;
+  walk t next ~limit start (fun p -> out := p :: !out);
   List.rev !out
 
 let reach_ancestors t ?limit pnode = reach t (fun s -> s.parents) ?limit pnode
 let reach_descendants t ?limit pnode = reach t (fun s -> s.children) ?limit pnode
+
+let cone_size t ~ancestors ~limit pnode =
+  let next s = if ancestors then s.parents else s.children in
+  let n = ref 0 in
+  walk t next ~limit pnode (fun _ -> incr n);
+  !n
 
 let db_bytes t = t.db_bytes
 let index_bytes t = t.index_bytes

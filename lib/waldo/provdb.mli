@@ -81,6 +81,13 @@ val versions : t -> Pnode.t -> int list
 val records_at : t -> Pnode.t -> version:int -> quad list
 val records_all : t -> Pnode.t -> quad list
 
+val iter_records_at : t -> Pnode.t -> version:int -> (quad -> unit) -> unit
+(** [List.iter f (records_at t p ~version)] without building the list:
+    the query engine's per-step read. *)
+
+val iter_records_all : t -> Pnode.t -> (quad -> unit) -> unit
+(** [List.iter f (records_all t p)] without building the list. *)
+
 val out_edges : t -> Pnode.t -> version:int -> (string * Pvalue.xref) list
 (** Ancestry edges leaving (pnode, version): attribute and target. *)
 
@@ -89,6 +96,9 @@ val out_edges_all : t -> Pnode.t -> (int * string * Pvalue.xref) list
 val in_edges : t -> Pnode.t -> (Pnode.t * int * string * int) list
 (** Who refers to [pnode]: (source pnode, source version, attribute,
     referenced version of [pnode]). *)
+
+val iter_in_edges : t -> Pnode.t -> (Pnode.t * int * string * int -> unit) -> unit
+(** [List.iter f (in_edges t p)] without building the list. *)
 
 val with_attr : t -> string -> (Pnode.t * int) list
 (** Distinct (pnode, version) pairs holding at least one record whose
@@ -124,10 +134,16 @@ val attr_cardinality : t -> string -> int
 val reach_ancestors : t -> ?limit:int -> Pnode.t -> Pnode.t list
 (** Transitive ancestry reachability at pnode granularity (versions
     collapsed, freeze self-edges excluded), excluding the start, in BFS
-    order; [limit] caps the number of nodes returned so
-    the planner can bound estimation work. *)
+    order.  With [limit] the walk stops once it has discovered [limit]
+    nodes, so the result holds at most [limit] nodes and is a prefix of
+    the unlimited result. *)
 
 val reach_descendants : t -> ?limit:int -> Pnode.t -> Pnode.t list
+
+val cone_size : t -> ancestors:bool -> limit:int -> Pnode.t -> int
+(** [List.length] of {!reach_ancestors} (or, with [~ancestors:false],
+    {!reach_descendants}) under the same [limit], counted without
+    building the list: the planner's closure estimate. *)
 
 val serialize : t -> string
 (** On-disk image of the node and quad tables (indexes are rebuilt by

@@ -376,6 +376,12 @@ let prop_glob_star =
       QCheck2.assume (not (String.contains prefix '*' || String.contains prefix '?'));
       Pql_eval.glob_match (prefix ^ "*") (prefix ^ rest))
 
+(* Each '*' used to re-try every suffix: O(|s|^stars) *)
+let test_glob_many_stars () =
+  check tbool "8 stars, 200 chars" false
+    (Pql_eval.glob_match "*a*a*a*a*a*a*a*a*b" (String.make 200 'a'));
+  check tbool "and a match" true (Pql_eval.glob_match "*a*a*a*a*a*a*a*a*b" (String.make 200 'a' ^ "b"))
+
 (* Compaction moves out.gif's v0 — and with it the edge to kepler — below
    the floor.  An ancestry query that crosses that boundary must fault the
    cold tier back in transparently: same answer as the uncompacted db, and
@@ -559,6 +565,137 @@ let test_lowercase_name_record_indexed () =
       {|select F from Provenance.file as F where F.name = "zzz"|};
       {|select F from Provenance.file as F where F.name ~ "zz*"|};
     ]
+
+(* --- attribute case in path steps ------------------------------------------ *)
+
+(* The planner and the oracle share the step functions, so planner ==
+   naive cannot catch a case bug there.  [a] reads [b0], [b1], [b2]
+   through INPUT spelled three ways, and [c0]..[c3] through near misses
+   that must never match. *)
+let test_step_attr_case () =
+  let db = Provdb.create () in
+  let alloc = Pnode.allocator ~machine:4 in
+  let file name =
+    let p = Pnode.fresh alloc in
+    Provdb.set_file db p ~name;
+    p
+  in
+  let a = file "a" in
+  let reads attr name = Provdb.add_record db a ~version:0 (Record.make attr (Pvalue.xref (file name) 0)) in
+  List.iteri (fun i attr -> reads attr (Printf.sprintf "b%d" i)) [ "INPUT"; "input"; "Input" ];
+  List.iteri
+    (fun i attr -> reads attr (Printf.sprintf "c%d" i))
+    [ "INPU"; "INPUTS"; "INPUT\xc9"; "inp\xfct" ];
+  let rows q = List.map (String.concat "|") (Pql.render db (Pql.Engine.execute (Pql.Engine.prepare db q))) in
+  let from name path =
+    List.sort String.compare
+      (rows (Printf.sprintf {|select X from Provenance.file as F F.%s as X where F.name = "%s"|} path name))
+  in
+  let ancestry = [ "a.0"; "b0.0"; "b1.0"; "b2.0" ] in
+  check tstrs "F.input*" ancestry (from "a" "input*");
+  check tstrs "F.INPUT*" ancestry (from "a" "INPUT*");
+  check tstrs "F.iNpUt*" ancestry (from "a" "iNpUt*");
+  List.iter
+    (fun b -> check tstrs ("F.^Input* from " ^ b) [ "a.0"; b ^ ".0" ] (from b "^Input*"))
+    [ "b0"; "b1"; "b2" ];
+  List.iter
+    (fun c -> check tstrs ("F.^Input* from " ^ c) [ c ^ ".0" ] (from c "^Input*"))
+    [ "c0"; "c1"; "c2"; "c3" ];
+  (* attribute access goes through the same comparison *)
+  check tint "F.Input values" 3
+    (List.length (rows {|select F.Input from Provenance.file as F where F.name = "a"|}))
+
+(* --- row order --------------------------------------------------------------- *)
+
+(* Rows come out in execution order: a closure's endpoints in the order
+   of its [seen] table, then row dedup keeping first occurrences.  The
+   set-equality tests do not pin that order, so this does: for a fixed
+   query set over a local Linux-compile graph, the MD5 of the rendered
+   rows in order, and the EXPLAIN text after execution. *)
+let row_order_golden =
+  [
+    ( {|select D from Provenance.file as F F.^input* as D where F.name = "h0.h"|},
+      "746f3d6096c67a03cf8d6f9c55f8913b",
+      {|plan:
+  F <- name-index "h0.h" -> files  (est 1, actual 1)
+      push F.name = "h0.h"
+  D <- from F, walk ^input* [memo]  (est 92, actual 91)
+  rows: (est 92, actual 91)|} );
+    ( {|select A from Provenance.file as F F.input* as A where F.name = "vmlinux"|},
+      "c30d546bcf02c55a05dfad435dddb87a",
+      {|plan:
+  F <- name-index "vmlinux" -> files  (est 1, actual 1)
+      push F.name = "vmlinux"
+  A <- from F, walk input* [memo]  (est 319, actual 318)
+  rows: (est 319, actual 318)|} );
+    ( {|select A from Provenance.file as F F.input+ as A where F.name = "vmlinux"|},
+      "0ecb473b77234f85b0f150324e631aa8",
+      {|plan:
+  F <- name-index "vmlinux" -> files  (est 1, actual 1)
+      push F.name = "vmlinux"
+  A <- from F, walk input+ [memo]  (est 319, actual 317)
+  rows: (est 319, actual 317)|} );
+    ( {|select A from Provenance.file as F F._* as A where F.name = "built-in.o"|},
+      "98bcd1f6543bfd8f2ecca263f544a69f",
+      {|plan:
+  F <- name-index "built-in.o" -> files  (est 8, actual 8)
+      push F.name = "built-in.o"
+  A <- from F, walk _* [memo]  (est 408, actual 400)
+  rows: (est 408, actual 316)|} );
+    ( {|select A from Provenance.file as F F.Input* as A where F.name = "vmlinux"|},
+      "c30d546bcf02c55a05dfad435dddb87a",
+      {|plan:
+  F <- name-index "vmlinux" -> files  (est 1, actual 1)
+      push F.name = "vmlinux"
+  A <- from F, walk Input* [memo]  (est 319, actual 318)
+  rows: (est 319, actual 318)|} );
+    ( {|select D from Provenance.file as F F.^iNpUt* as D where F.name = "h0.h"|},
+      "746f3d6096c67a03cf8d6f9c55f8913b",
+      {|plan:
+  F <- name-index "h0.h" -> files  (est 1, actual 1)
+      push F.name = "h0.h"
+  D <- from F, walk ^iNpUt* [memo]  (est 92, actual 91)
+  rows: (est 92, actual 91)|} );
+    ( {|select F from Provenance.object as F where F.name ~ "f1*"|},
+      "6026c2fe1cc8d4806244587d40decfbe",
+      {|plan:
+  F <- name-prefix "f1" -> objects  (est 48, actual 48)
+      push F.name ~ "f1*"
+  rows: (est 48, actual 48)|} );
+    ( {|select F from Provenance.object as F where F.name ~ "*.h"|},
+      "bfe7afaa5dcc915b885395cdf3a27c1f",
+      {|plan:
+  F <- scan objects  (est 318, actual 6)
+      push F.name ~ "*.h"
+  rows: (est 318, actual 6)|} );
+  ]
+
+let test_row_order_golden () =
+  let sys = Runner.local_system System.Pass in
+  (List.hd (Runner.standard ())).Runner.run sys;
+  let _ : int = System.drain sys in
+  let db = Option.get (System.waldo_db sys "vol0") in
+  List.iter
+    (fun (q, md5, explain) ->
+      let p = Pql.Engine.prepare db q in
+      let rows = Pql.render db (Pql.Engine.execute p) in
+      let text = String.concat "\n" (List.map (String.concat " | ") rows) in
+      check Alcotest.string (q ^ ": rows in order") md5 (Digest.to_hex (Digest.string text));
+      check Alcotest.string (q ^ ": explain") explain (Pql_plan.to_string (Pql.Engine.explain p)))
+    row_order_golden
+
+(* --- cone walks under a limit ---------------------------------------------- *)
+
+let test_reach_limit () =
+  let db = Provdb.create () in
+  let alloc = Pnode.allocator ~machine:5 in
+  let child = Pnode.fresh alloc in
+  List.iter
+    (fun _ -> Provdb.add_record db child ~version:0 (Record.input_of (Pnode.fresh alloc) 0))
+    [ 1; 2; 3 ];
+  check tint "unlimited" 3 (List.length (Provdb.reach_ancestors db child));
+  check tint "limit 1" 1 (List.length (Provdb.reach_ancestors db ~limit:1 child));
+  check tint "counted under limit 1" 1 (Provdb.cone_size db ~ancestors:true ~limit:1 child)
 
 (* --- planner == naive oracle on random graphs x random queries ------------- *)
 
@@ -759,6 +896,29 @@ let prop_prefix_probe =
       List.for_all prefix_probe_agrees
         [ db; merged; hot; cold; Provdb.deserialize (Provdb.serialize merged) ])
 
+(* A limited walk returns a prefix of the unlimited BFS order, and the
+   planner's count is that prefix's length. *)
+let prop_reach_limit_prefix =
+  QCheck2.Test.make ~name:"provdb: limited cone = prefix of the unlimited BFS" ~count:200
+    gen_graph (fun specs ->
+      let db = build_random_db specs in
+      let walks : (bool * (?limit:int -> Pnode.t -> Pnode.t list)) list =
+        [ (true, Provdb.reach_ancestors db); (false, Provdb.reach_descendants db) ]
+      in
+      List.for_all
+        (fun (n : Provdb.node) ->
+          List.for_all
+            (fun (ancestors, (reach : ?limit:int -> Pnode.t -> Pnode.t list)) ->
+              let all = reach n.pnode in
+              List.for_all
+                (fun limit ->
+                  let got = reach ~limit n.pnode in
+                  List.equal Pnode.equal got (List.filteri (fun i _ -> i < limit) all)
+                  && Int.equal (Provdb.cone_size db ~ancestors ~limit n.pnode) (List.length got))
+                [ 0; 1; 2; 3; 5; 8 ])
+            walks)
+        (Provdb.all_nodes db))
+
 (* --- the bulk loader against an add_record replay ---------------------------- *)
 
 (* A Provdb image taken apart: raw node entries (pnode, kind byte, name,
@@ -905,7 +1065,8 @@ let qcheck_cases =
   @ List.map
       (fun prop ->
         QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) prop)
-      [ prop_planner_matches_naive; prop_prefix_probe; prop_loader_matches_replay ]
+      [ prop_planner_matches_naive; prop_prefix_probe; prop_reach_limit_prefix;
+        prop_loader_matches_replay ]
 
 let suite =
   [
@@ -948,5 +1109,12 @@ let suite =
       test_explain_golden;
     Alcotest.test_case "plan: NAME records in any case are indexed" `Quick
       test_lowercase_name_record_indexed;
+    Alcotest.test_case "eval: path steps match attributes case-insensitively" `Quick
+      test_step_attr_case;
+    Alcotest.test_case "exec: row order and explain golden (Linux compile)" `Quick
+      test_row_order_golden;
+    Alcotest.test_case "provdb: reach limit caps discovered nodes" `Quick test_reach_limit;
+    Alcotest.test_case "eval: glob with many stars does not backtrack" `Quick
+      test_glob_many_stars;
   ]
   @ qcheck_cases

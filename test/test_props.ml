@@ -253,6 +253,32 @@ let prop_ctx_monotone =
           v1 = v0 + 1 && b1 > b0 && Ctx.birth_at ctx p ~version:v0 < b1)
         freezes)
 
+(* --- the glob matcher against a reference DP matcher ------------------------ *)
+
+(* [m.(i).(j)]: pattern suffix from [i] matches string suffix from [j] *)
+let glob_reference p s =
+  let np = String.length p and ns = String.length s in
+  let m = Array.make_matrix (np + 1) (ns + 1) false in
+  m.(np).(ns) <- true;
+  for i = np - 1 downto 0 do
+    for j = ns downto 0 do
+      m.(i).(j) <-
+        (match p.[i] with
+        | '*' -> m.(i + 1).(j) || (j < ns && m.(i).(j + 1))
+        | '?' -> j < ns && m.(i + 1).(j + 1)
+        | c -> j < ns && Char.equal s.[j] c && m.(i + 1).(j + 1))
+    done
+  done;
+  m.(0).(0)
+
+let prop_glob_reference =
+  QCheck2.Test.make ~name:"pql glob: greedy matcher = DP reference" ~count:1000
+    QCheck2.Gen.(
+      pair
+        (string_size ~gen:(oneofl [ 'a'; 'b'; '*'; '?' ]) (int_bound 8))
+        (string_size ~gen:(oneofl [ 'a'; 'b' ]) (int_bound 10)))
+    (fun (p, s) -> Bool.equal (Pql_eval.glob_match p s) (glob_reference p s))
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -265,6 +291,7 @@ let qcheck_cases =
       prop_bundle_encoded_size;
       prop_distributor_invariant;
       prop_ctx_monotone;
+      prop_glob_reference;
     ]
 
 let test_dot_export () =
