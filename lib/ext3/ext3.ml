@@ -111,9 +111,15 @@ let decode_jrec s pos =
   | n -> Wire.corrupt "ext3 journal: bad record tag %d" n
 
 (* A weak but adequate frame checksum: detects torn frames after a crash. *)
-let checksum payload =
+let checksum_step h c = ((h * 131) + Char.code c) land 0x3fffffff
+let checksum payload = String.fold_left checksum_step 0 payload
+
+(* The same checksum over the first [len] bytes of a buffer. *)
+let checksum_prefix b len =
   let h = ref 0 in
-  String.iter (fun c -> h := ((!h * 131) + Char.code c) land 0x3fffffff) payload;
+  for k = 0 to len - 1 do
+    h := checksum_step !h (Bytes.get b k)
+  done;
   !h
 
 (* --- in-memory state helpers -------------------------------------------- *)
@@ -301,25 +307,26 @@ let format ?jblocks disk =
 let mount ?jblocks disk =
   let t = make ?jblocks disk in
   Hashtbl.replace t.inodes root_ino (new_inode root_ino Vfs.Directory);
-  (* replay *)
+  (* replay: every header and payload is read into one scratch buffer *)
   let region_off = t.jstart * Simdisk.Disk.block_size in
+  let scratch = ref (Bytes.create Simdisk.Disk.block_size) in
+  let u32 k = Int32.to_int (Bytes.get_int32_le !scratch k) land 0xffffffff in
   let pos = ref 0 in
   (try
      let continue = ref true in
      while !continue do
-       let header = Simdisk.Disk.read_bytes disk ~off:(region_off + !pos) ~len:12 in
-       let hp = ref 0 in
-       let magic = Wire.get_u32 header hp in
-       if magic <> frame_magic then continue := false
+       Simdisk.Disk.read_into disk ~off:(region_off + !pos) ~len:12 !scratch;
+       if u32 0 <> frame_magic then continue := false
        else begin
-         let len = Wire.get_u32 header hp in
-         let sum = Wire.get_u32 header hp in
+         let len = u32 4 and sum = u32 8 in
          if !pos + 12 + len > journal_capacity t then continue := false
          else begin
-           let payload = Simdisk.Disk.read_bytes disk ~off:(region_off + !pos + 12) ~len in
-           if checksum payload <> sum then continue := false
+           if len > Bytes.length !scratch then
+             scratch := Bytes.create (max len (2 * Bytes.length !scratch));
+           Simdisk.Disk.read_into disk ~off:(region_off + !pos + 12) ~len !scratch;
+           if checksum_prefix !scratch len <> sum then continue := false
            else begin
-             (match decode_jrec payload (ref 0) with
+             (match decode_jrec (Bytes.sub_string !scratch 0 len) (ref 0) with
              | J_snapshot s -> load_snapshot t s
              | r -> apply t r);
              pos := !pos + 12 + len
@@ -450,17 +457,20 @@ let write t ino ~off data =
               cache_insert t key block
             end
             else begin
-              let medium = Simdisk.Disk.stored_block t.disk phys in
-              let block = Simdisk.Disk.patch medium ~at:inblk data ~pos:!pos ~len:n in
-              Simdisk.Disk.write_block t.disk phys block;
-              (* write-through: keep a cached page coherent.  It differs
-                 from the medium only where a fault damaged the medium *)
               match Hashtbl.find_opt t.page_cache key with
-              | Some page when page == medium -> Hashtbl.replace t.page_cache key block
+              | None ->
+                  (* no page to keep coherent: the device merges in place *)
+                  Simdisk.Disk.write_partial t.disk phys ~at:inblk data ~pos:!pos ~len:n
               | Some page ->
+                  let medium = Simdisk.Disk.stored_block t.disk phys in
+                  let block = Simdisk.Disk.patch medium ~at:inblk data ~pos:!pos ~len:n in
+                  Simdisk.Disk.write_block t.disk phys block;
+                  (* write-through: the page is shared and immutable, so it
+                     is replaced.  It differs from the medium only where a
+                     fault damaged the medium *)
                   Hashtbl.replace t.page_cache key
-                    (Simdisk.Disk.patch page ~at:inblk data ~pos:!pos ~len:n)
-              | None -> ()
+                    (if page == medium then block
+                     else Simdisk.Disk.patch page ~at:inblk data ~pos:!pos ~len:n)
             end;
             pos := !pos + n
           done

@@ -63,13 +63,17 @@ let instruments registry =
    up to the 64 KB block size before issuing one WRITE / OP_PASSWRITE, the
    way a real NFS client's wsize batching works.  Close-to-open
    consistency allows it: buffers are flushed before any read, getattr or
-   namespace operation. *)
-type plain_buf = { pb_ino : Vfs.ino; mutable pb_off : int; pb_data : Buffer.t }
+   namespace operation.  A buffer keeps its writes as written, newest
+   first, with their running length, and joins them once when it is
+   sent. *)
+type chunks = { mutable newest_first : string list; mutable length : int }
+
+type plain_buf = { pb_ino : Vfs.ino; mutable pb_off : int; pb_data : chunks }
 
 type prov_buf = {
   vb_handle : Dpapi.handle;
   mutable vb_off : int;
-  vb_data : Buffer.t;
+  vb_data : chunks;
   mutable vb_bundle : Dpapi.bundle; (* reversed *)
 }
 
@@ -206,21 +210,31 @@ let pnode_reply = function Proto.R_handle { pnode } -> Some pnode | _ -> None
 
 (* --- write-behind ------------------------------------------------------------ *)
 
+let no_chunks () = { newest_first = []; length = 0 }
+
+let add_chunk c data =
+  c.newest_first <- data :: c.newest_first;
+  c.length <- c.length + String.length data
+
+(* A lone write goes as is. *)
+let joined c =
+  match c.newest_first with [ data ] -> data | l -> String.concat "" (List.rev l)
+
 let flush_plain t =
   match t.plain_pending with
   | None -> Ok ()
   | Some pb ->
       t.plain_pending <- None;
-      if Buffer.length pb.pb_data = 0 then Ok ()
+      if pb.pb_data.length = 0 then Ok ()
       else
         vfs_call t
-          (Proto.Write { ino = pb.pb_ino; off = pb.pb_off; data = Buffer.contents pb.pb_data })
+          (Proto.Write { ino = pb.pb_ino; off = pb.pb_off; data = joined pb.pb_data })
           unit_reply
 
 let buffered_plain_write t ino ~off data =
   let fits =
     match t.plain_pending with
-    | Some pb -> pb.pb_ino = ino && pb.pb_off + Buffer.length pb.pb_data = off
+    | Some pb -> pb.pb_ino = ino && pb.pb_off + pb.pb_data.length = off
     | None -> false
   in
   let ( let* ) = Result.bind in
@@ -229,14 +243,14 @@ let buffered_plain_write t ino ~off data =
     match t.plain_pending with
     | Some pb -> pb
     | None ->
-        let pb = { pb_ino = ino; pb_off = off; pb_data = Buffer.create 8192 } in
+        let pb = { pb_ino = ino; pb_off = off; pb_data = no_chunks () } in
         t.plain_pending <- Some pb;
         pb
   in
-  Buffer.add_string pb.pb_data data;
+  add_chunk pb.pb_data data;
   (* flush at the 64 KB block size, or immediately for a non-streaming
      (short) write *)
-  if Buffer.length pb.pb_data >= Proto.block_limit || String.length data < 4096 then
+  if pb.pb_data.length >= Proto.block_limit || String.length data < 4096 then
     flush_plain t
   else Ok ()
 
@@ -489,7 +503,7 @@ let flush_prov t =
         (List.rev_map
            (fun vb ->
              item t vb.vb_handle ~off:vb.vb_off
-               ~data:(Some (Buffer.contents vb.vb_data))
+               ~data:(Some (joined vb.vb_data))
                (List.rev vb.vb_bundle))
            pending)
 
@@ -551,7 +565,7 @@ let pass_read t (h : Dpapi.handle) ~off ~len =
 
 let pending_size t =
   List.fold_left
-    (fun n vb -> n + Buffer.length vb.vb_data + Dpapi.bundle_size vb.vb_bundle)
+    (fun n vb -> n + vb.vb_data.length + Dpapi.bundle_size vb.vb_bundle)
     0 t.prov_pending
 
 let find_pending t (h : Dpapi.handle) =
@@ -584,7 +598,7 @@ let pass_write t (h : Dpapi.handle) ~off ~data bundle =
       else
       let contiguous =
         match find_pending t h with
-        | Some vb -> vb.vb_off + Buffer.length vb.vb_data = off
+        | Some vb -> vb.vb_off + vb.vb_data.length = off
         | None -> false
       in
       let room = pending_size t + incoming <= batch_budget in
@@ -598,11 +612,11 @@ let pass_write t (h : Dpapi.handle) ~off ~data bundle =
         match find_pending t h with
         | Some vb -> vb
         | None ->
-            let vb = { vb_handle = h; vb_off = off; vb_data = Buffer.create 8192; vb_bundle = [] } in
+            let vb = { vb_handle = h; vb_off = off; vb_data = no_chunks (); vb_bundle = [] } in
             t.prov_pending <- vb :: t.prov_pending;
             vb
       in
-      Buffer.add_string vb.vb_data d;
+      add_chunk vb.vb_data d;
       vb.vb_bundle <- List.rev_append bundle vb.vb_bundle;
       let* _ = if (not t.piggyback) && String.length d < 4096 then flush_prov t else Ok 0 in
       Ok (Ctx.current_version t.ctx h.pnode)

@@ -364,16 +364,19 @@ let timed_out net =
 
 (* Per-direction encode scratch: the RPC path is synchronous and handlers
    never issue nested RPCs, so one request and one response buffer serve
-   every call ([Buffer.contents] copies out before the next reuse). *)
+   every call ([Buffer.contents] copies the request out before the next
+   reuse). *)
 let req_scratch = Buffer.create 1024
 let resp_scratch = Buffer.create 256
 
-(* Byte-level delivery: decode the datagram, execute, encode the reply. *)
+(* Byte-level delivery: decode the datagram, execute, encode the reply.
+   The caller already holds the reply in memory, so only its wire size
+   leaves the buffer. *)
 let deliver handler wire_req =
   let resp = handler (decode_call wire_req (ref 0)) in
   Buffer.clear resp_scratch;
   encode_resp resp_scratch resp;
-  (resp, Buffer.contents resp_scratch)
+  (resp, Buffer.length resp_scratch)
 
 let rpc net handler (c : call) =
   Buffer.clear req_scratch;
@@ -398,27 +401,27 @@ let rpc net handler (c : call) =
         (* the server executes and replies, but the reply is lost: the
            case the duplicate-request cache exists for *)
         transmit net (String.length wire_req);
-        let _resp, wire_resp = deliver handler wire_req in
-        transmit net (String.length wire_resp);
+        let _resp, resp_bytes = deliver handler wire_req in
+        transmit net resp_bytes;
         timed_out net
     | Some Fault.Duplicate ->
         (* the request datagram is delivered twice; the second execution
            must hit the server's duplicate-request cache *)
         transmit net (String.length wire_req);
-        let resp, wire_resp = deliver handler wire_req in
-        transmit net (String.length wire_resp);
+        let resp, resp_bytes = deliver handler wire_req in
+        transmit net resp_bytes;
         transmit net (String.length wire_req);
-        let _resp2, wire_resp2 = deliver handler wire_req in
-        transmit net (String.length wire_resp2);
+        let _resp2, resp_bytes2 = deliver handler wire_req in
+        transmit net resp_bytes2;
         Ok resp
     | Some (Fault.Delay_ns d) ->
         Simdisk.Clock.advance net.clock d;
         transmit net (String.length wire_req);
-        let resp, wire_resp = deliver handler wire_req in
-        transmit net (String.length wire_resp);
+        let resp, resp_bytes = deliver handler wire_req in
+        transmit net resp_bytes;
         Ok resp
     | None ->
         transmit net (String.length wire_req);
-        let resp, wire_resp = deliver handler wire_req in
-        transmit net (String.length wire_resp);
+        let resp, resp_bytes = deliver handler wire_req in
+        transmit net resp_bytes;
         Ok resp

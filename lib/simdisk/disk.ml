@@ -52,9 +52,15 @@ type stream = { mutable s_head : int; mutable s_used : int }
 let total_blocks = 20_000_000
 let stream_slots = 5
 
+(* A stored block.  A shared one ([owned = false]) is a caller's string or
+   one the device has handed out, and is never mutated again.  An owned
+   one holds bytes the device merged itself and has handed to no one, so
+   a partial write may blit into it in place. *)
+type slot = { mutable data : string; mutable owned : bool }
+
 type t = {
   clock : Clock.t;
-  blocks : (int, string) Hashtbl.t;
+  blocks : (int, slot) Hashtbl.t;
   streams : stream array;
   mutable use_counter : int;
   mutable crashed : bool;
@@ -113,49 +119,58 @@ let stream_near_window = 256 (* blocks: 1 MB *)
 
 let charge_position t blk =
   t.use_counter <- t.use_counter + 1;
-  let best = ref None in
-  Array.iter
-    (fun s ->
-      if s.s_head >= 0 then begin
-        let d = abs (blk - s.s_head) in
-        match !best with
-        | Some (_, bd) when bd <= d -> ()
-        | _ -> if d <= stream_near_window then best := Some (s, d)
-      end)
-    t.streams;
+  (* the nearest live stream within the window, the first one on a tie *)
+  let best = ref (-1) and best_d = ref max_int in
+  for k = 0 to stream_slots - 1 do
+    let h = t.streams.(k).s_head in
+    if h >= 0 then begin
+      let d = abs (blk - h) in
+      if d < !best_d && d <= stream_near_window then begin
+        best := k;
+        best_d := d
+      end
+    end
+  done;
   let charge_transfer = ref true in
-  (match !best with
-  | Some (s, d) when d <= 1 ->
-      (* a rewrite of the hot tail block is absorbed by the page cache and
-         written to the medium once, so it transfers for free; advancing
-         to a fresh block pays one block of transfer *)
-      if blk = s.s_head - 1 then charge_transfer := false;
-      s.s_head <- max s.s_head (blk + 1);
-      s.s_used <- t.use_counter
-  | Some (s, _) ->
-      (* near a live stream: elevator picks it up within the same sweep *)
-      Telemetry.add t.i.seek_ns t.settle_ns;
-      Clock.advance t.clock t.settle_ns;
-      s.s_head <- blk + 1;
-      s.s_used <- t.use_counter
-  | None ->
-      (* cold region: real seek; evict the least-recently-used stream *)
-      Telemetry.incr t.i.seeks;
-      let lru = ref t.streams.(0) in
-      Array.iter (fun s -> if s.s_used < !lru.s_used then lru := s) t.streams;
-      let origin = if !lru.s_head >= 0 then !lru.s_head else 0 in
-      let distance = abs (blk - origin) in
-      let frac = float_of_int distance /. float_of_int total_blocks in
-      (* seek time grows roughly with the square root of the distance *)
-      let seek =
-        t.min_seek_ns
-        + int_of_float (float_of_int (t.full_seek_ns - t.min_seek_ns) *. sqrt frac)
-      in
-      let cost = seek + t.rotation_ns in
-      Telemetry.add t.i.seek_ns cost;
-      Clock.advance t.clock cost;
-      !lru.s_head <- blk + 1;
-      !lru.s_used <- t.use_counter);
+  if !best >= 0 && !best_d <= 1 then begin
+    (* a rewrite of the hot tail block is absorbed by the page cache and
+       written to the medium once, so it transfers for free; advancing
+       to a fresh block pays one block of transfer *)
+    let s = t.streams.(!best) in
+    if blk = s.s_head - 1 then charge_transfer := false;
+    s.s_head <- max s.s_head (blk + 1);
+    s.s_used <- t.use_counter
+  end
+  else if !best >= 0 then begin
+    (* near a live stream: elevator picks it up within the same sweep *)
+    let s = t.streams.(!best) in
+    Telemetry.add t.i.seek_ns t.settle_ns;
+    Clock.advance t.clock t.settle_ns;
+    s.s_head <- blk + 1;
+    s.s_used <- t.use_counter
+  end
+  else begin
+    (* cold region: real seek; evict the least-recently-used stream *)
+    Telemetry.incr t.i.seeks;
+    let lru = ref 0 in
+    for k = 1 to stream_slots - 1 do
+      if t.streams.(k).s_used < t.streams.(!lru).s_used then lru := k
+    done;
+    let lru = t.streams.(!lru) in
+    let origin = if lru.s_head >= 0 then lru.s_head else 0 in
+    let distance = abs (blk - origin) in
+    let frac = float_of_int distance /. float_of_int total_blocks in
+    (* seek time grows roughly with the square root of the distance *)
+    let seek =
+      t.min_seek_ns
+      + int_of_float (float_of_int (t.full_seek_ns - t.min_seek_ns) *. sqrt frac)
+    in
+    let cost = seek + t.rotation_ns in
+    Telemetry.add t.i.seek_ns cost;
+    Clock.advance t.clock cost;
+    lru.s_head <- blk + 1;
+    lru.s_used <- t.use_counter
+  end;
   if !charge_transfer then begin
     Telemetry.add t.i.transfer_ns t.per_block_transfer_ns;
     Clock.advance t.clock t.per_block_transfer_ns
@@ -164,11 +179,27 @@ let charge_position t blk =
 let check_block blk =
   if blk < 0 || blk >= total_blocks then invalid_arg "Disk: block out of range"
 
-(* Blocks are immutable strings shared with the callers that wrote or
-   read them; a hole reads as this one shared zero block. *)
+(* A hole reads as this one shared zero block. *)
 let zero_block = String.make block_size '\000'
 
-let stored_block t blk = Option.value (Hashtbl.find_opt t.blocks blk) ~default:zero_block
+(* The medium's bytes, without handing them out. *)
+let peek t blk =
+  match Hashtbl.find t.blocks blk with s -> s.data | exception Not_found -> zero_block
+
+(* The block, handed out: from now on it is shared. *)
+let stored_block t blk =
+  match Hashtbl.find t.blocks blk with
+  | s ->
+      s.owned <- false;
+      s.data
+  | exception Not_found -> zero_block
+
+let store t blk data ~owned =
+  match Hashtbl.find t.blocks blk with
+  | s ->
+      s.data <- data;
+      s.owned <- owned
+  | exception Not_found -> Hashtbl.add t.blocks blk { data; owned }
 
 let patch block ~at src ~pos ~len =
   let b = Bytes.of_string block in
@@ -190,10 +221,14 @@ let read_block t blk =
   Telemetry.add t.i.bytes_read block_size;
   stored_block t blk
 
-let write_block t blk data =
+(* The admission every block write takes, in this order and before any
+   byte changes: liveness, range, the caller's arguments ([args_ok], else
+   [Invalid_argument fn]), the crash countdown, the fault draw, the head
+   charge and the counters.  Returns the fault drawn. *)
+let admit_write t blk ~args_ok ~fn =
   check_alive t;
   check_block blk;
-  if String.length data <> block_size then invalid_arg "Disk.write_block: bad size";
+  if not args_ok then invalid_arg fn;
   (match t.crash_after_writes with
   | Some 0 ->
       t.crashed <- true;
@@ -209,32 +244,64 @@ let write_block t blk data =
   charge_position t blk;
   Telemetry.incr t.i.writes;
   Telemetry.add t.i.bytes_written block_size;
+  fault
+
+(* Store a new image of the block as the medium receives it under
+   [fault]: [data] itself, or a copy the device builds when only a torn
+   prefix lands (the drive still reports success: the latent fault WAP
+   digests exist to catch) or the sector is silently corrupted. *)
+let store_faulted t blk data fault ~owned =
   match fault with
   | Some Fault.Torn_write ->
-      (* only a prefix reaches the medium, yet the drive reports success
-         — the latent fault WAP digests exist to catch *)
-      Hashtbl.replace t.blocks blk
-        (patch (stored_block t blk) ~at:0 data ~pos:0 ~len:(block_size / 2))
+      store t blk (patch (peek t blk) ~at:0 data ~pos:0 ~len:(block_size / 2)) ~owned:true
   | Some Fault.Corrupt_sector ->
       let b = Bytes.of_string data in
       let pos = block_size / 2 in
       Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0xff));
-      Hashtbl.replace t.blocks blk (Bytes.unsafe_to_string b)
-  | Some Fault.Write_error | Some Fault.Read_error | None -> Hashtbl.replace t.blocks blk data
+      store t blk (Bytes.unsafe_to_string b) ~owned:true
+  | Some (Fault.Write_error | Fault.Read_error) | None -> store t blk data ~owned
 
-(* Convenience used by the file systems: read/write [len] bytes at an
-   arbitrary byte offset, spanning blocks as needed. *)
-let read_bytes t ~off ~len =
-  if off < 0 || len < 0 then invalid_arg "Disk.read_bytes";
-  let out = Bytes.create len in
+let write_block t blk data =
+  let fault =
+    admit_write t blk ~args_ok:(String.length data = block_size) ~fn:"Disk.write_block: bad size"
+  in
+  store_faulted t blk data fault ~owned:false
+
+let write_partial t blk ~at src ~pos ~len =
+  let args_ok =
+    at >= 0 && pos >= 0 && len >= 0 && at + len <= block_size
+    && pos + len <= String.length src
+  in
+  match admit_write t blk ~args_ok ~fn:"Disk.write_partial" with
+  | Some (Fault.Write_error | Fault.Read_error) | None -> (
+      match Hashtbl.find t.blocks blk with
+      | s when s.owned -> Bytes.blit_string src pos (Bytes.unsafe_of_string s.data) at len
+      | s ->
+          s.data <- patch s.data ~at src ~pos ~len;
+          s.owned <- true
+      | exception Not_found ->
+          Hashtbl.add t.blocks blk { data = patch zero_block ~at src ~pos ~len; owned = true })
+  | fault ->
+      (* a damaged write takes the merge-then-store path of a whole block *)
+      store_faulted t blk (patch (peek t blk) ~at src ~pos ~len) fault ~owned:true
+
+(* Convenience used by the file systems: read/write bytes at an arbitrary
+   byte offset, spanning blocks as needed. *)
+let read_into t ~off ~len dst =
+  if off < 0 || len < 0 || len > Bytes.length dst then invalid_arg "Disk.read_into";
   let pos = ref 0 in
   while !pos < len do
     let abs = off + !pos in
     let blk = abs / block_size and inblk = abs mod block_size in
     let n = min (block_size - inblk) (len - !pos) in
-    Bytes.blit_string (read_block t blk) inblk out !pos n;
+    Bytes.blit_string (read_block t blk) inblk dst !pos n;
     pos := !pos + n
-  done;
+  done
+
+let read_bytes t ~off ~len =
+  if off < 0 || len < 0 then invalid_arg "Disk.read_bytes";
+  let out = Bytes.create len in
+  read_into t ~off ~len out;
   Bytes.unsafe_to_string out
 
 let write_bytes t ~off data =
@@ -245,13 +312,9 @@ let write_bytes t ~off data =
     let abs = off + !pos in
     let blk = abs / block_size and inblk = abs mod block_size in
     let n = min (block_size - inblk) (len - !pos) in
-    let b =
-      (* a partial edge starts from the block the medium holds; like the
-         page cache it models, that edge read costs nothing *)
-      if n < block_size then patch (stored_block t blk) ~at:inblk data ~pos:!pos ~len:n
-      else if len = block_size then data
-      else String.sub data !pos block_size
-    in
-    write_block t blk b;
+    (* a partial edge merges into the block the medium holds; like the
+       page cache it models, that edge read costs nothing *)
+    if n < block_size then write_partial t blk ~at:inblk data ~pos:!pos ~len:n
+    else write_block t blk (if len = block_size then data else String.sub data !pos block_size);
     pos := !pos + n
   done

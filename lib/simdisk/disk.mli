@@ -41,14 +41,22 @@ val revive : t -> unit
 
 (** {2 Blocks}
 
-    Blocks are immutable [block_size]-byte strings, shared rather than
-    copied: the device keeps the very string a write passes in and
-    returns the very string it keeps.  So a caller may hold a block it
-    wrote or read (a page cache does) for as long as it likes, and a later
-    write to the same block number never changes it — the write replaces
-    the stored string, it does not mutate it.  Only the [Torn_write] and
-    [Corrupt_sector] faults store a damaged copy in place of the caller's
-    string. *)
+    Blocks are [block_size]-byte strings, shared rather than copied
+    wherever a caller can see them.  Each stored block is either
+    {e shared} or {e owned}:
+
+    - a shared block is a string a caller passed to {!write_block}, or one
+      {!read_block} or {!stored_block} returned.  The device never mutates
+      it again, so a caller may hold it (a page cache does) for as long as
+      it likes: a later write to the same block number replaces it;
+    - an owned block holds bytes of a merge the device made itself and
+      has handed to no one.  A partial write ({!write_partial}, or an edge
+      of {!write_bytes}) blits into it in place.
+
+    A partial write to a shared block (or a hole) stores an owned copy;
+    handing an owned block out makes it shared.  A write that draws a
+    [Torn_write] or [Corrupt_sector] fault stores a damaged copy the
+    device built. *)
 
 val read_block : t -> int -> string
 (** The stored block itself (one shared zero block for a block never
@@ -59,6 +67,14 @@ val write_block : t -> int -> string -> unit
     access.  Raises [Invalid_argument] unless [data] is [block_size]
     bytes. *)
 
+val write_partial : t -> int -> at:int -> string -> pos:int -> len:int -> unit
+(** [write_partial t blk ~at src ~pos ~len] writes [len] bytes of [src]
+    from [pos] at offset [at] of block [blk], keeping the rest of the
+    block the medium holds.  It is charged, counted and fault-drawn
+    exactly as a {!write_block} of the merged block; only the bytes it
+    copies differ (see Blocks).  Raises [Invalid_argument] when the range
+    leaves the block or [src]. *)
+
 val stored_block : t -> int -> string
 (** The block the medium holds, shared, with nothing charged: no time, no
     fault drawn, no counter moved.  This is the edge read of a
@@ -67,15 +83,17 @@ val stored_block : t -> int -> string
 
 val patch : string -> at:int -> string -> pos:int -> len:int -> string
 (** [patch block ~at src ~pos ~len] is a new copy of [block] with [len]
-    bytes of [src] from [pos] written at offset [at]: the one allocation a
-    partial-block write makes. *)
+    bytes of [src] from [pos] written at offset [at]. *)
+
+val read_into : t -> off:int -> len:int -> bytes -> unit
+(** Byte-granularity read spanning blocks into the first [len] bytes of
+    the buffer, one {!read_block} per block touched.  Raises
+    [Invalid_argument] when [len] exceeds the buffer. *)
 
 val read_bytes : t -> off:int -> len:int -> string
-(** Byte-granularity read spanning blocks, copied out of the stored
-    blocks. *)
+(** {!read_into} a fresh string. *)
 
 val write_bytes : t -> off:int -> string -> unit
 (** Byte-granularity write spanning blocks.  A whole aligned block stores
     [data] itself (when it is exactly one block) or one slice of it; a
-    partial block at either edge is merged into a new copy of
-    {!stored_block}. *)
+    partial block at either edge is a {!write_partial}. *)

@@ -221,6 +221,16 @@ let test_passlint_metric_name () =
     [ 7; 11; 14; 17 ]
     (List.map (fun f -> f.F.f_line) bad)
 
+(* --- passlint unsafe-bytes rule --------------------------------------- *)
+
+let test_passlint_unsafe_bytes () =
+  let dir = fixture_dir "passlint" in
+  let fs = Passlint_core.findings ~roots:[ Filename.concat dir "unsafe_bytes.ml" ] () in
+  check Alcotest.(list (pair string int))
+    "each aliasing conversion is caught, the copying ones are not"
+    [ ("unsafe-bytes", 4); ("unsafe-bytes", 6); ("unsafe-bytes", 8) ]
+    (List.map (fun f -> (f.F.f_rule, f.F.f_line)) fs)
+
 let suite =
   [
     Alcotest.test_case "clean fixture tree" `Quick test_clean_tree;
@@ -233,4 +243,6 @@ let suite =
       test_passlint_comment_regression;
     Alcotest.test_case "passlint metric-name rule" `Quick
       test_passlint_metric_name;
+    Alcotest.test_case "passlint unsafe-bytes rule" `Quick
+      test_passlint_unsafe_bytes;
   ]

@@ -22,23 +22,67 @@ let test_disk_rw () =
   check tstr "unwritten reads zeros" (String.make Disk.block_size '\000') (Disk.read_block disk 101)
 
 let test_disk_block_contract () =
-  (* blocks are shared, never mutated: a block in hand outlives a later
-     write to the same block number, whole or partial *)
+  (* a shared block (a caller's string, or one the device handed out) is
+     never mutated: a block in hand outlives later writes to the same
+     block number, whole or partial, including a partial write the device
+     patches in place *)
+  let bs = Disk.block_size in
   let clock = Clock.create () in
   let disk = Disk.create ~clock () in
-  let a = String.make Disk.block_size 'a' in
+  let a = String.make bs 'a' and b = String.make bs 'b' in
   Disk.write_block disk 7 a;
   let held = Disk.read_block disk 7 in
-  Disk.write_block disk 7 (String.make Disk.block_size 'b');
-  Disk.write_bytes disk ~off:((7 * Disk.block_size) + 10) "cc";
-  check tstr "held block unchanged" a held;
-  check tstr "caller's string unchanged" (String.make Disk.block_size 'a') a;
+  Disk.write_block disk 7 b;
+  (* the first partial write copies the caller's [b]; the second patches
+     that copy, which nobody holds, in place *)
+  Disk.write_bytes disk ~off:((7 * bs) + 10) "cc";
+  Disk.write_bytes disk ~off:((7 * bs) + 20) "dd";
+  check tstr "held block unchanged" (String.make bs 'a') held;
+  check tstr "caller's strings unchanged" (String.make bs 'a' ^ String.make bs 'b') (a ^ b);
+  let merged = "bbbbbbbbbbccbbbbbbbbdd" ^ String.make (bs - 22) 'b' in
+  let stored = Disk.stored_block disk 7 in
+  check tstr "both patches stored" merged stored;
+  Disk.write_bytes disk ~off:((7 * bs) + 30) "ee";
+  Disk.write_bytes disk ~off:((7 * bs) + 40) "ff";
+  check tstr "stored_block result unchanged by later partial writes" merged stored;
   check tstr "new contents stored"
-    ("bbbbbbbbbbcc" ^ String.make (Disk.block_size - 12) 'b')
+    (String.sub merged 0 30 ^ "ee" ^ String.sub merged 32 8 ^ "ff" ^ String.sub merged 42 (bs - 42))
     (Disk.read_block disk 7);
   let hole = Disk.read_block disk 8 in
-  Disk.write_bytes disk ~off:(8 * Disk.block_size) "z";
-  check tstr "held hole still zeros" (String.make Disk.block_size '\000') hole
+  Disk.write_bytes disk ~off:(8 * bs) "z";
+  Disk.write_bytes disk ~off:((8 * bs) + 1) "y";
+  check tstr "held hole still zeros" (String.make bs '\000') hole;
+  check tstr "hole patched twice" ("zy" ^ String.make (bs - 2) '\000') (Disk.read_block disk 8)
+
+let test_disk_read_into () =
+  (* read_into is read_bytes into a caller's buffer: same bytes, same
+     charges *)
+  let mk () =
+    let clock = Clock.create () in
+    let registry = Telemetry.create () in
+    let disk = Disk.create ~registry ~clock () in
+    Disk.write_bytes disk ~off:5000 (Helpers.payload ~seed:4 ~len:20_000);
+    (clock, registry, disk)
+  in
+  let c1, r1, d1 = mk () and c2, r2, d2 = mk () in
+  let buf = Bytes.make 30_000 '#' in
+  List.iter
+    (fun (off, len) ->
+      Disk.read_into d1 ~off ~len buf;
+      let label = Printf.sprintf "read_into %d+%d" off len in
+      check tstr label (Disk.read_bytes d2 ~off ~len) (Bytes.sub_string buf 0 len);
+      check tint (label ^ ": clock") (Clock.now c2) (Clock.now c1))
+    [ (0, 0); (5000, 12); (4090, 10); (8192, 4096); (6000, 17_000); (0, 30_000) ];
+  List.iter
+    (fun name -> check tint name (Helpers.counter r2 name) (Helpers.counter r1 name))
+    [ "disk.reads"; "disk.bytes_read"; "disk.seeks"; "disk.seek_ns"; "disk.transfer_ns" ];
+  let small = Bytes.make 20 '#' in
+  Disk.read_into d1 ~off:5000 ~len:12 small;
+  check tstr "only the first len bytes are written"
+    (Disk.read_bytes d2 ~off:5000 ~len:12 ^ "########")
+    (Bytes.to_string small);
+  Alcotest.check_raises "len beyond the buffer" (Invalid_argument "Disk.read_into") (fun () ->
+      Disk.read_into d1 ~off:0 ~len:30_001 buf)
 
 let test_disk_bytes_api () =
   let clock = Clock.create () in
@@ -598,8 +642,106 @@ let prop_wap_crash_safety =
               not (Hashtbl.mem completed (Pnode.to_int inc.i_pnode)))
             report.inconsistent)
 
+(* In-place patching is invisible: random block and byte I/O under the
+   same fault schedule and crash countdown ends in the same media, clock,
+   counters and fault digest whether partial writes go through
+   [write_bytes] or through a hand-made read-modify-write ([stored_block]
+   + [Disk.patch] + [write_block]), and no string either side handed out
+   or took in changes afterwards. *)
+type disk_op =
+  | Op_write_block of int * int  (** block, payload seed *)
+  | Op_write_bytes of int * int * int  (** byte offset, length, seed *)
+  | Op_read_block of int
+  | Op_stored_block of int
+  | Op_read_bytes of int * int
+
+let prop_partial_writes_match_copying_model =
+  let bs = Disk.block_size and nblocks = 4 in
+  let gen_op =
+    let open QCheck2.Gen in
+    let blk = int_bound (nblocks - 1) and off = int_bound ((nblocks * bs) - 1) in
+    frequency
+      [
+        (2, map2 (fun b seed -> Op_write_block (b, seed)) blk nat);
+        (* mostly sub-block appends, some spanning several blocks *)
+        (4, map3 (fun o l seed -> Op_write_bytes (o, l, seed)) off (int_range 1 64) nat);
+        (2, map3 (fun o l seed -> Op_write_bytes (o, l, seed)) off (int_range 1 (3 * bs)) nat);
+        (1, map (fun b -> Op_read_block b) blk);
+        (1, map (fun b -> Op_stored_block b) blk);
+        (1, map2 (fun o l -> Op_read_bytes (o, l)) off (int_range 1 (2 * bs)));
+      ]
+  in
+  QCheck2.Test.make ~name:"disk: in-place partial writes match the copying model" ~count:200
+    QCheck2.Gen.(triple (int_bound 10_000) (int_range 1 40) (list_size (int_range 1 60) gen_op))
+    (fun (fault_seed, crash_after, ops) ->
+      let run ~by_hand =
+        let clock = Clock.create () and registry = Telemetry.create () in
+        let spec =
+          { Fault.quiet with disk_read_error = 60; disk_write_error = 60; torn_write = 60;
+            corrupt_sector = 60 }
+        in
+        let fault = Fault.plan ~spec ~seed:fault_seed () in
+        let disk = Disk.create ~registry ~fault ~clock () in
+        Disk.schedule_crash disk ~after_writes:crash_after;
+        let seen = ref [] in
+        let keep s = seen := (s, String.sub s 0 (String.length s)) :: !seen in
+        let write_bytes ~off data =
+          if not by_hand then Disk.write_bytes disk ~off data
+          else begin
+            let pos = ref 0 and len = String.length data in
+            while !pos < len do
+              let blk = (off + !pos) / bs and at = (off + !pos) mod bs in
+              let n = min (bs - at) (len - !pos) in
+              (if n = bs then Disk.write_block disk blk (String.sub data !pos bs)
+               else
+                 let medium = Disk.stored_block disk blk in
+                 Disk.write_block disk blk (Disk.patch medium ~at data ~pos:!pos ~len:n));
+              pos := !pos + n
+            done
+          end
+        in
+        let outcome op =
+          match
+            match op with
+            | Op_write_block (b, seed) ->
+                let data = Helpers.payload ~seed ~len:bs in
+                keep data;
+                Disk.write_block disk b data
+            | Op_write_bytes (off, len, seed) ->
+                let data = Helpers.payload ~seed ~len in
+                keep data;
+                write_bytes ~off data
+            | Op_read_block b -> keep (Disk.read_block disk b)
+            | Op_stored_block b -> keep (Disk.stored_block disk b)
+            | Op_read_bytes (off, len) -> keep (Disk.read_bytes disk ~off ~len)
+          with
+          | () -> "ok"
+          | exception Disk.Io_error -> "eio"
+          | exception Disk.Crashed ->
+              Disk.revive disk;
+              "crash"
+        in
+        let outcomes = List.map outcome ops in
+        let media =
+          List.init (nblocks + 3) (fun b -> Disk.stored_block disk b) |> String.concat ""
+        in
+        let counters =
+          List.map (fun name -> Helpers.counter registry ("disk." ^ name))
+            [ "reads"; "writes"; "bytes_read"; "bytes_written"; "seeks"; "seek_ns"; "transfer_ns" ]
+        in
+        let intact = List.for_all (fun (s, copy) -> String.equal s copy) !seen in
+        (outcomes, media, Clock.now clock, counters, Fault.digest fault, intact)
+      in
+      let outcomes, media, now, counters, digest, intact = run ~by_hand:false in
+      let outcomes', media', now', counters', digest', intact' = run ~by_hand:true in
+      List.equal String.equal outcomes outcomes'
+      && String.equal media media' && Int.equal now now'
+      && List.equal Int.equal counters counters'
+      && String.equal digest digest' && intact && intact')
+
 let qcheck_cases =
-  List.map QCheck_alcotest.to_alcotest [ prop_wap_crash_safety ]
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_wap_crash_safety; prop_partial_writes_match_copying_model ]
 
 let suite =
   [
@@ -617,6 +759,7 @@ let suite =
     Alcotest.test_case "ext3: replay 100 files" `Slow test_ext3_replay_after_many_ops;
     Alcotest.test_case "ext3: journal compaction + replay" `Quick test_ext3_journal_compaction;
     Alcotest.test_case "disk: blocks are shared, never mutated" `Quick test_disk_block_contract;
+    Alcotest.test_case "disk: read_into equals read_bytes" `Quick test_disk_read_into;
     Alcotest.test_case "ext3: journal past the default data start" `Slow
       test_ext3_large_journal_layout;
     Alcotest.test_case "ext3: fault damage reaches the medium only" `Quick test_ext3_fault_damage;

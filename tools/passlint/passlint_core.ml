@@ -40,7 +40,12 @@
                       no direct Vfs.write_file from lib/lasagna or
                       lib/waldo: PASS metadata (images, archives,
                       manifests) must go through Checkpoint.write_atomic
-                      so a crash can never tear a published file.
+                      so a crash can never tear a published file;
+   - unsafe-bytes     no Bytes.unsafe_to_string / unsafe_of_string outside
+                      the allowlist: they alias a string and a byte
+                      buffer, so a later write to the buffer changes a
+                      string someone may hold (simdisk's in-place block
+                      patching depends on this staying rare and argued).
 
    Findings print as file:line:col plus rule and message (or --json);
    exit status is 1 if any finding survives the allowlist, making this a
@@ -72,6 +77,21 @@ let allowlist_entries : Allowlist.entry list =
       a_symbol = "";
       a_why = "the atomic-persist helper itself: writes only *.tmp staging \
                files and publishes them with a journaled rename" };
+    { a_path = "lib/simdisk/disk.ml"; a_rule = "unsafe-bytes";
+      a_symbol = "Bytes.unsafe_";
+      a_why = "the device's own block copies: each is built in a fresh \
+               buffer and converted once; only an owned block (built by \
+               the device and handed to no one) is blitted into again, \
+               and handing a block out makes it shared first (the Blocks \
+               contract in disk.mli, pinned by test_storage)" };
+    { a_path = "lib/ext3/ext3.ml"; a_rule = "unsafe-bytes";
+      a_symbol = "Bytes.unsafe_to_string";
+      a_why = "Ext3.read fills a fresh buffer that escapes only as the \
+               returned string" };
+    { a_path = "bench/perf/pb_gen.ml"; a_rule = "unsafe-bytes";
+      a_symbol = "Bytes.unsafe_to_string";
+      a_why = "payload fills a fresh buffer that escapes only as the \
+               returned string" };
     { a_path = "test/test_vfs_wire.ml"; a_rule = "forbidden-call";
       a_symbol = "Random.State.make";
       a_why = "pins the QCheck seed of the wire properties to a constant \
@@ -94,6 +114,11 @@ let allowlist_entries : Allowlist.entry list =
 let forbidden_prefixes =
   [ "Unix."; "Sys.time"; "Sys.getenv"; "Sys.command"; "Random.";
     "Hashtbl.hash"; "Gc."; "Stdlib.compare"; "Stdlib.Random." ]
+
+let unsafe_bytes_calls =
+  List.concat_map
+    (fun m -> [ m ^ ".unsafe_to_string"; m ^ ".unsafe_of_string" ])
+    [ "Bytes"; "BytesLabels"; "Stdlib.Bytes"; "Stdlib.BytesLabels" ]
 
 let hot_path_dirs = [ "lib/lasagna/"; "lib/panfs/"; "lib/waldo/" ]
 let on_hot_path file = Srcutil.under_any hot_path_dirs file
@@ -162,6 +187,11 @@ let lint_structure ~sink ~file ~src structure =
            Checkpoint.write_atomic (temp file + journaled rename) so a \
            crash can never tear an image"
     | _ -> ());
+    if List.exists (String.equal name) unsafe_bytes_calls then
+      report ~loc:lid.loc ~rule:"unsafe-bytes" ~symbol:name
+        (name ^ " aliases a string and a byte buffer: a later write to the \
+                 buffer changes the string under whoever holds it; \
+                 allowlist the site with the reason nothing writes it");
     (match lid.txt with
     | Longident.Lident "compare" ->
         report ~loc:lid.loc ~rule:"poly-compare" ~symbol:"compare"
