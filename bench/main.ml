@@ -1,6 +1,6 @@
 (* The benchmark harness: regenerates every table and figure of the
-   paper's evaluation (Section 7), runs the ablation studies DESIGN.md
-   calls out, and finishes with Bechamel microbenchmarks of the hot paths.
+   paper's evaluation (Section 7) and runs the ablation studies DESIGN.md
+   calls out, then the fault, trace, monitor, recovery and query gates.
 
    Sections:
      FIG2     architecture self-check (the seven PASSv2 components)
@@ -9,7 +9,7 @@
      TABLE3   space overheads
      FIG1/PQL the layered two-server scenario + the paper's sample query
      ABLATION cycle avoidance vs PASSv1 detection; dedup; WAP; NFS txns
-     MICRO    Bechamel microbenchmarks (one per table) *)
+     FAULTS, TRACE, MONITOR, RECOVERY, QUERY   gated sections *)
 
 module Record = Pass_core.Record
 module Pvalue = Pass_core.Pvalue
@@ -167,7 +167,6 @@ let ablation_cycles () =
   let ep = Analyzer.endpoint an in
   let procs = Array.init 40 (fun _ -> Dpapi.handle (Ctx.fresh ctx)) in
   let files = Array.init 40 (fun _ -> Dpapi.handle ~volume:"v" (Ctx.fresh ctx)) in
-  let t0 = Sys.time () in
   List.iter
     (fun (is_read, pi, fi) ->
       let p = procs.(pi) and f = files.(fi) in
@@ -176,25 +175,20 @@ let ablation_cycles () =
       else
         disclose_ ep f [ Record.input_of p.pnode (Ctx.current_version ctx p.pnode) ])
     events;
-  let v2_time = Sys.time () -. t0 in
   (* PASSv1: global graph + DFS + merge *)
   let cd = Cycle_detect.create () in
   let pnode i = Pass_core.Pnode.of_int (i + 1) in
-  let t0 = Sys.time () in
   List.iter
     (fun (is_read, pi, fi) ->
       if is_read then Cycle_detect.add_edge cd (pnode pi, 0) (pnode (fi + 100), 0)
       else Cycle_detect.add_edge cd (pnode (fi + 100), 0) (pnode pi, 0))
     events;
-  let v1_time = Sys.time () -. t0 in
   Printf.printf "  %d read/write events over 40 processes x 40 files\n" n;
   Printf.printf
-    "  PASSv2 cycle avoidance: %d freezes (extra versions), %d adoptions avoided a freeze, %.2f us/event\n"
-    (counter registry "analyzer.freezes") (counter registry "analyzer.adoptions")
-    (v2_time *. 1e6 /. float_of_int n);
-  Printf.printf "  PASSv1 global detection: %d merges, %d DFS probe steps, %.2f us/event\n"
-    (Cycle_detect.merges cd) (Cycle_detect.probe_steps cd)
-    (v1_time *. 1e6 /. float_of_int n);
+    "  PASSv2 cycle avoidance: %d freezes (extra versions), %d adoptions avoided a freeze\n"
+    (counter registry "analyzer.freezes") (counter registry "analyzer.adoptions");
+  Printf.printf "  PASSv1 global detection: %d merges, %d DFS probe steps\n"
+    (Cycle_detect.merges cd) (Cycle_detect.probe_steps cd);
   Printf.printf "  (v1 merges lose object identity; v2 pays with extra versions instead)\n"
 
 let ablation_dedup () =
@@ -851,94 +845,12 @@ let query_bench ~scale =
         ("sizes", J.List (List.map snd results));
       ] )
 
-(* --- Bechamel microbenchmarks ------------------------------------------------- *)
-
-let microbench () =
-  section "MICRO: Bechamel microbenchmarks";
-  let open Bechamel in
-  (* TABLE2's hot path: the analyzer processing one record *)
-  let bench_analyzer =
-    let ctx = Ctx.create ~machine:1 in
-    let an = Analyzer.create ~ctx ~lower:(null_endpoint ctx) () in
-    let ep = Analyzer.endpoint an in
-    let f = Dpapi.handle ~volume:"v" (Ctx.fresh ctx) in
-    let p = Dpapi.handle (Ctx.fresh ctx) in
-    let i = ref 0 in
-    Test.make ~name:"table2:analyzer-record"
-      (Staged.stage (fun () ->
-           incr i;
-           disclose_ ep f [ Record.input_of p.pnode (!i land 7) ]))
-  in
-  (* TABLE3's hot path: Waldo ingesting a record into the database *)
-  let bench_provdb =
-    let db = Provdb.create () in
-    let alloc = Pass_core.Pnode.allocator ~machine:3 in
-    let target = Pass_core.Pnode.fresh alloc in
-    let i = ref 0 in
-    Test.make ~name:"table3:provdb-insert"
-      (Staged.stage (fun () ->
-           incr i;
-           Provdb.add_record db target ~version:0
-             (Record.make "PARAMS" (Pvalue.Str (string_of_int (!i land 1023))))))
-  in
-  (* FIG1's hot path: the paper's PQL query over a challenge run *)
-  let bench_pql =
-    let sys = System.create ~mode:System.Pass ~machine:1 ~volume_names:[ "vol0" ] () in
-    let pid = Kernel.fork (System.kernel sys) ~parent:Kernel.init_pid in
-    let io = Kepler_run.io_of_system sys ~pid in
-    Challenge.prepare_inputs ~input_dir:"/vol0/in" io;
-    let _ : Director.result =
-      Kepler_run.run sys ~pid (Challenge.workflow ~input_dir:"/vol0/in" ~output_dir:"/vol0/out")
-    in
-    ignore (System.drain sys : int);
-    let db = Option.get (System.waldo_db sys "vol0") in
-    let query =
-      {|select Ancestor from Provenance.file as Atlas Atlas.input* as Ancestor
-        where Atlas.name = "atlas-x.gif"|}
-    in
-    let prepared = Pql.Engine.prepare db query in
-    Test.make ~name:"fig1:pql-ancestry-query"
-      (Staged.stage (fun () -> ignore (Pql.Engine.execute prepared : Pql.row list)))
-  in
-  (* TABLE1's serialization path: the WAP log frame encoder *)
-  let bench_wap =
-    let alloc = Pass_core.Pnode.allocator ~machine:4 in
-    let h = Dpapi.handle ~volume:"v" (Pass_core.Pnode.fresh alloc) in
-    let bundle = [ Dpapi.entry h [ Record.name "f"; Record.input_of h.pnode 0 ] ] in
-    Test.make ~name:"table1:wap-frame-encode"
-      (Staged.stage (fun () ->
-           ignore
-             (Wap_log.encode_frame (Wap_log.Bundle { txn = None; bundle; data = None })
-               : string)))
-  in
-  let run_one test =
-    let instance = Toolkit.Instance.monotonic_clock in
-    let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) ~kde:None () in
-    let raw = Benchmark.all cfg [ instance ] test in
-    let results =
-      Analyze.all
-        (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-        instance raw
-    in
-    Hashtbl.fold
-      (fun name result acc ->
-        match Analyze.OLS.estimates result with
-        | Some [ est ] ->
-            Printf.printf "  %-32s %10.1f ns/op\n" name est;
-            (name, Some est) :: acc
-        | _ ->
-            Printf.printf "  %-32s (no estimate)\n" name;
-            (name, None) :: acc)
-      results []
-  in
-  List.concat_map run_one [ bench_analyzer; bench_provdb; bench_pql; bench_wap ]
-
 (* --- machine-readable results ------------------------------------------------ *)
 
 let results_file = "BENCH_results.json"
 
 let write_results ~scale ~registry ~local ~nfs ~space ~faults ~trace ~monitor ~recovery
-    ~query ~micro =
+    ~query =
   let row_json (r : Runner.row) =
     J.Obj
       [
@@ -969,13 +881,6 @@ let write_results ~scale ~registry ~local ~nfs ~space ~faults ~trace ~monitor ~r
           ])
       (List.combine local nfs) space
   in
-  let micro_json =
-    J.Obj
-      (List.map
-         (fun (name, est) ->
-           (name, match est with Some ns -> J.Float ns | None -> J.Null))
-         (List.sort (fun (a, _) (b, _) -> String.compare a b) micro))
-  in
   let doc =
     J.Obj
       [
@@ -988,7 +893,6 @@ let write_results ~scale ~registry ~local ~nfs ~space ~faults ~trace ~monitor ~r
         ("recovery", recovery);
         ("query", query);
         ("telemetry", Telemetry.snapshot registry);
-        ("micro", micro_json);
       ]
   in
   let oc = open_out results_file in
@@ -1015,8 +919,6 @@ let () =
   let monitor_ok, monitor = monitor_bench ~scale in
   let recovery_ok, recovery = recovery_bench ~scale in
   let query_ok, query = query_bench ~scale in
-  let micro = microbench () in
-  write_results ~scale ~registry ~local ~nfs ~space ~faults ~trace ~monitor ~recovery ~query
-    ~micro;
+  write_results ~scale ~registry ~local ~nfs ~space ~faults ~trace ~monitor ~recovery ~query;
   Printf.printf "\ndone.\n";
   if not (faults_ok && trace_ok && monitor_ok && recovery_ok && query_ok) then exit 1

@@ -29,7 +29,6 @@ type instruments = {
   rotations : Telemetry.counter; (* wap.rotations *)
   commits : Telemetry.counter; (* wap.group_commits *)
   data_bytes : Telemetry.counter; (* lasagna.data_bytes *)
-  append_ns : Telemetry.histogram; (* wap.append_ns, simulated span *)
   io_retries : Telemetry.counter; (* lasagna.io_retries *)
   queue_depth : Telemetry.gauge; (* wap.queue_depth: frames pending commit *)
 }
@@ -79,22 +78,22 @@ let lift r = Result.map_error Dpapi.of_errno r
 (* Transient disk errors (the fault plan's EIO kind) are retried a few
    times before surfacing; permanent EIO still escapes after the budget.
    WAP ordering is unaffected: a retried frame or data write lands whole
-   or not at all at this layer. *)
+   or not at all at this layer.  Recovery's scan retries with the same
+   budget.  Each retry is counted in [retries]. *)
 let io_retry_budget = 4
 
-let with_io_retry t f =
-  let rec go n =
-    match f () with
-    | Error Vfs.EIO when n < io_retry_budget ->
-        Telemetry.incr t.i.io_retries;
-        go (n + 1)
-    | r -> r
-  in
-  go 0
+let rec retry_from n retries f =
+  match f () with
+  | Error Vfs.EIO when n < io_retry_budget ->
+      Telemetry.incr retries;
+      retry_from (n + 1) retries f
+  | r -> r
+
+let with_io_retry retries f = retry_from 0 retries f
 
 let fresh_log t =
   match
-    with_io_retry t (fun () ->
+    with_io_retry t.i.io_retries (fun () ->
         t.lower.create ~dir:t.pass_dir (Checkpoint.log_name t.log_seq) Vfs.Regular)
   with
   | Ok ino ->
@@ -104,26 +103,19 @@ let fresh_log t =
 
 let create ?registry ?(log_max = 1 lsl 20) ?(idle_ns = 5_000_000_000) ?(now = fun () -> 0)
     ?(tracer = Pvtrace.disabled) ?(group_commit = true) ~lower ~ctx ~volume ~charge () =
-  let pass_dir =
-    match Vfs.mkdir_p lower Checkpoint.pass_dir with
-    | Ok ino -> ino
-    | Error e -> Vfs.fatal "lasagna: cannot make .pass" e
-  in
+  (match Vfs.mkdir_p lower Checkpoint.pass_dir with
+  | Ok _ -> ()
+  | Error e -> Vfs.fatal "lasagna: cannot make .pass" e);
   (* Remount over retained logs: when Waldo runs under a checkpoint
      policy, processed logs stay on disk until a checkpoint covers them,
      so the active log's sequence number must resume past whatever
      log.<n> already exists (the old active log is left as-is and is
      replayed / covered like any closed log). *)
-  let log_seq =
-    match lower.Vfs.readdir pass_dir with
+  let pass_dir, log_seq =
+    match Checkpoint.logs lower with
     | Error e -> Vfs.fatal "lasagna: cannot read .pass" e
-    | Ok names ->
-        List.fold_left
-          (fun seq name ->
-            match Checkpoint.log_seq name with
-            | Some s when s + 1 > seq -> s + 1
-            | _ -> seq)
-          0 names
+    | Ok (pass_dir, logs) ->
+        (pass_dir, List.fold_left (fun next (seq, _) -> Int.max next (seq + 1)) 0 logs)
   in
   let t =
     {
@@ -141,7 +133,6 @@ let create ?registry ?(log_max = 1 lsl 20) ?(idle_ns = 5_000_000_000) ?(now = fu
           rotations = Telemetry.counter ?registry "wap.rotations";
           commits = Telemetry.counter ?registry "wap.group_commits";
           data_bytes = Telemetry.counter ?registry "lasagna.data_bytes";
-          append_ns = Telemetry.histogram ?registry "wap.append_ns";
           io_retries = Telemetry.counter ?registry "lasagna.io_retries";
           queue_depth = Telemetry.gauge ?registry "wap.queue_depth";
         };
@@ -176,7 +167,9 @@ let commit t =
     t.pending_frames <- 0;
     Telemetry.set t.i.queue_depth 0.;
     t.charge wap_interference_ns;
-    match with_io_retry t (fun () -> t.lower.write t.log_ino ~off:t.log_off encoded) with
+    match
+      with_io_retry t.i.io_retries (fun () -> t.lower.write t.log_ino ~off:t.log_off encoded)
+    with
     | Error _ as e ->
         (* the queued tail dies with the failed log write — the same state
            a crash at this instant leaves on disk.  The op that forced the
@@ -199,7 +192,6 @@ let flush_log t =
   if t.log_off > 0 then rotate_log t
 
 let append_frame t frame =
-  Telemetry.with_span t.i.append_ns ~now:t.now @@ fun () ->
   (* dormancy rotation (paper §5.6): if the log has been idle past the
      threshold, close it so Waldo can process it without waiting for the
      size limit *)
@@ -263,7 +255,7 @@ let pass_read t (h : Dpapi.handle) ~off ~len =
         Ok { Dpapi.data = ""; r_pnode = h.pnode; r_version = Ctx.current_version t.ctx h.pnode }
       else Error Dpapi.Enoent
   | Some ino ->
-      let* data = lift (with_io_retry t (fun () -> t.lower.read ino ~off ~len)) in
+      let* data = lift (with_io_retry t.i.io_retries (fun () -> t.lower.read ino ~off ~len)) in
       t.charge (String.length data * double_buffer_ns_per_byte);
       Telemetry.add t.i.data_bytes (String.length data);
       Ok { Dpapi.data; r_pnode = h.pnode; r_version = Ctx.current_version t.ctx h.pnode }
@@ -318,7 +310,7 @@ let pass_write ?txn t (h : Dpapi.handle) ~off ~data bundle =
         let* () = lift (commit t) in
         t.charge (String.length d * double_buffer_ns_per_byte);
         Telemetry.add t.i.data_bytes (String.length d);
-        lift (with_io_retry t (fun () -> t.lower.write ino ~off d))
+        lift (with_io_retry t.i.io_retries (fun () -> t.lower.write ino ~off d))
     | Some _, None ->
         (* data aimed at a virtual object has no backing store *)
         lift (ensure_known t h.pnode)
@@ -397,7 +389,7 @@ let ops t : Vfs.ops =
         lower.rename ~src_dir ~src_name ~dst_dir ~dst_name);
     read =
       (fun ino ~off ~len ->
-        let* data = with_io_retry t (fun () -> lower.read ino ~off ~len) in
+        let* data = with_io_retry t.i.io_retries (fun () -> lower.read ino ~off ~len) in
         t.charge (String.length data * double_buffer_ns_per_byte);
         Ok data);
     write =
@@ -406,7 +398,7 @@ let ops t : Vfs.ops =
            first: the same WAP barrier as the DPAPI write path *)
         let* () = commit t in
         t.charge (String.length data * double_buffer_ns_per_byte);
-        with_io_retry t (fun () -> lower.write ino ~off data));
+        with_io_retry t.i.io_retries (fun () -> lower.write ino ~off data));
     truncate =
       (fun ino len ->
         let* () = commit t in

@@ -27,8 +27,7 @@ val create :
     CPU nanoseconds the stacking costs; [log_max] (default 1 MiB) bounds
     the active log before rotation, and a log dormant for [idle_ns]
     (default 5 simulated seconds, measured on [now]) is closed on the next
-    append — the paper's two rotation triggers.  Each WAP append is timed
-    into the [wap.append_ns] histogram on the simulated clock.
+    append — the paper's two rotation triggers.
 
     With [group_commit] (the default) WAP frames queue in memory and reach
     the log in one coalesced write at the next commit barrier — a data
@@ -36,6 +35,12 @@ val create :
     log-write interference once per commit instead of once per frame.  The
     log's byte stream is identical either way; [~group_commit:false]
     restores frame-at-a-time appends for A/B comparison. *)
+
+val with_io_retry :
+  Telemetry.counter -> (unit -> ('a, Vfs.errno) result) -> ('a, Vfs.errno) result
+(** [with_io_retry retries f] runs [f], retrying it while it fails with
+    a transient [EIO], at most 4 times; each retry increments [retries].
+    Lasagna's data and log I/O and recovery's scan share this budget. *)
 
 val ops : t -> Vfs.ops
 (** The VFS face (hides the [.pass] directory). *)

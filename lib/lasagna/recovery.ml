@@ -4,7 +4,7 @@
    after a crash there are only two anomalies to look for:
 
    - a torn frame at the tail of a log (the crash hit mid-log-append);
-     parse_log already stops there, and everything before it is intact;
+     Wap_log.fold already stops there, and everything before it is intact;
    - a data-carrying frame whose data never (fully) made it to the file:
      the frame's MD5 disagrees with the bytes now in the file.  That is
      precisely the data that was being written at the time of the crash,
@@ -19,7 +19,6 @@
    regains its identity state. *)
 
 module Pnode = Pass_core.Pnode
-module Record = Pass_core.Record
 
 type inconsistency = {
   i_pnode : Pnode.t;
@@ -53,22 +52,10 @@ type report = {
 let ( let* ) = Result.bind
 
 (* Transient read errors (fault-plan EIO) must not abort a recovery
-   scan: retry a few times before giving up. *)
-let io_retry_budget = 4
-
-let with_io_retry retried f =
-  let rec go n =
-    match f () with
-    | Error Vfs.EIO when n < io_retry_budget ->
-        incr retried;
-        go (n + 1)
-    | r -> r
-  in
-  go 0
-
+   scan: they are retried under Lasagna's budget. *)
 let read_whole retried lower ino =
-  let* st = with_io_retry retried (fun () -> lower.Vfs.getattr ino) in
-  with_io_retry retried (fun () -> lower.Vfs.read ino ~off:0 ~len:st.Vfs.st_size)
+  let* st = Lasagna.with_io_retry retried (fun () -> lower.Vfs.getattr ino) in
+  Lasagna.with_io_retry retried (fun () -> lower.Vfs.read ino ~off:0 ~len:st.Vfs.st_size)
 
 (* Recovery publishes its outcome as [wap.recovery.*] counters so a
    post-crash scan shows up in the same snapshot as the run it repairs. *)
@@ -85,16 +72,9 @@ let record_outcome registry ~io_retries report =
   c "open_txns" (List.length report.open_txns);
   c "io_retries" io_retries
 
-let bundle_has_endtxn bundle =
-  List.exists
-    (fun (e : Pass_core.Dpapi.bundle_entry) ->
-      List.exists
-        (fun (r : Record.t) -> String.equal r.attr Record.Attr.endtxn)
-        e.records)
-    bundle
-
 let scan ?registry lower =
-  let retried = ref 0 in
+  (* counts retries only; published by [record_outcome] on success *)
+  let retried = Telemetry.counter "wap.recovery.io_retries" in
   let* pass_dir, logs = Checkpoint.logs lower in
   (* A durable checkpoint bounds the scan: logs below its watermark are
      already reflected in the image, so they are skipped without being
@@ -128,32 +108,32 @@ let scan ?registry lower =
             details := { l_name = name; l_skipped = true; l_frames = 0 } :: !details;
             Ok ()
         | _ ->
-            let* ino = with_io_retry retried (fun () -> lower.Vfs.lookup ~dir:pass_dir name) in
+            let* ino =
+              Lasagna.with_io_retry retried (fun () -> lower.Vfs.lookup ~dir:pass_dir name)
+            in
             let* image = read_whole retried lower ino in
-            let frames, consumed = Wap_log.parse_log image in
+            let frames, consumed =
+              Wap_log.fold image ~init:0 (fun n frame ->
+                  (match frame with
+                  | Wap_log.Map { pnode; ino; name } ->
+                      Hashtbl.replace by_pnode pnode ino;
+                      files := (pnode, ino, name) :: !files
+                  | Wap_log.Mkobj { pnode } -> virtuals := pnode :: !virtuals
+                  | Wap_log.Bundle { txn; bundle; data } -> (
+                      (match txn with
+                      | Some id ->
+                          if not (List.mem id !txns_seen) then txns_seen := id :: !txns_seen;
+                          if Wap_log.ends_txn bundle && not (List.mem id !txns_ended) then
+                            txns_ended := id :: !txns_ended
+                      | None -> ());
+                      match data with
+                      | None -> ()
+                      | Some d -> Hashtbl.replace last_data d.d_pnode d));
+                  n + 1)
+            in
+            frames_ok := !frames_ok + frames;
             torn := !torn + (String.length image - consumed);
-            List.iter
-              (fun frame ->
-                incr frames_ok;
-                match frame with
-                | Wap_log.Map { pnode; ino; name } ->
-                    Hashtbl.replace by_pnode pnode ino;
-                    files := (pnode, ino, name) :: !files
-                | Wap_log.Mkobj { pnode } -> virtuals := pnode :: !virtuals
-                | Wap_log.Bundle { txn; bundle; data } ->
-                    (match txn with
-                    | Some id ->
-                        if not (List.mem id !txns_seen) then txns_seen := id :: !txns_seen;
-                        if bundle_has_endtxn bundle && not (List.mem id !txns_ended) then
-                          txns_ended := id :: !txns_ended
-                    | None -> ());
-                    (match data with
-                    | None -> ()
-                    | Some d -> Hashtbl.replace last_data d.d_pnode d))
-              frames;
-            details :=
-              { l_name = name; l_skipped = false; l_frames = List.length frames }
-              :: !details;
+            details := { l_name = name; l_skipped = false; l_frames = frames } :: !details;
             Ok ())
       (Ok ()) logs
   in
@@ -169,7 +149,8 @@ let scan ?registry lower =
             :: !bad
       | Some file_ino -> (
           match
-            with_io_retry retried (fun () -> lower.Vfs.read file_ino ~off:d.d_off ~len:d.d_len)
+            Lasagna.with_io_retry retried (fun () ->
+                lower.Vfs.read file_ino ~off:d.d_off ~len:d.d_len)
           with
           | Error e ->
               bad :=
@@ -204,7 +185,7 @@ let scan ?registry lower =
       log_details;
     }
   in
-  record_outcome registry ~io_retries:!retried report;
+  record_outcome registry ~io_retries:(Telemetry.value retried) report;
   Ok report
 
 let pp_report ppf r =

@@ -23,22 +23,18 @@ type frame =
 
 let magic = 0x57415001 (* "WAP." *)
 
-let checksum payload =
+let header_len = 12 (* magic, payload length, checksum *)
+
+(* The checksum of [len] payload bytes at [off] in [s], read in place. *)
+let checksum s ~off ~len =
   let h = ref 5381 in
-  String.iter (fun c -> h := ((!h * 33) + Char.code c) land 0x3fffffff) payload;
+  for i = off to off + len - 1 do
+    h := ((!h * 33) + Char.code s.[i]) land 0x3fffffff
+  done;
   !h
 
 let put_pnode buf p = Wire.put_i64 buf (Pass_core.Pnode.to_int p)
 let get_pnode s pos = Pass_core.Pnode.of_int (Wire.get_i64 s pos)
-
-(* Checksum a buffer in place so encoding never materializes the payload
-   as an intermediate string. *)
-let checksum_buf buf =
-  let h = ref 5381 in
-  for i = 0 to Buffer.length buf - 1 do
-    h := ((!h * 33) + Char.code (Buffer.nth buf i)) land 0x3fffffff
-  done;
-  !h
 
 (* Payload scratch shared by every encode: the encoders below never call
    back into [encode_frame_into], so one module-level buffer is safe. *)
@@ -72,34 +68,31 @@ let encode_frame_into out fr =
           Wire.put_i64 buf d_off;
           Wire.put_i64 buf d_len;
           Wire.put_string buf d_md5));
+  let payload = Buffer.contents buf in
+  let len = String.length payload in
   Wire.put_u32 out magic;
-  Wire.put_u32 out (Buffer.length buf);
-  Wire.put_u32 out (checksum_buf buf);
-  Buffer.add_buffer out buf
+  Wire.put_u32 out len;
+  Wire.put_u32 out (checksum payload ~off:0 ~len);
+  Buffer.add_string out payload
 
-let encode_frame fr =
-  let out = Buffer.create 128 in
-  encode_frame_into out fr;
-  Buffer.contents out
-
-let decode_payload payload =
-  let pos = ref 0 in
-  match Wire.get_u8 payload pos with
+(* Decode one payload starting at [!pos] in [s], advancing [pos]. *)
+let decode_payload s pos =
+  match Wire.get_u8 s pos with
   | 1 ->
-      let pnode = get_pnode payload pos in
-      let ino = Wire.get_i64 payload pos in
-      let name = Wire.get_string payload pos in
+      let pnode = get_pnode s pos in
+      let ino = Wire.get_i64 s pos in
+      let name = Wire.get_string s pos in
       Map { pnode; ino; name }
-  | 2 -> Mkobj { pnode = get_pnode payload pos }
+  | 2 -> Mkobj { pnode = get_pnode s pos }
   | 3 ->
-      let txn = if Wire.get_u8 payload pos = 1 then Some (Wire.get_i64 payload pos) else None in
-      let bundle = Pass_core.Dpapi.decode_bundle payload pos in
+      let txn = if Wire.get_u8 s pos = 1 then Some (Wire.get_i64 s pos) else None in
+      let bundle = Pass_core.Dpapi.decode_bundle s pos in
       let data =
-        if Wire.get_u8 payload pos = 1 then begin
-          let d_pnode = get_pnode payload pos in
-          let d_off = Wire.get_i64 payload pos in
-          let d_len = Wire.get_i64 payload pos in
-          let d_md5 = Wire.get_string payload pos in
+        if Wire.get_u8 s pos = 1 then begin
+          let d_pnode = get_pnode s pos in
+          let d_off = Wire.get_i64 s pos in
+          let d_len = Wire.get_i64 s pos in
+          let d_md5 = Wire.get_string s pos in
           Some { d_pnode; d_off; d_len; d_md5 }
         end
         else None
@@ -107,34 +100,41 @@ let decode_payload payload =
       Bundle { txn; bundle; data }
   | n -> Wire.corrupt "WAP log: bad frame tag %d" n
 
-(* Parse a whole log image, stopping cleanly at the first torn or
-   unwritten frame (which is what a crash leaves behind).  Returns the
-   frames read and the number of bytes consumed. *)
-let parse_log image =
-  let frames = ref [] in
-  let pos = ref 0 in
-  let ok = ref true in
+(* Fold over a whole log image, stopping cleanly at the first torn or
+   unwritten frame (which is what a crash leaves behind).  Payloads are
+   checksummed and decoded where they lie in [image]; the bounds checks
+   of [Wire] see the whole image, so a decode that ends past its frame's
+   length is caught after the fact and ends the prefix like a decode
+   error.  Returns the result and the number of bytes consumed. *)
+let fold image ~init f =
   let len = String.length image in
-  while !ok && !pos + 12 <= len do
-    let hp = ref !pos in
-    let m = Wire.get_u32 image hp in
-    if m <> magic then ok := false
+  let pos = ref 0 in
+  let rec go acc start =
+    if start + header_len > len then (acc, start)
     else begin
-      let plen = Wire.get_u32 image hp in
-      let sum = Wire.get_u32 image hp in
-      if !pos + 12 + plen > len then ok := false
+      pos := start;
+      if Wire.get_u32 image pos <> magic then (acc, start)
       else begin
-        let payload = String.sub image (!pos + 12) plen in
-        if checksum payload <> sum then ok := false
-        else begin
-          (match decode_payload payload with
-          | f -> frames := f :: !frames
-          | exception Wire.Corrupt _ -> ok := false);
-          if !ok then pos := !pos + 12 + plen
-        end
+        let plen = Wire.get_u32 image pos in
+        let sum = Wire.get_u32 image pos in
+        let stop = start + header_len + plen in
+        if stop > len || checksum image ~off:(start + header_len) ~len:plen <> sum then
+          (acc, start)
+        else
+          match decode_payload image pos with
+          | frame when !pos <= stop -> go (f acc frame) stop
+          | _ | (exception Wire.Corrupt _) -> (acc, start)
       end
     end
-  done;
-  (List.rev !frames, !pos)
+  in
+  go init 0
+
+let ends_txn bundle =
+  List.exists
+    (fun (e : Pass_core.Dpapi.bundle_entry) ->
+      List.exists
+        (fun (r : Pass_core.Record.t) -> String.equal r.attr Pass_core.Record.Attr.endtxn)
+        e.records)
+    bundle
 
 let md5 data = Digest.string data

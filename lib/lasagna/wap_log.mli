@@ -17,16 +17,22 @@ type frame =
       (** a DPAPI bundle; [data] identifies the write it describes;
           [txn] is set when it arrived inside a PA-NFS transaction *)
 
-val encode_frame : frame -> string
-
 val encode_frame_into : Buffer.t -> frame -> unit
-(** [encode_frame_into out fr] appends the encoding of [fr] to [out]
-    without allocating intermediate buffers — the hot path behind
-    Lasagna's group commit. *)
+(** [encode_frame_into out fr] appends the encoding of [fr] to [out] —
+    the hot path behind Lasagna's group commit.  The payload is built in
+    one shared scratch buffer and copied out once. *)
 
-val parse_log : string -> frame list * int
-(** [parse_log image] returns the well-formed frame prefix of [image] and
-    the number of bytes it occupies. *)
+val fold : string -> init:'a -> ('a -> frame -> 'a) -> 'a * int
+(** [fold image ~init f] folds [f] over the well-formed frame prefix of
+    [image], oldest frame first, and returns the result with the number
+    of bytes that prefix occupies.  Each frame is checksummed and decoded
+    in place: no frame list is built and no payload is copied.  The
+    prefix ends at the first torn frame, bad checksum, undecodable
+    payload, or payload whose decode runs past the frame's length. *)
+
+val ends_txn : Pass_core.Dpapi.bundle -> bool
+(** Whether a transactional bundle carries the ENDTXN record that closes
+    its PA-NFS transaction — the one rule Waldo and recovery share. *)
 
 val md5 : string -> string
 (** Digest used in {!data_id}. *)

@@ -466,15 +466,6 @@ let counter_value t name =
     t.instruments;
   if !found then Some !total else None
 
-let histogram_summary t name =
-  let hs =
-    List.filter_map
-      (fun (n, i) ->
-        match i with Histogram h when String.equal n name -> Some h | _ -> None)
-      t.instruments
-  in
-  if hs = [] then None else Some (merged_summary (List.rev hs))
-
 (* --- series snapshots ------------------------------------------------------- *)
 
 (* One row per instrument name: the aggregation rules live here, and

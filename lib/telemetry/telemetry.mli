@@ -159,5 +159,3 @@ val series_snapshot : ?filter:string -> registry -> series list
 (** One row per instrument name, sorted by name; [filter] as in
     {!snapshot}. *)
 
-val histogram_summary : registry -> string -> summary option
-(** Merged summary of every histogram registered under this name. *)

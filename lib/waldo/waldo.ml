@@ -108,14 +108,6 @@ let ingest_frame t = function
   | Wap_log.Mkobj { pnode } -> Provdb.declare_virtual t.db pnode
   | Wap_log.Bundle { txn = Some id; bundle; data = _ } -> (
       (* transactional: buffer until ENDTXN *)
-      let is_endtxn =
-        List.exists
-          (fun (e : Dpapi.bundle_entry) ->
-            List.exists
-              (fun (r : Record.t) -> String.equal r.attr Record.Attr.endtxn)
-              e.records)
-          bundle
-      in
       let pending =
         match Hashtbl.find_opt t.pending_txns id with
         | Some l -> l
@@ -127,7 +119,7 @@ let ingest_frame t = function
             l
       in
       pending := bundle :: !pending;
-      if is_endtxn then begin
+      if Wap_log.ends_txn bundle then begin
         List.iter (ingest_bundle t) (List.rev !pending);
         Hashtbl.remove t.pending_txns id;
         Telemetry.set t.i.txns_pending
@@ -146,6 +138,12 @@ let ingest_frame t = function
             (Record.make Record.Attr.data_md5 (Pvalue.Bytes d.d_md5))
       | None -> ());
       ingest_bundle t bundle
+
+(* Ingest every frame of a log image's well-formed prefix, decoded in
+   place; returns the frames ingested.  The one ingest loop behind live
+   processing, restart replay and the checkpoint sidecar. *)
+let ingest_log t image =
+  fst (Wap_log.fold image ~init:0 (fun n frame -> ingest_frame t frame; n + 1))
 
 let pending_txns t =
   List.sort Int.compare
@@ -273,13 +271,9 @@ let process_log t ~dir ~name =
     let* ino = t.lower.Vfs.lookup ~dir name in
     let* st = t.lower.Vfs.getattr ino in
     let* image = t.lower.Vfs.read ino ~off:0 ~len:st.Vfs.st_size in
-    let frames, _consumed = Wap_log.parse_log image in
-    List.iter
-      (fun f ->
-        Telemetry.incr t.i.frames_ingested;
-        ingest_frame t f)
-      frames;
-    t.frames_since_ckpt <- t.frames_since_ckpt + List.length frames;
+    let frames = ingest_log t image in
+    Telemetry.add t.i.frames_ingested frames;
+    t.frames_since_ckpt <- t.frames_since_ckpt + frames;
     Telemetry.set t.i.ckpt_staleness (float_of_int t.frames_since_ckpt);
     (match Checkpoint.log_seq name with
     | Some seq when seq + 1 > t.next_watermark -> t.next_watermark <- seq + 1
@@ -349,16 +343,14 @@ let replay_logs t logs =
     (fun acc (seq, name) ->
       let* n = acc in
       let* image = Vfs.read_file t.lower (Checkpoint.log_path name) in
-      let frames, _consumed = Wap_log.parse_log image in
-      Pvtrace.span t.tracer ~layer:"waldo" ~op:"replay" (fun () ->
-          Pvtrace.set_outcome t.tracer "replayed";
-          List.iter
-            (fun f ->
-              Telemetry.incr t.i.frames_ingested;
-              ingest_frame t f)
-            frames);
+      let frames =
+        Pvtrace.span t.tracer ~layer:"waldo" ~op:"replay" (fun () ->
+            Pvtrace.set_outcome t.tracer "replayed";
+            ingest_log t image)
+      in
+      Telemetry.add t.i.frames_ingested frames;
       if seq + 1 > t.next_watermark then t.next_watermark <- seq + 1;
-      Ok (n + List.length frames))
+      Ok (n + frames))
     (Ok 0) logs
 
 (* Delete whatever a crashed checkpoint or interrupted cleanup left in
@@ -380,87 +372,73 @@ let clean_strays lower keep =
 (* Restart Waldo from the durable checkpoint: load the image, restore
    the in-flight transaction buffers from the sidecar, finish any
    cleanup a crash interrupted, and replay only the post-watermark log
-   suffix.  Without a manifest this degrades to the full-history replay
-   the system always had. *)
+   suffix.  No manifest is generation 0 — no image, no sidecar,
+   watermark 0 and no archives — so the same steps replay all history
+   into an empty db. *)
 let recover ?registry ?tracer ?policy ?compact_keep ~lower () =
   let t = create ?registry ?tracer ?policy ?compact_keep ~lower () in
   let* manifest = Checkpoint.read_manifest lower in
-  match manifest with
-  | None ->
-      (* no checkpoint ever committed: replay all history *)
-      let* () = clean_strays lower [ Checkpoint.manifest_name ] in
-      let* logs = logs_on_disk lower in
-      let* frames = replay_logs t logs in
-      Ok
-        ( t,
-          {
-            ri_gen = 0;
-            ri_manifest = false;
-            ri_watermark = 0;
-            ri_logs_skipped = 0;
-            ri_logs_replayed = List.length logs;
-            ri_frames_replayed = frames;
-            ri_pending_restored = 0;
-            ri_archives = 0;
-          } )
-  | Some m ->
-      let* image, digest =
-        Checkpoint.read_verified lower ~path:(Checkpoint.path m.Checkpoint.m_db_name)
-      in
-      let* db =
-        if not (String.equal digest m.Checkpoint.m_db_digest) then Error Vfs.EIO
+  let gen, watermark, image, sidecar, archives =
+    match manifest with
+    | None -> (0, 0, None, None, [])
+    | Some m ->
+        ( m.Checkpoint.m_gen, m.m_watermark, Some (m.m_db_name, m.m_db_digest), m.m_pending,
+          m.m_archives )
+  in
+  let* () =
+    match image with
+    | None -> Ok ()
+    | Some (name, want) -> (
+        let* image, got = Checkpoint.read_verified lower ~path:(Checkpoint.path name) in
+        if not (String.equal want got) then Error Vfs.EIO
         else
           match Provdb.deserialize image with
-          | db -> Ok db
-          | exception Wire.Corrupt _ -> Error Vfs.EIO
-      in
-      (* the image is adopted wholesale (not merged) so node floors and
-         the hot/cold tier split come back exactly as checkpointed *)
-      t.db <- db;
-      reseed_versions t;
-      t.gen <- m.Checkpoint.m_gen;
-      t.archives <- m.Checkpoint.m_archives;
-      t.next_watermark <- m.Checkpoint.m_watermark;
-      (* restore in-flight transaction buffers from the sidecar *)
-      let* pending_restored =
-        match m.Checkpoint.m_pending with
-        | None -> Ok 0
-        | Some (name, want) ->
-            let* payload, got = Checkpoint.read_verified lower ~path:(Checkpoint.path name) in
-            if not (String.equal want got) then Error Vfs.EIO
-            else begin
-              let frames, _consumed = Wap_log.parse_log payload in
-              List.iter (ingest_frame t) frames;
-              Ok (Hashtbl.length t.pending_txns)
-            end
-      in
-      (* finish interrupted cleanup, idempotently *)
-      let keep =
-        Checkpoint.manifest_name :: m.Checkpoint.m_db_name
-        :: (match m.Checkpoint.m_pending with Some (n, _) -> [ n ] | None -> [])
-        @ List.map fst m.Checkpoint.m_archives
-      in
-      let* () = clean_strays lower keep in
-      let* logs = logs_on_disk lower in
-      let covered, suffix =
-        List.partition (fun (seq, _) -> seq < m.Checkpoint.m_watermark) logs
-      in
-      let* truncated = Checkpoint.truncate_covered lower ~watermark:m.Checkpoint.m_watermark in
-      Telemetry.add t.i.logs_truncated truncated;
-      let* frames = replay_logs t suffix in
-      Archive.install_handler ?registry t.lower ~segments:t.archives t.db;
-      Ok
-        ( t,
-          {
-            ri_gen = m.Checkpoint.m_gen;
-            ri_manifest = true;
-            ri_watermark = m.Checkpoint.m_watermark;
-            ri_logs_skipped = List.length covered;
-            ri_logs_replayed = List.length suffix;
-            ri_frames_replayed = frames;
-            ri_pending_restored = pending_restored;
-            ri_archives = List.length t.archives;
-          } )
+          | db ->
+              (* the image is adopted wholesale (not merged) so node floors
+                 and the hot/cold tier split come back exactly as
+                 checkpointed *)
+              t.db <- db;
+              reseed_versions t;
+              Ok ()
+          | exception Wire.Corrupt _ -> Error Vfs.EIO)
+  in
+  t.gen <- gen;
+  t.archives <- archives;
+  t.next_watermark <- watermark;
+  (* restore in-flight transaction buffers from the sidecar *)
+  let* () =
+    match sidecar with
+    | None -> Ok ()
+    | Some (name, want) ->
+        let* payload, got = Checkpoint.read_verified lower ~path:(Checkpoint.path name) in
+        if not (String.equal want got) then Error Vfs.EIO
+        else Ok (ignore (ingest_log t payload : int))
+  in
+  let pending_restored = Hashtbl.length t.pending_txns in
+  (* finish interrupted cleanup, idempotently *)
+  let keep =
+    (Checkpoint.manifest_name :: List.filter_map (Option.map fst) [ image; sidecar ])
+    @ List.map fst archives
+  in
+  let* () = clean_strays lower keep in
+  let* logs = logs_on_disk lower in
+  let covered, suffix = List.partition (fun (seq, _) -> seq < watermark) logs in
+  let* truncated = Checkpoint.truncate_covered lower ~watermark in
+  Telemetry.add t.i.logs_truncated truncated;
+  let* frames = replay_logs t suffix in
+  Archive.install_handler ?registry t.lower ~segments:archives t.db;
+  Ok
+    ( t,
+      {
+        ri_gen = gen;
+        ri_manifest = Option.is_some manifest;
+        ri_watermark = watermark;
+        ri_logs_skipped = List.length covered;
+        ri_logs_replayed = List.length suffix;
+        ri_frames_replayed = frames;
+        ri_pending_restored = pending_restored;
+        ri_archives = List.length archives;
+      } )
 
 (* Eager fault-in (fsck).  The handler re-arms on a failed load so a
    query can retry later; here that failure is an error, because a

@@ -5,7 +5,7 @@
 let rules =
   [
     Pvmon.rule ~name:"dpapiWriteP99"
-      ~source:(Pvmon.Hist_p99 "wap.append_ns")
+      ~source:(Pvmon.Hist_p99 "panfs.rpc_latency")
       ~threshold:5e6 ();
     Pvmon.rule ~name:"nfs.retry_rate"
       ~source:(Pvmon.Counter_rate "retries")

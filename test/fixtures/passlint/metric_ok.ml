@@ -3,8 +3,8 @@
 
 let rules =
   [
-    Pvmon.rule ~name:"wap.append_p99"
-      ~source:(Pvmon.Hist_p99 "wap.append_ns")
+    Pvmon.rule ~name:"panfs.rpc_p99"
+      ~source:(Pvmon.Hist_p99 "panfs.rpc_latency")
       ~threshold:5e6 ();
     Pvmon.rule ~name:"wap.backlog_depth"
       ~source:(Pvmon.Gauge_value "wap.queue_depth")

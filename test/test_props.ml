@@ -1,6 +1,7 @@
 (* Cross-cutting property tests: parser robustness (fuzz), end-to-end
    record round-trips through the storage stack, Sxml print/parse
-   stability, distributor invariant 4 under random traffic, and version
+   stability, the WAP log fold against a substring-based reference,
+   distributor invariant 4 under random traffic, and version
    monotonicity in Ctx. *)
 
 open Pass_core
@@ -141,23 +142,161 @@ let prop_record_encoded_size =
       Record.encode buf r;
       Record.encoded_size r = Buffer.length buf)
 
+let gen_entry =
+  QCheck2.Gen.(
+    map3
+      (fun p volume records -> Dpapi.entry (Dpapi.handle ?volume (Pnode.of_int p)) records)
+      nat
+      (opt (string_size ~gen:printable (int_bound 12)))
+      (list_size (int_bound 4) (map2 Record.make gen_attr gen_wire_value)))
+
 (* PA-NFS sizes every bundle it sends the same way: entries with and
    without a volume, entries with no records, several entries. *)
 let prop_bundle_encoded_size =
-  let gen_entry =
-    QCheck2.Gen.(
-      map3
-        (fun p volume records -> Dpapi.entry (Dpapi.handle ?volume (Pnode.of_int p)) records)
-        nat
-        (opt (string_size ~gen:printable (int_bound 12)))
-        (list_size (int_bound 4) (map2 Record.make gen_attr gen_wire_value)))
-  in
   QCheck2.Test.make ~name:"Dpapi.bundle_size = length of Dpapi.encode_bundle" ~count:300
     QCheck2.Gen.(list_size (int_bound 5) gen_entry)
     (fun bundle ->
       let buf = Buffer.create 64 in
       Dpapi.encode_bundle buf bundle;
       Dpapi.bundle_size bundle = Buffer.length buf)
+
+(* --- WAP log: in-place fold = substring reference ------------------------------- *)
+
+(* The reference reads each frame the simple way: copy the payload out,
+   checksum the copy, decode the copy.  Frame layout: u32 magic, u32
+   payload length, u32 checksum, payload. *)
+let wap_magic = 0x57415001
+
+let ref_checksum payload =
+  String.fold_left (fun h c -> ((h * 33) + Char.code c) land 0x3fffffff) 5381 payload
+
+let ref_decode payload =
+  let pos = ref 0 in
+  let pnode () = Pnode.of_int (Wire.get_i64 payload pos) in
+  match Wire.get_u8 payload pos with
+  | 1 ->
+      let pnode = pnode () in
+      let ino = Wire.get_i64 payload pos in
+      let name = Wire.get_string payload pos in
+      Wap_log.Map { pnode; ino; name }
+  | 2 -> Wap_log.Mkobj { pnode = pnode () }
+  | 3 ->
+      let txn = if Wire.get_u8 payload pos = 1 then Some (Wire.get_i64 payload pos) else None in
+      let bundle = Dpapi.decode_bundle payload pos in
+      let data =
+        if Wire.get_u8 payload pos = 1 then begin
+          let d_pnode = pnode () in
+          let d_off = Wire.get_i64 payload pos in
+          let d_len = Wire.get_i64 payload pos in
+          let d_md5 = Wire.get_string payload pos in
+          Some { Wap_log.d_pnode; d_off; d_len; d_md5 }
+        end
+        else None
+      in
+      Wap_log.Bundle { txn; bundle; data }
+  | n -> Wire.corrupt "bad frame tag %d" n
+
+let ref_parse image =
+  let len = String.length image in
+  let rec go acc pos =
+    let stop () = (List.rev acc, pos) in
+    if pos + 12 > len then stop ()
+    else begin
+      let hp = ref pos in
+      let magic = Wire.get_u32 image hp in
+      let plen = Wire.get_u32 image hp in
+      let sum = Wire.get_u32 image hp in
+      if magic <> wap_magic || pos + 12 + plen > len then stop ()
+      else
+        let payload = String.sub image (pos + 12) plen in
+        if ref_checksum payload <> sum then stop ()
+        else
+          match ref_decode payload with
+          | frame -> go (frame :: acc) (pos + 12 + plen)
+          | exception Wire.Corrupt _ -> stop ()
+    end
+  in
+  go [] 0
+
+let encode_frames frames =
+  let buf = Buffer.create 256 in
+  List.iter (Wap_log.encode_frame_into buf) frames;
+  Buffer.contents buf
+
+let gen_frame =
+  QCheck2.Gen.(
+    oneof
+      [
+        map3
+          (fun p ino name -> Wap_log.Map { pnode = Pnode.of_int p; ino; name })
+          nat int (string_size ~gen:printable (int_bound 12));
+        map (fun p -> Wap_log.Mkobj { pnode = Pnode.of_int p }) nat;
+        map3
+          (fun txn bundle data -> Wap_log.Bundle { txn; bundle; data })
+          (opt nat)
+          (list_size (int_bound 3) gen_entry)
+          (opt
+             (map3
+                (fun p (d_off, d_len) d_md5 ->
+                  { Wap_log.d_pnode = Pnode.of_int p; d_off; d_len; d_md5 })
+                nat (pair nat nat) (string_size (int_bound 16))));
+      ])
+
+(* How a well-formed image is damaged before both readers see it. *)
+type mangle =
+  | Whole
+  | Truncate of int  (** keep this many bytes (mod length + 1) *)
+  | Flip of int * int  (** xor the byte at this offset with a nonzero mask *)
+  | Shorten of int * int
+      (** cut bytes off this frame's payload and re-checksum it, so a
+          decode in place runs on into the next frame *)
+
+let mangle frames m =
+  let encs = List.map (fun f -> encode_frames [ f ]) frames in
+  let image = String.concat "" encs in
+  let len = String.length image in
+  match m with
+  | Whole -> image
+  | Truncate n -> String.sub image 0 (n mod (len + 1))
+  | Flip (at, mask) when len > 0 ->
+      let b = Bytes.of_string image in
+      let at = at mod len in
+      Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor (1 + (mask mod 255))));
+      Bytes.to_string b
+  | Flip _ -> image
+  | Shorten (k, cut) when List.length encs >= 2 ->
+      let k = k mod (List.length encs - 1) in
+      let enc = List.nth encs k in
+      let plen = String.length enc - 12 in
+      let payload = String.sub enc 12 (plen - (1 + (cut mod plen))) in
+      let header = Buffer.create 12 in
+      Wire.put_u32 header wap_magic;
+      Wire.put_u32 header (String.length payload);
+      Wire.put_u32 header (ref_checksum payload);
+      String.concat ""
+        (List.mapi (fun i e -> if i = k then Buffer.contents header ^ payload else e) encs)
+  | Shorten _ -> image
+
+let gen_mangle =
+  QCheck2.Gen.(
+    oneof
+      [
+        return Whole;
+        map (fun n -> Truncate n) nat;
+        map2 (fun at mask -> Flip (at, mask)) nat nat;
+        map2 (fun k cut -> Shorten (k, cut)) nat nat;
+      ])
+
+let prop_wap_fold_reference =
+  QCheck2.Test.make ~name:"Wap_log.fold = substring reference decoder" ~count:500
+    QCheck2.Gen.(pair (list_size (int_bound 8) gen_frame) gen_mangle)
+    (fun (frames, m) ->
+      let image = mangle frames m in
+      let folded, consumed = Wap_log.fold image ~init:[] (fun acc f -> f :: acc) in
+      let expect, expect_consumed = ref_parse image in
+      String.equal (encode_frames (List.rev folded)) (encode_frames expect)
+      && consumed = expect_consumed
+      && (m <> Whole || consumed = String.length image))
 
 (* --- distributor invariant 4 under random traffic ----------------------------- *)
 
@@ -289,6 +428,7 @@ let qcheck_cases =
       prop_storage_roundtrip;
       prop_record_encoded_size;
       prop_bundle_encoded_size;
+      prop_wap_fold_reference;
       prop_distributor_invariant;
       prop_ctx_monotone;
       prop_glob_reference;

@@ -296,9 +296,7 @@ let test_pipeline_instruments () =
   let tv name = Option.get (Telemetry.counter_value registry name) in
   check tbool "analyzer did work" true (tv "analyzer.records_in" > 0);
   check tbool "wap logged frames" true (tv "wap.frames_written" > 0);
-  check tbool "wap logged bytes" true (tv "wap.bytes_written" > 0);
-  let aps = Option.get (Telemetry.histogram_summary registry "wap.append_ns") in
-  check tbool "wap append span observed" true (aps.Telemetry.count > 0)
+  check tbool "wap logged bytes" true (tv "wap.bytes_written" > 0)
 
 (* Without [~registry] every machine gets a fresh registry of its own:
    two machines built side by side each report exactly what a solo run

@@ -1,6 +1,7 @@
 (* Waldo tests: log ingestion fidelity, FREEZE-driven version attribution,
-   transaction buffering/commit, orphan discarding, log-file cleanup, and
-   database merging / size accounting. *)
+   transaction buffering/commit, orphan discarding, log-file cleanup,
+   database merging / size accounting, checkpointing, and a restart
+   golden. *)
 
 open Pass_core
 
@@ -392,6 +393,96 @@ let test_ingest_after_bulk_load () =
     (Provdb.attr_cardinality db "PARAMS");
   check tint "out's parents" 3 (List.length (Provdb.reach_ancestors db out.Dpapi.pnode))
 
+(* --- recovery golden ------------------------------------------------------- *)
+
+(* One run that writes every frame kind: files with data (Map and
+   data-identity frames), virtual objects (Mkobj), freezes, a
+   transaction that commits, one open across [mid] (so a checkpoint
+   there carries a sidecar) and one that never ends.  The tail is
+   committed but never rotated, so only a restart ingests it. *)
+let golden_workload lasagna ~mid =
+  let ep = Lasagna.endpoint lasagna in
+  let ops = Lasagna.ops lasagna in
+  let objs =
+    Array.init 5 (fun i ->
+        let h = Helpers.ok (ep.pass_mkobj ~volume:(Some "vol0")) in
+        Helpers.ok (Dpapi.disclose ep h [ Record.name (Printf.sprintf "g%d" i) ]);
+        h)
+  in
+  let file i =
+    let ino = Helpers.ok_fs (Vfs.create_path ops (Printf.sprintf "/f%d" i) Vfs.Regular) in
+    Helpers.ok_fs (Lasagna.file_handle lasagna ino)
+  in
+  let files = Array.init 3 file in
+  let send txn (h : Dpapi.handle) records =
+    ignore
+      (Helpers.ok
+         (Lasagna.write_txn_bundle ~txn lasagna h ~off:0 ~data:None [ Dpapi.entry h records ])
+        : int)
+  in
+  for round = 1 to 4 do
+    Array.iteri
+      (fun i h ->
+        Helpers.ok (Dpapi.disclose ep h [ Record.make "PARAMS" (Pvalue.Int round) ]);
+        if (i + round) mod 2 = 0 then ignore (Helpers.ok (ep.pass_freeze h) : int))
+      objs;
+    Array.iteri
+      (fun i (f : Dpapi.handle) ->
+        let src = objs.(i) in
+        let data = String.make 64 (Char.chr (65 + i)) in
+        ignore
+          (Helpers.ok
+             (ep.pass_write f ~off:(64 * round) ~data:(Some data)
+                [ Dpapi.entry f [ Record.input_of src.Dpapi.pnode 0 ] ])
+            : int))
+      files;
+    if round = 2 then begin
+      send 5 objs.(0) [ Record.make "PARAMS" (Pvalue.Str "t5a") ];
+      send 6 objs.(1) [ Record.make "PARAMS" (Pvalue.Str "t6") ];
+      send 7 objs.(2) [ Record.make "PARAMS" (Pvalue.Str "t7") ];
+      send 7 objs.(2) [ Record.make Record.Attr.endtxn (Pvalue.Int 7) ];
+      mid ()
+    end;
+    if round = 3 then begin
+      send 5 objs.(0) [ Record.make "PARAMS" (Pvalue.Str "t5b") ];
+      send 5 objs.(0) [ Record.make Record.Attr.endtxn (Pvalue.Int 5) ]
+    end
+  done;
+  Helpers.ok_fs (Lasagna.commit_log lasagna)
+
+(* Run [golden_workload], crash, recover, and return every
+   [recovery_info] field plus the MD5 of the recovered db. *)
+let recovery_golden ?policy ?compact_keep ~checkpoint_mid () =
+  let disk, _ext3, lasagna, waldo, _registry =
+    fresh_ckpt ?policy ?compact_keep ~log_max:512 ()
+  in
+  let mid () = if checkpoint_mid then Helpers.ok_fs (Waldo.checkpoint waldo) in
+  golden_workload lasagna ~mid;
+  Simdisk.Disk.crash disk;
+  Simdisk.Disk.revive disk;
+  let ext3 = Ext3.mount disk in
+  let w2, i = Helpers.ok_fs (Waldo.recover ?policy ?compact_keep ~lower:(Ext3.ops ext3) ()) in
+  ( [ i.Waldo.ri_gen; Bool.to_int i.ri_manifest; i.ri_watermark; i.ri_logs_skipped;
+      i.ri_logs_replayed; i.ri_frames_replayed; i.ri_pending_restored; i.ri_archives ],
+    Digest.to_hex (Digest.string (Provdb.serialize (Waldo.db w2))) )
+
+(* Every [recovery_info] field and the recovered db's MD5, pinned for
+   a restart without a checkpoint and under both checkpoint policies.
+   Field order: gen, manifest, watermark, logs skipped, logs replayed,
+   frames replayed, pending restored, archives. *)
+let test_recovery_golden () =
+  let case name expect_info expect_md5 (info, md5) =
+    check Alcotest.(list int) (name ^ ": recovery_info") expect_info info;
+    check Alcotest.string (name ^ ": provdb MD5") expect_md5 md5
+  in
+  case "no checkpoint" [ 0; 0; 0; 0; 8; 61; 0; 0 ] "d2a8e33fb88e88fe3587d07bf559fb6d"
+    (recovery_golden ~policy:Waldo.Manual ~checkpoint_mid:false ());
+  case "Manual, one checkpoint mid-run" [ 1; 1; 4; 0; 4; 25; 2; 1 ]
+    "11760a70bd65118b3536c2c5e059a57c"
+    (recovery_golden ~policy:Waldo.Manual ~compact_keep:1 ~checkpoint_mid:true ());
+  case "Every_frames 8" [ 5; 1; 7; 0; 1; 3; 1; 0 ] "d2a8e33fb88e88fe3587d07bf559fb6d"
+    (recovery_golden ~policy:(Waldo.Every_frames 8) ~checkpoint_mid:false ())
+
 let suite =
   [
     Alcotest.test_case "ingestion fidelity" `Quick test_ingestion_fidelity;
@@ -413,4 +504,5 @@ let suite =
     Alcotest.test_case "checkpoint/recover round trip" `Quick
       test_checkpoint_recover_roundtrip;
     Alcotest.test_case "ingest after a bulk load" `Quick test_ingest_after_bulk_load;
+    Alcotest.test_case "recovery golden" `Quick test_recovery_golden;
   ]
