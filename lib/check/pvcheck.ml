@@ -205,7 +205,7 @@ let pass_closure db =
         (fun (v, attr, (x : Pvalue.xref)) ->
           match Provdb.find_node db x.pnode with
           | None ->
-              (* unreachable: add_record stubs every xref target *)
+              (* unreachable: inserting an xref stubs its target *)
               Some
                 (finding ~pass:name ~subject:(pv_to_string (n.pnode, v))
                    ~detail:

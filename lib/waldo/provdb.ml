@@ -18,14 +18,12 @@
      the version-level edge tables;
    - a per-node resident-version index (which versions hold quads).
 
-   Two paths build the secondary indexes.  [add_record] and [set_file]
-   maintain them one record at a time (live ingest, merge_into,
-   compact).  [load] rebuilds them from an on-disk image in one pass
-   (restart, archive fault-in), leaning on the order [serialize] writes
-   in.  [verify_indexes] replays a db through the first path to check
-   either.  Byte accounting mirrors Table 3: [db_bytes] is the encoded
-   size of the node and quad tables, [index_bytes] the encoded size of
-   the indexes. *)
+   One step builds the secondary indexes: [load] (restart, fault-in),
+   [ingest_entry] (log ingest), [merge_into] and [compact] insert in runs
+   through [step]; [verify_indexes] checks the result against the
+   record-at-a-time oracle [add_record].  Byte accounting mirrors Table
+   3: [db_bytes] is the encoded size of the node and quad tables,
+   [index_bytes] the encoded size of the indexes. *)
 
 module Pnode = Pass_core.Pnode
 module Pvalue = Pass_core.Pvalue
@@ -269,6 +267,15 @@ let rec insert_version v = function
   | x :: _ as l when v < x -> v :: l
   | x :: rest -> x :: insert_version v rest
 
+(* [List.iter f (List.rev l)] without the reversed copy: cells and
+   reverse edges keep their entries newest first, readers want them in
+   ingest order. *)
+let rec iter_oldest_first f = function
+  | [] -> ()
+  | x :: rest ->
+      iter_oldest_first f rest;
+      f x
+
 (* The cell of (s's pnode, version), created on first use. *)
 let cell t (s : slot) version =
   let key = (s.node.pnode, version) in
@@ -280,34 +287,32 @@ let cell t (s : slot) version =
       s.resident <- insert_version version s.resident;
       c
 
-(* Insert one record into its cell [c], updating every index; [size] is
-   the record's encoded size. *)
-let insert t (s : slot) ~version (c : cell) (record : Record.t) ~size =
+(* Insert quad [q] into cell [c] of slot [s], updating every index;
+   [size] is the record's encoded size. *)
+let insert t (s : slot) (c : cell) (q : quad) ~size =
   let n = s.node in
-  if version > n.max_version then n.max_version <- version;
-  c.c_quads <-
-    { q_pnode = n.pnode; q_version = version; q_attr = record.attr; q_value = record.value }
-    :: c.c_quads;
+  if q.q_version > n.max_version then n.max_version <- q.q_version;
+  c.c_quads <- q :: c.c_quads;
   t.quad_count <- t.quad_count + 1;
   t.db_bytes <- t.db_bytes + size + 16;
-  let upper = upper_attr record.attr in
+  let upper = upper_attr q.q_attr in
   if not (List.exists (String.equal upper) c.c_attrs) then begin
     c.c_attrs <- upper :: c.c_attrs;
     let ae = attr_entry t upper in
-    ae.ae_entries <- (n.pnode, version) :: ae.ae_entries;
+    ae.ae_entries <- (n.pnode, q.q_version) :: ae.ae_entries;
     ae.ae_count <- ae.ae_count + 1;
     ae.ae_sorted <- None;
     t.index_bytes <- t.index_bytes + 20 (* attr index entry *)
   end;
-  match record.value with
+  match q.q_value with
   | Pvalue.Xref x ->
-      c.c_out <- (record.attr, x) :: c.c_out;
+      c.c_out <- (q.q_attr, x) :: c.c_out;
       let p = slot t x.pnode in
-      p.refs <- (n.pnode, version, record.attr, x.version) :: p.refs;
+      p.refs <- (n.pnode, q.q_version, q.q_attr, x.version) :: p.refs;
       t.edge_count <- t.edge_count + 1;
       add_adjacency t s p;
       t.index_bytes <- t.index_bytes + 40 (* fwd + rev entries *)
-  | Pvalue.Str str when String.equal record.attr Record.Attr.name ->
+  | Pvalue.Str str when String.equal q.q_attr Record.Attr.name ->
       if n.node_name = None then n.node_name <- Some str;
       index_name t str n.pnode
   | (Pvalue.Str str | Pvalue.Bytes str) when String.equal upper Record.Attr.name ->
@@ -317,10 +322,58 @@ let insert t (s : slot) ~version (c : cell) (record : Record.t) ~size =
       index_name t str n.pnode
   | _ -> ()
 
-(* Insert one record attributed to (pnode, version). *)
+let quad_of pnode ~version (r : Record.t) =
+  { q_pnode = pnode; q_version = version; q_attr = r.attr; q_value = r.value }
+
+(* [Record.encoded_size] of a stored quad, without rebuilding its record. *)
+let quad_size (q : quad) = 4 + String.length q.q_attr + Pvalue.encoded_size q.q_value
+
+(* A run of insertions into one node: its slot, a version and its cell. *)
+type run = { r_slot : slot; mutable r_version : int; mutable r_cell : cell }
+
+let open_run t (s : slot) ~version = { r_slot = s; r_version = version; r_cell = cell t s version }
+
+(* The one insertion step: a run costs one slot lookup, plus one cell
+   probe per version it writes. *)
+let step t run (q : quad) ~size =
+  if q.q_version <> run.r_version then begin
+    run.r_version <- q.q_version;
+    run.r_cell <- cell t run.r_slot q.q_version
+  end;
+  insert t run.r_slot run.r_cell q ~size
+
+(* Copy one cell of another db as one run, sharing its immutable quads. *)
+let copy_cell t pnode ~version (c : cell) =
+  let run = open_run t (slot t pnode) ~version in
+  iter_oldest_first (fun q -> step t run q ~size:(quad_size q)) c.c_quads
+
+(* The ingest-side version rule, next to [insert]'s NAME rule: a FREEZE
+   v record moves itself, and the records after it, to version v. *)
+let entry_version (r : Record.t) ~current =
+  match r.value with
+  | Pvalue.Int v when String.equal r.attr Record.Attr.freeze -> v
+  | _ -> current
+
+(* Recursion, not [List.iter]: a closure per entry outweighs a run's saving. *)
+let rec ingest_run t run pnode = function
+  | [] -> ()
+  | (r : Record.t) :: rest ->
+      step t run (quad_of pnode ~version:(entry_version r ~current:run.r_version) r)
+        ~size:(Record.encoded_size r);
+      ingest_run t run pnode rest
+
+(* One bundle entry, as one run starting in the node's newest version. *)
+let ingest_entry t pnode = function
+  | [] -> ()
+  | first :: _ as records ->
+      let s = slot t pnode in
+      ingest_run t (open_run t s ~version:(entry_version first ~current:s.node.max_version)) pnode
+        records
+
+(* The record-at-a-time oracle: no run, one cell probe per record. *)
 let add_record t pnode ~version (record : Record.t) =
   let s = slot t pnode in
-  insert t s ~version (cell t s version) record ~size:(Record.encoded_size record)
+  insert t s (cell t s version) (quad_of pnode ~version record) ~size:(Record.encoded_size record)
 
 (* --- cold-tier fault-in --------------------------------------------------- *)
 
@@ -395,15 +448,6 @@ let versions t pnode =
           let l = List.init (s.node.max_version + 1) Fun.id in
           s.versions_memo <- Some (s.node.max_version, l);
           l)
-
-(* [List.iter f (List.rev l)] without the reversed copy: cells and
-   reverse edges keep their entries newest first, readers want them in
-   ingest order. *)
-let rec iter_oldest_first f = function
-  | [] -> ()
-  | x :: rest ->
-      iter_oldest_first f rest;
-      f x
 
 let resident_versions t pnode =
   match Hashtbl.find t.nodes pnode with s -> s.resident | exception Not_found -> []
@@ -584,12 +628,7 @@ let total_bytes t = t.db_bytes + t.index_bytes
    disk in the Figure 1 scenario). *)
 let merge_into ~dst ~src =
   Hashtbl.iter (fun _ s -> copy_node dst s.node) src.nodes;
-  Hashtbl.iter
-    (fun (pnode, version) c ->
-      List.iter
-        (fun (q : quad) -> add_record dst pnode ~version { attr = q.q_attr; value = q.q_value })
-        (List.rev c.c_quads))
-    src.quads
+  Hashtbl.iter (fun (pnode, version) c -> copy_cell dst pnode ~version c) src.quads
 
 (* --- on-disk form ---------------------------------------------------------- *)
 
@@ -660,12 +699,10 @@ let image_format image pos =
   | "PROVDB2" -> 2 (* pre-floor images, still loadable *)
   | _ -> Wire.corrupt "provdb: bad magic"
 
-(* The one-pass bulk loader.  The node table goes through [absorb_node];
-   the quads are taken in runs of one (pnode, version) — in [serialize]'s
-   order a cell is one run and a node's cells are adjacent — so each run
-   costs one slot lookup and one cell probe, and a record's size is the
-   span it was decoded from.  Any other order still loads correctly, a
-   run at a time. *)
+(* The one-pass bulk loader.  The node table goes through [absorb_node],
+   the quads through [step] in one run per node ([serialize] groups a
+   node's quads by version), each sized by the span it was decoded from.
+   Any other order still loads correctly, a run at a time. *)
 let load t image =
   let pos = ref 0 in
   let format = image_format image pos in
@@ -683,26 +720,22 @@ let load t image =
       ~max_version ~floor
   done;
   let edges0 = t.edge_count and attrs0 = attr_entry_total t in
-  let n_quads = Wire.get_u32 image pos in
-  let rec quads k run =
-    if k > 0 then begin
-      let pnode = Pnode.of_int (Wire.get_i64 image pos) in
-      let v = Wire.get_i64 image pos in
-      let start = !pos in
-      let record = Record.decode image pos in
-      let ((s, _, c) as run) =
-        match run with
-        | Some ((s, version, _) as run) when Pnode.equal pnode s.node.pnode ->
-            if v = version then run else (s, v, cell t s v)
-        | _ ->
-            let s = slot t pnode in
-            (s, v, cell t s v)
-      in
-      insert t s ~version:v c record ~size:(!pos - start);
-      quads (k - 1) (Some run)
-    end
-  in
-  quads n_quads None;
+  let run = ref None in
+  for _ = 1 to Wire.get_u32 image pos do
+    let pnode = Pnode.of_int (Wire.get_i64 image pos) in
+    let version = Wire.get_i64 image pos in
+    let start = !pos in
+    let q = quad_of pnode ~version (Record.decode image pos) in
+    let r =
+      match !run with
+      | Some r when Pnode.equal pnode r.r_slot.node.pnode -> r
+      | _ ->
+          let r = open_run t (slot t pnode) ~version in
+          run := Some r;
+          r
+    in
+    step t r q ~size:(!pos - start)
+  done;
   if format >= 4 then begin
     (* a load into a populated db (archive fault-in) adds cells disjoint
        from the resident ones — compaction splits every node's versions
@@ -745,7 +778,7 @@ let compact t ~keep =
   let keep = max 1 keep in
   let hot = create () and cold = create () in
   let slots = sorted_slots t in
-  (* node tables first so add_record below finds fully-described nodes *)
+  (* node tables first so the cell copies below find fully-described nodes *)
   List.iter
     (fun s ->
       copy_node hot s.node;
@@ -757,11 +790,8 @@ let compact t ~keep =
       List.iter
         (fun v ->
           if v >= n.floor then
-            let dst = if v < cutoff then cold else hot in
-            List.iter
-              (fun (q : quad) ->
-                add_record dst q.q_pnode ~version:v { Record.attr = q.q_attr; value = q.q_value })
-              (records_at_raw t n.pnode ~version:v))
+            copy_cell (if v < cutoff then cold else hot) n.pnode ~version:v
+              (Hashtbl.find t.quads (n.pnode, v)))
         resident;
       set_floor hot (node hot n.pnode) cutoff;
       (* the cold db records the segment's base so it is self-describing *)
@@ -773,6 +803,9 @@ let compact t ~keep =
 
 (* Acyclicity at (pnode, version) granularity — DESIGN.md invariant 1. *)
 let is_acyclic t =
+  (* settle the archive first, as [verify_indexes] does: [out_edges]
+     would otherwise fault it into the table being folded, or never *)
+  if t.floored > 0 then maybe_fault_in t;
   let color : (Pnode.t * int, int) Hashtbl.t = Hashtbl.create 1024 in
   let rec dfs key =
     match Hashtbl.find_opt color key with
@@ -810,15 +843,15 @@ let ancestors t pnode ~version =
 (* --- index self-check ------------------------------------------------------ *)
 
 (* Rebuild-and-compare: replay [t]'s node and quad tables, in image
-   order, through the record-at-a-time path ([absorb_node], [add_record])
-   into a fresh db, and diff each index and counter against the live
-   one.  The replay never goes through [load]: no run grouping, no
-   sizes from byte spans, no presizing — so on a recovered db it checks
-   what the bulk loader does differently.  On a live db, any drift in
-   the incremental maintenance — a missed posting, a stale adjacency
-   row, a resident version that leaked — shows up as a mismatch.  The
-   chaos harness runs this after crash/recover and after archive
-   fault-in. *)
+   order, through the record-at-a-time oracle ([absorb_node],
+   [add_record]) into a fresh db, and diff each index and counter against
+   the live one.  The replay never goes through [step]: no runs, no
+   sizes from byte spans, no presizing, no shared quads — so on any db,
+   loaded, ingested, merged or compacted, it checks what the run path
+   does differently.  Any drift in the incremental maintenance — a
+   missed posting, a stale adjacency row, a resident version that
+   leaked — shows up as a mismatch.  The chaos harness runs this after
+   crash/recover and after archive fault-in. *)
 let verify_indexes t =
   (* settle the archive first: probing indexes below would otherwise
      fault it in while we iterate over the very tables it repopulates *)
@@ -827,9 +860,6 @@ let verify_indexes t =
   List.iter (fun s -> copy_node r s.node) (sorted_slots t);
   iter_quads t (fun q ->
       add_record r q.q_pnode ~version:q.q_version { Record.attr = q.q_attr; value = q.q_value });
-  let sorted_versions l = List.sort_uniq Int.compare l in
-  let eq_pnodes = List.equal Pnode.equal in
-  let eq_ints = List.equal Int.equal in
   let describe p = string_of_int (Pnode.to_int p) in
   let problem = ref None in
   let fail msg = if !problem = None then problem := Some msg in
@@ -840,33 +870,23 @@ let verify_indexes t =
       match find_node r p with
       | None -> fail ("node " ^ describe p ^ " missing after rebuild")
       | Some m ->
+          let drifted what = fail ("node " ^ describe p ^ ": " ^ what ^ " drifted") in
+          let same cmp index =
+            let sorted db = List.sort cmp (index db p) in
+            List.equal (fun a b -> cmp a b = 0) (sorted t) (sorted r)
+          in
           if not (Option.equal String.equal n.node_name m.node_name) then
-            fail ("node " ^ describe p ^ ": name index source drifted");
+            drifted "name index source";
           if n.max_version <> m.max_version || n.floor <> m.floor then
-            fail ("node " ^ describe p ^ ": version-range index drifted");
-          if
-            not
-              (eq_ints
-                 (sorted_versions (resident_versions t p))
-                 (sorted_versions (resident_versions r p)))
-          then fail ("node " ^ describe p ^ ": resident-version index drifted");
-          if
-            not
-              (eq_pnodes
-                 (List.sort Pnode.compare (parents_of t p))
-                 (List.sort Pnode.compare (parents_of r p)))
-          then fail ("node " ^ describe p ^ ": ancestry adjacency (parents) drifted");
-          if
-            not
-              (eq_pnodes
-                 (List.sort Pnode.compare (children_of t p))
-                 (List.sort Pnode.compare (children_of r p)))
-          then fail ("node " ^ describe p ^ ": ancestry adjacency (children) drifted"))
+            drifted "version-range index";
+          if not (same Int.compare resident_versions) then drifted "resident-version index";
+          if not (same Pnode.compare parents_of) then drifted "ancestry adjacency (parents)";
+          if not (same Pnode.compare children_of) then drifted "ancestry adjacency (children)")
     t.nodes;
   if Names.cardinal t.names <> Names.cardinal r.names then fail "name index: alias count drifted";
   Names.iter
     (fun name _ ->
-      if not (eq_pnodes (find_by_name t name) (find_by_name r name)) then
+      if not (List.equal Pnode.equal (find_by_name t name) (find_by_name r name)) then
         fail ("name index: entries for \"" ^ name ^ "\" drifted"))
     t.names;
   if Hashtbl.length t.attrs <> Hashtbl.length r.attrs then

@@ -6,12 +6,13 @@
     name so a glob's literal prefix is one range), an inverted
     attribute index with per-attribute cardinalities, a pnode-granular
     ancestry adjacency for transitive-reachability estimates, and a
-    per-node resident-version index.  {!add_record}/{!set_file} maintain
-    the secondary indexes one record at a time (ingest, {!merge_into},
-    {!compact}); {!load} rebuilds them from an on-disk image in one pass
-    (restart, archive fault-in); {!verify_indexes} checks either against
-    a record-at-a-time replay.  Byte accounting mirrors the paper's
-    Table 3 ([db_bytes] for the tables, [index_bytes] for the indexes). *)
+    per-node resident-version index.  One insertion step maintains them:
+    {!load} (restart, archive fault-in), {!ingest_entry} (log ingest),
+    {!merge_into} and {!compact} insert in runs into one node, switching
+    cells only when the version changes; {!verify_indexes} checks the
+    result against a replay through {!add_record}.  Byte accounting
+    mirrors the paper's Table 3 ([db_bytes] for the tables,
+    [index_bytes] for the indexes). *)
 
 module Pnode = Pass_core.Pnode
 module Pvalue = Pass_core.Pvalue
@@ -45,8 +46,13 @@ val set_file : t -> Pnode.t -> name:string -> unit
 
 val declare_virtual : t -> Pnode.t -> unit
 
+val ingest_entry : t -> Pnode.t -> Pass_core.Record.t list -> unit
+(** Insert one bundle entry's records for [pnode] as one run (log
+    ingest).  They start in the node's [max_version] cell; a FREEZE [v]
+    record moves itself and every record after it to version [v]. *)
+
 val add_record : t -> Pnode.t -> version:int -> Pass_core.Record.t -> unit
-(** Insert one record attributed to (pnode, version), updating indexes. *)
+(** Insert one record at (pnode, version): the record-at-a-time oracle. *)
 
 val find_node : t -> Pnode.t -> node option
 val node_count : t -> int
@@ -214,9 +220,10 @@ val ancestors : t -> Pnode.t -> version:int -> (Pnode.t * int) list
 
 val verify_indexes : t -> (unit, string) result
 (** Rebuild-and-compare self-check: replays the node and quad tables
-    through {!set_file}/{!add_record} into a fresh db — never through
-    {!load}, so a loaded db is checked against the record-at-a-time
-    path — and diffs each index against the live one: names, attr postings and
+    through {!add_record} into a fresh db — never through the run step
+    {!load}, {!ingest_entry}, {!merge_into} and {!compact} share, so any
+    db is checked against the record-at-a-time oracle — and diffs each
+    index against the live one: names, attr postings and
     cardinalities, ancestry adjacency, resident versions, version ranges,
     and the edge, file and quad counts and byte counters.  [Error msg]
     names the first drift found.  Faults the archive in first so the

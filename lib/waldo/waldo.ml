@@ -9,7 +9,6 @@
    OP_BEGINTXN but before completing — are discarded at finalize time,
    which is exactly the recovery story of Section 6.1.2. *)
 
-module Pnode = Pass_core.Pnode
 module Pvalue = Pass_core.Pvalue
 module Record = Pass_core.Record
 module Dpapi = Pass_core.Dpapi
@@ -37,7 +36,6 @@ type policy = Disabled | Manual | Every_frames of int
 type t = {
   mutable db : Provdb.t; (* replaced by checkpoint compaction and recover *)
   lower : Vfs.ops; (* the file system holding the .pass directory *)
-  ingest_version : (Pnode.t, int) Hashtbl.t; (* version tracking during ingest *)
   pending_txns : (int, Dpapi.bundle list ref) Hashtbl.t;
   tracer : Pvtrace.t;
   registry : Telemetry.registry option;
@@ -57,7 +55,6 @@ let create ?registry ?(tracer = Pvtrace.disabled) ?(policy = Disabled)
   {
     db = Provdb.create ();
     lower;
-    ingest_version = Hashtbl.create 1024;
     pending_txns = Hashtbl.create 16;
     tracer;
     registry;
@@ -83,24 +80,12 @@ let create ?registry ?(tracer = Pvtrace.disabled) ?(policy = Disabled)
 
 let db t = t.db
 
-let cur_version t pnode =
-  Option.value (Hashtbl.find_opt t.ingest_version pnode) ~default:0
-
-let ingest_record t pnode (record : Record.t) =
-  Telemetry.incr t.i.records_ingested;
-  (* FREEZE records advance the ingest-side version: subsequent records for
-     this object belong to the new version.  The freeze's own records (the
-     marker and the version edge) are attributed to the new version. *)
-  (match record.value with
-  | Pvalue.Int v when String.equal record.attr Record.Attr.freeze ->
-      Hashtbl.replace t.ingest_version pnode v
-  | _ -> ());
-  Provdb.add_record t.db pnode ~version:(cur_version t pnode) record
-
+(* Each entry is one Provdb run; Provdb applies the FREEZE version rule. *)
 let ingest_bundle t (bundle : Dpapi.bundle) =
   List.iter
     (fun (e : Dpapi.bundle_entry) ->
-      List.iter (ingest_record t e.target.pnode) e.records)
+      Telemetry.add t.i.records_ingested (List.length e.records);
+      Provdb.ingest_entry t.db e.target.pnode e.records)
     bundle
 
 let ingest_frame t = function
@@ -134,8 +119,8 @@ let ingest_frame t = function
          were coalesced into the same frame by client batching *)
       (match data with
       | Some d ->
-          Provdb.add_record t.db d.d_pnode ~version:(cur_version t d.d_pnode)
-            (Record.make Record.Attr.data_md5 (Pvalue.Bytes d.d_md5))
+          Provdb.ingest_entry t.db d.d_pnode
+            [ Record.make Record.Attr.data_md5 (Pvalue.Bytes d.d_md5) ]
       | None -> ());
       ingest_bundle t bundle
 
@@ -158,9 +143,7 @@ let ( let* ) = Result.bind
    arrived in.  Frames are emitted in sorted-id, arrival order — the
    order replay would have rebuilt the buffers in. *)
 let encode_pending t =
-  let ids =
-    List.sort Int.compare (Hashtbl.fold (fun id _ acc -> id :: acc) t.pending_txns [])
-  in
+  let ids = pending_txns t in
   let buf = Buffer.create 4096 in
   List.iter
     (fun id ->
@@ -304,17 +287,6 @@ let attach t lasagna =
       | Error e ->
           Logs.warn (fun m -> m "waldo: failed to process %s: %s" name (Vfs.errno_to_string e)))
 
-(* Re-seed the ingest-side version map from the stored graph: the latest
-   frozen version of each object is its max attributed version.  Without
-   this, records arriving after a daemon restart would be attributed to
-   version 0. *)
-let reseed_versions t =
-  List.iter
-    (fun (n : Provdb.node) ->
-      if n.max_version > 0 then
-        Hashtbl.replace t.ingest_version n.pnode n.max_version)
-    (Provdb.all_nodes t.db)
-
 (* --- bounded recovery ------------------------------------------------------ *)
 
 type recovery_info = {
@@ -398,7 +370,6 @@ let recover ?registry ?tracer ?policy ?compact_keep ~lower () =
                  and the hot/cold tier split come back exactly as
                  checkpointed *)
               t.db <- db;
-              reseed_versions t;
               Ok ()
           | exception Wire.Corrupt _ -> Error Vfs.EIO)
   in

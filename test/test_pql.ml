@@ -1059,12 +1059,13 @@ let prop_loader_matches_replay =
       && Provdb.index_bytes faulted = Provdb.index_bytes merged_in
       && Result.is_ok (Provdb.verify_indexes faulted))
 
+(* A property run from a pinned seed, so a CI failure replays exactly. *)
+let pinned prop = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) prop
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_print_parse_roundtrip; prop_glob; prop_glob_star ]
-  @ List.map
-      (fun prop ->
-        QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) prop)
+  @ List.map pinned
       [ prop_planner_matches_naive; prop_prefix_probe; prop_reach_limit_prefix;
         prop_loader_matches_replay ]
 

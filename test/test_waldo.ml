@@ -1,7 +1,8 @@
 (* Waldo tests: log ingestion fidelity, FREEZE-driven version attribution,
    transaction buffering/commit, orphan discarding, log-file cleanup,
-   database merging / size accounting, checkpointing, and a restart
-   golden. *)
+   database merging / size accounting, acyclicity across the archive,
+   entry ingest against the per-record rule it replaced, checkpointing,
+   and a restart golden. *)
 
 open Pass_core
 
@@ -163,6 +164,136 @@ let test_merge_into () =
        (Provdb.out_edges merged b ~version:0));
   check tbool "merged acyclic" true (Provdb.is_acyclic merged)
 
+(* A cycle that lives wholly below the floor: the hot tier has no edges
+   at all, so only a check that faults the archive in can see it. *)
+let test_acyclic_checks_archive () =
+  let db = Provdb.create () in
+  let alloc = Pnode.allocator ~machine:8 in
+  let r = Pnode.fresh alloc and s = Pnode.fresh alloc in
+  Provdb.add_record db r ~version:0 (Record.input_of s 0);
+  Provdb.add_record db s ~version:0 (Record.input_of r 0);
+  Provdb.add_record db r ~version:1 (Record.make "PARAMS" (Pvalue.Int 1));
+  Provdb.add_record db s ~version:1 (Record.make "PARAMS" (Pvalue.Int 1));
+  check tbool "cycle found in one tier" false (Provdb.is_acyclic db);
+  let hot, cold = Provdb.compact db ~keep:1 in
+  check tint "hot tier holds no edge" 0 (Provdb.edge_count hot);
+  let image = Provdb.serialize cold in
+  Provdb.set_fault_handler hot (fun db -> Provdb.load db image; true);
+  check tbool "cycle below the floor found" false (Provdb.is_acyclic hot)
+
+(* --- entry ingest against the per-record rule it replaced ----------------- *)
+
+(* The rule Waldo applied before Provdb owned the ingest-side version: a
+   per-pnode version map, advanced by FREEZE records and reseeded from
+   [max_version] after an image load, with every record inserted
+   through [add_record] at the mapped version. *)
+type reference = { mutable rdb : Provdb.t; versions : (Pnode.t, int) Hashtbl.t }
+
+let cur_version r p = Option.value (Hashtbl.find_opt r.versions p) ~default:0
+
+let reference_record r p (record : Record.t) =
+  (match record.value with
+  | Pvalue.Int v when String.equal record.attr Record.Attr.freeze -> Hashtbl.replace r.versions p v
+  | _ -> ());
+  Provdb.add_record r.rdb p ~version:(cur_version r p) record
+
+let reseed_versions r =
+  Hashtbl.reset r.versions;
+  List.iter
+    (fun (n : Provdb.node) ->
+      if n.max_version > 0 then Hashtbl.replace r.versions n.pnode n.max_version)
+    (Provdb.all_nodes r.rdb)
+
+(* Records are drawn as specs and resolved against the reference's
+   current version when ingested: a FREEZE steps the version up (with its
+   version edge) or repeats it. *)
+type spec = Name of int | Input of int * int | Freeze_up | Freeze_same | Md5 | Params of int
+type ingest_op = Entry of int * spec list | Data_digest of int | Compact of int | Reload
+
+let gen_ingest_ops =
+  let open QCheck2.Gen in
+  let target = int_bound 3 in
+  let spec =
+    frequency
+      [ (2, map (fun k -> Name k) (int_bound 3));
+        (3, map2 (fun j v -> Input (j, v)) target (int_bound 3));
+        (2, return Freeze_up); (1, return Freeze_same); (1, return Md5);
+        (2, map (fun k -> Params k) (int_bound 9)) ]
+  in
+  list_size (int_range 1 25)
+    (frequency
+       [ (8, map2 (fun p l -> Entry (p, l)) target (list_size (int_bound 5) spec));
+         (2, map (fun p -> Data_digest p) target);
+         (1, map (fun keep -> Compact keep) (int_range 1 2));
+         (1, return Reload) ])
+
+(* Run [ops] through [Provdb.ingest_entry] and through the reference,
+   step by step, and require the same db after every step. *)
+let entry_ingest_matches_reference ops =
+  let alloc = Pnode.allocator ~machine:9 in
+  let pnodes = Array.init 4 (fun _ -> Pnode.fresh alloc) in
+  let db = ref (Provdb.create ()) in
+  let r = { rdb = Provdb.create (); versions = Hashtbl.create 8 } in
+  Array.iteri
+    (fun i p ->
+      if i < 2 then begin
+        Provdb.set_file !db p ~name:(Printf.sprintf "f%d" i);
+        Provdb.set_file r.rdb p ~name:(Printf.sprintf "f%d" i)
+      end)
+    pnodes;
+  let md5 = Record.make Record.Attr.data_md5 (Pvalue.Bytes (Digest.string "data")) in
+  let resolve p = function
+    | Name k -> [ Record.name (Printf.sprintf "n%d" k) ]
+    | Input (j, v) -> [ Record.input_of pnodes.(j) v ]
+    | Freeze_up ->
+        let v = cur_version r p in
+        [ Record.make Record.Attr.freeze (Pvalue.Int (v + 1)); Record.input_of p v ]
+    | Freeze_same -> [ Record.make Record.Attr.freeze (Pvalue.Int (cur_version r p)) ]
+    | Md5 -> [ md5 ]
+    | Params k -> [ Record.make "PARAMS" (Pvalue.Int k) ]
+  in
+  let same () =
+    let a = !db and b = r.rdb in
+    String.equal (Provdb.serialize a) (Provdb.serialize b)
+    && Provdb.db_bytes a = Provdb.db_bytes b
+    && Provdb.index_bytes a = Provdb.index_bytes b
+    && Provdb.quad_count a = Provdb.quad_count b
+    && Provdb.edge_count a = Provdb.edge_count b
+    && Result.is_ok (Provdb.verify_indexes a)
+  in
+  List.for_all
+    (fun op ->
+      (match op with
+      | Entry (i, specs) ->
+          let p = pnodes.(i) in
+          (* resolve each spec after the records before it, so a second
+             FREEZE in one entry steps from the first *)
+          let records =
+            List.concat_map
+              (fun spec ->
+                let records = resolve p spec in
+                List.iter (reference_record r p) records;
+                records)
+              specs
+          in
+          Provdb.ingest_entry !db p records
+      | Data_digest i ->
+          reference_record r pnodes.(i) md5;
+          Provdb.ingest_entry !db pnodes.(i) [ md5 ]
+      | Compact keep ->
+          db := fst (Provdb.compact !db ~keep);
+          r.rdb <- fst (Provdb.compact r.rdb ~keep)
+      | Reload ->
+          db := Provdb.deserialize (Provdb.serialize !db);
+          r.rdb <- Provdb.deserialize (Provdb.serialize r.rdb);
+          reseed_versions r);
+      same ())
+    ops
+
+let prop_entry_ingest =
+  QCheck2.Test.make ~name:"Provdb entry ingest = per-record reference" ~count:300
+    gen_ingest_ops entry_ingest_matches_reference
+
 let test_provdb_serialize_roundtrip () =
   let db, _, _, _, out, _ = Test_pql.sample_db () in
   let image = Provdb.serialize db in
@@ -240,7 +371,8 @@ let test_opm_export () =
    and bounded recovery.  These rigs expose the disk so tests can pull
    the plug at a chosen write tick. *)
 
-let fresh_ckpt ?policy ?compact_keep ?(log_max = 512) () =
+(* [after_log] runs after Waldo has processed each closed log. *)
+let fresh_ckpt ?policy ?compact_keep ?(log_max = 512) ?after_log () =
   let clock = Simdisk.Clock.create () in
   let registry = Telemetry.create () in
   let disk = Simdisk.Disk.create ~registry ~clock () in
@@ -251,6 +383,8 @@ let fresh_ckpt ?policy ?compact_keep ?(log_max = 512) () =
       ~charge:(Simdisk.Clock.advance clock) ()
   in
   let waldo = Waldo.create ?policy ?compact_keep ~lower:(Ext3.ops ext3) () in
+  (* listeners run newest first: registered before Waldo, this one runs after it *)
+  Option.iter (fun f -> Lasagna.on_log_closed lasagna (fun name _ -> f waldo name)) after_log;
   Waldo.attach waldo lasagna;
   ignore (ctx : Ctx.t);
   (disk, ext3, lasagna, waldo, registry)
@@ -450,14 +584,30 @@ let golden_workload lasagna ~mid =
   done;
   Helpers.ok_fs (Lasagna.commit_log lasagna)
 
-(* Run [golden_workload], crash, recover, and return every
-   [recovery_info] field plus the MD5 of the recovered db. *)
-let recovery_golden ?policy ?compact_keep ~checkpoint_mid () =
-  let disk, _ext3, lasagna, waldo, _registry =
-    fresh_ckpt ?policy ?compact_keep ~log_max:512 ()
+(* The index gate for checkpointing ingest: under [Every_frames] with
+   compaction, the live db's indexes verify after every processed log —
+   across automatic checkpoints that swap in the compacted hot tier. *)
+let test_every_frames_indexes_verify () =
+  let logs = ref 0 in
+  let verify waldo name =
+    incr logs;
+    match Provdb.verify_indexes (Waldo.db waldo) with
+    | Ok () -> ()
+    | Error msg -> Alcotest.failf "after %s: %s" name msg
   in
-  let mid () = if checkpoint_mid then Helpers.ok_fs (Waldo.checkpoint waldo) in
-  golden_workload lasagna ~mid;
+  let _disk, ext3, lasagna, waldo, _registry =
+    fresh_ckpt ~policy:(Waldo.Every_frames 8) ~compact_keep:1 ~log_max:256 ~after_log:verify ()
+  in
+  golden_workload lasagna ~mid:ignore;
+  ignore (Waldo.finalize waldo lasagna : int);
+  check tbool "several logs verified" true (!logs >= 4);
+  match Helpers.ok_fs (Checkpoint.read_manifest (Ext3.ops ext3)) with
+  | Some m -> check tbool "checkpoints committed" true (m.Checkpoint.m_gen >= 2)
+  | None -> Alcotest.fail "Every_frames never checkpointed"
+
+(* Crash [disk], restart a Waldo over it, and return every
+   [recovery_info] field plus the MD5 of the recovered db. *)
+let crash_and_recover ?policy ?compact_keep disk =
   Simdisk.Disk.crash disk;
   Simdisk.Disk.revive disk;
   let ext3 = Ext3.mount disk in
@@ -465,6 +615,43 @@ let recovery_golden ?policy ?compact_keep ~checkpoint_mid () =
   ( [ i.Waldo.ri_gen; Bool.to_int i.ri_manifest; i.ri_watermark; i.ri_logs_skipped;
       i.ri_logs_replayed; i.ri_frames_replayed; i.ri_pending_restored; i.ri_archives ],
     Digest.to_hex (Digest.string (Provdb.serialize (Waldo.db w2))) )
+
+let recovery_golden ?policy ?compact_keep ~checkpoint_mid () =
+  let disk, _ext3, lasagna, waldo, _registry =
+    fresh_ckpt ?policy ?compact_keep ~log_max:512 ()
+  in
+  let mid () = if checkpoint_mid then Helpers.ok_fs (Waldo.checkpoint waldo) in
+  golden_workload lasagna ~mid;
+  crash_and_recover ?policy ?compact_keep disk
+
+(* The PA-NFS server side: a client transaction whose buffered chunks
+   carry FREEZE records (a client-local freeze travels as a record,
+   §6.1.2) commits at ENDTXN, then the server's disk crashes. *)
+let nfs_recovery_golden () =
+  let clock = Simdisk.Clock.create () in
+  let server = Server.create ~mode:Server.Pass_enabled ~clock ~machine:2 ~volume:"nfs0" () in
+  let client =
+    Client.create ~net:(Proto.net clock) ~handler:(Server.handle server)
+      ~ctx:(Ctx.create ~machine:1) ~mount_name:"nfs0" ()
+  in
+  let file path =
+    let ino = Helpers.ok_fs (Vfs.write_file (Client.ops client) path "seed") in
+    Helpers.ok_fs (Client.file_handle client ino)
+  in
+  let src = file "/src" and out = file "/out" in
+  let freeze (h : Dpapi.handle) v =
+    [ Record.make Record.Attr.freeze (Pvalue.Int v); Record.input_of h.Dpapi.pnode (v - 1) ]
+  in
+  let txn = Helpers.ok (Client.begin_txn client) in
+  Helpers.ok
+    (Client.send_prov_chunk client ~txn
+       [ Dpapi.entry src (freeze src 1 @ [ Record.make "PARAMS" (Pvalue.Str "src1") ]) ]);
+  Helpers.ok
+    (Client.send_prov_chunk client ~txn
+       [ Dpapi.entry out (freeze out 1 @ [ Record.input_of src.Dpapi.pnode 1 ]);
+         Dpapi.entry src (freeze src 2) ]);
+  ignore (Helpers.ok (Client.end_txn_write client ~txn out ~off:0 ~data:(Some "built")) : int);
+  crash_and_recover (Server.disk server)
 
 (* Every [recovery_info] field and the recovered db's MD5, pinned for
    a restart without a checkpoint and under both checkpoint policies.
@@ -481,7 +668,10 @@ let test_recovery_golden () =
     "11760a70bd65118b3536c2c5e059a57c"
     (recovery_golden ~policy:Waldo.Manual ~compact_keep:1 ~checkpoint_mid:true ());
   case "Every_frames 8" [ 5; 1; 7; 0; 1; 3; 1; 0 ] "d2a8e33fb88e88fe3587d07bf559fb6d"
-    (recovery_golden ~policy:(Waldo.Every_frames 8) ~checkpoint_mid:false ())
+    (recovery_golden ~policy:(Waldo.Every_frames 8) ~checkpoint_mid:false ());
+  case "PA-NFS server, FREEZE records in a committed transaction" [ 0; 0; 0; 0; 1; 7; 0; 0 ]
+    "b83b5338a86632aba1c3fe46c1f80ace"
+    (nfs_recovery_golden ())
 
 let suite =
   [
@@ -493,6 +683,7 @@ let suite =
     Alcotest.test_case "transaction orphan discarded" `Quick test_txn_orphan;
     Alcotest.test_case "interleaved transactions" `Quick test_interleaved_txns;
     Alcotest.test_case "database merge" `Quick test_merge_into;
+    Alcotest.test_case "acyclicity checks the archive" `Quick test_acyclic_checks_archive;
     Alcotest.test_case "provdb serialize roundtrip" `Quick test_provdb_serialize_roundtrip;
     Alcotest.test_case "size accounting" `Quick test_size_accounting;
     Alcotest.test_case "index accessors" `Quick test_index_accessors;
@@ -501,8 +692,11 @@ let suite =
       test_manual_checkpoint_truncates;
     Alcotest.test_case "Every_frames auto-checkpoints" `Quick
       test_every_frames_auto_checkpoint;
+    Alcotest.test_case "Every_frames: indexes verify after every log" `Quick
+      test_every_frames_indexes_verify;
     Alcotest.test_case "checkpoint/recover round trip" `Quick
       test_checkpoint_recover_roundtrip;
     Alcotest.test_case "ingest after a bulk load" `Quick test_ingest_after_bulk_load;
     Alcotest.test_case "recovery golden" `Quick test_recovery_golden;
+    Test_pql.pinned prop_entry_ingest;
   ]
