@@ -87,8 +87,8 @@ let table2_and_3 ~scale =
      telemetry snapshot describes the whole benchmark's pipeline work *)
   let registry = Telemetry.create () in
   let wls = Runner.standard ~scale () in
-  let local = List.map (Runner.measure_local ~registry) wls in
-  let nfs = List.map (Runner.measure_nfs ~registry) wls in
+  let local = List.map (Runner.measure ~nfs:false ~registry) wls in
+  let nfs = List.map (Runner.measure ~nfs:true ~registry) wls in
   Report.table2 Format.std_formatter ~local ~nfs;
   Printf.printf "\nPaper-reported overheads for comparison (shape, not absolute numbers):\n";
   List.iter
@@ -107,14 +107,12 @@ let table2_and_3 ~scale =
 let fig1 () =
   section "FIG1: layered query across two NFS servers and a workstation";
   let fig = Runner.figure1 () in
-  let sys = fig.Runner.workstation in
   (* the workflow engine runs the Provenance Challenge workflow, reading
      inputs from server A and writing the atlas images to server B *)
-  let engine = Kernel.fork (System.kernel sys) ~parent:Kernel.init_pid in
-  let io = Kepler_run.io_of_system sys ~pid:engine in
-  Challenge.prepare_inputs ~input_dir:"/nfsA/inputs" io;
-  let wf = Challenge.workflow ~input_dir:"/nfsA/inputs" ~output_dir:"/nfsB/results" in
-  ignore (Kepler_run.run sys ~pid:engine wf : Director.result);
+  let _ : Actor.io * (unit -> unit) =
+    Challenge.run_canned fig.Runner.workstation ~input_dir:"/nfsA/inputs"
+      ~output_dir:"/nfsB/results"
+  in
   let merged = Runner.figure1_merged fig in
   let query =
     {|select Ancestor
@@ -357,11 +355,7 @@ let trace_bench ~scale =
     List.find (fun w -> w.Runner.wl_name = "Postmark") (Runner.standard ~scale ())
   in
   let run tracer =
-    let sys, server = Runner.nfs_system ~tracer System.Pass in
-    w.Runner.run sys;
-    ignore (System.drain sys : int);
-    ignore (Server.drain server : int);
-    Simdisk.Clock.now (System.clock sys)
+    Simdisk.Clock.now (System.clock (Runner.run ~tracer ~monitor:Pvmon.disabled ~nfs:true w))
   in
   let off_ns = run Pvtrace.disabled in
   let tracer = Pvtrace.create () in
@@ -439,24 +433,13 @@ let monitor_bench ~scale =
   section "MONITOR: pvmon metrics + SLO health gates";
   let wl name = List.find (fun w -> w.Runner.wl_name = name) (Runner.standard ~scale ()) in
   let postmark = wl "Postmark" and mercurial = wl "Mercurial Activity" in
-  let finish monitor sys =
-    ignore (System.drain sys : int);
+  let run ~nfs w monitor =
+    let sys = Runner.run ~tracer:(Pvtrace.create ()) ~monitor ~nfs w in
     let now = Simdisk.Clock.now (System.clock sys) in
     if Pvmon.enabled monitor then Pvmon.scrape monitor now;
     now
   in
-  let run_nfs monitor =
-    let sys, server = Runner.nfs_system ~tracer:(Pvtrace.create ()) ~monitor System.Pass in
-    postmark.Runner.run sys;
-    ignore (System.drain sys : int);
-    ignore (Server.drain server : int);
-    finish monitor sys
-  in
-  let run_local monitor =
-    let sys = Runner.local_system ~tracer:(Pvtrace.create ()) ~monitor System.Pass in
-    mercurial.Runner.run sys;
-    finish monitor sys
-  in
+  let run_nfs = run ~nfs:true postmark and run_local = run ~nfs:false mercurial in
   let off_nfs = run_nfs Pvmon.disabled in
   let off_local = run_local Pvmon.disabled in
   let mon = Pvmon.create () in
@@ -709,6 +692,40 @@ let time_run f =
   let result = f () in
   (result, Sys.time () -. t0)
 
+(* How a comparison reads its two timings: the naive evaluator's time
+   over the planner's, or the planner's as a fraction of the naive one. *)
+let speedup_ratio =
+  ("speedup", Printf.sprintf "%6.1fx", fun ~planner_s ~naive_s ->
+      if planner_s > 0. then naive_s /. planner_s else 1e9)
+
+let naive_ratio =
+  ("ratio", Printf.sprintf "%5.2fx of naive", fun ~planner_s ~naive_s ->
+      if naive_s > 0. then planner_s /. naive_s else 1.)
+
+(* One planner-vs-naive comparison on [db]: prepare [q], time the planner
+   and then the naive evaluator, and compare their row sets — as sets of
+   rendered (name.version) rows, which names make injective here.  Prints
+   one line under [label] and returns the [ratio] (nan without one), the
+   equality and the JSON fields under [key]. *)
+let compare_plans db ~label ~key ?ratio q =
+  let canon rows = List.sort (List.compare String.compare) (Pql.render db rows) in
+  let ast = Pql.parse q in
+  let prepared = Pql.Engine.prepare_ast db ast in
+  let rows, planner_s = time_run (fun () -> Pql.Engine.execute prepared) in
+  let naive_rows, naive_s = time_run (fun () -> Pql_eval.reference_rows db ast) in
+  let equal = List.equal (List.equal String.equal) (canon rows) (canon naive_rows) in
+  let ratio = Option.map (fun (name, show, f) -> (name, show, f ~planner_s ~naive_s)) ratio in
+  Printf.printf "%s planner %8.2f ms, naive %8.2f ms  (%s%d rows, equal=%b)\n" label
+    (planner_s *. 1e3) (naive_s *. 1e3)
+    (match ratio with Some (_, show, r) -> show r ^ ", " | None -> "")
+    (List.length rows) equal;
+  let field name v = (key ^ "_" ^ name, v) in
+  ( (match ratio with Some (_, _, r) -> r | None -> Float.nan),
+    equal,
+    [ field "planner_ms" (J.Float (planner_s *. 1e3)); field "naive_ms" (J.Float (naive_s *. 1e3)) ]
+    @ (match ratio with Some (name, _, r) -> [ field name (J.Float r) ] | None -> [])
+    @ [ field "rows" (J.Int (List.length rows)) ] )
+
 let query_bench ~scale =
   section "QUERY: cost-based planner vs naive evaluator";
   (* the 10 000-node graph runs at every scale (below 0.32 it is the only
@@ -724,96 +741,41 @@ let query_bench ~scale =
     List.map
       (fun n ->
         let db = query_graph n in
-        (* set equality of row sets, via the rendered (name.version) rows:
-           names are distinct here so rendering is injective *)
-        let canon rows = List.sort (List.compare String.compare) (Pql.render db rows) in
-        let rows_eq a b = List.equal (List.equal String.equal) (canon a) (canon b) in
+        let vs_naive = compare_plans db in
         (* selective: ancestry of one named file — O(result) via the
            name index, O(graph) naively *)
-        let needle = Printf.sprintf "f%d" (n - 1) in
-        let selective =
-          Printf.sprintf
-            {|select A from Provenance.file as F F.input* as A where F.name = "%s"|} needle
+        let speedup, sel_equal, sel =
+          vs_naive ~label:(Printf.sprintf "  n=%-7d selective:" n) ~key:"selective"
+            ~ratio:speedup_ratio
+            (Printf.sprintf
+               {|select A from Provenance.file as F F.input* as A where F.name = "f%d"|}
+               (n - 1))
         in
-        let ast = Pql.parse selective in
-        let prepared = Pql.Engine.prepare_ast db ast in
-        let planner_rows, planner_s = time_run (fun () -> Pql.Engine.execute prepared) in
-        let naive_rows, naive_s = time_run (fun () -> Pql_eval.reference_rows db ast) in
-        let rows_equal = rows_eq planner_rows naive_rows in
-        let speedup = if planner_s > 0. then naive_s /. planner_s else 1e9 in
         (* prefix glob: a range probe of the ordered name index —
            f123, f1230..f1239, ... — against the naive O(graph) scan *)
-        let prefix = {|select F from Provenance.file as F where F.name ~ "f123*"|} in
-        let prefix_ast = Pql.parse prefix in
-        let pp = Pql.Engine.prepare_ast db prefix_ast in
-        let prefix_planner_rows, prefix_planner_s = time_run (fun () -> Pql.Engine.execute pp) in
-        let prefix_naive_rows, prefix_naive_s =
-          time_run (fun () -> Pql_eval.reference_rows db prefix_ast)
-        in
-        let prefix_equal = rows_eq prefix_planner_rows prefix_naive_rows in
-        let prefix_speedup =
-          if prefix_planner_s > 0. then prefix_naive_s /. prefix_planner_s else 1e9
+        let prefix_speedup, prefix_equal, prefix =
+          vs_naive ~label:"          prefix-glob:" ~key:"prefix_glob" ~ratio:speedup_ratio
+            {|select F from Provenance.file as F where F.name ~ "f123*"|}
         in
         (* full scan: a glob without a literal prefix leaves nothing to
            probe; both sides are O(graph), so the planner must not
            regress it *)
-        let full = {|select F from Provenance.file as F where F.name ~ "*7"|} in
-        let full_ast = Pql.parse full in
-        let fp = Pql.Engine.prepare_ast db full_ast in
-        let full_planner_rows, full_planner_s = time_run (fun () -> Pql.Engine.execute fp) in
-        let full_naive_rows, full_naive_s =
-          time_run (fun () -> Pql_eval.reference_rows db full_ast)
+        let full_ratio, full_equal, full =
+          vs_naive ~label:"            full-scan:" ~key:"full" ~ratio:naive_ratio
+            {|select F from Provenance.file as F where F.name ~ "*7"|}
         in
-        let full_equal = rows_eq full_planner_rows full_naive_rows in
-        let full_ratio = if full_naive_s > 0. then full_planner_s /. full_naive_s else 1. in
         (* fan-out: the descendants of f1, half the heap — the walk
            provenance-based monitoring repeats.  Reported, not gated on
            speed: only its rows must equal the naive evaluator's *)
-        let fanout = {|select D from Provenance.file as F F.^input* as D where F.name = "f1"|} in
-        let fanout_ast = Pql.parse fanout in
-        let fo = Pql.Engine.prepare_ast db fanout_ast in
-        let fanout_planner_rows, fanout_planner_s = time_run (fun () -> Pql.Engine.execute fo) in
-        let fanout_naive_rows, fanout_naive_s =
-          time_run (fun () -> Pql_eval.reference_rows db fanout_ast)
+        let _, fanout_equal, fanout =
+          vs_naive ~label:"               fan-out:" ~key:"fanout"
+            {|select D from Provenance.file as F F.^input* as D where F.name = "f1"|}
         in
-        let fanout_equal = rows_eq fanout_planner_rows fanout_naive_rows in
-        Printf.printf
-          "  n=%-7d selective: planner %8.2f ms, naive %8.2f ms  (%6.1fx, %d rows, equal=%b)\n"
-          n (planner_s *. 1e3) (naive_s *. 1e3) speedup (List.length planner_rows) rows_equal;
-        Printf.printf
-          "          prefix-glob: planner %8.2f ms, naive %8.2f ms  (%6.1fx, %d rows, equal=%b)\n"
-          (prefix_planner_s *. 1e3) (prefix_naive_s *. 1e3) prefix_speedup
-          (List.length prefix_planner_rows) prefix_equal;
-        Printf.printf
-          "            full-scan: planner %8.2f ms, naive %8.2f ms  (%5.2fx of naive, %d rows, equal=%b)\n"
-          (full_planner_s *. 1e3) (full_naive_s *. 1e3) full_ratio
-          (List.length full_planner_rows) full_equal;
-        Printf.printf
-          "               fan-out: planner %8.2f ms, naive %8.2f ms  (%d rows, equal=%b)\n"
-          (fanout_planner_s *. 1e3) (fanout_naive_s *. 1e3) (List.length fanout_planner_rows)
-          fanout_equal;
-        let equal = rows_equal && prefix_equal && full_equal && fanout_equal in
+        let equal = sel_equal && prefix_equal && full_equal && fanout_equal in
         ( (n, speedup, prefix_speedup, full_ratio, equal),
           J.Obj
-            [
-              ("nodes", J.Int n);
-              ("selective_planner_ms", J.Float (planner_s *. 1e3));
-              ("selective_naive_ms", J.Float (naive_s *. 1e3));
-              ("selective_speedup", J.Float speedup);
-              ("selective_rows", J.Int (List.length planner_rows));
-              ("prefix_glob_planner_ms", J.Float (prefix_planner_s *. 1e3));
-              ("prefix_glob_naive_ms", J.Float (prefix_naive_s *. 1e3));
-              ("prefix_glob_speedup", J.Float prefix_speedup);
-              ("prefix_glob_rows", J.Int (List.length prefix_planner_rows));
-              ("full_planner_ms", J.Float (full_planner_s *. 1e3));
-              ("full_naive_ms", J.Float (full_naive_s *. 1e3));
-              ("full_ratio", J.Float full_ratio);
-              ("full_rows", J.Int (List.length full_planner_rows));
-              ("fanout_planner_ms", J.Float (fanout_planner_s *. 1e3));
-              ("fanout_naive_ms", J.Float (fanout_naive_s *. 1e3));
-              ("fanout_rows", J.Int (List.length fanout_planner_rows));
-              ("rows_equal", J.Bool equal);
-            ] ))
+            ((("nodes", J.Int n) :: sel) @ prefix @ full @ fanout
+            @ [ ("rows_equal", J.Bool equal) ]) ))
       sizes
   in
   let all_equal = List.for_all (fun ((_, _, _, _, eq), _) -> eq) results in

@@ -19,31 +19,37 @@ module Disk = Simdisk.Disk
 
 let ok = function Ok v -> v | Error e -> failwith (Vfs.errno_to_string e)
 
-(* A canned local challenge run whose database queries operate on. *)
-let canned_db () =
+(* A local PASS machine that has run the canned challenge workflow once
+   and drained, with the engine's I/O and a rerun of the workflow. *)
+let canned_run () =
   let sys = System.create ~mode:System.Pass ~machine:1 ~volume_names:[ "vol0" ] () in
-  let pid = Kernel.fork (System.kernel sys) ~parent:Kernel.init_pid in
-  let io = Kepler_run.io_of_system sys ~pid in
-  Challenge.prepare_inputs ~input_dir:"/vol0/inputs" io;
-  ignore
-    (Kepler_run.run sys ~pid
-       (Challenge.workflow ~input_dir:"/vol0/inputs" ~output_dir:"/vol0/results")
-      : Director.result);
+  let io, rerun =
+    Challenge.run_canned sys ~input_dir:"/vol0/inputs" ~output_dir:"/vol0/results"
+  in
   ignore (System.drain sys : int);
+  (sys, io, rerun)
+
+(* The canned run's database, which queries operate on. *)
+let canned_db () =
+  let sys, _, _ = canned_run () in
   Option.get (System.waldo_db sys "vol0")
+
+(* One of Runner's standard workloads by name, or exit 1. *)
+let workload name =
+  match Runner.find name with
+  | Ok w -> w
+  | Error msg ->
+      prerr_endline msg;
+      exit 1
 
 (* --- commands ----------------------------------------------------------------- *)
 
 let cmd_demo () =
   let fig = Runner.figure1 () in
-  let sys = fig.Runner.workstation in
-  let engine = Kernel.fork (System.kernel sys) ~parent:Kernel.init_pid in
-  let io = Kepler_run.io_of_system sys ~pid:engine in
-  Challenge.prepare_inputs ~input_dir:"/nfsA/inputs" io;
-  ignore
-    (Kepler_run.run sys ~pid:engine
-       (Challenge.workflow ~input_dir:"/nfsA/inputs" ~output_dir:"/nfsB/results")
-      : Director.result);
+  let _ : Actor.io * (unit -> unit) =
+    Challenge.run_canned fig.Runner.workstation ~input_dir:"/nfsA/inputs"
+      ~output_dir:"/nfsB/results"
+  in
   let merged = Runner.figure1_merged fig in
   let query =
     {|select Ancestor from Provenance.file as Atlas Atlas.input* as Ancestor
@@ -101,42 +107,27 @@ let cmd_query q explain json = run_query (canned_db ()) q ~explain ~json
 
 let cmd_recordtypes () = Report.table1 Format.std_formatter
 
-let cmd_workload name mode =
-  let wls = Runner.standard () in
-  match List.find_opt (fun w -> String.lowercase_ascii w.Runner.wl_name = name) wls with
-  | None ->
-      Printf.eprintf "unknown workload %S; try: %s\n" name
-        (String.concat ", " (List.map (fun w -> String.lowercase_ascii w.Runner.wl_name) wls));
-      exit 1
-  | Some w -> (
-      match mode with
-      | `Both ->
-          let row = Runner.measure_local w in
-          Printf.printf "%s: ext3 %.2fs, PASSv2 %.2fs, overhead %.1f%%\n" row.Runner.r_name
-            row.base_seconds row.pass_seconds row.overhead_pct;
-          let sp = Runner.measure_space w in
-          Printf.printf "space: data %.1f MB, provenance %.2f MB (%.1f%%), +indexes %.2f MB (%.1f%%)\n"
-            sp.Runner.ext3_mb sp.prov_mb sp.prov_pct sp.total_mb sp.total_pct
-      | `Nfs ->
-          let row = Runner.measure_nfs w in
-          Printf.printf "%s: NFS %.2fs, PA-NFS %.2fs, overhead %.1f%%\n" row.Runner.r_name
-            row.base_seconds row.pass_seconds row.overhead_pct)
+let cmd_workload name nfs =
+  let w = workload name in
+  let row = Runner.measure ~nfs w in
+  let base, pass = if nfs then ("NFS", "PA-NFS") else ("ext3", "PASSv2") in
+  Printf.printf "%s: %s %.2fs, %s %.2fs, overhead %.1f%%\n" row.Runner.r_name base
+    row.base_seconds pass row.pass_seconds row.overhead_pct;
+  if not nfs then begin
+    let sp = Runner.measure_space w in
+    Printf.printf "space: data %.1f MB, provenance %.2f MB (%.1f%%), +indexes %.2f MB (%.1f%%)\n"
+      sp.Runner.ext3_mb sp.prov_mb sp.prov_pct sp.total_mb sp.total_pct
+  end
 
 (* A canned two-run scenario for the diff command: the challenge workflow
    run twice with one input modified in between (§3.1). *)
 let cmd_diff () =
-  let sys = System.create ~mode:System.Pass ~machine:1 ~volume_names:[ "vol0" ] () in
-  let pid = Kernel.fork (System.kernel sys) ~parent:Kernel.init_pid in
-  let io = Kepler_run.io_of_system sys ~pid in
-  Challenge.prepare_inputs ~input_dir:"/vol0/inputs" io;
-  let wf = Challenge.workflow ~input_dir:"/vol0/inputs" ~output_dir:"/vol0/results" in
-  ignore (Kepler_run.run sys ~pid wf : Director.result);
-  ignore (System.drain sys : int);
+  let sys, io, rerun = canned_run () in
   let db = Option.get (System.waldo_db sys "vol0") in
   let atlas = List.hd (Provdb.find_by_name db "atlas-x.gif") in
   let v_first = (Option.get (Provdb.find_node db atlas)).Provdb.max_version in
   io.Actor.write_file "/vol0/inputs/anatomy2.img" "anatomy-image-2-MODIFIED";
-  ignore (Kepler_run.run sys ~pid wf : Director.result);
+  rerun ();
   ignore (System.drain sys : int);
   let v_second = (Option.get (Provdb.find_node db atlas)).Provdb.max_version in
   Printf.printf
@@ -382,7 +373,7 @@ let workload_cmd =
   in
   let nfs = Arg.(value & flag & info [ "nfs" ] ~doc:"Measure the NFS configuration instead") in
   Cmd.v (Cmd.info "workload" ~doc:"Run one Table 2 workload and print measurements")
-    Term.(const (fun n f -> cmd_workload n (if f then `Nfs else `Both)) $ wl_name $ nfs)
+    Term.(const cmd_workload $ wl_name $ nfs)
 
 let diff_cmd =
   Cmd.v
@@ -411,19 +402,8 @@ let opm_cmd =
    instruments under a dotted-name prefix (see Telemetry.name_under); trace
    shares the same prefix semantics for span names. *)
 let cmd_stats filter =
-  let registry = Telemetry.create () in
-  let sys =
-    System.create ~registry ~mode:System.Pass ~machine:1 ~volume_names:[ "vol0" ] ()
-  in
-  let pid = Kernel.fork (System.kernel sys) ~parent:Kernel.init_pid in
-  let io = Kepler_run.io_of_system sys ~pid in
-  Challenge.prepare_inputs ~input_dir:"/vol0/inputs" io;
-  ignore
-    (Kepler_run.run sys ~pid
-       (Challenge.workflow ~input_dir:"/vol0/inputs" ~output_dir:"/vol0/results")
-      : Director.result);
-  ignore (System.drain sys : int);
-  print_endline (Telemetry.to_json ?filter registry)
+  let sys, _, _ = canned_run () in
+  print_endline (Telemetry.to_json ?filter (System.telemetry sys))
 
 (* A PREFIX conv that rejects what Telemetry.validate_prefix rejects, so
    `--filter ""` is a usage error instead of silently matching every
@@ -454,28 +434,11 @@ let stats_cmd =
    PA-NFS client/server pair, whose server spans parent onto client RPC
    spans across the simulated wire. *)
 let cmd_trace name nfs json filter =
-  let wls = Runner.standard () in
-  match List.find_opt (fun w -> String.lowercase_ascii w.Runner.wl_name = name) wls with
-  | None ->
-      Printf.eprintf "unknown workload %S; try: %s\n" name
-        (String.concat ", " (List.map (fun w -> String.lowercase_ascii w.Runner.wl_name) wls));
-      exit 1
-  | Some w ->
-      let tracer = Pvtrace.create () in
-      if nfs then begin
-        let sys, server = Runner.nfs_system ~tracer System.Pass in
-        w.Runner.run sys;
-        ignore (System.drain sys : int);
-        ignore (Server.drain server : int)
-      end
-      else begin
-        let sys = Runner.local_system ~tracer System.Pass in
-        w.Runner.run sys;
-        ignore (System.drain sys : int)
-      end;
-      if json then
-        print_endline (Telemetry.Json.to_string (Pvtrace.to_json ?filter tracer))
-      else print_endline (Pvtrace.to_chrome ?filter tracer)
+  let w = workload name in
+  let tracer = Pvtrace.create () in
+  let _ : System.t = Runner.run ~tracer ~monitor:Pvmon.disabled ~nfs w in
+  if json then print_endline (Telemetry.Json.to_string (Pvtrace.to_json ?filter tracer))
+  else print_endline (Pvtrace.to_chrome ?filter tracer)
 
 let trace_cmd =
   let wl_name =
@@ -500,33 +463,11 @@ let trace_cmd =
    ending with a forced scrape so end-of-run gauge values are captured,
    and hand back the populated monitor. *)
 let run_monitored name nfs =
-  let wls = Runner.standard () in
-  match List.find_opt (fun w -> String.lowercase_ascii w.Runner.wl_name = name) wls with
-  | None ->
-      Printf.eprintf "unknown workload %S; try: %s\n" name
-        (String.concat ", " (List.map (fun w -> String.lowercase_ascii w.Runner.wl_name) wls));
-      exit 1
-  | Some w ->
-      let registry = Telemetry.create () in
-      let tracer = Pvtrace.create () in
-      let monitor = Pvmon.create () in
-      let sys =
-        if nfs then begin
-          let sys, server = Runner.nfs_system ~registry ~tracer ~monitor System.Pass in
-          w.Runner.run sys;
-          ignore (System.drain sys : int);
-          ignore (Server.drain server : int);
-          sys
-        end
-        else begin
-          let sys = Runner.local_system ~registry ~tracer ~monitor System.Pass in
-          w.Runner.run sys;
-          ignore (System.drain sys : int);
-          sys
-        end
-      in
-      Pvmon.scrape monitor (System.Clock.now (System.clock sys));
-      monitor
+  let w = workload name in
+  let monitor = Pvmon.create () in
+  let sys = Runner.run ~tracer:(Pvtrace.create ()) ~monitor ~nfs w in
+  Pvmon.scrape monitor (System.Clock.now (System.clock sys));
+  monitor
 
 let cmd_monitor name nfs json flamegraph =
   let monitor = run_monitored name nfs in

@@ -87,20 +87,11 @@ let emit t target records =
   else
     match t.pending with
     | [] -> Dpapi.disclose t.lower target records
-    | rev_entries ->
+    | pending ->
         (* an ancestry record must be admitted at event time: send the
            queue and the new emission as one bundle, preserving order *)
-        let bundle =
-          List.rev_map (fun (h, rs) -> Dpapi.entry h rs) ((target, records) :: rev_entries)
-        in
-        t.pending <- [];
-        t.pending_entries <- 0;
-        Pvtrace.event t.tracer ~layer:"observer" ~op:"batch_flush"
-          ~outcome:(string_of_int (List.length bundle)) ();
-        let carrying = (List.hd bundle).Dpapi.target in
-        Result.map
-          (fun (_ : int) -> ())
-          (t.lower.pass_write carrying ~off:0 ~data:None bundle)
+        t.pending <- (target, records) :: pending;
+        flush t
 
 let proc_state t pid =
   match Hashtbl.find_opt t.procs pid with

@@ -1,11 +1,12 @@
 (* The NFS server.
 
-   In plain mode it exports an ext3sim volume.  In PA mode the exported
-   volume is Lasagna-stacked and the server runs its own analyzer above
-   Lasagna — the paper's §6.1.1 argument: with two clients sharing one
-   server, only the server sees all related provenance records, so there
-   must be an analyzer on the server as well (and one on every client);
-   both speak DPAPI, which is exactly what makes the stacking work.
+   Its volume is built by Volume, exactly as a local machine's is: plain
+   ext3sim in plain mode; in PA mode Lasagna over ext3 with a Waldo
+   attached, and the server runs its own analyzer above Lasagna — the
+   paper's §6.1.1 argument: with two clients sharing one server, only the
+   server sees all related provenance records, so there must be an
+   analyzer on the server as well (and one on every client); both speak
+   DPAPI, which is exactly what makes the stacking work.
 
    Transactions: OP_BEGINTXN allocates an id and logs a BEGINTXN record;
    OP_PASSPROV chunks and the terminating OP_PASSWRITE are logged tagged
@@ -23,8 +24,8 @@ module Disk = Simdisk.Disk
 
 type mode = Plain | Pass_enabled
 
-(* Server-side instruments (the embedded analyzer / Lasagna / Waldo / disk
-   register their own when a registry is threaded through [create]). *)
+(* Server-side instruments (the embedded analyzer and the volume's
+   Lasagna / Waldo / disk register their own into the same registry). *)
 type instruments = {
   requests : Telemetry.counter;
   txns_opened : Telemetry.counter;
@@ -35,27 +36,27 @@ type instruments = {
 
 let instruments registry =
   {
-    requests = Telemetry.counter ?registry "panfs.server.requests";
-    txns_opened = Telemetry.counter ?registry "panfs.server.txns_opened";
-    drc_hits = Telemetry.counter ?registry "nfs.drc.hits";
-    drc_misses = Telemetry.counter ?registry "nfs.drc.misses";
-    drc_size = Telemetry.gauge ?registry "nfs.drc.size";
+    requests = Telemetry.counter ~registry "panfs.server.requests";
+    txns_opened = Telemetry.counter ~registry "panfs.server.txns_opened";
+    drc_hits = Telemetry.counter ~registry "nfs.drc.hits";
+    drc_misses = Telemetry.counter ~registry "nfs.drc.misses";
+    drc_size = Telemetry.gauge ~registry "nfs.drc.size";
   }
 
-(* What a [Pass_enabled] server runs above its ext3 volume: Lasagna, its
-   own analyzer over Lasagna (both ends of the protocol need one, §6.1.1)
-   and Waldo consuming Lasagna's logs.  A [Plain] server has none. *)
+(* What a [Pass_enabled] server runs above its volume's Lasagna: its own
+   analyzer (both ends of the protocol need one, §6.1.1).  The requests
+   that bypass the analyzer — transactional writes, reads, object
+   lifecycle — go to Lasagna directly, untraced.  A [Plain] server has
+   none. *)
 type pass = {
   lasagna : Lasagna.t;
   lasagna_ep : Dpapi.endpoint;
   analyzer_ep : Dpapi.endpoint; (* traced as the "analyzer" layer *)
-  waldo : Waldo.t;
 }
 
 type t = {
   clock : Clock.t;
-  disk : Disk.t;
-  ext3 : Ext3.t;
+  vol : Volume.t;
   export : Vfs.ops; (* what clients see *)
   pass : pass option;
   ctx : Ctx.t;
@@ -73,47 +74,39 @@ type t = {
   drc_capacity : int;
 }
 
-let create ?registry ?fault ?(tracer = Pvtrace.disabled) ~mode ~clock ~machine ~volume () =
+let create ?(registry = Telemetry.create ()) ?(fault = Fault.none)
+    ?(tracer = Pvtrace.disabled) ~mode ~clock ~machine ~volume () =
   Pvtrace.set_now tracer (fun () -> Clock.now clock);
   let i = instruments registry in
-  let disk = Disk.create ?registry ?fault ~clock () in
-  let ext3 = Ext3.format disk in
   let ctx = Ctx.create ~machine in
+  let vol, storage_ep =
+    Volume.create ~registry ~fault ~tracer ~clock ~ctx ~group_commit:true
+      ~pass:(mode = Pass_enabled) volume
+  in
   let pass =
-    match mode with
-    | Plain -> None
-    | Pass_enabled ->
-        Ext3.set_cache_capacity ext3 2048;
-        let lasagna =
-          Lasagna.create ?registry ~now:(fun () -> Clock.now clock) ~tracer
-            ~lower:(Ext3.ops ext3) ~ctx ~volume ~charge:(Clock.advance clock) ()
-        in
+    match (vol.v_lasagna, storage_ep) with
+    | Some lasagna, Some lower ->
         let analyzer =
-          Analyzer.create ?registry ~charge:(Clock.advance clock) ~tracer ~ctx
-            ~lower:(Dpapi.traced ~tracer ~layer:"lasagna" (Lasagna.endpoint lasagna)) ()
+          Analyzer.create ~registry ~charge:(Clock.advance clock) ~tracer ~ctx ~lower ()
         in
-        let waldo = Waldo.create ?registry ~tracer ~lower:(Ext3.ops ext3) () in
-        Waldo.attach waldo lasagna;
         Some
           { lasagna; lasagna_ep = Lasagna.endpoint lasagna;
-            analyzer_ep = Dpapi.traced ~tracer ~layer:"analyzer" (Analyzer.endpoint analyzer);
-            waldo }
+            analyzer_ep = Dpapi.traced ~tracer ~layer:"analyzer" (Analyzer.endpoint analyzer) }
+    | _ -> None
   in
   {
-    clock; disk; ext3; pass; ctx; volume; tracer; i;
-    export = (match pass with Some p -> Lasagna.ops p.lasagna | None -> Ext3.ops ext3);
+    clock; vol; pass; ctx; volume; tracer; i;
+    export = Volume.ops vol;
     next_txn = 1; open_txns = [];
     drc = Hashtbl.create 1024; drc_order = Queue.create (); drc_capacity = 512;
   }
 
 let ctx t = t.ctx
-let waldo t = Option.map (fun p -> p.waldo) t.pass
-let disk t = t.disk
-let ext3 t = t.ext3
-
-let db t = Option.map (fun p -> Waldo.db p.waldo) t.pass
-
-let drain t = match t.pass with Some p -> Waldo.finalize p.waldo p.lasagna | None -> 0
+let waldo t = t.vol.v_waldo
+let disk t = t.vol.v_disk
+let ext3 t = t.vol.v_ext3
+let db t = Volume.db t.vol
+let drain t = Volume.drain t.vol
 
 let err e = Proto.R_err e
 

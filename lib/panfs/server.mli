@@ -1,8 +1,9 @@
 (** The NFS server (paper, Section 6.1).
 
     In [Plain] mode it exports an ext3sim volume (the NFS baseline of
-    Table 2).  In [Pass_enabled] mode the exported volume is
-    Lasagna-stacked and the server runs its own analyzer above Lasagna —
+    Table 2).  In [Pass_enabled] mode the exported volume is the same
+    Lasagna-over-ext3 stack with a Waldo attached that a local PASS machine
+    mounts, and the server runs its own analyzer above Lasagna —
     the paper's argument that with multiple clients, only the server sees
     all related provenance records, so analyzers are needed at both ends
     of the protocol, both speaking DPAPI. *)
@@ -26,10 +27,12 @@ val create :
   unit ->
   t
 (** [clock] is shared with the clients so server disk time appears as
-    client-visible latency.  [registry] receives the [panfs.server.*] and
-    [nfs.drc.*] counters, plus the instruments of the embedded disk and —
-    in [Pass_enabled] mode — Lasagna, analyzer and Waldo (none registered
-    when omitted).  [fault] is forwarded to the server's disk. *)
+    client-visible latency.  The exported volume is built by {!Volume}, as
+    a local machine's is.  [registry] (default: one private to the server)
+    receives the [panfs.server.*] and [nfs.drc.*] counters, plus the
+    instruments of the volume's disk and — in [Pass_enabled] mode —
+    Lasagna, Waldo and the server's analyzer.  [fault] is forwarded to the
+    server's disk. *)
 
 val handle : t -> Proto.call -> Proto.resp
 (** Serve one call (the simulated transport calls this).  A call whose

@@ -2,8 +2,9 @@
    configurations, mirroring the paper's evaluation setup (§7):
 
    - Vanilla: ext3 volumes only (the baseline columns of Tables 2 & 3);
-   - Pass: each volume is Lasagna stacked over ext3, with a Waldo attached,
-     and the kernel carries the full observer -> analyzer -> distributor ->
+   - Pass: each volume is Lasagna stacked over ext3, with a Waldo attached
+     (both built by Volume, as the PA-NFS server's volume is), and the
+     kernel carries the full observer -> analyzer -> distributor ->
      volume-router DPAPI chain.
 
    The router is the distributor's lower endpoint: it dispatches each DPAPI
@@ -19,7 +20,7 @@ module Disk = Simdisk.Disk
 
 type mode = Vanilla | Pass
 
-type volume = {
+type volume = Volume.t = {
   v_name : string;
   v_disk : Disk.t;
   v_ext3 : Ext3.t;
@@ -78,13 +79,18 @@ let router t : Dpapi.endpoint =
             | None -> Error Dpapi.Enoent));
     pass_reviveobj =
       (fun p v ->
-        (* try every volume: pnodes are globally unique *)
+        (* try every volume, newest mount first: pnodes are globally
+           unique, so the first Ok wins; failing that, the first volume
+           that knows the pnode but refuses it (Estale for a version it
+           never had, Eio from a timed-out mount) gives the error, and
+           Enoent means no volume knows it *)
         let rec try_all = function
           | [] -> Error Dpapi.Enoent
           | (_, ep) :: rest -> (
               match ep.Dpapi.pass_reviveobj p v with
               | Ok h -> Ok h
-              | Error _ -> try_all rest)
+              | Error Dpapi.Enoent -> try_all rest
+              | Error e -> ( match try_all rest with Ok h -> Ok h | Error _ -> Error e))
         in
         try_all t.router_table);
     pass_sync =
@@ -93,7 +99,15 @@ let router t : Dpapi.endpoint =
         ep.pass_sync h);
   }
 
-let create ?(registry = Telemetry.create ()) ?fault ?(tracer = Pvtrace.disabled)
+(* Mount an externally built file system (e.g. the PA-NFS client) on this
+   machine. *)
+let mount_external t ~name ~ops ?endpoint ?file_handle ?flush () =
+  (match endpoint with
+  | Some ep -> t.router_table <- (name, ep) :: t.router_table
+  | None -> ());
+  Kernel.mount t.kernel ~name ~ops ?endpoint ?file_handle ?flush ()
+
+let create ?(registry = Telemetry.create ()) ?(fault = Fault.none) ?(tracer = Pvtrace.disabled)
     ?(monitor = Pvmon.disabled) ?(batching = true) ~mode ~machine ~volume_names
     () =
   let clock = Clock.create () in
@@ -111,33 +125,16 @@ let create ?(registry = Telemetry.create ()) ?fault ?(tracer = Pvtrace.disabled)
   let kernel = Kernel.create ~tracer ~clock ~machine () in
   let t = { mode; clock; kernel; registry; tracer; volumes = []; router_table = [] } in
   let charge = Clock.advance clock in
+  (* a Vanilla volume mounts ext3 bare; a Pass volume mounts Lasagna and
+     joins the router with its storage endpoint *)
   let make_volume name =
-    let disk = Disk.create ~registry ?fault ~clock () in
-    let ext3 = Ext3.format disk in
-    match mode with
-    | Vanilla ->
-        Kernel.mount kernel ~name ~ops:(Ext3.ops ext3) ();
-        { v_name = name; v_disk = disk; v_ext3 = ext3; v_lasagna = None; v_waldo = None }
-    | Pass ->
-        (* stacking halves the effective page cache: Lasagna caches its
-           own pages and the lower file system's pages (paper §7) *)
-        Ext3.set_cache_capacity ext3 2048;
-        let ctx = Kernel.ctx kernel in
-        let lasagna =
-          Lasagna.create ~registry ~now:(fun () -> Clock.now clock) ~tracer
-            ~group_commit:batching ~lower:(Ext3.ops ext3) ~ctx ~volume:name ~charge ()
-        in
-        let waldo = Waldo.create ~registry ~tracer ~lower:(Ext3.ops ext3) () in
-        Waldo.attach waldo lasagna;
-        let storage_ep =
-          Dpapi.traced ~tracer ~layer:"lasagna" (Lasagna.endpoint lasagna)
-        in
-        t.router_table <- (name, storage_ep) :: t.router_table;
-        Kernel.mount kernel ~name ~ops:(Lasagna.ops lasagna)
-          ~endpoint:storage_ep
-          ~file_handle:(Lasagna.file_handle lasagna) ();
-        { v_name = name; v_disk = disk; v_ext3 = ext3;
-          v_lasagna = Some lasagna; v_waldo = Some waldo }
+    let v, endpoint =
+      Volume.create ~registry ~fault ~tracer ~clock ~ctx:(Kernel.ctx kernel)
+        ~group_commit:batching ~pass:(mode = Pass) name
+    in
+    mount_external t ~name ~ops:(Volume.ops v) ?endpoint
+      ?file_handle:(Option.map Lasagna.file_handle v.v_lasagna) ();
+    v
   in
   t.volumes <- List.map make_volume volume_names;
   (match (mode, t.volumes) with
@@ -162,14 +159,6 @@ let create ?(registry = Telemetry.create ()) ?fault ?(tracer = Pvtrace.disabled)
   | Pass, [] | Vanilla, _ -> ());
   t
 
-(* Mount an externally built file system (e.g. the PA-NFS client) on this
-   machine. *)
-let mount_external t ~name ~ops ?endpoint ?file_handle ?flush () =
-  (match endpoint with
-  | Some ep -> t.router_table <- (name, ep) :: t.router_table
-  | None -> ());
-  Kernel.mount t.kernel ~name ~ops ?endpoint ?file_handle ?flush ()
-
 (* Drain all WAP logs into the Waldo databases; returns total orphaned
    transactions discarded. *)
 let drain t =
@@ -178,15 +167,9 @@ let drain t =
       (* release any observer burst still queued before the logs close *)
       match Observer.flush s.Kernel.observer with Ok () -> () | Error _ -> ())
   | None -> ());
-  List.fold_left
-    (fun acc v ->
-      match (v.v_lasagna, v.v_waldo) with
-      | Some l, Some w -> acc + Waldo.finalize w l
-      | _ -> acc)
-    0 t.volumes
+  List.fold_left (fun acc v -> acc + Volume.drain v) 0 t.volumes
 
-let waldo_db t name =
-  Option.bind (find_volume t name) (fun v -> Option.map Waldo.db v.v_waldo)
+let waldo_db t name = Option.bind (find_volume t name) Volume.db
 
 (* The per-process DPAPI endpoint a provenance-aware application uses. *)
 let app_endpoint t ~pid =
@@ -206,8 +189,8 @@ let space t =
   List.fold_left
     (fun acc v ->
       let db_bytes, idx_bytes =
-        match v.v_waldo with
-        | Some w -> (Provdb.db_bytes (Waldo.db w), Provdb.index_bytes (Waldo.db w))
+        match Volume.db v with
+        | Some db -> (Provdb.db_bytes db, Provdb.index_bytes db)
         | None -> (0, 0)
       in
       {

@@ -3,7 +3,8 @@
     Builds the two configurations of the paper's evaluation (Section 7):
     [Vanilla] (ext3 volumes only — the baseline) and [Pass] (each volume
     Lasagna-stacked with a Waldo attached, and the kernel carrying the
-    observer → analyzer → distributor → volume-router DPAPI chain). *)
+    observer → analyzer → distributor → volume-router DPAPI chain).  Each
+    volume is built by {!Volume}, as the PA-NFS server's is. *)
 
 module Dpapi = Pass_core.Dpapi
 module Clock = Simdisk.Clock
@@ -11,7 +12,7 @@ module Disk = Simdisk.Disk
 
 type mode = Vanilla | Pass
 
-type volume = {
+type volume = Volume.t = {
   v_name : string;
   v_disk : Disk.t;
   v_ext3 : Ext3.t;

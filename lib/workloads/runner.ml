@@ -57,11 +57,43 @@ let standard ?(scale = 1.0) () =
     };
   ]
 
+(* A workload of {!standard} by its lowercased name; the error lists them. *)
+let find name =
+  let wls = standard () in
+  match List.find_opt (fun w -> String.lowercase_ascii w.wl_name = name) wls with
+  | Some w -> Ok w
+  | None ->
+      Error
+        (Printf.sprintf "unknown workload %S; try: %s" name
+           (String.concat ", " (List.map (fun w -> String.lowercase_ascii w.wl_name) wls)))
+
 (* --- configurations -------------------------------------------------------- *)
 
 let local_system ?registry ?tracer ?monitor ?batching mode =
   System.create ?registry ?tracer ?monitor ?batching ~mode ~machine:1
     ~volume_names:[ "vol0" ] ()
+
+(* Mount a PA-NFS client of each (name, server) pair on [sys], all over
+   one simulated network on the machine's clock (client ids come from
+   it).  On a PASS machine each mount joins the provenance router with
+   the client's DPAPI endpoint and pushes its write-behind buffers on
+   close (close-to-open); a vanilla machine mounts the bare VFS face. *)
+let mount_nfs ?registry ?tracer ?piggyback sys mode mounts =
+  let net = Proto.net (System.clock sys) in
+  List.iter
+    (fun (name, server) ->
+      let client =
+        Client.create ?registry ?tracer ?piggyback ~net ~handler:(Server.handle server)
+          ~ctx:(Kernel.ctx (System.kernel sys)) ~mount_name:name ()
+      in
+      let ops = Client.ops client in
+      match mode with
+      | System.Pass ->
+          System.mount_external sys ~name ~ops ~endpoint:(Client.endpoint client)
+            ~file_handle:(Client.file_handle client)
+            ~flush:(fun () -> Client.flush client) ()
+      | System.Vanilla -> System.mount_external sys ~name ~ops ())
+    mounts
 
 (* A client machine with an NFS mount at vol0.  In PASS mode the client
    keeps a small local scratch volume so the machine has a default PASS
@@ -75,27 +107,15 @@ let nfs_system ?registry ?tracer ?monitor ?batching mode =
       ~volume_names:(match mode with System.Pass -> [ "scratch" ] | System.Vanilla -> [])
       ()
   in
-  let clock = System.clock sys in
   let registry = System.telemetry sys in
   let server_mode =
     match mode with System.Pass -> Server.Pass_enabled | System.Vanilla -> Server.Plain
   in
   let server =
-    Server.create ~registry ?tracer ~mode:server_mode ~clock ~machine:2 ~volume:"vol0" ()
+    Server.create ~registry ?tracer ~mode:server_mode ~clock:(System.clock sys) ~machine:2
+      ~volume:"vol0" ()
   in
-  let net = Proto.net clock in
-  let client =
-    Client.create ~registry ?tracer ?piggyback:batching ~net ~handler:(Server.handle server)
-      ~ctx:(Kernel.ctx (System.kernel sys))
-      ~mount_name:"vol0" ()
-  in
-  (match mode with
-  | System.Pass ->
-      System.mount_external sys ~name:"vol0" ~ops:(Client.ops client)
-        ~endpoint:(Client.endpoint client)
-        ~file_handle:(Client.file_handle client)
-        ~flush:(fun () -> Client.flush client) ()
-  | System.Vanilla -> System.mount_external sys ~name:"vol0" ~ops:(Client.ops client) ());
+  mount_nfs ~registry ?tracer ?piggyback:batching sys mode [ ("vol0", server) ];
   (sys, server)
 
 (* The paper's Figure 1 topology: a PASS workstation with a local disk
@@ -105,22 +125,12 @@ type figure1 = { workstation : System.t; server_a : Server.t; server_b : Server.
 
 let figure1 () =
   let sys = System.create ~mode:System.Pass ~machine:1 ~volume_names:[ "local" ] () in
-  let clock = System.clock sys in
-  let ctx = Kernel.ctx (System.kernel sys) in
-  let server_a = Server.create ~mode:Server.Pass_enabled ~clock ~machine:21 ~volume:"nfsA" () in
-  let server_b = Server.create ~mode:Server.Pass_enabled ~clock ~machine:22 ~volume:"nfsB" () in
-  let net = Proto.net clock in
-  let client server name =
-    Client.create ~net ~handler:(Server.handle server) ~ctx ~mount_name:name ()
+  let server machine volume =
+    Server.create ~mode:Server.Pass_enabled ~clock:(System.clock sys) ~machine ~volume ()
   in
-  let ca = client server_a "nfsA" in
-  let cb = client server_b "nfsB" in
-  List.iter
-    (fun (name, c) ->
-      System.mount_external sys ~name ~ops:(Client.ops c) ~endpoint:(Client.endpoint c)
-        ~file_handle:(Client.file_handle c)
-        ~flush:(fun () -> Client.flush c) ())
-    [ ("nfsA", ca); ("nfsB", cb) ];
+  let server_a = server 21 "nfsA" in
+  let server_b = server 22 "nfsB" in
+  mount_nfs sys System.Pass [ ("nfsA", server_a); ("nfsB", server_b) ];
   { workstation = sys; server_a; server_b }
 
 (* Drain the workstation, then each server, and merge the three
@@ -146,30 +156,28 @@ type row = {
 
 let overhead base pass = (pass -. base) /. base *. 100.
 
+(* Build one configuration — the local volume, or an NFS mount of its own
+   server — run [w] on it, then drain the client machine and then the
+   server, so every WAP log has reached its Waldo. *)
+let run_drained ?registry ?tracer ?monitor ~nfs mode w =
+  let sys, server =
+    if nfs then
+      let sys, server = nfs_system ?registry ?tracer ?monitor mode in
+      (sys, Some server)
+    else (local_system ?registry ?tracer ?monitor mode, None)
+  in
+  w.run sys;
+  ignore (System.drain sys : int);
+  Option.iter (fun server -> ignore (Server.drain server : int)) server;
+  sys
+
+let run ~tracer ~monitor ~nfs w = run_drained ~tracer ~monitor ~nfs System.Pass w
+
 (* [registry] collects the telemetry of the PASS-configuration run only,
    so its counters describe the provenance pipeline, not the baseline. *)
-let measure_local ?registry w =
-  let run ?registry mode =
-    let sys = local_system ?registry mode in
-    w.run sys;
-    ignore (System.drain sys : int);
-    System.elapsed_seconds sys
-  in
-  let base = run System.Vanilla in
-  let pass = run ?registry System.Pass in
-  { r_name = w.wl_name; base_seconds = base; pass_seconds = pass;
-    overhead_pct = overhead base pass }
-
-let measure_nfs ?registry w =
-  let run ?registry mode =
-    let sys, server = nfs_system ?registry mode in
-    w.run sys;
-    ignore (System.drain sys : int);
-    ignore (Server.drain server : int);
-    System.elapsed_seconds sys
-  in
-  let base = run System.Vanilla in
-  let pass = run ?registry System.Pass in
+let measure ~nfs ?registry w =
+  let base = System.elapsed_seconds (run_drained ~nfs System.Vanilla w) in
+  let pass = System.elapsed_seconds (run_drained ?registry ~nfs System.Pass w) in
   { r_name = w.wl_name; base_seconds = base; pass_seconds = pass;
     overhead_pct = overhead base pass }
 
@@ -187,13 +195,8 @@ let mb bytes = float_of_int bytes /. (1024. *. 1024.)
 let measure_space w =
   (* data footprint from the baseline run; provenance sizes from the PASS
      run (Waldo database + indexes), as in Table 3 *)
-  let base_sys = local_system System.Vanilla in
-  w.run base_sys;
-  let base_space = System.space base_sys in
-  let sys = local_system System.Pass in
-  w.run sys;
-  ignore (System.drain sys : int);
-  let space = System.space sys in
+  let base_space = System.space (run_drained ~nfs:false System.Vanilla w) in
+  let space = System.space (run_drained ~nfs:false System.Pass w) in
   let ext3 = mb base_space.System.sp_data_bytes in
   let prov = mb space.System.sp_db_bytes in
   let total = mb (space.System.sp_db_bytes + space.System.sp_index_bytes) in

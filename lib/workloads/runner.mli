@@ -10,6 +10,10 @@ val standard : ?scale:float -> unit -> workload list
 (** The five paper workloads (Linux compile, Postmark, Mercurial, Blast,
     PA-Kepler); [scale] shrinks the op counts for quick runs. *)
 
+val find : string -> (workload, string) result
+(** The {!standard} workload whose lowercased name is the argument; the
+    error message names the workloads there are. *)
+
 val local_system :
   ?registry:Telemetry.registry ->
   ?tracer:Pvtrace.t ->
@@ -53,12 +57,17 @@ type row = {
   overhead_pct : float;
 }
 
-val measure_local : ?registry:Telemetry.registry -> workload -> row
-(** One Table 2 local row: run on ext3 and on PASSv2, compare clocks.
-    [registry] collects the telemetry of the PASS run only. *)
+val run : tracer:Pvtrace.t -> monitor:Pvmon.t -> nfs:bool -> workload -> System.t
+(** Build the PASS configuration — {!local_system}, or with [nfs] an
+    {!nfs_system} — with [tracer] and [monitor], run the workload on it,
+    then drain the client machine and then the server.  Returns the
+    client machine; its clock reads the end of the run. *)
 
-val measure_nfs : ?registry:Telemetry.registry -> workload -> row
-(** One Table 2 NFS row; [registry] as in {!measure_local}. *)
+val measure : nfs:bool -> ?registry:Telemetry.registry -> workload -> row
+(** One Table 2 row: run the workload on the baseline (ext3, or with
+    [nfs] plain NFS) and on PASSv2 (PA-NFS), each built, run and drained
+    as {!run} does, and compare clocks.  [registry] collects the
+    telemetry of the PASS run only. *)
 
 type space_row = {
   s_name : string;

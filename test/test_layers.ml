@@ -11,19 +11,7 @@ let tbool = Alcotest.bool
 let test_five_layer_stack () =
   (* layer 5: PASSv2 at the NFS server; layer 4: PA-NFS; layers 3-1: the
      interpreter, the library, the application *)
-  let sys = System.create ~mode:System.Pass ~machine:1 ~volume_names:[ "scratch" ] () in
-  let clock = System.clock sys in
-  let server = Server.create ~mode:Server.Pass_enabled ~clock ~machine:2 ~volume:"vol0" () in
-  let net = Proto.net clock in
-  let client =
-    Client.create ~net ~handler:(Server.handle server)
-      ~ctx:(Kernel.ctx (System.kernel sys))
-      ~mount_name:"vol0" ()
-  in
-  System.mount_external sys ~name:"vol0" ~ops:(Client.ops client)
-    ~endpoint:(Client.endpoint client)
-    ~file_handle:(Client.file_handle client)
-    ~flush:(fun () -> Client.flush client) ();
+  let sys, server = Runner.nfs_system System.Pass in
   let pid = Kernel.fork (System.kernel sys) ~parent:Kernel.init_pid in
   (* the provenance-aware library lives on the remote volume *)
   Pyth.write_file sys ~pid "/vol0/lib/stats.py"
@@ -94,7 +82,7 @@ let test_workloads_deterministic () =
 
 let test_measured_overheads_positive () =
   let w = List.nth (Runner.standard ~scale:0.3 ()) 2 (* mercurial *) in
-  let row = Runner.measure_local w in
+  let row = Runner.measure ~nfs:false w in
   check tbool "pass slower than ext3" true (row.Runner.pass_seconds > row.Runner.base_seconds);
   check tbool "overhead positive and sane" true
     (row.Runner.overhead_pct > 0. && row.Runner.overhead_pct < 100.);

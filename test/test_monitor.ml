@@ -359,15 +359,19 @@ let test_openmetrics_shape () =
 
 (* --- end to end + determinism ------------------------------------------------- *)
 
-let run_workload () =
-  let registry = Telemetry.create () in
+(* Run one workload locally under an enabled monitor (and the tracer it
+   folds), ending with a forced scrape. *)
+let monitored_local w =
   let tracer = Pvtrace.create () in
   let monitor = Pvmon.create () in
-  let sys = Runner.local_system ~registry ~tracer ~monitor System.Pass in
-  Kepler_wl.run sys ~parent:Kernel.init_pid;
-  ignore (System.drain sys : int);
+  let sys = Runner.run ~tracer ~monitor ~nfs:false w in
   Pvmon.scrape monitor (Simdisk.Clock.now (System.clock sys));
   monitor
+
+let workload name =
+  List.find (fun w -> String.equal w.Runner.wl_name name) (Runner.standard ())
+
+let run_workload () = monitored_local (workload "PA-Kepler")
 
 let test_end_to_end_conservation () =
   let m = run_workload () in
@@ -392,18 +396,6 @@ let alert_triples m =
 let talerts = Alcotest.(list (pair (pair int string) (pair bool (float 0.))))
 let flat l = List.map (fun (t, r, f, v) -> ((t, r), (f, v))) l
 
-let monitored_local w =
-  let tracer = Pvtrace.create () in
-  let monitor = Pvmon.create () in
-  let sys = Runner.local_system ~tracer ~monitor System.Pass in
-  w.Runner.run sys;
-  ignore (System.drain sys : int);
-  Pvmon.scrape monitor (Simdisk.Clock.now (System.clock sys));
-  monitor
-
-let workload name =
-  List.find (fun w -> String.equal w.Runner.wl_name name) (Runner.standard ())
-
 (* The stock DPAPI latency rule reads the analyzer.pass_write span
    stream.  The pinned transitions are those of a separate timer that
    once wrapped the very same call on the same simulated clock; the span
@@ -427,10 +419,7 @@ let test_no_nfs_alerts_on_healthy_runs () =
     (fun name ->
       let tracer = Pvtrace.create () in
       let monitor = Pvmon.create ~rules:(Pvmon.default_rules ()) () in
-      let sys, server = Runner.nfs_system ~tracer ~monitor System.Pass in
-      (workload name).Runner.run sys;
-      ignore (System.drain sys : int);
-      ignore (Server.drain server : int);
+      let sys = Runner.run ~tracer ~monitor ~nfs:true (workload name) in
       Pvmon.scrape monitor (Simdisk.Clock.now (System.clock sys));
       let nfs_alerts =
         List.filter

@@ -240,6 +240,32 @@ let test_app_disclosure_via_libpass () =
   in
   check tbool "semantic object in ancestry" true (List.mem "experiment-42" names)
 
+(* The volume router asks every volume to revive a pnode.  A volume that
+   does not know it answers Enoent; the one that does decides: a version
+   it never had is Estale, through the application's endpoint as on
+   Lasagna itself, whichever mount the router tries first. *)
+let test_reviveobj_keeps_volume_error () =
+  let sys =
+    System.create ~mode:System.Pass ~machine:1 ~volume_names:[ "vol0"; "vol1" ] ()
+  in
+  let k = System.kernel sys in
+  let pid = Kernel.fork k ~parent:Kernel.init_pid in
+  let ep = Option.get (System.app_endpoint sys ~pid) in
+  let errs = Alcotest.testable (Fmt.of_to_string Dpapi.error_to_string) ( = ) in
+  let revive p v = Result.map (fun (h : Dpapi.handle) -> h.Dpapi.volume) (ep.pass_reviveobj p v) in
+  List.iter
+    (fun vol ->
+      let path = Printf.sprintf "/%s/f" vol in
+      write_file sys ~pid ~path ~data:"data";
+      let h = ok (Kernel.handle_of_path k path) in
+      check Alcotest.(result (option string) errs) (vol ^ ": version 0 revives") (Ok (Some vol))
+        (revive h.pnode 0);
+      check Alcotest.(result (option string) errs) (vol ^ ": too-new version is stale")
+        (Error Dpapi.Estale) (revive h.pnode 99))
+    [ "vol0"; "vol1" ];
+  check Alcotest.(result (option string) errs) "a pnode no volume knows" (Error Dpapi.Enoent)
+    (revive (Ctx.fresh (Kernel.ctx k)) 0)
+
 let suite =
   [
     Alcotest.test_case "vanilla mode has no provenance stack" `Quick test_vanilla_has_no_pass;
@@ -256,4 +282,6 @@ let suite =
     Alcotest.test_case "PASS overhead bounded vs vanilla" `Quick test_pass_slower_than_vanilla;
     Alcotest.test_case "application disclosure via libpass" `Quick
       test_app_disclosure_via_libpass;
+    Alcotest.test_case "reviveobj keeps the volume's error" `Quick
+      test_reviveobj_keeps_volume_error;
   ]
