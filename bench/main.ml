@@ -765,27 +765,27 @@ let query_bench ~scale =
             {|select F from Provenance.file as F where F.name ~ "*7"|}
         in
         (* fan-out: the descendants of f1, half the heap — the walk
-           provenance-based monitoring repeats.  Reported, not gated on
-           speed: only its rows must equal the naive evaluator's *)
-        let _, fanout_equal, fanout =
-          vs_naive ~label:"               fan-out:" ~key:"fanout"
+           provenance-based monitoring repeats.  benchdiff gates its
+           speedup against the floor pinned in BENCH_baseline.json *)
+        let fanout_speedup, fanout_equal, fanout =
+          vs_naive ~label:"               fan-out:" ~key:"fanout" ~ratio:speedup_ratio
             {|select D from Provenance.file as F F.^input* as D where F.name = "f1"|}
         in
         let equal = sel_equal && prefix_equal && full_equal && fanout_equal in
-        ( (n, speedup, prefix_speedup, full_ratio, equal),
+        ( (n, speedup, prefix_speedup, fanout_speedup, full_ratio, equal),
           J.Obj
             ((("nodes", J.Int n) :: sel) @ prefix @ full @ fanout
             @ [ ("rows_equal", J.Bool equal) ]) ))
       sizes
   in
-  let all_equal = List.for_all (fun ((_, _, _, _, eq), _) -> eq) results in
-  let (_, largest_speedup, largest_prefix_speedup, _, _), _ =
+  let all_equal = List.for_all (fun ((_, _, _, _, _, eq), _) -> eq) results in
+  let (_, largest_speedup, largest_prefix_speedup, largest_fanout_speedup, _, _), _ =
     List.nth results (List.length results - 1)
   in
   (* the full scan runs the same per-file glob on both sides; twice the
      naive time leaves room for timer noise on a shared host *)
   let worst_full_ratio =
-    List.fold_left (fun acc ((_, _, _, r, _), _) -> Float.max acc r) 0. results
+    List.fold_left (fun acc ((_, _, _, _, r, _), _) -> Float.max acc r) 0. results
   in
   let ok =
     all_equal && largest_speedup >= 10.0 && largest_prefix_speedup >= 10.0
@@ -803,6 +803,7 @@ let query_bench ~scale =
         ("ok", J.Bool ok);
         ("selective_speedup", J.Float largest_speedup);
         ("prefix_glob_speedup", J.Float largest_prefix_speedup);
+        ("fanout_speedup", J.Float largest_fanout_speedup);
         ("full_ratio_max", J.Float worst_full_ratio);
         ("sizes", J.List (List.map snd results));
       ] )

@@ -9,7 +9,8 @@
      environment;
    - index probes (name equality, name-glob prefix range, attribute
      equality) replace class scans when the planner chose them, with
-     pushed predicates re-applied exactly, so probes only narrow;
+     pushed predicates re-applied exactly, so probes only narrow; the
+     prefix range keeps only the names its glob matches;
    - dependent walks (Var_step with a path) are memoized per distinct
      start item — a hash join of the environment set against the walk
      relation;
@@ -51,8 +52,9 @@ let of_class db root pnodes =
       | Some _ | None -> None)
     pnodes
 
-(* candidate items of an independent access, before path/pushed *)
-let access_items db = function
+(* candidate items of an independent step's access, before path/pushed *)
+let access_items db (step : P.step) =
+  match step.access with
   | P.Scan Root_processes ->
       (* the TYPE posting list is a superset of every process node:
          is_process needs a TYPE record, hence a posting *)
@@ -65,8 +67,15 @@ let access_items db = function
       Provdb.fault_in db;
       of_class db root (Provdb.find_by_name db s)
   | P.Name_prefix (root, prefix) ->
+      (* every value [b.name] takes is an indexed name of b, so a name
+         in the range the step's glob does not match selects nothing *)
+      let keep =
+        match Pql_planner.name_glob step.binder step.pushed with
+        | Some pat -> E.glob_match pat
+        | None -> Fun.const true
+      in
       Provdb.fault_in db;
-      of_class db root (Provdb.find_by_name_prefix db prefix)
+      of_class db root (Provdb.find_by_name_prefix db prefix ~keep)
   | P.Attr_probe (root, a) ->
       (* with_attr faults the archive in itself *)
       of_class db root (distinct_pnodes (Provdb.with_attr db a))
@@ -112,8 +121,8 @@ let run db (q : query) (plan : P.t) =
     | _ -> (
         let candidates =
           match step.path with
-          | None -> access_items db step.access
-          | Some p -> E.eval_path db p (access_items db step.access)
+          | None -> access_items db step
+          | Some p -> E.eval_path db p (access_items db step)
         in
         let candidates = apply_pushed db step candidates in
         step.actual <- List.length candidates;

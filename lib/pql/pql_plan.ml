@@ -4,8 +4,10 @@
    binding, each annotated with the access path the planner chose, the
    predicates it pushed down, an optional hash-join key, and a
    cardinality estimate; whatever could not be pushed remains as a
-   residual filter.  Steps carry mutable actual-row counters so EXPLAIN
-   after execution can show estimated vs. actual cardinalities. *)
+   residual filter.  Estimates are lazy: one that counts a closure's cone
+   is taken when EXPLAIN first reads it, not when the query is prepared.
+   Steps carry mutable actual-row counters so EXPLAIN after execution can
+   show estimated vs. actual cardinalities. *)
 
 open Pql_ast
 
@@ -27,14 +29,14 @@ type step = {
       (* (probe key over earlier binders, build key over this binder):
          an equi-predicate executed as a hash join instead of a filter *)
   pushed : cond list; (* conjuncts applied as this binding is produced *)
-  est : int; (* estimated items this step binds *)
+  est : int Lazy.t; (* estimated items this step binds *)
   mutable actual : int; (* measured by execute; -1 = not executed *)
 }
 
 type t = {
   steps : step list;
   residual : cond option; (* conjuncts no step could absorb *)
-  est_rows : int;
+  est_rows : int Lazy.t;
   mutable actual_rows : int; (* -1 = not executed *)
 }
 
@@ -55,6 +57,7 @@ let access_str = function
   | Var_step v -> "from " ^ v
 
 let card_str est actual =
+  let est = Lazy.force est in
   if actual < 0 then Printf.sprintf "(est %d)" est
   else Printf.sprintf "(est %d, actual %d)" est actual
 

@@ -42,14 +42,17 @@ type step = {
   pushed : Pql_ast.cond list;
       (** conjuncts whose free variables this binding covers, applied as
           the step produces items *)
-  est : int;  (** estimated items this step binds *)
+  est : int Lazy.t;
+      (** estimated items this step binds; a closure from known start
+          pnodes counts their cone when first forced (by {!pp}), so
+          preparing and executing a query walk no cone *)
   mutable actual : int;  (** measured by execute; [-1] until executed *)
 }
 
 type t = {
   steps : step list;
   residual : Pql_ast.cond option;  (** conjuncts no step could absorb *)
-  est_rows : int;
+  est_rows : int Lazy.t;  (** forced by {!pp}, like a step's [est] *)
   mutable actual_rows : int;  (** [-1] until executed *)
 }
 
@@ -58,6 +61,6 @@ val access_str : access -> string
 
 val pp : Format.formatter -> t -> unit
 (** Stable, golden-testable rendering; shows [(est n)] before execution
-    and [(est n, actual m)] after. *)
+    and [(est n, actual m)] after.  Forces every estimate. *)
 
 val to_string : t -> string

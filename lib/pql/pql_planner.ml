@@ -20,7 +20,12 @@
    walks multiply by the graph's average ancestry out-degree, and
    closures from a small set of known start pnodes are measured directly
    against the transitive-adjacency index (a capped cone count).  They
-   only need to rank access paths and make EXPLAIN informative. *)
+   only need to rank access paths and make EXPLAIN informative.
+
+   The cone count is the one estimate that walks the graph, and no plan
+   choice reads it (a walk's access is fixed), so it is deferred: the
+   plan holds lazy estimates, and the cone is counted when EXPLAIN first
+   reads one, never by prepare or execute. *)
 
 open Pql_ast
 
@@ -106,12 +111,14 @@ let glob_prefix pat =
 (* [b.name ~ "lit*..."] with a non-empty literal prefix is a range probe
    of the ordered name index: every value [b.name] can take is a
    sighting there, so the range is a superset of the glob's matches *)
-let prefix_key b conds =
+let name_glob b conds =
   List.find_map
     (function
       | Cmp (Attr (v, a), Like, Lit (L_str pat))
-        when String.equal v b && String.equal (String.uppercase_ascii a) "NAME" -> (
-          match glob_prefix pat with "" -> None | prefix -> Some prefix)
+        when String.equal v b
+             && String.equal (String.uppercase_ascii a) "NAME"
+             && glob_prefix pat <> "" ->
+          Some pat
       | _ -> None)
     conds
 
@@ -155,12 +162,17 @@ and closure_est db starts p = min (graph_size db) (smul (max starts (walk_est db
 
 (* closure from known start pnodes: count the cone directly against
    the transitive-adjacency index instead of guessing (each start's
-   count capped at 20 000 nodes) *)
+   count capped at 20 000 nodes) — when the estimate is first read *)
 let reach_est db dirn pnodes =
   let ancestors = match dirn with Fwd -> true | Inv | Mixed -> false in
-  List.fold_left
-    (fun acc p -> sadd acc (1 + Provdb.cone_size db ~ancestors ~limit:20_000 p))
-    0 pnodes
+  lazy
+    (List.fold_left
+       (fun acc p -> sadd acc (1 + Provdb.cone_size db ~ancestors ~limit:20_000 p))
+       0 pnodes)
+
+(* [Lazy.map] that stays eager over a known value: only the estimates
+   downstream of a deferred cone count are deferred themselves *)
+let lmap f x = if Lazy.is_val x then Lazy.from_val (f (Lazy.force x)) else Lazy.map f x
 
 let scan_est db = function
   | Root_files -> Provdb.file_count db
@@ -237,8 +249,10 @@ let plan db (q : query) : Pql_plan.t =
                 (match named with
                 | Some (s, ps) -> [ (Pql_plan.Name_probe (root, s), List.length ps) ]
                 | None -> [])
-                @ (match prefix_key b pushed with
-                  | Some p -> [ (Pql_plan.Name_prefix (root, p), Provdb.name_prefix_postings db p) ]
+                @ (match name_glob b pushed with
+                  | Some pat ->
+                      let p = glob_prefix pat in
+                      [ (Pql_plan.Name_prefix (root, p), Provdb.name_prefix_postings db p) ]
                   | None -> [])
                 @ (match attr_key b pushed with
                   | Some a ->
@@ -261,26 +275,30 @@ let plan db (q : query) : Pql_plan.t =
               in
               (access, est, known)
         in
-        let est =
+        let est, env_est' =
           match access with
-          | Pql_plan.Var_step v -> (
-              match src.path with
-              | None -> max 1 env_est
-              | Some p -> (
-                  match List.assoc_opt v knowns with
-                  | Some pnodes when has_closure p ->
-                      sadd (reach_est db (path_dir p) pnodes) (List.length pnodes)
-                  | _ -> smul (max 1 env_est) (max 1 (walk_est db 1 p))))
-          | _ -> (
-              match src.path with None -> base_est | Some p -> walk_est db base_est p)
-        in
-        let env_est' =
-          match access with
-          | Pql_plan.Var_step _ -> est
-          | _ -> (
-              match join with
-              | Some _ -> max (max 1 env_est) est
-              | None -> smul (max 1 env_est) est)
+          | Pql_plan.Var_step v ->
+              let est =
+                match src.path with
+                | None -> lmap (max 1) env_est
+                | Some p -> (
+                    match List.assoc_opt v knowns with
+                    | Some pnodes when has_closure p ->
+                        let n = List.length pnodes in
+                        lmap (fun r -> sadd r n) (reach_est db (path_dir p) pnodes)
+                    | _ ->
+                        let w = max 1 (walk_est db 1 p) in
+                        lmap (fun e -> smul (max 1 e) w) env_est)
+              in
+              (est, est)
+          | _ ->
+              let est =
+                match src.path with None -> base_est | Some p -> walk_est db base_est p
+              in
+              ( Lazy.from_val est,
+                match join with
+                | Some _ -> lmap (fun e -> max (max 1 e) est) env_est
+                | None -> lmap (fun e -> smul (max 1 e) est) env_est )
         in
         let step =
           {
@@ -299,14 +317,12 @@ let plan db (q : query) : Pql_plan.t =
         in
         build (b :: bound) knowns env_est' (step :: acc) rest
   in
-  let steps, env_est = build [] [] 1 [] q.froms in
+  let steps, env_est = build [] [] (Lazy.from_val 1) [] q.froms in
   let residual =
     join_and
       (List.filter_map (fun (i, c, _) -> if taken.(i) then None else Some c) indexed)
   in
   let has_agg = List.exists (function O_agg _ -> true | O_expr _ -> false) q.select in
-  let est_rows =
-    let e = if has_agg then 1 else env_est in
-    match q.limit with Some n when n >= 0 && n < e -> n | _ -> e
-  in
+  let cap e = match q.limit with Some n when n >= 0 && n < e -> n | _ -> e in
+  let est_rows = if has_agg then Lazy.from_val (cap 1) else lmap cap env_est in
   { Pql_plan.steps; residual; est_rows; actual_rows = -1 }

@@ -29,7 +29,6 @@ type volume = Volume.t = {
 }
 
 type t = {
-  mode : mode;
   clock : Clock.t;
   kernel : Kernel.t;
   registry : Telemetry.registry;
@@ -40,6 +39,7 @@ type t = {
 
 let clock t = t.clock
 let telemetry t = t.registry
+let tracer t = t.tracer
 let kernel t = t.kernel
 let volumes t = t.volumes
 let elapsed_seconds t = Clock.seconds t.clock
@@ -123,7 +123,7 @@ let create ?(registry = Telemetry.create ()) ?(fault = Fault.none) ?(tracer = Pv
     Clock.on_advance clock (fun now -> Pvmon.tick monitor now)
   end;
   let kernel = Kernel.create ~tracer ~clock ~machine () in
-  let t = { mode; clock; kernel; registry; tracer; volumes = []; router_table = [] } in
+  let t = { clock; kernel; registry; tracer; volumes = []; router_table = [] } in
   let charge = Clock.advance clock in
   (* a Vanilla volume mounts ext3 bare; a Pass volume mounts Lasagna and
      joins the router with its storage endpoint *)

@@ -53,6 +53,9 @@ val create :
 val telemetry : t -> Telemetry.registry
 (** The registry this machine's layers report into. *)
 
+val tracer : t -> Pvtrace.t
+(** The tracer this machine's layers record spans into. *)
+
 val clock : t -> Clock.t
 val kernel : t -> Kernel.t
 val volumes : t -> volume list

@@ -415,21 +415,23 @@ let find_by_name t name =
   | Some l -> Pnodes.elements !l
   | None -> []
 
-(* Fold over the posting sets of every indexed name starting with
-   [prefix]: one contiguous range of the ordered index. *)
+(* Fold over every indexed name starting with [prefix], with its posting
+   set: one contiguous range of the ordered index. *)
 let fold_name_range t prefix f init =
   let rec go acc seq =
     match seq () with
-    | Seq.Cons ((name, l), rest) when String.starts_with ~prefix name -> go (f acc !l) rest
+    | Seq.Cons ((name, l), rest) when String.starts_with ~prefix name -> go (f acc name !l) rest
     | Seq.Cons _ | Seq.Nil -> acc
   in
   go init (Names.to_seq_from prefix t.names)
 
-(* One sort-uniq over the range's postings, not a chain of set unions:
-   a glob's range can hold hundreds of single-pnode names. *)
-let find_by_name_prefix t prefix =
+(* One sort-uniq over the kept names' postings, not a chain of set
+   unions: a glob's range can hold hundreds of single-pnode names. *)
+let find_by_name_prefix t prefix ~keep =
   List.sort_uniq Pnode.compare
-    (fold_name_range t prefix (fun acc l -> Pnodes.fold List.cons l acc) [])
+    (fold_name_range t prefix
+       (fun acc name l -> if keep name then Pnodes.fold List.cons l acc else acc)
+       [])
 
 (* Typed order on (pnode, version) keys — the attr index and pvcheck sort
    with this instead of polymorphic compare. *)
@@ -550,7 +552,8 @@ let attr_value t pnode ~version attr =
 let file_count t = t.file_count
 let edge_count t = t.edge_count
 
-let name_prefix_postings t prefix = fold_name_range t prefix (fun acc l -> acc + Pnodes.cardinal l) 0
+let name_prefix_postings t prefix =
+  fold_name_range t prefix (fun acc _ l -> acc + Pnodes.cardinal l) 0
 
 let attr_cardinality t attr =
   match Hashtbl.find_opt t.attrs (String.uppercase_ascii attr) with

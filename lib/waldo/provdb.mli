@@ -68,14 +68,15 @@ val find_by_name : t -> string -> Pnode.t list
     complete superset for name-equality predicates: the query planner
     uses it as an access path and re-checks exact semantics afterwards. *)
 
-val find_by_name_prefix : t -> string -> Pnode.t list
-(** Distinct pnodes sighted under any name that starts with [prefix], in
-    pnode order: a range probe of the ordered name index, equal to the
-    sorted, deduplicated union of {!find_by_name} over those names.
-    Every string a glob matches starts with the glob's literal prefix
-    (the text before its first [*] or [?]), so this is a complete
-    superset for name-glob predicates.  Like {!find_by_name} it reads
-    the hot tier only; callers fault the archive in first. *)
+val find_by_name_prefix : t -> string -> keep:(string -> bool) -> Pnode.t list
+(** Distinct pnodes sighted under any name that starts with [prefix] and
+    satisfies [keep], in pnode order: a range probe of the ordered name
+    index, equal to the sorted, deduplicated union of {!find_by_name}
+    over those names.  Every string a glob matches starts with the glob's
+    literal prefix (the text before its first [*] or [?]), so with [keep]
+    the glob's own test this is a complete superset for that name-glob
+    predicate.  Like {!find_by_name} it reads the hot tier only; callers
+    fault the archive in first. *)
 
 val name_of : t -> Pnode.t -> string option
 

@@ -75,25 +75,28 @@ let local_system ?registry ?tracer ?monitor ?batching mode =
 
 (* Mount a PA-NFS client of each (name, server) pair on [sys], all over
    one simulated network on the machine's clock (client ids come from
-   it).  On a PASS machine each mount joins the provenance router with
-   the client's DPAPI endpoint and pushes its write-behind buffers on
-   close (close-to-open); a vanilla machine mounts the bare VFS face. *)
-let mount_nfs ?registry ?tracer ?piggyback sys mode mounts =
+   it), with the machine's registry and tracer.  On a PASS machine each
+   mount joins the provenance router with the client's DPAPI endpoint
+   and pushes its write-behind buffers on close (close-to-open); a
+   vanilla machine mounts the bare VFS face. *)
+let mount_nfs ~piggyback sys mode mounts =
   let net = Proto.net (System.clock sys) in
-  List.iter
-    (fun (name, server) ->
-      let client =
-        Client.create ?registry ?tracer ?piggyback ~net ~handler:(Server.handle server)
-          ~ctx:(Kernel.ctx (System.kernel sys)) ~mount_name:name ()
-      in
-      let ops = Client.ops client in
-      match mode with
-      | System.Pass ->
-          System.mount_external sys ~name ~ops ~endpoint:(Client.endpoint client)
-            ~file_handle:(Client.file_handle client)
-            ~flush:(fun () -> Client.flush client) ()
-      | System.Vanilla -> System.mount_external sys ~name ~ops ())
-    mounts
+  let mount (name, server) =
+    let client =
+      Client.create ~registry:(System.telemetry sys) ~tracer:(System.tracer sys) ~piggyback
+        ~net ~handler:(Server.handle server) ~ctx:(Kernel.ctx (System.kernel sys))
+        ~mount_name:name ()
+    in
+    let ops = Client.ops client in
+    (match mode with
+    | System.Pass ->
+        System.mount_external sys ~name ~ops ~endpoint:(Client.endpoint client)
+          ~file_handle:(Client.file_handle client)
+          ~flush:(fun () -> Client.flush client) ()
+    | System.Vanilla -> System.mount_external sys ~name ~ops ());
+    client
+  in
+  (net, List.map mount mounts)
 
 (* A client machine with an NFS mount at vol0.  In PASS mode the client
    keeps a small local scratch volume so the machine has a default PASS
@@ -101,9 +104,9 @@ let mount_nfs ?registry ?tracer ?piggyback sys mode mounts =
    client machine and the server, which is what lets server-side spans
    parent onto client RPC spans in the exported trace; so is the machine's
    registry ({!System.telemetry}), which then covers the whole mount. *)
-let nfs_system ?registry ?tracer ?monitor ?batching mode =
+let nfs_system ?registry ?tracer ?monitor ?(batching = true) mode =
   let sys =
-    System.create ?registry ?tracer ?monitor ?batching ~mode ~machine:1
+    System.create ?registry ?tracer ?monitor ~batching ~mode ~machine:1
       ~volume_names:(match mode with System.Pass -> [ "scratch" ] | System.Vanilla -> [])
       ()
   in
@@ -115,7 +118,7 @@ let nfs_system ?registry ?tracer ?monitor ?batching mode =
     Server.create ~registry ?tracer ~mode:server_mode ~clock:(System.clock sys) ~machine:2
       ~volume:"vol0" ()
   in
-  mount_nfs ~registry ?tracer ?piggyback:batching sys mode [ ("vol0", server) ];
+  ignore (mount_nfs ~piggyback:batching sys mode [ ("vol0", server) ] : Proto.net * Client.t list);
   (sys, server)
 
 (* The paper's Figure 1 topology: a PASS workstation with a local disk
@@ -130,7 +133,9 @@ let figure1 () =
   in
   let server_a = server 21 "nfsA" in
   let server_b = server 22 "nfsB" in
-  mount_nfs sys System.Pass [ ("nfsA", server_a); ("nfsB", server_b) ];
+  ignore
+    (mount_nfs ~piggyback:true sys System.Pass [ ("nfsA", server_a); ("nfsB", server_b) ]
+      : Proto.net * Client.t list);
   { workstation = sys; server_a; server_b }
 
 (* Drain the workstation, then each server, and merge the three

@@ -39,6 +39,16 @@ val nfs_system :
     {!System.create} makes — also receives the server's and the PA-NFS
     client's instruments, so the monitor scrapes them all). *)
 
+val mount_nfs :
+  piggyback:bool -> System.t -> System.mode -> (string * Server.t) list -> Proto.net * Client.t list
+(** Mount a PA-NFS client of each [(name, server)] on the machine at
+    [/name], in order, all over one fresh simulated network on the
+    machine's clock; each client reports into the machine's registry and
+    tracer, with [piggyback] as in [Client.create].  On a PASS machine a
+    mount joins the provenance router with its client's DPAPI endpoint
+    and flushes write-behind on close; a vanilla machine mounts the bare
+    VFS.  Returns the network and the clients, in mount order. *)
+
 type figure1 = { workstation : System.t; server_a : Server.t; server_b : Server.t }
 
 val figure1 : unit -> figure1

@@ -20,21 +20,12 @@ let ok_fs = Helpers.ok_fs
    [System.telemetry]. *)
 let pa_setup () =
   let sys = System.create ~mode:System.Pass ~machine:1 ~volume_names:[ "local" ] () in
-  let clock = System.clock sys in
-  let registry = System.telemetry sys in
   let server =
-    Server.create ~registry ~mode:Server.Pass_enabled ~clock ~machine:2 ~volume:"nfs0" ()
+    Server.create ~registry:(System.telemetry sys) ~mode:Server.Pass_enabled
+      ~clock:(System.clock sys) ~machine:2 ~volume:"nfs0" ()
   in
-  let net = Proto.net clock in
-  let client =
-    Client.create ~registry ~net ~handler:(Server.handle server)
-      ~ctx:(Kernel.ctx (System.kernel sys)) ~mount_name:"nfs0" ()
-  in
-  System.mount_external sys ~name:"nfs0" ~ops:(Client.ops client)
-    ~endpoint:(Client.endpoint client)
-    ~file_handle:(Client.file_handle client)
-    ~flush:(fun () -> Client.flush client) ();
-  (sys, server, client, net)
+  let net, clients = Runner.mount_nfs ~piggyback:true sys System.Pass [ ("nfs0", server) ] in
+  (sys, server, List.hd clients, net)
 
 let write_via_kernel sys ~pid ~path ~data =
   let k = System.kernel sys in
@@ -54,12 +45,7 @@ let test_plain_nfs_roundtrip () =
   let sys = System.create ~mode:System.Vanilla ~machine:1 ~volume_names:[ "local" ] () in
   let clock = System.clock sys in
   let server = Server.create ~mode:Server.Plain ~clock ~machine:2 ~volume:"nfs0" () in
-  let net = Proto.net clock in
-  let client =
-    Client.create ~registry:(System.telemetry sys) ~net ~handler:(Server.handle server)
-      ~ctx:(Kernel.ctx (System.kernel sys)) ~mount_name:"nfs0" ()
-  in
-  System.mount_external sys ~name:"nfs0" ~ops:(Client.ops client) ();
+  let net, _ = Runner.mount_nfs ~piggyback:true sys System.Vanilla [ ("nfs0", server) ] in
   let pid = Kernel.fork (System.kernel sys) ~parent:Kernel.init_pid in
   let before = Simdisk.Clock.now clock in
   write_via_kernel sys ~pid ~path:"/nfs0/hello.txt" ~data:"over the wire";

@@ -433,7 +433,7 @@ let test_plan_uses_name_probe () =
       (match s1.Pql_plan.access with
       | Pql_plan.Name_probe (Pql_ast.Root_files, "out.gif") -> ()
       | a -> Alcotest.failf "expected name probe, got %s" (Pql_plan.access_str a));
-      check tint "probe est = posting length" 1 s1.Pql_plan.est;
+      check tint "probe est = posting length" 1 (Lazy.force s1.Pql_plan.est);
       check tint "name cond still pushed" 1 (List.length s1.Pql_plan.pushed);
       (match s2.Pql_plan.access with
       | Pql_plan.Var_step "Atlas" -> ()
@@ -457,7 +457,7 @@ let test_plan_attr_probe_and_scan () =
   (match s2.Pql_plan.access with
   | Pql_plan.Name_prefix (Pql_ast.Root_files, "input") -> ()
   | a -> Alcotest.failf "expected name-prefix probe, got %s" (Pql_plan.access_str a));
-  check tint "prefix est = postings over the range" 2 s2.Pql_plan.est;
+  check tint "prefix est = postings over the range" 2 (Lazy.force s2.Pql_plan.est);
   check tint "glob still pushed" 1 (List.length s2.Pql_plan.pushed);
   (* the literal prefix ends at the first wildcard of either kind *)
   List.iter
@@ -544,6 +544,57 @@ let test_explain_golden () =
     \      push F.name ~ \"input*\"\n\
     \  rows: (est 2, actual 2)"
     (Pql_plan.to_string (Pql.Engine.explain g))
+
+(* Only EXPLAIN reads an estimate, so the planner defers the one that
+   walks the graph: a closure's cone is not counted by prepare or
+   execute, and rendering the plan afterwards counts it then, giving the
+   numbers the golden above pins. *)
+let test_cone_estimate_deferred () =
+  let db, _, _, _, _, _ = sample_db () in
+  let p =
+    Pql.Engine.prepare db
+      {|select Ancestor from Provenance.file as Atlas Atlas.input* as Ancestor
+        where Atlas.name = "out.gif"|}
+  in
+  ignore (Pql.Engine.execute p : Pql_eval.item list list);
+  let plan = Pql.Engine.explain p in
+  (match plan.Pql_plan.steps with
+  | [ s1; s2 ] ->
+      check tbool "probe estimate known" true (Lazy.is_val s1.Pql_plan.est);
+      check tbool "walk estimate not measured" false (Lazy.is_val s2.Pql_plan.est)
+  | steps -> Alcotest.failf "expected 2 steps, got %d" (List.length steps));
+  check tbool "row estimate not measured" false (Lazy.is_val plan.Pql_plan.est_rows);
+  check Alcotest.string "explain measures the cone"
+    "plan:\n\
+    \  Atlas <- name-index \"out.gif\" -> files  (est 1, actual 1)\n\
+    \      push Atlas.name = \"out.gif\"\n\
+    \  Ancestor <- from Atlas, walk input* [memo]  (est 5, actual 5)\n\
+    \  rows: (est 5, actual 5)"
+    (Pql_plan.to_string plan)
+
+(* The prefix probe drops the names in its range that the glob does not
+   match.  A name's own node name and its NAME records are both indexed
+   names of it, and a NAME record is what [F.name] reads: so [ab] aliased
+   [out.gif] matches [out*], and [out.gif] aliased [ab] does not, though
+   its node name lies in the range. *)
+let test_prefix_probe_filters_aliases () =
+  let db = Provdb.create () in
+  let alloc = Pnode.allocator ~machine:4 in
+  let aliased = Pnode.fresh alloc and renamed = Pnode.fresh alloc in
+  Provdb.set_file db aliased ~name:"ab";
+  Provdb.add_record db aliased ~version:0 (Record.name "out.gif");
+  Provdb.set_file db renamed ~name:"out.gif";
+  Provdb.add_record db renamed ~version:0 (Record.name "ab");
+  let q = {|select F from Provenance.file as F where F.name ~ "out*"|} in
+  let ast = Pql.parse q in
+  let p = Pql.Engine.prepare_ast db ast in
+  (match (Pql.Engine.explain p).Pql_plan.steps with
+  | [ { Pql_plan.access = Pql_plan.Name_prefix (Pql_ast.Root_files, "out"); _ } ] -> ()
+  | _ -> Alcotest.fail "expected a name-prefix probe");
+  let want = [ [ Pql_eval.Node (aliased, 0) ] ] in
+  let rows = Alcotest.testable (fun ppf r -> Fmt.pf ppf "%d rows" (List.length r)) ( = ) in
+  check rows "oracle" want (Pql_eval.reference_rows db ast);
+  check rows "planner" want (Pql.Engine.execute p)
 
 (* The evaluator reads attributes case-insensitively, so a record spelled
    [name] is a name to a query even though it never becomes the node's
@@ -871,18 +922,21 @@ let prop_planner_matches_naive =
       List.equal String.equal (sorted_keys planner) (sorted_keys naive))
 
 (* The prefix probe is exactly the union of the equality lookups over
-   the names in its range — on a fresh db and on every other route into
-   a db that rebuilds the name index. *)
+   the kept names in its range — on a fresh db and on every other route
+   into a db that rebuilds the name index. *)
 let prefix_probe_agrees db =
   List.for_all
     (fun prefix ->
       let in_range = List.filter (String.starts_with ~prefix) name_pool in
-      let lookups = List.map (Provdb.find_by_name db) in_range in
-      List.equal Pnode.equal
-        (List.sort_uniq Pnode.compare (List.concat lookups))
-        (Provdb.find_by_name_prefix db prefix)
+      let lookups keep = List.map (Provdb.find_by_name db) (List.filter keep in_range) in
+      List.for_all
+        (fun keep ->
+          List.equal Pnode.equal
+            (List.sort_uniq Pnode.compare (List.concat (lookups keep)))
+            (Provdb.find_by_name_prefix db prefix ~keep))
+        [ Fun.const true; Pql_eval.glob_match "*.?"; Fun.const false ]
       && Provdb.name_prefix_postings db prefix
-         = List.fold_left (fun acc l -> acc + List.length l) 0 lookups)
+         = List.fold_left (fun acc l -> acc + List.length l) 0 (lookups (Fun.const true)))
     [ ""; "a"; "a."; "ab"; "b"; "out"; "out."; "out.gif"; "zzz"; "\255" ]
 
 let prop_prefix_probe =
@@ -1016,8 +1070,9 @@ let same_db a b =
        attr_pool
   && List.for_all
        (fun prefix ->
-         List.equal Pnode.equal (Provdb.find_by_name_prefix a prefix)
-           (Provdb.find_by_name_prefix b prefix))
+         let keep = Fun.const true in
+         List.equal Pnode.equal (Provdb.find_by_name_prefix a prefix ~keep)
+           (Provdb.find_by_name_prefix b prefix ~keep))
        [ ""; "a"; "out"; "zzz" ]
 
 let loads_like_replay image =
@@ -1108,6 +1163,10 @@ let suite =
       test_plan_unbound_variable;
     Alcotest.test_case "explain: golden plan rendering (est and actual)" `Quick
       test_explain_golden;
+    Alcotest.test_case "explain: a walk's cone is counted when read" `Quick
+      test_cone_estimate_deferred;
+    Alcotest.test_case "exec: prefix probe keeps only glob-matching names" `Quick
+      test_prefix_probe_filters_aliases;
     Alcotest.test_case "plan: NAME records in any case are indexed" `Quick
       test_lowercase_name_record_indexed;
     Alcotest.test_case "eval: path steps match attributes case-insensitively" `Quick

@@ -241,10 +241,10 @@ let () =
           in
           Printf.printf "%-20s %-6s %9.2f%% %9.2f%% %+7.2f%%  %s%s\n" "monitor" "ovrhd"
             ceiling current (current -. ceiling) verdict note));
-  (* Query-planner gates: the selective-ancestry and prefix-glob
-     speedups over the naive evaluator must stay above their pinned
-     floors (higher is better, so only a drop fails; the relative
-     tolerance gives timer noise room).  A query entry must pin both
+  (* Query-planner gates: the selective-ancestry, prefix-glob and
+     fan-out speedups over the naive evaluator must stay above their
+     pinned floors (higher is better, so only a drop fails; the relative
+     tolerance gives timer noise room).  A query entry must pin all three
      floors.  "new" when the baseline predates the bench's query
      section, so old baselines keep working. *)
   (match List.assoc_opt "query" baseline with
@@ -272,7 +272,11 @@ let () =
               in
               Printf.printf "%-20s %-6s %9.1fx %9.1fx %+7.1fx  %s%s\n" label "speedup" floor
                 current (current -. floor) verdict note)
-        [ ("query", "selective_speedup"); ("query prefix-glob", "prefix_glob_speedup") ]);
+        [
+          ("query", "selective_speedup");
+          ("query prefix-glob", "prefix_glob_speedup");
+          ("query fan-out", "fanout_speedup");
+        ]);
   if !regressed > 0 then begin
     Printf.printf "\n%d overhead value(s) regressed beyond tolerance.\n" !regressed;
     exit 1
