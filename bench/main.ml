@@ -40,7 +40,7 @@ let fig2 () =
   let idle name = Telemetry.counter_value (System.telemetry sys) name = Some 0 in
   let checks =
     [
-      ("libpass (user-level DPAPI)", System.app_endpoint sys ~pid:Kernel.init_pid <> None);
+      ("libpass (user-level DPAPI)", Process.libpass (Process.v sys ~pid:Kernel.init_pid) <> None);
       ("interceptor (syscall hooks)", Kernel.pass_stack (System.kernel sys) <> None);
       ("observer", idle "observer.events");
       ("analyzer", idle "analyzer.records_in");
@@ -95,7 +95,7 @@ let table2_and_3 ~scale =
     (fun (name, l, n) -> Printf.printf "  %-20s local %5.1f%%   nfs %5.1f%%\n" name l n)
     paper_table2;
   section "TABLE3: space overheads";
-  let rows = List.map Runner.measure_space wls in
+  let rows = List.map (fun (r : Runner.row) -> Option.get r.r_space) local in
   Report.table3 Format.std_formatter ~rows;
   Printf.printf
     "\nPaper-reported: Linux Compile 6.9%%/18.4%%, Postmark 0.1%%/0.1%%, Mercurial 1.8%%/3.4%%,\n\

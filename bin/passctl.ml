@@ -113,11 +113,11 @@ let cmd_workload name nfs =
   let base, pass = if nfs then ("NFS", "PA-NFS") else ("ext3", "PASSv2") in
   Printf.printf "%s: %s %.2fs, %s %.2fs, overhead %.1f%%\n" row.Runner.r_name base
     row.base_seconds pass row.pass_seconds row.overhead_pct;
-  if not nfs then begin
-    let sp = Runner.measure_space w in
-    Printf.printf "space: data %.1f MB, provenance %.2f MB (%.1f%%), +indexes %.2f MB (%.1f%%)\n"
-      sp.Runner.ext3_mb sp.prov_mb sp.prov_pct sp.total_mb sp.total_pct
-  end
+  Option.iter
+    (fun (sp : Runner.space_row) ->
+      Printf.printf "space: data %.1f MB, provenance %.2f MB (%.1f%%), +indexes %.2f MB (%.1f%%)\n"
+        sp.ext3_mb sp.prov_mb sp.prov_pct sp.total_mb sp.total_pct)
+    row.r_space
 
 (* A canned two-run scenario for the diff command: the challenge workflow
    run twice with one input modified in between (§3.1). *)

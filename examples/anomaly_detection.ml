@@ -23,13 +23,13 @@ let () =
   let sys = fig.Runner.workstation and server_b = fig.Runner.server_b in
   print_endline "topology: workstation(local) + file server A (inputs) + file server B (outputs)";
 
-  let engine = Kernel.fork (System.kernel sys) ~parent:Kernel.init_pid in
-  let io = Kepler_run.io_of_system sys ~pid:engine in
+  let engine = Process.spawn sys ~parent:Kernel.init_pid () in
+  let io = Kepler_run.io engine in
   let wf = Challenge.workflow ~input_dir:"/nfsA/inputs" ~output_dir:"/nfsB/results" in
 
   (* Monday: the first run *)
   Challenge.prepare_inputs ~input_dir:"/nfsA/inputs" io;
-  let monday = Kepler_run.run sys ~pid:engine wf in
+  let monday = Kepler_run.run engine wf in
   let monday_atlas = io.Actor.read_file "/nfsB/results/atlas-x.gif" in
   Printf.printf "\nMonday:    workflow ran (%d operators fired), atlas-x.gif = %s\n"
     (List.length monday.Director.fired) monday_atlas;
@@ -43,13 +43,12 @@ let () =
   in
 
   (* Tuesday: unbeknownst to us, a colleague modifies one input remotely *)
-  let colleague = Kernel.fork (System.kernel sys) ~parent:Kernel.init_pid in
-  let cio = Kepler_run.io_of_system sys ~pid:colleague in
+  let cio = Kepler_run.io (Process.spawn sys ~parent:Kernel.init_pid ()) in
   cio.Actor.write_file "/nfsA/inputs/anatomy2.img" "anatomy-image-2-RESCANNED";
   print_endline "Tuesday:   a colleague silently replaces anatomy2.img on server A";
 
   (* Wednesday: the second run produces a different output *)
-  let wednesday = Kepler_run.run sys ~pid:engine wf in
+  let wednesday = Kepler_run.run engine wf in
   let wednesday_atlas = io.Actor.read_file "/nfsB/results/atlas-x.gif" in
   Printf.printf "Wednesday: workflow ran again (%d operators fired), atlas-x.gif = %s\n"
     (List.length wednesday.Director.fired) wednesday_atlas;

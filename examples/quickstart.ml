@@ -15,20 +15,6 @@ let pql_names db q = Pql.names_of_rows db Pql.Engine.(execute (prepare db q))
 
 let ok = function Ok v -> v | Error e -> failwith (Vfs.errno_to_string e)
 
-let write_file sys ~pid ~path data =
-  let k = System.kernel sys in
-  let fd = ok (Kernel.open_file k ~pid ~path ~create:true) in
-  ok (Kernel.write k ~pid ~fd ~data);
-  ok (Kernel.close k ~pid ~fd)
-
-let read_file sys ~pid ~path =
-  let k = System.kernel sys in
-  let fd = ok (Kernel.open_file k ~pid ~path ~create:false) in
-  let st = ok (Kernel.stat k ~path) in
-  let data = ok (Kernel.read k ~pid ~fd ~len:st.Vfs.st_size) in
-  ok (Kernel.close k ~pid ~fd);
-  data
-
 let () =
   print_endline "== quickstart: a provenance-aware system in five steps ==\n";
 
@@ -40,18 +26,17 @@ let () =
 
   (* 2. ordinary processes do ordinary I/O; provenance is collected
         invisibly (no application changes) *)
-  let producer = Kernel.fork k ~parent:Kernel.init_pid in
-  write_file sys ~pid:producer ~path:"/vol0/raw-data.csv" "temp,pressure\n21,1.0\n23,1.1\n";
-  let transformer = Kernel.fork k ~parent:Kernel.init_pid in
-  ok (Kernel.execve k ~pid:transformer ~path:"/vol0/raw-data.csv" ~argv:[] ~env:[]) |> ignore;
-  let raw = read_file sys ~pid:transformer ~path:"/vol0/raw-data.csv" in
-  write_file sys ~pid:transformer ~path:"/vol0/clean-data.csv" (String.uppercase_ascii raw);
+  let producer = Process.spawn sys ~parent:Kernel.init_pid () in
+  Process.write_file producer "/vol0/raw-data.csv" "temp,pressure\n21,1.0\n23,1.1\n";
+  let transformer = Process.spawn sys ~parent:Kernel.init_pid () in
+  ok (Kernel.execve k ~pid:(Process.pid transformer) ~path:"/vol0/raw-data.csv" ~argv:[] ~env:[]);
+  let raw = Process.read_file transformer "/vol0/raw-data.csv" in
+  Process.write_file transformer "/vol0/clean-data.csv" (String.uppercase_ascii raw);
   print_endline "2. two processes ran: producer wrote raw-data.csv, transformer derived clean-data.csv";
 
   (* 3. a provenance-aware application can say *more* than the kernel can
         see: it creates a semantic object and links the file to it *)
-  let ep = Option.get (System.app_endpoint sys ~pid:transformer) in
-  let lp = Libpass.connect ~endpoint:ep ~pid:transformer in
+  let lp = Option.get (Process.libpass transformer) in
   let dataset = Libpass.mkobj ~typ:"DATASET" ~name:"november-run" lp in
   let file = ok (Kernel.handle_of_path k "/vol0/clean-data.csv") in
   Libpass.disclose lp file [ Record.input (Pvalue.xref dataset.Dpapi.pnode 0) ];

@@ -17,13 +17,13 @@ let pql_names db q = Pql.names_of_rows db Pql.Engine.(execute (prepare db q))
 let () =
   print_endline "== §3.3: provenance-aware Python ==\n";
   let sys = System.create ~mode:System.Pass ~machine:1 ~volume_names:[ "vol0" ] () in
-  let pid = Kernel.fork (System.kernel sys) ~parent:Kernel.init_pid in
+  let p = Process.spawn sys ~parent:Kernel.init_pid () in
 
   (* ~400 experiments on 60 specimens, stored as XML by the acquisition
      system (scaled down to 12 files here) *)
   for i = 1 to 12 do
     let stress = if i mod 3 = 0 then "high" else "low" in
-    Pyth.write_file sys ~pid
+    Process.write_file p
       (Printf.sprintf "/vol0/data/exp%02d.xml" i)
       (Printf.sprintf
          {|<experiment stress="%s" specimen="s%d"><crack length="%d.5" heating="%d.25"/></experiment>|}
@@ -32,7 +32,7 @@ let () =
   print_endline "wrote 12 XML experiment logs (8 low-stress, 4 high-stress)";
 
   (* the analysis library, as upgraded on one of the machines *)
-  Pyth.write_file sys ~pid "/vol0/lib/thermo.py"
+  Process.write_file p "/vol0/lib/thermo.py"
     {|VERSION = "2.0-upgraded"
 def heating(doc):
     import xml
@@ -46,7 +46,7 @@ def heating(doc):
 
   (* the team member's analysis script: plot crack heating for the
      low-stress classification *)
-  let session = Pyth.create ~provenance:true ~module_dir:"/vol0/lib" sys ~pid () in
+  let session = Pyth.create ~provenance:true ~module_dir:"/vol0/lib" p in
   Pyth.run session
     {|import xml
 import plot

@@ -24,7 +24,7 @@ let () =
   let k = System.kernel sys in
   let web = Web.synthetic ~sites:4 ~pages_per_site:6 () in
   let pid = Kernel.fork k ~parent:Kernel.init_pid in
-  let browser = Browser.create ~web ~sys ~pid in
+  let browser = Browser.create ~web (Process.v sys ~pid) in
 
   (* ----- story 1: attribution ------------------------------------------- *)
   print_endline "--- story 1: the absent-minded professor ---";
@@ -70,7 +70,7 @@ let () =
   print_endline "Alice downloads the codec (via a redirect she never noticed) and runs it";
   let mal = Kernel.fork k ~parent:Kernel.init_pid in
   ok (Kernel.execve k ~pid:mal ~path:"/vol0/bin/codec" ~argv:[ "codec"; "--install" ] ~env:[]);
-  let io = Kepler_run.io_of_system sys ~pid:mal in
+  let io = Kepler_run.io (Process.v sys ~pid:mal) in
   io.Actor.write_file "/vol0/home/document.txt" "corrupted";
   io.Actor.write_file "/vol0/home/spreadsheet.xls" "corrupted";
   io.Actor.write_file "/vol0/etc/startup.rc" "persistence-hook";

@@ -80,24 +80,14 @@ let remember t pnode version record =
     Hashtbl.replace t.seen (pnode, version, record) ()
   end
 
-(* Emit the records that materialize a freeze of [target]: a FREEZE marker
-   carrying the new version number and an ancestry edge from the new version
-   to the old one.  These go to storage in the same pass_write stream, which
-   is what keeps freeze ordered w.r.t. the writes it protects (§6.1.2). *)
-let freeze_records old_version new_version target =
-  [
-    Record.make Record.Attr.freeze (Pvalue.Int new_version);
-    Record.input_of target.Dpapi.pnode old_version;
-  ]
-
+(* Freeze [target] (Record.freeze): its records go to storage in the same
+   pass_write stream as the writes they protect. *)
 let do_freeze t (target : Dpapi.handle) =
-  let old_version = Ctx.current_version t.ctx target.pnode in
-  let new_version = Ctx.freeze t.ctx target.pnode in
+  let new_version, records = Record.freeze t.ctx target.pnode in
   Telemetry.incr t.i.freezes;
   Pvtrace.event t.tracer ~layer:"analyzer" ~op:"freeze"
     ~pnode:(Pnode.to_int target.pnode) ~outcome:"cycle_broken" ();
   t.charge cost_per_freeze;
-  let records = freeze_records old_version new_version target in
   List.iter (remember t target.pnode new_version) records;
   (new_version, Dpapi.entry target records)
 

@@ -50,6 +50,15 @@ module Attr = struct
   let path = "PATH"
 end
 
+(* The one freeze rule: bump the object's version, then mark the new
+   version with a FREEZE record carrying its number and an ancestry edge
+   to the version it closed.  Sent in the same pass_write stream as the
+   writes it protects, which keeps freeze ordered with them (§6.1.2). *)
+let freeze ctx pnode =
+  let old_version = Ctx.current_version ctx pnode in
+  let version = Ctx.freeze ctx pnode in
+  (version, [ make Attr.freeze (Pvalue.Int version); input_of pnode old_version ])
+
 (* Table 1 registry: record types collected by each provenance-aware
    system.  The bench harness prints this table; the PA applications assert
    that the records they emit are registered here. *)

@@ -58,6 +58,11 @@ module Attr : sig
   val path : string
 end
 
+val freeze : Ctx.t -> Pnode.t -> int * t list
+(** Freeze the object in the context: the new version, and the records
+    that materialize it — a FREEZE record carrying the new version and an
+    ancestry edge from it to the version it closed. *)
+
 type registered = { system : string; record_type : string; description : string }
 
 val registry : registered list

@@ -114,10 +114,10 @@ let prepare_inputs ~input_dir ?(tweak = "") (io : Actor.io) =
    and runs the workflow once; [rerun] runs it again as the same
    process, after [io] has changed an input. *)
 let run_canned sys ~input_dir ~output_dir =
-  let pid = Kernel.fork (System.kernel sys) ~parent:Kernel.init_pid in
-  let io = Kepler_run.io_of_system sys ~pid in
+  let engine = Process.spawn sys ~parent:Kernel.init_pid () in
+  let io = Kepler_run.io engine in
   prepare_inputs ~input_dir io;
   let wf = workflow ~input_dir ~output_dir in
-  let rerun () = ignore (Kepler_run.run sys ~pid wf : Director.result) in
+  let rerun () = ignore (Kepler_run.run engine wf : Director.result) in
   rerun ();
   (io, rerun)

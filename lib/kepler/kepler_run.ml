@@ -1,73 +1,28 @@
 (* Glue for running a workflow as a process on the simulated OS: the
-   engine's file accesses become system calls (observed by PASS when the
-   kernel is provenance-aware), and the DPAPI recorder is wired to the
-   process's libpass endpoint. *)
+   engine's file accesses become the process's system calls (observed by
+   PASS when the kernel is provenance-aware), and the DPAPI recorder
+   discloses through the process's libpass. *)
 
-module Libpass = Pass_core.Libpass
-
-exception Io_error of Vfs.errno
-
-let ok = function Ok v -> v | Error e -> raise (Io_error e)
-
-(* I/O in 4 KB chunks, like a real program would issue it (this is what
-   gives the analyzer duplicates to eliminate). *)
-let io_of_system sys ~pid : Actor.io =
-  let k = System.kernel sys in
-  {
-    Actor.read_file =
-      (fun path ->
-        let fd = ok (Kernel.open_file k ~pid ~path ~create:false) in
-        let buf = Buffer.create 4096 in
-        let rec loop () =
-          let chunk = ok (Kernel.read k ~pid ~fd ~len:4096) in
-          if chunk <> "" then begin
-            Buffer.add_string buf chunk;
-            loop ()
-          end
-        in
-        loop ();
-        ok (Kernel.close k ~pid ~fd);
-        Buffer.contents buf);
-    write_file =
-      (fun path data ->
-        let fd = ok (Kernel.open_file k ~pid ~path ~create:true) in
-        let len = String.length data in
-        let pos = ref 0 in
-        while !pos < len do
-          let n = min 4096 (len - !pos) in
-          ok (Kernel.write k ~pid ~fd ~data:(String.sub data !pos n));
-          pos := !pos + n
-        done;
-        ok (Kernel.close k ~pid ~fd));
-    cpu = (fun ns -> Kernel.cpu k ns);
-  }
+let io p : Actor.io =
+  { Actor.read_file = Process.read_file p; write_file = Process.write_file p; cpu = Process.cpu p }
 
 (* The three recorder configurations of paper §6.2. *)
 type recording = No_recording | Text_file of string | Dpapi
 
-let recorder_of sys ~pid = function
+let recorder_of p = function
   | No_recording -> Recorder.null
   | Text_file path ->
-      let io = io_of_system sys ~pid in
       let lines = Buffer.create 256 in
       let write_line l =
         Buffer.add_string lines l;
         Buffer.add_char lines '\n';
         (* append-by-rewrite keeps the helper simple; the file is small *)
-        io.Actor.write_file path (Buffer.contents lines)
+        Process.write_file p path (Buffer.contents lines)
       in
       Recorder.text ~write_line
   | Dpapi -> (
-      match System.app_endpoint sys ~pid with
+      match Process.libpass p with
       | None -> Recorder.null (* vanilla kernel: nothing to disclose to *)
-      | Some endpoint ->
-          let lp = Libpass.connect ~endpoint ~pid in
-          let handle_of_path path =
-            match Kernel.handle_of_path (System.kernel sys) path with
-            | Ok h -> Some h
-            | Error _ -> None
-          in
-          Recorder.pass ~lp ~ctx:(Kernel.ctx (System.kernel sys)) ~handle_of_path)
+      | Some lp -> Recorder.pass ~lp p)
 
-let run ?(recording = Dpapi) sys ~pid wf =
-  Director.run ~recorder:(recorder_of sys ~pid recording) wf (io_of_system sys ~pid)
+let run ?(recording = Dpapi) p wf = Director.run ~recorder:(recorder_of p recording) wf (io p)

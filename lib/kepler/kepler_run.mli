@@ -1,15 +1,13 @@
 (** Glue for running workflows as processes on the simulated OS: file
-    accesses become system calls (observed by PASS when the kernel is
-    provenance-aware) and the DPAPI recorder is wired to the process's
-    libpass endpoint. *)
+    accesses become the process's system calls (observed by PASS when the
+    kernel is provenance-aware) and the DPAPI recorder discloses through
+    the process's libpass. *)
 
-exception Io_error of Vfs.errno
-
-val io_of_system : System.t -> pid:int -> Actor.io
-(** Kernel-backed I/O in 4 KB chunks, as process [pid]. *)
+val io : Process.t -> Actor.io
+(** The engine's I/O as the process's system calls. *)
 
 type recording = No_recording | Text_file of string | Dpapi
 (** The three recorder configurations of paper Section 6.2. *)
 
-val run : ?recording:recording -> System.t -> pid:int -> Workflow.t -> Director.result
-(** Run [wf] as process [pid]; [recording] defaults to [Dpapi]. *)
+val run : ?recording:recording -> Process.t -> Workflow.t -> Director.result
+(** Run the workflow as the process; [recording] defaults to [Dpapi]. *)

@@ -15,7 +15,6 @@
 module Dpapi = Pass_core.Dpapi
 module Record = Pass_core.Record
 module Pvalue = Pass_core.Pvalue
-module Ctx = Pass_core.Ctx
 module Libpass = Pass_core.Libpass
 
 type event =
@@ -78,8 +77,6 @@ let relational () =
 
 type pass_backend = {
   lp : Libpass.t;
-  ctx : Ctx.t;
-  handle_of_path : string -> Dpapi.handle option;
   objects : (string, Dpapi.handle) Hashtbl.t; (* actor -> PASS object *)
 }
 
@@ -92,9 +89,8 @@ let operator_handle b actor =
       Hashtbl.replace b.objects actor h;
       h
 
-let pass ~lp ~ctx ~handle_of_path =
-  let b = { lp; ctx; handle_of_path; objects = Hashtbl.create 16 } in
-  let xref_of h = Pvalue.xref h.Dpapi.pnode (Ctx.current_version b.ctx h.Dpapi.pnode) in
+let pass ~lp proc =
+  let b = { lp; objects = Hashtbl.create 16 } in
   let record = function
     | Operator_created { actor; params } ->
         let h = Libpass.mkobj ~typ:"OPERATOR" ~name:actor b.lp in
@@ -106,19 +102,19 @@ let pass ~lp ~ctx ~handle_of_path =
     | Transfer { from_actor; to_actor; _ } ->
         (* ancestry between the recipient and the sender of the message *)
         let src = operator_handle b from_actor and dst = operator_handle b to_actor in
-        Libpass.disclose b.lp dst [ Record.input (xref_of src) ]
+        Libpass.disclose b.lp dst [ Record.input (Process.xref proc src) ]
     | File_read { actor; path } -> (
         (* the operator depends on the file it read: links Kepler's
            provenance to PASS's *)
-        match b.handle_of_path path with
+        match Process.handle_of_path proc path with
         | Some fh ->
-            Libpass.disclose b.lp (operator_handle b actor) [ Record.input (xref_of fh) ]
+            Libpass.disclose b.lp (operator_handle b actor) [ Record.input (Process.xref proc fh) ]
         | None -> ())
     | File_written { actor; path } -> (
         (* the file depends on the operator that produced it *)
-        match b.handle_of_path path with
+        match Process.handle_of_path proc path with
         | Some fh ->
-            Libpass.disclose b.lp fh [ Record.input (xref_of (operator_handle b actor)) ]
+            Libpass.disclose b.lp fh [ Record.input (Process.xref proc (operator_handle b actor)) ]
         | None -> ())
     | Run_started _ -> ()
     | Run_finished _ -> ()

@@ -7,8 +7,6 @@
     ancestry record per message, and links source/sink file accesses to
     the files PASS knows. *)
 
-module Dpapi = Pass_core.Dpapi
-module Ctx = Pass_core.Ctx
 module Libpass = Pass_core.Libpass
 
 type event =
@@ -35,9 +33,6 @@ type relational = {
 val relational : unit -> t * relational
 (** The relational backend: rows collected per table. *)
 
-val pass :
-  lp:Libpass.t ->
-  ctx:Ctx.t ->
-  handle_of_path:(string -> Dpapi.handle option) ->
-  t
-(** The DPAPI backend (the paper's contribution). *)
+val pass : lp:Libpass.t -> Process.t -> t
+(** The DPAPI backend (the paper's contribution), disclosing through
+    [lp] about the files the process names. *)

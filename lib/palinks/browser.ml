@@ -33,8 +33,7 @@ type session = {
 
 type t = {
   web : Web.t;
-  sys : System.t;
-  pid : int;
+  proc : Process.t;
   lp : Libpass.t option; (* None on a vanilla kernel: plain browser *)
   mutable sessions : session list;
   mutable next_session : int;
@@ -42,11 +41,7 @@ type t = {
 
 exception Browser_error of string
 
-let create ~web ~sys ~pid =
-  let lp =
-    Option.map (fun endpoint -> Libpass.connect ~endpoint ~pid) (System.app_endpoint sys ~pid)
-  in
-  { web; sys; pid; lp; sessions = []; next_session = 1 }
+let create ~web proc = { web; proc; lp = Process.libpass proc; sessions = []; next_session = 1 }
 
 let provenance_aware t = t.lp <> None
 
@@ -75,12 +70,8 @@ let visit t s url =
       disclose t s.handle [ Record.make Record.Attr.visited_url (Pvalue.Str u) ])
     (chain @ [ final_url ]);
   s.current_url <- Some final_url;
-  Kernel.cpu (System.kernel t.sys) 200_000 (* rendering *);
+  Process.cpu t.proc 200_000 (* rendering *);
   resource
-
-let session_xref t s =
-  Pvalue.xref s.handle.Dpapi.pnode
-    (Ctx.current_version (Kernel.ctx (System.kernel t.sys)) s.handle.Dpapi.pnode)
 
 (* Download [url] into [dest]: replaces the browser's plain write with a
    pass_write carrying the data and the three records of Table 1. *)
@@ -91,9 +82,9 @@ let download t s ~url ~dest =
     | Web.Download d -> d.content
     | Web.Page _ | Web.Redirect _ -> raise (Browser_error ("not downloadable: " ^ url))
   in
-  let k = System.kernel t.sys in
+  let k = Process.kernel t.proc and pid = Process.pid t.proc in
   let fd =
-    match Kernel.open_file k ~pid:t.pid ~path:dest ~create:true with
+    match Kernel.open_file k ~pid ~path:dest ~create:true with
     | Ok fd -> fd
     | Error e -> raise (Browser_error (Vfs.errno_to_string e))
   in
@@ -107,7 +98,7 @@ let download t s ~url ~dest =
       in
       let records =
         [
-          Record.input (session_xref t s);
+          Record.input (Process.xref t.proc s.handle);
           Record.make Record.Attr.file_url (Pvalue.Str final_url);
           Record.make Record.Attr.current_url
             (Pvalue.Str (Option.value s.current_url ~default:""));
@@ -117,17 +108,18 @@ let download t s ~url ~dest =
   | None -> (
       (* plain browser: an ordinary write; any provenance dies with the
          browser history *)
-      match Kernel.write k ~pid:t.pid ~fd ~data:content with
+      match Kernel.write k ~pid ~fd ~data:content with
       | Ok () -> ()
       | Error e -> raise (Browser_error (Vfs.errno_to_string e))));
-  (match Kernel.close k ~pid:t.pid ~fd with Ok () -> () | Error _ -> ());
+  (match Kernel.close k ~pid ~fd with Ok () -> () | Error _ -> ());
   final_url
 
 (* --- session persistence (the Firefox lesson, §6.5) ----------------------- *)
 
 (* Save sessions to a state file: (id, pnode, version) triples. *)
 let save_sessions t ~path =
-  let ctx = Kernel.ctx (System.kernel t.sys) in
+  let k = Process.kernel t.proc and pid = Process.pid t.proc in
+  let ctx = Kernel.ctx k in
   let buf = Buffer.create 128 in
   List.iter
     (fun s ->
@@ -136,31 +128,30 @@ let save_sessions t ~path =
            (Pnode.to_int s.handle.Dpapi.pnode)
            (Ctx.current_version ctx s.handle.Dpapi.pnode)))
     t.sessions;
-  let k = System.kernel t.sys in
-  match Kernel.open_file k ~pid:t.pid ~path ~create:true with
+  match Kernel.open_file k ~pid ~path ~create:true with
   | Error e -> raise (Browser_error (Vfs.errno_to_string e))
   | Ok fd -> (
       (* make each live session durable before recording it *)
       (match t.lp with
       | Some lp -> List.iter (fun s -> Libpass.sync lp s.handle) t.sessions
       | None -> ());
-      match Kernel.write k ~pid:t.pid ~fd ~data:(Buffer.contents buf) with
+      match Kernel.write k ~pid ~fd ~data:(Buffer.contents buf) with
       | Ok () ->
-          let _ : (unit, Vfs.errno) result = Kernel.close k ~pid:t.pid ~fd in
+          let _ : (unit, Vfs.errno) result = Kernel.close k ~pid ~fd in
           ()
       | Error e -> raise (Browser_error (Vfs.errno_to_string e)))
 
 (* Restore sessions after a restart: revive each object so further
    provenance lands on the same session. *)
 let restore_sessions t ~path =
-  let k = System.kernel t.sys in
+  let k = Process.kernel t.proc and pid = Process.pid t.proc in
   let data =
-    match Kernel.open_file k ~pid:t.pid ~path ~create:false with
+    match Kernel.open_file k ~pid ~path ~create:false with
     | Error e -> raise (Browser_error (Vfs.errno_to_string e))
     | Ok fd -> (
-        match Kernel.read k ~pid:t.pid ~fd ~len:1_000_000 with
+        match Kernel.read k ~pid ~fd ~len:1_000_000 with
         | Ok d ->
-            let _ : (unit, Vfs.errno) result = Kernel.close k ~pid:t.pid ~fd in
+            let _ : (unit, Vfs.errno) result = Kernel.close k ~pid ~fd in
             d
         | Error e -> raise (Browser_error (Vfs.errno_to_string e)))
   in

@@ -18,8 +18,7 @@ type session = {
 
 type t = {
   web : Web.t;
-  sys : System.t;
-  pid : int;
+  proc : Process.t;
   lp : Pass_core.Libpass.t option;
   mutable sessions : session list;
   mutable next_session : int;
@@ -27,7 +26,7 @@ type t = {
 
 exception Browser_error of string
 
-val create : web:Web.t -> sys:System.t -> pid:int -> t
+val create : web:Web.t -> Process.t -> t
 (** On a vanilla kernel the browser still works but records nothing
     ([provenance_aware] is false) — the paper's "without layering"
     contrast. *)

@@ -622,12 +622,7 @@ let pass_write t (h : Dpapi.handle) ~off ~data bundle =
       Ok (Ctx.current_version t.ctx h.pnode)
 
 let pass_freeze t (h : Dpapi.handle) =
-  let old_version = Ctx.current_version t.ctx h.pnode in
-  let version = Ctx.freeze t.ctx h.pnode in
-  let records =
-    [ Record.make Record.Attr.freeze (Pass_core.Pvalue.Int version);
-      Record.input_of h.pnode old_version ]
-  in
+  let version, records = Record.freeze t.ctx h.pnode in
   let prev = Option.value (Hashtbl.find_opt t.pending_freezes h.pnode) ~default:[] in
   Hashtbl.replace t.pending_freezes h.pnode (List.rev_append records prev);
   Ok version

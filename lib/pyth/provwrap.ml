@@ -26,14 +26,11 @@
 module V = Pyth_value
 module Dpapi = Pass_core.Dpapi
 module Record = Pass_core.Record
-module Pvalue = Pass_core.Pvalue
-module Ctx = Pass_core.Ctx
 module Libpass = Pass_core.Libpass
 
 type t = {
   lp : Libpass.t;
-  ctx : Ctx.t;
-  handle_of_path : string -> Dpapi.handle option;
+  proc : Process.t;
   module_path : string -> string option;
   fn_objects : (string, Dpapi.handle) Hashtbl.t; (* "mod.fn" -> object *)
   mutable invocations : int;
@@ -44,8 +41,6 @@ type t = {
 let readers = [ ("xml.parse_file", 0); ("readfile", 0) ]
 let writers = [ ("plot.plot", 2); ("writefile", 0) ]
 
-let xref_of t (h : Dpapi.handle) = Pvalue.xref h.pnode (Ctx.current_version t.ctx h.pnode)
-
 let fn_object t qualified ~module_file =
   match Hashtbl.find_opt t.fn_objects qualified with
   | Some h -> h
@@ -53,8 +48,8 @@ let fn_object t qualified ~module_file =
       let h = Libpass.mkobj ~typ:"FUNCTION" ~name:qualified t.lp in
       (match module_file with
       | Some mf -> (
-          match t.handle_of_path mf with
-          | Some fh -> Libpass.disclose t.lp h [ Record.input (xref_of t fh) ]
+          match Process.handle_of_path t.proc mf with
+          | Some fh -> Libpass.disclose t.lp h [ Record.input (Process.xref t.proc fh) ]
           | None -> ())
       | None -> ());
       Hashtbl.replace t.fn_objects qualified h;
@@ -85,23 +80,23 @@ let wrap_callable t ~qualified ~module_file ~call_original (original : V.t) : V.
         ~name:(Printf.sprintf "%s#%d" qualified t.invocations)
         t.lp
     in
-    Libpass.disclose t.lp inv [ Record.input (xref_of t fnobj) ];
+    Libpass.disclose t.lp inv [ Record.input (Process.xref t.proc fnobj) ];
     (* dependencies between each input and the invocation *)
     let inputs = List.fold_left tagged_handles [] args in
-    List.iter (fun h -> Libpass.disclose t.lp inv [ Record.input (xref_of t h) ]) inputs;
+    List.iter (fun h -> Libpass.disclose t.lp inv [ Record.input (Process.xref t.proc h) ]) inputs;
     (* reader functions: the invocation depends on the file read *)
     (match List.assoc_opt qualified readers with
     | Some idx -> (
-        match Option.bind (path_arg args idx) t.handle_of_path with
-        | Some fh -> Libpass.disclose t.lp inv [ Record.input (xref_of t fh) ]
+        match Option.bind (path_arg args idx) (Process.handle_of_path t.proc) with
+        | Some fh -> Libpass.disclose t.lp inv [ Record.input (Process.xref t.proc fh) ]
         | None -> ())
     | None -> ());
     let result = call_original original args in
     (* writer functions: the written file depends on the invocation *)
     (match List.assoc_opt qualified writers with
     | Some idx -> (
-        match Option.bind (path_arg args idx) t.handle_of_path with
-        | Some fh -> Libpass.disclose t.lp fh [ Record.input (xref_of t inv) ]
+        match Option.bind (path_arg args idx) (Process.handle_of_path t.proc) with
+        | Some fh -> Libpass.disclose t.lp fh [ Record.input (Process.xref t.proc inv) ]
         | None -> ())
     | None -> ());
     (* dependency between the invocation and its output; tag a copy so a
@@ -148,10 +143,8 @@ let wrap_globals t (globals : V.env) =
       | _ -> ())
     [ "readfile"; "writefile" ]
 
-let enable interp ~lp ~ctx ~handle_of_path ~module_path =
-  let t =
-    { lp; ctx; handle_of_path; module_path; fn_objects = Hashtbl.create 32; invocations = 0 }
-  in
+let enable interp ~lp proc ~module_path =
+  let t = { lp; proc; module_path; fn_objects = Hashtbl.create 32; invocations = 0 } in
   (* wrap the preinstalled standard modules *)
   Hashtbl.iter (fun name m -> wrap_module t interp ~name m) interp.Pyth_interp.modules;
   (* wrap modules imported later *)

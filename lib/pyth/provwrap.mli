@@ -13,13 +13,9 @@
 type t
 
 val enable :
-  Pyth_interp.t ->
-  lp:Pass_core.Libpass.t ->
-  ctx:Pass_core.Ctx.t ->
-  handle_of_path:(string -> Pass_core.Dpapi.handle option) ->
-  module_path:(string -> string option) ->
-  t
+  Pyth_interp.t -> lp:Pass_core.Libpass.t -> Process.t -> module_path:(string -> string option) -> t
 (** Wrap the standard modules already installed, every module imported
-    later, and the [readfile]/[writefile] globals. *)
+    later, and the [readfile]/[writefile] globals, disclosing through [lp]
+    about the files the process names. *)
 
 val invocation_count : t -> int

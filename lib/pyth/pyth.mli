@@ -5,17 +5,13 @@
 
 module V = Pyth_value
 
-exception Io_error of Vfs.errno
-
-val write_file : System.t -> pid:int -> string -> string -> unit
-
 type session = {
   interp : Pyth_interp.t;
   wrappers : Provwrap.t option;
   output : Buffer.t;
 }
 
-val create : ?provenance:bool -> ?module_dir:string -> System.t -> pid:int -> unit -> session
+val create : ?provenance:bool -> ?module_dir:string -> Process.t -> session
 (** [provenance] (default true) enables the PA-Python wrappers when the
     kernel is provenance-aware. *)
 

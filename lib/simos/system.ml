@@ -171,12 +171,6 @@ let drain t =
 
 let waldo_db t name = Option.bind (find_volume t name) Volume.db
 
-(* The per-process DPAPI endpoint a provenance-aware application uses. *)
-let app_endpoint t ~pid =
-  match Kernel.pass_stack t.kernel with
-  | Some s -> Some (Observer.endpoint_for s.Kernel.observer ~pid)
-  | None -> None
-
 (* --- space accounting for Table 3 ---------------------------------------- *)
 
 type space = {

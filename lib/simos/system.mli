@@ -85,10 +85,6 @@ val drain : t -> int
 val waldo_db : t -> string -> Provdb.t option
 (** The Waldo database of a volume (after {!drain} for a complete view). *)
 
-val app_endpoint : t -> pid:int -> Dpapi.endpoint option
-(** The per-process DPAPI endpoint a provenance-aware application uses
-    (None on a vanilla kernel). *)
-
 type space = {
   sp_data_bytes : int;
   sp_db_bytes : int;

@@ -695,12 +695,9 @@ let serialize t =
   Wire.put_i64 buf (attr_entry_total t);
   Buffer.contents buf
 
-let image_format image pos =
-  match Wire.get_string image pos with
-  | "PROVDB4" -> 4
-  | "PROVDB3" -> 3 (* pre-planner images: no index-stats footer *)
-  | "PROVDB2" -> 2 (* pre-floor images, still loadable *)
-  | _ -> Wire.corrupt "provdb: bad magic"
+let check_magic image pos =
+  if not (String.equal (Wire.get_string image pos) "PROVDB4") then
+    Wire.corrupt "provdb: bad magic"
 
 (* The one-pass bulk loader.  The node table goes through [absorb_node],
    the quads through [step] in one run per node ([serialize] groups a
@@ -708,14 +705,14 @@ let image_format image pos =
    Any other order still loads correctly, a run at a time. *)
 let load t image =
   let pos = ref 0 in
-  let format = image_format image pos in
+  check_magic image pos;
   let n_nodes = Wire.get_u32 image pos in
   for _ = 1 to n_nodes do
     let pnode = Pnode.of_int (Wire.get_i64 image pos) in
     let kind = Wire.get_u8 image pos in
     let name = Wire.get_string image pos in
     let max_version = Wire.get_i64 image pos in
-    let floor = if format >= 3 then Wire.get_i64 image pos else 0 in
+    let floor = Wire.get_i64 image pos in
     absorb_node t pnode
       ~kind:(if kind = 1 then File else Virtual)
       ~declared:(kind = 1 || kind = 2)
@@ -739,21 +736,19 @@ let load t image =
     in
     step t r q ~size:(!pos - start)
   done;
-  if format >= 4 then begin
-    (* a load into a populated db (archive fault-in) adds cells disjoint
-       from the resident ones — compaction splits every node's versions
-       between the tiers — so the deltas are the image's own totals *)
-    let edges = Wire.get_i64 image pos in
-    let attr_total = Wire.get_i64 image pos in
-    if edges <> t.edge_count - edges0 || attr_total <> attr_entry_total t - attrs0 then
-      Wire.corrupt "provdb: index-stats footer disagrees with rebuilt indexes"
-  end
+  (* a load into a populated db (archive fault-in) adds cells disjoint
+     from the resident ones — compaction splits every node's versions
+     between the tiers — so the deltas are the image's own totals *)
+  let edges = Wire.get_i64 image pos in
+  let attr_total = Wire.get_i64 image pos in
+  if edges <> t.edge_count - edges0 || attr_total <> attr_entry_total t - attrs0 then
+    Wire.corrupt "provdb: index-stats footer disagrees with rebuilt indexes"
 
 (* Every node entry takes at least 21 image bytes, so a tampered header
    cannot presize the tables past the image. *)
 let deserialize image =
   let pos = ref 0 in
-  let _ : int = image_format image pos in
+  check_magic image pos;
   let n_nodes = Wire.get_u32 image pos in
   let t = create_sized ~nodes:(min n_nodes (String.length image / 21)) in
   load t image;

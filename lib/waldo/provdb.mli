@@ -164,12 +164,13 @@ val load : t -> string -> unit
 (** [load t image] adds an image's nodes and quads to [t] in one pass,
     building every secondary index as it goes, with {!merge_into}'s
     semantics for the node table ([max_version] and [floor] take the max
-    of both sides).  Accepts PROVDB4 as well as the older PROVDB3/PROVDB2
-    formats (which lack the stats footer).  The PROVDB4 footer is checked
-    against what the load added, so the image's cells must be new to [t]
-    — as an archive segment's are to the hot tier it faults into.  Fast
+    of both sides).  Only the PROVDB4 format loads; any other magic
+    (the older footerless PROVDB3/PROVDB2 included) is corrupt.  The
+    footer is checked against what the load added, so the image's cells
+    must be new to [t] — as an archive segment's are to the hot tier it
+    faults into.  Fast
     on [serialize]'s order; correct on any quad order.
-    @raise Wire.Corrupt on a malformed image, or when a PROVDB4 footer
+    @raise Wire.Corrupt on a malformed image, or when the footer
     disagrees with the rebuilt indexes; [t] may then hold part of the
     image. *)
 

@@ -10,53 +10,54 @@ type params = { sequence_bytes : int; blast_cpu_ms : int; perl_stages : int }
 let default = { sequence_bytes = 200_000; blast_cpu_ms = 1_200; perl_stages = 3 }
 
 let run ?(params = default) sys ~parent =
-  let setup = Wk.spawn sys ~parent () in
-  Wk.write_file sys ~pid:setup ~path:"/vol0/bin/formatdb" (Wk.payload ~seed:201 ~len:12000);
-  Wk.write_file sys ~pid:setup ~path:"/vol0/bin/blastall" (Wk.payload ~seed:202 ~len:45000);
-  Wk.write_file sys ~pid:setup ~path:"/vol0/bin/perl" (Wk.payload ~seed:203 ~len:25000);
-  Wk.write_file sys ~pid:setup ~path:"/vol0/blast/speciesA.fasta"
+  let setup = Process.spawn sys ~parent () in
+  Process.write_file setup "/vol0/bin/formatdb" (Wk.payload ~seed:201 ~len:12000);
+  Process.write_file setup "/vol0/bin/blastall" (Wk.payload ~seed:202 ~len:45000);
+  Process.write_file setup "/vol0/bin/perl" (Wk.payload ~seed:203 ~len:25000);
+  Process.write_file setup "/vol0/blast/speciesA.fasta"
     (Wk.payload ~seed:11 ~len:params.sequence_bytes);
-  Wk.write_file sys ~pid:setup ~path:"/vol0/blast/speciesB.fasta"
+  Process.write_file setup "/vol0/blast/speciesB.fasta"
     (Wk.payload ~seed:12 ~len:params.sequence_bytes);
-  Wk.exit sys ~pid:setup;
+  Process.exit setup;
   (* formatdb on each input *)
   List.iter
     (fun species ->
       let fdb =
-        Wk.spawn sys ~binary:"/vol0/bin/formatdb" ~argv:[ "formatdb"; "-i"; species ] ~parent ()
+        Process.spawn sys ~binary:"/vol0/bin/formatdb" ~argv:[ "formatdb"; "-i"; species ]
+          ~parent ()
       in
-      let data = Wk.read_file sys ~pid:fdb ~path:(Printf.sprintf "/vol0/blast/%s.fasta" species) in
-      Wk.cpu sys 80_000_000;
-      Wk.write_file sys ~pid:fdb
-        ~path:(Printf.sprintf "/vol0/blast/%s.phr" species)
+      let data = Process.read_file fdb (Printf.sprintf "/vol0/blast/%s.fasta" species) in
+      Process.cpu fdb 80_000_000;
+      Process.write_file fdb
+        (Printf.sprintf "/vol0/blast/%s.phr" species)
         (Wk.payload ~seed:(String.length data) ~len:(String.length data / 2));
-      Wk.exit sys ~pid:fdb)
+      Process.exit fdb)
     [ "speciesA"; "speciesB" ];
   (* the blast run itself: the CPU core of the workload *)
   let blast =
-    Wk.spawn sys ~binary:"/vol0/bin/blastall"
+    Process.spawn sys ~binary:"/vol0/bin/blastall"
       ~argv:[ "blastall"; "-p"; "blastp"; "-d"; "speciesA"; "-i"; "speciesB.fasta" ]
       ~parent ()
   in
-  let a = Wk.read_file sys ~pid:blast ~path:"/vol0/blast/speciesA.phr" in
-  let b = Wk.read_file sys ~pid:blast ~path:"/vol0/blast/speciesB.phr" in
-  Wk.cpu sys (params.blast_cpu_ms * 1_000_000);
-  Wk.write_file sys ~pid:blast ~path:"/vol0/blast/raw_hits.out"
+  let a = Process.read_file blast "/vol0/blast/speciesA.phr" in
+  let b = Process.read_file blast "/vol0/blast/speciesB.phr" in
+  Process.cpu blast (params.blast_cpu_ms * 1_000_000);
+  Process.write_file blast "/vol0/blast/raw_hits.out"
     (Wk.payload ~seed:(String.length a + String.length b) ~len:60_000);
-  Wk.exit sys ~pid:blast;
+  Process.exit blast;
   (* perl massaging pipeline *)
   let prev = ref "/vol0/blast/raw_hits.out" in
   for stage = 1 to params.perl_stages do
     let perl =
-      Wk.spawn sys ~binary:"/vol0/bin/perl"
+      Process.spawn sys ~binary:"/vol0/bin/perl"
         ~argv:[ "perl"; Printf.sprintf "massage%d.pl" stage ]
         ~parent ()
     in
-    let data = Wk.read_file sys ~pid:perl ~path:!prev in
-    Wk.cpu sys 30_000_000;
+    let data = Process.read_file perl !prev in
+    Process.cpu perl 30_000_000;
     let out = Printf.sprintf "/vol0/blast/hits.stage%d" stage in
-    Wk.write_file sys ~pid:perl ~path:out
+    Process.write_file perl out
       (Wk.payload ~seed:(String.length data + stage) ~len:(String.length data * 3 / 4));
-    Wk.exit sys ~pid:perl;
+    Process.exit perl;
     prev := out
   done

@@ -65,11 +65,11 @@ let workflow params run =
       ]
 
 let run ?(params = default) sys ~parent =
-  let setup = Wk.spawn sys ~parent () in
-  Wk.write_file sys ~pid:setup ~path:table_path (make_table params);
-  Wk.exit sys ~pid:setup;
+  let setup = Process.spawn sys ~parent () in
+  Process.write_file setup table_path (make_table params);
+  Process.exit setup;
   for r = 1 to params.runs do
-    let engine = Wk.spawn sys ~parent () in
-    ignore (Kepler_run.run sys ~pid:engine (workflow params r) : Director.result);
-    Wk.exit sys ~pid:engine
+    let engine = Process.spawn sys ~parent () in
+    ignore (Kepler_run.run engine (workflow params r) : Director.result);
+    Process.exit engine
   done

@@ -19,69 +19,65 @@ let header_file h = Printf.sprintf "/vol0/src/include/h%d.h" h
 
 let setup sys ~parent =
   (* install the toolchain binaries *)
-  let installer = Wk.spawn sys ~parent () in
-  Wk.write_file sys ~pid:installer ~path:"/vol0/bin/tar" (Wk.payload ~seed:101 ~len:9000);
-  Wk.write_file sys ~pid:installer ~path:"/vol0/bin/cc" (Wk.payload ~seed:102 ~len:30000);
-  Wk.write_file sys ~pid:installer ~path:"/vol0/bin/ld" (Wk.payload ~seed:103 ~len:20000);
-  Wk.exit sys ~pid:installer
+  let installer = Process.spawn sys ~parent () in
+  Process.write_file installer "/vol0/bin/tar" (Wk.payload ~seed:101 ~len:9000);
+  Process.write_file installer "/vol0/bin/cc" (Wk.payload ~seed:102 ~len:30000);
+  Process.write_file installer "/vol0/bin/ld" (Wk.payload ~seed:103 ~len:20000);
+  Process.exit installer
 
 let run ?(params = default) sys ~parent =
   setup sys ~parent;
   (* phase 1: unpack *)
   let tar =
-    Wk.spawn sys ~binary:"/vol0/bin/tar" ~argv:[ "tar"; "xf"; "linux.tar" ] ~parent ()
+    Process.spawn sys ~binary:"/vol0/bin/tar" ~argv:[ "tar"; "xf"; "linux.tar" ] ~parent ()
   in
   for h = 0 to params.headers - 1 do
-    Wk.write_file sys ~pid:tar ~path:(header_file h) (Wk.payload ~seed:(500 + h) ~len:3000)
+    Process.write_file tar (header_file h) (Wk.payload ~seed:(500 + h) ~len:3000)
   done;
   for d = 0 to params.dirs - 1 do
     for f = 0 to params.files_per_dir - 1 do
-      Wk.write_file sys ~pid:tar
-        ~path:(src_file d f)
+      Process.write_file tar (src_file d f)
         (Wk.payload ~seed:((d * 100) + f) ~len:(1500 + (((d * 7) + f) mod 5 * 1200)))
     done
   done;
-  Wk.exit sys ~pid:tar;
+  Process.exit tar;
   (* phase 2: compile, one process per translation unit *)
   for d = 0 to params.dirs - 1 do
     for f = 0 to params.files_per_dir - 1 do
       let cc =
-        Wk.spawn sys ~binary:"/vol0/bin/cc"
+        Process.spawn sys ~binary:"/vol0/bin/cc"
           ~argv:[ "cc"; "-O2"; "-c"; src_file d f; "-o"; obj_file d f ]
           ~parent ()
       in
-      let source = Wk.read_file sys ~pid:cc ~path:(src_file d f) in
+      let source = Process.read_file cc (src_file d f) in
       (* every unit includes two headers *)
-      let _h1 = Wk.read_file sys ~pid:cc ~path:(header_file (d mod params.headers)) in
-      let _h2 = Wk.read_file sys ~pid:cc ~path:(header_file (f mod params.headers)) in
-      Wk.cpu sys (params.cc_cpu_ms * 1_000_000);
-      Wk.write_file sys ~pid:cc ~path:(obj_file d f)
+      let _h1 = Process.read_file cc (header_file (d mod params.headers)) in
+      let _h2 = Process.read_file cc (header_file (f mod params.headers)) in
+      Process.cpu cc (params.cc_cpu_ms * 1_000_000);
+      Process.write_file cc (obj_file d f)
         (Wk.payload ~seed:(String.length source) ~len:(String.length source * 2));
-      Wk.exit sys ~pid:cc
+      Process.exit cc
     done;
     (* phase 3a: per-directory link *)
     let ld =
-      Wk.spawn sys ~binary:"/vol0/bin/ld" ~argv:[ "ld"; "-r"; "-o"; "built-in.o" ] ~parent ()
+      Process.spawn sys ~binary:"/vol0/bin/ld" ~argv:[ "ld"; "-r"; "-o"; "built-in.o" ] ~parent ()
     in
     let total = ref 0 in
     for f = 0 to params.files_per_dir - 1 do
-      total := !total + String.length (Wk.read_file sys ~pid:ld ~path:(obj_file d f))
+      total := !total + String.length (Process.read_file ld (obj_file d f))
     done;
-    Wk.cpu sys 6_000_000;
-    Wk.write_file sys ~pid:ld
-      ~path:(Printf.sprintf "/vol0/obj/d%d/built-in.o" d)
+    Process.cpu ld 6_000_000;
+    Process.write_file ld (Printf.sprintf "/vol0/obj/d%d/built-in.o" d)
       (Wk.payload ~seed:!total ~len:!total);
-    Wk.exit sys ~pid:ld
+    Process.exit ld
   done;
   (* phase 3b: final link *)
-  let ld = Wk.spawn sys ~binary:"/vol0/bin/ld" ~argv:[ "ld"; "-o"; "vmlinux" ] ~parent () in
+  let ld = Process.spawn sys ~binary:"/vol0/bin/ld" ~argv:[ "ld"; "-o"; "vmlinux" ] ~parent () in
   let total = ref 0 in
   for d = 0 to params.dirs - 1 do
     total :=
-      !total
-      + String.length
-          (Wk.read_file sys ~pid:ld ~path:(Printf.sprintf "/vol0/obj/d%d/built-in.o" d))
+      !total + String.length (Process.read_file ld (Printf.sprintf "/vol0/obj/d%d/built-in.o" d))
   done;
-  Wk.cpu sys 25_000_000;
-  Wk.write_file sys ~pid:ld ~path:"/vol0/vmlinux" (Wk.payload ~seed:!total ~len:!total);
-  Wk.exit sys ~pid:ld
+  Process.cpu ld 25_000_000;
+  Process.write_file ld "/vol0/vmlinux" (Wk.payload ~seed:!total ~len:!total);
+  Process.exit ld

@@ -17,32 +17,34 @@ let patch_file p = Printf.sprintf "/vol0/patches/%04d.diff" p
 
 let run ?(params = default) sys ~parent =
   (* unpack the vanilla tree and the patch queue *)
-  let setup = Wk.spawn sys ~parent () in
+  let setup = Process.spawn sys ~parent () in
   for i = 0 to params.tree_files - 1 do
-    Wk.write_file sys ~pid:setup ~path:(tree_file i) (Wk.payload ~seed:i ~len:(2000 + (i mod 9 * 700)))
+    Process.write_file setup (tree_file i) (Wk.payload ~seed:i ~len:(2000 + (i mod 9 * 700)))
   done;
   for p = 0 to params.patches - 1 do
-    Wk.write_file sys ~pid:setup ~path:(patch_file p) (Wk.payload ~seed:(9000 + p) ~len:1800)
+    Process.write_file setup (patch_file p) (Wk.payload ~seed:(9000 + p) ~len:1800)
   done;
-  Wk.write_file sys ~pid:setup ~path:"/vol0/bin/patch" (Wk.payload ~seed:77 ~len:15000);
-  Wk.exit sys ~pid:setup;
+  Process.write_file setup "/vol0/bin/patch" (Wk.payload ~seed:77 ~len:15000);
+  Process.exit setup;
   (* apply each patch with its own process *)
   let r = Wk.rng 7 in
   for p = 0 to params.patches - 1 do
     let patch =
-      Wk.spawn sys ~binary:"/vol0/bin/patch" ~argv:[ "patch"; "-p1" ] ~parent ()
+      Process.spawn sys ~binary:"/vol0/bin/patch" ~argv:[ "patch"; "-p1" ] ~parent ()
     in
-    let diff = Wk.read_file sys ~pid:patch ~path:(patch_file p) in
+    let diff = Process.read_file patch (patch_file p) in
     for _ = 1 to params.files_per_patch do
       let i = Wk.rand r params.tree_files in
-      let original = Wk.read_file sys ~pid:patch ~path:(tree_file i) in
+      let original = Process.read_file patch (tree_file i) in
       let tmp = tree_file i ^ ".orig" in
       (* merge the original and the hunk into the temporary *)
-      Wk.cpu sys 400_000;
-      Wk.write_file sys ~pid:patch ~path:tmp
+      Process.cpu patch 400_000;
+      Process.write_file patch tmp
         (original ^ String.sub diff 0 (min 256 (String.length diff)));
       (* rename the temporary over the original *)
-      Wk.ok (Kernel.rename (System.kernel sys) ~pid:patch ~src:tmp ~dst:(tree_file i))
+      Process.ok
+        (Kernel.rename (Process.kernel patch) ~pid:(Process.pid patch) ~src:tmp
+           ~dst:(tree_file i))
     done;
-    Wk.exit sys ~pid:patch
+    Process.exit patch
   done

@@ -19,7 +19,7 @@ let default = { files = 120; transactions = 120; subdirs = 10; min_size = 4096; 
 let file_path params i = Printf.sprintf "/vol0/pm/s%d/file%d" (i mod params.subdirs) i
 
 let run ?(params = default) sys ~parent =
-  let pid = Wk.spawn sys ~parent () in
+  let p = Process.spawn sys ~parent () in
   let r = Wk.rng 42 in
   let size () = params.min_size + Wk.rand r (params.max_size - params.min_size) in
   let live = Hashtbl.create params.files in
@@ -27,7 +27,7 @@ let run ?(params = default) sys ~parent =
   let create () =
     let i = !next_file in
     incr next_file;
-    Wk.write_file sys ~pid ~path:(file_path params i) (Wk.payload ~seed:i ~len:(size ()));
+    Process.write_file p (file_path params i) (Wk.payload ~seed:i ~len:(size ()));
     Hashtbl.replace live i ()
   in
   (* initial pool *)
@@ -62,17 +62,18 @@ let run ?(params = default) sys ~parent =
         match pick_live () with
         | Some i ->
             Hashtbl.remove live i;
-            Wk.ok (Kernel.unlink (System.kernel sys) ~pid ~path:(file_path params i))
+            Process.ok
+              (Kernel.unlink (Process.kernel p) ~pid:(Process.pid p) ~path:(file_path params i))
         | None -> create ())
     | 2 -> (
         match pick_live () with
-        | Some i -> ignore (Wk.read_file sys ~pid ~path:(file_path params i) : string)
+        | Some i -> ignore (Process.read_file p (file_path params i) : string)
         | None -> create ())
     | _ -> (
         match pick_live () with
         | Some i ->
-            Wk.append_file sys ~pid ~path:(file_path params i)
+            Process.append_file p (file_path params i)
               (Wk.payload ~seed:i ~len:(min 8192 (size ())))
         | None -> create ())
   done;
-  Wk.exit sys ~pid
+  Process.exit p

@@ -152,14 +152,41 @@ let figure1_merged f =
 
 (* --- measurements ------------------------------------------------------------ *)
 
+type space_row = {
+  s_name : string;
+  ext3_mb : float; (* baseline data footprint *)
+  prov_mb : float; (* provenance database *)
+  prov_pct : float;
+  total_mb : float; (* provenance + indexes *)
+  total_pct : float;
+}
+
 type row = {
   r_name : string;
   base_seconds : float;
   pass_seconds : float;
   overhead_pct : float;
+  r_space : space_row option;
 }
 
 let overhead base pass = (pass -. base) /. base *. 100.
+
+let mb bytes = float_of_int bytes /. (1024. *. 1024.)
+
+(* Table 3: data footprint from the baseline run; provenance sizes from
+   the PASS run (Waldo database + indexes). *)
+let space_row name (base : System.space) (pass : System.space) =
+  let ext3 = mb base.sp_data_bytes in
+  let prov = mb pass.sp_db_bytes in
+  let total = mb (pass.sp_db_bytes + pass.sp_index_bytes) in
+  {
+    s_name = name;
+    ext3_mb = ext3;
+    prov_mb = prov;
+    prov_pct = (if ext3 > 0. then prov /. ext3 *. 100. else 0.);
+    total_mb = total;
+    total_pct = (if ext3 > 0. then total /. ext3 *. 100. else 0.);
+  }
 
 (* Build one configuration — the local volume, or an NFS mount of its own
    server — run [w] on it, then drain the client machine and then the
@@ -179,37 +206,18 @@ let run_drained ?registry ?tracer ?monitor ~nfs mode w =
 let run ~tracer ~monitor ~nfs w = run_drained ~tracer ~monitor ~nfs System.Pass w
 
 (* [registry] collects the telemetry of the PASS-configuration run only,
-   so its counters describe the provenance pipeline, not the baseline. *)
+   so its counters describe the provenance pipeline, not the baseline.
+   The baseline machine is read (clock and space) before the PASS run
+   starts, so it is not kept alive through it. *)
 let measure ~nfs ?registry w =
-  let base = System.elapsed_seconds (run_drained ~nfs System.Vanilla w) in
-  let pass = System.elapsed_seconds (run_drained ?registry ~nfs System.Pass w) in
-  { r_name = w.wl_name; base_seconds = base; pass_seconds = pass;
-    overhead_pct = overhead base pass }
-
-type space_row = {
-  s_name : string;
-  ext3_mb : float; (* baseline data footprint *)
-  prov_mb : float; (* provenance database *)
-  prov_pct : float;
-  total_mb : float; (* provenance + indexes *)
-  total_pct : float;
-}
-
-let mb bytes = float_of_int bytes /. (1024. *. 1024.)
-
-let measure_space w =
-  (* data footprint from the baseline run; provenance sizes from the PASS
-     run (Waldo database + indexes), as in Table 3 *)
-  let base_space = System.space (run_drained ~nfs:false System.Vanilla w) in
-  let space = System.space (run_drained ~nfs:false System.Pass w) in
-  let ext3 = mb base_space.System.sp_data_bytes in
-  let prov = mb space.System.sp_db_bytes in
-  let total = mb (space.System.sp_db_bytes + space.System.sp_index_bytes) in
+  let base = run_drained ~nfs System.Vanilla w in
+  let base_seconds = System.elapsed_seconds base and base_space = System.space base in
+  let pass = run_drained ?registry ~nfs System.Pass w in
+  let pass_seconds = System.elapsed_seconds pass in
   {
-    s_name = w.wl_name;
-    ext3_mb = ext3;
-    prov_mb = prov;
-    prov_pct = (if ext3 > 0. then prov /. ext3 *. 100. else 0.);
-    total_mb = total;
-    total_pct = (if ext3 > 0. then total /. ext3 *. 100. else 0.);
+    r_name = w.wl_name;
+    base_seconds;
+    pass_seconds;
+    overhead_pct = overhead base_seconds pass_seconds;
+    r_space = (if nfs then None else Some (space_row w.wl_name base_space (System.space pass)));
   }

@@ -60,11 +60,23 @@ val figure1_merged : figure1 -> Provdb.t
 (** Drain the workstation, then server A, then server B, and merge their
     three databases (in that order) into a fresh one. *)
 
+type space_row = {
+  s_name : string;
+  ext3_mb : float;
+  prov_mb : float;
+  prov_pct : float;
+  total_mb : float;
+  total_pct : float;
+}
+(** One Table 3 row: data footprint from the baseline run, provenance
+    database and index sizes from the PASS run. *)
+
 type row = {
   r_name : string;
   base_seconds : float;
   pass_seconds : float;
   overhead_pct : float;
+  r_space : space_row option;  (** Table 3's row, for a local run only *)
 }
 
 val run : tracer:Pvtrace.t -> monitor:Pvmon.t -> nfs:bool -> workload -> System.t
@@ -76,18 +88,6 @@ val run : tracer:Pvtrace.t -> monitor:Pvmon.t -> nfs:bool -> workload -> System.
 val measure : nfs:bool -> ?registry:Telemetry.registry -> workload -> row
 (** One Table 2 row: run the workload on the baseline (ext3, or with
     [nfs] plain NFS) and on PASSv2 (PA-NFS), each built, run and drained
-    as {!run} does, and compare clocks.  [registry] collects the
-    telemetry of the PASS run only. *)
-
-type space_row = {
-  s_name : string;
-  ext3_mb : float;
-  prov_mb : float;
-  prov_pct : float;
-  total_mb : float;
-  total_pct : float;
-}
-
-val measure_space : workload -> space_row
-(** One Table 3 row: data footprint from the baseline run, provenance
-    database and index sizes from the PASS run. *)
+    as {!run} does, and compare clocks; a local run also reads both
+    machines' space for Table 3.  [registry] collects the telemetry of
+    the PASS run only. *)

@@ -1,70 +1,8 @@
-(* Shared plumbing for the Table 2/3 workloads: chunked file I/O through
-   the simulated kernel (4 KB blocks, like the real programs whose
-   duplicate records the analyzer exists to eliminate), process spawning,
-   and a tiny deterministic RNG so runs are reproducible. *)
+(* Shared plumbing for the Table 2/3 workloads: deterministic payloads
+   and a tiny PRNG (runs must be identical across the baseline and PASS
+   configurations).  The workloads' processes and their file I/O are
+   {!Process}s. *)
 
-exception Error of Vfs.errno
-
-let ok = function Ok v -> v | Error e -> raise (Error e)
-
-let chunk = 4096
-
-let write_file sys ~pid ~path data =
-  let k = System.kernel sys in
-  let fd = ok (Kernel.open_file k ~pid ~path ~create:true) in
-  let len = String.length data in
-  let pos = ref 0 in
-  if len = 0 then ok (Kernel.write k ~pid ~fd ~data:"");
-  while !pos < len do
-    let n = min chunk (len - !pos) in
-    ok (Kernel.write k ~pid ~fd ~data:(String.sub data !pos n));
-    pos := !pos + n
-  done;
-  ok (Kernel.close k ~pid ~fd)
-
-let append_file sys ~pid ~path data =
-  let k = System.kernel sys in
-  let size = match Kernel.stat k ~path with Ok st -> st.Vfs.st_size | Error _ -> 0 in
-  let fd = ok (Kernel.open_file k ~pid ~path ~create:true) in
-  ok (Kernel.seek k ~pid ~fd ~off:size);
-  let len = String.length data in
-  let pos = ref 0 in
-  while !pos < len do
-    let n = min chunk (len - !pos) in
-    ok (Kernel.write k ~pid ~fd ~data:(String.sub data !pos n));
-    pos := !pos + n
-  done;
-  ok (Kernel.close k ~pid ~fd)
-
-let read_file sys ~pid ~path =
-  let k = System.kernel sys in
-  let fd = ok (Kernel.open_file k ~pid ~path ~create:false) in
-  let buf = Buffer.create chunk in
-  let rec loop () =
-    let s = ok (Kernel.read k ~pid ~fd ~len:chunk) in
-    if s <> "" then begin
-      Buffer.add_string buf s;
-      loop ()
-    end
-  in
-  loop ();
-  ok (Kernel.close k ~pid ~fd);
-  Buffer.contents buf
-
-(* fork + optional execve: a process that runs a named binary *)
-let spawn sys ?binary ?(argv = []) ?(env = [ "PATH=/vol0/bin" ]) ~parent () =
-  let k = System.kernel sys in
-  let pid = Kernel.fork k ~parent in
-  (match binary with
-  | Some path -> ok (Kernel.execve k ~pid ~path ~argv ~env)
-  | None -> ());
-  pid
-
-let exit sys ~pid = ok (Kernel.exit (System.kernel sys) ~pid)
-let cpu sys ns = Kernel.cpu (System.kernel sys) ns
-
-(* Deterministic payloads and PRNG (runs must be identical across the
-   baseline and PASS configurations). *)
 let payload ~seed ~len =
   let st = ref (seed * 2654435761) in
   String.init len (fun _ ->

@@ -11,8 +11,7 @@ let pass_system () = System.create ~mode:System.Pass ~machine:1 ~volume_names:[ 
 
 let setup () =
   let sys = pass_system () in
-  let pid = Kernel.fork (System.kernel sys) ~parent:Kernel.init_pid in
-  (sys, pid)
+  (sys, Process.spawn sys ~parent:Kernel.init_pid ())
 
 let test_workflow_validation () =
   let a = Actor.file_source ~name:"src" ~path:"/vol0/in" in
@@ -44,17 +43,17 @@ let test_schedule_is_topological () =
   check tbool "softmean before slicers" true (pos "softmean" < pos "slicer_x");
   check tbool "convert before sink" true (pos "convert_z" < pos "store_z")
 
-let run_challenge sys pid recording =
-  let io = Kepler_run.io_of_system sys ~pid in
+let run_challenge p recording =
+  let io = Kepler_run.io p in
   Challenge.prepare_inputs ~input_dir:"/vol0/in" io;
   let wf = Challenge.workflow ~input_dir:"/vol0/in" ~output_dir:"/vol0/out" in
-  Kepler_run.run ~recording sys ~pid wf
+  Kepler_run.run ~recording p wf
 
 let test_challenge_produces_outputs () =
-  let sys, pid = setup () in
-  let result = run_challenge sys pid Kepler_run.No_recording in
+  let _, p = setup () in
+  let result = run_challenge p Kepler_run.No_recording in
   check tint "all 18 actors fired" 18 (List.length result.Director.fired);
-  let io = Kepler_run.io_of_system sys ~pid in
+  let io = Kepler_run.io p in
   List.iter
     (fun plane ->
       let out = io.Actor.read_file (Printf.sprintf "/vol0/out/atlas-%s.gif" plane) in
@@ -63,23 +62,20 @@ let test_challenge_produces_outputs () =
 
 let test_outputs_deterministic_and_input_sensitive () =
   let run tweak =
-    let sys, pid = setup () in
-    let io = Kepler_run.io_of_system sys ~pid in
+    let _, p = setup () in
+    let io = Kepler_run.io p in
     Challenge.prepare_inputs ~input_dir:"/vol0/in" ~tweak io;
     let wf = Challenge.workflow ~input_dir:"/vol0/in" ~output_dir:"/vol0/out" in
-    ignore
-      (Kepler_run.run ~recording:Kepler_run.No_recording sys ~pid wf
-        : Director.result);
+    ignore (Kepler_run.run ~recording:Kepler_run.No_recording p wf : Director.result);
     io.Actor.read_file "/vol0/out/atlas-x.gif"
   in
   check tbool "same inputs, same output" true (String.equal (run "") (run ""));
   check tbool "different inputs, different output" false (String.equal (run "") (run "mod"))
 
 let test_text_recorder () =
-  let sys, pid = setup () in
-  ignore
-    (run_challenge sys pid (Kepler_run.Text_file "/vol0/kepler.log") : Director.result);
-  let io = Kepler_run.io_of_system sys ~pid in
+  let _, p = setup () in
+  ignore (run_challenge p (Kepler_run.Text_file "/vol0/kepler.log") : Director.result);
+  let io = Kepler_run.io p in
   let log = io.Actor.read_file "/vol0/kepler.log" in
   check tbool "operators logged" true
     (String.length log > 0
@@ -88,9 +84,9 @@ let test_text_recorder () =
          (String.split_on_char '\n' log))
 
 let test_relational_recorder () =
-  let sys, pid = setup () in
+  let _, p = setup () in
   let recorder, tables = Recorder.relational () in
-  let io = Kepler_run.io_of_system sys ~pid in
+  let io = Kepler_run.io p in
   Challenge.prepare_inputs ~input_dir:"/vol0/in" io;
   let wf = Challenge.workflow ~input_dir:"/vol0/in" ~output_dir:"/vol0/out" in
   ignore (Director.run ~recorder wf io : Director.result);
@@ -99,8 +95,8 @@ let test_relational_recorder () =
   check tbool "file events" true (List.length tables.Recorder.file_events >= 11)
 
 let test_dpapi_recorder_links_layers () =
-  let sys, pid = setup () in
-  ignore (run_challenge sys pid Kepler_run.Dpapi : Director.result);
+  let sys, p = setup () in
+  ignore (run_challenge p Kepler_run.Dpapi : Director.result);
   ignore (System.drain sys : int);
   let db = Option.get (System.waldo_db sys "vol0") in
   check tbool "db acyclic" true (Provdb.is_acyclic db);
@@ -128,17 +124,16 @@ let test_anomaly_scenario () =
      Kepler's own provenance is identical across runs (same operators,
      same parameters); the integrated provenance shows the second atlas
      descends from a *newer version* of anatomy2.img. *)
-  let sys, pid = setup () in
-  let io = Kepler_run.io_of_system sys ~pid in
+  let sys, p = setup () in
+  let io = Kepler_run.io p in
   Challenge.prepare_inputs ~input_dir:"/vol0/in" io;
   let wf = Challenge.workflow ~input_dir:"/vol0/in" ~output_dir:"/vol0/out" in
-  ignore (Kepler_run.run sys ~pid wf : Director.result);
+  ignore (Kepler_run.run p wf : Director.result);
   let first = io.Actor.read_file "/vol0/out/atlas-x.gif" in
   (* the colleague's silent modification, by another process *)
-  let colleague = Kernel.fork (System.kernel sys) ~parent:Kernel.init_pid in
-  let cio = Kepler_run.io_of_system sys ~pid:colleague in
+  let cio = Kepler_run.io (Process.spawn sys ~parent:Kernel.init_pid ()) in
   cio.Actor.write_file "/vol0/in/anatomy2.img" "anatomy-image-2-MODIFIED";
-  ignore (Kepler_run.run sys ~pid wf : Director.result);
+  ignore (Kepler_run.run p wf : Director.result);
   let second = io.Actor.read_file "/vol0/out/atlas-x.gif" in
   check tbool "outputs differ" false (String.equal first second);
   ignore (System.drain sys : int);

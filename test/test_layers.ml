@@ -12,9 +12,9 @@ let test_five_layer_stack () =
   (* layer 5: PASSv2 at the NFS server; layer 4: PA-NFS; layers 3-1: the
      interpreter, the library, the application *)
   let sys, server = Runner.nfs_system System.Pass in
-  let pid = Kernel.fork (System.kernel sys) ~parent:Kernel.init_pid in
+  let p = Process.spawn sys ~parent:Kernel.init_pid () in
   (* the provenance-aware library lives on the remote volume *)
-  Pyth.write_file sys ~pid "/vol0/lib/stats.py"
+  Process.write_file p "/vol0/lib/stats.py"
     {|def total(doc):
     import xml
     t = 0.0
@@ -24,8 +24,8 @@ let test_five_layer_stack () =
 def report(doc):
     return "total=" + str(total(doc))
 |};
-  Pyth.write_file sys ~pid "/vol0/data/readings.xml" {|<log><r v="1.5"/><r v="2.5"/></log>|};
-  let session = Pyth.create ~provenance:true ~module_dir:"/vol0/lib" sys ~pid () in
+  Process.write_file p "/vol0/data/readings.xml" {|<log><r v="1.5"/><r v="2.5"/></log>|};
+  let session = Pyth.create ~provenance:true ~module_dir:"/vol0/lib" p in
   (* note: the report string must come from a *wrapped* library function —
      a bare str() would launder the tag (the §6.5 lesson again) *)
   Pyth.run session
@@ -86,7 +86,7 @@ let test_measured_overheads_positive () =
   check tbool "pass slower than ext3" true (row.Runner.pass_seconds > row.Runner.base_seconds);
   check tbool "overhead positive and sane" true
     (row.Runner.overhead_pct > 0. && row.Runner.overhead_pct < 100.);
-  let sp = Runner.measure_space w in
+  let sp = Option.get row.Runner.r_space in
   check tbool "provenance space positive" true (sp.Runner.prov_mb > 0.);
   check tbool "indexes add space" true (sp.Runner.total_mb > sp.Runner.prov_mb)
 

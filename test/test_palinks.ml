@@ -13,7 +13,7 @@ let setup () =
   let sys = System.create ~mode:System.Pass ~machine:1 ~volume_names:[ "vol0" ] () in
   let pid = Kernel.fork (System.kernel sys) ~parent:Kernel.init_pid in
   let web = Web.synthetic () in
-  let browser = Browser.create ~web ~sys ~pid in
+  let browser = Browser.create ~web (Process.v sys ~pid) in
   (sys, pid, web, browser)
 
 (* --- web substrate --------------------------------------------------------- *)
@@ -125,7 +125,7 @@ let test_malware_scenario () =
   let k = System.kernel sys in
   let mal = Kernel.fork k ~parent:Kernel.init_pid in
   Helpers.ok_fs (Kernel.execve k ~pid:mal ~path:"/vol0/bin/codec" ~argv:[ "codec" ] ~env:[]);
-  let io = Kepler_run.io_of_system sys ~pid:mal in
+  let io = Kepler_run.io (Process.v sys ~pid:mal) in
   io.Actor.write_file "/vol0/home/infected1" "bad";
   io.Actor.write_file "/vol0/home/infected2" "bad";
   let db = drain_db sys in
@@ -149,7 +149,7 @@ let test_plain_browser_loses_provenance () =
   let sys = System.create ~mode:System.Vanilla ~machine:1 ~volume_names:[ "vol0" ] () in
   let pid = Kernel.fork (System.kernel sys) ~parent:Kernel.init_pid in
   let web = Web.synthetic () in
-  let browser = Browser.create ~web ~sys ~pid in
+  let browser = Browser.create ~web (Process.v sys ~pid) in
   check tbool "not provenance-aware on vanilla kernel" false (Browser.provenance_aware browser);
   let s = Browser.new_session browser in
   ignore (Browser.visit browser s (Web.site_url 0 0) : Web.resource);
@@ -157,7 +157,7 @@ let test_plain_browser_loses_provenance () =
     (Browser.download browser s ~url:(Web.download_url 0 "doc0.pdf") ~dest:"/vol0/d.pdf"
       : string);
   (* the data arrives, but nothing remembers where from *)
-  let io = Kepler_run.io_of_system sys ~pid in
+  let io = Kepler_run.io (Process.v sys ~pid) in
   check tbool "data written" true (String.length (io.Actor.read_file "/vol0/d.pdf") > 0)
 
 let test_session_revival () =
@@ -168,7 +168,7 @@ let test_session_revival () =
   ignore (Browser.visit browser s (Web.site_url 0 0) : Web.resource);
   Browser.save_sessions browser ~path:"/vol0/.browser-state";
   (* "restart": a new browser instance on the same machine *)
-  let browser2 = Browser.create ~web ~sys ~pid in
+  let browser2 = Browser.create ~web (Process.v sys ~pid) in
   Browser.restore_sessions browser2 ~path:"/vol0/.browser-state";
   (match browser2.Browser.sessions with
   | [ revived ] ->

@@ -981,13 +981,13 @@ type image = { i_nodes : (int * int * string * int * int) list; i_quads : (int *
 
 let parse_image s =
   let pos = ref 0 in
-  let format = match Wire.get_string s pos with "PROVDB2" -> 2 | "PROVDB3" -> 3 | _ -> 4 in
+  let _magic : string = Wire.get_string s pos in
   let node _ =
     let p = Wire.get_i64 s pos in
     let kind = Wire.get_u8 s pos in
     let name = Wire.get_string s pos in
     let maxv = Wire.get_i64 s pos in
-    (p, kind, name, maxv, if format >= 3 then Wire.get_i64 s pos else 0)
+    (p, kind, name, maxv, Wire.get_i64 s pos)
   in
   let i_nodes = List.init (Wire.get_u32 s pos) node in
   let quad _ =
@@ -997,9 +997,8 @@ let parse_image s =
   in
   { i_nodes; i_quads = List.init (Wire.get_u32 s pos) quad }
 
-(* Re-encode under [magic]: PROVDB2 drops the floors, and only a PROVDB4
-   image takes the index-stats footer the caller supplies. *)
-let build_image ~magic ?footer img =
+(* Re-encode under [magic], with the (edges, attrs) index-stats footer. *)
+let build_image ?(magic = "PROVDB4") ~footer img =
   let buf = Buffer.create 1024 in
   Wire.put_string buf magic;
   Wire.put_u32 buf (List.length img.i_nodes);
@@ -1009,7 +1008,7 @@ let build_image ~magic ?footer img =
       Wire.put_u8 buf kind;
       Wire.put_string buf name;
       Wire.put_i64 buf maxv;
-      if not (String.equal magic "PROVDB2") then Wire.put_i64 buf floor)
+      Wire.put_i64 buf floor)
     img.i_nodes;
   Wire.put_u32 buf (List.length img.i_quads);
   List.iter
@@ -1018,11 +1017,8 @@ let build_image ~magic ?footer img =
       Wire.put_i64 buf v;
       Record.encode buf r)
     img.i_quads;
-  Option.iter
-    (fun (edges, attrs) ->
-      Wire.put_i64 buf edges;
-      Wire.put_i64 buf attrs)
-    footer;
+  Wire.put_i64 buf (fst footer);
+  Wire.put_i64 buf (snd footer);
   Buffer.contents buf
 
 let footer_of s =
@@ -1030,11 +1026,11 @@ let footer_of s =
   let edges = Wire.get_i64 s pos in
   (edges, Wire.get_i64 s pos)
 
-(* The oracle: the node table alone (a footerless image without quads),
-   then every quad through add_record, one at a time, in image order. *)
-let replay_image ~magic img =
-  let magic = if String.equal magic "PROVDB2" then magic else "PROVDB3" in
-  let db = Provdb.deserialize (build_image ~magic { img with i_quads = [] }) in
+(* The oracle: the node table alone (an image without quads, so its
+   footer is (0, 0)), then every quad through add_record, one at a time,
+   in image order. *)
+let replay_image img =
+  let db = Provdb.deserialize (build_image ~footer:(0, 0) { img with i_quads = [] }) in
   List.iter (fun (p, v, r) -> Provdb.add_record db (Pnode.of_int p) ~version:v r) img.i_quads;
   db
 
@@ -1079,23 +1075,20 @@ let loads_like_replay image =
   let img = parse_image image in
   let footer = footer_of image in
   let shuffled = { img with i_quads = List.rev img.i_quads } in
-  let tampered =
-    build_image ~magic:"PROVDB4" ~footer:(fst footer, snd footer + 1) img
+  let corrupt image =
+    match Provdb.deserialize image with exception Wire.Corrupt _ -> true | _ -> false
   in
   Result.is_ok (Provdb.verify_indexes (Provdb.deserialize image))
-  && same_db (Provdb.deserialize image) (replay_image ~magic:"PROVDB4" img)
-  && same_db
-       (Provdb.deserialize (build_image ~magic:"PROVDB4" ~footer shuffled))
-       (replay_image ~magic:"PROVDB4" shuffled)
-  && List.for_all
-       (fun magic -> same_db (Provdb.deserialize (build_image ~magic img)) (replay_image ~magic img))
-       [ "PROVDB3"; "PROVDB2" ]
-  && match Provdb.deserialize tampered with exception Wire.Corrupt _ -> true | _ -> false
+  && same_db (Provdb.deserialize image) (replay_image img)
+  && same_db (Provdb.deserialize (build_image ~footer shuffled)) (replay_image shuffled)
+  && List.for_all (fun magic -> corrupt (build_image ~magic ~footer img)) [ "PROVDB3"; "PROVDB2" ]
+  && corrupt (build_image ~footer:(fst footer, snd footer + 1) img)
 
 (* The bulk loader builds what an add_record replay of the same image
-   builds — on random, merged and compacted dbs, on quads out of image
-   order and on pre-footer headers — and an archive segment loaded into
-   its hot tier equals the merge of the decoded segment. *)
+   builds — on random, merged and compacted dbs and on quads out of
+   image order — and rejects the retired PROVDB3/PROVDB2 headers and a
+   tampered footer; an archive segment loaded into its hot tier equals
+   the merge of the decoded segment. *)
 let prop_loader_matches_replay =
   QCheck2.Test.make ~name:"provdb: bulk loader = add_record replay" ~count:200
     QCheck2.Gen.(pair gen_graph gen_graph)

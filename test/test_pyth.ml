@@ -46,12 +46,12 @@ let pass_system () = System.create ~mode:System.Pass ~machine:1 ~volume_names:[ 
 
 let fresh ?(provenance = false) () =
   let sys = pass_system () in
-  let pid = Kernel.fork (System.kernel sys) ~parent:Kernel.init_pid in
-  let session = Pyth.create ~provenance ~module_dir:"/vol0/lib" sys ~pid () in
-  (sys, pid, session)
+  let p = Process.spawn sys ~parent:Kernel.init_pid () in
+  let session = Pyth.create ~provenance ~module_dir:"/vol0/lib" p in
+  (sys, p, session)
 
 let run_and_output source =
-  let _sys, _pid, s = fresh () in
+  let _sys, _p, s = fresh () in
   Pyth.run s source;
   Pyth.output s
 
@@ -139,7 +139,7 @@ print("b" in d)
 
 let test_runtime_errors () =
   let expect_error source =
-    let _sys, _pid, s = fresh () in
+    let _sys, _p, s = fresh () in
     match Pyth.run s source with
     | exception (Pyth_interp.Runtime_error _ | Pyth_value.Type_error _) -> ()
     | _ -> Alcotest.failf "expected runtime error for %S" source
@@ -162,7 +162,7 @@ let test_parse_errors () =
   expect_error "x = 'unterminated\n"
 
 let test_file_io_via_kernel () =
-  let sys, _pid, s = fresh () in
+  let sys, _p, s = fresh () in
   Pyth.run s
     {|writefile("/vol0/note.txt", "written by pyth")
 print(readfile("/vol0/note.txt"))
@@ -171,8 +171,8 @@ print(readfile("/vol0/note.txt"))
   ignore (sys : System.t)
 
 let test_import_module_from_disk () =
-  let sys, pid, s = fresh () in
-  Pyth.write_file sys ~pid "/vol0/lib/util.py"
+  let _, p, s = fresh () in
+  Process.write_file p "/vol0/lib/util.py"
     {|def double(x):
     return x * 2
 CONST = 21
@@ -183,8 +183,8 @@ print(util.double(util.CONST))
   check tstr "import" "42\n" (Pyth.output s)
 
 let test_xml_module () =
-  let sys, pid, s = fresh () in
-  Pyth.write_file sys ~pid "/vol0/data.xml"
+  let _, p, s = fresh () in
+  Process.write_file p "/vol0/data.xml"
     {|<log><entry v="1"/><entry v="2"/><entry v="3"/></log>|};
   Pyth.run s
     {|import xml
@@ -205,18 +205,18 @@ let drain_db sys =
   Option.get (System.waldo_db sys "vol0")
 
 let thermography_setup () =
-  let sys, pid, s = fresh ~provenance:true () in
+  let sys, p, s = fresh ~provenance:true () in
   (* 6 XML experiment logs; only stress="low" ones feed the plot *)
   for i = 1 to 6 do
     let stress = if i mod 2 = 0 then "high" else "low" in
-    Pyth.write_file sys ~pid
+    Process.write_file p
       (Printf.sprintf "/vol0/data/exp%d.xml" i)
       (Printf.sprintf
          {|<experiment stress="%s"><crack length="%d.5" heating="%d.25"/></experiment>|}
          stress i i)
   done;
   (* the analysis library, loaded from disk *)
-  Pyth.write_file sys ~pid "/vol0/lib/thermo.py"
+  Process.write_file p "/vol0/lib/thermo.py"
     {|def heating(doc):
     import xml
     cracks = xml.findall(doc, "crack")
@@ -225,7 +225,7 @@ let thermography_setup () =
         h = h + float(xml.attr(c, "heating"))
     return h
 |};
-  (sys, pid, s)
+  (sys, p, s)
 
 let analysis_script =
   {|import xml
@@ -248,7 +248,7 @@ let test_thermography_data_origin () =
   (* §3.3 use case 1: the script reads ALL the XML files but uses a
      subset.  PASS alone says the plot derives from all files; PA-Python
      narrows it to the documents actually used. *)
-  let sys, _pid, s = thermography_setup () in
+  let sys, _p, s = thermography_setup () in
   Pyth.run s analysis_script;
   let db = drain_db sys in
   check tbool "db acyclic" true (Provdb.is_acyclic db);
@@ -277,7 +277,7 @@ let test_thermography_data_origin () =
 let test_process_validation () =
   (* §3.3 use case 2: which outputs descend from both the calculation
      routine and the (upgraded) library file? *)
-  let sys, _pid, s = thermography_setup () in
+  let sys, _p, s = thermography_setup () in
   Pyth.run s analysis_script;
   let db = drain_db sys in
   let tainted =
@@ -290,8 +290,8 @@ let test_process_validation () =
 
 let test_builtin_operator_loses_provenance () =
   (* the §6.5 lesson: provenance is lost across built-in operators *)
-  let sys, pid, s = fresh ~provenance:true () in
-  Pyth.write_file sys ~pid "/vol0/in.xml" {|<d v="1"/>|};
+  let sys, p, s = fresh ~provenance:true () in
+  Process.write_file p "/vol0/in.xml" {|<d v="1"/>|};
   Pyth.run s
     {|import xml
 doc = xml.parse_file("/vol0/in.xml")
@@ -317,7 +317,7 @@ writefile("/vol0/laundered.out", laundered)
     (List.mem "in.xml" (fine_ancestry_of "laundered.out"))
 
 let test_invocation_counts () =
-  let sys, _pid, s = thermography_setup () in
+  let sys, _p, s = thermography_setup () in
   Pyth.run s analysis_script;
   (match s.Pyth.wrappers with
   | Some w -> check tbool "invocations recorded" true (Provwrap.invocation_count w > 10)

@@ -10,8 +10,7 @@ let tstr = Alcotest.string
 
 let run source =
   let sys = System.create ~mode:System.Vanilla ~machine:1 ~volume_names:[ "vol0" ] () in
-  let pid = Kernel.fork (System.kernel sys) ~parent:Kernel.init_pid in
-  let s = Pyth.create ~provenance:false sys ~pid () in
+  let s = Pyth.create ~provenance:false (Process.spawn sys ~parent:Kernel.init_pid ()) in
   Pyth.run s source;
   Pyth.output s
 
@@ -118,8 +117,7 @@ let test_string_iteration () =
 
 let test_call_counting () =
   let sys = System.create ~mode:System.Vanilla ~machine:1 ~volume_names:[ "vol0" ] () in
-  let pid = Kernel.fork (System.kernel sys) ~parent:Kernel.init_pid in
-  let s = Pyth.create ~provenance:false sys ~pid () in
+  let s = Pyth.create ~provenance:false (Process.spawn sys ~parent:Kernel.init_pid ()) in
   Pyth.run s "def f():\n    return 1\nx = f() + f() + len(\"ab\")\n";
   check tint "calls counted" 3 s.Pyth.interp.Pyth_interp.call_count
 

@@ -10,31 +10,8 @@ let tbool = Alcotest.bool
 
 let ok = Helpers.ok_fs
 
-(* A process writes a file in 4 KB chunks. *)
-let write_file sys ~pid ~path ~data =
-  let fd = ok (Kernel.open_file (System.kernel sys) ~pid ~path ~create:true) in
-  let len = String.length data in
-  let pos = ref 0 in
-  while !pos < len do
-    let n = min 4096 (len - !pos) in
-    ok (Kernel.write (System.kernel sys) ~pid ~fd ~data:(String.sub data !pos n));
-    pos := !pos + n
-  done;
-  ok (Kernel.close (System.kernel sys) ~pid ~fd)
-
-let read_file sys ~pid ~path =
-  let fd = ok (Kernel.open_file (System.kernel sys) ~pid ~path ~create:false) in
-  let buf = Buffer.create 4096 in
-  let rec loop () =
-    let chunk = ok (Kernel.read (System.kernel sys) ~pid ~fd ~len:4096) in
-    if chunk <> "" then begin
-      Buffer.add_string buf chunk;
-      loop ()
-    end
-  in
-  loop ();
-  ok (Kernel.close (System.kernel sys) ~pid ~fd);
-  Buffer.contents buf
+let write_file sys ~pid ~path ~data = Process.write_file (Process.v sys ~pid) path data
+let read_file sys ~pid ~path = Process.read_file (Process.v sys ~pid) path
 
 let pass_system () = System.create ~mode:System.Pass ~machine:1 ~volume_names:[ "vol0" ] ()
 
@@ -223,8 +200,7 @@ let test_app_disclosure_via_libpass () =
   let k = System.kernel sys in
   let pid = Kernel.fork k ~parent:Kernel.init_pid in
   write_file sys ~pid ~path:"/vol0/report.txt" ~data:"report";
-  let ep = Option.get (System.app_endpoint sys ~pid) in
-  let lp = Libpass.connect ~endpoint:ep ~pid in
+  let lp = Option.get (Process.libpass (Process.v sys ~pid)) in
   (* the application creates a semantic object (a "data set") and links the
      file to it *)
   let dataset = Libpass.mkobj ~typ:"DATASET" ~name:"experiment-42" lp in
@@ -250,9 +226,13 @@ let test_reviveobj_keeps_volume_error () =
   in
   let k = System.kernel sys in
   let pid = Kernel.fork k ~parent:Kernel.init_pid in
-  let ep = Option.get (System.app_endpoint sys ~pid) in
+  let lp = Option.get (Process.libpass (Process.v sys ~pid)) in
   let errs = Alcotest.testable (Fmt.of_to_string Dpapi.error_to_string) ( = ) in
-  let revive p v = Result.map (fun (h : Dpapi.handle) -> h.Dpapi.volume) (ep.pass_reviveobj p v) in
+  let revive p v =
+    match Libpass.reviveobj lp p v with
+    | h -> Ok h.Dpapi.volume
+    | exception Libpass.Pass_error e -> Error e
+  in
   List.iter
     (fun vol ->
       let path = Printf.sprintf "/%s/f" vol in
@@ -265,6 +245,39 @@ let test_reviveobj_keeps_volume_error () =
     [ "vol0"; "vol1" ];
   check Alcotest.(result (option string) errs) "a pnode no volume knows" (Error Dpapi.Enoent)
     (revive (Ctx.fresh (Kernel.ctx k)) 0)
+
+(* The program host on a vanilla and on a PASS kernel: a file of n bytes
+   is written with max 1 ⌈n/4096⌉ write calls (between its open and its
+   close) and reads back equal; append extends a file; a missing path
+   raises the host's error with ENOENT; libpass binds only on PASS. *)
+let test_process_host () =
+  List.iter
+    (fun (mode, name) ->
+      let sys = System.create ~mode ~machine:1 ~volume_names:[ "vol0" ] () in
+      let k = System.kernel sys in
+      let p = Process.spawn sys ~parent:Kernel.init_pid () in
+      List.iter
+        (fun n ->
+          let path = Printf.sprintf "/vol0/f%d" n and data = Helpers.payload ~seed:n ~len:n in
+          let before = Kernel.syscall_count k in
+          Process.write_file p path data;
+          check tint (Printf.sprintf "%s: writes for %d bytes" name n)
+            (max 1 ((n + 4095) / 4096))
+            (Kernel.syscall_count k - before - 2);
+          check tbool (Printf.sprintf "%s: %d bytes read back" name n) true
+            (String.equal data (Process.read_file p path)))
+        [ 0; 1; 4096; 4097 ];
+      Process.append_file p "/vol0/f1" "tail";
+      check Alcotest.string (name ^ ": append extends")
+        (Helpers.payload ~seed:1 ~len:1 ^ "tail")
+        (Process.read_file p "/vol0/f1");
+      (match Process.read_file p "/vol0/missing" with
+      | _ -> Alcotest.fail (name ^ ": missing file read")
+      | exception Process.Error e ->
+          check tbool (name ^ ": ENOENT") true (e = Vfs.ENOENT));
+      check tbool (name ^ ": libpass iff PASS") (mode = System.Pass)
+        (Option.is_some (Process.libpass p)))
+    [ (System.Vanilla, "vanilla"); (System.Pass, "pass") ]
 
 let suite =
   [
@@ -284,4 +297,5 @@ let suite =
       test_app_disclosure_via_libpass;
     Alcotest.test_case "reviveobj keeps the volume's error" `Quick
       test_reviveobj_keeps_volume_error;
+    Alcotest.test_case "process host on both kernels" `Quick test_process_host;
   ]
