@@ -551,14 +551,10 @@ let recovery_bench ~scale =
       Lasagna.create ~log_max:2048 ~lower:(Ext3.ops ext3) ~ctx ~volume:"vol0"
         ~charge:(Simdisk.Clock.advance clock) ()
     in
-    (* the control retains every log but never checkpoints: restart is
-       the original full-history replay *)
-    let policy = if checkpointed then Waldo.Every_frames 64 else Waldo.Manual in
-    let waldo =
-      Waldo.create ~policy
-        ?compact_keep:(if checkpointed then Some 2 else None)
-        ~lower:(Ext3.ops ext3) ()
-    in
+    (* the control never checkpoints: restart is the full-history replay *)
+    let policy = if checkpointed then Some (Waldo.Every_frames 64) else None in
+    let compact_keep = if checkpointed then Some 2 else None in
+    let waldo = Waldo.create ?policy ?compact_keep ~lower:(Ext3.ops ext3) () in
     Waldo.attach waldo lasagna;
     let ep = Lasagna.endpoint lasagna in
     let mk i =
@@ -587,9 +583,7 @@ let recovery_bench ~scale =
     let before_ns = Simdisk.Clock.now clock in
     let w2, info =
       okr "recover"
-        (Waldo.recover ~policy
-           ?compact_keep:(if checkpointed then Some 2 else None)
-           ~lower:(Ext3.ops ext3) ())
+        (Waldo.recover ?policy ?compact_keep ~lower:(Ext3.ops ext3) ())
     in
     let recover_ns = Simdisk.Clock.now clock - before_ns in
     (info, recover_ns, Provdb.total_bytes (Waldo.db w2))

@@ -204,7 +204,7 @@ let cmd_checkpoint volume json =
   let lasagna =
     Lasagna.create ~log_max:2048 ~lower ~ctx ~volume ~charge:(Clock.advance clock) ()
   in
-  let waldo = Waldo.create ~policy:Waldo.Manual ~compact_keep:1 ~lower () in
+  let waldo = Waldo.create ~compact_keep:1 ~lower () in
   Waldo.attach waldo lasagna;
   let ops = Lasagna.ops lasagna in
   let ep = Lasagna.endpoint lasagna in
@@ -366,14 +366,15 @@ let recordtypes_cmd =
   Cmd.v (Cmd.info "recordtypes" ~doc:"Print the Table 1 record-type registry")
     Term.(const cmd_recordtypes $ const ())
 
+(* The workload a command runs, by its Runner slug. *)
+let workload_arg =
+  Arg.(required & pos 0 (some string) None & info [] ~docv:"NAME"
+         ~doc:"Workload (linux-compile, postmark, mercurial-activity, blast, pa-kepler)")
+
 let workload_cmd =
-  let wl_name =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"NAME"
-           ~doc:"Workload name (linux compile, postmark, mercurial activity, blast, pa-kepler)")
-  in
   let nfs = Arg.(value & flag & info [ "nfs" ] ~doc:"Measure the NFS configuration instead") in
   Cmd.v (Cmd.info "workload" ~doc:"Run one Table 2 workload and print measurements")
-    Term.(const cmd_workload $ wl_name $ nfs)
+    Term.(const cmd_workload $ workload_arg $ nfs)
 
 let diff_cmd =
   Cmd.v
@@ -441,10 +442,6 @@ let cmd_trace name nfs json filter =
   else print_endline (Pvtrace.to_chrome ?filter tracer)
 
 let trace_cmd =
-  let wl_name =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"NAME"
-           ~doc:"Workload name (linux compile, postmark, mercurial activity, blast, pa-kepler)")
-  in
   let nfs =
     Arg.(value & flag & info [ "nfs" ] ~doc:"Trace the PA-NFS configuration instead")
   in
@@ -457,7 +454,7 @@ let trace_cmd =
     (Cmd.info "trace"
        ~doc:"Run one workload with tracing on and print the span flight recorder \
              (Chrome trace-event JSON by default; load it in Perfetto)")
-    Term.(const cmd_trace $ wl_name $ nfs $ json $ filter_arg ~what:"spans")
+    Term.(const cmd_trace $ workload_arg $ nfs $ json $ filter_arg ~what:"spans")
 
 (* Run one workload with the monitor (and the tracer it folds) enabled,
    ending with a forced scrape so end-of-run gauge values are captured,
@@ -476,10 +473,6 @@ let cmd_monitor name nfs json flamegraph =
   else print_string (Pvmon.to_openmetrics monitor)
 
 let monitor_cmd =
-  let wl_name =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"NAME"
-           ~doc:"Workload name (linux compile, postmark, mercurial activity, blast, pa-kepler)")
-  in
   let nfs =
     Arg.(value & flag & info [ "nfs" ] ~doc:"Monitor the PA-NFS configuration instead")
   in
@@ -500,7 +493,7 @@ let monitor_cmd =
              (OpenMetrics text by default — Prometheus-scrapable; --json for \
              the full pvmon/v1 artifact with time series, attribution, \
              alerts and slow ops; --flamegraph for collapsed stacks)")
-    Term.(const cmd_monitor $ wl_name $ nfs $ json $ flamegraph)
+    Term.(const cmd_monitor $ workload_arg $ nfs $ json $ flamegraph)
 
 let cmd_top name nfs =
   let monitor = run_monitored name nfs in

@@ -106,9 +106,8 @@ let create ?registry ?(log_max = 1 lsl 20) ?(idle_ns = 5_000_000_000) ?(now = fu
   (match Vfs.mkdir_p lower Checkpoint.pass_dir with
   | Ok _ -> ()
   | Error e -> Vfs.fatal "lasagna: cannot make .pass" e);
-  (* Remount over retained logs: when Waldo runs under a checkpoint
-     policy, processed logs stay on disk until a checkpoint covers them,
-     so the active log's sequence number must resume past whatever
+  (* Remount over retained logs: processed logs stay on disk until a
+     Waldo checkpoint covers them, so the active log's sequence number must resume past whatever
      log.<n> already exists (the old active log is left as-is and is
      replayed / covered like any closed log). *)
   let pass_dir, log_seq =

@@ -244,53 +244,6 @@ let get_series t name kind =
       Hashtbl.add t.series name s;
       s
 
-(* Merge one name's rows across watched registries, mirroring
-   Telemetry.snapshot's per-registry rules: counters sum, gauges take the
-   later registry (instances still summed so multi-instance gauges stay
-   visible), histogram counts and sums add with percentiles combined
-   conservatively (max). *)
-let merge_rows a b =
-  let open Telemetry in
-  match (a.se_kind, b.se_kind) with
-  | `Counter, `Counter ->
-      { a with se_value = a.se_value +. b.se_value;
-               se_instances = a.se_instances + b.se_instances }
-  | `Gauge, `Gauge ->
-      { b with se_instances = a.se_instances + b.se_instances }
-  | `Histogram, `Histogram ->
-      let s =
-        match (a.se_summary, b.se_summary) with
-        | Some x, Some y ->
-            Some
-              { count = x.count + y.count; sum = x.sum +. y.sum;
-                min = Float.min x.min y.min; max = Float.max x.max y.max;
-                p50 = Float.max x.p50 y.p50; p95 = Float.max x.p95 y.p95;
-                p99 = Float.max x.p99 y.p99 }
-        | Some x, None -> Some x
-        | None, s -> s
-      in
-      { a with se_value = a.se_value +. b.se_value;
-               se_instances = a.se_instances + b.se_instances;
-               se_summary = s }
-  | _ -> b (* kind clash: later registration wins, like the registry *)
-
-let collect t =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun reg ->
-      List.iter
-        (fun row ->
-          let name = row.Telemetry.se_name in
-          match Hashtbl.find_opt tbl name with
-          | None -> Hashtbl.add tbl name row
-          | Some prev -> Hashtbl.replace tbl name (merge_rows prev row))
-        (Telemetry.series_snapshot reg))
-    t.registries;
-  let rows = Hashtbl.fold (fun _ r acc -> r :: acc) tbl [] in
-  List.sort
-    (fun a b -> String.compare a.Telemetry.se_name b.Telemetry.se_name)
-    rows
-
 let source_value t src =
   let name =
     match src with
@@ -364,7 +317,7 @@ let scrape t ts =
             ring_push s.ts_points { pt_ns = ts; pt_value = p99 }
         | _ -> () (* a name changed kind mid-run: keep the first kind *));
         ())
-      (collect t);
+      (Telemetry.series_snapshot t.registries);
     eval_rules t ts;
     t.last_scrape_ns <- ts;
     t.scrape_count <- t.scrape_count + 1

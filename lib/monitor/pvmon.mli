@@ -78,11 +78,10 @@ val create :
 val enabled : t -> bool
 
 val watch : t -> Telemetry.registry -> unit
-(** Add a registry to the scrape set.  Aggregation across registries
-    mirrors {!Telemetry.snapshot} within one: counters sum, gauges take
-    the later registry's value (instance counts still sum, so
-    multi-instance gauges stay tagged), histograms combine
-    conservatively. *)
+(** Add a registry to the scrape set.  A scrape reads the set through
+    {!Telemetry.series_snapshot}: counters sum, the later registration's
+    gauge wins (instance counts still sum, so multi-instance gauges stay
+    tagged), histogram reservoirs merge. *)
 
 val attach_tracer : t -> Pvtrace.t -> unit
 (** Install the monitor as [tracer]'s completion sink

@@ -116,10 +116,10 @@ let download t s ~url ~dest =
 
 (* --- session persistence (the Firefox lesson, §6.5) ----------------------- *)
 
-(* Save sessions to a state file: (id, pnode, version) triples. *)
+(* Save sessions to a state file: (id, pnode, version) triples.  Each
+   live session is made durable before the file records it. *)
 let save_sessions t ~path =
-  let k = Process.kernel t.proc and pid = Process.pid t.proc in
-  let ctx = Kernel.ctx k in
+  let ctx = Kernel.ctx (Process.kernel t.proc) in
   let buf = Buffer.create 128 in
   List.iter
     (fun s ->
@@ -128,33 +128,13 @@ let save_sessions t ~path =
            (Pnode.to_int s.handle.Dpapi.pnode)
            (Ctx.current_version ctx s.handle.Dpapi.pnode)))
     t.sessions;
-  match Kernel.open_file k ~pid ~path ~create:true with
-  | Error e -> raise (Browser_error (Vfs.errno_to_string e))
-  | Ok fd -> (
-      (* make each live session durable before recording it *)
-      (match t.lp with
-      | Some lp -> List.iter (fun s -> Libpass.sync lp s.handle) t.sessions
-      | None -> ());
-      match Kernel.write k ~pid ~fd ~data:(Buffer.contents buf) with
-      | Ok () ->
-          let _ : (unit, Vfs.errno) result = Kernel.close k ~pid ~fd in
-          ()
-      | Error e -> raise (Browser_error (Vfs.errno_to_string e)))
+  Option.iter (fun lp -> List.iter (fun s -> Libpass.sync lp s.handle) t.sessions) t.lp;
+  Process.write_file t.proc path (Buffer.contents buf)
 
 (* Restore sessions after a restart: revive each object so further
    provenance lands on the same session. *)
 let restore_sessions t ~path =
-  let k = Process.kernel t.proc and pid = Process.pid t.proc in
-  let data =
-    match Kernel.open_file k ~pid ~path ~create:false with
-    | Error e -> raise (Browser_error (Vfs.errno_to_string e))
-    | Ok fd -> (
-        match Kernel.read k ~pid ~fd ~len:1_000_000 with
-        | Ok d ->
-            let _ : (unit, Vfs.errno) result = Kernel.close k ~pid ~fd in
-            d
-        | Error e -> raise (Browser_error (Vfs.errno_to_string e)))
-  in
+  let data = Process.read_file t.proc path in
   let lines = String.split_on_char '\n' data |> List.filter (fun l -> l <> "") in
   List.iter
     (fun line ->

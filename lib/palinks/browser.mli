@@ -44,8 +44,10 @@ val download : t -> session -> url:string -> dest:string -> string
     the final URL.  @raise Browser_error. *)
 
 val save_sessions : t -> path:string -> unit
-(** Persist sessions (making each durable with pass_sync first). *)
+(** Persist sessions (making each durable with pass_sync first).
+    @raise Process.Error when the state file cannot be written. *)
 
 val restore_sessions : t -> path:string -> unit
 (** Revive saved sessions so further provenance lands on the same
-    objects. *)
+    objects.  @raise Process.Error when the state file cannot be read;
+    @raise Browser_error on a malformed line. *)

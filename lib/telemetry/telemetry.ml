@@ -426,10 +426,11 @@ let validate_prefix prefix =
    registration, histograms merge (exact moments combine; reservoirs
    concatenate, which keeps percentiles representative). *)
 
-let grouped t =
+let grouped regs =
   let tbl = Hashtbl.create 64 in
   let order = ref [] in
-  (* instruments list is newest-first; walk oldest-first *)
+  (* each instruments list is newest-first; walk the registries in order,
+     each oldest-first, so a later registry's registrations are newer *)
   List.iter
     (fun (name, i) ->
       match Hashtbl.find_opt tbl name with
@@ -437,7 +438,7 @@ let grouped t =
       | None ->
           Hashtbl.add tbl name (ref [ i ]);
           order := name :: !order)
-    (List.rev t.instruments);
+    (List.concat_map (fun t -> List.rev t.instruments) regs);
   List.rev_map (fun name -> (name, List.rev !(Hashtbl.find tbl name))) !order
 
 let merged_summary hs =
@@ -468,9 +469,10 @@ let counter_value t name =
 
 (* --- series snapshots ------------------------------------------------------- *)
 
-(* One row per instrument name: the aggregation rules live here, and
-   [snapshot] below is the JSON view of these rows.  Scrapers (pvmon) also
-   get what the JSON view drops: the kind of each name and how many
+(* One row per instrument name across the given registries: the
+   aggregation rules live here, and [snapshot] below is the JSON view of
+   one registry's rows.  Scrapers (pvmon) read several registries and get
+   what the JSON view drops: the kind of each name and how many
    instrument instances were folded into it.  The instance count is what
    lets a scraper tag last-registered-wins gauges instead of silently
    presenting one instance's value as the truth. *)
@@ -483,12 +485,12 @@ type series = {
   se_summary : summary option;
 }
 
-let series_snapshot ?filter t =
+let series_snapshot ?filter regs =
   let groups =
     match filter with
-    | None -> grouped t
+    | None -> grouped regs
     | Some prefix ->
-        List.filter (fun (name, _) -> name_under ~prefix name) (grouped t)
+        List.filter (fun (name, _) -> name_under ~prefix name) (grouped regs)
   in
   let rows =
     List.filter_map
@@ -529,7 +531,7 @@ let series_snapshot ?filter t =
 
 (* The JSON view of the series rows: one object per kind, keys sorted. *)
 let snapshot ?filter t =
-  let rows = series_snapshot ?filter t in
+  let rows = series_snapshot ?filter [ t ] in
   let section kind json =
     Json.Obj
       (List.filter_map

@@ -155,7 +155,9 @@ type series = {
   se_summary : summary option;  (** histograms only *)
 }
 
-val series_snapshot : ?filter:string -> registry -> series list
-(** One row per instrument name, sorted by name; [filter] as in
-    {!snapshot}. *)
+val series_snapshot : ?filter:string -> registry list -> series list
+(** One row per instrument name across the registries, sorted by name;
+    [filter] as in {!snapshot}.  Same-named instruments aggregate by the
+    one rule whichever registry holds them, a later registry's counting
+    as later registrations. *)
 

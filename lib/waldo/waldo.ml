@@ -2,12 +2,14 @@
    WAP logs into the database and serves the query engine.
 
    The kernel closes a log when it exceeds a maximum size or goes dormant;
-   Waldo is notified (inotify in the paper, a callback here), processes
-   the log, and removes it.  Waldo also resolves PA-NFS transactions:
-   bundles tagged with a transaction id are buffered until the ENDTXN
-   record arrives; orphaned transactions — a client that crashed after
-   OP_BEGINTXN but before completing — are discarded at finalize time,
-   which is exactly the recovery story of Section 6.1.2. *)
+   Waldo is notified (inotify in the paper, a callback here) and ingests
+   the log, which stays on disk until a checkpoint covers it (write-ahead
+   provenance: until then the db is only a cache of the logs).  Waldo
+   also resolves PA-NFS transactions: bundles tagged with a transaction
+   id are buffered until the ENDTXN record arrives; orphaned
+   transactions — a client that crashed after OP_BEGINTXN but before
+   completing — are discarded at finalize time, which is exactly the
+   recovery story of Section 6.1.2. *)
 
 module Pvalue = Pass_core.Pvalue
 module Record = Pass_core.Record
@@ -26,12 +28,10 @@ type instruments = {
   txns_pending : Telemetry.gauge; (* waldo.pending_txns *)
 }
 
-(* When to take a checkpoint.  [Disabled] preserves the original
-   behaviour: every processed log is removed immediately and nothing is
-   snapshotted, so recovery replays whatever logs remain.  [Manual] and
-   [Every_frames] switch to retention mode — processed logs stay on disk
-   until a durable checkpoint covers them. *)
-type policy = Disabled | Manual | Every_frames of int
+(* When to take a checkpoint.  Under both policies a processed log stays
+   on disk until a durable checkpoint covers it; [Every_frames] also
+   takes that checkpoint itself. *)
+type policy = Manual | Every_frames of int
 
 type t = {
   mutable db : Provdb.t; (* replaced by checkpoint compaction and recover *)
@@ -48,7 +48,7 @@ type t = {
   i : instruments;
 }
 
-let create ?registry ?(tracer = Pvtrace.disabled) ?(policy = Disabled)
+let create ?registry ?(tracer = Pvtrace.disabled) ?(policy = Manual)
     ?compact_keep ~lower () =
   let c name = Telemetry.counter ?registry ("waldo." ^ name) in
   let g name = Telemetry.gauge ?registry ("waldo." ^ name) in
@@ -243,11 +243,9 @@ let checkpoint t =
   in
   Ok ()
 
-(* Process one closed log: read it and ingest every frame.  Without a
-   checkpoint policy the log is removed immediately (the original
-   behaviour); under [Manual] / [Every_frames] it is retained until a
-   durable checkpoint covers it, and [Every_frames] triggers that
-   checkpoint from here. *)
+(* Process one closed log: read it and ingest every frame.  The log is
+   retained until a durable checkpoint covers it; [Every_frames]
+   triggers that checkpoint from here. *)
 let process_log t ~dir ~name =
   let* () =
     Pvtrace.span t.tracer ~layer:"waldo" ~op:"process_log" @@ fun () ->
@@ -261,11 +259,6 @@ let process_log t ~dir ~name =
     (match Checkpoint.log_seq name with
     | Some seq when seq + 1 > t.next_watermark -> t.next_watermark <- seq + 1
     | _ -> ());
-    let* () =
-      match t.policy with
-      | Disabled -> t.lower.Vfs.unlink ~dir name
-      | Manual | Every_frames _ -> Ok ()
-    in
     Telemetry.incr t.i.logs_processed;
     Ok ()
   in

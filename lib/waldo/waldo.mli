@@ -7,13 +7,12 @@
 
 type t
 
-type policy = Disabled | Manual | Every_frames of int
-(** When to take a checkpoint.  [Disabled] (the default) takes no
-    automatic snapshot and removes processed logs immediately; an
-    explicit {!checkpoint} still works under it.  [Manual] retains
-    processed logs until an explicit {!checkpoint} covers them;
-    [Every_frames n] additionally triggers a checkpoint after every [n]
-    ingested frames. *)
+type policy = Manual | Every_frames of int
+(** When to take a checkpoint.  Under either policy a processed log
+    stays on disk until a {!checkpoint} covers it, so a restart without
+    one replays every log.  [Manual] (the default) checkpoints only when
+    {!checkpoint} is called; [Every_frames n] also checkpoints after
+    every [n] ingested frames. *)
 
 val create :
   ?registry:Telemetry.registry ->
@@ -38,7 +37,8 @@ val attach : t -> Lasagna.t -> unit
     simulated inotify). *)
 
 val process_log : t -> dir:Vfs.ino -> name:string -> (unit, Vfs.errno) result
-(** Ingest one closed log file and remove it. *)
+(** Ingest one closed log file.  The file stays on disk until a
+    {!checkpoint} covers it. *)
 
 val pending_txns : t -> int list
 (** Transaction ids buffered but not yet ENDTXN-committed, sorted.  After

@@ -57,15 +57,17 @@ let standard ?(scale = 1.0) () =
     };
   ]
 
-(* A workload of {!standard} by its lowercased name; the error lists them. *)
+(* A workload of {!standard} by its slug: the name lowercased, spaces
+   turned into '-'.  The error lists the slugs. *)
 let find name =
   let wls = standard () in
-  match List.find_opt (fun w -> String.lowercase_ascii w.wl_name = name) wls with
+  let slug w = String.map (function ' ' -> '-' | c -> c) (String.lowercase_ascii w.wl_name) in
+  match List.find_opt (fun w -> String.equal (slug w) name) wls with
   | Some w -> Ok w
   | None ->
       Error
         (Printf.sprintf "unknown workload %S; try: %s" name
-           (String.concat ", " (List.map (fun w -> String.lowercase_ascii w.wl_name) wls)))
+           (String.concat ", " (List.map slug wls)))
 
 (* --- configurations -------------------------------------------------------- *)
 

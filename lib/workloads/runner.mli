@@ -11,8 +11,10 @@ val standard : ?scale:float -> unit -> workload list
     PA-Kepler); [scale] shrinks the op counts for quick runs. *)
 
 val find : string -> (workload, string) result
-(** The {!standard} workload whose lowercased name is the argument; the
-    error message names the workloads there are. *)
+(** The {!standard} workload whose slug — the name lowercased, spaces
+    turned into [-] — is the argument: [linux-compile], [postmark],
+    [mercurial-activity], [blast] or [pa-kepler].  The error message
+    lists the slugs. *)
 
 val local_system :
   ?registry:Telemetry.registry ->

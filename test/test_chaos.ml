@@ -583,9 +583,9 @@ let test_latent_corruption_reported () =
 
 (* --- crashes during checkpoint / truncate / archive -------------------------- *)
 
-(* A local Lasagna+Waldo rig with a checkpoint policy; the disk is
-   exposed so the sweep can pull the plug at a chosen write tick. *)
-let ckpt_rig ~registry ?policy ?compact_keep () =
+(* A local Lasagna+Waldo rig; the disk is exposed so the sweep can pull
+   the plug at a chosen write tick. *)
+let ckpt_rig ~registry ?compact_keep () =
   let clock = Clock.create () in
   let disk = Disk.create ~registry ~clock () in
   let ext3 = Ext3.format disk in
@@ -593,7 +593,7 @@ let ckpt_rig ~registry ?policy ?compact_keep () =
     Lasagna.create ~registry ~log_max:256 ~lower:(Ext3.ops ext3)
       ~ctx:(Ctx.create ~machine:1) ~volume:"vol0" ~charge:(Clock.advance clock) ()
   in
-  let waldo = Waldo.create ~registry ?policy ?compact_keep ~lower:(Ext3.ops ext3) () in
+  let waldo = Waldo.create ~registry ?compact_keep ~lower:(Ext3.ops ext3) () in
   Waldo.attach waldo lasagna;
   (disk, ext3, lasagna, waldo)
 
@@ -634,7 +634,7 @@ let test_crash_during_checkpoint_sweep () =
   let reference, ckpt_writes =
     let registry = Telemetry.create () in
     let _disk, _ext3, lasagna, waldo =
-      ckpt_rig ~registry ~policy:Waldo.Manual ~compact_keep:1 ()
+      ckpt_rig ~registry ~compact_keep:1 ()
     in
     ignore (ckpt_workload lasagna waldo : Dpapi.handle array);
     let before = tv registry "disk.writes" in
@@ -659,7 +659,7 @@ let test_crash_during_checkpoint_sweep () =
     (fun k ->
       let registry = Telemetry.create () in
       let disk, _ext3, lasagna, waldo =
-        ckpt_rig ~registry ~policy:Waldo.Manual ~compact_keep:1 ()
+        ckpt_rig ~registry ~compact_keep:1 ()
       in
       ignore (ckpt_workload lasagna waldo : Dpapi.handle array);
       Disk.schedule_crash disk ~after_writes:k;
@@ -668,7 +668,7 @@ let test_crash_during_checkpoint_sweep () =
       let ext3 = Ext3.mount disk in
       let lower = Ext3.ops ext3 in
       let w2, info =
-        ok_fs (Waldo.recover ~registry ~policy:Waldo.Manual ~compact_keep:1 ~lower ())
+        ok_fs (Waldo.recover ~registry ~compact_keep:1 ~lower ())
       in
       (if info.Waldo.ri_manifest then begin
          (* the MANIFEST rename had landed: the new checkpoint wins *)
@@ -709,8 +709,7 @@ let test_crash_during_checkpoint_sweep () =
 let test_txn_across_checkpoint_boundary () =
   let run ~checkpointed () =
     let registry = Telemetry.create () in
-    let policy = if checkpointed then Waldo.Manual else Waldo.Disabled in
-    let disk, ext3, lasagna, waldo = ckpt_rig ~registry ~policy () in
+    let disk, ext3, lasagna, waldo = ckpt_rig ~registry () in
     let ep = Lasagna.endpoint lasagna in
     let h = ok (ep.Dpapi.pass_mkobj ~volume:(Some "vol0")) in
     ok (Dpapi.disclose ep h [ Record.name "txn-straddle" ]);
@@ -728,7 +727,7 @@ let test_txn_across_checkpoint_boundary () =
         Disk.crash disk;
         Disk.revive disk;
         let ext3 = Ext3.mount disk in
-        let w2, info = ok_fs (Waldo.recover ~registry ~policy ~lower:(Ext3.ops ext3) ()) in
+        let w2, info = ok_fs (Waldo.recover ~registry ~lower:(Ext3.ops ext3) ()) in
         let l2 =
           Lasagna.create ~registry ~log_max:256 ~lower:(Ext3.ops ext3)
             ~ctx:(Ctx.create ~machine:1) ~volume:"vol0" ~charge:(fun _ -> ()) ()
@@ -803,7 +802,7 @@ let test_indexes_consistent_after_crash_and_archive () =
   let archived_glob = {|select F from Provenance.object as F where F.name ~ "legacy*"|} in
   let registry = Telemetry.create () in
   let disk, _ext3, lasagna, waldo =
-    ckpt_rig ~registry ~policy:Waldo.Manual ~compact_keep:1 ()
+    ckpt_rig ~registry ~compact_keep:1 ()
   in
   ignore (ckpt_workload ~alias:true lasagna waldo : Dpapi.handle array);
   verify "after ingestion" (Waldo.db waldo);
@@ -817,7 +816,7 @@ let test_indexes_consistent_after_crash_and_archive () =
   Disk.revive disk;
   let ext3 = Ext3.mount disk in
   let w2, info =
-    ok_fs (Waldo.recover ~registry ~policy:Waldo.Manual ~compact_keep:1 ~lower:(Ext3.ops ext3) ())
+    ok_fs (Waldo.recover ~registry ~compact_keep:1 ~lower:(Ext3.ops ext3) ())
   in
   check tbool "recovery saw archive segments" true (info.Waldo.ri_archives > 0);
   let db = Waldo.db w2 in

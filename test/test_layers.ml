@@ -121,6 +121,70 @@ let test_batching_on_off_same_graph () =
         [ ("local", local); ("nfs", nfs) ])
     (Runner.standard ~scale:0.2 ())
 
+(* Write-ahead provenance (§5.5) on the machines the harness builds,
+   which take no checkpoint: every standard workload, locally and on the
+   PA-NFS server, is drained, its disk crashes, and a Waldo restarted on
+   the remounted volume rebuilds the live graph byte for byte from the
+   WAP logs alone. *)
+let test_workloads_survive_a_crash () =
+  let local (w : Runner.workload) =
+    let sys = Runner.local_system System.Pass in
+    w.run sys;
+    ignore (System.drain sys : int);
+    let vol = Option.get (System.find_volume sys "vol0") in
+    (vol.System.v_disk, Option.get (System.waldo_db sys "vol0"))
+  in
+  let nfs (w : Runner.workload) =
+    let sys, server = Runner.nfs_system System.Pass in
+    w.run sys;
+    ignore (System.drain sys : int);
+    ignore (Server.drain server : int);
+    (Server.disk server, Option.get (Server.db server))
+  in
+  List.iter
+    (fun (w : Runner.workload) ->
+      List.iter
+        (fun (where, machine) ->
+          let what = Printf.sprintf "%s %s" w.wl_name where in
+          let disk, live = machine w in
+          Simdisk.Disk.crash disk;
+          Simdisk.Disk.revive disk;
+          let lower = Ext3.ops (Ext3.mount disk) in
+          let waldo, _info = Helpers.ok_fs (Waldo.recover ~lower ()) in
+          let db = Waldo.db waldo in
+          check tbool (what ^ ": provenance recorded") true (Provdb.node_count live > 0);
+          check tbool (what ^ ": recovered graph equals the live one") true
+            (String.equal (Provdb.serialize live) (Provdb.serialize db));
+          let report = Pvcheck.check_db db in
+          if not (Pvcheck.clean report) then
+            Alcotest.failf "%s: recovered graph:@ %a" what Pvcheck.pp_report report)
+        [ ("local", local); ("nfs", nfs) ])
+    (Runner.standard ~scale:0.1 ())
+
+(* The command line names workloads by slug; the display name is not
+   accepted, and the error lists the slugs. *)
+let test_workload_slugs () =
+  List.iter
+    (fun (slug, name) ->
+      match Runner.find slug with
+      | Ok w -> check Alcotest.string slug name w.Runner.wl_name
+      | Error msg -> Alcotest.failf "%s: %s" slug msg)
+    [ ("linux-compile", "Linux Compile"); ("postmark", "Postmark");
+      ("mercurial-activity", "Mercurial Activity"); ("blast", "Blast");
+      ("pa-kepler", "PA-Kepler") ];
+  List.iter
+    (fun name ->
+      match Runner.find name with
+      | Ok _ -> Alcotest.failf "%S resolved" name
+      | Error msg ->
+          check Alcotest.string (name ^ ": error lists the slugs")
+            (Printf.sprintf
+               "unknown workload %S; try: linux-compile, postmark, mercurial-activity, blast, \
+                pa-kepler"
+               name)
+            msg)
+    [ "linux compile"; "mercurial"; "nope" ]
+
 let test_compile_ancestry_depth () =
   (* after the compile workload, vmlinux's ancestry reaches the original
      sources through two link stages and the compile processes *)
@@ -146,6 +210,9 @@ let suite =
     Alcotest.test_case "workloads are deterministic" `Slow test_workloads_deterministic;
     Alcotest.test_case "measured overheads are sane" `Slow test_measured_overheads_positive;
     Alcotest.test_case "compile ancestry depth" `Quick test_compile_ancestry_depth;
+    Alcotest.test_case "workloads resolve by slug" `Quick test_workload_slugs;
+    Alcotest.test_case "workloads' provenance survives a crash" `Quick
+      test_workloads_survive_a_crash;
     Alcotest.test_case "batching on/off leaves the graph unchanged" `Quick
       test_batching_on_off_same_graph;
   ]

@@ -160,6 +160,18 @@ let test_plain_browser_loses_provenance () =
   let io = Kepler_run.io (Process.v sys ~pid) in
   check tbool "data written" true (String.length (io.Actor.read_file "/vol0/d.pdf") > 0)
 
+(* A state file past 1 MB is read whole: 100 000 lines of 11 bytes, so
+   a reader that stopped at 1 000 000 bytes would end mid-line and find
+   a corrupt session.  On a vanilla kernel there is nothing to revive. *)
+let test_restore_large_session_file () =
+  let sys = System.create ~mode:System.Vanilla ~machine:1 ~volume_names:[ "vol0" ] () in
+  let proc = Process.spawn sys ~parent:Kernel.init_pid () in
+  let state = String.concat "" (List.init 100_000 (fun _ -> "123456 7 8\n")) in
+  Process.write_file proc "/vol0/.browser-state" state;
+  let browser = Browser.create ~web:(Web.synthetic ()) proc in
+  Browser.restore_sessions browser ~path:"/vol0/.browser-state";
+  check tbool "nothing revived on a vanilla kernel" true (browser.Browser.sessions = [])
+
 let test_session_revival () =
   (* the Firefox lesson (§6.5): save sessions, restart, revive, and keep
      recording onto the same session object *)
@@ -197,6 +209,8 @@ let suite =
     Alcotest.test_case "attribution survives rename (§3.2)" `Quick
       test_attribution_survives_rename;
     Alcotest.test_case "malware source + spread (§3.2)" `Quick test_malware_scenario;
+    Alcotest.test_case "a session file over 1 MB restores" `Quick
+      test_restore_large_session_file;
     Alcotest.test_case "plain browser loses provenance" `Quick
       test_plain_browser_loses_provenance;
     Alcotest.test_case "session save/revive (§6.5 lesson)" `Quick test_session_revival;

@@ -143,7 +143,6 @@ let test_fsck_agrees_with_restart () =
       check tint (what ^ ": live quads") 20 (Provdb.quad_count live);
       check_agreement what ~live (crash_and_remount disk))
     [
-      ("Disabled", Waldo.Disabled);
       ("Manual", Waldo.Manual);
       ("Every_frames 8", Waldo.Every_frames 8);
     ]
@@ -152,7 +151,7 @@ let test_fsck_agrees_with_restart () =
    checkpoint directory: the image is a stray, not a second restart
    path, so fsck and recover both replay the retained logs and drop it. *)
 let test_fsck_ignores_stray_image () =
-  let disk, lower, lasagna, waldo = rig ~policy:Waldo.Manual () in
+  let disk, lower, lasagna, waldo = rig () in
   ingest_objects lasagna waldo 10;
   let stray = Checkpoint.path "db.dat" in
   ignore
@@ -167,7 +166,7 @@ let test_fsck_ignores_stray_image () =
    never a half-loaded or partial graph. *)
 let test_damaged_checkpoint_is_eio () =
   let damaged name =
-    let disk, _lower, lasagna, waldo = rig ~policy:Waldo.Manual ~compact_keep:1 () in
+    let disk, _lower, lasagna, waldo = rig ~compact_keep:1 () in
     let ep = Lasagna.endpoint lasagna in
     let hs = Array.init 4 (fun _ -> Helpers.ok (ep.pass_mkobj ~volume:(Some "vol0"))) in
     for round = 1 to 3 do

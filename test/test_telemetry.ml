@@ -209,16 +209,40 @@ let test_gauge_last_registered_wins () =
   let g2 = Telemetry.gauge ~registry:reg "t.mg" in
   Telemetry.set g1 10.;
   Telemetry.set g2 3.;
-  (match Telemetry.series_snapshot reg with
+  (match Telemetry.series_snapshot [ reg ] with
   | [ s ] ->
       check tfloat "last registered wins" 3.0 s.Telemetry.se_value;
       check tint "both instances counted" 2 s.Telemetry.se_instances
   | l -> Alcotest.failf "expected one series, got %d" (List.length l));
   (* updating the earlier instrument cannot shadow the later one *)
   Telemetry.set g1 99.;
-  match Telemetry.series_snapshot reg with
+  match Telemetry.series_snapshot [ reg ] with
   | [ s ] -> check tfloat "earlier instrument stays shadowed" 3.0 s.Telemetry.se_value
   | _ -> Alcotest.fail "series vanished"
+
+(* Several registries aggregate by the same rule as one: counters sum,
+   the later registry's gauge wins, and histogram reservoirs merge, so
+   the percentiles are those of one histogram that saw every sample. *)
+let test_series_across_registries () =
+  let a = Telemetry.create () and b = Telemetry.create () in
+  Telemetry.add (Telemetry.counter ~registry:a "s.c") 3;
+  Telemetry.add (Telemetry.counter ~registry:b "s.c") 4;
+  Telemetry.set (Telemetry.gauge ~registry:b "s.g") 2.;
+  Telemetry.set (Telemetry.gauge ~registry:a "s.g") 9.;
+  let ha = Telemetry.histogram ~registry:a "s.h" and hb = Telemetry.histogram ~registry:b "s.h" in
+  let all = Telemetry.histogram "s.all" in
+  List.iter (fun v -> Telemetry.observe ha v; Telemetry.observe all v) [ 1.; 2.; 3. ];
+  List.iter (fun v -> Telemetry.observe hb v; Telemetry.observe all v) [ 100. ];
+  match Telemetry.series_snapshot [ a; b ] with
+  | [ c; g; h ] ->
+      check tfloat "counters sum" 7.0 c.Telemetry.se_value;
+      check tint "counter instances" 2 c.Telemetry.se_instances;
+      check tfloat "the later registry's gauge wins" 2.0 g.Telemetry.se_value;
+      check tint "gauge instances" 2 g.Telemetry.se_instances;
+      check tbool "reservoirs merge" true
+        (h.Telemetry.se_summary = Some (Telemetry.summary all));
+      check tfloat "histogram count" 4.0 h.Telemetry.se_value
+  | l -> Alcotest.failf "expected three series, got %d" (List.length l)
 
 let test_series_snapshot () =
   let reg = Telemetry.create () in
@@ -226,7 +250,7 @@ let test_series_snapshot () =
   Telemetry.add (Telemetry.counter ~registry:reg "z.c") 4;
   Telemetry.set (Telemetry.gauge ~registry:reg "a.g") 1.5;
   Telemetry.observe (Telemetry.histogram ~registry:reg "m.h") 7.0;
-  (match Telemetry.series_snapshot reg with
+  (match Telemetry.series_snapshot [ reg ] with
   | [ a; m; z ] ->
       check tbool "sorted by name" true
         (String.equal a.Telemetry.se_name "a.g"
@@ -242,7 +266,7 @@ let test_series_snapshot () =
       | Some s -> check tint "histogram summary attached" 1 s.Telemetry.count
       | None -> Alcotest.fail "histogram series without summary")
   | l -> Alcotest.failf "expected three series, got %d" (List.length l));
-  match Telemetry.series_snapshot ~filter:"z" reg with
+  match Telemetry.series_snapshot ~filter:"z" [ reg ] with
   | [ z ] -> check tbool "filter keeps the z subtree" true (String.equal z.Telemetry.se_name "z.c")
   | _ -> Alcotest.fail "filtered series"
 
@@ -345,6 +369,7 @@ let suite =
     Alcotest.test_case "gauge last-registered-wins pin" `Quick
       test_gauge_last_registered_wins;
     Alcotest.test_case "series snapshot" `Quick test_series_snapshot;
+    Alcotest.test_case "series across registries" `Quick test_series_across_registries;
     QCheck_alcotest.to_alcotest
       ~rand:(Random.State.make [| 0x5eed |])
       prop_histogram_rank_error;

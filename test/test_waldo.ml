@@ -1,5 +1,5 @@
 (* Waldo tests: log ingestion fidelity, FREEZE-driven version attribution,
-   transaction buffering/commit, orphan discarding, log-file cleanup,
+   transaction buffering/commit, orphan discarding, log-file retention,
    database merging / size accounting, acyclicity across the archive,
    entry ingest against the per-record rule it replaced, checkpointing,
    and a restart golden. *)
@@ -61,7 +61,10 @@ let test_freeze_version_attribution () =
   check tbool "post-freeze record at v1" true
     (List.exists (fun (q : Provdb.quad) -> q.q_value = Pvalue.Str "after") v1)
 
-let test_logs_removed_after_processing () =
+(* A default-built Waldo keeps every processed log until a checkpoint
+   covers it: until then the logs are the only durable copy of the
+   graph. *)
+let test_logs_kept_until_checkpoint () =
   let registry, ext3, lasagna, waldo = fresh () in
   let ep = Lasagna.endpoint lasagna in
   for i = 0 to 30 do
@@ -69,12 +72,13 @@ let test_logs_removed_after_processing () =
     Helpers.ok (Dpapi.disclose ep h [ Record.name (Printf.sprintf "obj%d" i) ])
   done;
   ignore (Waldo.finalize waldo lasagna : int);
-  (* only the freshly opened active log remains in .pass *)
   let lower = Ext3.ops ext3 in
-  let pass_dir = Helpers.ok_fs (Vfs.lookup_path lower "/.pass") in
-  let names = Helpers.ok_fs (lower.readdir pass_dir) in
-  check tbool "processed logs were deleted" true (List.length names <= 1);
-  check tbool "logs were processed" true (Helpers.counter registry "waldo.logs_processed" >= 1)
+  let logs_on_disk () = List.length (snd (Helpers.ok_fs (Checkpoint.logs lower))) in
+  let processed = Helpers.counter registry "waldo.logs_processed" in
+  check tbool "logs were processed" true (processed >= 1);
+  check tint "every processed log kept, plus the active log" (processed + 1) (logs_on_disk ());
+  Helpers.ok_fs (Waldo.checkpoint waldo);
+  check tint "the checkpoint deleted the covered logs" 1 (logs_on_disk ())
 
 let test_txn_commit () =
   let registry, _ext3, lasagna, waldo = fresh () in
@@ -394,7 +398,7 @@ let pass_logs lower =
 
 let test_manual_checkpoint_truncates () =
   let _disk, ext3, lasagna, waldo, _registry =
-    fresh_ckpt ~policy:Waldo.Manual ~log_max:256 ()
+    fresh_ckpt ~log_max:256 ()
   in
   let ep = Lasagna.endpoint lasagna in
   for i = 0 to 30 do
@@ -443,7 +447,7 @@ let test_every_frames_auto_checkpoint () =
    (suffix-only) replay. *)
 let test_checkpoint_recover_roundtrip () =
   let disk, _ext3, lasagna, waldo, _registry =
-    fresh_ckpt ~policy:Waldo.Manual ~compact_keep:1 ~log_max:256 ()
+    fresh_ckpt ~compact_keep:1 ~log_max:256 ()
   in
   let ep = Lasagna.endpoint lasagna in
   let hs =
@@ -488,7 +492,7 @@ let test_checkpoint_recover_roundtrip () =
    the db that never crashed. *)
 let test_ingest_after_bulk_load () =
   let disk, _ext3, lasagna, waldo, _registry =
-    fresh_ckpt ~policy:Waldo.Manual ~log_max:256 ()
+    fresh_ckpt ~log_max:256 ()
   in
   let ep = Lasagna.endpoint lasagna in
   let mk name =
@@ -663,10 +667,10 @@ let test_recovery_golden () =
     check Alcotest.string (name ^ ": provdb MD5") expect_md5 md5
   in
   case "no checkpoint" [ 0; 0; 0; 0; 8; 61; 0; 0 ] "d2a8e33fb88e88fe3587d07bf559fb6d"
-    (recovery_golden ~policy:Waldo.Manual ~checkpoint_mid:false ());
+    (recovery_golden ~checkpoint_mid:false ());
   case "Manual, one checkpoint mid-run" [ 1; 1; 4; 0; 4; 25; 2; 1 ]
     "11760a70bd65118b3536c2c5e059a57c"
-    (recovery_golden ~policy:Waldo.Manual ~compact_keep:1 ~checkpoint_mid:true ());
+    (recovery_golden ~compact_keep:1 ~checkpoint_mid:true ());
   case "Every_frames 8" [ 5; 1; 7; 0; 1; 3; 1; 0 ] "d2a8e33fb88e88fe3587d07bf559fb6d"
     (recovery_golden ~policy:(Waldo.Every_frames 8) ~checkpoint_mid:false ());
   case "PA-NFS server, FREEZE records in a committed transaction" [ 0; 0; 0; 0; 1; 7; 0; 0 ]
@@ -678,7 +682,8 @@ let suite =
     Alcotest.test_case "ingestion fidelity" `Quick test_ingestion_fidelity;
     Alcotest.test_case "FREEZE drives version attribution" `Quick
       test_freeze_version_attribution;
-    Alcotest.test_case "processed logs are removed" `Quick test_logs_removed_after_processing;
+    Alcotest.test_case "processed logs kept until checkpoint" `Quick
+      test_logs_kept_until_checkpoint;
     Alcotest.test_case "transaction commit" `Quick test_txn_commit;
     Alcotest.test_case "transaction orphan discarded" `Quick test_txn_orphan;
     Alcotest.test_case "interleaved transactions" `Quick test_interleaved_txns;
