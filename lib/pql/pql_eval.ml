@@ -160,18 +160,18 @@ let rec eval_path db path items =
   | Star p -> closure db p items
 
 (* Reflexive-transitive closure by breadth-first saturation, one level at
-   a time.  [seen] holds every item reached; its fold order is the
-   result order, so its keys and insertion order are part of the answer.
-   A single-edge body expands the frontier straight into [seen]; any
-   other body goes through [eval_path] a level at a time. *)
+   a time.  The result lists every item reached in discovery order: the
+   starts first, then each level in the order its items were found, so a
+   row's position follows its BFS depth.  A single-edge body expands the
+   frontier straight into [seen]; any other body goes through
+   [eval_path] a level at a time. *)
 and closure db p frontier =
-  let seen = Hashtbl.create 256 in
-  let next = ref [] in
+  let seen = Items.create 64 and found = ref [] and next = ref [] in
   let visit it =
-    let key = match it with Node (pn, v) -> `N (Pnode.to_int pn, v) | Value v -> `V v in
-    let n = Hashtbl.length seen in
-    Hashtbl.replace seen key it;
-    if Hashtbl.length seen > n then next := it :: !next
+    if add_new seen it then begin
+      found := it :: !found;
+      next := it :: !next
+    end
   in
   let expand =
     match p with
@@ -190,7 +190,7 @@ and closure db p frontier =
         loop ()
   in
   loop ();
-  Hashtbl.fold (fun _ it l -> it :: l) seen []
+  List.rev !found
 
 (* --- roots ----------------------------------------------------------------- *)
 

@@ -658,50 +658,50 @@ let test_step_attr_case () =
 
 (* --- row order --------------------------------------------------------------- *)
 
-(* Rows come out in execution order: a closure's endpoints in the order
-   of its [seen] table, then row dedup keeping first occurrences.  The
-   set-equality tests do not pin that order, so this does: for a fixed
-   query set over a local Linux-compile graph, the MD5 of the rendered
-   rows in order, and the EXPLAIN text after execution. *)
+(* Rows come out in execution order: a closure's endpoints in
+   breadth-first discovery order, then row dedup keeping first
+   occurrences.  The set-equality tests do not pin that order, so this
+   does: for a fixed query set over a local Linux-compile graph, the MD5
+   of the rendered rows in order, and the EXPLAIN text after execution. *)
 let row_order_golden =
   [
     ( {|select D from Provenance.file as F F.^input* as D where F.name = "h0.h"|},
-      "746f3d6096c67a03cf8d6f9c55f8913b",
+      "59a801946cd4fb6408849c97a4f1099f",
       {|plan:
   F <- name-index "h0.h" -> files  (est 1, actual 1)
       push F.name = "h0.h"
   D <- from F, walk ^input* [memo]  (est 92, actual 91)
   rows: (est 92, actual 91)|} );
     ( {|select A from Provenance.file as F F.input* as A where F.name = "vmlinux"|},
-      "c30d546bcf02c55a05dfad435dddb87a",
+      "7cccb33457a599c6d89c28db07ecb557",
       {|plan:
   F <- name-index "vmlinux" -> files  (est 1, actual 1)
       push F.name = "vmlinux"
   A <- from F, walk input* [memo]  (est 319, actual 318)
   rows: (est 319, actual 318)|} );
     ( {|select A from Provenance.file as F F.input+ as A where F.name = "vmlinux"|},
-      "0ecb473b77234f85b0f150324e631aa8",
+      "fec9db9a1f5059126eac0a4306053d0b",
       {|plan:
   F <- name-index "vmlinux" -> files  (est 1, actual 1)
       push F.name = "vmlinux"
   A <- from F, walk input+ [memo]  (est 319, actual 317)
   rows: (est 319, actual 317)|} );
     ( {|select A from Provenance.file as F F._* as A where F.name = "built-in.o"|},
-      "98bcd1f6543bfd8f2ecca263f544a69f",
+      "4803f8d1af38f0897e70382e6b9c7da8",
       {|plan:
   F <- name-index "built-in.o" -> files  (est 8, actual 8)
       push F.name = "built-in.o"
   A <- from F, walk _* [memo]  (est 408, actual 400)
   rows: (est 408, actual 316)|} );
     ( {|select A from Provenance.file as F F.Input* as A where F.name = "vmlinux"|},
-      "c30d546bcf02c55a05dfad435dddb87a",
+      "7cccb33457a599c6d89c28db07ecb557",
       {|plan:
   F <- name-index "vmlinux" -> files  (est 1, actual 1)
       push F.name = "vmlinux"
   A <- from F, walk Input* [memo]  (est 319, actual 318)
   rows: (est 319, actual 318)|} );
     ( {|select D from Provenance.file as F F.^iNpUt* as D where F.name = "h0.h"|},
-      "746f3d6096c67a03cf8d6f9c55f8913b",
+      "59a801946cd4fb6408849c97a4f1099f",
       {|plan:
   F <- name-index "h0.h" -> files  (est 1, actual 1)
       push F.name = "h0.h"
@@ -734,6 +734,104 @@ let test_row_order_golden () =
       check Alcotest.string (q ^ ": rows in order") md5 (Digest.to_hex (Digest.string text));
       check Alcotest.string (q ^ ": explain") explain (Pql_plan.to_string (Pql.Engine.explain p)))
     row_order_golden
+
+(* --- closure row order -------------------------------------------------------- *)
+
+let linux_compile_db () =
+  let sys = Runner.local_system System.Pass in
+  (List.hd (Runner.standard ())).Runner.run sys;
+  let _ : int = System.drain sys in
+  Option.get (System.waldo_db sys "vol0")
+
+(* One edge from (pnode, version), read from Provdb's edge accessors
+   without the evaluator: ancestry edges named [attr] in any case ([None]:
+   every ancestry edge), or with [~inverse] the edges into any version
+   of the pnode. *)
+let oracle_step db ~inverse attr (p, v) =
+  let named a =
+    match attr with None -> true | Some want -> String.equal (String.uppercase_ascii a) want
+  in
+  if inverse then
+    List.filter_map
+      (fun (src, srcv, a, _) -> if named a then Some (src, srcv) else None)
+      (Provdb.in_edges db p)
+  else
+    List.filter_map
+      (fun (a, (x : Pvalue.xref)) -> if named a then Some (x.pnode, x.version) else None)
+      (Provdb.out_edges db p ~version:v)
+
+(* Breadth-first depth of every cell reachable from [root] over [next]. *)
+let bfs_depths next root =
+  let depth = Hashtbl.create 256 in
+  let rec level d frontier =
+    let fresh =
+      List.filter
+        (fun k ->
+          (not (Hashtbl.mem depth k))
+          &&
+          (Hashtbl.replace depth k d;
+           true))
+        frontier
+    in
+    match fresh with [] -> () | _ -> level (d + 1) (List.concat_map next fresh)
+  in
+  level 0 [ root ];
+  depth
+
+let cell_of_row = function
+  | [ Pql.Node (p, v) ] -> (p, v)
+  | _ -> Alcotest.fail "a closure over ancestry edges gave a row that is not one node"
+
+let closure_rows db path (f : Provdb.node) =
+  let q =
+    Printf.sprintf "select A from Provenance.file as F F.%s as A where F.pnode = %d" path
+      (Pnode.to_int f.pnode)
+  in
+  List.map cell_of_row (Pql.Engine.execute (Pql.Engine.prepare db q))
+
+let files_named db name =
+  List.filter_map (fun p -> Provdb.find_node db p) (Provdb.find_by_name db name)
+
+let tcells = Alcotest.(list (pair int int))
+let ints cells = List.map (fun (p, v) -> (Pnode.to_int p, v)) cells
+
+(* A closure lists its endpoints in breadth-first discovery order: its
+   starts first, then items whose depth from the bound node never
+   decreases.  The golden's closures, one start file at a time (a
+   multi-file binding concatenates several closures). *)
+let test_closure_bfs_order () =
+  let db = linux_compile_db () in
+  List.iter
+    (fun (name, path, inverse, attr, plus) ->
+      List.iter
+        (fun (f : Provdb.node) ->
+          let what = Printf.sprintf "F.%s from %s (%d)" path name (Pnode.to_int f.pnode) in
+          let rows = closure_rows db path f in
+          let next = oracle_step db ~inverse attr in
+          let root = (f.pnode, f.max_version) in
+          let starts = if plus then List.sort_uniq Provdb.compare_pv (next root) else [ root ] in
+          let first = List.filteri (fun i _ -> i < List.length starts) rows in
+          check tcells (what ^ ": starts first") (ints starts)
+            (ints (List.sort Provdb.compare_pv first));
+          let depth = bfs_depths next root in
+          let _ : int =
+            List.fold_left
+              (fun prev cell ->
+                let d = Hashtbl.find depth cell in
+                if d < prev then Alcotest.failf "%s: depth %d after depth %d" what d prev;
+                d)
+              0 rows
+          in
+          ())
+        (files_named db name))
+    [
+      ("h0.h", "^input*", true, Some "INPUT", false);
+      ("h0.h", "^iNpUt*", true, Some "INPUT", false);
+      ("vmlinux", "input*", false, Some "INPUT", false);
+      ("vmlinux", "Input*", false, Some "INPUT", false);
+      ("vmlinux", "input+", false, Some "INPUT", true);
+      ("built-in.o", "_*", false, None, false);
+    ]
 
 (* --- cone walks under a limit ---------------------------------------------- *)
 
@@ -1166,6 +1264,8 @@ let suite =
       test_step_attr_case;
     Alcotest.test_case "exec: row order and explain golden (Linux compile)" `Quick
       test_row_order_golden;
+    Alcotest.test_case "exec: closures list rows in breadth-first order" `Quick
+      test_closure_bfs_order;
     Alcotest.test_case "provdb: reach limit caps discovered nodes" `Quick test_reach_limit;
     Alcotest.test_case "eval: glob with many stars does not backtrack" `Quick
       test_glob_many_stars;
