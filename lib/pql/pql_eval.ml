@@ -11,8 +11,15 @@
    variable to an endpoint of its path.  WHERE filters environments; the
    SELECT clause projects (or aggregates) them.
 
+   Path steps hop from a Provdb slot, the node-table entry of a pnode: a
+   forward or [_] step reads the cell's quads, an inverse step the slot's
+   reverse edges, which hold their source slots.  A closure lists its
+   endpoints in breadth-first discovery order, starts first; a
+   single-edge closure is a marked walk over slots, with no hashtable per
+   hop (DESIGN §15, "The read path").
+
    Cold-tier transparency: every graph access below goes through the
-   Provdb accessors (iter_records_at / iter_records_all / iter_in_edges /
+   Provdb accessors (iter_cell / iter_refs / iter_records_all /
    records_all), which fault archived history in on demand when a query
    dips below a node's compaction floor (DESIGN §13).  The evaluator
    therefore needs no archive awareness of its own — an ancestry walk
@@ -79,6 +86,13 @@ let dedup items =
 
 type env = (string * item) list
 
+let lookup env v =
+  let rec go = function
+    | [] -> fail "unbound variable %s" v
+    | (k, it) :: rest -> if String.equal k v then it else go rest
+  in
+  go env
+
 (* Whether attribute [a] equals [upper], an uppercased query attribute,
    case-insensitively, without an uppercased copy of [a]: Provdb stores
    attributes uppercase in nearly every case, so the exact comparison
@@ -111,47 +125,92 @@ let attr_values db p v attr =
 
 (* --- path step semantics --------------------------------------------------- *)
 
-(* A step hands each endpoint of one edge from an item to [f], in the
-   order of the underlying accessor, without building a list.  [upper]
-   is the step's attribute, uppercased once by [step]. *)
+(* Where one edge's endpoints go: a reverse edge's source slot to [slot],
+   a cross-reference target to [node], any other value to [value]. *)
+type sink = {
+  slot : Provdb.slot -> int -> unit;
+  node : Pnode.t -> int -> unit;
+  value : Pvalue.t -> unit;
+}
 
-let forward_step db upper it f =
-  match it with
-  | Value _ -> ()
-  | Node (p, v) ->
-      Provdb.iter_records_at db p ~version:v (fun q ->
-          if same_attr upper q.q_attr then
-            f
-              (match q.q_value with
-              | Pvalue.Xref x -> Node (x.pnode, x.version)
-              | other -> Value other))
-
-let inverse_step db upper it f =
-  match it with
-  | Value _ -> ()
-  | Node (p, _v) ->
+(* [hop db e k s v] hands each endpoint of one [e] edge from cell (s, v)
+   to [k], in the order of the underlying accessor, without building a
+   list.  The step's attribute is uppercased once, here. *)
+let hop db e (k : sink) =
+  match e with
+  | Forward a ->
+      let upper = String.uppercase_ascii a in
+      fun s v ->
+        Provdb.iter_cell db s ~version:v (fun q ->
+            if same_attr upper q.q_attr then
+              match q.q_value with
+              | Pvalue.Xref x -> k.node x.pnode x.version
+              | other -> k.value other)
+  | Inverse a ->
       (* inverse traversal is pnode-granular: "who refers to any version of
          this object" is what descendant queries mean in practice *)
-      Provdb.iter_in_edges db p (fun (src, srcv, a, _dstv) ->
-          if same_attr upper a then f (Node (src, srcv)))
+      let upper = String.uppercase_ascii a in
+      fun s _v ->
+        Provdb.iter_refs db s (fun src srcv a -> if same_attr upper a then k.slot src srcv)
+  | Any_edge ->
+      fun s v ->
+        Provdb.iter_cell db s ~version:v (fun q ->
+            match q.q_value with Pvalue.Xref x -> k.node x.pnode x.version | _ -> ())
 
-let any_step db it f =
-  match it with
+(* One [e] step from each item, handing [f] the endpoints as items.  A
+   value, or a node with no slot, has no edges. *)
+let step db e f =
+  let hop =
+    hop db e
+      {
+        slot = (fun s v -> f (Node (Provdb.slot_pnode s, v)));
+        node = (fun p v -> f (Node (p, v)));
+        value = (fun x -> f (Value x));
+      }
+  in
+  function
   | Value _ -> ()
-  | Node (p, v) ->
-      Provdb.iter_records_at db p ~version:v (fun q ->
-          match q.q_value with Pvalue.Xref x -> f (Node (x.pnode, x.version)) | _ -> ())
+  | Node (p, v) -> ( match Provdb.find_slot db p with s -> hop s v | exception Not_found -> ())
 
-let step db = function
-  | Forward a -> forward_step db (String.uppercase_ascii a)
-  | Inverse a -> inverse_step db (String.uppercase_ascii a)
-  | Any_edge -> any_step db
+(* The closure of one edge, [e*] from [starts]: a marked walk over Provdb
+   slots ([Provdb.walk_cells]).  A slot holds the version the walk first
+   reached it at; [others] holds only what the marks cannot — a slot's
+   further versions, values, and nodes with no slot.  Neither of the
+   last two has edges, so they are listed but never expanded. *)
+let edge_closure db e starts =
+  let others = Items.create 8 and found = ref [] in
+  let keep it = if add_new others it then found := it :: !found in
+  Provdb.walk_cells db
+    ~again:(fun s v -> add_new others (Node (Provdb.slot_pnode s, v)))
+    ~seed:(fun reach ->
+      List.iter
+        (fun it ->
+          match it with
+          | Node (p, v) -> (
+              match Provdb.find_slot db p with
+              | s -> if reach s v then found := it :: !found
+              | exception Not_found -> keep it)
+          | Value _ -> keep it)
+        starts)
+    ~expand:(fun reach ->
+      let slot s v = if reach s v then found := Node (Provdb.slot_pnode s, v) :: !found in
+      hop db e
+        {
+          slot;
+          node =
+            (fun p v ->
+              match Provdb.find_slot db p with
+              | s -> slot s v
+              | exception Not_found -> keep (Node (p, v)));
+          value = (fun x -> keep (Value x));
+        });
+  List.rev !found
 
 let rec eval_path db path items =
   match path with
   | Edge e ->
-      let step = step db e and seen = Items.create 64 and out = ref [] in
-      List.iter (fun it -> step it (fun x -> if add_new seen x then out := x :: !out)) items;
+      let seen = Items.create 64 and out = ref [] in
+      List.iter (step db e (fun x -> if add_new seen x then out := x :: !out)) items;
       List.rev !out
   | Seq (a, b) -> eval_path db b (eval_path db a items)
   | Alt (a, b) -> dedup (eval_path db a items @ eval_path db b items)
@@ -159,38 +218,30 @@ let rec eval_path db path items =
   | Plus p -> closure db p (eval_path db p items)
   | Star p -> closure db p items
 
-(* Reflexive-transitive closure by breadth-first saturation, one level at
-   a time.  The result lists every item reached in discovery order: the
-   starts first, then each level in the order its items were found, so a
-   row's position follows its BFS depth.  A single-edge body expands the
-   frontier straight into [seen]; any other body goes through
-   [eval_path] a level at a time. *)
-and closure db p frontier =
-  let seen = Items.create 64 and found = ref [] and next = ref [] in
-  let visit it =
-    if add_new seen it then begin
-      found := it :: !found;
-      next := it :: !next
-    end
-  in
-  let expand =
-    match p with
-    | Edge e ->
-        let step = step db e in
-        List.iter (fun it -> step it visit)
-    | _ -> fun fresh -> List.iter visit (eval_path db p fresh)
-  in
-  List.iter visit frontier;
-  let rec loop () =
-    match !next with
-    | [] -> ()
-    | level ->
-        next := [];
-        expand (List.rev level);
-        loop ()
-  in
-  loop ();
-  List.rev !found
+(* Reflexive-transitive closure by breadth-first saturation.  The result
+   lists every item reached in discovery order: the starts first, then
+   each level in the order its items were found, so a row's position
+   follows its BFS depth.  A single-edge body is a marked slot walk
+   ([edge_closure]); any other body goes through [eval_path] a level at a
+   time, deduplicated by an [Items] table, and never nests a marked walk
+   inside another: only [edge_closure] takes the marks. *)
+and closure db p starts =
+  match p with
+  | Edge e -> edge_closure db e starts
+  | _ ->
+      let seen = Items.create 64 and found = ref [] in
+      let fresh level =
+        List.filter
+          (fun it ->
+            add_new seen it
+            &&
+            (found := it :: !found;
+             true))
+          level
+      in
+      let rec loop = function [] -> () | level -> loop (fresh (eval_path db p level)) in
+      loop (fresh starts);
+      List.rev !found
 
 (* --- roots ----------------------------------------------------------------- *)
 
@@ -213,25 +264,16 @@ let root_items db env = function
         (Provdb.all_nodes db)
   | Root_objects ->
       List.map (fun (n : Provdb.node) -> Node (n.pnode, n.max_version)) (Provdb.all_nodes db)
-  | Root_var v -> (
-      match List.assoc_opt v env with
-      | Some it -> [ it ]
-      | None -> fail "unbound variable %s" v)
+  | Root_var v -> [ lookup env v ]
 
 (* --- expressions ------------------------------------------------------------ *)
 
 (* an expression evaluates to a list of candidate values/items
    (attribute access is set-valued in OEM) *)
 let eval_expr db env = function
-  | Var v -> (
-      match List.assoc_opt v env with
-      | Some it -> [ it ]
-      | None -> fail "unbound variable %s" v)
+  | Var v -> [ lookup env v ]
   | Attr (v, attr) -> (
-      match List.assoc_opt v env with
-      | Some (Node (p, ver)) -> attr_values db p ver attr
-      | Some (Value _) -> []
-      | None -> fail "unbound variable %s" v)
+      match lookup env v with Node (p, ver) -> attr_values db p ver attr | Value _ -> [])
   | Lit (L_str s) -> [ Value (Pvalue.Str s) ]
   | Lit (L_int i) -> [ Value (Pvalue.Int i) ]
   | Lit (L_bool b) -> [ Value (Pvalue.Bool b) ]
@@ -328,74 +370,87 @@ let project db (q : query) envs =
         q.select;
     ]
   else
-    (* set semantics: a row joins only the first time it is produced *)
-    let seen = Rows.create 64 and rows = ref [] in
-    let emit order_key row =
-      let n = Rows.length seen in
-      Rows.replace seen row ();
-      if Rows.length seen > n then rows := (order_key, row) :: !rows
-    in
-    List.iter
-      (fun env ->
-        let order_key =
-          match q.order with
-          | Some (e, _) -> (match eval_expr db env e with k :: _ -> Some k | [] -> None)
-          | None -> None
+    match (q.select, q.order) with
+    | [ O_expr e ], None ->
+        (* one column, no ordering: the rows are the distinct items in
+           first-occurrence order, with no row table *)
+        let seen = Items.create 64 and rows = ref [] in
+        List.iter
+          (fun env ->
+            List.iter
+              (fun it -> if add_new seen it then rows := [ it ] :: !rows)
+              (eval_expr db env e))
+          envs;
+        List.rev !rows
+    | _ ->
+        (* set semantics: a row joins only the first time it is produced *)
+        let seen = Rows.create 64 and rows = ref [] in
+        let emit order_key row =
+          let n = Rows.length seen in
+          Rows.replace seen row ();
+          if Rows.length seen > n then rows := (order_key, row) :: !rows
         in
-        (* a row per combination of set-valued outputs would explode;
-           like Lorel we take the cartesian product per environment *)
-        match List.map (fun (O_expr e | O_agg (_, e)) -> eval_expr db env e) q.select with
-        | [ col ] -> List.iter (fun v -> emit order_key [ v ]) col
-        | cols ->
-            let rec cartesian = function
-              | [] -> [ [] ]
-              | col :: rest ->
-                  let tails = cartesian rest in
-                  List.concat_map (fun v -> List.map (fun tl -> v :: tl) tails) col
+        List.iter
+          (fun env ->
+            let order_key =
+              match q.order with
+              | Some (e, _) -> (match eval_expr db env e with k :: _ -> Some k | [] -> None)
+              | None -> None
             in
-            List.iter (emit order_key) (cartesian cols))
-      envs;
-    let keyed_rows = List.rev !rows in
-    (* ordering: integers and strings by value, nodes by rendered name,
-       mixed kinds by a fixed rank; stable for ties *)
-    let keyed_rows =
-      match q.order with
-      | None -> keyed_rows
-      | Some (_, descending) ->
-          let rank = function
-            | None -> 0
-            | Some (Value (Pvalue.Bool _)) -> 1
-            | Some (Value (Pvalue.Int _)) -> 2
-            | Some (Value (Pvalue.Str _)) | Some (Value (Pvalue.Bytes _)) -> 3
-            | Some (Value _) -> 4
-            | Some (Node _) -> 5
-          in
-          let key_repr = function
-            | Some (Value (Pvalue.Bool b)) -> `I (Bool.to_int b)
-            | Some (Value (Pvalue.Int i)) -> `I i
-            | Some (Value (Pvalue.Str s)) | Some (Value (Pvalue.Bytes s)) -> `S s
-            | Some (Node (p, _)) ->
-                `S (Option.value (Provdb.name_of db p)
-                      ~default:(string_of_int (Pnode.to_int p)))
-            | _ -> `I 0
-          in
-          let cmp_repr r r' =
-            (* equal ranks imply same constructor; the cross-kind arms
-               only keep the comparator total *)
-            match (r, r') with
-            | `I a, `I b -> Int.compare a b
-            | `S a, `S b -> String.compare a b
-            | `I _, `S _ -> -1
-            | `S _, `I _ -> 1
-          in
-          let cmp (ka, _) (kb, _) =
-            let c = Int.compare (rank ka) (rank kb) in
-            let c = if c <> 0 then c else cmp_repr (key_repr ka) (key_repr kb) in
-            if descending then -c else c
-          in
-          List.stable_sort cmp keyed_rows
-    in
-    List.map snd keyed_rows
+            (* a row per combination of set-valued outputs would explode;
+               like Lorel we take the cartesian product per environment *)
+            match List.map (fun (O_expr e | O_agg (_, e)) -> eval_expr db env e) q.select with
+            | [ col ] -> List.iter (fun v -> emit order_key [ v ]) col
+            | cols ->
+                let rec cartesian = function
+                  | [] -> [ [] ]
+                  | col :: rest ->
+                      let tails = cartesian rest in
+                      List.concat_map (fun v -> List.map (fun tl -> v :: tl) tails) col
+                in
+                List.iter (emit order_key) (cartesian cols))
+          envs;
+        let keyed_rows = List.rev !rows in
+        (* ordering: integers and strings by value, nodes by rendered name,
+           mixed kinds by a fixed rank; stable for ties *)
+        let keyed_rows =
+          match q.order with
+          | None -> keyed_rows
+          | Some (_, descending) ->
+              let rank = function
+                | None -> 0
+                | Some (Value (Pvalue.Bool _)) -> 1
+                | Some (Value (Pvalue.Int _)) -> 2
+                | Some (Value (Pvalue.Str _)) | Some (Value (Pvalue.Bytes _)) -> 3
+                | Some (Value _) -> 4
+                | Some (Node _) -> 5
+              in
+              let key_repr = function
+                | Some (Value (Pvalue.Bool b)) -> `I (Bool.to_int b)
+                | Some (Value (Pvalue.Int i)) -> `I i
+                | Some (Value (Pvalue.Str s)) | Some (Value (Pvalue.Bytes s)) -> `S s
+                | Some (Node (p, _)) ->
+                    `S (Option.value (Provdb.name_of db p)
+                          ~default:(string_of_int (Pnode.to_int p)))
+                | _ -> `I 0
+              in
+              let cmp_repr r r' =
+                (* equal ranks imply same constructor; the cross-kind arms
+                   only keep the comparator total *)
+                match (r, r') with
+                | `I a, `I b -> Int.compare a b
+                | `S a, `S b -> String.compare a b
+                | `I _, `S _ -> -1
+                | `S _, `I _ -> 1
+              in
+              let cmp (ka, _) (kb, _) =
+                let c = Int.compare (rank ka) (rank kb) in
+                let c = if c <> 0 then c else cmp_repr (key_repr ka) (key_repr kb) in
+                if descending then -c else c
+              in
+              List.stable_sort cmp keyed_rows
+        in
+        List.map snd keyed_rows
 
 (* --- conditions (mutually recursive with query evaluation for subqueries) -- *)
 

@@ -25,6 +25,10 @@ module Items : Hashtbl.S with type key = item
 type env = (string * item) list
 (** The FROM clause binds variables to items; WHERE filters environments. *)
 
+val lookup : env -> string -> item
+(** The item a variable is bound to, innermost binding first.
+    @raise Error ["unbound variable"] when it is not bound. *)
+
 val is_process : Provdb.t -> Pass_core.Pnode.t -> bool
 (** A node is a process if some version carries a TYPE=PROCESS record. *)
 
@@ -38,7 +42,9 @@ val root_items : Provdb.t -> env -> Pql_ast.root -> item list
 
 val eval_path : Provdb.t -> Pql_ast.path_re -> item list -> item list
 (** Endpoints of a path regular expression from the given start items,
-    deduplicated; closures saturate breadth-first. *)
+    deduplicated.  A closure lists its endpoints in breadth-first
+    discovery order: its starts first, then each level in the order its
+    items were found. *)
 
 val eval_expr : Provdb.t -> env -> Pql_ast.expr -> item list
 (** Expressions are set-valued (OEM attribute access). @raise Error. *)

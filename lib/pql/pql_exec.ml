@@ -109,11 +109,7 @@ let run db (q : query) (plan : P.t) =
         in
         let envs' =
           List.concat_map
-            (fun env ->
-              match List.assoc_opt v env with
-              | None -> raise (Pql_eval.Error (Printf.sprintf "unbound variable %s" v))
-              | Some start ->
-                  List.map (fun it -> (step.binder, it) :: env) (expand start))
+            (fun env -> List.map (fun it -> (step.binder, it) :: env) (expand (E.lookup env v)))
             envs
         in
         step.actual <- E.Items.fold (fun _ eps acc -> acc + List.length eps) memo 0;

@@ -8,14 +8,16 @@
      plus the pnode-keyed indexes below;
    - a quad store: (pnode, version) cells of (attribute, value) quads;
    - a forward edge index: each cell's ancestry cross-references;
-   - a reverse edge index: pnode -> who refers to it;
+   - a reverse edge index: pnode -> who refers to it, each edge holding
+     its source's node-table entry (slot), so a descendant walk hops
+     from slot to slot without probing the node table;
    - a name index: name -> set of pnodes (every name sighting), ordered
      by name so a glob's literal prefix is a range probe;
    - an attribute inverted index: attribute -> distinct (pnode, version)
      occurrences with a per-attribute cardinality count;
-   - a pnode-granular ancestry adjacency (parents/children), giving the
-     query planner transitive-reachability estimates without touching
-     the version-level edge tables;
+   - a pnode-granular ancestry adjacency (parents/children, as slots),
+     giving the query planner transitive-reachability estimates without
+     touching the version-level edge tables;
    - a per-node resident-version index (which versions hold quads).
 
    One step builds the secondary indexes: [load] (restart, fault-in),
@@ -23,7 +25,14 @@
    through [step]; [verify_indexes] checks the result against the
    record-at-a-time oracle [add_record].  Byte accounting mirrors Table
    3: [db_bytes] is the encoded size of the node and quad tables,
-   [index_bytes] the encoded size of the indexes. *)
+   [index_bytes] the encoded size of the indexes.
+
+   Walks mark slots instead of keeping a visited table: each walk takes
+   the next epoch number ([t.walks]), a slot it reaches takes that
+   number, and the queue array is reused, so the planner's cone walks
+   and the query engine's closures ([walk_cells]) allocate nothing per
+   node they visit.  Slots never leave the node table, so an edge list
+   can hold them; the public accessors still speak pnodes. *)
 
 module Pnode = Pass_core.Pnode
 module Pvalue = Pass_core.Pvalue
@@ -51,20 +60,26 @@ type node = {
 
 type quad = { q_pnode : Pnode.t; q_version : int; q_attr : string; q_value : Pvalue.t }
 
-(* A node-table entry: the node and the indexes keyed by its pnode. *)
+(* A node-table entry: the node and the indexes keyed by its pnode.
+   Edge lists hold the slots at their other end, which were in hand when
+   the edge was inserted. *)
 type slot = {
   node : node;
   mutable resident : int list; (* ascending versions that hold at least one quad *)
-  mutable parents : Pnode.t list; (* direct ancestry parents, newest first *)
-  mutable children : Pnode.t list; (* direct ancestry children, newest first *)
-  mutable refs : (Pnode.t * int * string * int) list;
-      (* reverse edges into this pnode, newest first *)
+  mutable parents : slot list; (* direct ancestry parents, newest first *)
+  mutable children : slot list; (* direct ancestry children, newest first *)
+  mutable refs : (slot * int * string * int) list;
+      (* reverse edges into this pnode, newest first: source slot, source
+         version, attribute, referenced version *)
   mutable versions_memo : (int * int list) option;
       (* memoized [0..max_version] enumeration, keyed by the max it was
          built for, so [versions] does not allocate per call *)
   mutable mark : int;
-      (* the last cone walk that reached this slot ([t.walks]), so a walk
+      (* the last walk that reached this slot ([t.walks]), so a walk
          needs no visited table of its own *)
+  mutable reached_at : int;
+      (* the version a [walk_cells] walk first reached this slot at; only
+         meaningful while [mark] is that walk's *)
 }
 
 (* One (pnode, version) cell of the quad store. *)
@@ -111,8 +126,9 @@ type t = {
   mutable floored : int;  (* how many nodes have floor > 0 *)
   mutable cold_loaded : bool;  (* archive history already faulted in *)
   mutable fault_handler : fault_handler option;
-  mutable walks : int; (* cone walks so far: the current walk's mark *)
-  mutable walk_queue : slot array; (* BFS queue reused by every cone walk *)
+  mutable walks : int; (* walks so far: the current walk's mark *)
+  mutable walk_queue : slot array; (* BFS queue reused by every walk *)
+  mutable walk_versions : int array; (* the queued cells' versions, in step *)
 }
 
 and fault_handler = t -> bool
@@ -136,6 +152,7 @@ let create_sized ~nodes =
     fault_handler = None;
     walks = 0;
     walk_queue = [||];
+    walk_versions = [||];
   }
 
 let create () = create_sized ~nodes:4096
@@ -154,6 +171,7 @@ let slot t pnode =
           refs = [];
           versions_memo = None;
           mark = 0;
+          reached_at = 0;
         }
       in
       Hashtbl.add t.nodes pnode s;
@@ -256,8 +274,8 @@ let add_adjacency t (s : slot) (p : slot) =
     let before = Hashtbl.length t.adj_seen in
     Hashtbl.replace t.adj_seen (src, parent) ();
     if Hashtbl.length t.adj_seen > before then begin
-      s.parents <- parent :: s.parents;
-      p.children <- src :: p.children;
+      s.parents <- p :: s.parents;
+      p.children <- s :: p.children;
       t.index_bytes <- t.index_bytes + 32
     end
   end
@@ -308,7 +326,7 @@ let insert t (s : slot) (c : cell) (q : quad) ~size =
   | Pvalue.Xref x ->
       c.c_out <- (q.q_attr, x) :: c.c_out;
       let p = slot t x.pnode in
-      p.refs <- (n.pnode, q.q_version, q.q_attr, x.version) :: p.refs;
+      p.refs <- (s, q.q_version, q.q_attr, x.version) :: p.refs;
       t.edge_count <- t.edge_count + 1;
       add_adjacency t s p;
       t.index_bytes <- t.index_bytes + 40 (* fwd + rev entries *)
@@ -489,11 +507,22 @@ let records_all t pnode =
   fault_in_node_history t pnode;
   List.concat_map (fun v -> records_at_raw t pnode ~version:v) (resident_versions t pnode)
 
-let iter_records_at t pnode ~version f =
-  if below_floor t pnode version then maybe_fault_in t;
-  match Hashtbl.find t.quads (pnode, version) with
+(* The slot-level reads a [walk_cells] walk hops with: one cell's quads,
+   and the reverse edges into a slot with their source slots. *)
+let iter_cell t s ~version f =
+  if version < s.node.floor then maybe_fault_in t;
+  match Hashtbl.find t.quads (s.node.pnode, version) with
   | c -> iter_oldest_first f c.c_quads
   | exception Not_found -> ()
+
+let iter_refs t s f =
+  (* reverse edges into [s] can originate from any node's archived
+     versions, so the presence of any floor is reason to fault in *)
+  if t.floored > 0 then maybe_fault_in t;
+  iter_oldest_first (fun (src, srcv, attr, _) -> f src srcv attr) s.refs
+
+let find_slot t pnode = Hashtbl.find t.nodes pnode
+let slot_pnode s = s.node.pnode
 
 let iter_records_all t pnode f =
   fault_in_node_history t pnode;
@@ -515,16 +544,10 @@ let out_edges_all t pnode =
     (resident_versions t pnode)
 
 let in_edges t pnode =
-  (* reverse edges into [pnode] can originate from any node's archived
-     versions, so the presence of any floor is reason to fault in *)
-  if t.floored > 0 then maybe_fault_in t;
-  match Hashtbl.find t.nodes pnode with s -> List.rev s.refs | exception Not_found -> []
-
-let iter_in_edges t pnode f =
   if t.floored > 0 then maybe_fault_in t;
   match Hashtbl.find t.nodes pnode with
-  | s -> iter_oldest_first f s.refs
-  | exception Not_found -> ()
+  | s -> List.rev_map (fun (src, srcv, attr, v) -> (src.node.pnode, srcv, attr, v)) s.refs
+  | exception Not_found -> []
 
 let with_attr t attr =
   if t.floored > 0 then maybe_fault_in t;
@@ -560,11 +583,26 @@ let attr_cardinality t attr =
   | Some ae -> ae.ae_count
   | None -> 0
 
+let pnodes_of slots = List.rev_map slot_pnode slots
+
 let parents_of t pnode =
-  match Hashtbl.find t.nodes pnode with s -> List.rev s.parents | exception Not_found -> []
+  match Hashtbl.find t.nodes pnode with s -> pnodes_of s.parents | exception Not_found -> []
 
 let children_of t pnode =
-  match Hashtbl.find t.nodes pnode with s -> List.rev s.children | exception Not_found -> []
+  match Hashtbl.find t.nodes pnode with s -> pnodes_of s.children | exception Not_found -> []
+
+(* Put cell (s, v) at position [i] of the reused walk queue. *)
+let enqueue t i s v =
+  if i = Array.length t.walk_queue then begin
+    let n = max 64 (2 * i) in
+    let q = Array.make n s and vs = Array.make n 0 in
+    Array.blit t.walk_queue 0 q 0 i;
+    Array.blit t.walk_versions 0 vs 0 i;
+    t.walk_queue <- q;
+    t.walk_versions <- vs
+  end;
+  t.walk_queue.(i) <- s;
+  t.walk_versions.(i) <- v
 
 (* Breadth-first walk of the pnode-level adjacency [next] from [start],
    handing [visit] each newly reached pnode in BFS order until [limit]
@@ -578,27 +616,17 @@ let walk t next ~limit start visit =
       t.walks <- t.walks + 1;
       let mark = t.walks in
       s0.mark <- mark;
-      let push i s =
-        if i = Array.length t.walk_queue then begin
-          let q = Array.make (max 64 (2 * i)) s in
-          Array.blit t.walk_queue 0 q 0 i;
-          t.walk_queue <- q
-        end;
-        t.walk_queue.(i) <- s
-      in
-      push 0 s0;
+      enqueue t 0 s0 0;
       let head = ref 0 and tail = ref 1 and found = ref 0 in
       let rec reach = function
-        | p :: rest when !found < limit ->
-            (match Hashtbl.find t.nodes p with
-            | s when s.mark <> mark ->
-                s.mark <- mark;
-                incr found;
-                visit p;
-                push !tail s;
-                incr tail
-            | _ -> ()
-            | exception Not_found -> ());
+        | s :: rest when !found < limit ->
+            if s.mark <> mark then begin
+              s.mark <- mark;
+              incr found;
+              visit s.node.pnode;
+              enqueue t !tail s 0;
+              incr tail
+            end;
             reach rest
         | _ -> ()
       in
@@ -621,6 +649,40 @@ let cone_size t ~ancestors ~limit pnode =
   let n = ref 0 in
   walk t next ~limit pnode (fun _ -> incr n);
   !n
+
+(* Breadth-first walk over (slot, version) cells for the query engine's
+   closures.  [reach s v] queues cell (s, v) and answers true when the
+   walk has not reached it yet: the first version a slot is reached at is
+   kept in the slot under the walk's mark, and only a further version of
+   an already-marked slot is referred to [again], the caller's own
+   record of those.  [seed reach] reaches the starts; [expand reach] is
+   then applied to each queued cell in order, which it expands by
+   reaching its neighbours.  [expand] must not start another walk. *)
+let walk_cells t ~again ~seed ~expand =
+  t.walks <- t.walks + 1;
+  let mark = t.walks and tail = ref 0 in
+  let reach s v =
+    let fresh =
+      if s.mark <> mark then begin
+        s.mark <- mark;
+        s.reached_at <- v;
+        true
+      end
+      else v <> s.reached_at && again s v
+    in
+    if fresh then begin
+      enqueue t !tail s v;
+      incr tail
+    end;
+    fresh
+  in
+  seed reach;
+  let expand = expand reach and head = ref 0 in
+  while !head < !tail do
+    let s = t.walk_queue.(!head) and v = t.walk_versions.(!head) in
+    incr head;
+    expand s v
+  done
 
 let db_bytes t = t.db_bytes
 let index_bytes t = t.index_bytes

@@ -12,7 +12,12 @@
     cells only when the version changes; {!verify_indexes} checks the
     result against a replay through {!add_record}.  Byte accounting
     mirrors the paper's Table 3 ([db_bytes] for the tables,
-    [index_bytes] for the indexes). *)
+    [index_bytes] for the indexes).
+
+    Reverse edges and the ancestry adjacency hold node-table entries
+    ({!slot}s), not pnodes, so a walk hops without probing the node
+    table; walks mark the slots they reach with an epoch number instead
+    of keeping a visited table.  The accessors below return pnodes. *)
 
 module Pnode = Pass_core.Pnode
 module Pvalue = Pass_core.Pvalue
@@ -88,10 +93,6 @@ val versions : t -> Pnode.t -> int list
 val records_at : t -> Pnode.t -> version:int -> quad list
 val records_all : t -> Pnode.t -> quad list
 
-val iter_records_at : t -> Pnode.t -> version:int -> (quad -> unit) -> unit
-(** [List.iter f (records_at t p ~version)] without building the list:
-    the query engine's per-step read. *)
-
 val iter_records_all : t -> Pnode.t -> (quad -> unit) -> unit
 (** [List.iter f (records_all t p)] without building the list. *)
 
@@ -103,9 +104,6 @@ val out_edges_all : t -> Pnode.t -> (int * string * Pvalue.xref) list
 val in_edges : t -> Pnode.t -> (Pnode.t * int * string * int) list
 (** Who refers to [pnode]: (source pnode, source version, attribute,
     referenced version of [pnode]). *)
-
-val iter_in_edges : t -> Pnode.t -> (Pnode.t * int * string * int -> unit) -> unit
-(** [List.iter f (in_edges t p)] without building the list. *)
 
 val with_attr : t -> string -> (Pnode.t * int) list
 (** Distinct (pnode, version) pairs holding at least one record whose
@@ -151,6 +149,44 @@ val cone_size : t -> ancestors:bool -> limit:int -> Pnode.t -> int
 (** [List.length] of {!reach_ancestors} (or, with [~ancestors:false],
     {!reach_descendants}) under the same [limit], counted without
     building the list: the planner's closure estimate. *)
+
+(** {2 Marked walks}
+
+    What the query engine's closures walk: (slot, version) cells, hopping
+    by slot, with visits recorded as marks on the slots. *)
+
+type slot
+(** A node-table entry: a node with the indexes keyed by its pnode. *)
+
+val find_slot : t -> Pnode.t -> slot
+(** @raise Not_found when [pnode] has no node-table entry. *)
+
+val slot_pnode : slot -> Pnode.t
+
+val iter_cell : t -> slot -> version:int -> (quad -> unit) -> unit
+(** [List.iter f (records_at t p ~version)] for the slot of [p], without
+    building the list: the query engine's forward step. *)
+
+val iter_refs : t -> slot -> (slot -> int -> string -> unit) -> unit
+(** The reverse edges into a slot, oldest first, as (source slot, source
+    version, attribute): {!in_edges} without a list or a node-table
+    probe at either end.  The query engine's inverse step. *)
+
+val walk_cells :
+  t ->
+  again:(slot -> int -> bool) ->
+  seed:((slot -> int -> bool) -> unit) ->
+  expand:((slot -> int -> bool) -> slot -> int -> unit) ->
+  unit
+(** Breadth-first walk over cells.  The walk hands a [reach] function to
+    [seed], which reaches the starts with it, and then to [expand]: each
+    reached cell is expanded once, in the order it was reached, and
+    [expand] reaches its neighbours.  [reach s v] is true when cell
+    (s, v) is new to the walk.  The first version a slot is reached at is
+    recorded in the slot; for any further version of it [reach] asks
+    [again s v], which must answer true exactly once per version.
+    [expand] must not start another walk ({!reach_ancestors},
+    {!cone_size} or [walk_cells]) on the same db. *)
 
 val serialize : t -> string
 (** On-disk image of the node and quad tables (indexes are rebuilt by

@@ -833,6 +833,149 @@ let test_closure_bfs_order () =
       ("built-in.o", "_*", false, None, false);
     ]
 
+(* --- closures against independent oracles ------------------------------------ *)
+
+(* Breadth-first discovery order from [root] over [next], with a queue
+   and a visited table of its own. *)
+let oracle_closure next root =
+  let seen = Hashtbl.create 64 and out = ref [] and queue = Queue.create () in
+  let visit k =
+    if not (Hashtbl.mem seen k) then begin
+      Hashtbl.replace seen k ();
+      out := k :: !out;
+      Queue.push k queue
+    end
+  in
+  visit root;
+  while not (Queue.is_empty queue) do
+    List.iter visit (next (Queue.pop queue))
+  done;
+  List.rev !out
+
+(* Every file's closure over [path], in row order: one two-column query,
+   whose rows come out grouped by F with each group in closure order. *)
+let closures_by_file db path =
+  let q = Printf.sprintf "select F, A from Provenance.file as F F.%s as A" path in
+  let by = Hashtbl.create 256 in
+  List.iter
+    (function
+      | [ Pql.Node (f, _); a ] ->
+          Hashtbl.replace by f
+            (cell_of_row [ a ] :: Option.value (Hashtbl.find_opt by f) ~default:[])
+      | _ -> Alcotest.fail "expected (F, A) node rows")
+    (Pql.Engine.execute (Pql.Engine.prepare db q));
+  fun (f : Provdb.node) -> List.rev (Option.value (Hashtbl.find_opt by f.pnode) ~default:[])
+
+(* For every file of the Linux-compile graph: [F._*] reaches exactly F and
+   [Provdb.ancestors] (a depth-first walk of its own), in the order of a
+   level walk over [out_edges]; [F.^input*] lists what a level walk over
+   [in_edges] finds, in the same order. *)
+let test_closures_match_oracles () =
+  let db = linux_compile_db () in
+  let files = List.filter (fun (n : Provdb.node) -> n.kind = Provdb.File) (Provdb.all_nodes db) in
+  let any = closures_by_file db "_*" and descendants = closures_by_file db "^input*" in
+  List.iter
+    (fun (f : Provdb.node) ->
+      let root = (f.pnode, f.max_version) in
+      let what = Printf.sprintf "%s (%d)" (Option.value f.node_name ~default:"?") (Pnode.to_int f.pnode) in
+      let rows = any f in
+      check tcells ("F._* = F + ancestors: " ^ what)
+        (ints (List.sort_uniq Provdb.compare_pv (root :: Provdb.ancestors db f.pnode ~version:f.max_version)))
+        (ints (List.sort Provdb.compare_pv rows));
+      check tcells ("F._* in BFS order: " ^ what)
+        (ints (oracle_closure (oracle_step db ~inverse:false None) root))
+        (ints rows);
+      check tcells ("F.^input* = reverse walk: " ^ what)
+        (ints (oracle_closure (oracle_step db ~inverse:true (Some "INPUT")) root))
+        (ints (descendants f)))
+    files;
+  check tbool "some file has ancestors" true
+    (List.exists (fun f -> List.length (any f) > 1) files)
+
+(* A graph whose walks need archived history partway through.  [out] has
+   three versions chained by freeze edges, and versions 0 and 2 were
+   written by [cc]; [cc] read [src] at versions 0 and 2.  So [out.input*]
+   reaches [out] and [src] at two versions each, and with [~keep:1] every
+   version but the newest is archived: the walk from out@2 finds its first
+   hop resident and faults the archive in at out@1. *)
+let versioned_db () =
+  let db = Provdb.create () in
+  let alloc = Pnode.allocator ~machine:6 in
+  let src = Pnode.fresh alloc and cc = Pnode.fresh alloc and out = Pnode.fresh alloc in
+  Provdb.set_file db src ~name:"src";
+  Provdb.set_file db out ~name:"out";
+  Provdb.declare_virtual db cc;
+  let add p v r = Provdb.add_record db p ~version:v r in
+  let freeze p v = add p v (Record.make Record.Attr.freeze (Pvalue.Int v)) in
+  add src 0 (Record.make "DATA" (Pvalue.Int 0));
+  List.iter
+    (fun v ->
+      freeze src v;
+      add src v (Record.input_of src (v - 1)))
+    [ 1; 2; 3 ];
+  add cc 0 (Record.typ "PROCESS");
+  add cc 0 (Record.name "cc");
+  add cc 0 (Record.input_of src 0);
+  add cc 0 (Record.input_of src 2);
+  add out 0 (Record.input_of cc 0);
+  freeze out 1;
+  add out 1 (Record.input_of out 0);
+  freeze out 2;
+  add out 2 (Record.input_of out 1);
+  add out 2 (Record.input_of cc 0);
+  (db, src, cc, out)
+
+(* On a compacted db a closure faults the archive in where it first needs
+   it, and keeps walking the cells and reverse edges the fault-in added to
+   slots it already holds: the endpoints are those of the db that was
+   never compacted, and a forward walk lists them in the same order.  An
+   inverse walk faults in before its first hop, and lists reverse edges
+   in the order they were inserted, which the fault-in changed, so only
+   its set is compared.  The paths run from a start item straight through
+   the evaluator, because binding F by name or by a predicate would fault
+   the archive in before the walk. *)
+let test_closure_across_archive_midwalk () =
+  let db, src, cc, out = versioned_db () in
+  let compacted () =
+    let hot, cold = Provdb.compact db ~keep:1 in
+    let faulted = ref 0 in
+    Provdb.set_fault_handler hot (fun t ->
+        incr faulted;
+        Provdb.merge_into ~dst:t ~src:cold;
+        true);
+    (hot, faulted)
+  in
+  let walk db text (p, v) =
+    let path =
+      match (Pql.parse ("select A from Provenance.object as F F." ^ text ^ " as A")).froms with
+      | [ _; { path = Some path; _ } ] -> path
+      | _ -> Alcotest.fail ("not a path: " ^ text)
+    in
+    let ends = Pql_eval.eval_path db path [ Pql.Node (p, v) ] in
+    List.map (String.concat "|") (Pql.render db (List.map (fun it -> [ it ]) ends))
+  in
+  let hot, faulted = compacted () in
+  check tstrs "one step from out@2" [ "out.1"; "cc.0" ] (walk hot "input" (out, 2));
+  check tint "the first hop is resident" 0 !faulted;
+  check tstrs "out.input* reaches two pnodes at several versions"
+    [ "out.2"; "out.1"; "cc.0"; "out.0"; "src.0"; "src.2"; "src.1" ]
+    (walk db "input*" (out, 2));
+  List.iter
+    (fun (text, start, what, ordered) ->
+      let hot, faulted = compacted () in
+      let label = Printf.sprintf "%s from %s" text what in
+      let order l = if ordered then l else List.sort String.compare l in
+      check tstrs label (order (walk db text start)) (order (walk hot text start));
+      check tbool (label ^ ": faulted the archive in") true (!faulted > 0))
+    [
+      ("input*", (out, 2), "out@2", true);
+      ("input+", (out, 2), "out@2", true);
+      ("_*", (out, 2), "out@2", true);
+      ("input*", (cc, 0), "cc@0", true);
+      ("^input*", (src, 3), "src@3", false);
+      ("^input*", (cc, 0), "cc@0", false);
+    ]
+
 (* --- cone walks under a limit ---------------------------------------------- *)
 
 let test_reach_limit () =
@@ -1266,6 +1409,10 @@ let suite =
       test_row_order_golden;
     Alcotest.test_case "exec: closures list rows in breadth-first order" `Quick
       test_closure_bfs_order;
+    Alcotest.test_case "exec: closures match Provdb's own walks (Linux compile)" `Quick
+      test_closures_match_oracles;
+    Alcotest.test_case "exec: a closure faults the archive in partway" `Quick
+      test_closure_across_archive_midwalk;
     Alcotest.test_case "provdb: reach limit caps discovered nodes" `Quick test_reach_limit;
     Alcotest.test_case "eval: glob with many stars does not backtrack" `Quick
       test_glob_many_stars;
