@@ -135,27 +135,28 @@ type sink = {
 
 (* [hop db e k s v] hands each endpoint of one [e] edge from cell (s, v)
    to [k], in the order of the underlying accessor, without building a
-   list.  The step's attribute is uppercased once, here. *)
+   list.  The step's attribute is uppercased, and its per-record test
+   built, once, here. *)
 let hop db e (k : sink) =
   match e with
   | Forward a ->
       let upper = String.uppercase_ascii a in
-      fun s v ->
-        Provdb.iter_cell db s ~version:v (fun q ->
-            if same_attr upper q.q_attr then
-              match q.q_value with
-              | Pvalue.Xref x -> k.node x.pnode x.version
-              | other -> k.value other)
+      let record (q : Provdb.quad) =
+        if same_attr upper q.q_attr then
+          match q.q_value with Pvalue.Xref x -> k.node x.pnode x.version | other -> k.value other
+      in
+      fun s v -> Provdb.iter_cell db s ~version:v record
   | Inverse a ->
       (* inverse traversal is pnode-granular: "who refers to any version of
          this object" is what descendant queries mean in practice *)
       let upper = String.uppercase_ascii a in
-      fun s _v ->
-        Provdb.iter_refs db s (fun src srcv a -> if same_attr upper a then k.slot src srcv)
+      let edge src srcv a = if same_attr upper a then k.slot src srcv in
+      fun s _v -> Provdb.iter_refs db s edge
   | Any_edge ->
-      fun s v ->
-        Provdb.iter_cell db s ~version:v (fun q ->
-            match q.q_value with Pvalue.Xref x -> k.node x.pnode x.version | _ -> ())
+      let record (q : Provdb.quad) =
+        match q.q_value with Pvalue.Xref x -> k.node x.pnode x.version | _ -> ()
+      in
+      fun s v -> Provdb.iter_cell db s ~version:v record
 
 (* One [e] step from each item, handing [f] the endpoints as items.  A
    value, or a node with no slot, has no edges. *)

@@ -515,11 +515,17 @@ let iter_cell t s ~version f =
   | c -> iter_oldest_first f c.c_quads
   | exception Not_found -> ()
 
+let rec iter_refs_oldest_first f = function
+  | [] -> ()
+  | (src, srcv, attr, _) :: rest ->
+      iter_refs_oldest_first f rest;
+      f src srcv attr
+
 let iter_refs t s f =
   (* reverse edges into [s] can originate from any node's archived
      versions, so the presence of any floor is reason to fault in *)
   if t.floored > 0 then maybe_fault_in t;
-  iter_oldest_first (fun (src, srcv, attr, _) -> f src srcv attr) s.refs
+  iter_refs_oldest_first f s.refs
 
 let find_slot t pnode = Hashtbl.find t.nodes pnode
 let slot_pnode s = s.node.pnode
@@ -591,50 +597,77 @@ let parents_of t pnode =
 let children_of t pnode =
   match Hashtbl.find t.nodes pnode with s -> pnodes_of s.children | exception Not_found -> []
 
-(* Put cell (s, v) at position [i] of the reused walk queue. *)
-let enqueue t i s v =
-  if i = Array.length t.walk_queue then begin
-    let n = max 64 (2 * i) in
-    let q = Array.make n s and vs = Array.make n 0 in
-    Array.blit t.walk_queue 0 q 0 i;
-    Array.blit t.walk_versions 0 vs 0 i;
-    t.walk_queue <- q;
-    t.walk_versions <- vs
-  end;
-  t.walk_queue.(i) <- s;
-  t.walk_versions.(i) <- v
+(* Breadth-first walk over (slot, version) cells: the one walk behind
+   the planner's cones and the query engine's closures.  [reach s v]
+   queues cell (s, v) and answers true when the walk has not reached it
+   yet: the first version a slot is reached at is kept in the slot under
+   the walk's mark, and only a further version of an already-marked slot
+   is referred to [again], the caller's own record of those.  [seed
+   reach] reaches the starts; [expand reach] is then applied to each
+   queued cell in order, which it expands by reaching its neighbours.
+   Slots are marked instead of collected in a visited table and the
+   queue arrays are reused, so a walk allocates nothing per cell.
+   [expand] must not start another walk. *)
+let walk_cells t ~again ~seed ~expand =
+  t.walks <- t.walks + 1;
+  let mark = t.walks and tail = ref 0 in
+  let reach s v =
+    let fresh =
+      if s.mark <> mark then begin
+        s.mark <- mark;
+        s.reached_at <- v;
+        true
+      end
+      else v <> s.reached_at && again s v
+    in
+    if fresh then begin
+      let i = !tail in
+      if i = Array.length t.walk_queue then begin
+        let n = max 64 (2 * i) in
+        let q = Array.make n s and vs = Array.make n 0 in
+        Array.blit t.walk_queue 0 q 0 i;
+        Array.blit t.walk_versions 0 vs 0 i;
+        t.walk_queue <- q;
+        t.walk_versions <- vs
+      end;
+      t.walk_queue.(i) <- s;
+      t.walk_versions.(i) <- v;
+      tail := i + 1
+    end;
+    fresh
+  in
+  seed reach;
+  let expand = expand reach and head = ref 0 in
+  while !head < !tail do
+    let s = t.walk_queue.(!head) and v = t.walk_versions.(!head) in
+    incr head;
+    expand s v
+  done
 
 (* Breadth-first walk of the pnode-level adjacency [next] from [start],
    handing [visit] each newly reached pnode in BFS order until [limit]
-   have been reached.  Slots are marked with the walk's number instead of
-   being collected in a visited table, and the queue array is reused, so
-   a walk allocates nothing of its own. *)
+   have been reached.  Every slot is reached at version 0. *)
 let walk t next ~limit start visit =
   match Hashtbl.find t.nodes start with
   | exception Not_found -> ()
   | s0 ->
-      t.walks <- t.walks + 1;
-      let mark = t.walks in
-      s0.mark <- mark;
-      enqueue t 0 s0 0;
-      let head = ref 0 and tail = ref 1 and found = ref 0 in
-      let rec reach = function
-        | s :: rest when !found < limit ->
-            if s.mark <> mark then begin
-              s.mark <- mark;
-              incr found;
-              visit s.node.pnode;
-              enqueue t !tail s 0;
-              incr tail
-            end;
-            reach rest
-        | _ -> ()
-      in
-      while !head < !tail && !found < limit do
-        let s = t.walk_queue.(!head) in
-        incr head;
-        reach (next s)
-      done
+      let found = ref 0 in
+      walk_cells t
+        ~again:(fun _ _ -> false)
+        ~seed:(fun reach ->
+          let _ : bool = reach s0 0 in
+          ())
+        ~expand:(fun reach s _ ->
+          let rec go = function
+            | p :: rest when !found < limit ->
+                if reach p 0 then begin
+                  incr found;
+                  visit p.node.pnode
+                end;
+                go rest
+            | _ -> ()
+          in
+          go (next s))
 
 let reach t next ?(limit = max_int) start =
   let out = ref [] in
@@ -649,40 +682,6 @@ let cone_size t ~ancestors ~limit pnode =
   let n = ref 0 in
   walk t next ~limit pnode (fun _ -> incr n);
   !n
-
-(* Breadth-first walk over (slot, version) cells for the query engine's
-   closures.  [reach s v] queues cell (s, v) and answers true when the
-   walk has not reached it yet: the first version a slot is reached at is
-   kept in the slot under the walk's mark, and only a further version of
-   an already-marked slot is referred to [again], the caller's own
-   record of those.  [seed reach] reaches the starts; [expand reach] is
-   then applied to each queued cell in order, which it expands by
-   reaching its neighbours.  [expand] must not start another walk. *)
-let walk_cells t ~again ~seed ~expand =
-  t.walks <- t.walks + 1;
-  let mark = t.walks and tail = ref 0 in
-  let reach s v =
-    let fresh =
-      if s.mark <> mark then begin
-        s.mark <- mark;
-        s.reached_at <- v;
-        true
-      end
-      else v <> s.reached_at && again s v
-    in
-    if fresh then begin
-      enqueue t !tail s v;
-      incr tail
-    end;
-    fresh
-  in
-  seed reach;
-  let expand = expand reach and head = ref 0 in
-  while !head < !tail do
-    let s = t.walk_queue.(!head) and v = t.walk_versions.(!head) in
-    incr head;
-    expand s v
-  done
 
 let db_bytes t = t.db_bytes
 let index_bytes t = t.index_bytes
