@@ -760,23 +760,20 @@ let oracle_step db ~inverse attr (p, v) =
       (fun (a, (x : Pvalue.xref)) -> if named a then Some (x.pnode, x.version) else None)
       (Provdb.out_edges db p ~version:v)
 
-(* Breadth-first depth of every cell reachable from [root] over [next]. *)
-let bfs_depths next root =
-  let depth = Hashtbl.create 256 in
-  let rec level d frontier =
-    let fresh =
-      List.filter
-        (fun k ->
-          (not (Hashtbl.mem depth k))
-          &&
-          (Hashtbl.replace depth k d;
-           true))
-        frontier
-    in
-    match fresh with [] -> () | _ -> level (d + 1) (List.concat_map next fresh)
+(* A plain level walk from [root] over [next], with a visited table of
+   its own: level d lists, in discovery order, the cells first reached at
+   depth d.  Concatenated, the levels are the breadth-first order. *)
+let bfs_levels next root =
+  let seen = Hashtbl.create 256 in
+  let fresh =
+    List.filter (fun k ->
+        (not (Hashtbl.mem seen k))
+        &&
+        (Hashtbl.replace seen k ();
+         true))
   in
-  level 0 [ root ];
-  depth
+  let rec go level = match fresh level with [] -> [] | l -> l :: go (List.concat_map next l) in
+  go [ root ]
 
 let cell_of_row = function
   | [ Pql.Node (p, v) ] -> (p, v)
@@ -813,7 +810,10 @@ let test_closure_bfs_order () =
           let first = List.filteri (fun i _ -> i < List.length starts) rows in
           check tcells (what ^ ": starts first") (ints starts)
             (ints (List.sort Provdb.compare_pv first));
-          let depth = bfs_depths next root in
+          let depth = Hashtbl.create 256 in
+          List.iteri
+            (fun d -> List.iter (fun k -> Hashtbl.replace depth k d))
+            (bfs_levels next root);
           let _ : int =
             List.fold_left
               (fun prev cell ->
@@ -834,23 +834,6 @@ let test_closure_bfs_order () =
     ]
 
 (* --- closures against independent oracles ------------------------------------ *)
-
-(* Breadth-first discovery order from [root] over [next], with a queue
-   and a visited table of its own. *)
-let oracle_closure next root =
-  let seen = Hashtbl.create 64 and out = ref [] and queue = Queue.create () in
-  let visit k =
-    if not (Hashtbl.mem seen k) then begin
-      Hashtbl.replace seen k ();
-      out := k :: !out;
-      Queue.push k queue
-    end
-  in
-  visit root;
-  while not (Queue.is_empty queue) do
-    List.iter visit (next (Queue.pop queue))
-  done;
-  List.rev !out
 
 (* Every file's closure over [path], in row order: one two-column query,
    whose rows come out grouped by F with each group in closure order. *)
@@ -877,16 +860,20 @@ let test_closures_match_oracles () =
   List.iter
     (fun (f : Provdb.node) ->
       let root = (f.pnode, f.max_version) in
-      let what = Printf.sprintf "%s (%d)" (Option.value f.node_name ~default:"?") (Pnode.to_int f.pnode) in
+      let what =
+        Printf.sprintf "%s (%d)" (Option.value f.node_name ~default:"?") (Pnode.to_int f.pnode)
+      in
       let rows = any f in
       check tcells ("F._* = F + ancestors: " ^ what)
-        (ints (List.sort_uniq Provdb.compare_pv (root :: Provdb.ancestors db f.pnode ~version:f.max_version)))
+        (ints
+           (List.sort_uniq Provdb.compare_pv
+              (root :: Provdb.ancestors db f.pnode ~version:f.max_version)))
         (ints (List.sort Provdb.compare_pv rows));
       check tcells ("F._* in BFS order: " ^ what)
-        (ints (oracle_closure (oracle_step db ~inverse:false None) root))
+        (ints (List.concat (bfs_levels (oracle_step db ~inverse:false None) root)))
         (ints rows);
       check tcells ("F.^input* = reverse walk: " ^ what)
-        (ints (oracle_closure (oracle_step db ~inverse:true (Some "INPUT")) root))
+        (ints (List.concat (bfs_levels (oracle_step db ~inverse:true (Some "INPUT")) root)))
         (ints (descendants f)))
     files;
   check tbool "some file has ancestors" true
