@@ -69,8 +69,12 @@ type slot = {
   mutable parents : slot list; (* direct ancestry parents, newest first *)
   mutable children : slot list; (* direct ancestry children, newest first *)
   mutable refs : (slot * int * string * int) list;
-      (* reverse edges into this pnode, newest first: source slot, source
-         version, attribute, referenced version *)
+      (* reverse edges into this pnode: source slot, source version,
+         attribute, referenced version; read in source (pnode, version)
+         order, ties in insertion order ([sorted_refs]) *)
+  mutable refs_sorted : bool;
+      (* [refs] is newest first and in descending source order, so read
+         back to front it is in source order *)
   mutable versions_memo : (int * int list) option;
       (* memoized [0..max_version] enumeration, keyed by the max it was
          built for, so [versions] does not allocate per call *)
@@ -169,6 +173,7 @@ let slot t pnode =
           parents = [];
           children = [];
           refs = [];
+          refs_sorted = true;
           versions_memo = None;
           mark = 0;
           reached_at = 0;
@@ -285,9 +290,8 @@ let rec insert_version v = function
   | x :: _ as l when v < x -> v :: l
   | x :: rest -> x :: insert_version v rest
 
-(* [List.iter f (List.rev l)] without the reversed copy: cells and
-   reverse edges keep their entries newest first, readers want them in
-   ingest order. *)
+(* [List.iter f (List.rev l)] without the reversed copy: cells keep
+   their entries newest first, readers want them in ingest order. *)
 let rec iter_oldest_first f = function
   | [] -> ()
   | x :: rest ->
@@ -326,6 +330,11 @@ let insert t (s : slot) (c : cell) (q : quad) ~size =
   | Pvalue.Xref x ->
       c.c_out <- (q.q_attr, x) :: c.c_out;
       let p = slot t x.pnode in
+      (match p.refs with
+      | (last, lastv, _, _) :: _ ->
+          let c = Pnode.compare n.pnode last.node.pnode in
+          if c < 0 || (c = 0 && q.q_version < lastv) then p.refs_sorted <- false
+      | [] -> ());
       p.refs <- (s, q.q_version, q.q_attr, x.version) :: p.refs;
       t.edge_count <- t.edge_count + 1;
       add_adjacency t s p;
@@ -515,6 +524,23 @@ let iter_cell t s ~version f =
   | c -> iter_oldest_first f c.c_quads
   | exception Not_found -> ()
 
+(* A slot's reverse edges, newest first, in descending source (pnode,
+   version) order: the order an image load inserts them in, so a live
+   db, a restarted one and one that faulted its archive in list them
+   alike.  Ingest inserts in log order, which is nearly always source
+   order already; an edge that is not marks the list for one stable sort
+   at its next read. *)
+let sorted_refs s =
+  if not s.refs_sorted then begin
+    s.refs <-
+      List.stable_sort
+        (fun (a, av, _, _) (b, bv, _, _) ->
+          match Pnode.compare b.node.pnode a.node.pnode with 0 -> Int.compare bv av | c -> c)
+        s.refs;
+    s.refs_sorted <- true
+  end;
+  s.refs
+
 let rec iter_refs_oldest_first f = function
   | [] -> ()
   | (src, srcv, attr, _) :: rest ->
@@ -525,7 +551,7 @@ let iter_refs t s f =
   (* reverse edges into [s] can originate from any node's archived
      versions, so the presence of any floor is reason to fault in *)
   if t.floored > 0 then maybe_fault_in t;
-  iter_refs_oldest_first f s.refs
+  iter_refs_oldest_first f (sorted_refs s)
 
 let find_slot t pnode = Hashtbl.find t.nodes pnode
 let slot_pnode s = s.node.pnode
@@ -552,7 +578,7 @@ let out_edges_all t pnode =
 let in_edges t pnode =
   if t.floored > 0 then maybe_fault_in t;
   match Hashtbl.find t.nodes pnode with
-  | s -> List.rev_map (fun (src, srcv, attr, v) -> (src.node.pnode, srcv, attr, v)) s.refs
+  | s -> List.rev_map (fun (src, srcv, attr, v) -> (src.node.pnode, srcv, attr, v)) (sorted_refs s)
   | exception Not_found -> []
 
 let with_attr t attr =

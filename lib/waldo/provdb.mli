@@ -103,7 +103,10 @@ val out_edges_all : t -> Pnode.t -> (int * string * Pvalue.xref) list
 
 val in_edges : t -> Pnode.t -> (Pnode.t * int * string * int) list
 (** Who refers to [pnode]: (source pnode, source version, attribute,
-    referenced version of [pnode]). *)
+    referenced version of [pnode]), in {!compare_pv} order of the source
+    and in insertion order within one source cell, so a db restarted
+    from an image or one that faulted its archive in lists them as the
+    live db does. *)
 
 val with_attr : t -> string -> (Pnode.t * int) list
 (** Distinct (pnode, version) pairs holding at least one record whose
@@ -168,9 +171,9 @@ val iter_cell : t -> slot -> version:int -> (quad -> unit) -> unit
     building the list: the query engine's forward step. *)
 
 val iter_refs : t -> slot -> (slot -> int -> string -> unit) -> unit
-(** The reverse edges into a slot, oldest first, as (source slot, source
-    version, attribute): {!in_edges} without a list or a node-table
-    probe at either end.  The query engine's inverse step. *)
+(** The reverse edges into a slot, in {!in_edges} order, as (source
+    slot, source version, attribute): {!in_edges} without a list or a
+    node-table probe at either end.  The query engine's inverse step. *)
 
 val walk_cells :
   t ->

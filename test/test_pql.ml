@@ -914,13 +914,14 @@ let versioned_db () =
 
 (* On a compacted db a closure faults the archive in where it first needs
    it, and keeps walking the cells and reverse edges the fault-in added to
-   slots it already holds: the endpoints are those of the db that was
-   never compacted, and a forward walk lists them in the same order.  An
-   inverse walk faults in before its first hop, and lists reverse edges
-   in the order they were inserted, which the fault-in changed, so only
-   its set is compared.  The paths run from a start item straight through
-   the evaluator, because binding F by name or by a predicate would fault
-   the archive in before the walk. *)
+   slots it already holds: the rows, and their order, are those of the
+   db that was never compacted.  An inverse walk faults in before its
+   first hop, which inserts the archived reverse edges after the resident
+   ones; they are read in source order all the same, so it lists its rows
+   as the never-compacted db and a db restarted from its image do.  The
+   paths run from a start item straight through the evaluator, because
+   binding F by name or by a predicate would fault the archive in before
+   the walk. *)
 let test_closure_across_archive_midwalk () =
   let db, src, cc, out = versioned_db () in
   let compacted () =
@@ -947,20 +948,21 @@ let test_closure_across_archive_midwalk () =
   check tstrs "out.input* reaches two pnodes at several versions"
     [ "out.2"; "out.1"; "cc.0"; "out.0"; "src.0"; "src.2"; "src.1" ]
     (walk db "input*" (out, 2));
+  let restarted = Provdb.deserialize (Provdb.serialize db) in
   List.iter
-    (fun (text, start, what, ordered) ->
+    (fun (text, start, what) ->
       let hot, faulted = compacted () in
       let label = Printf.sprintf "%s from %s" text what in
-      let order l = if ordered then l else List.sort String.compare l in
-      check tstrs label (order (walk db text start)) (order (walk hot text start));
-      check tbool (label ^ ": faulted the archive in") true (!faulted > 0))
+      check tstrs label (walk db text start) (walk hot text start);
+      check tbool (label ^ ": faulted the archive in") true (!faulted > 0);
+      check tstrs (label ^ ": restarted") (walk db text start) (walk restarted text start))
     [
-      ("input*", (out, 2), "out@2", true);
-      ("input+", (out, 2), "out@2", true);
-      ("_*", (out, 2), "out@2", true);
-      ("input*", (cc, 0), "cc@0", true);
-      ("^input*", (src, 3), "src@3", false);
-      ("^input*", (cc, 0), "cc@0", false);
+      ("input*", (out, 2), "out@2");
+      ("input+", (out, 2), "out@2");
+      ("_*", (out, 2), "out@2");
+      ("input*", (cc, 0), "cc@0");
+      ("^input*", (src, 3), "src@3");
+      ("^input*", (cc, 0), "cc@0");
     ]
 
 (* --- cone walks under a limit ---------------------------------------------- *)
