@@ -372,12 +372,13 @@ let project db (q : query) envs =
     ]
   else
     (* set semantics: a row joins only the first time it is produced; a
-       one-column row is deduplicated by its item, a wider one by the row *)
-    let seen_items = Items.create 64 and seen = Rows.create 64 and rows = ref [] in
+       one-column row is deduplicated by its item, a wider one by the row.
+       Order keys are kept, in step with the rows, only under ORDER BY. *)
+    let seen_items = Items.create 64 and seen = Rows.create 64 in
+    let rows = ref [] and keys = ref [] in
     let emit order_key row =
-      let n = Rows.length seen in
-      Rows.replace seen row ();
-      if Rows.length seen > n then rows := (order_key, row) :: !rows
+      rows := row :: !rows;
+      if Option.is_some q.order then keys := order_key :: !keys
     in
     List.iter
       (fun env ->
@@ -388,61 +389,63 @@ let project db (q : query) envs =
         in
         (* a row per combination of set-valued outputs would explode;
            like Lorel we take the cartesian product per environment *)
-        match List.map (fun (O_expr e | O_agg (_, e)) -> eval_expr db env e) q.select with
-        | [ col ] ->
+        match q.select with
+        | [ (O_expr e | O_agg (_, e)) ] ->
             List.iter
-              (fun v -> if add_new seen_items v then rows := (order_key, [ v ]) :: !rows)
-              col
-        | cols ->
+              (fun v -> if add_new seen_items v then emit order_key [ v ])
+              (eval_expr db env e)
+        | select ->
             let rec cartesian = function
               | [] -> [ [] ]
               | col :: rest ->
                   let tails = cartesian rest in
                   List.concat_map (fun v -> List.map (fun tl -> v :: tl) tails) col
             in
-            List.iter (emit order_key) (cartesian cols))
+            List.iter
+              (fun row ->
+                let n = Rows.length seen in
+                Rows.replace seen row ();
+                if Rows.length seen > n then emit order_key row)
+              (cartesian (List.map (fun (O_expr e | O_agg (_, e)) -> eval_expr db env e) select)))
       envs;
-    let keyed_rows = List.rev !rows in
+    let rows = List.rev !rows in
     (* ordering: integers and strings by value, nodes by rendered name,
        mixed kinds by a fixed rank; stable for ties *)
-    let keyed_rows =
-      match q.order with
-      | None -> keyed_rows
-      | Some (_, descending) ->
-          let rank = function
-            | None -> 0
-            | Some (Value (Pvalue.Bool _)) -> 1
-            | Some (Value (Pvalue.Int _)) -> 2
-            | Some (Value (Pvalue.Str _)) | Some (Value (Pvalue.Bytes _)) -> 3
-            | Some (Value _) -> 4
-            | Some (Node _) -> 5
-          in
-          let key_repr = function
-            | Some (Value (Pvalue.Bool b)) -> `I (Bool.to_int b)
-            | Some (Value (Pvalue.Int i)) -> `I i
-            | Some (Value (Pvalue.Str s)) | Some (Value (Pvalue.Bytes s)) -> `S s
-            | Some (Node (p, _)) ->
-                `S (Option.value (Provdb.name_of db p)
-                      ~default:(string_of_int (Pnode.to_int p)))
-            | _ -> `I 0
-          in
-          let cmp_repr r r' =
-            (* equal ranks imply same constructor; the cross-kind arms
-               only keep the comparator total *)
-            match (r, r') with
-            | `I a, `I b -> Int.compare a b
-            | `S a, `S b -> String.compare a b
-            | `I _, `S _ -> -1
-            | `S _, `I _ -> 1
-          in
-          let cmp (ka, _) (kb, _) =
-            let c = Int.compare (rank ka) (rank kb) in
-            let c = if c <> 0 then c else cmp_repr (key_repr ka) (key_repr kb) in
-            if descending then -c else c
-          in
-          List.stable_sort cmp keyed_rows
-    in
-    List.map snd keyed_rows
+    match q.order with
+    | None -> rows
+    | Some (_, descending) ->
+        let rank = function
+          | None -> 0
+          | Some (Value (Pvalue.Bool _)) -> 1
+          | Some (Value (Pvalue.Int _)) -> 2
+          | Some (Value (Pvalue.Str _)) | Some (Value (Pvalue.Bytes _)) -> 3
+          | Some (Value _) -> 4
+          | Some (Node _) -> 5
+        in
+        let key_repr = function
+          | Some (Value (Pvalue.Bool b)) -> `I (Bool.to_int b)
+          | Some (Value (Pvalue.Int i)) -> `I i
+          | Some (Value (Pvalue.Str s)) | Some (Value (Pvalue.Bytes s)) -> `S s
+          | Some (Node (p, _)) ->
+              `S (Option.value (Provdb.name_of db p)
+                    ~default:(string_of_int (Pnode.to_int p)))
+          | _ -> `I 0
+        in
+        let cmp_repr r r' =
+          (* equal ranks imply same constructor; the cross-kind arms
+             only keep the comparator total *)
+          match (r, r') with
+          | `I a, `I b -> Int.compare a b
+          | `S a, `S b -> String.compare a b
+          | `I _, `S _ -> -1
+          | `S _, `I _ -> 1
+        in
+        let cmp (ka, _) (kb, _) =
+          let c = Int.compare (rank ka) (rank kb) in
+          let c = if c <> 0 then c else cmp_repr (key_repr ka) (key_repr kb) in
+          if descending then -c else c
+        in
+        List.map snd (List.stable_sort cmp (List.combine (List.rev !keys) rows))
 
 (* --- conditions (mutually recursive with query evaluation for subqueries) -- *)
 
