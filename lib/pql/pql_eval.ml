@@ -252,20 +252,19 @@ let is_process db p =
       String.equal q.q_attr "TYPE" && q.q_value = Pvalue.Str "PROCESS")
     (Provdb.records_all db p)
 
+let in_class db root (n : Provdb.node) =
+  match root with
+  | Root_files -> n.kind = Provdb.File
+  | Root_processes -> is_process db n.pnode
+  | Root_objects | Root_var _ -> true
+
 let root_items db env = function
-  | Root_files ->
-      List.filter_map
-        (fun (n : Provdb.node) ->
-          if n.kind = Provdb.File then Some (Node (n.pnode, n.max_version)) else None)
-        (Provdb.all_nodes db)
-  | Root_processes ->
-      List.filter_map
-        (fun (n : Provdb.node) ->
-          if is_process db n.pnode then Some (Node (n.pnode, n.max_version)) else None)
-        (Provdb.all_nodes db)
-  | Root_objects ->
-      List.map (fun (n : Provdb.node) -> Node (n.pnode, n.max_version)) (Provdb.all_nodes db)
   | Root_var v -> [ lookup env v ]
+  | root ->
+      List.filter_map
+        (fun (n : Provdb.node) ->
+          if in_class db root n then Some (Node (n.pnode, n.max_version)) else None)
+        (Provdb.all_nodes db)
 
 (* --- expressions ------------------------------------------------------------ *)
 

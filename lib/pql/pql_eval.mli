@@ -8,9 +8,10 @@
     - the {e reference oracle}: {!reference_rows} is the semantics
       definition the planner's output is property-tested against;
     - the {e shared kernel}: the executor reuses {!eval_path},
-      {!eval_cond}, {!eval_expr}, {!root_items} and {!project} so the two
-      pipelines can only disagree about which environments they build,
-      never about path/predicate/projection semantics. *)
+      {!eval_cond}, {!eval_expr}, {!in_class}, {!root_items} and
+      {!project} so the two pipelines can only disagree about which
+      environments they build, never about path/predicate/projection
+      semantics. *)
 
 exception Error of string
 (** Evaluation error (unbound variable, malformed use); {!Pql.Engine}
@@ -34,6 +35,11 @@ val is_process : Provdb.t -> Pass_core.Pnode.t -> bool
 
 val glob_match : string -> string -> bool
 (** The [~] operator: [*] and [?] wildcards, anchored at both ends. *)
+
+val in_class : Provdb.t -> Pql_ast.root -> Provdb.node -> bool
+(** Whether a node belongs to a class root: files by kind, processes by
+    {!is_process}; every node is an object, and a bound variable's root
+    holds whatever it is bound to. *)
 
 val root_items : Provdb.t -> env -> Pql_ast.root -> item list
 (** Enumerate a class root (files/processes/objects at their max

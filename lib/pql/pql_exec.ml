@@ -1,8 +1,8 @@
 (* Plan execution for PQL (ISSUE 9).
 
    Runs a Pql_plan over the Provdb, reusing the naive evaluator's
-   machinery (eval_path / eval_cond / root_items / project) for every
-   semantic decision.  What differs from the naive pipeline is purely
+   machinery (eval_path / eval_cond / in_class / root_items / project)
+   for every semantic decision.  What differs from the naive pipeline is purely
    structural:
 
    - independent bindings (class roots) are computed ONCE, not once per
@@ -26,31 +26,17 @@ open Pql_ast
 module E = Pql_eval
 module P = Pql_plan
 
-(* class membership for probe results, mirroring root_items *)
-let in_class db root (n : Provdb.node) =
-  match root with
-  | Root_objects | Root_var _ -> true
-  | Root_files -> n.kind = Provdb.File
-  | Root_processes -> E.is_process db n.pnode
-
-let distinct_pnodes pvs =
-  let seen = Hashtbl.create 64 in
-  List.filter_map
-    (fun (p, _) ->
-      if Hashtbl.mem seen p then None
-      else begin
-        Hashtbl.replace seen p ();
-        Some p
-      end)
-    pvs
-
+(* the class members among [pnodes], at their max version *)
 let of_class db root pnodes =
   List.filter_map
     (fun p ->
       match Provdb.find_node db p with
-      | Some n when in_class db root n -> Some (E.Node (p, n.max_version))
+      | Some n when E.in_class db root n -> Some (E.Node (p, n.max_version))
       | Some _ | None -> None)
     pnodes
+
+(* the distinct pnodes of an attribute's postings, in pnode order *)
+let attr_pnodes db a = List.sort_uniq Provdb.Pnode.compare (List.map fst (Provdb.with_attr db a))
 
 (* candidate items of an independent step's access, before path/pushed *)
 let access_items db (step : P.step) =
@@ -59,7 +45,7 @@ let access_items db (step : P.step) =
       (* the TYPE posting list is a superset of every process node:
          is_process needs a TYPE record, hence a posting *)
       Provdb.fault_in db;
-      of_class db Root_processes (distinct_pnodes (Provdb.with_attr db "TYPE"))
+      of_class db Root_processes (attr_pnodes db "TYPE")
   | P.Scan root -> E.root_items db [] root
   | P.Name_probe (root, s) ->
       (* alias sightings can live in archived history: settle it first
@@ -78,7 +64,7 @@ let access_items db (step : P.step) =
       of_class db root (Provdb.find_by_name_prefix db prefix ~keep)
   | P.Attr_probe (root, a) ->
       (* with_attr faults the archive in itself *)
-      of_class db root (distinct_pnodes (Provdb.with_attr db a))
+      of_class db root (attr_pnodes db a)
   | P.Var_step _ -> invalid_arg "access_items: dependent step"
 
 (* pushed conjuncts only mention this binder, so a singleton environment

@@ -19,8 +19,8 @@
    postings over its range), scans cost the class table,
    walks multiply by the graph's average ancestry out-degree, and
    closures from a small set of known start pnodes are measured directly
-   against the transitive-adjacency index (a capped cone count).  They
-   only need to rank access paths and make EXPLAIN informative.
+   by a capped pnode-level walk of the hot tier's edges (a cone count).
+   They only need to rank access paths and make EXPLAIN informative.
 
    The cone count is the one estimate that walks the graph, and no plan
    choice reads it (a walk's access is fixed), so it is deferred: the
@@ -160,9 +160,10 @@ let rec walk_est db starts = function
 
 and closure_est db starts p = min (graph_size db) (smul (max starts (walk_est db starts p)) 4)
 
-(* closure from known start pnodes: count the cone directly against
-   the transitive-adjacency index instead of guessing (each start's
-   count capped at 20 000 nodes) — when the estimate is first read *)
+(* closure from known start pnodes: count the cone directly, walking
+   the hot tier's edges at pnode granularity, instead of guessing (each
+   start's count capped at 20 000 nodes) — when the estimate is first
+   read *)
 let reach_est db dirn pnodes =
   let ancestors = match dirn with Fwd -> true | Inv | Mixed -> false in
   lazy

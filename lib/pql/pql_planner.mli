@@ -6,10 +6,11 @@
     smaller; turns cross-binding equality conjuncts into hash joins; and
     estimates cardinalities from Provdb index statistics (posting
     lengths, class counts, average ancestry degree, and, when start
-    pnodes are known at plan time, the size of each start's cone in the
-    transitive-adjacency index, counted without building it and capped
-    at 20 000 nodes).  That cone count is deferred to the first read of
-    the estimate ({!Pql_plan.pp}), so planning walks no cone.
+    pnodes are known at plan time, the size of each start's cone, a
+    pnode-level walk of the hot tier's edges counted without building
+    it and capped at 20 000 nodes).  That cone count is deferred to the
+    first read of the estimate ({!Pql_plan.pp}), so planning walks no
+    cone.
 
     Probes are supersets by construction — pushed conjuncts are still
     applied with exact evaluator semantics — so planning affects cost,

@@ -15,9 +15,6 @@
      by name so a glob's literal prefix is a range probe;
    - an attribute inverted index: attribute -> distinct (pnode, version)
      occurrences with a per-attribute cardinality count;
-   - a pnode-granular ancestry adjacency (parents/children, as slots),
-     giving the query planner transitive-reachability estimates without
-     touching the version-level edge tables;
    - a per-node resident-version index (which versions hold quads).
 
    One step builds the secondary indexes: [load] (restart, fault-in),
@@ -29,10 +26,13 @@
 
    Walks mark slots instead of keeping a visited table: each walk takes
    the next epoch number ([t.walks]), a slot it reaches takes that
-   number, and the queue array is reused, so the planner's cone walks
-   and the query engine's closures ([walk_cells]) allocate nothing per
-   node they visit.  Slots never leave the node table, so an edge list
-   can hold them; the public accessors still speak pnodes. *)
+   number, and the queue array is reused, so neither the planner's cone
+   walks nor the query engine's closures ([walk_cells]) build a visited
+   set.  A cone walk reads the hot tier's forward and reverse edges, the
+   ones a closure hops over, with versions collapsed: the planner's
+   cone estimate needs no index of its own.  Slots never leave the node
+   table, so an edge list can hold them; the public accessors still
+   speak pnodes. *)
 
 module Pnode = Pass_core.Pnode
 module Pvalue = Pass_core.Pvalue
@@ -66,8 +66,6 @@ type quad = { q_pnode : Pnode.t; q_version : int; q_attr : string; q_value : Pva
 type slot = {
   node : node;
   mutable resident : int list; (* ascending versions that hold at least one quad *)
-  mutable parents : slot list; (* direct ancestry parents, newest first *)
-  mutable children : slot list; (* direct ancestry children, newest first *)
   mutable refs : (slot * int * string * int) list;
       (* reverse edges into this pnode: source slot, source version,
          attribute, referenced version; read in source (pnode, version)
@@ -119,9 +117,6 @@ type t = {
   attrs : (string, attr_entry) Hashtbl.t;
       (* keyed by uppercased attribute, matching the evaluator's
          case-insensitive attribute semantics *)
-  adj_seen : (Pnode.t * Pnode.t, unit) Hashtbl.t;
-      (* dedup for parents/children: a Postmark process has thousands of
-         parents, so a list scan would make ingest quadratic *)
   mutable quad_count : int;
   mutable edge_count : int; (* ancestry quads ingested, with multiplicity *)
   mutable file_count : int;
@@ -145,7 +140,6 @@ let create_sized ~nodes =
     quads = Hashtbl.create (2 * nodes);
     names = Names.empty;
     attrs = Hashtbl.create 64;
-    adj_seen = Hashtbl.create (2 * nodes);
     quad_count = 0;
     edge_count = 0;
     file_count = 0;
@@ -170,8 +164,6 @@ let slot t pnode =
           node =
             { pnode; kind = Virtual; node_name = None; max_version = 0; declared = false; floor = 0 };
           resident = [];
-          parents = [];
-          children = [];
           refs = [];
           refs_sorted = true;
           versions_memo = None;
@@ -269,22 +261,6 @@ let attr_entry t key =
 let upper_attr a =
   if String.exists (fun c -> c >= 'a' && c <= 'z') a then String.uppercase_ascii a else a
 
-(* Record a direct pnode-level ancestry edge [s -> p].  Freeze edges
-   (same pnode, earlier version) are skipped: they carry no cross-object
-   reachability and would put self-loops in the adjacency.  One probe
-   per edge: [replace] grows [adj_seen] only for a new pair. *)
-let add_adjacency t (s : slot) (p : slot) =
-  let src = s.node.pnode and parent = p.node.pnode in
-  if not (Pnode.equal src parent) then begin
-    let before = Hashtbl.length t.adj_seen in
-    Hashtbl.replace t.adj_seen (src, parent) ();
-    if Hashtbl.length t.adj_seen > before then begin
-      s.parents <- p :: s.parents;
-      p.children <- s :: p.children;
-      t.index_bytes <- t.index_bytes + 32
-    end
-  end
-
 let rec insert_version v = function
   | [] -> [ v ]
   | x :: _ as l when v < x -> v :: l
@@ -337,7 +313,6 @@ let insert t (s : slot) (c : cell) (q : quad) ~size =
       | [] -> ());
       p.refs <- (s, q.q_version, q.q_attr, x.version) :: p.refs;
       t.edge_count <- t.edge_count + 1;
-      add_adjacency t s p;
       t.index_bytes <- t.index_bytes + 40 (* fwd + rev entries *)
   | Pvalue.Str str when String.equal q.q_attr Record.Attr.name ->
       if n.node_name = None then n.node_name <- Some str;
@@ -615,14 +590,6 @@ let attr_cardinality t attr =
   | Some ae -> ae.ae_count
   | None -> 0
 
-let pnodes_of slots = List.rev_map slot_pnode slots
-
-let parents_of t pnode =
-  match Hashtbl.find t.nodes pnode with s -> pnodes_of s.parents | exception Not_found -> []
-
-let children_of t pnode =
-  match Hashtbl.find t.nodes pnode with s -> pnodes_of s.children | exception Not_found -> []
-
 (* Breadth-first walk over (slot, version) cells: the one walk behind
    the planner's cones and the query engine's closures.  [reach s v]
    queues cell (s, v) and answers true when the walk has not reached it
@@ -670,10 +637,26 @@ let walk_cells t ~again ~seed ~expand =
     expand s v
   done
 
-(* Breadth-first walk of the pnode-level adjacency [next] from [start],
-   handing [visit] each newly reached pnode in BFS order until [limit]
-   have been reached.  Every slot is reached at version 0. *)
-let walk t next ~limit start visit =
+(* The slots one hop from [s] over the hot tier's ancestry edges, with
+   repeats: the targets of the edges leaving [s]'s resident cells, or
+   the sources of the reverse edges into [s].  Neither faults the
+   archive in. *)
+let iter_targets t s f =
+  List.iter
+    (fun v ->
+      List.iter
+        (fun (_, (x : Pvalue.xref)) -> f (Hashtbl.find t.nodes x.pnode))
+        (Hashtbl.find t.quads (s.node.pnode, v)).c_out)
+    s.resident
+
+let iter_sources s f = List.iter (fun (src, _, _, _) -> f src) (sorted_refs s)
+
+(* Breadth-first walk at pnode granularity from [start], handing [visit]
+   each newly reached pnode in BFS order until [limit] have been
+   reached.  Every slot is reached at version 0, so versions collapse,
+   and an edge into a slot already reached (the start's own freeze
+   edges among them) reaches nothing. *)
+let walk t ~ancestors ~limit start visit =
   match Hashtbl.find t.nodes start with
   | exception Not_found -> ()
   | s0 ->
@@ -683,30 +666,27 @@ let walk t next ~limit start visit =
         ~seed:(fun reach ->
           let _ : bool = reach s0 0 in
           ())
-        ~expand:(fun reach s _ ->
-          let rec go = function
-            | p :: rest when !found < limit ->
-                if reach p 0 then begin
-                  incr found;
-                  visit p.node.pnode
-                end;
-                go rest
-            | _ -> ()
+        ~expand:(fun reach ->
+          let hop p =
+            if !found < limit && reach p 0 then begin
+              incr found;
+              visit p.node.pnode
+            end
           in
-          go (next s))
+          fun s _ ->
+            if !found < limit then if ancestors then iter_targets t s hop else iter_sources s hop)
 
-let reach t next ?(limit = max_int) start =
+let reach t ~ancestors ?(limit = max_int) start =
   let out = ref [] in
-  walk t next ~limit start (fun p -> out := p :: !out);
+  walk t ~ancestors ~limit start (fun p -> out := p :: !out);
   List.rev !out
 
-let reach_ancestors t ?limit pnode = reach t (fun s -> s.parents) ?limit pnode
-let reach_descendants t ?limit pnode = reach t (fun s -> s.children) ?limit pnode
+let reach_ancestors t ?limit pnode = reach t ~ancestors:true ?limit pnode
+let reach_descendants t ?limit pnode = reach t ~ancestors:false ?limit pnode
 
 let cone_size t ~ancestors ~limit pnode =
-  let next s = if ancestors then s.parents else s.children in
   let n = ref 0 in
-  walk t next ~limit pnode (fun _ -> incr n);
+  walk t ~ancestors ~limit pnode (fun _ -> incr n);
   !n
 
 let db_bytes t = t.db_bytes
@@ -934,9 +914,9 @@ let ancestors t pnode ~version =
    sizes from byte spans, no presizing, no shared quads — so on any db,
    loaded, ingested, merged or compacted, it checks what the run path
    does differently.  Any drift in the incremental maintenance — a
-   missed posting, a stale adjacency row, a resident version that
-   leaked — shows up as a mismatch.  The chaos harness runs this after
-   crash/recover and after archive fault-in. *)
+   missed posting, a resident version that leaked — shows up as a
+   mismatch.  The chaos harness runs this after crash/recover and after
+   archive fault-in. *)
 let verify_indexes t =
   (* settle the archive first: probing indexes below would otherwise
      fault it in while we iterate over the very tables it repopulates *)
@@ -964,9 +944,7 @@ let verify_indexes t =
             drifted "name index source";
           if n.max_version <> m.max_version || n.floor <> m.floor then
             drifted "version-range index";
-          if not (same Int.compare resident_versions) then drifted "resident-version index";
-          if not (same Pnode.compare parents_of) then drifted "ancestry adjacency (parents)";
-          if not (same Pnode.compare children_of) then drifted "ancestry adjacency (children)")
+          if not (same Int.compare resident_versions) then drifted "resident-version index")
     t.nodes;
   if Names.cardinal t.names <> Names.cardinal r.names then fail "name index: alias count drifted";
   Names.iter

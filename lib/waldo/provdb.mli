@@ -4,9 +4,8 @@
     indexes the query engine needs: forward and reverse ancestry edges, a
     complete name index (every alias a node was seen under, ordered by
     name so a glob's literal prefix is one range), an inverted
-    attribute index with per-attribute cardinalities, a pnode-granular
-    ancestry adjacency for transitive-reachability estimates, and a
-    per-node resident-version index.  One insertion step maintains them:
+    attribute index with per-attribute cardinalities, and a per-node
+    resident-version index.  One insertion step maintains them:
     {!load} (restart, archive fault-in), {!ingest_entry} (log ingest),
     {!merge_into} and {!compact} insert in runs into one node, switching
     cells only when the version changes; {!verify_indexes} checks the
@@ -14,10 +13,10 @@
     mirrors the paper's Table 3 ([db_bytes] for the tables,
     [index_bytes] for the indexes).
 
-    Reverse edges and the ancestry adjacency hold node-table entries
-    ({!slot}s), not pnodes, so a walk hops without probing the node
-    table; walks mark the slots they reach with an epoch number instead
-    of keeping a visited table.  The accessors below return pnodes. *)
+    Reverse edges hold node-table entries ({!slot}s), not pnodes, so a
+    walk hops without probing the node table; walks mark the slots they
+    reach with an epoch number instead of keeping a visited table.  The
+    accessors below return pnodes. *)
 
 module Pnode = Pass_core.Pnode
 module Pvalue = Pass_core.Pvalue
@@ -142,11 +141,13 @@ val attr_cardinality : t -> string -> int
 val reach_ancestors : t -> ?limit:int -> Pnode.t -> Pnode.t list
 (** Transitive ancestry reachability at pnode granularity (versions
     collapsed, freeze self-edges excluded), excluding the start, in BFS
-    order.  With [limit] the walk stops once it has discovered [limit]
-    nodes, so the result holds at most [limit] nodes and is a prefix of
-    the unlimited result. *)
+    order: a walk over the forward edges of the hot tier's cells, which
+    never faults the archive in.  With [limit] the walk stops once it has
+    discovered [limit] nodes, so the result holds at most [limit] nodes
+    and is a prefix of the unlimited result. *)
 
 val reach_descendants : t -> ?limit:int -> Pnode.t -> Pnode.t list
+(** {!reach_ancestors} over the hot tier's reverse edges. *)
 
 val cone_size : t -> ancestors:bool -> limit:int -> Pnode.t -> int
 (** [List.length] of {!reach_ancestors} (or, with [~ancestors:false],
@@ -265,7 +266,7 @@ val verify_indexes : t -> (unit, string) result
     {!load}, {!ingest_entry}, {!merge_into} and {!compact} share, so any
     db is checked against the record-at-a-time oracle — and diffs each
     index against the live one: names, attr postings and
-    cardinalities, ancestry adjacency, resident versions, version ranges,
+    cardinalities, resident versions, version ranges,
     and the edge, file and quad counts and byte counters.  [Error msg]
     names the first drift found.  Faults the archive in first so the
     comparison covers the whole history. *)

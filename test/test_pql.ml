@@ -1203,6 +1203,64 @@ let prop_reach_limit_prefix =
             walks)
         (Provdb.all_nodes db))
 
+(* The planner's cone walks against a pnode-level BFS of their own: a
+   pnode's neighbours are the targets of its [out_edges_all] (with
+   [~ancestors]) or the sources of its [in_edges], self edges skipped,
+   versions collapsed.  Without a fault handler those accessors read the
+   hot tier only, as the cone walks do.  The cones are compared as sets;
+   [prop_reach_limit_prefix] pins their order. *)
+let oracle_cone db ~ancestors start =
+  let next p =
+    List.filter
+      (fun q -> not (Pnode.equal p q))
+      (if ancestors then List.map (fun (_, _, (x : Pvalue.xref)) -> x.pnode) (Provdb.out_edges_all db p)
+       else List.map (fun (src, _, _, _) -> src) (Provdb.in_edges db p))
+  in
+  List.sort Pnode.compare (List.concat (List.tl (bfs_levels next start)))
+
+let cones_match_oracle db =
+  List.for_all
+    (fun (n : Provdb.node) ->
+      List.for_all
+        (fun ancestors ->
+          let oracle = oracle_cone db ~ancestors n.pnode in
+          let reach = if ancestors then Provdb.reach_ancestors else Provdb.reach_descendants in
+          List.equal Pnode.equal oracle (List.sort Pnode.compare (reach db n.pnode))
+          && List.for_all
+               (fun limit ->
+                 Int.equal
+                   (Provdb.cone_size db ~ancestors ~limit n.pnode)
+                   (min limit (List.length oracle)))
+               [ 0; 1; 2; 5; 20_000 ])
+        [ true; false ])
+    (Provdb.all_nodes db)
+
+(* Plain, merged, compacted (an alias at version 1 archives version 0's
+   edges, so the hot tier's cones shrink), and compacted with the
+   archive faulted back in. *)
+let prop_cone_matches_bfs =
+  QCheck2.Test.make ~name:"provdb: cones = an independent pnode-level BFS" ~count:200
+    QCheck2.Gen.(pair gen_graph gen_graph)
+    (fun (specs, other) ->
+      let db = build_random_db specs in
+      let merged = build_random_db other in
+      Provdb.merge_into ~dst:merged ~src:db;
+      let hot, cold = Provdb.compact merged ~keep:1 in
+      let faulted, _ = Provdb.compact merged ~keep:1 in
+      Provdb.set_fault_handler faulted (fun t ->
+          Provdb.merge_into ~dst:t ~src:cold;
+          true);
+      Provdb.fault_in faulted;
+      List.for_all cones_match_oracle [ db; merged; hot; faulted ])
+
+let test_cone_matches_bfs_linux () =
+  let db = linux_compile_db () in
+  check tbool "every cone = the pnode-level BFS" true (cones_match_oracle db);
+  check tbool "some cone is non-trivial" true
+    (List.exists
+       (fun (n : Provdb.node) -> List.length (Provdb.reach_ancestors db n.pnode) > 1)
+       (Provdb.all_nodes db))
+
 (* --- the bulk loader against an add_record replay ---------------------------- *)
 
 (* A Provdb image taken apart: raw node entries (pnode, kind byte, name,
@@ -1345,7 +1403,7 @@ let qcheck_cases =
     [ prop_print_parse_roundtrip; prop_glob; prop_glob_star ]
   @ List.map pinned
       [ prop_planner_matches_naive; prop_prefix_probe; prop_reach_limit_prefix;
-        prop_loader_matches_replay ]
+        prop_cone_matches_bfs; prop_loader_matches_replay ]
 
 let suite =
   [
@@ -1403,6 +1461,8 @@ let suite =
     Alcotest.test_case "exec: a closure faults the archive in partway" `Quick
       test_closure_across_archive_midwalk;
     Alcotest.test_case "provdb: reach limit caps discovered nodes" `Quick test_reach_limit;
+    Alcotest.test_case "provdb: cones = the pnode-level BFS (Linux compile)" `Quick
+      test_cone_matches_bfs_linux;
     Alcotest.test_case "eval: glob with many stars does not backtrack" `Quick
       test_glob_many_stars;
   ]
