@@ -75,6 +75,17 @@ let apply_pushed db (step : P.step) items =
   | pushed ->
       List.filter (fun it -> List.for_all (E.eval_cond db [ (step.binder, it) ]) pushed) items
 
+(* Each environment extended by [binder] bound to each of its endpoints,
+   in order, built in one pass. *)
+let[@tail_mod_cons] rec bind_each binder endpoints = function
+  | [] -> []
+  | env :: rest -> bind_env binder endpoints env (endpoints env) rest
+
+and[@tail_mod_cons] bind_env binder endpoints env its rest =
+  match its with
+  | [] -> bind_each binder endpoints rest
+  | it :: its -> ((binder, it) :: env) :: bind_env binder endpoints env its rest
+
 let run db (q : query) (plan : P.t) =
   let step_envs envs (step : P.step) =
     match step.access with
@@ -93,11 +104,7 @@ let run db (q : query) (plan : P.t) =
               E.Items.replace memo start endpoints;
               endpoints
         in
-        let envs' =
-          List.concat_map
-            (fun env -> List.map (fun it -> (step.binder, it) :: env) (expand (E.lookup env v)))
-            envs
-        in
+        let envs' = bind_each step.binder (fun env -> expand (E.lookup env v)) envs in
         step.actual <- E.Items.fold (fun _ eps acc -> acc + List.length eps) memo 0;
         envs'
     | _ -> (

@@ -4,18 +4,23 @@
    that Waldo later moves into a database and indexes.  The database holds
    the provenance graph at (object, version) granularity:
 
-   - a node table: pnode -> kind, latest known name, known versions,
-     plus the pnode-keyed indexes below;
-   - a quad store: (pnode, version) cells of (attribute, value) quads;
-   - a forward edge index: each cell's ancestry cross-references;
-   - a reverse edge index: pnode -> who refers to it, each edge holding
-     its source's node-table entry (slot), so a descendant walk hops
-     from slot to slot without probing the node table;
+   - a node table: pnode -> slot, the node (kind, latest known name,
+     known versions) with everything keyed by its pnode:
+     - its resident cells, one per (pnode, version) that holds quads,
+       ascending by version in an array (a direct index on a dense
+       history, a binary search otherwise), each cell holding its
+       (attribute, value) quads and the ancestry edges leaving it;
+     - its reverse edges, who refers to it, as four parallel arrays
+       (source slot, source version, attribute, referenced version), so
+       a descendant walk hops from slot to slot reading arrays;
    - a name index: name -> set of pnodes (every name sighting), ordered
      by name so a glob's literal prefix is a range probe;
    - an attribute inverted index: attribute -> distinct (pnode, version)
      occurrences with a per-attribute cardinality count;
-   - a per-node resident-version index (which versions hold quads).
+   - an attribute table: each distinct attribute string once, so every
+     stored quad and reverse edge shares one copy and a query step that
+     resolves its attribute through [intern_attr] usually matches by
+     physical equality.
 
    One step builds the secondary indexes: [load] (restart, fault-in),
    [ingest_entry] (log ingest), [merge_into] and [compact] insert in runs
@@ -31,7 +36,7 @@
    set.  A cone walk reads the hot tier's forward and reverse edges, the
    ones a closure hops over, with versions collapsed: the planner's
    cone estimate needs no index of its own.  Slots never leave the node
-   table, so an edge list can hold them; the public accessors still
+   table, so an edge array can hold them; the public accessors still
    speak pnodes. *)
 
 module Pnode = Pass_core.Pnode
@@ -60,19 +65,47 @@ type node = {
 
 type quad = { q_pnode : Pnode.t; q_version : int; q_attr : string; q_value : Pvalue.t }
 
-(* A node-table entry: the node and the indexes keyed by its pnode.
-   Edge lists hold the slots at their other end, which were in hand when
-   the edge was inserted. *)
+(* One inverted-index posting list, in reverse insertion order; the
+   sorted view handed to queries is memoized and invalidated on insert,
+   so repeated [with_attr] probes do not re-sort. *)
+type attr_entry = {
+  mutable ae_entries : (Pnode.t * int) list;
+  mutable ae_count : int;
+  mutable ae_sorted : (Pnode.t * int) list option;
+}
+
+(* One distinct attribute string of the db: the copy every quad and
+   reverse edge holds, and the posting list of its uppercase form. *)
+type attr = { a_name : string; a_upper : string; a_entry : attr_entry }
+
+(* One (pnode, version) cell of the quad store. *)
+type cell = {
+  c_version : int;
+  mutable c_quads : quad list; (* newest first *)
+  mutable c_out : (string * Pvalue.xref) list; (* ancestry edges leaving it, newest first *)
+  mutable c_attrs : attr_entry list;
+      (* the posting lists it is on, one per distinct uppercased
+         attribute, so a repeated attribute (every INPUT of a process) is
+         deduplicated by a scan of a few pointers *)
+}
+
+(* A node-table entry: the node and everything keyed by its pnode.  The
+   reverse edges hold the slots at their other end, which were in hand
+   when the edge was inserted. *)
 type slot = {
   node : node;
-  mutable resident : int list; (* ascending versions that hold at least one quad *)
-  mutable refs : (slot * int * string * int) list;
-      (* reverse edges into this pnode: source slot, source version,
-         attribute, referenced version; read in source (pnode, version)
-         order, ties in insertion order ([sorted_refs]) *)
-  mutable refs_sorted : bool;
-      (* [refs] is newest first and in descending source order, so read
-         back to front it is in source order *)
+  mutable cells : cell array; (* the first [n_cells] are resident, ascending by version *)
+  mutable n_cells : int;
+  mutable ref_src : slot array;
+  mutable ref_srcv : int array;
+  mutable ref_attr : string array;
+  mutable ref_v : int array;
+      (* the reverse edges into this pnode, the first [n_refs] of four
+         parallel arrays: source slot, source version, attribute,
+         referenced version.  Appended at insert; read in source (pnode,
+         version) order, ties in insertion order ([sort_refs]). *)
+  mutable n_refs : int;
+  mutable refs_sorted : bool; (* the edges are in read order *)
   mutable versions_memo : (int * int list) option;
       (* memoized [0..max_version] enumeration, keyed by the max it was
          built for, so [versions] does not allocate per call *)
@@ -84,31 +117,11 @@ type slot = {
          meaningful while [mark] is that walk's *)
 }
 
-(* One (pnode, version) cell of the quad store. *)
-type cell = {
-  mutable c_quads : quad list; (* newest first *)
-  mutable c_out : (string * Pvalue.xref) list; (* ancestry edges leaving it, newest first *)
-  mutable c_attrs : string list;
-      (* its distinct uppercased attributes: one attr-index posting each,
-         so a repeated attribute (every INPUT of a process) is deduplicated
-         by a scan of a few strings *)
-}
-
-(* One inverted-index posting list, in reverse insertion order; the
-   sorted view handed to queries is memoized and invalidated on insert,
-   so repeated [with_attr] probes do not re-sort. *)
-type attr_entry = {
-  mutable ae_entries : (Pnode.t * int) list;
-  mutable ae_count : int;
-  mutable ae_sorted : (Pnode.t * int) list option;
-}
-
 module Names = Map.Make (String)
 module Pnodes = Set.Make (Pnode)
 
 type t = {
   nodes : (Pnode.t, slot) Hashtbl.t;
-  quads : (Pnode.t * int, cell) Hashtbl.t;
   mutable names : Pnodes.t ref Names.t;
       (* string-ordered, so every name sharing a prefix is one contiguous
          range ([find_by_name_prefix]); a posting set, not a list, because
@@ -117,6 +130,7 @@ type t = {
   attrs : (string, attr_entry) Hashtbl.t;
       (* keyed by uppercased attribute, matching the evaluator's
          case-insensitive attribute semantics *)
+  attr_names : (string, attr) Hashtbl.t; (* keyed by the attribute as stored *)
   mutable quad_count : int;
   mutable edge_count : int; (* ancestry quads ingested, with multiplicity *)
   mutable file_count : int;
@@ -137,9 +151,9 @@ and fault_handler = t -> bool
 let create_sized ~nodes =
   {
     nodes = Hashtbl.create nodes;
-    quads = Hashtbl.create (2 * nodes);
     names = Names.empty;
     attrs = Hashtbl.create 64;
+    attr_names = Hashtbl.create 64;
     quad_count = 0;
     edge_count = 0;
     file_count = 0;
@@ -163,8 +177,13 @@ let slot t pnode =
         {
           node =
             { pnode; kind = Virtual; node_name = None; max_version = 0; declared = false; floor = 0 };
-          resident = [];
-          refs = [];
+          cells = [||];
+          n_cells = 0;
+          ref_src = [||];
+          ref_srcv = [||];
+          ref_attr = [||];
+          ref_v = [||];
+          n_refs = 0;
           refs_sorted = true;
           versions_memo = None;
           mark = 0;
@@ -249,22 +268,31 @@ let copy_node t (n : node) =
   absorb_node t n.pnode ~kind:n.kind ~declared:n.declared ~name:n.node_name
     ~max_version:n.max_version ~floor:n.floor
 
-let attr_entry t key =
-  match Hashtbl.find_opt t.attrs key with
-  | Some ae -> ae
-  | None ->
-      let ae = { ae_entries = []; ae_count = 0; ae_sorted = None } in
-      Hashtbl.add t.attrs key ae;
-      ae
+(* The db's one copy of attribute [name], created on first use with the
+   posting list of its uppercase form (attributes are nearly always
+   stored uppercase already, so that is usually [name] itself). *)
+let intern t name =
+  match Hashtbl.find t.attr_names name with
+  | a -> a
+  | exception Not_found ->
+      let upper =
+        if String.exists (fun c -> c >= 'a' && c <= 'z') name then String.uppercase_ascii name
+        else name
+      in
+      let entry =
+        match Hashtbl.find_opt t.attrs upper with
+        | Some ae -> ae
+        | None ->
+            let ae = { ae_entries = []; ae_count = 0; ae_sorted = None } in
+            Hashtbl.add t.attrs upper ae;
+            ae
+      in
+      let a = { a_name = name; a_upper = upper; a_entry = entry } in
+      Hashtbl.add t.attr_names name a;
+      a
 
-(* Attributes are nearly always stored uppercase already; skip the copy. *)
-let upper_attr a =
-  if String.exists (fun c -> c >= 'a' && c <= 'z') a then String.uppercase_ascii a else a
-
-let rec insert_version v = function
-  | [] -> [ v ]
-  | x :: _ as l when v < x -> v :: l
-  | x :: rest -> x :: insert_version v rest
+let intern_attr t name =
+  match Hashtbl.find t.attr_names name with a -> a.a_name | exception Not_found -> name
 
 (* [List.iter f (List.rev l)] without the reversed copy: cells keep
    their entries newest first, readers want them in ingest order. *)
@@ -274,80 +302,165 @@ let rec iter_oldest_first f = function
       iter_oldest_first f rest;
       f x
 
-(* The cell of (s's pnode, version), created on first use. *)
-let cell t (s : slot) version =
-  let key = (s.node.pnode, version) in
-  match Hashtbl.find t.quads key with
-  | c -> c
-  | exception Not_found ->
-      let c = { c_quads = []; c_out = []; c_attrs = [] } in
-      Hashtbl.add t.quads key c;
-      s.resident <- insert_version version s.resident;
-      c
+(* [a] grown to [n] entries, the new ones [fill]. *)
+let grow a n fill =
+  let b = Array.make n fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
 
-(* Insert quad [q] into cell [c] of slot [s], updating every index;
-   [size] is the record's encoded size. *)
-let insert t (s : slot) (c : cell) (q : quad) ~size =
-  let n = s.node in
-  if q.q_version > n.max_version then n.max_version <- q.q_version;
-  c.c_quads <- q :: c.c_quads;
+(* What [find_cell] answers for a version with no quads: never inserted
+   into, so its lists stay empty. *)
+let no_cell = { c_version = -1; c_quads = []; c_out = []; c_attrs = [] }
+
+(* Where cell [version] is or would go among [s]'s cells: the index of
+   the first one whose version is not below it. *)
+let cell_pos s version =
+  let n = s.n_cells in
+  if n = 0 || s.cells.(n - 1).c_version < version then n
+  else begin
+    let lo = ref 0 and hi = ref (n - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if s.cells.(mid).c_version < version then lo := mid + 1 else hi := mid
+    done;
+    !lo
+  end
+
+(* The cell of [s] at [version], or [no_cell]: a direct index when the
+   history is dense from its first resident version, else a binary
+   search. *)
+let find_cell s version =
+  let n = s.n_cells in
+  if n = 0 then no_cell
+  else
+    let cells = s.cells in
+    let i = version - cells.(0).c_version in
+    if i >= 0 && i < n && cells.(i).c_version = version then cells.(i)
+    else
+      let i = cell_pos s version in
+      if i < n && cells.(i).c_version = version then cells.(i) else no_cell
+
+(* [f] on each of [s]'s resident cells, ascending by version. *)
+let iter_cells s f =
+  for i = 0 to s.n_cells - 1 do
+    f s.cells.(i)
+  done
+
+(* The cell of (s's pnode, version), created on first use. *)
+let cell s version =
+  let c = find_cell s version in
+  if c != no_cell then c
+  else begin
+    let c = { c_version = version; c_quads = []; c_out = []; c_attrs = [] } in
+    let i = cell_pos s version and n = s.n_cells in
+    if n = Array.length s.cells then s.cells <- grow s.cells (max 1 (2 * n)) c;
+    Array.blit s.cells i s.cells (i + 1) (n - i);
+    s.cells.(i) <- c;
+    s.n_cells <- n + 1;
+    c
+  end
+
+(* Append a reverse edge into [p]; an edge that sorts before the last
+   one marks the arrays for one stable sort at their next read. *)
+let add_ref p src srcv attr v =
+  let n = p.n_refs in
+  if n > 0 then begin
+    let c = Pnode.compare src.node.pnode p.ref_src.(n - 1).node.pnode in
+    if c < 0 || (c = 0 && srcv < p.ref_srcv.(n - 1)) then p.refs_sorted <- false
+  end;
+  if n = Array.length p.ref_srcv then begin
+    let cap = max 2 (2 * n) in
+    p.ref_src <- grow p.ref_src cap src;
+    p.ref_srcv <- grow p.ref_srcv cap 0;
+    p.ref_attr <- grow p.ref_attr cap attr;
+    p.ref_v <- grow p.ref_v cap 0
+  end;
+  p.ref_src.(n) <- src;
+  p.ref_srcv.(n) <- srcv;
+  p.ref_attr.(n) <- attr;
+  p.ref_v.(n) <- v;
+  p.n_refs <- n + 1
+
+(* Put [s]'s reverse edges in read order: source (pnode, version)
+   ascending, ties in insertion order.  Ingest inserts in log order,
+   which is nearly always source order already, and an image load in
+   source order; an archive fault-in appends older sources after newer
+   ones, and one stable sort of a permutation then reorders the four
+   arrays in place. *)
+let sort_refs s =
+  if not s.refs_sorted then begin
+    let n = s.n_refs in
+    let order = Array.init n Fun.id in
+    Array.stable_sort
+      (fun i j ->
+        match Pnode.compare s.ref_src.(i).node.pnode s.ref_src.(j).node.pnode with
+        | 0 -> Int.compare s.ref_srcv.(i) s.ref_srcv.(j)
+        | c -> c)
+      order;
+    let permute a =
+      let old = Array.sub a 0 n in
+      Array.iteri (fun k i -> a.(k) <- old.(i)) order
+    in
+    permute s.ref_src;
+    permute s.ref_srcv;
+    permute s.ref_attr;
+    permute s.ref_v;
+    s.refs_sorted <- true
+  end
+
+(* Insert the quad (attr, value) at [c], slot [s]'s cell of its
+   version, updating every index; [size] is the record's encoded size. *)
+let insert t (s : slot) (c : cell) attr value ~size =
+  let n = s.node and version = c.c_version in
+  let a = intern t attr in
+  if version > n.max_version then n.max_version <- version;
+  c.c_quads <- { q_pnode = n.pnode; q_version = version; q_attr = a.a_name; q_value = value } :: c.c_quads;
   t.quad_count <- t.quad_count + 1;
   t.db_bytes <- t.db_bytes + size + 16;
-  let upper = upper_attr q.q_attr in
-  if not (List.exists (String.equal upper) c.c_attrs) then begin
-    c.c_attrs <- upper :: c.c_attrs;
-    let ae = attr_entry t upper in
-    ae.ae_entries <- (n.pnode, q.q_version) :: ae.ae_entries;
+  let ae = a.a_entry in
+  if not (List.memq ae c.c_attrs) then begin
+    c.c_attrs <- ae :: c.c_attrs;
+    ae.ae_entries <- (n.pnode, version) :: ae.ae_entries;
     ae.ae_count <- ae.ae_count + 1;
     ae.ae_sorted <- None;
     t.index_bytes <- t.index_bytes + 20 (* attr index entry *)
   end;
-  match q.q_value with
+  match value with
   | Pvalue.Xref x ->
-      c.c_out <- (q.q_attr, x) :: c.c_out;
-      let p = slot t x.pnode in
-      (match p.refs with
-      | (last, lastv, _, _) :: _ ->
-          let c = Pnode.compare n.pnode last.node.pnode in
-          if c < 0 || (c = 0 && q.q_version < lastv) then p.refs_sorted <- false
-      | [] -> ());
-      p.refs <- (s, q.q_version, q.q_attr, x.version) :: p.refs;
+      c.c_out <- (a.a_name, x) :: c.c_out;
+      add_ref (slot t x.pnode) s version a.a_name x.version;
       t.edge_count <- t.edge_count + 1;
       t.index_bytes <- t.index_bytes + 40 (* fwd + rev entries *)
-  | Pvalue.Str str when String.equal q.q_attr Record.Attr.name ->
+  | Pvalue.Str str when String.equal a.a_name Record.Attr.name ->
       if n.node_name = None then n.node_name <- Some str;
       index_name t str n.pnode
-  | (Pvalue.Str str | Pvalue.Bytes str) when String.equal upper Record.Attr.name ->
+  | (Pvalue.Str str | Pvalue.Bytes str) when String.equal a.a_upper Record.Attr.name ->
       (* the evaluator reads attributes case-insensitively and globs
          match byte strings too, so these are names to a query even
          though they never become the node's own name *)
       index_name t str n.pnode
   | _ -> ()
 
-let quad_of pnode ~version (r : Record.t) =
-  { q_pnode = pnode; q_version = version; q_attr = r.attr; q_value = r.value }
-
 (* [Record.encoded_size] of a stored quad, without rebuilding its record. *)
 let quad_size (q : quad) = 4 + String.length q.q_attr + Pvalue.encoded_size q.q_value
 
-(* A run of insertions into one node: its slot, a version and its cell. *)
-type run = { r_slot : slot; mutable r_version : int; mutable r_cell : cell }
+(* A run of insertions into one node: its slot and its current cell. *)
+type run = { r_slot : slot; mutable r_cell : cell }
 
-let open_run t (s : slot) ~version = { r_slot = s; r_version = version; r_cell = cell t s version }
+let open_run (s : slot) ~version = { r_slot = s; r_cell = cell s version }
 
 (* The one insertion step: a run costs one slot lookup, plus one cell
-   probe per version it writes. *)
-let step t run (q : quad) ~size =
-  if q.q_version <> run.r_version then begin
-    run.r_version <- q.q_version;
-    run.r_cell <- cell t run.r_slot q.q_version
-  end;
-  insert t run.r_slot run.r_cell q ~size
+   lookup per version it writes. *)
+let step t run ~version attr value ~size =
+  if version <> run.r_cell.c_version then run.r_cell <- cell run.r_slot version;
+  insert t run.r_slot run.r_cell attr value ~size
 
-(* Copy one cell of another db as one run, sharing its immutable quads. *)
-let copy_cell t pnode ~version (c : cell) =
-  let run = open_run t (slot t pnode) ~version in
-  iter_oldest_first (fun q -> step t run q ~size:(quad_size q)) c.c_quads
+(* Copy one cell of another db as one run. *)
+let copy_cell t pnode (c : cell) =
+  let run = open_run (slot t pnode) ~version:c.c_version in
+  iter_oldest_first
+    (fun q -> step t run ~version:c.c_version q.q_attr q.q_value ~size:(quad_size q))
+    c.c_quads
 
 (* The ingest-side version rule, next to [insert]'s NAME rule: a FREEZE
    v record moves itself, and the records after it, to version v. *)
@@ -357,25 +470,25 @@ let entry_version (r : Record.t) ~current =
   | _ -> current
 
 (* Recursion, not [List.iter]: a closure per entry outweighs a run's saving. *)
-let rec ingest_run t run pnode = function
+let rec ingest_run t run = function
   | [] -> ()
   | (r : Record.t) :: rest ->
-      step t run (quad_of pnode ~version:(entry_version r ~current:run.r_version) r)
-        ~size:(Record.encoded_size r);
-      ingest_run t run pnode rest
+      step t run
+        ~version:(entry_version r ~current:run.r_cell.c_version)
+        r.attr r.value ~size:(Record.encoded_size r);
+      ingest_run t run rest
 
 (* One bundle entry, as one run starting in the node's newest version. *)
 let ingest_entry t pnode = function
   | [] -> ()
   | first :: _ as records ->
       let s = slot t pnode in
-      ingest_run t (open_run t s ~version:(entry_version first ~current:s.node.max_version)) pnode
-        records
+      ingest_run t (open_run s ~version:(entry_version first ~current:s.node.max_version)) records
 
-(* The record-at-a-time oracle: no run, one cell probe per record. *)
+(* The record-at-a-time oracle: no run, one cell lookup per record. *)
 let add_record t pnode ~version (record : Record.t) =
   let s = slot t pnode in
-  insert t s (cell t s version) (quad_of pnode ~version record) ~size:(Record.encoded_size record)
+  insert t s (cell s version) record.attr record.value ~size:(Record.encoded_size record)
 
 (* --- cold-tier fault-in --------------------------------------------------- *)
 
@@ -453,20 +566,9 @@ let versions t pnode =
           s.versions_memo <- Some (s.node.max_version, l);
           l)
 
-let resident_versions t pnode =
-  match Hashtbl.find t.nodes pnode with s -> s.resident | exception Not_found -> []
-
-(* Raw accessors see only what is resident — serialize and compact use
-   them so snapshotting the hot tier never faults the archive in. *)
-let records_at_raw t pnode ~version =
-  match Hashtbl.find t.quads (pnode, version) with
-  | c -> List.rev c.c_quads
-  | exception Not_found -> []
-
-let out_edges_raw t pnode ~version =
-  match Hashtbl.find t.quads (pnode, version) with
-  | c -> List.rev c.c_out
-  | exception Not_found -> []
+(* The cell of (pnode, version), or [no_cell]. *)
+let find_cell_of t pnode version =
+  match Hashtbl.find t.nodes pnode with s -> find_cell s version | exception Not_found -> no_cell
 
 (* A query for a version below the node's floor needs archived history. *)
 let below_floor t pnode version =
@@ -475,86 +577,72 @@ let below_floor t pnode version =
   | exception Not_found -> false
 
 (* Whole-history accessors fault the archive in up front when the node
-   has a floor, then walk the resident-version index — versions that
-   never held a quad are skipped instead of probed one by one. *)
-let fault_in_node_history t pnode =
-  if t.floored > 0 then
-    match Hashtbl.find t.nodes pnode with
-    | s -> if s.node.floor > 0 then maybe_fault_in t
-    | exception Not_found -> ()
+   has a floor, then read the slot's resident cells in version order.
+   Each folds [f] over the cells from the newest back, so a list it
+   builds comes out oldest first. *)
+let fold_history t pnode f init =
+  match Hashtbl.find t.nodes pnode with
+  | exception Not_found -> init
+  | s ->
+      if s.node.floor > 0 then maybe_fault_in t;
+      let acc = ref init in
+      for i = s.n_cells - 1 downto 0 do
+        acc := f s.cells.(i) !acc
+      done;
+      !acc
 
 let records_at t pnode ~version =
   if below_floor t pnode version then maybe_fault_in t;
-  records_at_raw t pnode ~version
+  List.rev (find_cell_of t pnode version).c_quads
 
-let records_all t pnode =
-  fault_in_node_history t pnode;
-  List.concat_map (fun v -> records_at_raw t pnode ~version:v) (resident_versions t pnode)
+let records_all t pnode = fold_history t pnode (fun c acc -> List.rev_append c.c_quads acc) []
 
 (* The slot-level reads a [walk_cells] walk hops with: one cell's quads,
    and the reverse edges into a slot with their source slots. *)
 let iter_cell t s ~version f =
   if version < s.node.floor then maybe_fault_in t;
-  match Hashtbl.find t.quads (s.node.pnode, version) with
-  | c -> iter_oldest_first f c.c_quads
-  | exception Not_found -> ()
-
-(* A slot's reverse edges, newest first, in descending source (pnode,
-   version) order: the order an image load inserts them in, so a live
-   db, a restarted one and one that faulted its archive in list them
-   alike.  Ingest inserts in log order, which is nearly always source
-   order already; an edge that is not marks the list for one stable sort
-   at its next read. *)
-let sorted_refs s =
-  if not s.refs_sorted then begin
-    s.refs <-
-      List.stable_sort
-        (fun (a, av, _, _) (b, bv, _, _) ->
-          match Pnode.compare b.node.pnode a.node.pnode with 0 -> Int.compare bv av | c -> c)
-        s.refs;
-    s.refs_sorted <- true
-  end;
-  s.refs
-
-let rec iter_refs_oldest_first f = function
-  | [] -> ()
-  | (src, srcv, attr, _) :: rest ->
-      iter_refs_oldest_first f rest;
-      f src srcv attr
+  iter_oldest_first f (find_cell s version).c_quads
 
 let iter_refs t s f =
   (* reverse edges into [s] can originate from any node's archived
      versions, so the presence of any floor is reason to fault in *)
   if t.floored > 0 then maybe_fault_in t;
-  iter_refs_oldest_first f (sorted_refs s)
+  sort_refs s;
+  for i = 0 to s.n_refs - 1 do
+    f s.ref_src.(i) s.ref_srcv.(i) s.ref_attr.(i)
+  done
 
 let find_slot t pnode = Hashtbl.find t.nodes pnode
 let slot_pnode s = s.node.pnode
 
 let iter_records_all t pnode f =
-  fault_in_node_history t pnode;
-  List.iter
-    (fun v ->
-      match Hashtbl.find t.quads (pnode, v) with
-      | c -> iter_oldest_first f c.c_quads
-      | exception Not_found -> ())
-    (resident_versions t pnode)
+  match Hashtbl.find t.nodes pnode with
+  | exception Not_found -> ()
+  | s ->
+      if s.node.floor > 0 then maybe_fault_in t;
+      iter_cells s (fun c -> iter_oldest_first f c.c_quads)
 
 let out_edges t pnode ~version =
   if below_floor t pnode version then maybe_fault_in t;
-  out_edges_raw t pnode ~version
+  List.rev (find_cell_of t pnode version).c_out
 
 let out_edges_all t pnode =
-  fault_in_node_history t pnode;
-  List.concat_map
-    (fun v -> List.map (fun (a, x) -> (v, a, x)) (out_edges_raw t pnode ~version:v))
-    (resident_versions t pnode)
+  fold_history t pnode
+    (fun c acc -> List.fold_left (fun acc (a, x) -> (c.c_version, a, x) :: acc) acc c.c_out)
+    []
+
+(* [s]'s reverse edges in read order, with their source pnodes. *)
+let refs_of s =
+  sort_refs s;
+  let l = ref [] in
+  for i = s.n_refs - 1 downto 0 do
+    l := (s.ref_src.(i).node.pnode, s.ref_srcv.(i), s.ref_attr.(i), s.ref_v.(i)) :: !l
+  done;
+  !l
 
 let in_edges t pnode =
   if t.floored > 0 then maybe_fault_in t;
-  match Hashtbl.find t.nodes pnode with
-  | s -> List.rev_map (fun (src, srcv, attr, v) -> (src.node.pnode, srcv, attr, v)) (sorted_refs s)
-  | exception Not_found -> []
+  match Hashtbl.find t.nodes pnode with s -> refs_of s | exception Not_found -> []
 
 let with_attr t attr =
   if t.floored > 0 then maybe_fault_in t;
@@ -642,14 +730,16 @@ let walk_cells t ~again ~seed ~expand =
    the sources of the reverse edges into [s].  Neither faults the
    archive in. *)
 let iter_targets t s f =
-  List.iter
-    (fun v ->
-      List.iter
-        (fun (_, (x : Pvalue.xref)) -> f (Hashtbl.find t.nodes x.pnode))
-        (Hashtbl.find t.quads (s.node.pnode, v)).c_out)
-    s.resident
+  iter_cells s (fun c ->
+      List.iter (fun (_, (x : Pvalue.xref)) -> f (Hashtbl.find t.nodes x.pnode)) c.c_out)
 
-let iter_sources s f = List.iter (fun (src, _, _, _) -> f src) (sorted_refs s)
+(* In descending source order, the order [reach_descendants] lists a
+   cone's pnodes in. *)
+let iter_sources s f =
+  sort_refs s;
+  for i = s.n_refs - 1 downto 0 do
+    f s.ref_src.(i)
+  done
 
 (* Breadth-first walk at pnode granularity from [start], handing [visit]
    each newly reached pnode in BFS order until [limit] have been
@@ -698,7 +788,7 @@ let total_bytes t = t.db_bytes + t.index_bytes
    disk in the Figure 1 scenario). *)
 let merge_into ~dst ~src =
   Hashtbl.iter (fun _ s -> copy_node dst s.node) src.nodes;
-  Hashtbl.iter (fun (pnode, version) c -> copy_cell dst pnode ~version c) src.quads
+  Hashtbl.iter (fun _ s -> iter_cells s (copy_cell dst s.node.pnode)) src.nodes
 
 (* --- on-disk form ---------------------------------------------------------- *)
 
@@ -715,17 +805,12 @@ let sorted_slots t =
 (* Every resident quad, nodes in pnode order, each node's versions
    ascending, each version's quads in ingest order: the image order. *)
 let iter_quads t f =
-  List.iter
-    (fun s ->
-      List.iter
-        (fun v -> List.iter f (records_at_raw t s.node.pnode ~version:v))
-        s.resident)
-    (sorted_slots t)
+  List.iter (fun s -> iter_cells s (fun c -> iter_oldest_first f c.c_quads)) (sorted_slots t)
 
 (* Serialize the node and quad tables (secondary indexes are rebuilt on
    load).  Deterministic order so persisted images are stable, and [load]
    relies on it: nodes sorted, each node's quads contiguous and grouped
-   by version.  Only resident quads are written (raw accessors), so the
+   by version.  Only resident quads are written (the slots' cells), so the
    hot tier snapshots without faulting the archive in.  Quad bytes are a
    pure function of which versions are resident — each version's quads
    live wholly in one tier and keep their ingest order — so two dbs that
@@ -787,21 +872,21 @@ let load t image =
       ~max_version ~floor
   done;
   let edges0 = t.edge_count and attrs0 = attr_entry_total t in
-  let run = ref None in
+  let current = ref None in
   for _ = 1 to Wire.get_u32 image pos do
     let pnode = Pnode.of_int (Wire.get_i64 image pos) in
     let version = Wire.get_i64 image pos in
     let start = !pos in
-    let q = quad_of pnode ~version (Record.decode image pos) in
-    let r =
-      match !run with
-      | Some r when Pnode.equal pnode r.r_slot.node.pnode -> r
+    let r = Record.decode image pos in
+    let run =
+      match !current with
+      | Some run when Pnode.equal pnode run.r_slot.node.pnode -> run
       | _ ->
-          let r = open_run t (slot t pnode) ~version in
-          run := Some r;
-          r
+          let run = open_run (slot t pnode) ~version in
+          current := Some run;
+          run
     in
-    step t r q ~size:(!pos - start)
+    step t run ~version r.attr r.value ~size:(!pos - start)
   done;
   (* a load into a populated db (archive fault-in) adds cells disjoint
      from the resident ones — compaction splits every node's versions
@@ -850,14 +935,12 @@ let compact t ~keep =
       copy_node cold s.node)
     slots;
   List.iter
-    (fun { node = n; resident; _ } ->
+    (fun s ->
+      let n = s.node in
       let cutoff = max n.floor (max 0 (n.max_version - keep + 1)) in
-      List.iter
-        (fun v ->
-          if v >= n.floor then
-            copy_cell (if v < cutoff then cold else hot) n.pnode ~version:v
-              (Hashtbl.find t.quads (n.pnode, v)))
-        resident;
+      iter_cells s (fun c ->
+          if c.c_version >= n.floor then
+            copy_cell (if c.c_version < cutoff then cold else hot) n.pnode c);
       set_floor hot (node hot n.pnode) cutoff;
       (* the cold db records the segment's base so it is self-describing *)
       set_floor cold (node cold n.pnode) n.floor)
@@ -887,7 +970,13 @@ let is_acyclic t =
         Hashtbl.replace color key 2;
         ok
   in
-  Hashtbl.fold (fun key c acc -> acc && (match c.c_out with [] -> true | _ -> dfs key)) t.quads true
+  let ok = ref true in
+  Hashtbl.iter
+    (fun p s ->
+      iter_cells s (fun c ->
+          match c.c_out with [] -> () | _ -> if !ok then ok := dfs (p, c.c_version)))
+    t.nodes;
+  !ok
 
 (* Transitive ancestor closure of (pnode, version): every (pnode, version)
    reachable over ancestry edges, *including* earlier versions linked by
@@ -911,12 +1000,14 @@ let ancestors t pnode ~version =
    order, through the record-at-a-time oracle ([absorb_node],
    [add_record]) into a fresh db, and diff each index and counter against
    the live one.  The replay never goes through [step]: no runs, no
-   sizes from byte spans, no presizing, no shared quads — so on any db,
-   loaded, ingested, merged or compacted, it checks what the run path
-   does differently.  Any drift in the incremental maintenance — a
-   missed posting, a resident version that leaked — shows up as a
-   mismatch.  The chaos harness runs this after crash/recover and after
-   archive fault-in. *)
+   sizes from byte spans, no presizing — and an image lists every
+   reverse edge in source order, so it never sorts one either.  On any
+   db, loaded, ingested, merged or compacted, it checks what the run
+   path and the sort do differently.  Any drift in the incremental
+   maintenance — a missed posting, a resident version that leaked, an
+   edge stored with the wrong source, version or attribute or read back
+   in another order — shows up as a mismatch.  The chaos harness runs
+   this after crash/recover and after archive fault-in. *)
 let verify_indexes t =
   (* settle the archive first: probing indexes below would otherwise
      fault it in while we iterate over the very tables it repopulates *)
@@ -930,21 +1021,34 @@ let verify_indexes t =
   let fail msg = if !problem = None then problem := Some msg in
   if node_count t <> node_count r then
     fail (Printf.sprintf "node count %d (live) vs %d (rebuilt)" (node_count t) (node_count r));
+  let same_xref (x : Pvalue.xref) (y : Pvalue.xref) =
+    Pnode.equal x.pnode y.pnode && x.version = y.version
+  in
+  let same_out (a, x) (b, y) = String.equal a b && same_xref x y in
+  let same_ref (p, pv, a, v) (q, qv, b, w) =
+    Pnode.equal p q && pv = qv && String.equal a b && v = w
+  in
   Hashtbl.iter
-    (fun p { node = n; _ } ->
-      match find_node r p with
-      | None -> fail ("node " ^ describe p ^ " missing after rebuild")
-      | Some m ->
+    (fun p s ->
+      let n = s.node in
+      match Hashtbl.find r.nodes p with
+      | exception Not_found -> fail ("node " ^ describe p ^ " missing after rebuild")
+      | s' ->
+          let m = s'.node in
           let drifted what = fail ("node " ^ describe p ^ ": " ^ what ^ " drifted") in
-          let same cmp index =
-            let sorted db = List.sort cmp (index db p) in
-            List.equal (fun a b -> cmp a b = 0) (sorted t) (sorted r)
-          in
           if not (Option.equal String.equal n.node_name m.node_name) then
             drifted "name index source";
           if n.max_version <> m.max_version || n.floor <> m.floor then
             drifted "version-range index";
-          if not (same Int.compare resident_versions) then drifted "resident-version index")
+          let cells_agree same =
+            let rec from i = i = s.n_cells || (same s.cells.(i) s'.cells.(i) && from (i + 1)) in
+            s.n_cells = s'.n_cells && from 0
+          in
+          if not (cells_agree (fun c c' -> c.c_version = c'.c_version)) then
+            drifted "resident-version index"
+          else if not (cells_agree (fun c c' -> List.equal same_out c.c_out c'.c_out)) then
+            drifted "forward-edge index";
+          if not (List.equal same_ref (refs_of s) (refs_of s')) then drifted "reverse-edge index")
     t.nodes;
   if Names.cardinal t.names <> Names.cardinal r.names then fail "name index: alias count drifted";
   Names.iter

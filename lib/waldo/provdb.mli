@@ -1,11 +1,14 @@
 (** The provenance database Waldo maintains.
 
     Holds the provenance graph at (object, version) granularity with the
-    indexes the query engine needs: forward and reverse ancestry edges, a
-    complete name index (every alias a node was seen under, ordered by
-    name so a glob's literal prefix is one range), an inverted
-    attribute index with per-attribute cardinalities, and a per-node
-    resident-version index.  One insertion step maintains them:
+    indexes the query engine needs.  Each node-table entry ({!slot})
+    owns its node's cells, indexed by version, each with its quads and
+    forward ancestry edges, and the reverse edges into the node, packed
+    in parallel arrays.  Beside them sit a complete name index (every
+    alias a node was seen under, ordered by name so a glob's literal
+    prefix is one range), an inverted attribute index with per-attribute
+    cardinalities, and a table holding each distinct attribute string
+    once.  One insertion step maintains them:
     {!load} (restart, archive fault-in), {!ingest_entry} (log ingest),
     {!merge_into} and {!compact} insert in runs into one node, switching
     cells only when the version changes; {!verify_indexes} checks the
@@ -116,6 +119,13 @@ val with_attr : t -> string -> (Pnode.t * int) list
 
 val attr_value : t -> Pnode.t -> version:int -> string -> Pvalue.t option
 
+val intern_attr : t -> string -> string
+(** The db's own copy of attribute [a] when some stored quad has exactly
+    that attribute, else [a] itself.  Every quad and reverse edge holds
+    its attribute's one copy, so a path step that resolves its attribute
+    here once can match by physical equality before comparing
+    characters. *)
+
 (** {2 Planner statistics}
 
     Cardinality inputs for the PQL cost-based planner.  These read the
@@ -173,8 +183,9 @@ val iter_cell : t -> slot -> version:int -> (quad -> unit) -> unit
 
 val iter_refs : t -> slot -> (slot -> int -> string -> unit) -> unit
 (** The reverse edges into a slot, in {!in_edges} order, as (source
-    slot, source version, attribute): {!in_edges} without a list or a
-    node-table probe at either end.  The query engine's inverse step. *)
+    slot, source version, attribute): {!in_edges} read off the slot's
+    edge arrays, without a list or a node-table probe at either end.
+    The query engine's inverse step. *)
 
 val walk_cells :
   t ->
@@ -266,7 +277,8 @@ val verify_indexes : t -> (unit, string) result
     {!load}, {!ingest_entry}, {!merge_into} and {!compact} share, so any
     db is checked against the record-at-a-time oracle — and diffs each
     index against the live one: names, attr postings and
-    cardinalities, resident versions, version ranges,
-    and the edge, file and quad counts and byte counters.  [Error msg]
+    cardinalities, resident versions, version ranges, each cell's
+    forward edges, each node's reverse edges in read order, and the
+    edge, file and quad counts and byte counters.  [Error msg]
     names the first drift found.  Faults the archive in first so the
     comparison covers the whole history. *)

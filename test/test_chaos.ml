@@ -762,10 +762,10 @@ let test_txn_across_checkpoint_boundary () =
 
 (* --- index consistency across crash/recover and archive fault-in ------------- *)
 
-(* ISSUE 9: the provdb's secondary indexes (name postings, inverted
-   attribute index, resident versions) are maintained incrementally
-   under ingestion, merge, compaction and archive fault-in, and rebuilt
-   wholesale by deserialize.  Whatever the
+(* The provdb's secondary indexes (name postings, inverted attribute
+   index, resident cells, forward and reverse edges) are maintained
+   incrementally under ingestion, merge, compaction and archive
+   fault-in, and rebuilt wholesale by deserialize.  Whatever the
    route into the store — checkpoint image, crash recovery, cold-tier
    fault-in — the maintained indexes must agree exactly with a
    from-scratch rebuild, and the cost-based planner must keep returning

@@ -1395,6 +1395,96 @@ let prop_loader_matches_replay =
       && Provdb.index_bytes faulted = Provdb.index_bytes merged_in
       && Result.is_ok (Provdb.verify_indexes faulted))
 
+(* --- the slot layout against the record-at-a-time replay ---------------------- *)
+
+(* A node with a long history, inserted out of version order: 1 200
+   versions, dense up to 599 and every other one from 1 200 on, each
+   reading the lowest pnode of [db] and every hundredth also the version
+   before it.  The odd-numbered ones are added downwards and then the
+   even ones upwards, so cells go into the middle of the node's array
+   and the reverse edges into both nodes arrive out of source order. *)
+let add_long_history db =
+  let first =
+    List.fold_left (fun m (n : Provdb.node) -> if Pnode.compare n.pnode m < 0 then n.pnode else m)
+      (Pnode.of_int max_int) (Provdb.all_nodes db)
+  in
+  let long = Pnode.fresh (Pnode.allocator ~machine:8) in
+  let version i = if i < 600 then i else 2 * i in
+  let odd, even = List.partition (fun i -> i land 1 = 1) (List.init 1_200 Fun.id) in
+  List.iter
+    (fun i ->
+      Provdb.add_record db long ~version:(version i) (Record.input_of first 0);
+      if i > 0 && i mod 100 = 0 then
+        Provdb.add_record db long ~version:(version i) (Record.input_of long (version (i - 1))))
+    (List.rev odd @ even)
+
+(* Everything a query reads of [db], node by node, equals what the
+   replay of its image through [add_record] reads: reverse edges through
+   [in_edges] and [iter_refs], cells through [records_at] and
+   [records_all] and [out_edges], and the forward and inverse closures'
+   rows from each node's newest and oldest version. *)
+let reads_like_replay db =
+  let r = replay_image (parse_image (Provdb.serialize db)) in
+  let eq_x (x : Pvalue.xref) (y : Pvalue.xref) = Pnode.equal x.pnode y.pnode && x.version = y.version in
+  let eq_q (x : Provdb.quad) (y : Provdb.quad) =
+    Pnode.equal x.q_pnode y.q_pnode && x.q_version = y.q_version
+    && String.equal x.q_attr y.q_attr && Pvalue.equal x.q_value y.q_value
+  in
+  let eq_in (p, v, a, w) (p', v', a', w') = Pnode.equal p p' && v = v' && String.equal a a' && w = w' in
+  let eq_ref (p, v, a) (p', v', a') = Pnode.equal p p' && v = v' && String.equal a a' in
+  let refs d p =
+    let l = ref [] in
+    Provdb.iter_refs d (Provdb.find_slot d p) (fun s v a -> l := (Provdb.slot_pnode s, v, a) :: !l);
+    List.rev !l
+  in
+  let closure d e p v = Pql_eval.eval_path d (Pql_ast.Star (Pql_ast.Edge e)) [ Pql_eval.Node (p, v) ] in
+  let eq_item a b =
+    match (a, b) with
+    | Pql_eval.Node (p, v), Pql_eval.Node (p', v') -> Pnode.equal p p' && v = v'
+    | Pql_eval.Value x, Pql_eval.Value y -> Pvalue.equal x y
+    | _ -> false
+  in
+  List.for_all
+       (fun (n : Provdb.node) ->
+         let p = n.pnode in
+         List.equal eq_in (Provdb.in_edges db p) (Provdb.in_edges r p)
+         && List.equal eq_ref (refs db p) (refs r p)
+         && List.equal eq_ref (refs db p) (List.map (fun (s, v, a, _) -> (s, v, a)) (Provdb.in_edges db p))
+         && List.equal eq_q (Provdb.records_all db p) (Provdb.records_all r p)
+         && List.for_all
+              (fun v ->
+                List.equal eq_q (Provdb.records_at db p ~version:v) (Provdb.records_at r p ~version:v)
+                && List.equal
+                     (fun (a, x) (b, y) -> String.equal a b && eq_x x y)
+                     (Provdb.out_edges db p ~version:v) (Provdb.out_edges r p ~version:v))
+              (Provdb.versions db p)
+         && List.for_all
+              (fun e ->
+                List.for_all
+                  (fun v -> List.equal eq_item (closure db e p v) (closure r e p v))
+                  [ 0; n.max_version ])
+              [ Pql_ast.Forward "input"; Pql_ast.Inverse "input" ])
+       (Provdb.all_nodes db)
+
+(* Plain, merged, compacted, faulted in and reloaded from an image, each
+   with one node of 1 200 versions. *)
+let prop_layout_matches_replay =
+  QCheck2.Test.make ~name:"provdb: slot layout reads like the add_record replay" ~count:50
+    QCheck2.Gen.(pair gen_graph gen_graph)
+    (fun (specs, other) ->
+      let db = build_random_db specs in
+      add_long_history db;
+      let merged = build_random_db other in
+      Provdb.merge_into ~dst:merged ~src:db;
+      let hot, cold = Provdb.compact merged ~keep:1 in
+      let faulted, _ = Provdb.compact merged ~keep:1 in
+      Provdb.set_fault_handler faulted (fun t ->
+          Provdb.load t (Provdb.serialize cold);
+          true);
+      Provdb.fault_in faulted;
+      let reloaded = Provdb.deserialize (Provdb.serialize merged) in
+      List.for_all reads_like_replay [ db; merged; hot; faulted; reloaded ])
+
 (* A property run from a pinned seed, so a CI failure replays exactly. *)
 let pinned prop = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) prop
 
@@ -1403,7 +1493,7 @@ let qcheck_cases =
     [ prop_print_parse_roundtrip; prop_glob; prop_glob_star ]
   @ List.map pinned
       [ prop_planner_matches_naive; prop_prefix_probe; prop_reach_limit_prefix;
-        prop_cone_matches_bfs; prop_loader_matches_replay ]
+        prop_cone_matches_bfs; prop_loader_matches_replay; prop_layout_matches_replay ]
 
 let suite =
   [
