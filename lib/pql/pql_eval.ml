@@ -93,22 +93,18 @@ let lookup env v =
   in
   go env
 
-(* Whether attribute [a] equals [upper], an uppercased query attribute
-   resolved through [Provdb.intern_attr], case-insensitively, without an
-   uppercased copy of [a].  Provdb stores attributes uppercase in nearly
-   every case, each as one shared copy, so physical equality usually
-   decides; the character compare covers the rest. *)
+(* Whether attribute [a] equals [upper], an uppercased query attribute,
+   case-insensitively, without an uppercased copy of [a]: Provdb stores
+   attributes uppercase in nearly every case, so the exact comparison
+   usually decides. *)
 let same_attr upper a =
-  a == upper
-  || String.length a = String.length upper
-     &&
+  String.length a = String.length upper
+  && (String.equal a upper
+     ||
      let rec go i =
        i = String.length a || (Char.equal (Char.uppercase_ascii a.[i]) upper.[i] && go (i + 1))
      in
-     go 0
-
-(* A query attribute as [same_attr] wants it. *)
-let resolve_attr db a = Provdb.intern_attr db (String.uppercase_ascii a)
+     go 0)
 
 (* --- pseudo-attributes every node answers --------------------------------- *)
 
@@ -122,7 +118,7 @@ let node_pseudo db p v = function
 let attr_values db p v attr =
   (* attribute lookup searches every version of the object: identity
      records (NAME, TYPE, ARGV …) are written once, not per version *)
-  let upper = resolve_attr db attr and found = ref [] in
+  let upper = String.uppercase_ascii attr and found = ref [] in
   Provdb.iter_records_all db p (fun q ->
       if same_attr upper q.q_attr then found := Value q.q_value :: !found);
   match !found with [] -> node_pseudo db p v attr | values -> List.rev values
@@ -139,12 +135,12 @@ type sink = {
 
 (* [hop db e k s v] hands each endpoint of one [e] edge from cell (s, v)
    to [k], in the order of the underlying accessor, without building a
-   list.  The step's attribute is resolved, and its per-record test
+   list.  The step's attribute is uppercased, and its per-record test
    built, once, here. *)
 let hop db e (k : sink) =
   match e with
   | Forward a ->
-      let upper = resolve_attr db a in
+      let upper = String.uppercase_ascii a in
       let record (q : Provdb.quad) =
         if same_attr upper q.q_attr then
           match q.q_value with Pvalue.Xref x -> k.node x.pnode x.version | other -> k.value other
@@ -153,7 +149,7 @@ let hop db e (k : sink) =
   | Inverse a ->
       (* inverse traversal is pnode-granular: "who refers to any version of
          this object" is what descendant queries mean in practice *)
-      let upper = resolve_attr db a in
+      let upper = String.uppercase_ascii a in
       let edge src srcv a = if same_attr upper a then k.slot src srcv in
       fun s _v -> Provdb.iter_refs db s edge
   | Any_edge ->
@@ -375,43 +371,15 @@ let project db (q : query) envs =
     ]
   else
     (* set semantics: a row joins only the first time it is produced; a
-       one-column row is deduplicated by its item, in a table sized to
-       the environments, a wider one by the row.  Order keys are kept, in
-       step with the rows, only under ORDER BY. *)
+       one-column row is deduplicated by its item, a wider one by the row.
+       The item table is sized to the environments, at most 256 buckets
+       (a larger bucket array would be allocated in the major heap).
+       Order keys are kept, in step with the rows, only under ORDER BY. *)
+    let seen_items = Items.create (min 256 (List.length envs)) and seen = Rows.create 64 in
     let rows = ref [] and keys = ref [] in
     let emit order_key row =
       rows := row :: !rows;
       if Option.is_some q.order then keys := order_key :: !keys
-    in
-    let emit_env =
-      match q.select with
-      | [ O_expr (Var v) ] ->
-          (* the bound item itself, with no one-item list per row *)
-          let seen = Items.create (List.length envs) in
-          fun order_key env ->
-            let it = lookup env v in
-            if add_new seen it then emit order_key [ it ]
-      | [ (O_expr e | O_agg (_, e)) ] ->
-          let seen = Items.create (List.length envs) in
-          fun order_key env ->
-            List.iter (fun it -> if add_new seen it then emit order_key [ it ]) (eval_expr db env e)
-      | select ->
-          (* a row per combination of set-valued outputs would explode;
-             like Lorel we take the cartesian product per environment *)
-          let seen = Rows.create 64 in
-          let rec cartesian = function
-            | [] -> [ [] ]
-            | col :: rest ->
-                let tails = cartesian rest in
-                List.concat_map (fun v -> List.map (fun tl -> v :: tl) tails) col
-          in
-          fun order_key env ->
-            List.iter
-              (fun row ->
-                let n = Rows.length seen in
-                Rows.replace seen row ();
-                if Rows.length seen > n then emit order_key row)
-              (cartesian (List.map (fun (O_expr e | O_agg (_, e)) -> eval_expr db env e) select))
     in
     List.iter
       (fun env ->
@@ -420,7 +388,26 @@ let project db (q : query) envs =
           | Some (e, _) -> (match eval_expr db env e with k :: _ -> Some k | [] -> None)
           | None -> None
         in
-        emit_env order_key env)
+        (* a row per combination of set-valued outputs would explode;
+           like Lorel we take the cartesian product per environment *)
+        match q.select with
+        | [ (O_expr e | O_agg (_, e)) ] ->
+            List.iter
+              (fun v -> if add_new seen_items v then emit order_key [ v ])
+              (eval_expr db env e)
+        | select ->
+            let rec cartesian = function
+              | [] -> [ [] ]
+              | col :: rest ->
+                  let tails = cartesian rest in
+                  List.concat_map (fun v -> List.map (fun tl -> v :: tl) tails) col
+            in
+            List.iter
+              (fun row ->
+                let n = Rows.length seen in
+                Rows.replace seen row ();
+                if Rows.length seen > n then emit order_key row)
+              (cartesian (List.map (fun (O_expr e | O_agg (_, e)) -> eval_expr db env e) select)))
       envs;
     let rows = List.rev !rows in
     (* ordering: integers and strings by value, nodes by rendered name,

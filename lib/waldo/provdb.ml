@@ -7,20 +7,16 @@
    - a node table: pnode -> slot, the node (kind, latest known name,
      known versions) with everything keyed by its pnode:
      - its resident cells, one per (pnode, version) that holds quads,
-       ascending by version in an array (a direct index on a dense
-       history, a binary search otherwise), each cell holding its
-       (attribute, value) quads and the ancestry edges leaving it;
+       ascending by version in an array found by binary search, each
+       cell holding its (attribute, value) quads and the ancestry edges
+       leaving it;
      - its reverse edges, who refers to it, as four parallel arrays
        (source slot, source version, attribute, referenced version), so
        a descendant walk hops from slot to slot reading arrays;
    - a name index: name -> set of pnodes (every name sighting), ordered
      by name so a glob's literal prefix is a range probe;
    - an attribute inverted index: attribute -> distinct (pnode, version)
-     occurrences with a per-attribute cardinality count;
-   - an attribute table: each distinct attribute string once, so every
-     stored quad and reverse edge shares one copy and a query step that
-     resolves its attribute through [intern_attr] usually matches by
-     physical equality.
+     occurrences with a per-attribute cardinality count.
 
    One step builds the secondary indexes: [load] (restart, fault-in),
    [ingest_entry] (log ingest), [merge_into] and [compact] insert in runs
@@ -74,19 +70,14 @@ type attr_entry = {
   mutable ae_sorted : (Pnode.t * int) list option;
 }
 
-(* One distinct attribute string of the db: the copy every quad and
-   reverse edge holds, and the posting list of its uppercase form. *)
-type attr = { a_name : string; a_upper : string; a_entry : attr_entry }
-
 (* One (pnode, version) cell of the quad store. *)
 type cell = {
   c_version : int;
   mutable c_quads : quad list; (* newest first *)
   mutable c_out : (string * Pvalue.xref) list; (* ancestry edges leaving it, newest first *)
-  mutable c_attrs : attr_entry list;
-      (* the posting lists it is on, one per distinct uppercased
-         attribute, so a repeated attribute (every INPUT of a process) is
-         deduplicated by a scan of a few pointers *)
+  mutable c_attrs : string list;
+      (* its distinct uppercased attributes, so a repeated attribute
+         (every INPUT of a process) joins the posting list once *)
 }
 
 (* A node-table entry: the node and everything keyed by its pnode.  The
@@ -130,7 +121,6 @@ type t = {
   attrs : (string, attr_entry) Hashtbl.t;
       (* keyed by uppercased attribute, matching the evaluator's
          case-insensitive attribute semantics *)
-  attr_names : (string, attr) Hashtbl.t; (* keyed by the attribute as stored *)
   mutable quad_count : int;
   mutable edge_count : int; (* ancestry quads ingested, with multiplicity *)
   mutable file_count : int;
@@ -153,7 +143,6 @@ let create_sized ~nodes =
     nodes = Hashtbl.create nodes;
     names = Names.empty;
     attrs = Hashtbl.create 64;
-    attr_names = Hashtbl.create 64;
     quad_count = 0;
     edge_count = 0;
     file_count = 0;
@@ -268,31 +257,17 @@ let copy_node t (n : node) =
   absorb_node t n.pnode ~kind:n.kind ~declared:n.declared ~name:n.node_name
     ~max_version:n.max_version ~floor:n.floor
 
-(* The db's one copy of attribute [name], created on first use with the
-   posting list of its uppercase form (attributes are nearly always
-   stored uppercase already, so that is usually [name] itself). *)
-let intern t name =
-  match Hashtbl.find t.attr_names name with
-  | a -> a
-  | exception Not_found ->
-      let upper =
-        if String.exists (fun c -> c >= 'a' && c <= 'z') name then String.uppercase_ascii name
-        else name
-      in
-      let entry =
-        match Hashtbl.find_opt t.attrs upper with
-        | Some ae -> ae
-        | None ->
-            let ae = { ae_entries = []; ae_count = 0; ae_sorted = None } in
-            Hashtbl.add t.attrs upper ae;
-            ae
-      in
-      let a = { a_name = name; a_upper = upper; a_entry = entry } in
-      Hashtbl.add t.attr_names name a;
-      a
+let attr_entry t key =
+  match Hashtbl.find_opt t.attrs key with
+  | Some ae -> ae
+  | None ->
+      let ae = { ae_entries = []; ae_count = 0; ae_sorted = None } in
+      Hashtbl.add t.attrs key ae;
+      ae
 
-let intern_attr t name =
-  match Hashtbl.find t.attr_names name with a -> a.a_name | exception Not_found -> name
+(* Attributes are nearly always stored uppercase already; skip the copy. *)
+let upper_attr a =
+  if String.exists (fun c -> c >= 'a' && c <= 'z') a then String.uppercase_ascii a else a
 
 (* [List.iter f (List.rev l)] without the reversed copy: cells keep
    their entries newest first, readers want them in ingest order. *)
@@ -326,19 +301,10 @@ let cell_pos s version =
     !lo
   end
 
-(* The cell of [s] at [version], or [no_cell]: a direct index when the
-   history is dense from its first resident version, else a binary
-   search. *)
+(* The cell of [s] at [version], or [no_cell]. *)
 let find_cell s version =
-  let n = s.n_cells in
-  if n = 0 then no_cell
-  else
-    let cells = s.cells in
-    let i = version - cells.(0).c_version in
-    if i >= 0 && i < n && cells.(i).c_version = version then cells.(i)
-    else
-      let i = cell_pos s version in
-      if i < n && cells.(i).c_version = version then cells.(i) else no_cell
+  let i = cell_pos s version in
+  if i < s.n_cells && s.cells.(i).c_version = version then s.cells.(i) else no_cell
 
 (* [f] on each of [s]'s resident cells, ascending by version. *)
 let iter_cells s f =
@@ -412,14 +378,14 @@ let sort_refs s =
    version, updating every index; [size] is the record's encoded size. *)
 let insert t (s : slot) (c : cell) attr value ~size =
   let n = s.node and version = c.c_version in
-  let a = intern t attr in
   if version > n.max_version then n.max_version <- version;
-  c.c_quads <- { q_pnode = n.pnode; q_version = version; q_attr = a.a_name; q_value = value } :: c.c_quads;
+  c.c_quads <- { q_pnode = n.pnode; q_version = version; q_attr = attr; q_value = value } :: c.c_quads;
   t.quad_count <- t.quad_count + 1;
   t.db_bytes <- t.db_bytes + size + 16;
-  let ae = a.a_entry in
-  if not (List.memq ae c.c_attrs) then begin
-    c.c_attrs <- ae :: c.c_attrs;
+  let upper = upper_attr attr in
+  if not (List.exists (String.equal upper) c.c_attrs) then begin
+    c.c_attrs <- upper :: c.c_attrs;
+    let ae = attr_entry t upper in
     ae.ae_entries <- (n.pnode, version) :: ae.ae_entries;
     ae.ae_count <- ae.ae_count + 1;
     ae.ae_sorted <- None;
@@ -427,14 +393,14 @@ let insert t (s : slot) (c : cell) attr value ~size =
   end;
   match value with
   | Pvalue.Xref x ->
-      c.c_out <- (a.a_name, x) :: c.c_out;
-      add_ref (slot t x.pnode) s version a.a_name x.version;
+      c.c_out <- (attr, x) :: c.c_out;
+      add_ref (slot t x.pnode) s version attr x.version;
       t.edge_count <- t.edge_count + 1;
       t.index_bytes <- t.index_bytes + 40 (* fwd + rev entries *)
-  | Pvalue.Str str when String.equal a.a_name Record.Attr.name ->
+  | Pvalue.Str str when String.equal attr Record.Attr.name ->
       if n.node_name = None then n.node_name <- Some str;
       index_name t str n.pnode
-  | (Pvalue.Str str | Pvalue.Bytes str) when String.equal a.a_upper Record.Attr.name ->
+  | (Pvalue.Str str | Pvalue.Bytes str) when String.equal upper Record.Attr.name ->
       (* the evaluator reads attributes case-insensitively and globs
          match byte strings too, so these are names to a query even
          though they never become the node's own name *)

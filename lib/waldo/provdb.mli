@@ -6,9 +6,8 @@
     forward ancestry edges, and the reverse edges into the node, packed
     in parallel arrays.  Beside them sit a complete name index (every
     alias a node was seen under, ordered by name so a glob's literal
-    prefix is one range), an inverted attribute index with per-attribute
-    cardinalities, and a table holding each distinct attribute string
-    once.  One insertion step maintains them:
+    prefix is one range) and an inverted attribute index with
+    per-attribute cardinalities.  One insertion step maintains them:
     {!load} (restart, archive fault-in), {!ingest_entry} (log ingest),
     {!merge_into} and {!compact} insert in runs into one node, switching
     cells only when the version changes; {!verify_indexes} checks the
@@ -118,13 +117,6 @@ val with_attr : t -> string -> (Pnode.t * int) list
     record (merge, fault-in, replay) no longer duplicates entries. *)
 
 val attr_value : t -> Pnode.t -> version:int -> string -> Pvalue.t option
-
-val intern_attr : t -> string -> string
-(** The db's own copy of attribute [a] when some stored quad has exactly
-    that attribute, else [a] itself.  Every quad and reverse edge holds
-    its attribute's one copy, so a path step that resolves its attribute
-    here once can match by physical equality before comparing
-    characters. *)
 
 (** {2 Planner statistics}
 
