@@ -532,10 +532,12 @@ let monitor_bench ~scale =
    With Every_frames checkpointing, restart replays only the post-
    watermark suffix, so the replayed frame count and the hot database's
    memory stay flat as history grows; without a checkpoint the replay is
-   the whole history.  Gates: [bounded] (the checkpointed suffix does not
-   grow with history while the full replay does) and [memory_flat] (hot
-   bytes at 4x within 1.35x of 1x — expired versions live in the cold
-   archive, not in memory). *)
+   the whole history.  Each file i > 0 also reads file i - 1 at its
+   current version, in the bundle entry of its PARAMS record, so the hot
+   bytes include reverse edges.  Gates: [bounded] (the checkpointed
+   suffix does not grow with history while the full replay does) and
+   [memory_flat] (hot bytes at 4x within 1.35x of 1x — expired versions
+   live in the cold archive, not in memory). *)
 let recovery_bench ~scale =
   section "RECOVERY: bounded restart via checkpointing";
   let okr what = function
@@ -567,12 +569,15 @@ let recovery_bench ~scale =
       h
     in
     let files = Array.init 8 mk in
+    let versions = Array.make 8 0 in
     for round = 1 to rounds do
-      Array.iter
-        (fun h ->
-          disclose_ ep h [ Record.make "PARAMS" (Pvalue.Int round) ];
-          let _ : (int, Dpapi.error) result = ep.Dpapi.pass_freeze h in
-          ())
+      Array.iteri
+        (fun i h ->
+          let params = Record.make "PARAMS" (Pvalue.Int round) in
+          disclose_ ep h
+            (if i = 0 then [ params ]
+             else [ params; Record.input_of files.(i - 1).Dpapi.pnode versions.(i - 1) ]);
+          match ep.Dpapi.pass_freeze h with Ok v -> versions.(i) <- v | Error _ -> ())
         files
     done;
     ignore (Waldo.finalize waldo lasagna : int);

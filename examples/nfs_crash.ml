@@ -95,8 +95,8 @@ let () =
   let db = Option.get (Server.db server) in
   let leaked =
     List.exists
-      (fun (q : Provdb.quad) ->
-        match q.q_value with Pvalue.Str s -> String.length s > 11 && String.sub s 0 11 = "uncommitted" | _ -> false)
+      (fun (q : Record.t) ->
+        match q.value with Pvalue.Str s -> String.length s > 11 && String.sub s 0 11 = "uncommitted" | _ -> false)
       (Provdb.records_all db h.Dpapi.pnode)
   in
   Printf.printf "server Waldo: discarded %d orphaned transaction(s); leaked records: %b\n"

@@ -45,17 +45,17 @@ let () =
   let file = List.hd (Provdb.find_by_name db "crime-stats.pdf") in
   print_endline "\nattribution query on the renamed file:";
   List.iter
-    (fun (q : Provdb.quad) ->
-      if q.q_attr = Record.Attr.file_url || q.q_attr = Record.Attr.current_url then
-        Printf.printf "  %-12s %s\n" q.q_attr
-          (match q.q_value with Pvalue.Str s -> s | _ -> "?"))
+    (fun (q : Record.t) ->
+      if q.attr = Record.Attr.file_url || q.attr = Record.Attr.current_url then
+        Printf.printf "  %-12s %s\n" q.attr
+          (match q.value with Pvalue.Str s -> s | _ -> "?"))
     (Provdb.records_all db file);
   let session = List.hd (Provdb.find_by_name db "session-1") in
   print_endline "  pages visited during the downloading session:";
   List.iter
-    (fun (q : Provdb.quad) ->
-      if q.q_attr = Record.Attr.visited_url then
-        Printf.printf "    %s\n" (match q.q_value with Pvalue.Str s -> s | _ -> "?"))
+    (fun (q : Record.t) ->
+      if q.attr = Record.Attr.visited_url then
+        Printf.printf "    %s\n" (match q.value with Pvalue.Str s -> s | _ -> "?"))
     (Provdb.records_all db session);
 
   (* ----- story 2: malware ------------------------------------------------ *)
@@ -81,17 +81,17 @@ let () =
   print_endline "\nbackward query — where did the codec come from?";
   let codec = List.hd (Provdb.find_by_name db "codec") in
   List.iter
-    (fun (q : Provdb.quad) ->
-      if q.q_attr = Record.Attr.file_url || q.q_attr = Record.Attr.current_url then
-        Printf.printf "  %-12s %s\n" q.q_attr
-          (match q.q_value with Pvalue.Str s -> s | _ -> "?"))
+    (fun (q : Record.t) ->
+      if q.attr = Record.Attr.file_url || q.attr = Record.Attr.current_url then
+        Printf.printf "  %-12s %s\n" q.attr
+          (match q.value with Pvalue.Str s -> s | _ -> "?"))
     (Provdb.records_all db codec);
   let session2 = List.hd (Provdb.find_by_name db "session-2") in
   print_endline "  browsing session that fetched it (note the redirect chain):";
   List.iter
-    (fun (q : Provdb.quad) ->
-      if q.q_attr = Record.Attr.visited_url then
-        Printf.printf "    %s\n" (match q.q_value with Pvalue.Str s -> s | _ -> "?"))
+    (fun (q : Record.t) ->
+      if q.attr = Record.Attr.visited_url then
+        Printf.printf "    %s\n" (match q.value with Pvalue.Str s -> s | _ -> "?"))
     (Provdb.records_all db session2);
 
   print_endline "\nforward query — what descends from the codec?";

@@ -146,16 +146,16 @@ let pass_version_chain db =
     (fun (n : Provdb.node) ->
       List.concat_map
         (fun v ->
-          let quads = Provdb.records_at db n.pnode ~version:v in
+          let records = Provdb.records_at db n.pnode ~version:v in
           let markers =
             List.filter
-              (fun (q : Provdb.quad) -> String.equal q.q_attr Record.Attr.freeze)
-              quads
+              (fun (r : Record.t) -> String.equal r.attr Record.Attr.freeze)
+              records
           in
           let bad =
             List.filter_map
-              (fun (q : Provdb.quad) ->
-                match q.q_value with
+              (fun (r : Record.t) ->
+                match r.value with
                 | Pvalue.Int fv when fv = v -> None
                 | Pvalue.Int fv ->
                     Some
@@ -179,7 +179,7 @@ let pass_version_chain db =
               markers
           in
           let missing =
-            match (quads, markers) with
+            match (records, markers) with
             | _ :: _, [] when v > 0 ->
                 [ finding ~pass:name ~subject:(pv_to_string (n.pnode, v))
                     ~detail:
@@ -248,36 +248,37 @@ let pass_dedup db =
   List.iter
     (fun (n : Provdb.node) ->
       List.iter
-        (fun (q : Provdb.quad) ->
-          if not (String.equal q.q_attr Record.Attr.data_md5) then begin
-            let buf = Buffer.create 32 in
-            Record.encode buf { Record.attr = q.q_attr; value = q.q_value };
-            let key =
-              Printf.sprintf "%d.%d:%s" (Pnode.to_int q.q_pnode) q.q_version
-                (Buffer.contents buf)
-            in
-            match Hashtbl.find_opt counts key with
-            | Some c -> incr c
-            | None ->
-                Hashtbl.add counts key (ref 1);
-                order := (key, q) :: !order
-          end)
-        (Provdb.records_all db n.pnode))
+        (fun v ->
+          List.iter
+            (fun (r : Record.t) ->
+              if not (String.equal r.attr Record.Attr.data_md5) then begin
+                let buf = Buffer.create 32 in
+                Record.encode buf r;
+                let key =
+                  Printf.sprintf "%d.%d:%s" (Pnode.to_int n.pnode) v (Buffer.contents buf)
+                in
+                match Hashtbl.find_opt counts key with
+                | Some c -> incr c
+                | None ->
+                    Hashtbl.add counts key (ref 1);
+                    order := (key, (n.pnode, v), r.attr) :: !order
+              end)
+            (Provdb.records_at db n.pnode ~version:v))
+        (Provdb.versions db n.pnode))
     (sorted_nodes db);
   List.filter_map
-    (fun (key, (q : Provdb.quad)) ->
+    (fun (key, (p, v), attr) ->
       match Hashtbl.find_opt counts key with
       | Some { contents = c } when c > 1 ->
           Some
             (finding ~pass:name
-               ~subject:(pv_to_string (q.q_pnode, q.q_version))
+               ~subject:(pv_to_string (p, v))
                ~detail:
                  (Printf.sprintf
                     "record %s occurs %d times at the same (pnode, version) — analyzer dedup key violated"
-                    q.q_attr c)
+                    attr c)
                ~repro:
-                 (Printf.sprintf "records_at p%d version %d, attr %s"
-                    (Pnode.to_int q.q_pnode) q.q_version q.q_attr)
+                 (Printf.sprintf "records_at p%d version %d, attr %s" (Pnode.to_int p) v attr)
                ())
       | _ -> None)
     (List.rev !order)
@@ -291,8 +292,8 @@ let pass_xlayer db =
       if n.declared then None
       else
         let refs = Provdb.in_edges db n.pnode in
-        let quads = Provdb.records_all db n.pnode in
-        match (refs, quads) with
+        let records = Provdb.records_all db n.pnode in
+        match (refs, records) with
         | [], [] -> None (* inert stub, nothing depends on it *)
         | _ ->
             let referrer =

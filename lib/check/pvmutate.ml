@@ -52,9 +52,7 @@ let pv_to_string (p, v) = Printf.sprintf "p%d@%d" (Pnode.to_int p) v
 exception No_target of string
 
 let record_present db (p, v) (r : Record.t) =
-  List.exists
-    (fun (q : Provdb.quad) -> Record.equal { attr = q.q_attr; value = q.q_value } r)
-    (Provdb.records_at db p ~version:v)
+  List.exists (Record.equal r) (Provdb.records_at db p ~version:v)
 
 (* Close an existing cross-node ancestry edge into a 2-cycle: for the
    first edge (p,v) -> (q,w) with p <> q, add the reverse INPUT.  The
@@ -104,24 +102,25 @@ let inject_duplicate db =
     List.find_map
       (fun (n : Provdb.node) ->
         List.find_map
-          (fun (q : Provdb.quad) ->
-            match q.q_value with
-            | Pvalue.Xref _ -> None
-            | _
-              when String.equal q.q_attr Record.Attr.data_md5
-                   || String.equal q.q_attr Record.Attr.freeze ->
-                None
-            | _ -> Some q)
-          (Provdb.records_all db n.pnode))
+          (fun v ->
+            List.find_map
+              (fun (r : Record.t) ->
+                match r.value with
+                | Pvalue.Xref _ -> None
+                | _
+                  when String.equal r.attr Record.Attr.data_md5
+                       || String.equal r.attr Record.Attr.freeze ->
+                    None
+                | _ -> Some ((n.pnode, v), r))
+              (Provdb.records_at db n.pnode ~version:v))
+          (Provdb.versions db n.pnode))
       (sorted_nodes db)
   in
   match target with
   | None -> raise (No_target "duplicate-record: no identity record to repeat")
-  | Some q ->
-      Provdb.add_record db q.q_pnode ~version:q.q_version
-        (Record.make q.q_attr q.q_value);
-      Printf.sprintf "duplicated %s record at %s" q.q_attr
-        (pv_to_string (q.q_pnode, q.q_version))
+  | Some ((p, v), r) ->
+      Provdb.add_record db p ~version:v r;
+      Printf.sprintf "duplicated %s record at %s" r.attr (pv_to_string (p, v))
 
 (* Plant a freeze marker whose carried version disagrees with the version
    it is attributed to — the chain bookkeeping corruption the

@@ -29,6 +29,7 @@
 open Pql_ast
 module Pnode = Pass_core.Pnode
 module Pvalue = Pass_core.Pvalue
+module Record = Pass_core.Record
 
 exception Error of string
 
@@ -119,8 +120,8 @@ let attr_values db p v attr =
   (* attribute lookup searches every version of the object: identity
      records (NAME, TYPE, ARGV …) are written once, not per version *)
   let upper = String.uppercase_ascii attr and found = ref [] in
-  Provdb.iter_records_all db p (fun q ->
-      if same_attr upper q.q_attr then found := Value q.q_value :: !found);
+  Provdb.iter_records_all db p (fun r ->
+      if same_attr upper r.attr then found := Value r.value :: !found);
   match !found with [] -> node_pseudo db p v attr | values -> List.rev values
 
 (* --- path step semantics --------------------------------------------------- *)
@@ -141,9 +142,9 @@ let hop db e (k : sink) =
   match e with
   | Forward a ->
       let upper = String.uppercase_ascii a in
-      let record (q : Provdb.quad) =
-        if same_attr upper q.q_attr then
-          match q.q_value with Pvalue.Xref x -> k.node x.pnode x.version | other -> k.value other
+      let record (r : Record.t) =
+        if same_attr upper r.attr then
+          match r.value with Pvalue.Xref x -> k.node x.pnode x.version | other -> k.value other
       in
       fun s v -> Provdb.iter_cell db s ~version:v record
   | Inverse a ->
@@ -153,8 +154,8 @@ let hop db e (k : sink) =
       let edge src srcv a = if same_attr upper a then k.slot src srcv in
       fun s _v -> Provdb.iter_refs db s edge
   | Any_edge ->
-      let record (q : Provdb.quad) =
-        match q.q_value with Pvalue.Xref x -> k.node x.pnode x.version | _ -> ()
+      let record (r : Record.t) =
+        match r.value with Pvalue.Xref x -> k.node x.pnode x.version | _ -> ()
       in
       fun s v -> Provdb.iter_cell db s ~version:v record
 
@@ -177,12 +178,23 @@ let step db e f =
    slots ([Provdb.walk_cells]).  A slot holds the version the walk first
    reached it at; [others] holds only what the marks cannot — a slot's
    further versions, values, and nodes with no slot.  Neither of the
-   last two has edges, so they are listed but never expanded. *)
+   last two has edges, so they are listed but never expanded.  An
+   inverse hop ignores the version it hops from, so an inverse closure
+   lists a further version of a reached slot but does not queue it:
+   expanding it would reread the slot's reverse edges and reach nothing
+   new. *)
 let edge_closure db e starts =
   let others = Items.create 8 and found = ref [] in
   let keep it = if add_new others it then found := it :: !found in
-  Provdb.walk_cells db
-    ~again:(fun s v -> add_new others (Node (Provdb.slot_pnode s, v)))
+  let again =
+    match e with
+    | Inverse _ ->
+        fun s v ->
+          keep (Node (Provdb.slot_pnode s, v));
+          false
+    | Forward _ | Any_edge -> fun s v -> add_new others (Node (Provdb.slot_pnode s, v))
+  in
+  Provdb.walk_cells db ~again
     ~seed:(fun reach ->
       List.iter
         (fun it ->
@@ -248,8 +260,7 @@ and closure db p starts =
 
 let is_process db p =
   List.exists
-    (fun (q : Provdb.quad) ->
-      String.equal q.q_attr "TYPE" && q.q_value = Pvalue.Str "PROCESS")
+    (fun (r : Record.t) -> String.equal r.attr "TYPE" && r.value = Pvalue.Str "PROCESS")
     (Provdb.records_all db p)
 
 let in_class db root (n : Provdb.node) =

@@ -23,7 +23,7 @@ module Pvalue = Pass_core.Pvalue
 
 let is_process db pnode =
   List.exists
-    (fun (q : Provdb.quad) -> q.q_attr = "TYPE" && q.q_value = Pvalue.Str "PROCESS")
+    (fun (r : Pass_core.Record.t) -> r.attr = "TYPE" && r.value = Pvalue.Str "PROCESS")
     (Provdb.records_all db pnode)
 
 let artifact_id p v = Printf.sprintf "a%d_%d" (Pnode.to_int p) v

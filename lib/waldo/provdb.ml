@@ -4,12 +4,12 @@
    that Waldo later moves into a database and indexes.  The database holds
    the provenance graph at (object, version) granularity:
 
-   - a node table: pnode -> slot, the node (kind, latest known name,
+   - a node table: pnode -> slot, the node (kind, first known name,
      known versions) with everything keyed by its pnode:
-     - its resident cells, one per (pnode, version) that holds quads,
+     - its resident cells, one per (pnode, version) that holds records,
        ascending by version in an array found by binary search, each
-       cell holding its (attribute, value) quads and the ancestry edges
-       leaving it;
+       cell holding the records inserted at it as they were ingested or
+       decoded; its ancestry edges are its cross-reference records;
      - its reverse edges, who refers to it, as four parallel arrays
        (source slot, source version, attribute, referenced version), so
        a descendant walk hops from slot to slot reading arrays;
@@ -22,18 +22,20 @@
    [ingest_entry] (log ingest), [merge_into] and [compact] insert in runs
    through [step]; [verify_indexes] checks the result against the
    record-at-a-time oracle [add_record].  Byte accounting mirrors Table
-   3: [db_bytes] is the encoded size of the node and quad tables,
-   [index_bytes] the encoded size of the indexes.
+   3: [db_bytes] is the encoded size of the node and record tables,
+   [index_bytes] the encoded size of the indexes (the names, the
+   attribute postings and the reverse edges; a forward edge is a stored
+   record, so it costs nothing beyond its record).
 
    Walks mark slots instead of keeping a visited table: each walk takes
    the next epoch number ([t.walks]), a slot it reaches takes that
    number, and the queue array is reused, so neither the planner's cone
    walks nor the query engine's closures ([walk_cells]) build a visited
-   set.  A cone walk reads the hot tier's forward and reverse edges, the
-   ones a closure hops over, with versions collapsed: the planner's
-   cone estimate needs no index of its own.  Slots never leave the node
-   table, so an edge array can hold them; the public accessors still
-   speak pnodes. *)
+   set.  A cone walk reads the hot tier's cross-reference records and
+   reverse edges, the ones a closure hops over, with versions collapsed:
+   the planner's cone estimate needs no index of its own.  Slots never
+   leave the node table, so an edge array can hold them; the public
+   accessors still speak pnodes. *)
 
 module Pnode = Pass_core.Pnode
 module Pvalue = Pass_core.Pvalue
@@ -59,8 +61,6 @@ type node = {
          through the registered handler. *)
 }
 
-type quad = { q_pnode : Pnode.t; q_version : int; q_attr : string; q_value : Pvalue.t }
-
 (* One inverted-index posting list, in reverse insertion order; the
    sorted view handed to queries is memoized and invalidated on insert,
    so repeated [with_attr] probes do not re-sort. *)
@@ -70,11 +70,11 @@ type attr_entry = {
   mutable ae_sorted : (Pnode.t * int) list option;
 }
 
-(* One (pnode, version) cell of the quad store. *)
+(* One (pnode, version) cell: the records inserted at it, shared with
+   whoever ingested or decoded them. *)
 type cell = {
   c_version : int;
-  mutable c_quads : quad list; (* newest first *)
-  mutable c_out : (string * Pvalue.xref) list; (* ancestry edges leaving it, newest first *)
+  mutable c_records : Record.t list; (* newest first *)
   mutable c_attrs : string list;
       (* its distinct uppercased attributes, so a repeated attribute
          (every INPUT of a process) joins the posting list once *)
@@ -97,9 +97,6 @@ type slot = {
          version) order, ties in insertion order ([sort_refs]). *)
   mutable n_refs : int;
   mutable refs_sorted : bool; (* the edges are in read order *)
-  mutable versions_memo : (int * int list) option;
-      (* memoized [0..max_version] enumeration, keyed by the max it was
-         built for, so [versions] does not allocate per call *)
   mutable mark : int;
       (* the last walk that reached this slot ([t.walks]), so a walk
          needs no visited table of its own *)
@@ -121,8 +118,8 @@ type t = {
   attrs : (string, attr_entry) Hashtbl.t;
       (* keyed by uppercased attribute, matching the evaluator's
          case-insensitive attribute semantics *)
-  mutable quad_count : int;
-  mutable edge_count : int; (* ancestry quads ingested, with multiplicity *)
+  mutable quad_count : int; (* records stored *)
+  mutable edge_count : int; (* ancestry records ingested, with multiplicity *)
   mutable file_count : int;
   mutable db_bytes : int;
   mutable index_bytes : int;
@@ -174,7 +171,6 @@ let slot t pnode =
           ref_v = [||];
           n_refs = 0;
           refs_sorted = true;
-          versions_memo = None;
           mark = 0;
           reached_at = 0;
         }
@@ -185,11 +181,11 @@ let slot t pnode =
 
 let node t pnode = (slot t pnode).node
 
-(* Index one name sighting.  Every alias a node was ever seen under is
-   indexed (set_file names and NAME records alike, in any attribute
-   case), so [find_by_name] is a complete superset for any name-equality
-   predicate and [find_by_name_prefix] for any name glob — the planner
-   relies on this. *)
+(* Index one name sighting.  A node's own name and every NAME record's
+   string (in any attribute case) are indexed, so [find_by_name] is a
+   complete superset for any name-equality predicate and
+   [find_by_name_prefix] for any name glob — the planner relies on
+   this. *)
 let index_name t name pnode =
   if name <> "" then
     match Names.find_opt name t.names with
@@ -202,20 +198,30 @@ let index_name t name pnode =
         t.names <- Names.add name (ref (Pnodes.singleton pnode)) t.names;
         t.index_bytes <- t.index_bytes + String.length name + 12
 
+(* Give [n] its name unless it has one, answering whether it did.  A
+   node keeps its first name: a later one (a merge of two dbs that hold
+   one pnode under two names) is dropped, as a reload of the image, which
+   stores one name a node, drops it.  A file's name is part of its
+   node-table entry, so [db_bytes] charges it once, when the node is
+   first both a file and named ([set_file] charges a name it had). *)
+let name_node t n name =
+  match n.node_name with
+  | Some _ -> false
+  | None ->
+      n.node_name <- Some name;
+      (match n.kind with File -> t.db_bytes <- t.db_bytes + String.length name | Virtual -> ());
+      true
+
 let set_file t pnode ~name =
   let n = node t pnode in
   (match n.kind with
-  | Virtual -> t.file_count <- t.file_count + 1
+  | Virtual ->
+      t.file_count <- t.file_count + 1;
+      n.kind <- File;
+      Option.iter (fun nm -> t.db_bytes <- t.db_bytes + String.length nm) n.node_name
   | File -> ());
-  n.kind <- File;
   n.declared <- true;
-  if name <> "" then begin
-    (match n.node_name with
-    | Some _ -> ()
-    | None -> t.db_bytes <- t.db_bytes + String.length name);
-    n.node_name <- Some name;
-    index_name t name pnode
-  end
+  if name <> "" && name_node t n name then index_name t name pnode
 
 let declare_virtual t pnode =
   let n = node t pnode in
@@ -230,7 +236,7 @@ let set_floor t (n : node) f =
 (* Bring one node-table entry into [t] with merge semantics: the kind and
    declaration only ever upgrade, a virtual object's name fills a gap,
    and the version range takes the max of both sides (the max known
-   version can exceed the highest resident quad, and an archive floor
+   version can exceed the highest resident record, and an archive floor
    must survive).  Every path that copies a node table uses this: image
    load, merge_into, compact and the verify_indexes replay. *)
 let absorb_node t pnode ~kind ~declared ~name ~max_version ~floor =
@@ -247,8 +253,7 @@ let absorb_node t pnode ~kind ~declared ~name ~max_version ~floor =
   | Virtual, Some nm ->
       (* virtual objects and stubs can carry names too (a merge or an
          archived NAME record gives them one) *)
-      if n.node_name = None then n.node_name <- Some nm;
-      index_name t nm pnode
+      if name_node t n nm then index_name t nm pnode
   | _ -> ());
   if max_version > n.max_version then n.max_version <- max_version;
   if floor > n.floor then set_floor t n floor
@@ -283,9 +288,9 @@ let grow a n fill =
   Array.blit a 0 b 0 (Array.length a);
   b
 
-(* What [find_cell] answers for a version with no quads: never inserted
-   into, so its lists stay empty. *)
-let no_cell = { c_version = -1; c_quads = []; c_out = []; c_attrs = [] }
+(* What [find_cell] answers for a version with no records: never
+   inserted into, so its lists stay empty. *)
+let no_cell = { c_version = -1; c_records = []; c_attrs = [] }
 
 (* Where cell [version] is or would go among [s]'s cells: the index of
    the first one whose version is not below it. *)
@@ -317,7 +322,7 @@ let cell s version =
   let c = find_cell s version in
   if c != no_cell then c
   else begin
-    let c = { c_version = version; c_quads = []; c_out = []; c_attrs = [] } in
+    let c = { c_version = version; c_records = []; c_attrs = [] } in
     let i = cell_pos s version and n = s.n_cells in
     if n = Array.length s.cells then s.cells <- grow s.cells (max 1 (2 * n)) c;
     Array.blit s.cells i s.cells (i + 1) (n - i);
@@ -374,12 +379,12 @@ let sort_refs s =
     s.refs_sorted <- true
   end
 
-(* Insert the quad (attr, value) at [c], slot [s]'s cell of its
-   version, updating every index; [size] is the record's encoded size. *)
-let insert t (s : slot) (c : cell) attr value ~size =
-  let n = s.node and version = c.c_version in
+(* Insert record [r] at [c], slot [s]'s cell of its version, updating
+   every index; [size] is the record's encoded size. *)
+let insert t (s : slot) (c : cell) (r : Record.t) ~size =
+  let n = s.node and version = c.c_version and attr = r.attr in
   if version > n.max_version then n.max_version <- version;
-  c.c_quads <- { q_pnode = n.pnode; q_version = version; q_attr = attr; q_value = value } :: c.c_quads;
+  c.c_records <- r :: c.c_records;
   t.quad_count <- t.quad_count + 1;
   t.db_bytes <- t.db_bytes + size + 16;
   let upper = upper_attr attr in
@@ -391,14 +396,13 @@ let insert t (s : slot) (c : cell) attr value ~size =
     ae.ae_sorted <- None;
     t.index_bytes <- t.index_bytes + 20 (* attr index entry *)
   end;
-  match value with
+  match r.value with
   | Pvalue.Xref x ->
-      c.c_out <- (attr, x) :: c.c_out;
       add_ref (slot t x.pnode) s version attr x.version;
       t.edge_count <- t.edge_count + 1;
-      t.index_bytes <- t.index_bytes + 40 (* fwd + rev entries *)
+      t.index_bytes <- t.index_bytes + 20 (* reverse-edge entry *)
   | Pvalue.Str str when String.equal attr Record.Attr.name ->
-      if n.node_name = None then n.node_name <- Some str;
+      let _ : bool = name_node t n str in
       index_name t str n.pnode
   | (Pvalue.Str str | Pvalue.Bytes str) when String.equal upper Record.Attr.name ->
       (* the evaluator reads attributes case-insensitively and globs
@@ -407,9 +411,6 @@ let insert t (s : slot) (c : cell) attr value ~size =
       index_name t str n.pnode
   | _ -> ()
 
-(* [Record.encoded_size] of a stored quad, without rebuilding its record. *)
-let quad_size (q : quad) = 4 + String.length q.q_attr + Pvalue.encoded_size q.q_value
-
 (* A run of insertions into one node: its slot and its current cell. *)
 type run = { r_slot : slot; mutable r_cell : cell }
 
@@ -417,16 +418,16 @@ let open_run (s : slot) ~version = { r_slot = s; r_cell = cell s version }
 
 (* The one insertion step: a run costs one slot lookup, plus one cell
    lookup per version it writes. *)
-let step t run ~version attr value ~size =
+let step t run ~version r ~size =
   if version <> run.r_cell.c_version then run.r_cell <- cell run.r_slot version;
-  insert t run.r_slot run.r_cell attr value ~size
+  insert t run.r_slot run.r_cell r ~size
 
-(* Copy one cell of another db as one run. *)
+(* Copy one cell of another db as one run, sharing its records. *)
 let copy_cell t pnode (c : cell) =
   let run = open_run (slot t pnode) ~version:c.c_version in
   iter_oldest_first
-    (fun q -> step t run ~version:c.c_version q.q_attr q.q_value ~size:(quad_size q))
-    c.c_quads
+    (fun r -> step t run ~version:c.c_version r ~size:(Record.encoded_size r))
+    c.c_records
 
 (* The ingest-side version rule, next to [insert]'s NAME rule: a FREEZE
    v record moves itself, and the records after it, to version v. *)
@@ -441,7 +442,7 @@ let rec ingest_run t run = function
   | (r : Record.t) :: rest ->
       step t run
         ~version:(entry_version r ~current:run.r_cell.c_version)
-        r.attr r.value ~size:(Record.encoded_size r);
+        r ~size:(Record.encoded_size r);
       ingest_run t run rest
 
 (* One bundle entry, as one run starting in the node's newest version. *)
@@ -454,7 +455,7 @@ let ingest_entry t pnode = function
 (* The record-at-a-time oracle: no run, one cell lookup per record. *)
 let add_record t pnode ~version (record : Record.t) =
   let s = slot t pnode in
-  insert t s (cell s version) record.attr record.value ~size:(Record.encoded_size record)
+  insert t s (cell s version) record ~size:(Record.encoded_size record)
 
 (* --- cold-tier fault-in --------------------------------------------------- *)
 
@@ -524,13 +525,7 @@ let name_of t pnode = Option.bind (find_node t pnode) (fun n -> n.node_name)
 let versions t pnode =
   match Hashtbl.find t.nodes pnode with
   | exception Not_found -> []
-  | s -> (
-      match s.versions_memo with
-      | Some (hi, l) when hi = s.node.max_version -> l
-      | _ ->
-          let l = List.init (s.node.max_version + 1) Fun.id in
-          s.versions_memo <- Some (s.node.max_version, l);
-          l)
+  | s -> List.init (s.node.max_version + 1) Fun.id
 
 (* The cell of (pnode, version), or [no_cell]. *)
 let find_cell_of t pnode version =
@@ -559,15 +554,15 @@ let fold_history t pnode f init =
 
 let records_at t pnode ~version =
   if below_floor t pnode version then maybe_fault_in t;
-  List.rev (find_cell_of t pnode version).c_quads
+  List.rev (find_cell_of t pnode version).c_records
 
-let records_all t pnode = fold_history t pnode (fun c acc -> List.rev_append c.c_quads acc) []
+let records_all t pnode = fold_history t pnode (fun c acc -> List.rev_append c.c_records acc) []
 
-(* The slot-level reads a [walk_cells] walk hops with: one cell's quads,
+(* The slot-level reads a [walk_cells] walk hops with: one cell's records,
    and the reverse edges into a slot with their source slots. *)
 let iter_cell t s ~version f =
   if version < s.node.floor then maybe_fault_in t;
-  iter_oldest_first f (find_cell s version).c_quads
+  iter_oldest_first f (find_cell s version).c_records
 
 let iter_refs t s f =
   (* reverse edges into [s] can originate from any node's archived
@@ -586,16 +581,22 @@ let iter_records_all t pnode f =
   | exception Not_found -> ()
   | s ->
       if s.node.floor > 0 then maybe_fault_in t;
-      iter_cells s (fun c -> iter_oldest_first f c.c_quads)
+      iter_cells s (fun c -> iter_oldest_first f c.c_records)
+
+(* A cell's ancestry edges are its cross-reference records: folding the
+   newest-first records onto [acc] lists the edges oldest first. *)
+let fold_edges c edge acc =
+  List.fold_left
+    (fun acc (r : Record.t) ->
+      match r.value with Pvalue.Xref x -> edge r.attr x :: acc | _ -> acc)
+    acc c.c_records
 
 let out_edges t pnode ~version =
   if below_floor t pnode version then maybe_fault_in t;
-  List.rev (find_cell_of t pnode version).c_out
+  fold_edges (find_cell_of t pnode version) (fun a x -> (a, x)) []
 
 let out_edges_all t pnode =
-  fold_history t pnode
-    (fun c acc -> List.fold_left (fun acc (a, x) -> (c.c_version, a, x) :: acc) acc c.c_out)
-    []
+  fold_history t pnode (fun c acc -> fold_edges c (fun a x -> (c.c_version, a, x)) acc) []
 
 (* [s]'s reverse edges in read order, with their source pnodes. *)
 let refs_of s =
@@ -624,7 +625,7 @@ let with_attr t attr =
 
 let attr_value t pnode ~version attr =
   List.find_map
-    (fun (q : quad) -> if String.equal q.q_attr attr then Some q.q_value else None)
+    (fun (r : Record.t) -> if String.equal r.attr attr then Some r.value else None)
     (records_at t pnode ~version)
 
 (* --- planner statistics --------------------------------------------------- *)
@@ -692,12 +693,15 @@ let walk_cells t ~again ~seed ~expand =
   done
 
 (* The slots one hop from [s] over the hot tier's ancestry edges, with
-   repeats: the targets of the edges leaving [s]'s resident cells, or
-   the sources of the reverse edges into [s].  Neither faults the
-   archive in. *)
+   repeats: the targets of the cross-reference records in [s]'s
+   resident cells, each cell's newest first, or the sources of the
+   reverse edges into [s].  Neither faults the archive in. *)
 let iter_targets t s f =
   iter_cells s (fun c ->
-      List.iter (fun (_, (x : Pvalue.xref)) -> f (Hashtbl.find t.nodes x.pnode)) c.c_out)
+      List.iter
+        (fun (r : Record.t) ->
+          match r.value with Pvalue.Xref x -> f (Hashtbl.find t.nodes x.pnode) | _ -> ())
+        c.c_records)
 
 (* In descending source order, the order [reach_descendants] lists a
    cone's pnodes in. *)
@@ -768,20 +772,25 @@ let sorted_slots t =
     (fun a b -> Pnode.compare a.node.pnode b.node.pnode)
     (Hashtbl.fold (fun _ s acc -> s :: acc) t.nodes [])
 
-(* Every resident quad, nodes in pnode order, each node's versions
-   ascending, each version's quads in ingest order: the image order. *)
+(* [f pnode version r] on every resident record, nodes in pnode order,
+   each node's versions ascending, each version's records in ingest
+   order: the image order. *)
 let iter_quads t f =
-  List.iter (fun s -> iter_cells s (fun c -> iter_oldest_first f c.c_quads)) (sorted_slots t)
+  List.iter
+    (fun s -> iter_cells s (fun c -> iter_oldest_first (f s.node.pnode c.c_version) c.c_records))
+    (sorted_slots t)
 
-(* Serialize the node and quad tables (secondary indexes are rebuilt on
-   load).  Deterministic order so persisted images are stable, and [load]
-   relies on it: nodes sorted, each node's quads contiguous and grouped
-   by version.  Only resident quads are written (the slots' cells), so the
-   hot tier snapshots without faulting the archive in.  Quad bytes are a
-   pure function of which versions are resident — each version's quads
-   live wholly in one tier and keep their ingest order — so two dbs that
-   went through the same compaction history serialize identically no
-   matter how they got there (replay, image load, fault-in).
+(* Serialize the node and record tables (secondary indexes are rebuilt
+   on load), each record as a (pnode, version, record) quad.
+   Deterministic order so persisted images are stable, and [load] relies
+   on it: nodes sorted, each node's quads contiguous and grouped by
+   version.  Only resident records are written (the slots' cells), so
+   the hot tier snapshots without faulting the archive in.  Quad bytes
+   are a pure function of which versions are resident — each version's
+   records live wholly in one tier and keep their ingest order — so two
+   dbs that went through the same compaction history serialize
+   identically no matter how they got there (replay, image load,
+   fault-in).
 
    PROVDB4 appends an index-stats footer (ancestry-edge count and total
    attr-index cardinality over the written quads); [load] recomputes
@@ -805,10 +814,10 @@ let serialize t =
       Wire.put_i64 buf n.floor)
     slots;
   Wire.put_u32 buf t.quad_count;
-  iter_quads t (fun q ->
-      Wire.put_i64 buf (Pnode.to_int q.q_pnode);
-      Wire.put_i64 buf q.q_version;
-      Record.encode buf { Record.attr = q.q_attr; value = q.q_value });
+  iter_quads t (fun p v r ->
+      Wire.put_i64 buf (Pnode.to_int p);
+      Wire.put_i64 buf v;
+      Record.encode buf r);
   Wire.put_i64 buf t.edge_count;
   Wire.put_i64 buf (attr_entry_total t);
   Buffer.contents buf
@@ -818,8 +827,9 @@ let check_magic image pos =
     Wire.corrupt "provdb: bad magic"
 
 (* The one-pass bulk loader.  The node table goes through [absorb_node],
-   the quads through [step] in one run per node ([serialize] groups a
-   node's quads by version), each sized by the span it was decoded from.
+   the decoded records through [step] in one run per node ([serialize]
+   groups a node's quads by version), each sized by the span it was
+   decoded from.
    Any other order still loads correctly, a run at a time. *)
 let load t image =
   let pos = ref 0 in
@@ -852,7 +862,7 @@ let load t image =
           current := Some run;
           run
     in
-    step t run ~version r.attr r.value ~size:(!pos - start)
+    step t run ~version r ~size:(!pos - start)
   done;
   (* a load into a populated db (archive fault-in) adds cells disjoint
      from the resident ones — compaction splits every node's versions
@@ -888,7 +898,7 @@ let deserialize image =
      cutoff.
 
    Both outputs carry the full node table (node entries are a few dozen
-   bytes; quads and edges are the bulk), so the hot tier can answer
+   bytes; records and edges are the bulk), so the hot tier can answer
    existence/name/version queries without touching the archive. *)
 let compact t ~keep =
   let keep = max 1 keep in
@@ -915,35 +925,6 @@ let compact t ~keep =
 
 (* --- integrity ----------------------------------------------------------- *)
 
-(* Acyclicity at (pnode, version) granularity — DESIGN.md invariant 1. *)
-let is_acyclic t =
-  (* settle the archive first, as [verify_indexes] does: [out_edges]
-     would otherwise fault it into the table being folded, or never *)
-  if t.floored > 0 then maybe_fault_in t;
-  let color : (Pnode.t * int, int) Hashtbl.t = Hashtbl.create 1024 in
-  let rec dfs key =
-    match Hashtbl.find_opt color key with
-    | Some 1 -> false
-    | Some _ -> true
-    | None ->
-        Hashtbl.replace color key 1;
-        let pnode, version = key in
-        let ok =
-          List.for_all
-            (fun (_, (x : Pvalue.xref)) -> dfs (x.pnode, x.version))
-            (out_edges t pnode ~version)
-        in
-        Hashtbl.replace color key 2;
-        ok
-  in
-  let ok = ref true in
-  Hashtbl.iter
-    (fun p s ->
-      iter_cells s (fun c ->
-          match c.c_out with [] -> () | _ -> if !ok then ok := dfs (p, c.c_version)))
-    t.nodes;
-  !ok
-
 (* Transitive ancestor closure of (pnode, version): every (pnode, version)
    reachable over ancestry edges, *including* earlier versions linked by
    freeze records.  This is what `input*` ultimately walks. *)
@@ -962,7 +943,7 @@ let ancestors t pnode ~version =
 
 (* --- index self-check ------------------------------------------------------ *)
 
-(* Rebuild-and-compare: replay [t]'s node and quad tables, in image
+(* Rebuild-and-compare: replay [t]'s node and record tables, in image
    order, through the record-at-a-time oracle ([absorb_node],
    [add_record]) into a fresh db, and diff each index and counter against
    the live one.  The replay never goes through [step]: no runs, no
@@ -980,17 +961,12 @@ let verify_indexes t =
   if t.floored > 0 then maybe_fault_in t;
   let r = create () in
   List.iter (fun s -> copy_node r s.node) (sorted_slots t);
-  iter_quads t (fun q ->
-      add_record r q.q_pnode ~version:q.q_version { Record.attr = q.q_attr; value = q.q_value });
+  iter_quads t (fun p version record -> add_record r p ~version record);
   let describe p = string_of_int (Pnode.to_int p) in
   let problem = ref None in
   let fail msg = if !problem = None then problem := Some msg in
   if node_count t <> node_count r then
     fail (Printf.sprintf "node count %d (live) vs %d (rebuilt)" (node_count t) (node_count r));
-  let same_xref (x : Pvalue.xref) (y : Pvalue.xref) =
-    Pnode.equal x.pnode y.pnode && x.version = y.version
-  in
-  let same_out (a, x) (b, y) = String.equal a b && same_xref x y in
   let same_ref (p, pv, a, v) (q, qv, b, w) =
     Pnode.equal p q && pv = qv && String.equal a b && v = w
   in
@@ -1006,14 +982,10 @@ let verify_indexes t =
             drifted "name index source";
           if n.max_version <> m.max_version || n.floor <> m.floor then
             drifted "version-range index";
-          let cells_agree same =
-            let rec from i = i = s.n_cells || (same s.cells.(i) s'.cells.(i) && from (i + 1)) in
-            s.n_cells = s'.n_cells && from 0
+          let rec same_cells i =
+            i = s.n_cells || (s.cells.(i).c_version = s'.cells.(i).c_version && same_cells (i + 1))
           in
-          if not (cells_agree (fun c c' -> c.c_version = c'.c_version)) then
-            drifted "resident-version index"
-          else if not (cells_agree (fun c c' -> List.equal same_out c.c_out c'.c_out)) then
-            drifted "forward-edge index";
+          if s.n_cells <> s'.n_cells || not (same_cells 0) then drifted "resident-version index";
           if not (List.equal same_ref (refs_of s) (refs_of s')) then drifted "reverse-edge index")
     t.nodes;
   if Names.cardinal t.names <> Names.cardinal r.names then fail "name index: alias count drifted";

@@ -2,18 +2,19 @@
 
     Holds the provenance graph at (object, version) granularity with the
     indexes the query engine needs.  Each node-table entry ({!slot})
-    owns its node's cells, indexed by version, each with its quads and
-    forward ancestry edges, and the reverse edges into the node, packed
-    in parallel arrays.  Beside them sit a complete name index (every
-    alias a node was seen under, ordered by name so a glob's literal
-    prefix is one range) and an inverted attribute index with
-    per-attribute cardinalities.  One insertion step maintains them:
+    owns its node's cells, indexed by version, each holding the records
+    inserted at it (its forward edges are its cross-reference records),
+    and the reverse edges into the node, packed in parallel arrays.
+    Beside them sit a complete name index (each node's name and every
+    NAME record's string, ordered by name so a glob's literal prefix is
+    one range) and an inverted attribute index with per-attribute
+    cardinalities.  One insertion step maintains them:
     {!load} (restart, archive fault-in), {!ingest_entry} (log ingest),
     {!merge_into} and {!compact} insert in runs into one node, switching
     cells only when the version changes; {!verify_indexes} checks the
     result against a replay through {!add_record}.  Byte accounting
-    mirrors the paper's Table 3 ([db_bytes] for the tables,
-    [index_bytes] for the indexes).
+    mirrors the paper's Table 3 ({!db_bytes} for the tables,
+    {!index_bytes} for the indexes).
 
     Reverse edges hold node-table entries ({!slot}s), not pnodes, so a
     walk hops without probing the node table; walks mark the slots they
@@ -41,14 +42,15 @@ type node = {
           and {!merge_into} — not meant to be set by hand. *)
 }
 
-type quad = { q_pnode : Pnode.t; q_version : int; q_attr : string; q_value : Pvalue.t }
-
 type t
 
 val create : unit -> t
 
 val set_file : t -> Pnode.t -> name:string -> unit
-(** Declare [pnode] to be a file, optionally recording its name. *)
+(** Declare [pnode] to be a file and, if it has no name yet, name it
+    [name] ([""] names nothing).  A node keeps its first name: a later,
+    different one is neither stored nor indexed, so the name index holds
+    what a reload of the image holds. *)
 
 val declare_virtual : t -> Pnode.t -> unit
 
@@ -87,20 +89,23 @@ val find_by_name_prefix : t -> string -> keep:(string -> bool) -> Pnode.t list
 val name_of : t -> Pnode.t -> string option
 
 val versions : t -> Pnode.t -> int list
-(** All version numbers [0..max_version] of [pnode], resident or not.
-    The enumeration is memoized per node (rebuilt only when the max
-    version grows), so calling this in a loop no longer allocates. *)
+(** All version numbers [0..max_version] of [pnode], resident or not. *)
 
-val records_at : t -> Pnode.t -> version:int -> quad list
-val records_all : t -> Pnode.t -> quad list
+val records_at : t -> Pnode.t -> version:int -> Pass_core.Record.t list
+(** The records stored at (pnode, version), in ingest order. *)
 
-val iter_records_all : t -> Pnode.t -> (quad -> unit) -> unit
+val records_all : t -> Pnode.t -> Pass_core.Record.t list
+(** {!records_at} over {!versions}, concatenated. *)
+
+val iter_records_all : t -> Pnode.t -> (Pass_core.Record.t -> unit) -> unit
 (** [List.iter f (records_all t p)] without building the list. *)
 
 val out_edges : t -> Pnode.t -> version:int -> (string * Pvalue.xref) list
-(** Ancestry edges leaving (pnode, version): attribute and target. *)
+(** Ancestry edges leaving (pnode, version): the attribute and target of
+    each cross-reference record of {!records_at}, in the same order. *)
 
 val out_edges_all : t -> Pnode.t -> (int * string * Pvalue.xref) list
+(** {!out_edges} over {!versions}, each edge with its source version. *)
 
 val in_edges : t -> Pnode.t -> (Pnode.t * int * string * int) list
 (** Who refers to [pnode]: (source pnode, source version, attribute,
@@ -143,10 +148,10 @@ val attr_cardinality : t -> string -> int
 val reach_ancestors : t -> ?limit:int -> Pnode.t -> Pnode.t list
 (** Transitive ancestry reachability at pnode granularity (versions
     collapsed, freeze self-edges excluded), excluding the start, in BFS
-    order: a walk over the forward edges of the hot tier's cells, which
-    never faults the archive in.  With [limit] the walk stops once it has
-    discovered [limit] nodes, so the result holds at most [limit] nodes
-    and is a prefix of the unlimited result. *)
+    order: a walk over the cross-reference records of the hot tier's
+    cells, which never faults the archive in.  With [limit] the walk
+    stops once it has discovered [limit] nodes, so the result holds at
+    most [limit] nodes and is a prefix of the unlimited result. *)
 
 val reach_descendants : t -> ?limit:int -> Pnode.t -> Pnode.t list
 (** {!reach_ancestors} over the hot tier's reverse edges. *)
@@ -169,7 +174,7 @@ val find_slot : t -> Pnode.t -> slot
 
 val slot_pnode : slot -> Pnode.t
 
-val iter_cell : t -> slot -> version:int -> (quad -> unit) -> unit
+val iter_cell : t -> slot -> version:int -> (Pass_core.Record.t -> unit) -> unit
 (** [List.iter f (records_at t p ~version)] for the slot of [p], without
     building the list: the query engine's forward step. *)
 
@@ -191,17 +196,19 @@ val walk_cells :
     [expand] reaches its neighbours.  [reach s v] is true when cell
     (s, v) is new to the walk.  The first version a slot is reached at is
     recorded in the slot; for any further version of it [reach] asks
-    [again s v], which must answer true exactly once per version.
+    [again s v], which must answer true at most once per version: a
+    version it answers false for is neither new nor expanded.
     [expand] must not start another walk ({!reach_ancestors},
     {!cone_size} or [walk_cells]) on the same db. *)
 
 val serialize : t -> string
-(** On-disk image of the node and quad tables (indexes are rebuilt by
-    {!load}), in a deterministic order the loader relies on: nodes in
-    pnode order, each node's quads contiguous, grouped by ascending
-    version, each version's in ingest order.  The current format,
-    PROVDB4, appends an index-stats footer so a loader can prove its
-    rebuilt indexes agree with the writer's. *)
+(** On-disk image of the node and record tables (indexes are rebuilt by
+    {!load}), each record as a (pnode, version, record) quad, in a
+    deterministic order the loader relies on: nodes in pnode order, each
+    node's quads contiguous, grouped by ascending version, each
+    version's in ingest order.  The current format, PROVDB4, appends an
+    index-stats footer so a loader can prove its rebuilt indexes agree
+    with the writer's. *)
 
 val load : t -> string -> unit
 (** [load t image] adds an image's nodes and quads to [t] in one pass,
@@ -252,25 +259,28 @@ val has_cold : t -> bool
 (** Whether any node has a floor above 0 (i.e. an archive exists). *)
 
 val db_bytes : t -> int
-val index_bytes : t -> int
-val total_bytes : t -> int
+(** Encoded size of the node table and the stored records: each record
+    its wire size plus 16 bytes for its (pnode, version) key. *)
 
-val is_acyclic : t -> bool
-(** DESIGN.md invariant 1: the stored graph is a DAG at version
-    granularity. *)
+val index_bytes : t -> int
+(** Encoded size of the indexes: per name posting its length plus 12,
+    per attribute posting 20, and per ancestry record 20 for its reverse
+    edge.  A forward edge is the stored record itself, so it adds
+    nothing here. *)
+
+val total_bytes : t -> int
 
 val ancestors : t -> Pnode.t -> version:int -> (Pnode.t * int) list
 (** Transitive ancestor closure over ancestry edges (what [input*]
     walks). *)
 
 val verify_indexes : t -> (unit, string) result
-(** Rebuild-and-compare self-check: replays the node and quad tables
+(** Rebuild-and-compare self-check: replays the node and record tables
     through {!add_record} into a fresh db — never through the run step
     {!load}, {!ingest_entry}, {!merge_into} and {!compact} share, so any
     db is checked against the record-at-a-time oracle — and diffs each
     index against the live one: names, attr postings and
-    cardinalities, resident versions, version ranges, each cell's
-    forward edges, each node's reverse edges in read order, and the
-    edge, file and quad counts and byte counters.  [Error msg]
-    names the first drift found.  Faults the archive in first so the
-    comparison covers the whole history. *)
+    cardinalities, resident versions, version ranges, each node's
+    reverse edges in read order, and the edge, file and quad counts and
+    byte counters.  [Error msg] names the first drift found.  Faults the
+    archive in first so the comparison covers the whole history. *)

@@ -19,9 +19,9 @@ let node_label db (n : Provdb.node) =
   let name = Option.value n.node_name ~default:(Printf.sprintf "p%d" (Pnode.to_int n.pnode)) in
   let ty =
     List.find_map
-      (fun (q : Provdb.quad) ->
-        if String.equal q.q_attr "TYPE" then
-          match q.q_value with Pvalue.Str s -> Some s | _ -> None
+      (fun (r : Pass_core.Record.t) ->
+        if String.equal r.attr "TYPE" then
+          match r.value with Pvalue.Str s -> Some s | _ -> None
         else None)
       (Provdb.records_all db n.pnode)
   in

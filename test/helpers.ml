@@ -69,3 +69,12 @@ let pql_names db q = Pql.names_of_rows db (pql_rows db q)
 
 (* The aggregated value of a counter in [registry]; 0 when it is absent. *)
 let counter registry name = Option.value (Telemetry.counter_value registry name) ~default:0
+
+(* Whether pvcheck's acyclicity pass, a DFS over the stored graph
+   cross-checked against the Cycle_detect oracle, finds no cycle in [db]
+   (archived history included). *)
+let acyclic db =
+  not
+    (List.exists
+       (fun (f : Pvcheck.finding) -> String.equal f.f_pass "acyclicity")
+       (Pvcheck.check_db db).r_findings)

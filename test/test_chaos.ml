@@ -65,7 +65,7 @@ let rig ?(spec = Fault.default_chaos) ?wb_high_water ?piggyback ?tracer ~seed ()
 
 let count_params db pnode =
   List.length
-    (List.filter (fun (q : Provdb.quad) -> q.q_attr = "PARAMS") (Provdb.records_all db pnode))
+    (List.filter (fun (q : Record.t) -> q.attr = "PARAMS") (Provdb.records_all db pnode))
 
 (* --- postmark under chaos ---------------------------------------------------- *)
 
@@ -749,7 +749,7 @@ let test_txn_across_checkpoint_boundary () =
     check tint "straddling txn is not an orphan" 0 orphans;
     let quads =
       List.filter
-        (fun (q : Provdb.quad) -> q.q_value = Pvalue.Str "pre-boundary")
+        (fun (q : Record.t) -> q.value = Pvalue.Str "pre-boundary")
         (Provdb.records_all (Waldo.db waldo) h.Dpapi.pnode)
     in
     check tint "txn chunk applied exactly once" 1 (List.length quads);

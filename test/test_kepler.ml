@@ -99,7 +99,7 @@ let test_dpapi_recorder_links_layers () =
   ignore (run_challenge p Kepler_run.Dpapi : Director.result);
   ignore (System.drain sys : int);
   let db = Option.get (System.waldo_db sys "vol0") in
-  check tbool "db acyclic" true (Provdb.is_acyclic db);
+  check tbool "db acyclic" true (Helpers.acyclic db);
   (* the paper's query: all ancestors of atlas-x.gif, crossing from the
      file through the workflow operators to the input files *)
   let names =

@@ -70,7 +70,7 @@ let test_download_records () =
   let quads = Provdb.records_all db file in
   let has attr v =
     List.exists
-      (fun (q : Provdb.quad) -> q.q_attr = attr && q.q_value = Pvalue.Str v)
+      (fun (q : Record.t) -> q.attr = attr && q.value = Pvalue.Str v)
       quads
   in
   check tbool "FILE_URL recorded" true (has Record.Attr.file_url url);
@@ -84,7 +84,7 @@ let test_download_records () =
   let session = List.hd (Provdb.find_by_name db "session-1") in
   let visits =
     List.filter
-      (fun (q : Provdb.quad) -> q.q_attr = Record.Attr.visited_url)
+      (fun (q : Record.t) -> q.attr = Record.Attr.visited_url)
       (Provdb.records_all db session)
   in
   check tint "two visits recorded" 2 (List.length visits)
@@ -108,7 +108,7 @@ let test_attribution_survives_rename () =
   let quads = Provdb.records_all db file in
   check tbool "URL attribution survives rename" true
     (List.exists
-       (fun (q : Provdb.quad) -> q.q_attr = Record.Attr.file_url && q.q_value = Pvalue.Str url)
+       (fun (q : Record.t) -> q.attr = Record.Attr.file_url && q.value = Pvalue.Str url)
        quads)
 
 let test_malware_scenario () =
@@ -134,8 +134,8 @@ let test_malware_scenario () =
   let quads = Provdb.records_all db file in
   check tbool "malware source URL identified" true
     (List.exists
-       (fun (q : Provdb.quad) ->
-         q.q_attr = Record.Attr.file_url && q.q_value = Pvalue.Str codec_url)
+       (fun (q : Record.t) ->
+         q.attr = Record.Attr.file_url && q.value = Pvalue.Str codec_url)
        quads);
   (* forward: what descends from the codec? *)
   let descendants =

@@ -64,7 +64,7 @@ let test_panfs_ancestry_at_server () =
   write_via_kernel sys ~pid:worker ~path:"/nfs0/output.dat" ~data:(data ^ "!");
   ignore (Server.drain server : int);
   let db = Option.get (Server.db server) in
-  check tbool "server db acyclic" true (Provdb.is_acyclic db);
+  check tbool "server db acyclic" true (Helpers.acyclic db);
   let names =
     Helpers.pql_names db
       {|select A from Provenance.file as O O.input* as A where O.name = "output.dat"|}
@@ -122,7 +122,7 @@ let test_large_write_uses_txn () =
   check tbool "txn committed" true (counter "waldo.txns_committed" >= 1);
   let db = Option.get (Server.db server) in
   let quads = Provdb.records_all db h.Dpapi.pnode in
-  let params = List.filter (fun (q : Provdb.quad) -> q.q_attr = "PARAMS") quads in
+  let params = List.filter (fun (q : Record.t) -> q.attr = "PARAMS") quads in
   check tint "all records ingested" 3000 (List.length params)
 
 let test_orphaned_txn_discarded () =
@@ -144,7 +144,7 @@ let test_orphaned_txn_discarded () =
   let db = Option.get (Server.db server) in
   let leaked =
     List.exists
-      (fun (q : Provdb.quad) -> q.q_value = Pvalue.Str "never-committed")
+      (fun (q : Record.t) -> q.value = Pvalue.Str "never-committed")
       (Provdb.records_all db h.Dpapi.pnode)
   in
   check tbool "orphaned provenance never ingested" false leaked
@@ -194,7 +194,7 @@ let test_figure1_two_servers () =
   write_via_kernel sys ~pid:wf ~path:"/nfsB/atlas-x.gif" ~data:(staged ^ ":sliced");
   (* drain every database and merge *)
   let merged = Runner.figure1_merged fig in
-  check tbool "merged db acyclic" true (Provdb.is_acyclic merged);
+  check tbool "merged db acyclic" true (Helpers.acyclic merged);
   let names =
     Helpers.pql_names merged
       {|select Ancestor
@@ -468,7 +468,7 @@ let test_server_crash_mid_txn () =
   let db = Option.get (Server.db server) in
   let leaked =
     List.exists
-      (fun (q : Provdb.quad) -> q.q_value = Pvalue.Str "in-flight")
+      (fun (q : Record.t) -> q.value = Pvalue.Str "in-flight")
       (Provdb.records_all db h.Dpapi.pnode)
   in
   check tbool "orphaned provenance never ingested" false leaked;
@@ -522,7 +522,7 @@ let test_refused_rider_keeps_the_rest () =
     (fun (name, (h : Dpapi.handle)) ->
       let names =
         List.filter
-          (fun (q : Provdb.quad) -> q.q_attr = Record.Attr.name)
+          (fun (q : Record.t) -> q.attr = Record.Attr.name)
           (Provdb.records_all db h.pnode)
       in
       check tint (name ^ ": NAME record delivered") 1 (List.length names);

@@ -1326,10 +1326,6 @@ let attr_pool = [ "INPUT"; "input"; "NAME"; "Name"; "TYPE"; "PARAMS"; "nope" ]
 
 (* Order-sensitive agreement of everything a query reads. *)
 let same_db a b =
-  let eq_q (x : Provdb.quad) (y : Provdb.quad) =
-    Pnode.equal x.q_pnode y.q_pnode && x.q_version = y.q_version
-    && String.equal x.q_attr y.q_attr && Pvalue.equal x.q_value y.q_value
-  in
   let eq_x (x : Pvalue.xref) (y : Pvalue.xref) = Pnode.equal x.pnode y.pnode && x.version = y.version in
   let eq_in (p, v, a, w) (p', v', a', w') = Pnode.equal p p' && v = v' && String.equal a a' && w = w' in
   let eq_out (v, a, x) (v', a', x') = v = v' && String.equal a a' && eq_x x x' in
@@ -1343,7 +1339,7 @@ let same_db a b =
        (fun p ->
          List.equal eq_in (Provdb.in_edges a p) (Provdb.in_edges b p)
          && List.equal eq_out (Provdb.out_edges_all a p) (Provdb.out_edges_all b p)
-         && List.equal eq_q (Provdb.records_all a p) (Provdb.records_all b p)
+         && List.equal Record.equal (Provdb.records_all a p) (Provdb.records_all b p)
          && List.equal Pnode.equal (Provdb.reach_ancestors a p) (Provdb.reach_ancestors b p)
          && List.equal Pnode.equal (Provdb.reach_descendants a p) (Provdb.reach_descendants b p))
        pnodes
@@ -1399,10 +1395,11 @@ let prop_loader_matches_replay =
 
 (* A node with a long history, inserted out of version order: 1 200
    versions, dense up to 599 and every other one from 1 200 on, each
-   reading the lowest pnode of [db] and every hundredth also the version
+   reading the lowest pnode of [db] and, like a freeze, the version
    before it.  The odd-numbered ones are added downwards and then the
    even ones upwards, so cells go into the middle of the node's array
-   and the reverse edges into both nodes arrive out of source order. *)
+   and the reverse edges into both nodes arrive out of source order.
+   An inverse closure over it reaches all 1 200 versions of the node. *)
 let add_long_history db =
   let first =
     List.fold_left (fun m (n : Provdb.node) -> if Pnode.compare n.pnode m < 0 then n.pnode else m)
@@ -1414,7 +1411,7 @@ let add_long_history db =
   List.iter
     (fun i ->
       Provdb.add_record db long ~version:(version i) (Record.input_of first 0);
-      if i > 0 && i mod 100 = 0 then
+      if i > 0 then
         Provdb.add_record db long ~version:(version i) (Record.input_of long (version (i - 1))))
     (List.rev odd @ even)
 
@@ -1426,10 +1423,6 @@ let add_long_history db =
 let reads_like_replay db =
   let r = replay_image (parse_image (Provdb.serialize db)) in
   let eq_x (x : Pvalue.xref) (y : Pvalue.xref) = Pnode.equal x.pnode y.pnode && x.version = y.version in
-  let eq_q (x : Provdb.quad) (y : Provdb.quad) =
-    Pnode.equal x.q_pnode y.q_pnode && x.q_version = y.q_version
-    && String.equal x.q_attr y.q_attr && Pvalue.equal x.q_value y.q_value
-  in
   let eq_in (p, v, a, w) (p', v', a', w') = Pnode.equal p p' && v = v' && String.equal a a' && w = w' in
   let eq_ref (p, v, a) (p', v', a') = Pnode.equal p p' && v = v' && String.equal a a' in
   let refs d p =
@@ -1450,10 +1443,10 @@ let reads_like_replay db =
          List.equal eq_in (Provdb.in_edges db p) (Provdb.in_edges r p)
          && List.equal eq_ref (refs db p) (refs r p)
          && List.equal eq_ref (refs db p) (List.map (fun (s, v, a, _) -> (s, v, a)) (Provdb.in_edges db p))
-         && List.equal eq_q (Provdb.records_all db p) (Provdb.records_all r p)
+         && List.equal Record.equal (Provdb.records_all db p) (Provdb.records_all r p)
          && List.for_all
               (fun v ->
-                List.equal eq_q (Provdb.records_at db p ~version:v) (Provdb.records_at r p ~version:v)
+                List.equal Record.equal (Provdb.records_at db p ~version:v) (Provdb.records_at r p ~version:v)
                 && List.equal
                      (fun (a, x) (b, y) -> String.equal a b && eq_x x y)
                      (Provdb.out_edges db p ~version:v) (Provdb.out_edges r p ~version:v))
@@ -1467,7 +1460,8 @@ let reads_like_replay db =
        (Provdb.all_nodes db)
 
 (* Plain, merged, compacted, faulted in and reloaded from an image, each
-   with one node of 1 200 versions. *)
+   with one node of 1 200 versions; each also passes the index
+   self-check. *)
 let prop_layout_matches_replay =
   QCheck2.Test.make ~name:"provdb: slot layout reads like the add_record replay" ~count:50
     QCheck2.Gen.(pair gen_graph gen_graph)
@@ -1483,7 +1477,9 @@ let prop_layout_matches_replay =
           true);
       Provdb.fault_in faulted;
       let reloaded = Provdb.deserialize (Provdb.serialize merged) in
-      List.for_all reads_like_replay [ db; merged; hot; faulted; reloaded ])
+      List.for_all
+        (fun d -> reads_like_replay d && Result.is_ok (Provdb.verify_indexes d))
+        [ db; merged; hot; faulted; reloaded ])
 
 (* A property run from a pinned seed, so a CI failure replays exactly. *)
 let pinned prop = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) prop

@@ -116,8 +116,8 @@ let prop_storage_roundtrip =
       (* every disclosed record is retrievable, in order, value-intact *)
       List.length stored = List.length records
       && List.for_all2
-           (fun (r : Record.t) (q : Provdb.quad) ->
-             String.equal r.attr q.q_attr && Pvalue.equal r.value q.q_value)
+           (fun (r : Record.t) (q : Record.t) ->
+             String.equal r.attr q.attr && Pvalue.equal r.value q.value)
            records stored)
 
 (* Waldo charges each record its encoded size without encoding it: the

@@ -251,7 +251,7 @@ let test_thermography_data_origin () =
   let sys, _p, s = thermography_setup () in
   Pyth.run s analysis_script;
   let db = drain_db sys in
-  check tbool "db acyclic" true (Provdb.is_acyclic db);
+  check tbool "db acyclic" true (Helpers.acyclic db);
   (* PASS's coarse view: the analysis program read ALL the XML files, so
      at file granularity the plot derives from every one of them *)
   let coarse =

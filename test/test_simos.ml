@@ -36,7 +36,7 @@ let test_process_file_ancestry () =
   ok (Kernel.exit k ~pid:worker);
   ignore (System.drain sys : int);
   let db = Option.get (System.waldo_db sys "vol0") in
-  check tbool "db is acyclic" true (Provdb.is_acyclic db);
+  check tbool "db is acyclic" true (Helpers.acyclic db);
   (* output.dat's ancestry must include input.dat through the worker *)
   let names =
     Helpers.pql_names db

@@ -40,7 +40,7 @@ let test_ingestion_fidelity () =
   let quads = Provdb.records_all db h.Dpapi.pnode in
   check tint "all records ingested" 3 (List.length quads);
   check tbool "content preserved" true
-    (List.exists (fun (q : Provdb.quad) -> q.q_value = Pvalue.Str "the-widget") quads);
+    (List.exists (fun (q : Record.t) -> q.value = Pvalue.Str "the-widget") quads);
   check tint "records counted" 3 (Helpers.counter registry "waldo.records_ingested")
 
 let test_freeze_version_attribution () =
@@ -55,11 +55,11 @@ let test_freeze_version_attribution () =
   let v0 = Provdb.records_at db h.Dpapi.pnode ~version:0 in
   let v1 = Provdb.records_at db h.Dpapi.pnode ~version:1 in
   check tbool "pre-freeze record at v0" true
-    (List.exists (fun (q : Provdb.quad) -> q.q_value = Pvalue.Str "before") v0);
+    (List.exists (fun (q : Record.t) -> q.value = Pvalue.Str "before") v0);
   check tbool "freeze marker at v1" true
-    (List.exists (fun (q : Provdb.quad) -> q.q_attr = Record.Attr.freeze) v1);
+    (List.exists (fun (q : Record.t) -> q.attr = Record.Attr.freeze) v1);
   check tbool "post-freeze record at v1" true
-    (List.exists (fun (q : Provdb.quad) -> q.q_value = Pvalue.Str "after") v1)
+    (List.exists (fun (q : Record.t) -> q.value = Pvalue.Str "after") v1)
 
 (* A default-built Waldo keeps every processed log until a checkpoint
    covers it: until then the logs are the only durable copy of the
@@ -106,8 +106,8 @@ let test_txn_commit () =
   check tint "txn committed" 1 (Helpers.counter registry "waldo.txns_committed");
   let quads = Provdb.records_all (Waldo.db waldo) h.Dpapi.pnode in
   check tbool "txn contents ingested" true
-    (List.exists (fun (q : Provdb.quad) -> q.q_value = Pvalue.Str "one") quads
-    && List.exists (fun (q : Provdb.quad) -> q.q_value = Pvalue.Str "two") quads)
+    (List.exists (fun (q : Record.t) -> q.value = Pvalue.Str "one") quads
+    && List.exists (fun (q : Record.t) -> q.value = Pvalue.Str "two") quads)
 
 let test_txn_orphan () =
   let _registry, _ext3, lasagna, waldo = fresh () in
@@ -122,7 +122,7 @@ let test_txn_orphan () =
   check tint "one orphan" 1 orphans;
   let quads = Provdb.records_all (Waldo.db waldo) h.Dpapi.pnode in
   check tbool "orphan contents dropped" false
-    (List.exists (fun (q : Provdb.quad) -> q.q_value = Pvalue.Str "never") quads)
+    (List.exists (fun (q : Record.t) -> q.value = Pvalue.Str "never") quads)
 
 let test_interleaved_txns () =
   (* two transactions interleaved in the log; one commits, one orphans *)
@@ -147,7 +147,7 @@ let test_interleaved_txns () =
   let orphans = Waldo.finalize waldo lasagna in
   check tint "txn 2 orphaned" 1 orphans;
   let quads = Provdb.records_all (Waldo.db waldo) h.Dpapi.pnode in
-  let has tag = List.exists (fun (q : Provdb.quad) -> q.q_value = Pvalue.Str tag) quads in
+  let has tag = List.exists (fun (q : Record.t) -> q.value = Pvalue.Str tag) quads in
   check tbool "committed chunks present" true (has "a1" && has "a2");
   check tbool "orphan chunks absent" false (has "b1")
 
@@ -166,7 +166,7 @@ let test_merge_into () =
   check tbool "cross-db edge intact" true
     (List.exists (fun (_, (x : Pvalue.xref)) -> Pnode.equal x.pnode a)
        (Provdb.out_edges merged b ~version:0));
-  check tbool "merged acyclic" true (Provdb.is_acyclic merged)
+  check tbool "merged acyclic" true (Helpers.acyclic merged)
 
 (* A cycle that lives wholly below the floor: the hot tier has no edges
    at all, so only a check that faults the archive in can see it. *)
@@ -178,12 +178,12 @@ let test_acyclic_checks_archive () =
   Provdb.add_record db s ~version:0 (Record.input_of r 0);
   Provdb.add_record db r ~version:1 (Record.make "PARAMS" (Pvalue.Int 1));
   Provdb.add_record db s ~version:1 (Record.make "PARAMS" (Pvalue.Int 1));
-  check tbool "cycle found in one tier" false (Provdb.is_acyclic db);
+  check tbool "cycle found in one tier" false (Helpers.acyclic db);
   let hot, cold = Provdb.compact db ~keep:1 in
   check tint "hot tier holds no edge" 0 (Provdb.edge_count hot);
   let image = Provdb.serialize cold in
   Provdb.set_fault_handler hot (fun db -> Provdb.load db image; true);
-  check tbool "cycle below the floor found" false (Provdb.is_acyclic hot)
+  check tbool "cycle below the floor found" false (Helpers.acyclic hot)
 
 (* --- entry ingest against the per-record rule it replaced ----------------- *)
 
@@ -306,7 +306,7 @@ let test_provdb_serialize_roundtrip () =
   check tint "quad count preserved" (Provdb.quad_count db) (Provdb.quad_count db2);
   check tbool "edges preserved" true
     (Provdb.out_edges db2 out ~version:0 = Provdb.out_edges db out ~version:0);
-  check tbool "acyclic preserved" true (Provdb.is_acyclic db2);
+  check tbool "acyclic preserved" true (Helpers.acyclic db2);
   (* corrupt images are rejected *)
   (match Provdb.deserialize "garbage-bytes" with
   | exception Wire.Corrupt _ -> ()
