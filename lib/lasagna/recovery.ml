@@ -14,9 +14,10 @@
    frames' byte ranges may since have been overwritten legitimately, and
    a crash can only leave the final in-flight write incomplete.
 
-   Recovery also rebuilds the pnode<->inode maps and the set of virtual
-   objects from the Map/Mkobj frames, which is how a remounted Lasagna
-   regains its identity state. *)
+   The Map frames give the pnode -> inode map that locates each object's
+   file for that check.  Recovery only counts the Map and Mkobj frames
+   it scans: it restores no identity state, and a remounted Lasagna
+   starts with empty pnode<->inode maps. *)
 
 module Pnode = Pass_core.Pnode
 
@@ -42,8 +43,8 @@ type report = {
   torn_bytes : int; (* bytes of torn log tail discarded across logs *)
   data_checked : int;
   inconsistent : inconsistency list;
-  files : (Pnode.t * Vfs.ino * string) list; (* rebuilt pnode map *)
-  virtuals : Pnode.t list;
+  files : int; (* Map frames scanned *)
+  virtuals : int; (* Mkobj frames scanned *)
   open_txns : int list; (* PA-NFS transactions begun but never ended:
                            orphans Waldo will discard *)
   log_details : log_detail list; (* per log, in sequence order *)
@@ -86,7 +87,7 @@ let scan ?registry lower =
   in
   let watermark = Option.map (fun m -> m.Checkpoint.m_watermark) manifest in
   let frames_ok = ref 0 and torn = ref 0 in
-  let files = ref [] and virtuals = ref [] in
+  let files = ref 0 and virtuals = ref 0 in
   let by_pnode = Hashtbl.create 64 in
   let last_data : (Pnode.t, Wap_log.data_id) Hashtbl.t = Hashtbl.create 64 in
   (* PA-NFS transactions: [seen] minus [ended] are the orphans a client
@@ -115,10 +116,10 @@ let scan ?registry lower =
             let frames, consumed =
               Wap_log.fold image ~init:0 (fun n frame ->
                   (match frame with
-                  | Wap_log.Map { pnode; ino; name } ->
+                  | Wap_log.Map { pnode; ino; _ } ->
                       Hashtbl.replace by_pnode pnode ino;
-                      files := (pnode, ino, name) :: !files
-                  | Wap_log.Mkobj { pnode } -> virtuals := pnode :: !virtuals
+                      incr files
+                  | Wap_log.Mkobj _ -> incr virtuals
                   | Wap_log.Bundle { txn; bundle; data } -> (
                       (match txn with
                       | Some id ->
@@ -177,8 +178,8 @@ let scan ?registry lower =
       torn_bytes = !torn;
       data_checked = !checked;
       inconsistent = !bad;
-      files = List.rev !files;
-      virtuals = List.rev !virtuals;
+      files = !files;
+      virtuals = !virtuals;
       open_txns =
         List.sort Int.compare
           (List.filter (fun id -> not (List.mem id !txns_ended)) !txns_seen);
@@ -230,8 +231,8 @@ let report_to_json r : Telemetry.Json.t =
       ("torn_bytes", Int r.torn_bytes);
       ("data_checked", Int r.data_checked);
       ("inconsistent", List (List.map inconsistency r.inconsistent));
-      ("files", Int (List.length r.files));
-      ("virtuals", Int (List.length r.virtuals));
+      ("files", Int r.files);
+      ("virtuals", Int r.virtuals);
       ("open_txns", List (List.map (fun id -> Int id) r.open_txns));
       ("logs", List (List.map log_detail r.log_details));
     ]

@@ -29,8 +29,8 @@ type report = {
   torn_bytes : int;
   data_checked : int;
   inconsistent : inconsistency list;
-  files : (Pass_core.Pnode.t * Vfs.ino * string) list;
-  virtuals : Pass_core.Pnode.t list;
+  files : int;  (** Map frames scanned *)
+  virtuals : int;  (** Mkobj frames scanned *)
   open_txns : int list;
       (** PA-NFS transactions with a BEGINTXN but no ENDTXN in the logs:
           the orphans Waldo will discard at finalize. *)

@@ -4,8 +4,9 @@
    binding, each annotated with the access path the planner chose, the
    predicates it pushed down, an optional hash-join key, and a
    cardinality estimate; whatever could not be pushed remains as a
-   residual filter.  Estimates are lazy: one that counts a closure's cone
-   is taken when EXPLAIN first reads it, not when the query is prepared.
+   residual filter.  Estimates are lazy: one that runs a walk from known
+   starts is taken when EXPLAIN first reads it, not when the query is
+   prepared.
    Steps carry mutable actual-row counters so EXPLAIN after execution can
    show estimated vs. actual cardinalities. *)
 

@@ -43,9 +43,13 @@ type step = {
       (** conjuncts whose free variables this binding covers, applied as
           the step produces items *)
   est : int Lazy.t;
-      (** estimated items this step binds; a closure from known start
-          pnodes counts their cone when first forced (by {!pp}), so
-          preparing and executing a query walk no cone *)
+      (** estimated items this step binds; a walk from known start
+          pnodes runs its path from them when first forced (by {!pp}),
+          so preparing and executing a query do not run it for the
+          estimate.  That estimate equals [actual] whenever the step has
+          no [pushed] conjunct and the start step binds every pnode its
+          name probe returned.  Forcing it walks as execute does, so it
+          can fault the archive in. *)
   mutable actual : int;  (** measured by execute; [-1] until executed *)
 }
 

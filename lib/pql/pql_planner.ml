@@ -16,15 +16,17 @@
 
    Estimates are order-of-magnitude heuristics, not a science: index
    probes cost their posting-list length (a name-glob prefix probe the
-   postings over its range), scans cost the class table,
-   walks multiply by the graph's average ancestry out-degree, and
-   closures from a small set of known start pnodes are measured directly
-   by a capped pnode-level walk of the hot tier's edges (a cone count).
-   They only need to rank access paths and make EXPLAIN informative.
+   postings over its range), scans cost the class table, and walks
+   multiply by the graph's average ancestry out-degree.  They only need
+   to rank access paths and make EXPLAIN informative.  A walk from a
+   small set of known start pnodes is measured instead: the step's own
+   path is run from each start at its max version, as execute runs it,
+   so with nothing pushed on the walk's binder its estimate is exactly
+   the items execute binds.
 
-   The cone count is the one estimate that walks the graph, and no plan
-   choice reads it (a walk's access is fixed), so it is deferred: the
-   plan holds lazy estimates, and the cone is counted when EXPLAIN first
+   That measurement is the one estimate that walks the graph, and no
+   plan choice reads it (a walk's access is fixed), so it is deferred:
+   the plan holds lazy estimates, and the walk runs when EXPLAIN first
    reads one, never by prepare or execute. *)
 
 open Pql_ast
@@ -130,21 +132,6 @@ let attr_key b conds =
 
 (* --- cardinality estimation ------------------------------------------------- *)
 
-type dir = Fwd | Inv | Mixed
-
-let rec path_dir = function
-  | Edge (Forward _) | Edge Any_edge -> Fwd
-  | Edge (Inverse _) -> Inv
-  | Seq (a, b) | Alt (a, b) -> (
-      match (path_dir a, path_dir b) with Fwd, Fwd -> Fwd | Inv, Inv -> Inv | _ -> Mixed)
-  | Star p | Plus p | Opt p -> path_dir p
-
-let rec has_closure = function
-  | Star _ | Plus _ -> true
-  | Edge _ -> false
-  | Seq (a, b) | Alt (a, b) -> has_closure a || has_closure b
-  | Opt p -> has_closure p
-
 let avg_degree db = max 1 (Provdb.edge_count db / max 1 (Provdb.node_count db))
 let graph_size db = sadd (Provdb.node_count db) (Provdb.quad_count db)
 
@@ -160,19 +147,21 @@ let rec walk_est db starts = function
 
 and closure_est db starts p = min (graph_size db) (smul (max starts (walk_est db starts p)) 4)
 
-(* closure from known start pnodes: count the cone directly, walking
-   the hot tier's edges at pnode granularity, instead of guessing (each
-   start's count capped at 20 000 nodes) — when the estimate is first
+(* a walk from known start pnodes: run the step's own path from each
+   start at its max version, as execute does, when the estimate is first
    read *)
-let reach_est db dirn pnodes =
-  let ancestors = match dirn with Fwd -> true | Inv | Mixed -> false in
+let known_est db path pnodes =
+  let walk (n : Provdb.node) =
+    Pql_eval.eval_path db path [ Pql_eval.Node (n.pnode, n.max_version) ]
+  in
   lazy
     (List.fold_left
-       (fun acc p -> sadd acc (1 + Provdb.cone_size db ~ancestors ~limit:20_000 p))
+       (fun acc p ->
+         match Provdb.find_node db p with Some n -> sadd acc (List.length (walk n)) | None -> acc)
        0 pnodes)
 
 (* [Lazy.map] that stays eager over a known value: only the estimates
-   downstream of a deferred cone count are deferred themselves *)
+   downstream of a deferred walk are deferred themselves *)
 let lmap f x = if Lazy.is_val x then Lazy.from_val (f (Lazy.force x)) else Lazy.map f x
 
 let scan_est db = function
@@ -239,7 +228,7 @@ let plan db (q : query) : Pql_plan.t =
                 indexed
         in
         (* candidate pnodes known at plan time (small name probes) let
-           later walk estimates measure the actual cone *)
+           later walk estimates run the walk itself *)
         let access, base_est, known_here =
           match src.root with
           | Root_var v -> (Pql_plan.Var_step v, 1, None)
@@ -284,9 +273,7 @@ let plan db (q : query) : Pql_plan.t =
                 | None -> lmap (max 1) env_est
                 | Some p -> (
                     match List.assoc_opt v knowns with
-                    | Some pnodes when has_closure p ->
-                        let n = List.length pnodes in
-                        lmap (fun r -> sadd r n) (reach_est db (path_dir p) pnodes)
+                    | Some pnodes -> known_est db p pnodes
                     | _ ->
                         let w = max 1 (walk_est db 1 p) in
                         lmap (fun e -> smul (max 1 e) w) env_est)

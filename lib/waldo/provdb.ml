@@ -27,15 +27,12 @@
    attribute postings and the reverse edges; a forward edge is a stored
    record, so it costs nothing beyond its record).
 
-   Walks mark slots instead of keeping a visited table: each walk takes
-   the next epoch number ([t.walks]), a slot it reaches takes that
-   number, and the queue array is reused, so neither the planner's cone
-   walks nor the query engine's closures ([walk_cells]) build a visited
-   set.  A cone walk reads the hot tier's cross-reference records and
-   reverse edges, the ones a closure hops over, with versions collapsed:
-   the planner's cone estimate needs no index of its own.  Slots never
-   leave the node table, so an edge array can hold them; the public
-   accessors still speak pnodes. *)
+   The query engine's closures walk slots ([walk_cells]) and mark them
+   instead of keeping a visited table: each walk takes the next epoch
+   number ([t.walks]), a slot it reaches takes that number, and the
+   queue arrays are reused, so a walk builds no visited set.  Slots
+   never leave the node table, so an edge array can hold them; the
+   public accessors still speak pnodes. *)
 
 module Pnode = Pass_core.Pnode
 module Pvalue = Pass_core.Pvalue
@@ -481,9 +478,9 @@ let fault_in t = maybe_fault_in t
 
 (* --- query access -------------------------------------------------------- *)
 
-(* Accessors probe with [Hashtbl.find]: every node has a slot, and the
-   planner's cone walks visit up to 20 000 of them, so a [Some] per
-   probe would show in the per-query allocation. *)
+(* Accessors probe with [Hashtbl.find]: a [find_opt] would allocate a
+   [Some] per probe beside the one [find_node] returns, and the query
+   engine probes once per candidate node. *)
 let find_node t pnode =
   match Hashtbl.find t.nodes pnode with s -> Some s.node | exception Not_found -> None
 
@@ -623,11 +620,6 @@ let with_attr t attr =
           ae.ae_sorted <- Some l;
           l)
 
-let attr_value t pnode ~version attr =
-  List.find_map
-    (fun (r : Record.t) -> if String.equal r.attr attr then Some r.value else None)
-    (records_at t pnode ~version)
-
 (* --- planner statistics --------------------------------------------------- *)
 
 (* Statistics read the hot tier as-is (no fault-in): they feed cardinality
@@ -646,16 +638,16 @@ let attr_cardinality t attr =
   | None -> 0
 
 (* Breadth-first walk over (slot, version) cells: the one walk behind
-   the planner's cones and the query engine's closures.  [reach s v]
-   queues cell (s, v) and answers true when the walk has not reached it
-   yet: the first version a slot is reached at is kept in the slot under
-   the walk's mark, and only a further version of an already-marked slot
-   is referred to [again], the caller's own record of those.  [seed
-   reach] reaches the starts; [expand reach] is then applied to each
-   queued cell in order, which it expands by reaching its neighbours.
-   Slots are marked instead of collected in a visited table and the
-   queue arrays are reused, so a walk allocates nothing per cell.
-   [expand] must not start another walk. *)
+   the query engine's closures.  [reach s v] queues cell (s, v) and
+   answers true when the walk has not reached it yet: the first version
+   a slot is reached at is kept in the slot under the walk's mark, and
+   only a further version of an already-marked slot is referred to
+   [again], the caller's own record of those.  [seed reach] reaches the
+   starts; [expand reach] is then applied to each queued cell in order,
+   which it expands by reaching its neighbours.  Slots are marked
+   instead of collected in a visited table and the queue arrays are
+   reused, so a walk allocates nothing per cell.  [expand] must not
+   start another walk. *)
 let walk_cells t ~again ~seed ~expand =
   t.walks <- t.walks + 1;
   let mark = t.walks and tail = ref 0 in
@@ -691,63 +683,6 @@ let walk_cells t ~again ~seed ~expand =
     incr head;
     expand s v
   done
-
-(* The slots one hop from [s] over the hot tier's ancestry edges, with
-   repeats: the targets of the cross-reference records in [s]'s
-   resident cells, each cell's newest first, or the sources of the
-   reverse edges into [s].  Neither faults the archive in. *)
-let iter_targets t s f =
-  iter_cells s (fun c ->
-      List.iter
-        (fun (r : Record.t) ->
-          match r.value with Pvalue.Xref x -> f (Hashtbl.find t.nodes x.pnode) | _ -> ())
-        c.c_records)
-
-(* In descending source order, the order [reach_descendants] lists a
-   cone's pnodes in. *)
-let iter_sources s f =
-  sort_refs s;
-  for i = s.n_refs - 1 downto 0 do
-    f s.ref_src.(i)
-  done
-
-(* Breadth-first walk at pnode granularity from [start], handing [visit]
-   each newly reached pnode in BFS order until [limit] have been
-   reached.  Every slot is reached at version 0, so versions collapse,
-   and an edge into a slot already reached (the start's own freeze
-   edges among them) reaches nothing. *)
-let walk t ~ancestors ~limit start visit =
-  match Hashtbl.find t.nodes start with
-  | exception Not_found -> ()
-  | s0 ->
-      let found = ref 0 in
-      walk_cells t
-        ~again:(fun _ _ -> false)
-        ~seed:(fun reach ->
-          let _ : bool = reach s0 0 in
-          ())
-        ~expand:(fun reach ->
-          let hop p =
-            if !found < limit && reach p 0 then begin
-              incr found;
-              visit p.node.pnode
-            end
-          in
-          fun s _ ->
-            if !found < limit then if ancestors then iter_targets t s hop else iter_sources s hop)
-
-let reach t ~ancestors ?(limit = max_int) start =
-  let out = ref [] in
-  walk t ~ancestors ~limit start (fun p -> out := p :: !out);
-  List.rev !out
-
-let reach_ancestors t ?limit pnode = reach t ~ancestors:true ?limit pnode
-let reach_descendants t ?limit pnode = reach t ~ancestors:false ?limit pnode
-
-let cone_size t ~ancestors ~limit pnode =
-  let n = ref 0 in
-  walk t ~ancestors ~limit pnode (fun _ -> incr n);
-  !n
 
 let db_bytes t = t.db_bytes
 let index_bytes t = t.index_bytes

@@ -121,8 +121,6 @@ val with_attr : t -> string -> (Pnode.t * int) list
     so repeated probes no longer re-sort — and re-ingesting the same
     record (merge, fault-in, replay) no longer duplicates entries. *)
 
-val attr_value : t -> Pnode.t -> version:int -> string -> Pvalue.t option
-
 (** {2 Planner statistics}
 
     Cardinality inputs for the PQL cost-based planner.  These read the
@@ -144,22 +142,6 @@ val name_prefix_postings : t -> string -> int
 val attr_cardinality : t -> string -> int
 (** Distinct (pnode, version) entries under [attr] (case-insensitive)
     — the length of {!with_attr}'s result, without building it. *)
-
-val reach_ancestors : t -> ?limit:int -> Pnode.t -> Pnode.t list
-(** Transitive ancestry reachability at pnode granularity (versions
-    collapsed, freeze self-edges excluded), excluding the start, in BFS
-    order: a walk over the cross-reference records of the hot tier's
-    cells, which never faults the archive in.  With [limit] the walk
-    stops once it has discovered [limit] nodes, so the result holds at
-    most [limit] nodes and is a prefix of the unlimited result. *)
-
-val reach_descendants : t -> ?limit:int -> Pnode.t -> Pnode.t list
-(** {!reach_ancestors} over the hot tier's reverse edges. *)
-
-val cone_size : t -> ancestors:bool -> limit:int -> Pnode.t -> int
-(** [List.length] of {!reach_ancestors} (or, with [~ancestors:false],
-    {!reach_descendants}) under the same [limit], counted without
-    building the list: the planner's closure estimate. *)
 
 (** {2 Marked walks}
 
@@ -198,8 +180,7 @@ val walk_cells :
     recorded in the slot; for any further version of it [reach] asks
     [again s v], which must answer true at most once per version: a
     version it answers false for is neither new nor expanded.
-    [expand] must not start another walk ({!reach_ancestors},
-    {!cone_size} or [walk_cells]) on the same db. *)
+    [expand] must not start another [walk_cells] walk on the same db. *)
 
 val serialize : t -> string
 (** On-disk image of the node and record tables (indexes are rebuilt by

@@ -546,10 +546,10 @@ let test_explain_golden () =
     (Pql_plan.to_string (Pql.Engine.explain g))
 
 (* Only EXPLAIN reads an estimate, so the planner defers the one that
-   walks the graph: a closure's cone is not counted by prepare or
-   execute, and rendering the plan afterwards counts it then, giving the
-   numbers the golden above pins. *)
-let test_cone_estimate_deferred () =
+   walks the graph: a walk from known starts is not run for its estimate
+   by prepare or execute, and rendering the plan afterwards runs it
+   then, giving the numbers the golden above pins. *)
+let test_walk_estimate_deferred () =
   let db, _, _, _, _, _ = sample_db () in
   let p =
     Pql.Engine.prepare db
@@ -564,7 +564,7 @@ let test_cone_estimate_deferred () =
       check tbool "walk estimate not measured" false (Lazy.is_val s2.Pql_plan.est)
   | steps -> Alcotest.failf "expected 2 steps, got %d" (List.length steps));
   check tbool "row estimate not measured" false (Lazy.is_val plan.Pql_plan.est_rows);
-  check Alcotest.string "explain measures the cone"
+  check Alcotest.string "explain runs the walk"
     "plan:\n\
     \  Atlas <- name-index \"out.gif\" -> files  (est 1, actual 1)\n\
     \      push Atlas.name = \"out.gif\"\n\
@@ -656,6 +656,13 @@ let test_step_attr_case () =
   check tint "F.Input values" 3
     (List.length (rows {|select F.Input from Provenance.file as F where F.name = "a"|}))
 
+(* The Linux-compile workload's graph on a local PASS volume. *)
+let linux_compile_db () =
+  let sys = Runner.local_system System.Pass in
+  (List.hd (Runner.standard ())).Runner.run sys;
+  let _ : int = System.drain sys in
+  Option.get (System.waldo_db sys "vol0")
+
 (* --- row order --------------------------------------------------------------- *)
 
 (* Rows come out in execution order: a closure's endpoints in
@@ -670,43 +677,43 @@ let row_order_golden =
       {|plan:
   F <- name-index "h0.h" -> files  (est 1, actual 1)
       push F.name = "h0.h"
-  D <- from F, walk ^input* [memo]  (est 92, actual 91)
-  rows: (est 92, actual 91)|} );
+  D <- from F, walk ^input* [memo]  (est 91, actual 91)
+  rows: (est 91, actual 91)|} );
     ( {|select A from Provenance.file as F F.input* as A where F.name = "vmlinux"|},
       "7cccb33457a599c6d89c28db07ecb557",
       {|plan:
   F <- name-index "vmlinux" -> files  (est 1, actual 1)
       push F.name = "vmlinux"
-  A <- from F, walk input* [memo]  (est 319, actual 318)
-  rows: (est 319, actual 318)|} );
+  A <- from F, walk input* [memo]  (est 318, actual 318)
+  rows: (est 318, actual 318)|} );
     ( {|select A from Provenance.file as F F.input+ as A where F.name = "vmlinux"|},
       "fec9db9a1f5059126eac0a4306053d0b",
       {|plan:
   F <- name-index "vmlinux" -> files  (est 1, actual 1)
       push F.name = "vmlinux"
-  A <- from F, walk input+ [memo]  (est 319, actual 317)
-  rows: (est 319, actual 317)|} );
+  A <- from F, walk input+ [memo]  (est 317, actual 317)
+  rows: (est 317, actual 317)|} );
     ( {|select A from Provenance.file as F F._* as A where F.name = "built-in.o"|},
       "4803f8d1af38f0897e70382e6b9c7da8",
       {|plan:
   F <- name-index "built-in.o" -> files  (est 8, actual 8)
       push F.name = "built-in.o"
-  A <- from F, walk _* [memo]  (est 408, actual 400)
-  rows: (est 408, actual 316)|} );
+  A <- from F, walk _* [memo]  (est 400, actual 400)
+  rows: (est 400, actual 316)|} );
     ( {|select A from Provenance.file as F F.Input* as A where F.name = "vmlinux"|},
       "7cccb33457a599c6d89c28db07ecb557",
       {|plan:
   F <- name-index "vmlinux" -> files  (est 1, actual 1)
       push F.name = "vmlinux"
-  A <- from F, walk Input* [memo]  (est 319, actual 318)
-  rows: (est 319, actual 318)|} );
+  A <- from F, walk Input* [memo]  (est 318, actual 318)
+  rows: (est 318, actual 318)|} );
     ( {|select D from Provenance.file as F F.^iNpUt* as D where F.name = "h0.h"|},
       "59a801946cd4fb6408849c97a4f1099f",
       {|plan:
   F <- name-index "h0.h" -> files  (est 1, actual 1)
       push F.name = "h0.h"
-  D <- from F, walk ^iNpUt* [memo]  (est 92, actual 91)
-  rows: (est 92, actual 91)|} );
+  D <- from F, walk ^iNpUt* [memo]  (est 91, actual 91)
+  rows: (est 91, actual 91)|} );
     ( {|select F from Provenance.object as F where F.name ~ "f1*"|},
       "6026c2fe1cc8d4806244587d40decfbe",
       {|plan:
@@ -722,10 +729,7 @@ let row_order_golden =
   ]
 
 let test_row_order_golden () =
-  let sys = Runner.local_system System.Pass in
-  (List.hd (Runner.standard ())).Runner.run sys;
-  let _ : int = System.drain sys in
-  let db = Option.get (System.waldo_db sys "vol0") in
+  let db = linux_compile_db () in
   List.iter
     (fun (q, md5, explain) ->
       let p = Pql.Engine.prepare db q in
@@ -735,13 +739,41 @@ let test_row_order_golden () =
       check Alcotest.string (q ^ ": explain") explain (Pql_plan.to_string (Pql.Engine.explain p)))
     row_order_golden
 
-(* --- closure row order -------------------------------------------------------- *)
+(* A walk from known starts is estimated by running its path from each
+   start, so with nothing pushed on the walk's binder its estimate is
+   what execute binds: for every named file of a Linux-compile graph,
+   its ancestors and its descendants. *)
+let test_known_start_estimates () =
+  let db = linux_compile_db () in
+  let names =
+    List.filter_map
+      (fun (n : Provdb.node) -> if n.kind = Provdb.File then n.node_name else None)
+      (Provdb.all_nodes db)
+  in
+  let steps = ref 0 and off = ref [] in
+  List.iter
+    (fun name ->
+      List.iter
+        (fun path ->
+          let p =
+            Pql.Engine.prepare db
+              (Printf.sprintf {|select A from Provenance.file as F F.%s as A where F.name = "%s"|}
+                 path name)
+          in
+          ignore (Pql.Engine.execute p : Pql_eval.item list list);
+          match (Pql.Engine.explain p).Pql_plan.steps with
+          | [ _; walk ] ->
+              incr steps;
+              let est = Lazy.force walk.Pql_plan.est in
+              if est <> walk.Pql_plan.actual then
+                off := Printf.sprintf "%s %s: est %d, actual %d" name path est walk.actual :: !off
+          | _ -> Alcotest.failf "%s %s: expected 2 steps" name path)
+        [ "input*"; "^input*" ])
+    names;
+  check tint "walk steps" 420 !steps;
+  check tstrs "steps whose estimate is not their actual" [] (List.rev !off)
 
-let linux_compile_db () =
-  let sys = Runner.local_system System.Pass in
-  (List.hd (Runner.standard ())).Runner.run sys;
-  let _ : int = System.drain sys in
-  Option.get (System.waldo_db sys "vol0")
+(* --- closure row order -------------------------------------------------------- *)
 
 (* One edge from (pnode, version), read from Provdb's edge accessors
    without the evaluator: ancestry edges named [attr] in any case ([None]:
@@ -965,19 +997,6 @@ let test_closure_across_archive_midwalk () =
       ("^input*", (cc, 0), "cc@0");
     ]
 
-(* --- cone walks under a limit ---------------------------------------------- *)
-
-let test_reach_limit () =
-  let db = Provdb.create () in
-  let alloc = Pnode.allocator ~machine:5 in
-  let child = Pnode.fresh alloc in
-  List.iter
-    (fun _ -> Provdb.add_record db child ~version:0 (Record.input_of (Pnode.fresh alloc) 0))
-    [ 1; 2; 3 ];
-  check tint "unlimited" 3 (List.length (Provdb.reach_ancestors db child));
-  check tint "limit 1" 1 (List.length (Provdb.reach_ancestors db ~limit:1 child));
-  check tint "counted under limit 1" 1 (Provdb.cone_size db ~ancestors:true ~limit:1 child)
-
 (* --- planner == naive oracle on random graphs x random queries ------------- *)
 
 (* Names that share prefixes, so globs select proper subsets of them. *)
@@ -1180,87 +1199,6 @@ let prop_prefix_probe =
       List.for_all prefix_probe_agrees
         [ db; merged; hot; cold; Provdb.deserialize (Provdb.serialize merged) ])
 
-(* A limited walk returns a prefix of the unlimited BFS order, and the
-   planner's count is that prefix's length. *)
-let prop_reach_limit_prefix =
-  QCheck2.Test.make ~name:"provdb: limited cone = prefix of the unlimited BFS" ~count:200
-    gen_graph (fun specs ->
-      let db = build_random_db specs in
-      let walks : (bool * (?limit:int -> Pnode.t -> Pnode.t list)) list =
-        [ (true, Provdb.reach_ancestors db); (false, Provdb.reach_descendants db) ]
-      in
-      List.for_all
-        (fun (n : Provdb.node) ->
-          List.for_all
-            (fun (ancestors, (reach : ?limit:int -> Pnode.t -> Pnode.t list)) ->
-              let all = reach n.pnode in
-              List.for_all
-                (fun limit ->
-                  let got = reach ~limit n.pnode in
-                  List.equal Pnode.equal got (List.filteri (fun i _ -> i < limit) all)
-                  && Int.equal (Provdb.cone_size db ~ancestors ~limit n.pnode) (List.length got))
-                [ 0; 1; 2; 3; 5; 8 ])
-            walks)
-        (Provdb.all_nodes db))
-
-(* The planner's cone walks against a pnode-level BFS of their own: a
-   pnode's neighbours are the targets of its [out_edges_all] (with
-   [~ancestors]) or the sources of its [in_edges], self edges skipped,
-   versions collapsed.  Without a fault handler those accessors read the
-   hot tier only, as the cone walks do.  The cones are compared as sets;
-   [prop_reach_limit_prefix] pins their order. *)
-let oracle_cone db ~ancestors start =
-  let next p =
-    List.filter
-      (fun q -> not (Pnode.equal p q))
-      (if ancestors then List.map (fun (_, _, (x : Pvalue.xref)) -> x.pnode) (Provdb.out_edges_all db p)
-       else List.map (fun (src, _, _, _) -> src) (Provdb.in_edges db p))
-  in
-  List.sort Pnode.compare (List.concat (List.tl (bfs_levels next start)))
-
-let cones_match_oracle db =
-  List.for_all
-    (fun (n : Provdb.node) ->
-      List.for_all
-        (fun ancestors ->
-          let oracle = oracle_cone db ~ancestors n.pnode in
-          let reach = if ancestors then Provdb.reach_ancestors else Provdb.reach_descendants in
-          List.equal Pnode.equal oracle (List.sort Pnode.compare (reach db n.pnode))
-          && List.for_all
-               (fun limit ->
-                 Int.equal
-                   (Provdb.cone_size db ~ancestors ~limit n.pnode)
-                   (min limit (List.length oracle)))
-               [ 0; 1; 2; 5; 20_000 ])
-        [ true; false ])
-    (Provdb.all_nodes db)
-
-(* Plain, merged, compacted (an alias at version 1 archives version 0's
-   edges, so the hot tier's cones shrink), and compacted with the
-   archive faulted back in. *)
-let prop_cone_matches_bfs =
-  QCheck2.Test.make ~name:"provdb: cones = an independent pnode-level BFS" ~count:200
-    QCheck2.Gen.(pair gen_graph gen_graph)
-    (fun (specs, other) ->
-      let db = build_random_db specs in
-      let merged = build_random_db other in
-      Provdb.merge_into ~dst:merged ~src:db;
-      let hot, cold = Provdb.compact merged ~keep:1 in
-      let faulted, _ = Provdb.compact merged ~keep:1 in
-      Provdb.set_fault_handler faulted (fun t ->
-          Provdb.merge_into ~dst:t ~src:cold;
-          true);
-      Provdb.fault_in faulted;
-      List.for_all cones_match_oracle [ db; merged; hot; faulted ])
-
-let test_cone_matches_bfs_linux () =
-  let db = linux_compile_db () in
-  check tbool "every cone = the pnode-level BFS" true (cones_match_oracle db);
-  check tbool "some cone is non-trivial" true
-    (List.exists
-       (fun (n : Provdb.node) -> List.length (Provdb.reach_ancestors db n.pnode) > 1)
-       (Provdb.all_nodes db))
-
 (* --- the bulk loader against an add_record replay ---------------------------- *)
 
 (* A Provdb image taken apart: raw node entries (pnode, kind byte, name,
@@ -1339,9 +1277,7 @@ let same_db a b =
        (fun p ->
          List.equal eq_in (Provdb.in_edges a p) (Provdb.in_edges b p)
          && List.equal eq_out (Provdb.out_edges_all a p) (Provdb.out_edges_all b p)
-         && List.equal Record.equal (Provdb.records_all a p) (Provdb.records_all b p)
-         && List.equal Pnode.equal (Provdb.reach_ancestors a p) (Provdb.reach_ancestors b p)
-         && List.equal Pnode.equal (Provdb.reach_descendants a p) (Provdb.reach_descendants b p))
+         && List.equal Record.equal (Provdb.records_all a p) (Provdb.records_all b p))
        pnodes
   && List.for_all
        (fun attr ->
@@ -1488,8 +1424,8 @@ let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_print_parse_roundtrip; prop_glob; prop_glob_star ]
   @ List.map pinned
-      [ prop_planner_matches_naive; prop_prefix_probe; prop_reach_limit_prefix;
-        prop_cone_matches_bfs; prop_loader_matches_replay; prop_layout_matches_replay ]
+      [ prop_planner_matches_naive; prop_prefix_probe; prop_loader_matches_replay;
+        prop_layout_matches_replay ]
 
 let suite =
   [
@@ -1530,8 +1466,8 @@ let suite =
       test_plan_unbound_variable;
     Alcotest.test_case "explain: golden plan rendering (est and actual)" `Quick
       test_explain_golden;
-    Alcotest.test_case "explain: a walk's cone is counted when read" `Quick
-      test_cone_estimate_deferred;
+    Alcotest.test_case "explain: a walk is estimated when read" `Quick
+      test_walk_estimate_deferred;
     Alcotest.test_case "exec: prefix probe keeps only glob-matching names" `Quick
       test_prefix_probe_filters_aliases;
     Alcotest.test_case "plan: NAME records in any case are indexed" `Quick
@@ -1540,15 +1476,14 @@ let suite =
       test_step_attr_case;
     Alcotest.test_case "exec: row order and explain golden (Linux compile)" `Quick
       test_row_order_golden;
+    Alcotest.test_case "explain: a walk from known starts estimates its actual" `Quick
+      test_known_start_estimates;
     Alcotest.test_case "exec: closures list rows in breadth-first order" `Quick
       test_closure_bfs_order;
     Alcotest.test_case "exec: closures match Provdb's own walks (Linux compile)" `Quick
       test_closures_match_oracles;
     Alcotest.test_case "exec: a closure faults the archive in partway" `Quick
       test_closure_across_archive_midwalk;
-    Alcotest.test_case "provdb: reach limit caps discovered nodes" `Quick test_reach_limit;
-    Alcotest.test_case "provdb: cones = the pnode-level BFS (Linux compile)" `Quick
-      test_cone_matches_bfs_linux;
     Alcotest.test_case "eval: glob with many stars does not backtrack" `Quick
       test_glob_many_stars;
   ]
