@@ -137,42 +137,57 @@ let initial_backoff_ns = Simdisk.Clock.ns_of_ms 2
 let backoff_cap_ns = Simdisk.Clock.ns_of_ms 50
 let max_attempts = 16
 
-(* [None] = the call timed out [max_attempts] times (server unreachable). *)
+(* Send [c] until a reply arrives; [None] = it timed out [max_attempts]
+   times (server unreachable). *)
+let rec attempt t c n backoff =
+  match Proto.rpc t.net t.handler c with
+  | Ok resp -> Some resp
+  | Error `Timeout ->
+      if n + 1 >= max_attempts then None
+      else begin
+        Telemetry.incr t.i.retries;
+        Simdisk.Clock.advance t.net.Proto.clock backoff;
+        attempt t c (n + 1) (min (2 * backoff) backoff_cap_ns)
+      end
+
+(* One logical call, inside its RPC span.  The span is the wire context:
+   the envelope — context included — is built once per logical call, so
+   every retransmission carries the same trace and span ids, and the
+   server parents the retried work onto the original span. *)
+let exchange t req =
+  let seq = t.seq in
+  t.seq <- seq + 1;
+  let c_trace, c_span =
+    match Pvtrace.current t.tracer with Some c -> c | None -> (0, 0)
+  in
+  let c = { Proto.c_client = t.client_id; c_seq = seq; c_trace; c_span; c_req = req } in
+  match attempt t c 0 initial_backoff_ns with
+  | Some _ as r -> r
+  | None ->
+      Pvtrace.set_outcome t.tracer "unreachable";
+      None
+
+(* [panfs.rpc_latency] observes each call's simulated round trip,
+   retries included, whether it returns or raises. *)
+let observe_latency t t0 =
+  Telemetry.observe t.i.rpc_latency
+    (float_of_int (Simdisk.Clock.now t.net.Proto.clock - t0))
+
 let call_opt t req =
   if t.crashed then Some (Proto.R_err Vfs.ECRASH)
   else begin
     Telemetry.incr t.i.rpcs;
-    Telemetry.with_span t.i.rpc_latency
-      ~now:(fun () -> Simdisk.Clock.now t.net.Proto.clock)
-      (fun () ->
-        Pvtrace.span t.tracer ~layer:"panfs.client" ~op:(Proto.req_name req)
-        @@ fun () ->
-        let seq = t.seq in
-        t.seq <- seq + 1;
-        (* The RPC span is the wire context.  The envelope — context
-           included — is built once per logical call, so every
-           retransmission carries the same trace and span ids, and the
-           server parents the retried work onto the original span. *)
-        let c_trace, c_span =
-          match Pvtrace.current t.tracer with Some c -> c | None -> (0, 0)
-        in
-        let c = { Proto.c_client = t.client_id; c_seq = seq; c_trace; c_span; c_req = req } in
-        let rec attempt n backoff =
-          match Proto.rpc t.net t.handler c with
-          | Ok resp -> Some resp
-          | Error `Timeout ->
-              if n + 1 >= max_attempts then None
-              else begin
-                Telemetry.incr t.i.retries;
-                Simdisk.Clock.advance t.net.Proto.clock backoff;
-                attempt (n + 1) (min (2 * backoff) backoff_cap_ns)
-              end
-        in
-        match attempt 0 initial_backoff_ns with
-        | Some _ as r -> r
-        | None ->
-            Pvtrace.set_outcome t.tracer "unreachable";
-            None)
+    let t0 = Simdisk.Clock.now t.net.Proto.clock in
+    match
+      Pvtrace.span t.tracer ~layer:"panfs.client" ~op:(Proto.req_name req) (fun () ->
+          exchange t req)
+    with
+    | r ->
+        observe_latency t t0;
+        r
+    | exception e ->
+        observe_latency t t0;
+        raise e
   end
 
 let call t req =

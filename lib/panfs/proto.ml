@@ -9,12 +9,15 @@
    together with a single ENDTXN record.  The transaction id is what lets
    the server's Waldo identify orphaned provenance after a client crash.
 
-   Messages are fully encodable and decodable: the transport serialises
-   every request to bytes and the server decodes the datagram, so a
-   duplicated or retransmitted message is a real byte-level replay.
-   Requests travel in a call envelope carrying the client id and a
-   per-client sequence number — the key of the server's NFSv4-style
-   duplicate-request cache. *)
+   The codecs below define the wire format, but the simulated transport
+   never runs them: a call crosses the link as the immutable value the
+   client built, charged at the length its encoding would have, which
+   the arithmetic twins [call_size]/[resp_size] compute without
+   encoding.  The codecs stay as the format's definition and as the
+   oracle the twins are tested against.  A duplicated or retransmitted
+   message redelivers the same value.  Requests travel in a call
+   envelope carrying the client id and a per-client sequence number —
+   the key of the server's NFSv4-style duplicate-request cache. *)
 
 module Dpapi = Pass_core.Dpapi
 module Pnode = Pass_core.Pnode
@@ -267,6 +270,42 @@ let rec decode_resp s pos =
   | 11 -> R_batch (get_list decode_resp s pos)
   | t -> Wire.corrupt "panfs: bad response tag %d" t
 
+(* Arithmetic twins of [encode_req]/[encode_resp]: the byte length each
+   appends, computed without encoding (u8 tags, i64 integers, strings and
+   lists behind a u32 length).  The transport charges the link with these
+   on every datagram, so they must stay exact; [test_panfs] checks them
+   against the encoders on generated messages of every constructor. *)
+let string_size s = 4 + String.length s
+let data_size = function None -> 1 | Some d -> 1 + string_size d
+
+let batch_item_size acc (it : batch_item) =
+  acc + 16 + data_size it.bi_data + Dpapi.bundle_size it.bi_bundle
+
+let req_size = function
+  | Lookup { name; _ } | Remove { name; _ } -> 9 + string_size name
+  | Create { name; _ } -> 10 + string_size name
+  | Rename { src_name; dst_name; _ } -> 17 + string_size src_name + string_size dst_name
+  | Getattr _ | Readdir _ | Commit _ | Op_passsync _ | Op_pnode _ -> 9
+  | Read _ | Op_passread _ -> 25
+  | Write { data; _ } -> 17 + string_size data
+  | Truncate _ | Op_passreviveobj _ -> 17
+  | Op_passwrite { data; bundle; txn; _ } ->
+      17 + data_size data + Dpapi.bundle_size bundle
+      + (match txn with None -> 1 | Some _ -> 9)
+  | Op_begintxn | Op_passmkobj -> 1
+  | Op_passprov { chunk; _ } -> 9 + Dpapi.bundle_size chunk
+  | Op_passbatch { writes } -> List.fold_left batch_item_size 5 writes
+
+let rec resp_size = function
+  | R_err e -> 1 + string_size (Vfs.errno_to_string e)
+  | R_ino _ | R_version _ | R_txn _ | R_handle _ -> 9
+  | R_ok -> 1
+  | R_attr _ -> 18
+  | R_names names -> List.fold_left (fun acc n -> acc + string_size n) 5 names
+  | R_data d -> 1 + string_size d
+  | R_passread { data; _ } -> 17 + string_size data
+  | R_batch resps -> List.fold_left (fun acc r -> acc + resp_size r) 5 resps
+
 (* The call envelope: client id + per-client sequence number, the key of
    the server's duplicate-request cache.  A retransmission reuses the
    sequence number so the server replays its cached reply instead of
@@ -299,6 +338,9 @@ let decode_call s pos =
   let c_span = Wire.get_i64 s pos in
   let c_req = decode_req s pos in
   { c_client; c_seq; c_trace; c_span; c_req }
+
+(* The envelope's four i64 fields, then the request. *)
+let call_size c = 32 + req_size c.c_req
 
 (* Span-name component for an RPC request, used by client and server
    tracing ("panfs.client"/"rpc.write", "panfs.server"/"rpc.write"). *)
@@ -362,66 +404,48 @@ let timed_out net =
   Simdisk.Clock.advance net.clock timeout_ns;
   Error `Timeout
 
-(* Per-direction encode scratch: the RPC path is synchronous and handlers
-   never issue nested RPCs, so one request and one response buffer serve
-   every call ([Buffer.contents] copies the request out before the next
-   reuse). *)
-let req_scratch = Buffer.create 1024
-let resp_scratch = Buffer.create 256
-
-(* Byte-level delivery: decode the datagram, execute, encode the reply.
-   The caller already holds the reply in memory, so only its wire size
-   leaves the buffer. *)
-let deliver handler wire_req =
-  let resp = handler (decode_call wire_req (ref 0)) in
-  Buffer.clear resp_scratch;
-  encode_resp resp_scratch resp;
-  (resp, Buffer.length resp_scratch)
+(* One delivery: the server runs the call and its reply crosses back.
+   The call is the value the client built — immutable, so a duplicate or
+   a retransmission redelivers exactly what the first delivery saw. *)
+let deliver net handler c =
+  let resp = handler c in
+  transmit net (resp_size resp);
+  resp
 
 let rpc net handler (c : call) =
-  Buffer.clear req_scratch;
-  encode_call req_scratch c;
-  let wire_req = Buffer.contents req_scratch in
+  let req_bytes = call_size c in
   let now = Simdisk.Clock.now net.clock in
   if Fault.partitioned net.fault ~now then begin
-    transmit net (String.length wire_req);
+    transmit net req_bytes;
     timed_out net
   end
   else
     match Fault.next_net_fault net.fault ~now with
-    | Some Fault.Drop_request ->
-        transmit net (String.length wire_req);
-        timed_out net
-    | Some (Fault.Partition_ns _) | Some (Fault.Server_restart_ns _) ->
-        (* the draw opened the partition window and this datagram is
-           already inside it *)
-        transmit net (String.length wire_req);
+    | Some Fault.Drop_request
+    | Some (Fault.Partition_ns _)
+    | Some (Fault.Server_restart_ns _) ->
+        (* a partition or restart drawn here opens its window with this
+           datagram already inside it *)
+        transmit net req_bytes;
         timed_out net
     | Some Fault.Drop_response ->
         (* the server executes and replies, but the reply is lost: the
            case the duplicate-request cache exists for *)
-        transmit net (String.length wire_req);
-        let _resp, resp_bytes = deliver handler wire_req in
-        transmit net resp_bytes;
+        transmit net req_bytes;
+        let _lost : resp = deliver net handler c in
         timed_out net
     | Some Fault.Duplicate ->
         (* the request datagram is delivered twice; the second execution
            must hit the server's duplicate-request cache *)
-        transmit net (String.length wire_req);
-        let resp, resp_bytes = deliver handler wire_req in
-        transmit net resp_bytes;
-        transmit net (String.length wire_req);
-        let _resp2, resp_bytes2 = deliver handler wire_req in
-        transmit net resp_bytes2;
+        transmit net req_bytes;
+        let resp = deliver net handler c in
+        transmit net req_bytes;
+        let _replayed : resp = deliver net handler c in
         Ok resp
     | Some (Fault.Delay_ns d) ->
         Simdisk.Clock.advance net.clock d;
-        transmit net (String.length wire_req);
-        let resp, resp_bytes = deliver handler wire_req in
-        transmit net resp_bytes;
-        Ok resp
+        transmit net req_bytes;
+        Ok (deliver net handler c)
     | None ->
-        transmit net (String.length wire_req);
-        let resp, resp_bytes = deliver handler wire_req in
-        transmit net resp_bytes;
-        Ok resp
+        transmit net req_bytes;
+        Ok (deliver net handler c)

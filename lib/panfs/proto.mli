@@ -5,7 +5,12 @@
     [OP_PASSPROV], [OP_PASSMKOBJ], [OP_PASSREVIVEOBJ], [OP_PASSSYNC].
     When provenance plus data exceed the 64 KB client block size, the
     client encapsulates the write in a transaction so the server's Waldo
-    can identify orphaned provenance after a client crash. *)
+    can identify orphaned provenance after a client crash.
+
+    Messages cross the simulated link as values, charged at the length
+    of their wire encoding: the codecs define the format, and exact
+    arithmetic twins of them ({!req_size}, {!resp_size}, {!call_size})
+    give the length without encoding. *)
 
 module Dpapi = Pass_core.Dpapi
 module Pnode = Pass_core.Pnode
@@ -74,9 +79,15 @@ val encode_req : Buffer.t -> req -> unit
 val decode_req : string -> int ref -> req
 val encode_resp : Buffer.t -> resp -> unit
 val decode_resp : string -> int ref -> resp
-(** Wire codecs; decoders raise {!Wire.Corrupt} on malformed input.
-    Exposed so tests can round-trip every constructor — the transport
-    decodes each delivered datagram, so replays are byte-level replays. *)
+(** Wire codecs; decoders raise {!Wire.Corrupt} on malformed input.  They
+    define the wire format and are the oracle the size twins below are
+    tested against; the simulated transport itself never runs them —
+    messages cross {!rpc} as values. *)
+
+val req_size : req -> int
+val resp_size : resp -> int
+(** Arithmetic twins of {!encode_req} and {!encode_resp}: exactly the
+    number of bytes each appends, computed without encoding. *)
 
 (** {1 Call envelope}
 
@@ -98,6 +109,9 @@ type call = {
 
 val encode_call : Buffer.t -> call -> unit
 val decode_call : string -> int ref -> call
+
+val call_size : call -> int
+(** Arithmetic twin of {!encode_call}: [32 + req_size c.c_req]. *)
 
 val req_name : req -> string
 (** Span-name component for tracing: "rpc.lookup", "rpc.passwrite", ... *)
@@ -122,9 +136,11 @@ val fresh_client : net -> int
     reproducible). *)
 
 val rpc : net -> (call -> resp) -> call -> (resp, [ `Timeout ]) result
-(** Synchronous RPC: encodes the call, charges each datagram's latency
-    plus transfer to the shared clock ([messages]/[bytes] count every
-    transmitted copy, including dropped and duplicated ones), and hands
-    the decoded bytes to the handler.  Returns [`Timeout] when the fault
-    plan loses either datagram or the link is partitioned; the caller
-    retries with the same sequence number. *)
+(** Synchronous RPC: charges each datagram's latency plus transfer of its
+    encoded length ({!call_size}, {!resp_size}) to the shared clock
+    ([messages]/[bytes] count every transmitted copy, including dropped
+    and duplicated ones), and hands the call value itself to the handler,
+    once per delivery — a duplicated or retransmitted datagram redelivers
+    the same immutable value.  Returns [`Timeout] when the fault plan
+    loses either datagram or the link is partitioned; the caller retries
+    with the same sequence number. *)

@@ -54,6 +54,15 @@ type pass = {
   analyzer_ep : Dpapi.endpoint; (* traced as the "analyzer" layer *)
 }
 
+(* Duplicate-request-cache keys: (client id, sequence number), compared
+   as ints rather than by polymorphic hash and equality on the tuple. *)
+module Drc = Hashtbl.Make (struct
+  type t = int * int
+
+  let equal (c1, s1) (c2, s2) = Int.equal c1 c2 && Int.equal s1 s2
+  let hash (client, seq) = ((client * 65599) + seq) land max_int
+end)
+
 type t = {
   clock : Clock.t;
   vol : Volume.t;
@@ -69,7 +78,7 @@ type t = {
      id + sequence number) replays the cached reply instead of
      re-executing the operation, which is what keeps non-idempotent ops
      (Create, Remove, Op_passwrite) exactly-once under retry *)
-  drc : (int * int, Proto.resp) Hashtbl.t;
+  drc : Proto.resp Drc.t;
   drc_order : (int * int) Queue.t;
   drc_capacity : int;
 }
@@ -98,7 +107,7 @@ let create ?(registry = Telemetry.create ()) ?(fault = Fault.none)
     clock; vol; pass; ctx; volume; tracer; i;
     export = Volume.ops vol;
     next_txn = 1; open_txns = [];
-    drc = Hashtbl.create 1024; drc_order = Queue.create (); drc_capacity = 512;
+    drc = Drc.create 1024; drc_order = Queue.create (); drc_capacity = 512;
   }
 
 let ctx t = t.ctx
@@ -232,13 +241,13 @@ let handle t (c : Proto.call) : Proto.resp =
   (* Adopt the wire-carried context: every span below — including the
      whole server-side analyzer/Lasagna chain — parents onto the client
      RPC span that caused it, across retries and duplicate deliveries
-     (the envelope, context included, is byte-identical on replay). *)
+     (a replay redelivers the same envelope value, context included). *)
   Pvtrace.with_remote_parent t.tracer ~trace:c.Proto.c_trace ~span:c.Proto.c_span
   @@ fun () ->
   Pvtrace.span t.tracer ~layer:"panfs.server" ~op:(Proto.req_name c.Proto.c_req)
   @@ fun () ->
   let key = (c.Proto.c_client, c.Proto.c_seq) in
-  match Hashtbl.find_opt t.drc key with
+  match Drc.find_opt t.drc key with
   | Some resp ->
       Telemetry.incr t.i.drc_hits;
       Pvtrace.set_outcome t.tracer "cached";
@@ -254,9 +263,9 @@ let handle t (c : Proto.call) : Proto.resp =
         | None, _ | _, Proto.R_err _ -> resp
         | Some p, _ -> vfs (fun () -> resp) (Lasagna.commit_log p.lasagna)
       in
-      Hashtbl.replace t.drc key resp;
+      Drc.replace t.drc key resp;
       Queue.add key t.drc_order;
       if Queue.length t.drc_order > t.drc_capacity then
-        Hashtbl.remove t.drc (Queue.pop t.drc_order);
-      Telemetry.set t.i.drc_size (float_of_int (Hashtbl.length t.drc));
+        Drc.remove t.drc (Queue.pop t.drc_order);
+      Telemetry.set t.i.drc_size (float_of_int (Drc.length t.drc));
       resp

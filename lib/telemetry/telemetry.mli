@@ -77,7 +77,9 @@ val summary : histogram -> summary
 val with_span : histogram -> now:(unit -> int) -> (unit -> 'a) -> 'a
 (** [with_span h ~now f] runs [f] and observes [now () - now ()] elapsed
     around it (simulated nanoseconds) into [h], whether [f] returns or
-    raises. *)
+    raises.  Its only remaining caller is the frozen benchmark's machine
+    mirror ([bench/perf/pb_machine.ml]); library code observes with
+    {!observe} directly. *)
 
 (** {1 Snapshots} *)
 

@@ -290,8 +290,8 @@ let test_chunk_bundle () =
 (* --- wire codec round trips -------------------------------------------------- *)
 
 (* encode -> decode -> re-encode must be byte-identical and consume the
-   whole buffer: the transport decodes every delivered datagram, so a
-   replayed response is a byte-level replay. *)
+   whole buffer: the codecs define the wire format whose length the
+   transport charges for every message it delivers by value. *)
 let rt_req (r : Proto.req) =
   let b = Buffer.create 64 in
   Proto.encode_req b r;
@@ -383,23 +383,44 @@ let test_proto_roundtrip_exhaustive () =
   Proto.encode_call b2 c';
   check tstr "call envelope round trip" s (Buffer.contents b2)
 
-let prop_proto_roundtrip =
-  let open QCheck2.Gen in
-  let name = string_size ~gen:printable (int_range 1 24) in
-  let payload = string_size ~gen:char (int_range 0 200) in
-  let ino = int_range 0 10_000 in
-  let off = int_range 0 1_000_000 in
-  let pnode = map Pnode.of_int (int_range 1 1_000_000) in
+(* Generators shared by the wire properties: every constructor, with
+   data absent, empty, short and past 4 KB, bundle entries with and
+   without a volume, writes inside and outside a transaction, and empty
+   and mixed OP_PASSBATCH / R_batch lists. *)
+module Gen_proto = struct
+  open QCheck2.Gen
+
+  let name = string_size ~gen:printable (int_range 1 24)
+
+  let payload =
+    oneof
+      [ pure ""; string_size ~gen:char (int_range 1 200);
+        string_size ~gen:char (int_range 4097 6000) ]
+
+  let data = option payload
+  let ino = int_range 0 10_000
+  let off = int_range 0 1_000_000
+  let pnode = map Pnode.of_int (int_range 1 1_000_000)
+
   let bundle =
-    let record = map2 (fun a v -> Record.make a (Pvalue.Str v)) name payload in
+    let value =
+      oneof [ map (fun v -> Pvalue.Str v) payload; map (fun i -> Pvalue.Int i) int ]
+    in
+    let record = map2 Record.make name value in
     let entry =
-      map2 (fun p rs -> Dpapi.entry (Dpapi.handle ~volume:"v" p) rs)
-        pnode
+      map3
+        (fun p volume rs -> Dpapi.entry (Dpapi.handle ?volume p) rs)
+        pnode (option name)
         (list_size (int_range 0 5) record)
     in
     list_size (int_range 0 3) entry
-  in
-  let gen_req =
+
+  let item =
+    map
+      (fun (((p, o), d), b) -> { Proto.bi_pnode = p; bi_off = o; bi_data = d; bi_bundle = b })
+      (pair (pair (pair pnode off) data) bundle)
+
+  let req =
     oneof
       [
         map2 (fun d n -> Proto.Lookup { dir = d; name = n }) ino name;
@@ -420,24 +441,158 @@ let prop_proto_roundtrip =
         map (fun i -> Proto.Commit { ino = i }) ino;
         map3 (fun p o l -> Proto.Op_passread { pnode = p; off = o; len = l }) pnode off small_nat;
         map
-          (fun (((p, o), d), (b, t)) -> Proto.Op_passwrite { pnode = p; off = o; data = d; bundle = b; txn = t })
-          (pair (pair (pair pnode off) (option payload)) (pair bundle (option small_nat)));
+          (fun (((p, o), d), (b, t)) ->
+            Proto.Op_passwrite { pnode = p; off = o; data = d; bundle = b; txn = t })
+          (pair (pair (pair pnode off) data) (pair bundle (option small_nat)));
         pure Proto.Op_begintxn;
         map2 (fun t c -> Proto.Op_passprov { txn = t; chunk = c }) small_nat bundle;
         pure Proto.Op_passmkobj;
         map2 (fun p v -> Proto.Op_passreviveobj { pnode = p; version = v }) pnode small_nat;
         map (fun p -> Proto.Op_passsync { pnode = p }) pnode;
         map (fun i -> Proto.Op_pnode { ino = i }) ino;
-        (let item =
-           map
-             (fun (((p, o), d), b) ->
-               { Proto.bi_pnode = p; bi_off = o; bi_data = d; bi_bundle = b })
-             (pair (pair (pair pnode off) (option payload)) bundle)
-         in
-         map (fun ws -> Proto.Op_passbatch { writes = ws }) (list_size (int_range 0 6) item));
+        map (fun ws -> Proto.Op_passbatch { writes = ws }) (list_size (int_range 0 6) item);
       ]
+
+  let call =
+    map
+      (fun (((c_client, c_seq), (c_trace, c_span)), c_req) ->
+        { Proto.c_client; c_seq; c_trace; c_span; c_req })
+      (pair (pair (pair nat nat) (pair nat nat)) req)
+
+  let errno =
+    oneofl
+      Vfs.[ ENOENT; EEXIST; ENOTDIR; EISDIR; ENOTEMPTY; EINVAL; EIO; ENOSPC; EBADF; ESTALE;
+            ECRASH; EAGAIN ]
+
+  let leaf_resp =
+    oneof
+      [
+        map (fun e -> Proto.R_err e) errno;
+        map (fun i -> Proto.R_ino i) ino;
+        pure Proto.R_ok;
+        map2
+          (fun i n ->
+            Proto.R_attr
+              { Vfs.st_ino = i; st_kind = (if n mod 2 = 0 then Vfs.Regular else Vfs.Directory);
+                st_size = n })
+          ino off;
+        map (fun ns -> Proto.R_names ns) (list_size (int_range 0 5) name);
+        map (fun d -> Proto.R_data d) payload;
+        map3 (fun d p v -> Proto.R_passread { data = d; pnode = p; version = v }) payload pnode
+          small_nat;
+        map (fun v -> Proto.R_version v) small_nat;
+        map (fun id -> Proto.R_txn id) small_nat;
+        map (fun p -> Proto.R_handle { pnode = p }) pnode;
+      ]
+
+  let resp =
+    oneof
+      [ leaf_resp; map (fun rs -> Proto.R_batch rs) (list_size (int_range 0 6) leaf_resp) ]
+end
+
+let prop_proto_roundtrip =
+  QCheck2.Test.make ~name:"proto: every req round-trips the wire" ~count:300 Gen_proto.req rt_req
+
+let encoded_length encode x =
+  let buf = Buffer.create 256 in
+  encode buf x;
+  Buffer.length buf
+
+(* The transport charges every datagram with the twins, so each must
+   equal its encoder's length exactly. *)
+let prop_proto_sizes =
+  QCheck2.Test.make ~name:"proto: call_size/resp_size = encoded length" ~count:500
+    ~print:(fun ((c : Proto.call), r) ->
+      Printf.sprintf "%s: call_size %d, encoded %d; resp_size %d, encoded %d"
+        (Proto.req_name c.c_req) (Proto.call_size c) (encoded_length Proto.encode_call c)
+        (Proto.resp_size r) (encoded_length Proto.encode_resp r))
+    QCheck2.Gen.(pair Gen_proto.call Gen_proto.resp)
+    (fun (c, r) ->
+      Proto.call_size c = encoded_length Proto.encode_call c
+      && Proto.resp_size r = encoded_length Proto.encode_resp r)
+
+(* --- by-value replay ---------------------------------------------------------- *)
+
+(* Calls cross the simulated wire as values, so a duplicate delivery or a
+   retransmission hands the server the very value it has already served.
+   A fault spec loses the reply to one client's Create and delivers
+   another client's OP_PASSBATCH twice: each must still apply exactly
+   once (the replay hits the duplicate-request cache), and the server
+   must end with the database of the fault-free run. *)
+let test_by_value_replay () =
+  let run ~faults =
+    let clock = Simdisk.Clock.create () and registry = Telemetry.create () in
+    let server =
+      Server.create ~registry ~mode:Server.Pass_enabled ~clock ~machine:9 ~volume:"nfs0" ()
+    in
+    (* [spec]'s fault fires on the client's first call, and only there *)
+    let first_call (spec : Fault.spec) =
+      if faults then
+        Fault.plan ~registry ~spec:{ spec with net_after_op = 0; net_until_op = 1 } ~seed:1 ()
+      else Fault.none
+    in
+    (* each client on its own link, so each has its own fault plan;
+       client ids are allocated per link, so the second link skips the
+       first id to keep the two clients' DRC keys apart *)
+    let client ~skip_id machine spec =
+      let net = Proto.net ~fault:(first_call spec) clock in
+      if skip_id then ignore (Proto.fresh_client net : int);
+      let delivered = ref [] in
+      let handler (c : Proto.call) =
+        delivered := Proto.req_name c.c_req :: !delivered;
+        Server.handle server c
+      in
+      let c =
+        Client.create ~registry ~net ~handler ~ctx:(Ctx.create ~machine) ~mount_name:"nfs0" ()
+      in
+      (c, fun () -> List.rev !delivered)
+    in
+    let c1, delivered1 = client ~skip_id:false 11 { Fault.quiet with drop_response = 1000 } in
+    let c2, delivered2 = client ~skip_id:true 12 { Fault.quiet with duplicate = 1000 } in
+    let ino = ok_fs ((Client.ops c1).Vfs.create ~dir:Ext3.root_ino "f" Vfs.Regular) in
+    let hs =
+      List.map
+        (fun name ->
+          let ino = ok_fs (Vfs.create_path (Client.ops c1) ("/" ^ name) Vfs.Regular) in
+          (name, ok_fs (Client.file_handle c1 ino)))
+        [ "a"; "b"; "c" ]
+    in
+    List.iter
+      (fun (name, h) ->
+        ignore
+          (ok (Client.pass_write c2 h ~off:0 ~data:(Some ("data-" ^ name))
+                 [ Dpapi.entry h [ Record.name name ] ])
+            : int))
+      hs;
+    ok_fs (Client.flush c2);
+    ignore (Server.drain server : int);
+    let c name = (name, string_of_int (Helpers.counter registry name)) in
+    let root = List.sort String.compare (ok_fs ((Client.ops c1).Vfs.readdir Ext3.root_ino)) in
+    let contents =
+      List.map (fun (name, _) -> (name, ok_fs (Vfs.read_file (Client.ops c1) ("/" ^ name)))) hs
+    in
+    ( [ ("f", string_of_int ino); ("/", String.concat " " root) ]
+      @ contents
+      @ [ c "panfs.server.requests"; c "nfs.drc.misses" ],
+      (delivered1 (), delivered2 ()),
+      (snd (c "nfs.drc.hits"), snd (c "nfs.retries")),
+      Provdb.serialize (Option.get (Server.db server)) )
   in
-  QCheck2.Test.make ~name:"proto: every req round-trips the wire" ~count:300 gen_req rt_req
+  let applied, delivered, replays, db = run ~faults:true in
+  let applied0, delivered0, replays0, db0 = run ~faults:false in
+  let names = Alcotest.(list string) in
+  check tstr "client 1 opens with the Create" "rpc.create" (List.hd (fst delivered0));
+  check names "client 2 sends one OP_PASSBATCH" [ "rpc.passbatch" ] (snd delivered0);
+  check names "the Create is retransmitted" ("rpc.create" :: fst delivered0) (fst delivered);
+  check names "the OP_PASSBATCH is delivered twice" [ "rpc.passbatch"; "rpc.passbatch" ]
+    (snd delivered);
+  check Alcotest.(pair string string) "fault-free: no replays" ("0", "0") replays0;
+  check Alcotest.(pair string string) "one DRC hit per forced fault, one retransmission"
+    ("2", "1") replays;
+  check
+    Alcotest.(list (pair string string))
+    "every request applied exactly once, as in the fault-free run" applied0 applied;
+  check tbool "server db serializes as in the fault-free run" true (String.equal db db0)
 
 (* --- recovery after a server crash mid-transaction (ISSUE satellite) --------- *)
 
@@ -641,15 +796,14 @@ let test_nfs_send_path_golden () =
     ]
 
 let test_proto_sizes () =
-  let size req =
-    let buf = Buffer.create 256 in
-    Proto.encode_req buf req;
-    Buffer.length buf
-  in
   let big = Proto.Write { ino = 3; off = 0; data = String.make 10_000 'x' } in
   let small = Proto.Getattr { ino = 3 } in
-  check tbool "encoded size tracks payload" true
-    (size big > 10_000 && size small < 64)
+  check tbool "wire size tracks payload" true
+    (Proto.req_size big > 10_000 && Proto.req_size small < 64);
+  List.iter
+    (fun req ->
+      check tint (Proto.req_name req) (encoded_length Proto.encode_req req) (Proto.req_size req))
+    [ big; small ]
 
 let suite =
   [
@@ -669,6 +823,9 @@ let suite =
     Alcotest.test_case "wire codec round trips (all constructors)" `Quick
       test_proto_roundtrip_exhaustive;
     QCheck_alcotest.to_alcotest prop_proto_roundtrip;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) prop_proto_sizes;
+    Alcotest.test_case "duplicate and lost-reply replays apply once" `Quick
+      test_by_value_replay;
     Alcotest.test_case "server crash mid-transaction + recovery" `Quick
       test_server_crash_mid_txn;
     Alcotest.test_case "writes behind a refused rider stay queued" `Quick

@@ -102,6 +102,11 @@ let allowlist_entries : Allowlist.entry list =
       a_why = "pins the QCheck seed of the planner-vs-oracle property to \
                a constant so CI failures replay byte-for-byte; \
                deterministic by construction" };
+    { a_path = "test/test_panfs.ml"; a_rule = "forbidden-call";
+      a_symbol = "Random.State.make";
+      a_why = "pins the QCheck seed of the wire-size twin property to a \
+               constant so CI failures replay byte-for-byte; \
+               deterministic by construction" };
     { a_path = "test/test_telemetry.ml"; a_rule = "forbidden-call";
       a_symbol = "Random.State.make";
       a_why = "pins the QCheck seed of the histogram rank-error property \
